@@ -1,7 +1,9 @@
 #include "relational/operators.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "exec/parallel_for.h"
 #include "governor/memory_budget.h"
@@ -413,53 +415,246 @@ ColumnType InferColumnType(const std::vector<Value>& values) {
   return ColumnType::kFloat64;
 }
 
-/// Hash key for grouping / joins: the row's key values rendered with type
-/// tags so 1 (int) and "1" never collide.
-std::string MakeKey(const Table& table, size_t row,
-                    const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    Value v = table.Get(row, c);
-    key += static_cast<char>('0' + static_cast<int>(v.type()));
-    key += v.ToString();
-    key += '\x1f';
-  }
-  return key;
+// --- typed keys ------------------------------------------------------------
+//
+// HashJoin, GroupAggregate and Distinct key a row by one 64-bit word per key
+// column, chosen so that key equality is the WHERE clause's `=`:
+//   kInt     int64 by value, bool as 0/1;
+//   kDouble  the bits of the value as a double — an int64 or bool that meets
+//            a double in a join converts first, as `=` compares them — with
+//            -0.0 folded into 0.0 and every NaN into one NaN;
+//   kCode    a string's dictionary code, translated into the build side's
+//            dictionary when a join's two columns do not share one.
+// A NULL cell encodes as 0 and sets its column's bit in the trailing
+// null-mask words, so NULL keys group together; a join skips every row
+// whose mask is non-zero, so NULL keys never join.
+
+enum class KeyKind { kInt, kDouble, kCode };
+
+struct KeyColumn {
+  const Column* column;
+  KeyKind kind;
+  /// Probe-side code -> build-side code (kInvalidCode when absent there).
+  const std::vector<int32_t>* translate = nullptr;
+};
+
+KeyKind OwnKeyKind(ColumnType t) {
+  if (t == ColumnType::kFloat64) return KeyKind::kDouble;
+  if (t == ColumnType::kString) return KeyKind::kCode;
+  return KeyKind::kInt;
 }
+
+/// Words per encoded key: one per column, then the null mask.
+size_t KeyWidth(size_t columns) { return columns + (columns + 63) / 64; }
+
+bool HasNullKey(const uint64_t* key, size_t columns) {
+  for (size_t w = columns; w < KeyWidth(columns); ++w) {
+    if (key[w] != 0) return true;
+  }
+  return false;
+}
+
+uint64_t DoubleWord(double d) {
+  if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+  uint64_t word;
+  std::memcpy(&word, &d, sizeof(word));
+  return word;
+}
+
+uint64_t CodeWord(int32_t code) {
+  return static_cast<uint32_t>(code);
+}
+
+/// Encodes the keys of rows [begin, end) into `words`, KeyWidth words per
+/// row, one key column at a time.
+void EncodeKeys(const std::vector<KeyColumn>& keys, size_t begin, size_t end,
+                uint64_t* words) {
+  const size_t width = KeyWidth(keys.size());
+  const size_t rows = end - begin;
+  std::fill(words, words + rows * width, 0);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const Column& col = *keys[k].column;
+    const uint64_t null_bit = uint64_t{1} << (k % 64);
+    const size_t mask_word = keys.size() + k / 64;
+    auto each = [&](auto word_of) {
+      for (size_t i = 0; i < rows; ++i) {
+        if (col.IsNull(begin + i)) {
+          words[i * width + mask_word] |= null_bit;
+        } else {
+          words[i * width + k] = word_of(begin + i);
+        }
+      }
+    };
+    switch (keys[k].kind) {
+      case KeyKind::kInt:
+        if (col.type() == ColumnType::kBool) {
+          each([&](size_t r) -> uint64_t { return col.GetBool(r) ? 1 : 0; });
+        } else {
+          const int64_t* data = col.ints().data();
+          each([&](size_t r) { return static_cast<uint64_t>(data[r]); });
+        }
+        break;
+      case KeyKind::kDouble:
+        if (col.type() == ColumnType::kFloat64) {
+          const double* data = col.doubles().data();
+          each([&](size_t r) { return DoubleWord(data[r]); });
+        } else {
+          each([&](size_t r) { return DoubleWord(NumericAt(col, r)); });
+        }
+        break;
+      case KeyKind::kCode: {
+        const int32_t* codes = col.codes().data();
+        if (keys[k].translate != nullptr) {
+          const int32_t* to = keys[k].translate->data();
+          each([&](size_t r) { return CodeWord(to[codes[r]]); });
+        } else {
+          each([&](size_t r) { return CodeWord(codes[r]); });
+        }
+        break;
+      }
+    }
+  }
+}
+
+uint64_t HashKey(const uint64_t* key, size_t width) {
+  uint64_t h = width;
+  for (size_t i = 0; i < width; ++i) {
+    // splitmix64 over the running state.
+    h += key[i] + 0x9E3779B97F4A7C15ull;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// Rows encoded per batch where a whole side is walked serially.
+constexpr size_t kKeyBatch = 4096;
+
+/// Open-addressing map from fixed-width keys to dense ids in first-insert
+/// order. Keys live in one flat vector, so an insert appends words to
+/// pre-grown storage instead of allocating a node.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  /// Worst-case bytes per key at `width` words: the key, its hash and up
+  /// to four slots (the table doubles at half load).
+  static size_t BytesPerKey(size_t width) {
+    return (width + 1) * sizeof(uint64_t) + 4 * sizeof(uint32_t);
+  }
+
+  explicit KeyIndex(size_t width = 0, size_t expected = 0) : width_(width) {
+    size_t slots = 16;
+    while (slots < expected * 2) slots <<= 1;
+    slots_.assign(slots, kAbsent);
+    keys_.reserve(expected * width);
+    hashes_.reserve(expected);
+  }
+
+  size_t size() const { return hashes_.size(); }
+  const uint64_t* key(uint32_t id) const {
+    return keys_.data() + static_cast<size_t>(id) * width_;
+  }
+
+  /// Id of `key`, inserted as the next id when new.
+  uint32_t Insert(const uint64_t* key, bool* inserted) {
+    if ((size() + 1) * 2 > slots_.size()) Grow();
+    uint64_t hash = HashKey(key, width_);
+    size_t s = Probe(key, hash);
+    *inserted = slots_[s] == kAbsent;
+    if (*inserted) {
+      slots_[s] = static_cast<uint32_t>(size());
+      keys_.insert(keys_.end(), key, key + width_);
+      hashes_.push_back(hash);
+    }
+    return slots_[s];
+  }
+
+  /// Id of `key`, or kAbsent.
+  uint32_t Find(const uint64_t* key) const {
+    return slots_[Probe(key, HashKey(key, width_))];
+  }
+
+ private:
+  /// The slot holding `key`, or the empty slot where it would go.
+  size_t Probe(const uint64_t* key, uint64_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = hash & mask;; s = (s + 1) & mask) {
+      uint32_t id = slots_[s];
+      if (id == kAbsent || (hashes_[id] == hash &&
+                            std::equal(key, key + width_, this->key(id)))) {
+        return s;
+      }
+    }
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kAbsent);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < size(); ++id) {
+      size_t s = hashes_[id] & mask;
+      while (slots_[s] != kAbsent) s = (s + 1) & mask;
+      slots_[s] = id;
+    }
+  }
+
+  size_t width_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> slots_;
+};
 
 }  // namespace
 
 Result<Table> ProjectCompute(const Table& table,
                              const std::vector<ProjectItem>& items) {
+  // Column references pass through with their declared type (a copy that
+  // shares the dictionary); only computed items go through BoundExpr.
+  std::vector<int> source(items.size(), -1);
   std::vector<BoundExpr> bound;
-  bound.reserve(items.size());
-  for (const ProjectItem& item : items) {
-    TELEIOS_ASSIGN_OR_RETURN(BoundExpr b, BoundExpr::Bind(item.expr, table));
+  for (size_t i = 0; i < items.size(); ++i) {
+    source[i] = ResolveColumn(table, items[i].expr);
+    if (source[i] >= 0) continue;
+    TELEIOS_ASSIGN_OR_RETURN(BoundExpr b,
+                             BoundExpr::Bind(items[i].expr, table));
     bound.push_back(std::move(b));
   }
-  std::vector<std::vector<Value>> results(items.size());
+  std::vector<std::vector<Value>> results(bound.size());
   for (auto& column : results) column.resize(table.num_rows());
-  exec::ParallelOptions opts;
-  opts.label = "exec.project";
-  TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
-      table.num_rows(), opts,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          for (size_t i = 0; i < items.size(); ++i) {
-            TELEIOS_ASSIGN_OR_RETURN(Value v, bound[i].Eval(table, r));
-            results[i][r] = std::move(v);
+  if (!bound.empty()) {
+    exec::ParallelOptions opts;
+    opts.label = "exec.project";
+    TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
+        table.num_rows(), opts,
+        [&](size_t, size_t begin, size_t end) -> Status {
+          for (size_t r = begin; r < end; ++r) {
+            for (size_t j = 0; j < bound.size(); ++j) {
+              TELEIOS_ASSIGN_OR_RETURN(Value v, bound[j].Eval(table, r));
+              results[j][r] = std::move(v);
+            }
           }
-        }
-        return Status::OK();
-      }));
+          return Status::OK();
+        }));
+  }
   std::vector<Field> fields;
-  for (size_t i = 0; i < items.size(); ++i) {
-    fields.push_back({items[i].alias, InferColumnType(results[i])});
+  for (size_t i = 0, j = 0; i < items.size(); ++i) {
+    ColumnType type = source[i] >= 0
+                          ? table.schema().field(source[i]).type
+                          : InferColumnType(results[j++]);
+    fields.push_back({items[i].alias, type});
   }
   Table out{Schema(std::move(fields))};
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t i = 0; i < items.size(); ++i) {
-      TELEIOS_RETURN_IF_ERROR(out.column(i).Append(results[i][r]));
+  for (size_t i = 0, j = 0; i < items.size(); ++i) {
+    if (source[i] >= 0) {
+      out.column(i) = table.column(static_cast<size_t>(source[i]));
+      continue;
+    }
+    Column& column = out.column(i);
+    column.Reserve(table.num_rows());
+    for (const Value& v : results[j++]) {
+      TELEIOS_RETURN_IF_ERROR(column.Append(v));
     }
   }
   return out;
@@ -484,20 +679,147 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     rcols.push_back(i);
   }
 
-  // Build on the right side.
-  std::unordered_map<std::string, std::vector<uint32_t>> build;
-  build.reserve(right.num_rows());
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    bool has_null = false;
-    for (int c : rcols) {
-      if (right.column(c).IsNull(r)) {
-        has_null = true;
-        break;
+  // One key kind per pair; a string never equals a number, so such a pair
+  // leaves every probe row unmatched. The right side is the build side.
+  const size_t nkeys = lcols.size();
+  const size_t width = KeyWidth(nkeys);
+  std::vector<KeyColumn> probe_keys, build_keys;
+  std::vector<std::vector<int32_t>> translations(nkeys);
+  bool comparable = true;
+  size_t translate_bytes = 0;
+  for (size_t k = 0; k < nkeys; ++k) {
+    const Column& lc = left.column(static_cast<size_t>(lcols[k]));
+    const Column& rc = right.column(static_cast<size_t>(rcols[k]));
+    bool lstr = lc.type() == ColumnType::kString;
+    bool rstr = rc.type() == ColumnType::kString;
+    KeyKind kind = KeyKind::kInt;
+    if (lstr != rstr) {
+      comparable = false;
+    } else if (lstr) {
+      kind = KeyKind::kCode;
+      if (&lc.dict() != &rc.dict()) {
+        translate_bytes += lc.dict().size() * sizeof(int32_t);
       }
+    } else if (lc.type() == ColumnType::kFloat64 ||
+               rc.type() == ColumnType::kFloat64) {
+      kind = KeyKind::kDouble;
     }
-    if (has_null) continue;  // SQL: NULL keys never match
-    build[MakeKey(right, r, rcols)].push_back(static_cast<uint32_t>(r));
+    probe_keys.push_back({&lc, kind});
+    build_keys.push_back({&rc, kind});
   }
+
+  const size_t nl = left.num_rows();
+  const size_t nr = comparable ? right.num_rows() : 0;
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge build_charge,
+      governor::ChargeCurrent(
+          nr * (KeyIndex::BytesPerKey(width) + 3 * sizeof(uint32_t)) +
+              kKeyBatch * width * sizeof(uint64_t) + translate_bytes +
+              nl * sizeof(uint32_t),
+          "hash join build table"));
+
+  // Probe-side string codes translate into the build side's dictionary
+  // once per distinct code; a shared dictionary needs no translation.
+  for (size_t k = 0; comparable && k < nkeys; ++k) {
+    const Column& lc = *probe_keys[k].column;
+    const Column& rc = *build_keys[k].column;
+    if (probe_keys[k].kind != KeyKind::kCode || &lc.dict() == &rc.dict()) {
+      continue;
+    }
+    constexpr int32_t kUntranslated = -2;
+    std::vector<int32_t>& to = translations[k];
+    to.assign(static_cast<size_t>(lc.dict().size()), kUntranslated);
+    const int32_t* codes = lc.codes().data();
+    for (size_t r = 0; r < nl; ++r) {
+      if (lc.IsNull(r) || to[codes[r]] != kUntranslated) continue;
+      to[codes[r]] = rc.dict().Lookup(lc.dict().At(codes[r]));
+    }
+    probe_keys[k].translate = &to;
+  }
+
+  // Build: each distinct key's rows are chained through `next`. Rows are
+  // inserted last to first, so every chain lists its rows in order.
+  KeyIndex index(width, nr);
+  std::vector<uint32_t> head;   // per key: its first row
+  std::vector<uint32_t> count;  // per key: its number of rows
+  std::vector<uint32_t> next(nr, storage::kNullRow);
+  head.reserve(nr);
+  count.reserve(nr);
+  std::vector<uint64_t> words(std::min(nr, kKeyBatch) * width);
+  for (size_t end = nr; end > 0;) {
+    size_t begin = end > kKeyBatch ? end - kKeyBatch : 0;
+    EncodeKeys(build_keys, begin, end, words.data());
+    for (size_t r = end; r-- > begin;) {
+      const uint64_t* key = words.data() + (r - begin) * width;
+      if (HasNullKey(key, nkeys)) continue;
+      bool inserted = false;
+      uint32_t id = index.Insert(key, &inserted);
+      if (inserted) {
+        head.push_back(storage::kNullRow);
+        count.push_back(0);
+      }
+      next[r] = head[id];
+      head[id] = static_cast<uint32_t>(r);
+      ++count[id];
+    }
+    end = begin;
+  }
+
+  // Probe, pass 1: each left row's key, and each morsel's pair count (a
+  // left outer miss pairs its row with kNullRow).
+  exec::ParallelOptions opts;
+  opts.label = "exec.join";
+  exec::MorselPlan plan = exec::PlanMorsels(nl, opts.grain);
+  std::vector<uint32_t> key_of(nl, KeyIndex::kAbsent);
+  std::vector<size_t> pairs_before(plan.count + 1, 0);
+  TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
+      nl, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
+        std::vector<uint64_t> probe((end - begin) * width);
+        if (comparable) EncodeKeys(probe_keys, begin, end, probe.data());
+        size_t pairs = 0;
+        for (size_t r = begin; r < end; ++r) {
+          const uint64_t* key = probe.data() + (r - begin) * width;
+          if (comparable && !HasNullKey(key, nkeys)) {
+            key_of[r] = index.Find(key);
+          }
+          if (key_of[r] != KeyIndex::kAbsent) {
+            pairs += count[key_of[r]];
+          } else if (type == JoinType::kLeftOuter) {
+            ++pairs;
+          }
+        }
+        pairs_before[morsel + 1] = pairs;
+        return Status::OK();
+      }));
+  for (size_t m = 0; m < plan.count; ++m) {
+    pairs_before[m + 1] += pairs_before[m];
+  }
+
+  // Pass 2: every morsel writes its pairs at its offset, so the pairs come
+  // out in left row order with each row's matches in right row order.
+  const size_t total = pairs_before[plan.count];
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge pairs_charge,
+      governor::ChargeCurrent(2 * total * sizeof(uint32_t),
+                              "hash join pairs"));
+  SelectionVector left_rows(total), right_rows(total);
+  TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
+      nl, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
+        size_t at = pairs_before[morsel];
+        for (size_t r = begin; r < end; ++r) {
+          if (key_of[r] != KeyIndex::kAbsent) {
+            for (uint32_t b = head[key_of[r]]; b != storage::kNullRow;
+                 b = next[b]) {
+              left_rows[at] = static_cast<uint32_t>(r);
+              right_rows[at++] = b;
+            }
+          } else if (type == JoinType::kLeftOuter) {
+            left_rows[at] = static_cast<uint32_t>(r);
+            right_rows[at++] = storage::kNullRow;
+          }
+        }
+        return Status::OK();
+      }));
 
   // Output schema: all left columns, then right columns with clash rename.
   std::vector<Field> fields;
@@ -508,51 +830,30 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     fields.push_back({clash ? "r_" + name : name, f.type});
   }
   Table out{Schema(std::move(fields))};
-
-  size_t nl = left.num_columns();
-  size_t nr = right.num_columns();
-  for (size_t r = 0; r < left.num_rows(); ++r) {
-    bool has_null = false;
-    for (int c : lcols) {
-      if (left.column(c).IsNull(r)) {
-        has_null = true;
-        break;
-      }
-    }
-    const std::vector<uint32_t>* matches = nullptr;
-    if (!has_null) {
-      auto it = build.find(MakeKey(left, r, lcols));
-      if (it != build.end()) matches = &it->second;
-    }
-    if (matches) {
-      for (uint32_t rr : *matches) {
-        for (size_t c = 0; c < nl; ++c) {
-          TELEIOS_RETURN_IF_ERROR(out.column(c).Append(left.Get(r, c)));
-        }
-        for (size_t c = 0; c < nr; ++c) {
-          TELEIOS_RETURN_IF_ERROR(
-              out.column(nl + c).Append(right.Get(rr, c)));
-        }
-      }
-    } else if (type == JoinType::kLeftOuter) {
-      for (size_t c = 0; c < nl; ++c) {
-        TELEIOS_RETURN_IF_ERROR(out.column(c).Append(left.Get(r, c)));
-      }
-      for (size_t c = 0; c < nr; ++c) out.column(nl + c).AppendNull();
-    }
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    out.column(c) = left.column(c).Take(left_rows);
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    out.column(left.num_columns() + c) = right.column(c).Take(right_rows);
   }
   return out;
 }
 
 namespace {
 
+/// How an aggregate reads its argument: typed off a column where the
+/// argument is a plain column reference, through BoundExpr otherwise.
+enum class AggInput { kCountRows, kCountColumn, kInt64, kFloat64, kValue };
+
 struct AggState {
   int64_t count = 0;
   double sum = 0.0;
   bool sum_is_int = true;
   int64_t isum = 0;
-  Value min, max;
   bool seen = false;
+  Value min, max;              // kValue
+  int64_t imin = 0, imax = 0;  // kInt64
+  double dmin = 0, dmax = 0;   // kFloat64
 
   void Update(const Value& v) {
     if (v.is_null()) return;
@@ -571,6 +872,24 @@ struct AggState {
     seen = true;
   }
 
+  void UpdateInt64(int64_t v) {
+    ++count;
+    sum += static_cast<double>(v);
+    isum += v;
+    if (!seen || v < imin) imin = v;
+    if (!seen || v > imax) imax = v;
+    seen = true;
+  }
+
+  void UpdateFloat64(double v) {
+    ++count;
+    sum += v;
+    sum_is_int = false;
+    if (!seen || v < dmin) dmin = v;
+    if (!seen || v > dmax) dmax = v;
+    seen = true;
+  }
+
   /// Folds a later morsel's partial state into this one. Partials are
   /// merged in morsel-index order, so the floating-point accumulation
   /// order is fixed by the morsel plan — identical at any thread count.
@@ -582,19 +901,33 @@ struct AggState {
     if (later.seen) {
       if (!seen || later.min.Compare(min) < 0) min = later.min;
       if (!seen || later.max.Compare(max) > 0) max = later.max;
+      if (!seen || later.imin < imin) imin = later.imin;
+      if (!seen || later.imax > imax) imax = later.imax;
+      if (!seen || later.dmin < dmin) dmin = later.dmin;
+      if (!seen || later.dmax > dmax) dmax = later.dmax;
       seen = true;
     }
   }
 
-  Result<Value> Finish(const std::string& fn) const {
+  Result<Value> Finish(const std::string& fn, AggInput input) const {
     if (fn == "count") return Value(count);
     if (!seen) return Value();  // empty group -> NULL (except count)
     if (fn == "sum") return sum_is_int ? Value(isum) : Value(sum);
     if (fn == "avg") return Value(sum / static_cast<double>(count));
-    if (fn == "min") return min;
-    if (fn == "max") return max;
+    if (fn == "min" || fn == "max") {
+      bool lo = fn == "min";
+      if (input == AggInput::kInt64) return Value(lo ? imin : imax);
+      if (input == AggInput::kFloat64) return Value(lo ? dmin : dmax);
+      return lo ? min : max;
+    }
     return Status::NotFound("unknown aggregate '" + fn + "'");
   }
+};
+
+struct AggPlan {
+  AggInput input = AggInput::kValue;
+  const Column* column = nullptr;
+  BoundExpr bound;
 };
 
 }  // namespace
@@ -603,46 +936,61 @@ Result<Table> GroupAggregate(const Table& table,
                              const std::vector<std::string>& group_columns,
                              const std::vector<AggregateItem>& aggregates) {
   std::vector<int> gcols;
+  std::vector<KeyColumn> keys;
   for (const std::string& g : group_columns) {
     int i = table.schema().FieldIndex(g);
     if (i < 0) return Status::NotFound("group column '" + g + "' not found");
     gcols.push_back(i);
+    const Column& col = table.column(static_cast<size_t>(i));
+    keys.push_back({&col, OwnKeyKind(col.type())});
   }
-  std::vector<BoundExpr> bound_args;
-  std::vector<bool> has_arg;
-  for (const AggregateItem& a : aggregates) {
-    if (a.argument) {
-      TELEIOS_ASSIGN_OR_RETURN(BoundExpr b,
-                               BoundExpr::Bind(a.argument, table));
-      bound_args.push_back(std::move(b));
-      has_arg.push_back(true);
-    } else {
-      bound_args.emplace_back();
-      has_arg.push_back(false);
+  std::vector<AggPlan> plans(aggregates.size());
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const AggregateItem& item = aggregates[a];
+    AggPlan& plan = plans[a];
+    if (item.argument == nullptr && item.function == "count") {
+      plan.input = AggInput::kCountRows;
+      continue;
     }
+    int col = item.argument ? ResolveColumn(table, item.argument) : -1;
+    if (col >= 0) {
+      plan.column = &table.column(static_cast<size_t>(col));
+      if (item.function == "count") {
+        plan.input = AggInput::kCountColumn;
+      } else if (plan.column->type() == ColumnType::kInt64) {
+        plan.input = AggInput::kInt64;
+      } else if (plan.column->type() == ColumnType::kFloat64) {
+        plan.input = AggInput::kFloat64;
+      }
+      if (plan.input != AggInput::kValue) continue;
+    }
+    // Any other argument is evaluated per row; a bare aggregate() counts
+    // each row as the value 1.
+    ExprPtr arg = item.argument ? item.argument
+                                : Expr::Literal(Value(int64_t{1}));
+    TELEIOS_ASSIGN_OR_RETURN(plan.bound, BoundExpr::Bind(arg, table));
   }
+  const size_t width = KeyWidth(keys.size());
+  const size_t naggs = aggregates.size();
 
-  struct Group {
-    uint32_t first_row;
-    std::vector<AggState> states;
-  };
   struct Partial {
-    std::unordered_map<std::string, Group> groups;
-    std::vector<std::string> order;  // first-seen order within the morsel
+    KeyIndex groups;
+    std::vector<uint32_t> first_row;  // per group, in first-seen order
+    std::vector<AggState> states;     // naggs per group
   };
 
-  // Reserve for the worst case — every row its own group (key bytes +
-  // bucket + one state per aggregate) — so an aggregation too big for
-  // the budget is refused up front instead of dying mid-build.
+  // Reserve for the worst case — every row its own group (its key, slots,
+  // first row, group id and one state per aggregate) — so an aggregation
+  // too big for the budget is refused up front instead of dying mid-build.
   TELEIOS_ASSIGN_OR_RETURN(
       governor::BudgetCharge charge,
       governor::ChargeCurrent(
-          table.num_rows() *
-              (sizeof(Group) + 48 + aggregates.size() * sizeof(AggState)),
+          table.num_rows() * (KeyIndex::BytesPerKey(width) +
+                              2 * sizeof(uint32_t) + naggs * sizeof(AggState)),
           "group-aggregate hash tables"));
 
-  // Morsel-parallel pre-aggregation: each morsel builds its own hash
-  // table, then the partials fold together in morsel-index order, which
+  // Morsel-parallel pre-aggregation: each morsel numbers its own groups,
+  // then the partials fold together in morsel-index order, which
   // reproduces the serial first-seen group order and accumulation order.
   exec::ParallelOptions opts;
   opts.label = "exec.aggregate";
@@ -652,88 +1000,120 @@ Result<Table> GroupAggregate(const Table& table,
       table.num_rows(), opts,
       [&](size_t morsel, size_t begin, size_t end) -> Status {
         Partial& part = partials[morsel];
-        for (size_t r = begin; r < end; ++r) {
-          std::string key =
-              gcols.empty() ? std::string() : MakeKey(table, r, gcols);
-          auto it = part.groups.find(key);
-          if (it == part.groups.end()) {
-            Group g;
-            g.first_row = static_cast<uint32_t>(r);
-            g.states.resize(aggregates.size());
-            it = part.groups.emplace(key, std::move(g)).first;
-            part.order.push_back(key);
+        part.groups = KeyIndex(width);
+        const size_t rows = end - begin;
+        std::vector<uint64_t> words(rows * width);
+        EncodeKeys(keys, begin, end, words.data());
+        std::vector<uint32_t> group_of(rows);
+        for (size_t i = 0; i < rows; ++i) {
+          const uint64_t* key = words.data() + i * width;
+          bool inserted = false;
+          group_of[i] = part.groups.Insert(key, &inserted);
+          if (inserted) {
+            part.first_row.push_back(static_cast<uint32_t>(begin + i));
+            part.states.resize(part.states.size() + naggs);
           }
-          for (size_t a = 0; a < aggregates.size(); ++a) {
-            Value v;
-            if (has_arg[a]) {
-              TELEIOS_ASSIGN_OR_RETURN(v, bound_args[a].Eval(table, r));
-            } else {
-              v = Value(int64_t{1});  // count(*)
+        }
+        for (size_t a = 0; a < naggs; ++a) {
+          const AggPlan& p = plans[a];
+          auto state = [&](size_t i) -> AggState& {
+            return part.states[group_of[i] * naggs + a];
+          };
+          // Runs update(state, row) for the rows whose argument is not NULL.
+          auto each_valid = [&](auto update) {
+            for (size_t i = 0; i < rows; ++i) {
+              if (!p.column->IsNull(begin + i)) update(state(i), begin + i);
             }
-            it->second.states[a].Update(v);
+          };
+          switch (p.input) {
+            case AggInput::kCountRows:
+              for (size_t i = 0; i < rows; ++i) ++state(i).count;
+              break;
+            case AggInput::kCountColumn:
+              each_valid([](AggState& s, size_t) { ++s.count; });
+              break;
+            case AggInput::kInt64: {
+              const int64_t* data = p.column->ints().data();
+              each_valid(
+                  [&](AggState& s, size_t r) { s.UpdateInt64(data[r]); });
+              break;
+            }
+            case AggInput::kFloat64: {
+              const double* data = p.column->doubles().data();
+              each_valid(
+                  [&](AggState& s, size_t r) { s.UpdateFloat64(data[r]); });
+              break;
+            }
+            case AggInput::kValue:
+              for (size_t i = 0; i < rows; ++i) {
+                TELEIOS_ASSIGN_OR_RETURN(Value v,
+                                         p.bound.Eval(table, begin + i));
+                state(i).Update(v);
+              }
+              break;
           }
         }
         return Status::OK();
       }));
 
-  std::unordered_map<std::string, Group> groups;
-  std::vector<std::string> group_order;
+  KeyIndex groups(width);
+  SelectionVector first_rows;
+  std::vector<AggState> states;
   for (Partial& part : partials) {
-    for (const std::string& key : part.order) {
-      Group& incoming = part.groups.at(key);
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(incoming));
-        group_order.push_back(key);
+    for (uint32_t g = 0; g < part.groups.size(); ++g) {
+      bool inserted = false;
+      uint32_t id = groups.Insert(part.groups.key(g), &inserted);
+      AggState* incoming = part.states.data() + g * naggs;
+      if (inserted) {
+        first_rows.push_back(part.first_row[g]);
+        states.insert(states.end(), incoming, incoming + naggs);
       } else {
-        for (size_t a = 0; a < aggregates.size(); ++a) {
-          it->second.states[a].Merge(incoming.states[a]);
+        for (size_t a = 0; a < naggs; ++a) {
+          states[id * naggs + a].Merge(incoming[a]);
         }
       }
     }
   }
 
   // Global aggregate over an empty input still yields one row.
-  if (gcols.empty() && groups.empty()) {
-    Group g;
-    g.first_row = 0;
-    g.states.resize(aggregates.size());
-    groups.emplace("", std::move(g));
-    group_order.push_back("");
-  }
+  const size_t ngroups = gcols.empty() ? 1 : first_rows.size();
+  states.resize(ngroups * naggs);
 
-  // Compute results first to infer output types.
-  std::vector<std::vector<Value>> agg_values(aggregates.size());
-  for (const std::string& key : group_order) {
-    const Group& g = groups.at(key);
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      TELEIOS_ASSIGN_OR_RETURN(Value v,
-                               g.states[a].Finish(aggregates[a].function));
+  std::vector<std::vector<Value>> agg_values(naggs);
+  for (size_t a = 0; a < naggs; ++a) {
+    agg_values[a].reserve(ngroups);
+    for (size_t g = 0; g < ngroups; ++g) {
+      TELEIOS_ASSIGN_OR_RETURN(Value v, states[g * naggs + a].Finish(
+                                            aggregates[a].function,
+                                            plans[a].input));
       agg_values[a].push_back(std::move(v));
     }
   }
 
   std::vector<Field> fields;
   for (int c : gcols) fields.push_back(table.schema().field(c));
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    ColumnType t = aggregates[a].function == "count"
-                       ? ColumnType::kInt64
-                       : InferColumnType(agg_values[a]);
+  for (size_t a = 0; a < naggs; ++a) {
+    const std::string& fn = aggregates[a].function;
+    ColumnType t = InferColumnType(agg_values[a]);
+    if (fn == "count") {
+      t = ColumnType::kInt64;
+    } else if (plans[a].input == AggInput::kInt64) {
+      t = fn == "avg" ? ColumnType::kFloat64 : ColumnType::kInt64;
+    } else if (plans[a].input == AggInput::kFloat64) {
+      t = ColumnType::kFloat64;
+    }
     fields.push_back({aggregates[a].alias, t});
   }
   Table out{Schema(std::move(fields))};
-  size_t gi = 0;
-  for (const std::string& key : group_order) {
-    const Group& g = groups.at(key);
-    size_t c = 0;
-    for (int gc : gcols) {
-      TELEIOS_RETURN_IF_ERROR(
-          out.column(c++).Append(table.Get(g.first_row, gc)));
+  for (size_t c = 0; c < gcols.size(); ++c) {
+    out.column(c) =
+        table.column(static_cast<size_t>(gcols[c])).Take(first_rows);
+  }
+  for (size_t a = 0; a < naggs; ++a) {
+    Column& column = out.column(gcols.size() + a);
+    for (const Value& v : agg_values[a]) {
+      TELEIOS_RETURN_IF_ERROR(column.Append(v));
     }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      TELEIOS_RETURN_IF_ERROR(out.column(c++).Append(agg_values[a][gi]));
-    }
-    ++gi;
   }
   return out;
 }
@@ -771,14 +1151,23 @@ Table Limit(const Table& table, size_t limit, size_t offset) {
 }
 
 Table Distinct(const Table& table) {
-  std::vector<int> cols(table.num_columns());
-  for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-  std::unordered_map<std::string, bool> seen;
+  std::vector<KeyColumn> keys;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    keys.push_back({&table.column(c), OwnKeyKind(table.column(c).type())});
+  }
+  const size_t width = KeyWidth(keys.size());
+  const size_t n = table.num_rows();
+  KeyIndex seen(width);
   SelectionVector sel;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::string key = MakeKey(table, r, cols);
-    if (seen.emplace(std::move(key), true).second) {
-      sel.push_back(static_cast<uint32_t>(r));
+  std::vector<uint64_t> words(std::min(n, kKeyBatch) * width);
+  for (size_t begin = 0; begin < n; begin += kKeyBatch) {
+    size_t end = std::min(n, begin + kKeyBatch);
+    EncodeKeys(keys, begin, end, words.data());
+    for (size_t r = begin; r < end; ++r) {
+      const uint64_t* key = words.data() + (r - begin) * width;
+      bool inserted = false;
+      seen.Insert(key, &inserted);
+      if (inserted) sel.push_back(static_cast<uint32_t>(r));
     }
   }
   return table.Take(sel);

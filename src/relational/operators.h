@@ -41,15 +41,20 @@ struct ProjectItem {
   std::string alias;
 };
 
-/// Computes one output column per item. Output column types are inferred
-/// from the first non-null computed value (defaulting to DOUBLE).
+/// Computes one output column per item. A column-reference item passes
+/// its column through with the declared type; a computed item's type is
+/// inferred from its first non-null value (defaulting to DOUBLE).
 Result<storage::Table> ProjectCompute(const storage::Table& table,
                                       const std::vector<ProjectItem>& items);
 
 enum class JoinType { kInner, kLeftOuter };
 
-/// Hash join on equality of `left_keys[i]` = `right_keys[i]`. Column name
-/// clashes in the output are disambiguated with a "r_" prefix.
+/// Hash join on equality of `left_keys[i]` = `right_keys[i]`, where key
+/// equality is the WHERE clause's `=` (an int64 meets a double as a
+/// double; a string never equals a number; NULL keys never match). Output
+/// rows follow left row order, each left row's matches in right row
+/// order. Column name clashes in the output are disambiguated with a
+/// "r_" prefix.
 Result<storage::Table> HashJoin(const storage::Table& left,
                                 const storage::Table& right,
                                 const std::vector<std::string>& left_keys,
@@ -64,7 +69,8 @@ struct AggregateItem {
 };
 
 /// Hash group-by over `group_columns` computing `aggregates`. An empty
-/// group list computes global aggregates (one output row).
+/// group list computes global aggregates (one output row). Keys group by
+/// `=` (-0.0 with 0.0); NULL keys form one group.
 Result<storage::Table> GroupAggregate(
     const storage::Table& table, const std::vector<std::string>& group_columns,
     const std::vector<AggregateItem>& aggregates);

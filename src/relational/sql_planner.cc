@@ -118,75 +118,84 @@ struct PlanTrace {
 
 Result<Table> RunSelect(const SelectStatement& stmt,
                         const storage::Catalog& catalog, PlanTrace* trace) {
-  // --- FROM + pushdown + joins -------------------------------------------
-  storage::TablePtr base_ptr;
   std::vector<ExprPtr> conjuncts;
   {
     obs::TraceSpan plan_span("plan");
-    TELEIOS_ASSIGN_OR_RETURN(base_ptr, catalog.GetTable(stmt.from.name));
     if (stmt.where) SplitConjuncts(stmt.where, &conjuncts);
     plan_span.SetAttr("conjuncts", std::to_string(conjuncts.size()));
     plan_span.SetAttr("joins", std::to_string(stmt.joins.size()));
   }
 
-  auto push_down = [&](const Table& table,
-                       const std::vector<std::string>& names)
-      -> Result<Table> {
+  // --- FROM + pushdown + joins -------------------------------------------
+  // Catalog tables are read in place: every operator reads its input and
+  // writes a new table, so operator outputs are the only copies made.
+  auto scan = [&](const std::string& name) -> Result<storage::TablePtr> {
+    obs::TraceSpan scan_span("scan");
+    scan_span.SetAttr("table", name);
+    TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr table, catalog.GetTable(name));
+    scan_span.SetAttr("rows", std::to_string(table->num_rows()));
+    obs::Count("teleios_relational_scans_total");
+    trace->Add("scan " + name);
+    return table;
+  };
+  auto filter = [&](const Table& input, const ExprPtr& predicate,
+                    const char* side) -> Result<Table> {
+    obs::TraceSpan filter_span("filter");
+    if (side != nullptr) filter_span.SetAttr("side", side);
+    TELEIOS_ASSIGN_OR_RETURN(Table out, Filter(input, predicate));
+    filter_span.SetAttr("rows", std::to_string(out.num_rows()));
+    return out;
+  };
+  // Removes and returns the conjuncts that only reference `schema`.
+  auto take_pushable = [&](const storage::Schema& schema,
+                           const std::vector<std::string>& names) {
     std::vector<ExprPtr> pushed;
     std::vector<ExprPtr> rest;
     for (const ExprPtr& c : conjuncts) {
-      if (ResolvableAgainst(c, table.schema(), names)) {
-        pushed.push_back(c);
-      } else {
-        rest.push_back(c);
-      }
+      (ResolvableAgainst(c, schema, names) ? pushed : rest).push_back(c);
     }
     conjuncts = std::move(rest);
-    if (pushed.empty()) return table;
-    trace->Add("  pushdown filter: " + AndTogether(pushed)->ToString());
-    return Filter(table, AndTogether(pushed));
+    return pushed;
   };
 
-  Table current = *base_ptr;
-  trace->Add("scan " + stmt.from.name);
-  {
-    obs::TraceSpan scan_span("scan");
-    scan_span.SetAttr("table", stmt.from.name);
-    scan_span.SetAttr("rows", std::to_string(current.num_rows()));
-    obs::Count("teleios_relational_scans_total");
-  }
+  TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr base_ptr, scan(stmt.from.name));
+  const Table* current = base_ptr.get();
+  Table owned;  // the latest operator output once `current` points here
+  auto produce = [&](Table t) {
+    owned = std::move(t);
+    current = &owned;
+  };
   if (!stmt.joins.empty()) {
     std::vector<std::string> left_names = {stmt.from.name};
     if (!stmt.from.alias.empty()) left_names.push_back(stmt.from.alias);
-    TELEIOS_ASSIGN_OR_RETURN(current, push_down(current, left_names));
+    std::vector<ExprPtr> pushed = take_pushable(current->schema(), left_names);
+    if (!pushed.empty()) {
+      trace->Add("  pushdown filter: " + AndTogether(pushed)->ToString());
+      TELEIOS_ASSIGN_OR_RETURN(Table left,
+                               filter(*current, AndTogether(pushed), "left"));
+      produce(std::move(left));
+    }
     for (const JoinClause& join : stmt.joins) {
       TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr right_ptr,
-                               catalog.GetTable(join.table.name));
-      Table right = *right_ptr;
+                               scan(join.table.name));
+      const Table* right = right_ptr.get();
+      Table right_filtered;
       std::vector<std::string> right_names = {join.table.name};
       if (!join.table.alias.empty()) right_names.push_back(join.table.alias);
-      // Push single-side conjuncts below the join (inner joins only; for
-      // left outer joins pushing into the right side is still sound, but
-      // pushing a left-side filter is too — both are row-preserving here).
-      {
-        std::vector<ExprPtr> pushed;
-        std::vector<ExprPtr> rest;
-        for (const ExprPtr& c : conjuncts) {
-          if (ResolvableAgainst(c, right.schema(), right_names)) {
-            pushed.push_back(c);
-          } else {
-            rest.push_back(c);
-          }
-        }
-        if (join.type == JoinType::kInner && !pushed.empty()) {
-          conjuncts = std::move(rest);
+      // Push right-side conjuncts below inner joins; below a left outer
+      // join they would drop rows the join must keep NULL-extended.
+      if (join.type == JoinType::kInner) {
+        pushed = take_pushable(right->schema(), right_names);
+        if (!pushed.empty()) {
           trace->Add("  pushdown filter (right): " +
                      AndTogether(pushed)->ToString());
-          TELEIOS_ASSIGN_OR_RETURN(right, Filter(right, AndTogether(pushed)));
+          TELEIOS_ASSIGN_OR_RETURN(
+              right_filtered, filter(*right, AndTogether(pushed), "right"));
+          right = &right_filtered;
         }
       }
-      JoinKeys keys = DecomposeJoinCondition(join.condition, current.schema(),
-                                             right.schema());
+      JoinKeys keys = DecomposeJoinCondition(join.condition, current->schema(),
+                                             right->schema());
       if (keys.left.empty()) {
         return Status::Unimplemented(
             "join requires at least one equality condition between the two "
@@ -199,13 +208,16 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         obs::TraceSpan join_span("hash join");
         join_span.SetAttr("right", join.table.name);
         TELEIOS_ASSIGN_OR_RETURN(
-            current,
-            HashJoin(current, right, keys.left, keys.right, join.type));
-        join_span.SetAttr("rows", std::to_string(current.num_rows()));
+            Table joined,
+            HashJoin(*current, *right, keys.left, keys.right, join.type));
+        join_span.SetAttr("rows", std::to_string(joined.num_rows()));
+        produce(std::move(joined));
       }
       if (!keys.residue.empty()) {
-        TELEIOS_ASSIGN_OR_RETURN(current,
-                                 Filter(current, AndTogether(keys.residue)));
+        TELEIOS_ASSIGN_OR_RETURN(
+            Table residual,
+            filter(*current, AndTogether(keys.residue), "residue"));
+        produce(std::move(residual));
       }
       left_names.insert(left_names.end(), right_names.begin(),
                         right_names.end());
@@ -214,11 +226,10 @@ Result<Table> RunSelect(const SelectStatement& stmt,
   if (!conjuncts.empty()) {
     ExprPtr where = AndTogether(conjuncts);
     trace->Add("filter " + where->ToString() +
-               (IsVectorizablePredicate(current, where) ? " [vectorized]"
-                                                        : " [interpreted]"));
-    obs::TraceSpan filter_span("filter");
-    TELEIOS_ASSIGN_OR_RETURN(current, Filter(current, where));
-    filter_span.SetAttr("rows", std::to_string(current.num_rows()));
+               (IsVectorizablePredicate(*current, where) ? " [vectorized]"
+                                                         : " [interpreted]"));
+    TELEIOS_ASSIGN_OR_RETURN(Table filtered, filter(*current, where, nullptr));
+    produce(std::move(filtered));
   }
 
   // --- aggregation or plain projection -----------------------------------
@@ -230,13 +241,19 @@ Result<Table> RunSelect(const SelectStatement& stmt,
                   });
 
   Table output;
+  auto project = [&](const Table& input,
+                     const std::vector<ProjectItem>& items) -> Result<Table> {
+    obs::TraceSpan project_span("project");
+    project_span.SetAttr("columns", std::to_string(items.size()));
+    return ProjectCompute(input, items);
+  };
   if (has_aggregate) {
     // Materialize non-trivial group expressions as columns.
     std::vector<std::string> group_names;
     {
       std::vector<ProjectItem> pre;
-      for (size_t c = 0; c < current.num_columns(); ++c) {
-        const std::string& name = current.schema().field(c).name;
+      for (size_t c = 0; c < current->num_columns(); ++c) {
+        const std::string& name = current->schema().field(c).name;
         pre.push_back({Expr::ColumnRef(name), name});
       }
       int gi = 0;
@@ -250,7 +267,8 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         }
       }
       if (gi > 0) {
-        TELEIOS_ASSIGN_OR_RETURN(current, ProjectCompute(current, pre));
+        TELEIOS_ASSIGN_OR_RETURN(Table grouped, project(*current, pre));
+        produce(std::move(grouped));
       }
     }
     // Select items: group columns or aggregate calls.
@@ -340,44 +358,47 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     }
     trace->Add("group aggregate (" + std::to_string(group_names.size()) +
                " keys, " + std::to_string(aggs.size()) + " aggregates)");
-    obs::TraceSpan agg_span("aggregate");
-    TELEIOS_ASSIGN_OR_RETURN(Table agg_out,
-                             GroupAggregate(current, group_names, aggs));
-    agg_span.SetAttr("groups", std::to_string(agg_out.num_rows()));
+    Table agg_out;
+    {
+      obs::TraceSpan agg_span("aggregate");
+      TELEIOS_ASSIGN_OR_RETURN(agg_out,
+                               GroupAggregate(*current, group_names, aggs));
+      agg_span.SetAttr("groups", std::to_string(agg_out.num_rows()));
+    }
     if (having) {
       trace->Add("having " + having->ToString());
-      TELEIOS_ASSIGN_OR_RETURN(agg_out, Filter(agg_out, having));
+      TELEIOS_ASSIGN_OR_RETURN(agg_out, filter(agg_out, having, "having"));
     }
     // Final projection to requested output order / names.
     std::vector<ProjectItem> proj;
     for (const OutputItem& o : outputs) {
       proj.push_back({Expr::ColumnRef(o.name), o.alias});
     }
-    TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(agg_out, proj));
+    TELEIOS_ASSIGN_OR_RETURN(output, project(agg_out, proj));
+  } else if (stmt.items.size() == 1 && stmt.items[0].is_star) {
+    obs::TraceSpan project_span("project");
+    output = *current;
   } else {
-    bool star_only = stmt.items.size() == 1 && stmt.items[0].is_star;
-    if (star_only) {
-      output = current;
-    } else {
-      std::vector<ProjectItem> proj;
-      for (const SelectItem& item : stmt.items) {
-        if (item.is_star) {
-          for (size_t c = 0; c < current.num_columns(); ++c) {
-            const std::string& name = current.schema().field(c).name;
-            proj.push_back({Expr::ColumnRef(name), name});
-          }
-        } else {
-          proj.push_back({item.expr, item.alias});
+    std::vector<ProjectItem> proj;
+    for (const SelectItem& item : stmt.items) {
+      if (item.is_star) {
+        for (size_t c = 0; c < current->num_columns(); ++c) {
+          const std::string& name = current->schema().field(c).name;
+          proj.push_back({Expr::ColumnRef(name), name});
         }
+      } else {
+        proj.push_back({item.expr, item.alias});
       }
-      trace->Add("project " + std::to_string(proj.size()) + " columns");
-      TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(current, proj));
     }
+    trace->Add("project " + std::to_string(proj.size()) + " columns");
+    TELEIOS_ASSIGN_OR_RETURN(output, project(*current, proj));
   }
 
   if (stmt.distinct) {
     trace->Add("distinct");
+    obs::TraceSpan distinct_span("distinct");
     output = Distinct(output);
+    distinct_span.SetAttr("rows", std::to_string(output.num_rows()));
   }
   if (!stmt.order_by.empty()) {
     std::vector<SortKey> keys;
@@ -392,6 +413,7 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     size_t limit = stmt.limit >= 0 ? static_cast<size_t>(stmt.limit)
                                    : output.num_rows();
     trace->Add("limit " + std::to_string(limit));
+    obs::TraceSpan limit_span("limit");
     output = Limit(output, limit, static_cast<size_t>(stmt.offset));
   }
   return output;

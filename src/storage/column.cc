@@ -172,28 +172,48 @@ Status Column::Set(size_t row, const Value& v) {
                            ColumnTypeName(type_) + " column");
 }
 
+namespace {
+
+/// out[i] = in[sel[i]], with `null_value` (and a cleared validity byte)
+/// wherever the row is NULL or kNullRow — the same cell AppendNull writes.
+template <typename T>
+void Gather(const std::vector<T>& in, const std::vector<uint8_t>& validity,
+            const SelectionVector& sel, T null_value, std::vector<T>* out,
+            std::vector<uint8_t>* out_validity) {
+  out->resize(sel.size());
+  out_validity->resize(sel.size());
+  // Raw pointers: the byte-sized validity stores may alias anything, so
+  // indexing through the vectors would reload their data pointers.
+  const T* src = in.data();
+  const uint8_t* src_valid = validity.data();
+  T* dst = out->data();
+  uint8_t* dst_valid = out_validity->data();
+  for (size_t i = 0; i < sel.size(); ++i) {
+    uint32_t row = sel[i];
+    bool valid = row != kNullRow && src_valid[row] != 0;
+    dst_valid[i] = valid ? 1 : 0;
+    dst[i] = valid ? src[row] : null_value;
+  }
+}
+
+}  // namespace
+
 Column Column::Take(const SelectionVector& sel) const {
-  Column out(type_);
-  out.Reserve(sel.size());
-  for (uint32_t row : sel) {
-    if (IsNull(row)) {
-      out.AppendNull();
-      continue;
-    }
-    switch (type_) {
-      case ColumnType::kBool:
-        out.AppendBool(GetBool(row));
-        break;
-      case ColumnType::kInt64:
-        out.AppendInt64(GetInt64(row));
-        break;
-      case ColumnType::kFloat64:
-        out.AppendFloat64(GetFloat64(row));
-        break;
-      case ColumnType::kString:
-        out.AppendString(GetString(row));
-        break;
-    }
+  Column out(type_, dict_);
+  switch (type_) {
+    case ColumnType::kBool:
+      Gather(bools_, validity_, sel, uint8_t{0}, &out.bools_, &out.validity_);
+      break;
+    case ColumnType::kInt64:
+      Gather(ints_, validity_, sel, int64_t{0}, &out.ints_, &out.validity_);
+      break;
+    case ColumnType::kFloat64:
+      Gather(doubles_, validity_, sel, 0.0, &out.doubles_, &out.validity_);
+      break;
+    case ColumnType::kString:
+      Gather(codes_, validity_, sel, Dictionary::kInvalidCode, &out.codes_,
+             &out.validity_);
+      break;
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -31,6 +32,10 @@ ValueType ValueTypeForColumn(ColumnType t);
 
 /// Row indices selected by a predicate — MonetDB candidate-list idiom.
 using SelectionVector = std::vector<uint32_t>;
+
+/// A SelectionVector entry that Take turns into NULL (a left outer
+/// join's unmatched side).
+inline constexpr uint32_t kNullRow = UINT32_MAX;
 
 /// A typed, nullable, append-only column of values (the "tail" of a BAT;
 /// the "head" is the implicit dense row id).
@@ -84,7 +89,11 @@ class Column {
   /// Overwrites a cell with a (coercible) value or NULL.
   Status Set(size_t row, const Value& v);
 
-  /// Returns a new column holding rows listed in `sel`.
+  /// Returns a new column holding rows listed in `sel` (kNullRow gives
+  /// NULL). A pure gather: a string column copies codes and shares this
+  /// column's Dictionary, so nothing is interned. The result must not be
+  /// appended to on a read path — that would intern into the shared
+  /// dictionary other readers are looking up.
   Column Take(const SelectionVector& sel) const;
 
   /// Approximate heap usage in bytes.
@@ -93,6 +102,9 @@ class Column {
   void Reserve(size_t n);
 
  private:
+  Column(ColumnType type, std::shared_ptr<Dictionary> dict)
+      : type_(type), dict_(std::move(dict)) {}
+
   ColumnType type_;
   std::vector<uint8_t> validity_;  // 1 = valid
   std::vector<uint8_t> bools_;

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/observatory.h"
 #include "eo/scene.h"
@@ -155,6 +156,47 @@ TEST_F(ObservatoryTest, ProfileSqlReturnsSpanTree) {
   // PROFILE is case-insensitive; errors still surface as errors.
   EXPECT_TRUE(veo_.Sql("profile SELECT name FROM vault_rasters").ok());
   EXPECT_FALSE(veo_.Sql("PROFILE SELECT * FROM nope").ok());
+}
+
+TEST_F(ObservatoryTest, ProfileJoinShowsEveryOperatorUnderExecute) {
+  for (const char* sql :
+       {"CREATE TABLE products (id VARCHAR, satellite VARCHAR)",
+        "CREATE TABLE hotspots (product_id VARCHAR, confidence DOUBLE)",
+        "INSERT INTO products VALUES ('p1', 'MSG2'), ('p2', 'TERRA')",
+        "INSERT INTO hotspots VALUES ('p1', 0.9), ('p1', 0.2), ('p2', 0.8)"}) {
+    ASSERT_TRUE(veo_.Sql(sql).ok()) << sql;
+  }
+  auto profile = veo_.Sql(
+      "PROFILE SELECT count(*) AS n FROM hotspots JOIN products ON "
+      "hotspots.product_id = products.id WHERE products.satellite = 'MSG2' "
+      "AND hotspots.confidence > 0.5");
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  // The direct children of `execute`, in order, with their details.
+  std::vector<std::string> children;
+  int64_t execute_depth = -1;
+  for (size_t r = 0; r < profile->num_rows(); ++r) {
+    std::string name = profile->Get(r, 0).AsString();
+    int64_t depth = profile->Get(r, 1).AsInt64();
+    if (execute_depth < 0) {
+      if (name == "execute") execute_depth = depth;
+      continue;
+    }
+    if (depth <= execute_depth) break;
+    if (depth > execute_depth + 1) continue;
+    children.push_back(name == "filter"
+                           ? name + " " + profile->Get(r, 3).AsString()
+                           : name);
+  }
+  // Both pushdown filters run in their own span below the join.
+  ASSERT_EQ(children.size(), 8u);
+  EXPECT_EQ(children[0], "plan");
+  EXPECT_EQ(children[1], "scan");
+  EXPECT_EQ(children[2].rfind("filter side=left", 0), 0u) << children[2];
+  EXPECT_EQ(children[3], "scan");
+  EXPECT_EQ(children[4].rfind("filter side=right", 0), 0u) << children[4];
+  EXPECT_EQ(children[5], "hash join");
+  EXPECT_EQ(children[6], "aggregate");
+  EXPECT_EQ(children[7], "project");
 }
 
 TEST_F(ObservatoryTest, ProfileSciQlReturnsSpanTree) {

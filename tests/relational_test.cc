@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/cancellation.h"
+#include "exec/thread_pool.h"
+#include "governor/fault_injection.h"
+#include "governor/memory_budget.h"
 #include "relational/evaluator.h"
 #include "relational/expression.h"
 #include "relational/operators.h"
@@ -381,6 +389,388 @@ TEST_P(FilterSweep, ThresholdCountsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FilterSweep,
                          ::testing::Values(0, 1, 10, 257, 4096));
+
+// ---------------------------------------------------------------------------
+// HashJoin under the governor
+
+/// `rows` rows of k = i % `domain`, so every key repeats.
+Table KeyTable(size_t rows, int64_t domain) {
+  Table t{Schema({{"k", ColumnType::kInt64}})};
+  for (size_t i = 0; i < rows; ++i) {
+    t.column(0).AppendInt64(static_cast<int64_t>(i) % domain);
+  }
+  return t;
+}
+
+TEST(HashJoinGovernorTest, TightBudgetRefusesWithTheBalanceBackAtZero) {
+  Table left = KeyTable(10000, 100);
+  Table right = KeyTable(1000, 100);  // 10 matches per left row
+  for (size_t limit : {size_t{1024}, size_t{400} << 10}) {
+    // 1 KiB refuses the build table, 400 KiB the 100k pairs.
+    governor::MemoryBudget tight("tight", limit);
+    {
+      governor::ScopedBudget scope(&tight);
+      auto refused = HashJoin(left, right, {"k"}, {"k"});
+      ASSERT_FALSE(refused.ok()) << limit;
+      EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+    }
+    EXPECT_EQ(tight.used(), 0u) << limit;
+  }
+  governor::MemoryBudget roomy("roomy", 64u << 20);
+  {
+    governor::ScopedBudget scope(&roomy);
+    auto joined = HashJoin(left, right, {"k"}, {"k"});
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(joined->num_rows(), 100000u);
+  }
+  EXPECT_EQ(roomy.used(), 0u);
+}
+
+TEST(HashJoinGovernorTest, EveryRefusedReservationFailsCleanly) {
+  Table left = KeyTable(9000, 50);
+  Table right = KeyTable(300, 50);
+  governor::MemoryBudget root("sweep-root", governor::MemoryBudget::kUnlimited);
+  governor::FaultInjectingBudget injector(&root);
+  governor::ScopedBudget scope(&injector);
+  auto baseline = HashJoin(left, right, {"k"}, {"k"}, JoinType::kLeftOuter);
+  ASSERT_TRUE(baseline.ok());
+  const uint64_t reservations = injector.reservations();
+  ASSERT_GE(reservations, 2u) << "the build table and the pairs are charged";
+  for (uint64_t k = 1; k <= reservations; ++k) {
+    governor::BudgetFaultSpec spec;
+    spec.inject_at = k;
+    injector.Arm(spec);
+    auto starved = HashJoin(left, right, {"k"}, {"k"}, JoinType::kLeftOuter);
+    ASSERT_FALSE(starved.ok()) << "k=" << k;
+    EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(root.used(), 0u) << "k=" << k;
+  }
+  injector.Disarm();
+  auto again = HashJoin(left, right, {"k"}, {"k"}, JoinType::kLeftOuter);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->ToString(100000), baseline->ToString(100000));
+}
+
+TEST(HashJoinGovernorTest, CancelledTokenStopsTheProbe) {
+  Table left = KeyTable(10000, 100);
+  Table right = KeyTable(1000, 100);
+  CancellationToken token;
+  token.Cancel();
+  ScopedCancel scope(&token);
+  auto cancelled = HashJoin(left, right, {"k"}, {"k"});
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: typed keys against reference implementations
+
+class ThreadsGuard {
+ public:
+  ~ThreadsGuard() {
+    exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+  }
+};
+
+/// Seeded tables whose key columns repeat from a small domain and hold
+/// NULLs: i BIGINT, d DOUBLE (integral values, halves, 0.0 and -0.0),
+/// b BOOL, s VARCHAR, and payloads v BIGINT and w DOUBLE.
+Table RandomTable(size_t rows, uint64_t seed) {
+  Table t{Schema({{"i", ColumnType::kInt64},
+                  {"d", ColumnType::kFloat64},
+                  {"b", ColumnType::kBool},
+                  {"s", ColumnType::kString},
+                  {"v", ColumnType::kInt64},
+                  {"w", ColumnType::kFloat64}})};
+  uint64_t state = seed;
+  auto next = [&](uint64_t n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int64_t>((state >> 33) % n);
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (int c = 0; c < 6; ++c) {
+      if (next(8) == 0) {
+        row.emplace_back();
+        continue;
+      }
+      int64_t k = next(40) - 20;
+      switch (c) {
+        case 0:
+        case 4:
+          row.emplace_back(k);
+          break;
+        case 1:
+        case 5:
+          row.emplace_back(k == 0   ? (next(2) ? -0.0 : 0.0)
+                           : k % 3 == 0 ? static_cast<double>(k) + 0.5
+                                        : static_cast<double>(k));
+          break;
+        case 2:
+          row.emplace_back(k % 2 == 0);
+          break;
+        default:
+          row.emplace_back("s" + std::to_string(k));
+      }
+    }
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+std::vector<int> Columns(const Table& t,
+                         const std::vector<std::string>& names) {
+  std::vector<int> cols;
+  for (const std::string& n : names) cols.push_back(t.schema().FieldIndex(n));
+  return cols;
+}
+
+std::vector<Value> RowValues(const Table& t, size_t row,
+                             const std::vector<int>& cols) {
+  std::vector<Value> values;
+  for (int c : cols) values.push_back(t.Get(row, static_cast<size_t>(c)));
+  return values;
+}
+
+/// Orders key tuples by Value::Compare, so NULLs are one key and
+/// -0.0 equals 0.0, as `=` has it.
+struct KeyLess {
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
+    for (size_t i = 0; i < a.size(); ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  }
+};
+
+/// Nested-loop join: a pair joins when every key pair is non-NULL and
+/// compares equal.
+Table ReferenceJoin(const Table& left, const Table& right,
+                    const std::vector<std::string>& lkeys,
+                    const std::vector<std::string>& rkeys, JoinType type) {
+  std::vector<storage::Field> fields = left.schema().fields();
+  for (storage::Field f : right.schema().fields()) {
+    if (left.schema().FieldIndex(f.name) >= 0) f.name = "r_" + f.name;
+    fields.push_back(f);
+  }
+  Table out{Schema(fields)};
+  std::vector<int> lc = Columns(left, lkeys), rc = Columns(right, rkeys);
+  std::vector<std::vector<Value>> rvals;
+  for (size_t r = 0; r < right.num_rows(); ++r) {
+    rvals.push_back(RowValues(right, r, rc));
+  }
+  for (size_t l = 0; l < left.num_rows(); ++l) {
+    std::vector<Value> lval = RowValues(left, l, lc);
+    std::vector<Value> row;
+    for (size_t c = 0; c < left.num_columns(); ++c) {
+      row.push_back(left.Get(l, c));
+    }
+    bool matched = false;
+    for (size_t r = 0; r < right.num_rows(); ++r) {
+      bool equal = true;
+      for (size_t k = 0; k < lval.size() && equal; ++k) {
+        equal = !lval[k].is_null() && !rvals[r][k].is_null() &&
+                lval[k].Compare(rvals[r][k]) == 0;
+      }
+      if (!equal) continue;
+      matched = true;
+      std::vector<Value> joined = row;
+      for (size_t c = 0; c < right.num_columns(); ++c) {
+        joined.push_back(right.Get(r, c));
+      }
+      EXPECT_TRUE(out.AppendRow(joined).ok());
+    }
+    if (!matched && type == JoinType::kLeftOuter) {
+      row.resize(out.num_columns());
+      EXPECT_TRUE(out.AppendRow(row).ok());
+    }
+  }
+  return out;
+}
+
+/// std::map group-by computing, per group in first-seen order, the group
+/// columns' first-row values, count(*), count(v), sum(v), min(w), max(w),
+/// sum(w) and sum(v * 2).
+Table ReferenceGroupBy(const Table& t, const std::vector<std::string>& groups) {
+  std::vector<int> gc = Columns(t, groups);
+  std::map<std::vector<Value>, size_t, KeyLess> index;
+  std::vector<size_t> first;
+  struct Acc {
+    int64_t rows = 0, nv = 0, sv = 0, sv2 = 0;
+    double sw = 0;
+    bool seen_v = false, seen_w = false;
+    Value lo, hi;
+  };
+  std::vector<Acc> acc;
+  size_t v = 4, w = 5;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    auto [it, fresh] = index.emplace(RowValues(t, r, gc), first.size());
+    if (fresh) {
+      first.push_back(r);
+      acc.emplace_back();
+    }
+    Acc& a = acc[it->second];
+    ++a.rows;
+    if (!t.column(v).IsNull(r)) {
+      ++a.nv;
+      a.sv += t.column(v).GetInt64(r);
+      a.sv2 += 2 * t.column(v).GetInt64(r);
+      a.seen_v = true;
+    }
+    if (!t.column(w).IsNull(r)) {
+      Value x = t.Get(r, w);
+      if (!a.seen_w || x.Compare(a.lo) < 0) a.lo = x;
+      if (!a.seen_w || x.Compare(a.hi) > 0) a.hi = x;
+      a.sw += x.AsFloat64();
+      a.seen_w = true;
+    }
+  }
+  if (groups.empty() && acc.empty()) {
+    first.push_back(0);
+    acc.emplace_back();
+  }
+  std::vector<storage::Field> fields;
+  for (int c : gc) fields.push_back(t.schema().field(c));
+  for (const char* name : {"n", "nv", "sv", "lo", "hi", "sw", "sv2"}) {
+    fields.push_back({name, ColumnType::kInt64});
+  }
+  fields[gc.size() + 3].type = fields[gc.size() + 4].type =
+      fields[gc.size() + 5].type = ColumnType::kFloat64;
+  // sum(v * 2) goes through the interpreter, whose result type is read off
+  // the values: DOUBLE when every group's sum is NULL.
+  bool any_v = false;
+  for (const Acc& a : acc) any_v = any_v || a.seen_v;
+  if (!any_v) fields[gc.size() + 6].type = ColumnType::kFloat64;
+  Table out{Schema(fields)};
+  for (size_t g = 0; g < acc.size(); ++g) {
+    std::vector<Value> row = RowValues(t, first[g], gc);
+    const Acc& a = acc[g];
+    row.emplace_back(a.rows);
+    row.emplace_back(a.nv);
+    row.push_back(a.seen_v ? Value(a.sv) : Value());
+    row.push_back(a.lo);
+    row.push_back(a.hi);
+    row.push_back(a.seen_w ? Value(a.sw) : Value());
+    row.push_back(a.seen_v ? Value(a.sv2) : Value());
+    EXPECT_TRUE(out.AppendRow(row).ok());
+  }
+  return out;
+}
+
+const std::vector<AggregateItem>& DifferentialAggregates() {
+  static const std::vector<AggregateItem> kAggs = {
+      {"count", nullptr, "n"},
+      {"count", Expr::ColumnRef("v"), "nv"},
+      {"sum", Expr::ColumnRef("v"), "sv"},
+      {"min", Expr::ColumnRef("w"), "lo"},
+      {"max", Expr::ColumnRef("w"), "hi"},
+      {"sum", Expr::ColumnRef("w"), "sw"},
+      {"sum",
+       Expr::Binary(BinaryOp::kMul, Expr::ColumnRef("v"),
+                    Expr::Literal(Value(int64_t{2}))),
+       "sv2"},
+  };
+  return kAggs;
+}
+
+Table ReferenceDistinct(const Table& t) {
+  std::vector<int> all(t.num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
+  std::map<std::vector<Value>, bool, KeyLess> seen;
+  storage::SelectionVector keep;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    if (seen.emplace(RowValues(t, r, all), true).second) {
+      keep.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return t.Take(keep);
+}
+
+/// Same shape, and every cell of the same type and equal under Compare.
+void ExpectSameTable(const Table& got, const Table& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.schema().ToString(), want.schema().ToString()) << what;
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  for (size_t r = 0; r < got.num_rows(); ++r) {
+    for (size_t c = 0; c < got.num_columns(); ++c) {
+      Value a = got.Get(r, c), b = want.Get(r, c);
+      ASSERT_TRUE(a.type() == b.type() && a.Compare(b) == 0)
+          << what << ": row " << r << " column " << c << " is "
+          << a.ToString() << ", want " << b.ToString();
+    }
+  }
+}
+
+TEST(DifferentialTest, TypedOperatorsMatchReferenceAtAnyThreadCount) {
+  ThreadsGuard guard;
+  // Two morsels on the probe / group side; right tables have their own
+  // dictionaries except `shared`, which is gathered from `left`.
+  const Table left = RandomTable(5000, 11);
+  const Table right = RandomTable(120, 29);
+  storage::SelectionVector pick;
+  for (uint32_t r = 0; r < 120; ++r) pick.push_back((r * 37) % 5000);
+  const Table shared = left.Take(pick);
+  struct JoinCase {
+    const Table* right;
+    std::vector<std::string> lkeys, rkeys;
+  };
+  const std::vector<JoinCase> joins = {
+      {&right, {"i"}, {"i"}},           {&right, {"d"}, {"d"}},
+      {&right, {"b"}, {"b"}},           {&right, {"s"}, {"s"}},
+      {&shared, {"s"}, {"s"}},          {&right, {"i"}, {"d"}},
+      {&right, {"d"}, {"i"}},           {&right, {"b"}, {"i"}},
+      {&right, {"i", "s"}, {"i", "s"}}, {&shared, {"s", "d"}, {"s", "i"}},
+      {&right, {"d", "b"}, {"i", "b"}}, {&right, {"s"}, {"i"}},
+  };
+  const std::vector<std::vector<std::string>> groupings = {
+      {}, {"i"}, {"d"}, {"b"}, {"s"}, {"s", "d", "b"}, {"i", "s"}};
+  const Table empty = RandomTable(0, 1);
+
+  std::vector<Table> want_joins;
+  for (const JoinCase& j : joins) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      want_joins.push_back(
+          ReferenceJoin(left, *j.right, j.lkeys, j.rkeys, type));
+    }
+  }
+  std::vector<Table> want_groups;
+  for (const auto& g : groupings) {
+    want_groups.push_back(ReferenceGroupBy(left, g));
+  }
+  for (int threads : {1, 2, 8}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    size_t n = 0;
+    for (const JoinCase& j : joins) {
+      for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+        std::string what = "join " + j.lkeys[0] + "=" + j.rkeys[0] + " #" +
+                           std::to_string(n) + at;
+        auto got = HashJoin(left, *j.right, j.lkeys, j.rkeys, type);
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        ExpectSameTable(*got, want_joins[n++], what);
+      }
+    }
+    for (size_t g = 0; g < groupings.size(); ++g) {
+      std::string what = "group by #" + std::to_string(g) + at;
+      auto got = GroupAggregate(left, groupings[g], DifferentialAggregates());
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+      ExpectSameTable(*got, want_groups[g], what);
+    }
+    auto none = GroupAggregate(empty, {}, DifferentialAggregates());
+    ASSERT_TRUE(none.ok());
+    ExpectSameTable(*none, ReferenceGroupBy(empty, {}), "empty" + at);
+    for (const auto& cols : {std::vector<std::string>{"i", "s"},
+                             std::vector<std::string>{"d", "b"},
+                             std::vector<std::string>{"i", "d", "b", "s"}}) {
+      auto projected = left.Project(cols);
+      ASSERT_TRUE(projected.ok());
+      ExpectSameTable(Distinct(*projected), ReferenceDistinct(*projected),
+                      "distinct" + at);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace teleios::relational

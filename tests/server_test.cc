@@ -199,6 +199,24 @@ TEST_F(ServerTest, StreamedResultIsByteIdenticalToInProcess) {
   ASSERT_TRUE(client.Goodbye().ok());
 }
 
+TEST_F(ServerTest, SchemaFrameCarriesDeclaredTypes) {
+  ASSERT_TRUE(veo_.Sql("CREATE TABLE typed (id VARCHAR, n BIGINT)").ok());
+  ASSERT_TRUE(veo_.Sql("INSERT INTO typed VALUES ('a', 1), ('b', NULL)").ok());
+  StartServer();
+  Client client = MustConnect();
+  // No rows, and a column of NULLs: neither may fall back to DOUBLE.
+  auto empty = client.Query(Lang::kSql,
+                            "SELECT id, n FROM typed WHERE id = 'zzz'");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->num_rows(), 0u);
+  EXPECT_EQ(empty->schema().ToString(), "(id VARCHAR, n BIGINT)");
+  auto nulls = client.Query(Lang::kSql, "SELECT n FROM typed WHERE id = 'b'");
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  ASSERT_EQ(nulls->num_rows(), 1u);
+  EXPECT_EQ(nulls->schema().ToString(), "(n BIGINT)");
+  ASSERT_TRUE(client.Goodbye().ok());
+}
+
 TEST_F(ServerTest, SixtyFourConcurrentMixedLanguageClients) {
   StartServer();
   struct Case {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "obs/metrics.h"
 #include "relational/sql_engine.h"
 #include "relational/sql_lexer.h"
 #include "relational/sql_parser.h"
@@ -246,6 +253,149 @@ TEST_F(SqlEngineTest, ExplainShowsVectorizedFilter) {
   ASSERT_TRUE(interpreted.ok());
   EXPECT_NE(interpreted->find("[interpreted]"), std::string::npos)
       << *interpreted;
+}
+
+TEST_F(SqlEngineTest, DoubleKeysApartPastTenDigitsStayApart) {
+  Exec("CREATE TABLE d (x DOUBLE)");
+  Exec("INSERT INTO d VALUES (1.00000000001), (1.00000000002), "
+       "(1.00000000001)");
+  Table groups = Exec("SELECT x, count(*) AS n FROM d GROUP BY x");
+  ASSERT_EQ(groups.num_rows(), 2u);
+  EXPECT_EQ(groups.Get(0, 1), Value(int64_t{2}));
+  EXPECT_EQ(groups.Get(1, 1), Value(int64_t{1}));
+  EXPECT_EQ(Exec("SELECT DISTINCT x FROM d").num_rows(), 2u);
+}
+
+TEST_F(SqlEngineTest, NegativeZeroGroupsWithZero) {
+  Exec("CREATE TABLE z (x DOUBLE)");
+  Exec("INSERT INTO z VALUES (0.0), (-0.0), (0.0)");
+  // WHERE says -0.0 = 0.0, so GROUP BY and DISTINCT see one value.
+  EXPECT_EQ(Exec("SELECT x FROM z WHERE x = 0.0").num_rows(), 3u);
+  Table groups = Exec("SELECT x, count(*) AS n FROM z GROUP BY x");
+  ASSERT_EQ(groups.num_rows(), 1u);
+  EXPECT_EQ(groups.Get(0, 1), Value(int64_t{3}));
+  EXPECT_EQ(Exec("SELECT DISTINCT x FROM z").num_rows(), 1u);
+}
+
+TEST_F(SqlEngineTest, JoinKeysMatchWhereEquality) {
+  Exec("CREATE TABLE a (i INT, x DOUBLE)");
+  Exec("CREATE TABLE b (d DOUBLE, y DOUBLE)");
+  Exec("INSERT INTO a VALUES (1, 1.00000000001)");
+  Exec("INSERT INTO b VALUES (1.0, 1.00000000002)");
+  // The doubles differ past ten digits: WHERE rejects them, so must ON.
+  EXPECT_EQ(Exec("SELECT i FROM a WHERE x = 1.00000000002").num_rows(), 0u);
+  EXPECT_EQ(Exec("SELECT i FROM a JOIN b ON a.x = b.y").num_rows(), 0u);
+  // An INT64 key meets an equal DOUBLE key, as WHERE does.
+  EXPECT_EQ(Exec("SELECT i FROM a WHERE i = 1.0").num_rows(), 1u);
+  EXPECT_EQ(Exec("SELECT i FROM a JOIN b ON a.i = b.d").num_rows(), 1u);
+}
+
+TEST_F(SqlEngineTest, ProjectionKeepsDeclaredTypes) {
+  Exec("CREATE TABLE t (id VARCHAR, n BIGINT)");
+  Exec("INSERT INTO t VALUES ('a', 1), ('b', NULL)");
+  Table empty = Exec("SELECT id, n FROM t WHERE id = 'zzz'");
+  EXPECT_EQ(empty.num_rows(), 0u);
+  EXPECT_EQ(empty.schema().ToString(), "(id VARCHAR, n BIGINT)");
+  Table nulls = Exec("SELECT n FROM t WHERE id = 'b'");
+  ASSERT_EQ(nulls.num_rows(), 1u);
+  EXPECT_EQ(nulls.schema().ToString(), "(n BIGINT)");
+}
+
+/// Archive metadata in the shape analysts query over the wire: products
+/// (string ids) and hotspots that reference them.
+void AddArchiveTables(Catalog* catalog, size_t products, size_t hotspots) {
+  static const char* kSatellites[] = {"MSG1", "MSG2", "TERRA", "AQUA"};
+  static const char* kLevels[] = {"L0", "L1", "L2"};
+  auto p = std::make_shared<Table>(
+      storage::Schema({{"id", storage::ColumnType::kString},
+                       {"satellite", storage::ColumnType::kString},
+                       {"level", storage::ColumnType::kString},
+                       {"acq_time", storage::ColumnType::kInt64}}));
+  for (size_t i = 0; i < products; ++i) {
+    p->column(0).AppendString("P" + std::to_string(100000 + i));
+    p->column(1).AppendString(kSatellites[(i * 7) % 4]);
+    p->column(2).AppendString(kLevels[(i * 5) % 3]);
+    p->column(3).AppendInt64(static_cast<int64_t>(1000 + 60 * i));
+  }
+  auto h = std::make_shared<Table>(
+      storage::Schema({{"id", storage::ColumnType::kInt64},
+                       {"product_id", storage::ColumnType::kString},
+                       {"confidence", storage::ColumnType::kFloat64}}));
+  for (size_t j = 0; j < hotspots; ++j) {
+    h->column(0).AppendInt64(static_cast<int64_t>(j));
+    h->column(1).AppendString("P" +
+                              std::to_string(100000 + (j * 37) % products));
+    h->column(2).AppendFloat64(static_cast<double>(j % 100) / 100.0);
+  }
+  ASSERT_TRUE(catalog->CreateTable("products", p).ok());
+  ASSERT_TRUE(catalog->CreateTable("hotspots", h).ok());
+}
+
+/// Point lookup, range, group-aggregate and join — the SQL classes of the
+/// wire benchmark's analysts.
+const std::vector<std::string>& ArchiveReads() {
+  static const std::vector<std::string> kReads = {
+      "SELECT id, satellite, level, acq_time FROM products WHERE id = "
+      "'P100042'",
+      "SELECT id, acq_time FROM products WHERE acq_time >= 7000 AND "
+      "acq_time < 300000",
+      "SELECT satellite, level, count(*) AS n, max(acq_time) AS latest FROM "
+      "products WHERE acq_time >= 200000 GROUP BY satellite, level",
+      "SELECT count(*) AS n FROM hotspots JOIN products ON "
+      "hotspots.product_id = products.id WHERE products.satellite = 'MSG2' "
+      "AND hotspots.confidence > 0.5",
+  };
+  return kReads;
+}
+
+TEST(ArchiveReadsTest, ReadShapesInternNothing) {
+  Catalog catalog;
+  AddArchiveTables(&catalog, 10000, 2000);
+  SqlEngine engine(&catalog);
+  obs::Counter* interned = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_storage_dict_interned_total");
+  obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_storage_dict_hits_total");
+  const uint64_t interned_before = interned->value();
+  const uint64_t hits_before = hits->value();
+  for (const std::string& sql : ArchiveReads()) {
+    auto result = engine.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    EXPECT_GT(result->num_rows(), 0u) << sql;
+  }
+  // Outputs gather codes and share the source dictionaries.
+  EXPECT_EQ(interned->value(), interned_before);
+  EXPECT_EQ(hits->value(), hits_before);
+}
+
+TEST(ArchiveReadsTest, ConcurrentReadersSeeSerialResults) {
+  Catalog catalog;
+  AddArchiveTables(&catalog, 10000, 2000);
+  SqlEngine engine(&catalog);
+  const std::vector<std::string>& reads = ArchiveReads();
+  std::vector<std::string> expected;
+  for (const std::string& sql : reads) {
+    auto result = engine.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    expected.push_back(result->ToString(100000));
+  }
+  // Readers share the catalog tables and, through every gathered result,
+  // their dictionaries; none may intern into them.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = 0; i < 12; ++i) {
+        size_t k = (t + i) % reads.size();
+        auto result = engine.Execute(reads[k]);
+        if (!result.ok() || result->ToString(100000) != expected[k]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 /// Parameterized aggregate correctness sweep against a closed form.
