@@ -2,9 +2,12 @@
 // plus a --json[=path] flag that instead emits one JSON object per
 // benchmark run, newline-delimited:
 //
-//   {"name": "BM_Scan/1024", "iters": 4096, "ns_per_op": 1234.5}
+//   {"name": "BM_Scan/1024", "iters": 4096, "ns_per_op": 1234.5,
+//    "counters": {"items_per_second": 8.3e+08}}
 //
-// so CI and scripts can diff perf numbers without parsing tables.
+// (one line per run; `counters` holds the benchmark's user counters, such
+// as items_per_second or answers, as the console shows them) so CI and
+// scripts can diff perf numbers without parsing tables.
 //
 // --fault-rate=N is consumed here too (exported as
 // TELEIOS_BENCH_FAULT_RATE): fault-aware benchmarks like
@@ -12,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -52,7 +56,19 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter {
               : 0;
       *os_ << "{\"name\": \"" << JsonEscape(run.benchmark_name())
            << "\", \"iters\": " << run.iterations
-           << ", \"ns_per_op\": " << ns_per_op << "}\n";
+           << ", \"ns_per_op\": " << ns_per_op << ", \"counters\": {";
+      // User counters as reported (rates already divided by the time).
+      const char* sep = "";
+      for (const auto& [name, counter] : run.counters) {
+        *os_ << sep << "\"" << JsonEscape(name) << "\": ";
+        if (std::isfinite(counter.value)) {
+          *os_ << counter.value;
+        } else {
+          *os_ << "null";
+        }
+        sep = ", ";
+      }
+      *os_ << "}}\n";
     }
   }
 

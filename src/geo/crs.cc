@@ -40,7 +40,8 @@ double HaversineMeters(const Point& a, const Point& b) {
 double GeodesicDistanceMeters(const Geometry& a, const Geometry& b) {
   // Planar distance in degrees, scaled by the metric at the mean latitude.
   double deg = Distance(a, b);
-  if (deg == 0.0) return 0.0;
+  // Touching geometries, or an empty one (infinitely far, as in Distance).
+  if (deg == 0.0 || std::isinf(deg)) return deg;
   double lat = (a.GetEnvelope().Center().y + b.GetEnvelope().Center().y) / 2;
   double meters_per_deg_lat = kEarthRadiusMeters * kDegToRad;
   double meters_per_deg_lon = meters_per_deg_lat * std::cos(lat * kDegToRad);

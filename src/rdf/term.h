@@ -50,6 +50,10 @@ struct Term {
   bool IsBlank() const { return kind == TermKind::kBlank; }
   bool IsLiteral() const { return kind == TermKind::kLiteral; }
   bool IsWkt() const { return IsLiteral() && datatype == kStrdfWkt; }
+  /// xsd:integer or xsd:double: compared by value, not lexically.
+  bool IsNumeric() const {
+    return IsLiteral() && (datatype == kXsdInteger || datatype == kXsdDouble);
+  }
 
   /// Canonical N-Triples rendering; doubles as the dictionary key.
   std::string ToNTriples() const;

@@ -43,8 +43,12 @@ class TripleStore {
   /// Removes all triples matching the pattern; returns the count.
   size_t Remove(const TriplePattern& pattern);
 
-  /// All triples matching the pattern, using the best index.
+  /// All triples matching the pattern: a binary-searched range of the
+  /// permutation that leads with the pattern's bound positions, in that
+  /// permutation's order.
   std::vector<Triple> Match(const TriplePattern& pattern) const;
+  /// The same, appended to `out`, so a caller can reuse one buffer.
+  void Match(const TriplePattern& pattern, std::vector<Triple>* out) const;
 
   /// Convenience: match with Terms (unknown terms match nothing).
   std::vector<Triple> Match(const std::optional<Term>& s,
@@ -62,9 +66,9 @@ class TripleStore {
   TermDictionary dict_;
   std::vector<Triple> triples_;
 
-  // Lazily built sorted permutations (indices into triples_).
+  // Lazily built sorted permutations (indices into triples_, which is
+  // kept sorted SPO).
   mutable bool indexes_valid_ = false;
-  mutable std::vector<uint32_t> spo_;
   mutable std::vector<uint32_t> pos_;
   mutable std::vector<uint32_t> osp_;
 };

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <regex>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "strabon/temporal.h"
 
 namespace teleios::strabon {
@@ -49,11 +52,6 @@ storage::Table SolutionSet::ToTable(const rdf::TermDictionary& dict) const {
 
 namespace {
 
-bool IsNumericLiteral(const Term& t) {
-  return t.IsLiteral() &&
-         (t.datatype == rdf::kXsdInteger || t.datatype == rdf::kXsdDouble);
-}
-
 Result<double> NumericValue(const Term& t) {
   if (!t.IsLiteral()) {
     return Status::TypeError("not a literal: " + t.ToNTriples());
@@ -65,6 +63,15 @@ bool IsDateTime(const Term& t) {
   return t.IsLiteral() && t.datatype == rdf::kXsdDateTime;
 }
 
+/// Adds the variables `e` reads to `vars`, each once.
+void CollectVars(const SparqlExpr& e, std::vector<std::string>* vars) {
+  if (e.kind == SparqlExprKind::kVar &&
+      std::find(vars->begin(), vars->end(), e.var) == vars->end()) {
+    vars->push_back(e.var);
+  }
+  for (const SparqlExprPtr& a : e.args) CollectVars(*a, vars);
+}
+
 }  // namespace
 
 Result<bool> SparqlEvaluator::EffectiveBooleanValue(const Term& term) {
@@ -72,7 +79,7 @@ Result<bool> SparqlEvaluator::EffectiveBooleanValue(const Term& term) {
     return Status::TypeError("EBV of non-literal");
   }
   if (term.datatype == rdf::kXsdBoolean) return term.lexical == "true";
-  if (IsNumericLiteral(term)) {
+  if (term.IsNumeric()) {
     TELEIOS_ASSIGN_OR_RETURN(double v, NumericValue(term));
     return v != 0.0;
   }
@@ -81,7 +88,7 @@ Result<bool> SparqlEvaluator::EffectiveBooleanValue(const Term& term) {
 }
 
 int SparqlEvaluator::CompareTerms(const Term& a, const Term& b) {
-  if (IsNumericLiteral(a) && IsNumericLiteral(b)) {
+  if (a.IsNumeric() && b.IsNumeric()) {
     double x = NumericValue(a).value_or(0);
     double y = NumericValue(b).value_or(0);
     return x < y ? -1 : (x > y ? 1 : 0);
@@ -116,33 +123,65 @@ int SparqlEvaluator::CompareTerms(const Term& a, const Term& b) {
 }
 
 Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
-    const std::vector<TriplePatternAst>& triples) {
+    const std::vector<TriplePatternAst>& triples,
+    const std::vector<PushedFilter>& filters) {
   SolutionSet solutions;
   solutions.rows.push_back({});  // the empty solution
 
-  // Greedy pattern order: most ground positions first, then patterns
-  // sharing variables with what is already bound.
   std::vector<const TriplePatternAst*> remaining;
   for (const auto& t : triples) remaining.push_back(&t);
   std::unordered_set<std::string> bound_vars;
+  std::vector<bool> applied(filters.size(), false);
+  std::vector<SpatialRestriction> restrictions;
+  if (index_ != nullptr) {
+    for (const PushedFilter& f : filters) {
+      for (SpatialRestriction& r : RestrictionsOf(f.expr, cache_)) {
+        restrictions.push_back(std::move(r));
+      }
+    }
+  }
 
   auto ground_count = [](const TriplePatternAst& t) {
     return (t.s.is_var ? 0 : 1) + (t.p.is_var ? 0 : 1) +
            (t.o.is_var ? 0 : 1);
+  };
+  auto is_var = [](const PatternNode& n, const std::string& var) {
+    return n.is_var && n.var == var;
   };
   auto shares_var = [&](const TriplePatternAst& t) {
     return (t.s.is_var && bound_vars.count(t.s.var)) ||
            (t.p.is_var && bound_vars.count(t.p.var)) ||
            (t.o.is_var && bound_vars.count(t.o.var));
   };
+  // The first restriction on a still unbound variable of `t` whose
+  // partner, if it has one, is bound.
+  auto restriction_of =
+      [&](const TriplePatternAst& t) -> const SpatialRestriction* {
+    for (const SpatialRestriction& r : restrictions) {
+      if ((is_var(t.s, r.var) || is_var(t.p, r.var) || is_var(t.o, r.var)) &&
+          !bound_vars.count(r.var) &&
+          (r.partner.empty() || bound_vars.count(r.partner))) {
+        return &r;
+      }
+    }
+    return nullptr;
+  };
+  auto joined = [&](const TriplePatternAst& t) {
+    const SpatialRestriction* r = restriction_of(t);
+    return r != nullptr && !r->partner.empty();
+  };
 
+  size_t probes = 0;
+  size_t probe_candidates = 0;
   while (!remaining.empty()) {
-    // Pick the best pattern.
+    // Greedy pattern order: most ground positions first, then patterns
+    // sharing a variable with what is bound, or joined to it by a spatial
+    // FILTER.
     size_t best = 0;
     int best_score = -1;
     for (size_t i = 0; i < remaining.size(); ++i) {
-      int score = ground_count(*remaining[i]) * 2 +
-                  (shares_var(*remaining[i]) ? 3 : 0);
+      const TriplePatternAst& t = *remaining[i];
+      int score = ground_count(t) * 2 + (shares_var(t) || joined(t) ? 3 : 0);
       if (score > best_score) {
         best_score = score;
         best = i;
@@ -163,6 +202,27 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
     bool impossible = (gs && *gs == kNoTerm) || (gp && *gp == kNoTerm) ||
                       (go && *go == kNoTerm);
 
+    // A restricted variable binds only the R-tree's candidates (ascending
+    // ids). As the object under a bound predicate and an unbound subject,
+    // each candidate is a seek of the (p, o) prefix instead of a scan of
+    // the predicate; elsewhere the few matches are checked against the
+    // candidates. Either way they keep the order a scan gives them.
+    const SpatialRestriction* restriction = restriction_of(pat);
+    bool seek = restriction != nullptr && is_var(pat.o, restriction->var) &&
+                pat.s.is_var && !bound_vars.count(pat.s.var) &&
+                pat.s.var != restriction->var &&
+                !is_var(pat.p, restriction->var) &&
+                (gp || bound_vars.count(pat.p.var));
+    std::vector<TermId> candidates;
+    if (restriction != nullptr && restriction->partner.empty()) {
+      obs::Count("teleios_strabon_rtree_probes_total");
+      candidates = index_->Query(
+          restriction->Around(restriction->probe, index_->extent()));
+    }
+    int partner = restriction != nullptr && !restriction->partner.empty()
+                      ? solutions.VarIndex(restriction->partner)
+                      : -1;
+
     // Ensure variable columns exist.
     int si = pat.s.is_var ? solutions.AddVar(pat.s.var) : -1;
     int pi = pat.p.is_var ? solutions.AddVar(pat.p.var) : -1;
@@ -171,56 +231,89 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
     if (pat.p.is_var) bound_vars.insert(pat.p.var);
     if (pat.o.is_var) bound_vars.insert(pat.o.var);
 
-    const std::unordered_set<TermId>* s_cands = nullptr;
-    const std::unordered_set<TermId>* p_cands = nullptr;
-    const std::unordered_set<TermId>* o_cands = nullptr;
-    if (candidates_) {
-      auto find = [&](const PatternNode& n)
-          -> const std::unordered_set<TermId>* {
-        if (!n.is_var) return nullptr;
-        auto it = candidates_->find(n.var);
-        return it == candidates_->end() ? nullptr : &it->second;
-      };
-      s_cands = find(pat.s);
-      p_cands = find(pat.p);
-      o_cands = find(pat.o);
-    }
-
     std::vector<std::vector<TermId>> next_rows;
-    if (!impossible) {
-      for (const auto& row : solutions.rows) {
-        TriplePattern query;
-        if (gs) query.s = *gs;
-        else if (row[si] != kNoTerm) query.s = row[si];
-        if (gp) query.p = *gp;
-        else if (row[pi] != kNoTerm) query.p = row[pi];
-        if (go) query.o = *go;
-        else if (row[oi] != kNoTerm) query.o = row[oi];
+    std::vector<rdf::Triple> matches;  // one row's, reused across rows
+    for (const auto& row : solutions.rows) {
+      if (impossible) break;  // an unknown ground term matches nothing
+      TriplePattern query;
+      if (gs) query.s = *gs;
+      else if (row[si] != kNoTerm) query.s = row[si];
+      if (gp) query.p = *gp;
+      else if (row[pi] != kNoTerm) query.p = row[pi];
+      if (go) query.o = *go;
+      else if (row[oi] != kNoTerm) query.o = row[oi];
 
-        for (const rdf::Triple& t : store_->Match(query)) {
-          // Repeated-variable consistency (e.g. ?x ?p ?x).
-          if (si >= 0 && pi >= 0 && pat.s.var == pat.p.var && t.s != t.p) {
-            continue;
-          }
-          if (si >= 0 && oi >= 0 && pat.s.var == pat.o.var && t.s != t.o) {
-            continue;
-          }
-          if (pi >= 0 && oi >= 0 && pat.p.var == pat.o.var && t.p != t.o) {
-            continue;
-          }
-          if (s_cands && !s_cands->count(t.s)) continue;
-          if (p_cands && !p_cands->count(t.p)) continue;
-          if (o_cands && !o_cands->count(t.o)) continue;
-          std::vector<TermId> extended = row;
-          if (si >= 0) extended[si] = t.s;
-          if (pi >= 0) extended[pi] = t.p;
-          if (oi >= 0) extended[oi] = t.o;
-          next_rows.push_back(std::move(extended));
+      if (partner >= 0) {
+        // Spatial join: the candidates near this row's partner geometry.
+        ++probes;
+        auto g = cache_->Get(store_->dict().At(row[partner]));
+        candidates.clear();
+        if (g.ok()) {
+          candidates = index_->Query(
+              restriction->Around((*g)->GetEnvelope(), index_->extent()));
         }
+        probe_candidates += candidates.size();
       }
+      auto admits = [&](const PatternNode& n, TermId id) {
+        return seek || !is_var(n, restriction->var) ||
+               std::binary_search(candidates.begin(), candidates.end(), id);
+      };
+      auto extend = [&](const rdf::Triple& t) {
+        // Repeated-variable consistency (e.g. ?x ?p ?x).
+        if (si >= 0 && pi >= 0 && pat.s.var == pat.p.var && t.s != t.p) {
+          return;
+        }
+        if (si >= 0 && oi >= 0 && pat.s.var == pat.o.var && t.s != t.o) {
+          return;
+        }
+        if (pi >= 0 && oi >= 0 && pat.p.var == pat.o.var && t.p != t.o) {
+          return;
+        }
+        if (restriction != nullptr &&
+            !(admits(pat.s, t.s) && admits(pat.p, t.p) &&
+              admits(pat.o, t.o))) {
+          return;
+        }
+        std::vector<TermId> extended = row;
+        if (si >= 0) extended[si] = t.s;
+        if (pi >= 0) extended[pi] = t.p;
+        if (oi >= 0) extended[oi] = t.o;
+        next_rows.push_back(std::move(extended));
+      };
+      matches.clear();
+      if (seek) {
+        for (TermId c : candidates) {
+          query.o = c;
+          store_->Match(query, &matches);
+        }
+      } else {
+        store_->Match(query, &matches);
+      }
+      for (const rdf::Triple& t : matches) extend(t);
     }
     solutions.rows = std::move(next_rows);
+    rows_built_ += solutions.rows.size();
+
+    // The FILTERs whose last variable this pattern bound.
+    for (size_t f = 0; f < filters.size(); ++f) {
+      if (applied[f] ||
+          !std::all_of(filters[f].vars.begin(), filters[f].vars.end(),
+                       [&](const std::string& v) {
+                         return bound_vars.count(v) > 0;
+                       })) {
+        continue;
+      }
+      applied[f] = true;
+      TELEIOS_RETURN_IF_ERROR(ApplyFilter(filters[f].expr, &solutions));
+    }
     if (solutions.rows.empty()) break;
+  }
+  if (probes > 0) {
+    join_probes_ += probes;
+    join_candidates_ += probe_candidates;
+    obs::Count("teleios_strabon_spatial_join_probes_total", probes);
+    obs::Count("teleios_strabon_spatial_join_candidates_total",
+               probe_candidates);
   }
   return solutions;
 }
@@ -294,15 +387,43 @@ Status SparqlEvaluator::ApplyFilter(const SparqlExprPtr& filter,
     auto value = EvalExpr(filter, *solutions, r);
     if (!value.ok()) continue;  // evaluation error -> row dropped
     auto ebv = EffectiveBooleanValue(*value);
-    if (ebv.ok() && *ebv) kept.push_back(solutions->rows[r]);
+    if (ebv.ok() && *ebv) kept.push_back(std::move(solutions->rows[r]));
   }
   solutions->rows = std::move(kept);
   return Status::OK();
 }
 
 Result<SolutionSet> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
+  // A FILTER over variables that the group's triple patterns all bind, and
+  // no BIND reassigns, runs inside the BGP right after the last of them is
+  // bound: the UNION and OPTIONAL joins keep each BGP row's bindings as
+  // they are, so it drops the same rows there as at the end. Every other
+  // FILTER runs at the end, after the BINDs.
+  std::unordered_set<std::string> bgp_vars;
+  for (const TriplePatternAst& t : group.triples) {
+    for (const PatternNode* n : {&t.s, &t.p, &t.o}) {
+      if (n->is_var) bgp_vars.insert(n->var);
+    }
+  }
+  for (const BindClause& bind : group.binds) bgp_vars.erase(bind.var);
+  std::vector<PushedFilter> pushed;
+  std::vector<SparqlExprPtr> last;
+  for (const SparqlExprPtr& f : group.filters) {
+    PushedFilter p{f, {}};
+    CollectVars(*f, &p.vars);
+    bool early = !p.vars.empty() &&
+                 std::all_of(p.vars.begin(), p.vars.end(),
+                             [&](const std::string& v) {
+                               return bgp_vars.count(v) > 0;
+                             });
+    if (early) {
+      pushed.push_back(std::move(p));
+    } else {
+      last.push_back(f);
+    }
+  }
   TELEIOS_ASSIGN_OR_RETURN(SolutionSet solutions,
-                           EvalBasicGraphPattern(group.triples));
+                           EvalBasicGraphPattern(group.triples, pushed));
   for (const UnionPattern& u : group.unions) {
     TELEIOS_ASSIGN_OR_RETURN(SolutionSet lhs, EvalGroup(*u.left));
     TELEIOS_ASSIGN_OR_RETURN(SolutionSet rhs, EvalGroup(*u.right));
@@ -339,7 +460,7 @@ Result<SolutionSet> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
       }
     }
   }
-  for (const SparqlExprPtr& filter : group.filters) {
+  for (const SparqlExprPtr& filter : last) {
     TELEIOS_RETURN_IF_ERROR(ApplyFilter(filter, &solutions));
   }
   return solutions;

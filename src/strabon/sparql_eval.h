@@ -2,14 +2,13 @@
 #define TELEIOS_STRABON_SPARQL_EVAL_H_
 
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "rdf/triple_store.h"
 #include "storage/table.h"
 #include "strabon/spatial_functions.h"
+#include "strabon/spatial_index.h"
 #include "strabon/sparql_algebra.h"
 
 namespace teleios::strabon {
@@ -29,22 +28,23 @@ struct SolutionSet {
   storage::Table ToTable(const rdf::TermDictionary& dict) const;
 };
 
-/// Per-variable candidate restriction (from the spatial index): a pattern
-/// binding a restricted variable only keeps rows whose binding is in the
-/// set.
-using CandidateSets =
-    std::unordered_map<std::string, std::unordered_set<rdf::TermId>>;
-
 /// Evaluates group graph patterns against a triple store.
 class SparqlEvaluator {
  public:
-  /// `store` and `geometry_cache` must outlive the evaluator;
-  /// `candidates` may be null.
+  /// `store`, `geometry_cache` and `index` must outlive the evaluator.
+  /// With a null `index` every spatial FILTER is evaluated by scan;
+  /// otherwise `index` must be refreshed for the store's current state.
   SparqlEvaluator(const rdf::TripleStore* store, GeometryCache* geometry_cache,
-                  const CandidateSets* candidates = nullptr)
-      : store_(store), cache_(geometry_cache), candidates_(candidates) {}
+                  const SpatialIndex* index = nullptr)
+      : store_(store), cache_(geometry_cache), index_(index) {}
 
   Result<SolutionSet> EvalGroup(const GroupPattern& group);
+
+  /// Rows the basic graph patterns built, summed over their steps.
+  size_t rows_built() const { return rows_built_; }
+  /// R-tree lookups of spatial joins, and the candidates they returned.
+  size_t join_probes() const { return join_probes_; }
+  size_t join_candidates() const { return join_candidates_; }
 
   /// Evaluates an expression for row `row` of `solutions`. Unbound
   /// variables and type mismatches produce an error Status (which FILTER
@@ -61,15 +61,25 @@ class SparqlEvaluator {
   static int CompareTerms(const rdf::Term& a, const rdf::Term& b);
 
  private:
+  /// A FILTER run inside a BGP, with the variables it waits for.
+  struct PushedFilter {
+    SparqlExprPtr expr;
+    std::vector<std::string> vars;
+  };
+
   Result<SolutionSet> EvalBasicGraphPattern(
-      const std::vector<TriplePatternAst>& triples);
+      const std::vector<TriplePatternAst>& triples,
+      const std::vector<PushedFilter>& filters);
   Result<SolutionSet> Join(const SolutionSet& left, const SolutionSet& right,
                            bool left_outer);
   Status ApplyFilter(const SparqlExprPtr& filter, SolutionSet* solutions);
 
   const rdf::TripleStore* store_;
   GeometryCache* cache_;
-  const CandidateSets* candidates_;
+  const SpatialIndex* index_;
+  size_t rows_built_ = 0;
+  size_t join_probes_ = 0;
+  size_t join_candidates_ = 0;
 };
 
 }  // namespace teleios::strabon

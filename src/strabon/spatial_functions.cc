@@ -40,12 +40,8 @@ std::string StrdfLocal(const std::string& iri) {
 }  // namespace
 
 Result<const Geometry*> GeometryCache::Get(const Term& term) {
-  if (!term.IsLiteral() || (term.datatype != rdf::kStrdfWkt &&
-                            !term.datatype.empty())) {
-    // Accept plain literals that look like WKT for robustness.
-  }
-  if (!term.IsLiteral()) {
-    return Status::TypeError("expected a WKT literal, got " +
+  if (!term.IsWkt()) {
+    return Status::TypeError("expected a strdf:WKT literal, got " +
                              term.ToNTriples());
   }
   // FILTER evaluation hits this per candidate binding; cache the counters.
@@ -77,6 +73,13 @@ SpatialRelation RelationOf(const std::string& iri) {
   if (local == "within" || local == "inside") return SpatialRelation::kWithin;
   if (local == "disjoint") return SpatialRelation::kDisjoint;
   return SpatialRelation::kNone;
+}
+
+DistanceKind DistanceOf(const std::string& iri) {
+  std::string local = StrdfLocal(iri);
+  if (local == "distance") return DistanceKind::kPlanar;
+  if (local == "geodesicdistance") return DistanceKind::kGeodesic;
+  return DistanceKind::kNone;
 }
 
 Result<Term> EvalSpatialFunction(const std::string& iri,

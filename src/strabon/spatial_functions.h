@@ -16,7 +16,9 @@ namespace teleios::strabon {
 /// between O(n) and O(n * |wkt|) filter evaluation.
 class GeometryCache {
  public:
-  /// Parses (or fetches) the geometry of a strdf:WKT literal.
+  /// Parses (or fetches) the geometry of a strdf:WKT literal; any other
+  /// term is a TypeError. The spatial index holds exactly these literals,
+  /// so FILTERs see the same geometries with the index on and off.
   Result<const geo::Geometry*> Get(const rdf::Term& term);
 
   size_t size() const { return cache_.size(); }
@@ -38,6 +40,15 @@ enum class SpatialRelation {
 };
 
 SpatialRelation RelationOf(const std::string& iri);
+
+/// Kind of distance a function measures, for index acceleration.
+enum class DistanceKind {
+  kNone,
+  kPlanar,    // distance: in the coordinates' units
+  kGeodesic,  // geodesicDistance: metres (geo::GeodesicDistanceMeters)
+};
+
+DistanceKind DistanceOf(const std::string& iri);
 
 /// Evaluates an strdf: function over ground terms. Boolean relations
 /// return xsd:boolean literals; constructive ops (buffer, union,

@@ -1,11 +1,10 @@
 #include "strabon/strabon.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
-#include "geo/wkt.h"
 #include "io/filesystem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,7 +17,7 @@ using rdf::TermId;
 using rdf::Triple;
 
 Result<size_t> Strabon::LoadTurtle(const std::string& text) {
-  rtree_valid_ = false;
+  index_.Invalidate();
   return rdf::ParseTurtle(text, &store_);
 }
 
@@ -30,159 +29,18 @@ Result<size_t> Strabon::LoadTurtleFile(const std::string& path) {
 
 void Strabon::Add(const Term& s, const Term& p, const Term& o) {
   store_.Add(s, p, o);
-  rtree_valid_ = false;
+  index_.Invalidate();
   static auto* added = obs::MetricsRegistry::Global().GetCounter(
       "teleios_strabon_triples_added_total");
   added->Inc();
 }
 
-void Strabon::EnsureSpatialIndex() {
-  if (rtree_valid_ &&
-      rtree_built_at_size_ == static_cast<size_t>(store_.dict().size())) {
-    return;
+const SpatialIndex* Strabon::IndexFor(const GroupPattern& where) {
+  if (!spatial_index_enabled_ || !HasSpatialRestriction(where, &cache_)) {
+    return nullptr;
   }
-  obs::TraceSpan span("rtree.build",
-                      obs::MetricsRegistry::Global().GetHistogram(
-                          "teleios_strabon_index_build_millis"));
-  obs::Count("teleios_strabon_index_builds_total");
-  std::vector<geo::RTree::Entry> entries;
-  int32_t n = store_.dict().size();
-  for (int32_t id = 0; id < n; ++id) {
-    const Term& t = store_.dict().At(id);
-    if (!t.IsWkt()) continue;
-    auto g = cache_.Get(t);
-    if (!g.ok()) continue;  // malformed WKT literals are simply not indexed
-    entries.push_back({(*g)->GetEnvelope(), id});
-  }
-  indexed_count_ = entries.size();
-  obs::SetGauge("teleios_strabon_indexed_geometries",
-                static_cast<double>(indexed_count_));
-  rtree_ = geo::RTree();
-  rtree_.BulkLoad(std::move(entries));
-  rtree_valid_ = true;
-  rtree_built_at_size_ = static_cast<size_t>(n);
-}
-
-namespace {
-
-/// Recognizes `strdf:rel(?v, CONST-WKT)` / `strdf:rel(CONST-WKT, ?v)`;
-/// fills var + envelope on success.
-bool MatchSpatialRelFilter(const SparqlExprPtr& e, GeometryCache* cache,
-                           std::string* var, geo::Envelope* box) {
-  if (e->kind != SparqlExprKind::kCall || RelationOf(e->function) ==
-                                              SpatialRelation::kNone) {
-    return false;
-  }
-  if (RelationOf(e->function) == SpatialRelation::kDisjoint) return false;
-  if (e->args.size() != 2) return false;
-  const SparqlExprPtr* var_arg = nullptr;
-  const SparqlExprPtr* const_arg = nullptr;
-  if (e->args[0]->kind == SparqlExprKind::kVar &&
-      e->args[1]->kind == SparqlExprKind::kTerm) {
-    var_arg = &e->args[0];
-    const_arg = &e->args[1];
-  } else if (e->args[1]->kind == SparqlExprKind::kVar &&
-             e->args[0]->kind == SparqlExprKind::kTerm) {
-    var_arg = &e->args[1];
-    const_arg = &e->args[0];
-  } else {
-    return false;
-  }
-  auto g = cache->Get((*const_arg)->term);
-  if (!g.ok()) return false;
-  *var = (*var_arg)->var;
-  *box = (*g)->GetEnvelope();
-  return true;
-}
-
-/// Recognizes `strdf:distance(?v, CONST) <= d` (and geodesicDistance /
-/// strict <). Returns the search envelope grown appropriately.
-bool MatchDistanceFilter(const SparqlExprPtr& e, GeometryCache* cache,
-                         std::string* var, geo::Envelope* box) {
-  if (e->kind != SparqlExprKind::kBinary ||
-      (e->op != SparqlBinaryOp::kLe && e->op != SparqlBinaryOp::kLt)) {
-    return false;
-  }
-  const SparqlExprPtr& call = e->args[0];
-  const SparqlExprPtr& bound = e->args[1];
-  if (call->kind != SparqlExprKind::kCall || bound->kind !=
-                                                 SparqlExprKind::kTerm) {
-    return false;
-  }
-  bool geodesic = call->function ==
-                  "http://strdf.di.uoa.gr/ontology#geodesicDistance";
-  bool planar = call->function == "http://strdf.di.uoa.gr/ontology#distance";
-  if (!geodesic && !planar) return false;
-  if (call->args.size() != 2) return false;
-  const SparqlExprPtr* var_arg = nullptr;
-  const SparqlExprPtr* const_arg = nullptr;
-  if (call->args[0]->kind == SparqlExprKind::kVar &&
-      call->args[1]->kind == SparqlExprKind::kTerm) {
-    var_arg = &call->args[0];
-    const_arg = &call->args[1];
-  } else if (call->args[1]->kind == SparqlExprKind::kVar &&
-             call->args[0]->kind == SparqlExprKind::kTerm) {
-    var_arg = &call->args[1];
-    const_arg = &call->args[0];
-  } else {
-    return false;
-  }
-  auto g = cache->Get((*const_arg)->term);
-  if (!g.ok()) return false;
-  auto d = ParseDouble(bound->term.lexical);
-  if (!d.ok()) return false;
-  double margin = *d;
-  if (geodesic) {
-    // Convert meters to a conservative degree margin. The smallest
-    // meters-per-degree at the envelope's max |latitude| bounds the
-    // needed margin; clamp cos to keep the margin finite near the poles.
-    geo::Envelope env = (*g)->GetEnvelope();
-    double max_abs_lat =
-        std::min(89.0, std::max(std::fabs(env.min_y), std::fabs(env.max_y)) +
-                           *d / 111320.0);
-    double cos_lat = std::max(0.05, std::cos(max_abs_lat * M_PI / 180.0));
-    margin = *d / (111320.0 * cos_lat);
-  }
-  geo::Envelope env = (*g)->GetEnvelope();
-  env.min_x -= margin;
-  env.min_y -= margin;
-  env.max_x += margin;
-  env.max_y += margin;
-  *var = (*var_arg)->var;
-  *box = env;
-  return true;
-}
-
-}  // namespace
-
-Result<CandidateSets> Strabon::SpatialCandidates(const GroupPattern& where) {
-  CandidateSets sets;
-  if (!spatial_index_enabled_) return sets;
-  for (const SparqlExprPtr& f : where.filters) {
-    std::string var;
-    geo::Envelope box;
-    bool matched = MatchSpatialRelFilter(f, &cache_, &var, &box) ||
-                   MatchDistanceFilter(f, &cache_, &var, &box);
-    if (!matched) continue;
-    EnsureSpatialIndex();
-    obs::Count("teleios_strabon_rtree_probes_total");
-    std::unordered_set<TermId> ids;
-    for (int64_t id : rtree_.Query(box)) {
-      ids.insert(static_cast<TermId>(id));
-    }
-    auto it = sets.find(var);
-    if (it == sets.end()) {
-      sets.emplace(var, std::move(ids));
-    } else {
-      // Intersect with the existing restriction.
-      std::unordered_set<TermId> merged;
-      for (TermId id : ids) {
-        if (it->second.count(id)) merged.insert(id);
-      }
-      it->second = std::move(merged);
-    }
-  }
-  return sets;
+  index_.Refresh(store_, &cache_);
+  return &index_;
 }
 
 namespace {
@@ -324,21 +182,26 @@ static Result<SolutionSet> AggregateSolutions(
 }
 
 Result<SolutionSet> Strabon::RunQuery(const SparqlQuery& query) {
-  CandidateSets candidates;
+  const SpatialIndex* index = nullptr;
   {
     obs::TraceSpan plan_span("plan");
-    TELEIOS_ASSIGN_OR_RETURN(candidates, SpatialCandidates(query.where));
-    plan_span.SetAttr("spatially_restricted_vars",
-                      std::to_string(candidates.size()));
+    index = IndexFor(query.where);
+    plan_span.SetAttr("spatial_index", index != nullptr ? "used" : "unused");
   }
   obs::TraceSpan exec_span("execute");
-  SparqlEvaluator eval(&store_, &cache_,
-                       candidates.empty() ? nullptr : &candidates);
+  SparqlEvaluator eval(&store_, &cache_, index);
   SolutionSet solutions;
   {
     obs::TraceSpan match_span("match");
     TELEIOS_ASSIGN_OR_RETURN(solutions, eval.EvalGroup(query.where));
     match_span.SetAttr("solutions", std::to_string(solutions.rows.size()));
+    match_span.SetAttr("bgp_rows", std::to_string(eval.rows_built()));
+    if (eval.join_probes() > 0) {
+      match_span.SetAttr("spatial_join_probes",
+                         std::to_string(eval.join_probes()));
+      match_span.SetAttr("spatial_join_candidates",
+                         std::to_string(eval.join_candidates()));
+    }
   }
 
   if (query.is_ask) return solutions;
@@ -497,7 +360,7 @@ bool Instantiate(const TriplePatternAst& tmpl, const SolutionSet& solutions,
 }  // namespace
 
 Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
-  rtree_valid_ = false;
+  index_.Invalidate();
   size_t affected = 0;
   switch (update.kind) {
     case SparqlUpdate::Kind::kInsertData: {
@@ -531,10 +394,7 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
     }
     case SparqlUpdate::Kind::kModify:
     case SparqlUpdate::Kind::kDeleteWhere: {
-      TELEIOS_ASSIGN_OR_RETURN(CandidateSets candidates,
-                               SpatialCandidates(update.where));
-      SparqlEvaluator eval(&store_, &cache_,
-                           candidates.empty() ? nullptr : &candidates);
+      SparqlEvaluator eval(&store_, &cache_, IndexFor(update.where));
       TELEIOS_ASSIGN_OR_RETURN(SolutionSet solutions,
                                eval.EvalGroup(update.where));
       std::vector<Triple> to_delete;

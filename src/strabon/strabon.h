@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "geo/rtree.h"
 #include "rdf/triple_store.h"
 #include "rdf/turtle.h"
 #include "storage/table.h"
@@ -16,7 +15,8 @@ namespace teleios::strabon {
 
 /// The semantic geospatial database system of the TELEIOS database tier:
 /// an stRDF store queryable and updatable with stSPARQL, with an R-tree
-/// over all strdf:WKT literals accelerating spatial FILTER selections.
+/// over all strdf:WKT literals accelerating spatial FILTER selections and
+/// joins.
 class Strabon {
  public:
   Strabon() = default;
@@ -53,7 +53,7 @@ class Strabon {
   bool spatial_index_enabled() const { return spatial_index_enabled_; }
 
   /// Number of geometry literals currently indexed.
-  size_t indexed_geometries() const { return indexed_count_; }
+  size_t indexed_geometries() const { return index_.size(); }
 
   size_t size() const { return store_.size(); }
 
@@ -67,21 +67,14 @@ class Strabon {
   Result<SolutionSet> RunQuery(const SparqlQuery& query);
   Result<size_t> RunUpdate(const SparqlUpdate& update);
 
-  /// Builds per-variable candidate sets from spatial filters, using the
-  /// R-tree (conservative: candidate sets over-approximate, never prune a
-  /// true answer).
-  Result<CandidateSets> SpatialCandidates(const GroupPattern& where);
-
-  void EnsureSpatialIndex();
+  /// The spatial index, refreshed, for evaluating `where`; null when the
+  /// index is off or no FILTER in `where` can use it.
+  const SpatialIndex* IndexFor(const GroupPattern& where);
 
   rdf::TripleStore store_;
   GeometryCache cache_;
   bool spatial_index_enabled_ = true;
-
-  geo::RTree rtree_;
-  bool rtree_valid_ = false;
-  size_t rtree_built_at_size_ = 0;
-  size_t indexed_count_ = 0;
+  SpatialIndex index_;
 };
 
 }  // namespace teleios::strabon

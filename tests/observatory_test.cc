@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/observatory.h"
+#include "eo/product.h"
 #include "eo/scene.h"
+#include "geo/crs.h"
+#include "geo/predicates.h"
+#include "geo/wkt.h"
 #include "linkeddata/generators.h"
 #include "obs/metrics.h"
+#include "rdf/turtle.h"
+#include "strabon/temporal.h"
 
 namespace teleios::core {
 namespace {
@@ -37,6 +44,28 @@ int64_t ExpositionValue(const std::string& text, const std::string& series) {
   return -1;
 }
 
+/// The paper's §1 headline request as one stSPARQL query: hotspots in a
+/// Meteosat-9 product of 25 Aug 2007 covering a Peloponnese point, within
+/// 2 km of an archaeological site.
+const char* const kHeadlineQuery = R"sparql(
+PREFIX dbo: <http://dbpedia.org/ontology/>
+SELECT ?product ?hotspot ?site WHERE {
+  ?product a noa:Product ;
+           noa:producedBySatellite "Meteosat-9" ;
+           noa:hasAcquisitionTime ?t ;
+           noa:hasGeometry ?pg .
+  ?hotspot a noa:Hotspot ;
+           noa:derivedFromProduct ?l2 ;
+           noa:hasGeometry ?hg .
+  ?l2 noa:wasDerivedFrom ?product .
+  ?site a dbo:ArchaeologicalSite ;
+        strdf:hasGeometry ?sg .
+  FILTER(?t >= "2007-08-25T00:00:00"^^xsd:dateTime)
+  FILTER(?t < "2007-08-26T00:00:00"^^xsd:dateTime)
+  FILTER(strdf:contains(?pg, "POINT (22.2 37.3)"^^strdf:WKT))
+  FILTER(strdf:geodesicDistance(?hg, ?sg) < 2000.0)
+})sparql";
+
 class ObservatoryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -55,7 +84,30 @@ class ObservatoryTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  /// The headline's world: the scene's L1 product, one contextual chain
+  /// run over it, and `sites` generated archaeological sites, whose Turtle
+  /// goes to `site_turtle`.
+  noa::ChainResult LoadHeadlineWorld(int sites, std::string* site_turtle) {
+    EXPECT_TRUE(veo_.AttachArchive(dir_.string()).ok());
+    auto header = veo_.vault().GetRasterHeader("msg");
+    EXPECT_TRUE(header.ok()) << header.status().ToString();
+    if (!header.ok()) return {};
+    l1_ = eo::MetadataFromHeader(*header, eo::ProductLevel::kL1);
+    EXPECT_TRUE(eo::RegisterProductTriples(l1_, &veo_.strabon()).ok());
+    noa::ChainConfig config;
+    config.classifier.kind = noa::ClassifierKind::kContextual;
+    auto chain = veo_.RunFireChain("msg", config);
+    EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+    auto turtle = linkeddata::GenerateArchaeologicalSites(scene_, sites, 5);
+    EXPECT_TRUE(turtle.ok()) << turtle.status().ToString();
+    if (!chain.ok() || !turtle.ok()) return {};
+    *site_turtle = *turtle;
+    EXPECT_TRUE(veo_.LoadLinkedData(*site_turtle).ok());
+    return *chain;
+  }
+
   fs::path dir_;
+  eo::ProductMetadata l1_;
   eo::Scene scene_;
   VirtualEarthObservatory veo_;
 };
@@ -223,6 +275,96 @@ TEST_F(ObservatoryTest, ProfileStSparqlReturnsSpanTree) {
   EXPECT_TRUE(names.count("parse"));
   EXPECT_TRUE(names.count("plan"));
   EXPECT_TRUE(names.count("execute"));
+}
+
+TEST_F(ObservatoryTest, HeadlineQueryMatchesBruteForceOracle) {
+  std::string site_turtle;
+  noa::ChainResult chain = LoadHeadlineWorld(400, &site_turtle);
+  ASSERT_FALSE(chain.hotspots.empty());
+
+  // The oracle reads no stSPARQL: the product's conditions from its
+  // metadata, the sites from their own parse of the Turtle, and every
+  // hotspot x site pair through GeodesicDistanceMeters.
+  const std::string ns = eo::kNoaNs;
+  auto footprint = geo::ParseWkt(l1_.footprint_wkt);
+  ASSERT_TRUE(footprint.ok());
+  ASSERT_EQ(l1_.satellite, "Meteosat-9");
+  ASSERT_GE(l1_.acquisition_time,
+            *strabon::ParseDateTime("2007-08-25T00:00:00"));
+  ASSERT_LT(l1_.acquisition_time,
+            *strabon::ParseDateTime("2007-08-26T00:00:00"));
+  ASSERT_TRUE(
+      geo::Contains(*footprint, geo::Geometry::MakePoint(22.2, 37.3)));
+  rdf::TripleStore sites;
+  ASSERT_TRUE(rdf::ParseTurtle(site_turtle, &sites).ok());
+  std::vector<std::pair<std::string, geo::Geometry>> site_geometries;
+  for (const rdf::Triple& t : sites.Match(
+           std::nullopt,
+           rdf::Term::Iri("http://strdf.di.uoa.gr/ontology#hasGeometry"),
+           std::nullopt)) {
+    auto g = geo::ParseWkt(sites.dict().At(t.o).lexical);
+    ASSERT_TRUE(g.ok());
+    site_geometries.emplace_back(sites.dict().At(t.s).lexical, *g);
+  }
+  ASSERT_EQ(site_geometries.size(), 400u);
+  std::vector<std::string> expected;
+  for (const noa::Hotspot& h : chain.hotspots) {
+    // The geometry as stored: the hotspot's WKT literal, parsed back.
+    auto hg = geo::ParseWkt(geo::WriteWkt(h.geometry));
+    ASSERT_TRUE(hg.ok());
+    for (const auto& [site, sg] : site_geometries) {
+      if (geo::GeodesicDistanceMeters(*hg, sg) < 2000.0) {
+        expected.push_back(ns + "product/" + l1_.id + " " + ns + "hotspot/" +
+                           chain.product_id + "/" + std::to_string(h.id) +
+                           " " + site);
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_FALSE(expected.empty());
+
+  for (bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "index on" : "index off");
+    veo_.strabon().set_spatial_index_enabled(use_index);
+    auto r = veo_.strabon().Select(kHeadlineQuery);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> got;
+    for (const auto& row : r->rows) {
+      std::string line;
+      for (rdf::TermId id : row) {
+        if (!line.empty()) line += " ";
+        line += veo_.strabon().store().dict().At(id).lexical;
+      }
+      got.push_back(line);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected);
+  }
+}
+
+TEST_F(ObservatoryTest, ProfileHeadlineShowsTheSpatialJoin) {
+  const int kSites = 200;
+  std::string site_turtle;
+  noa::ChainResult chain = LoadHeadlineWorld(kSites, &site_turtle);
+  ASSERT_FALSE(chain.hotspots.empty());
+  auto profile = veo_.StSparql(std::string("PROFILE ") + kHeadlineQuery);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  std::string detail;
+  for (size_t r = 0; r < profile->num_rows(); ++r) {
+    if (profile->Get(r, 0).AsString() == "match") {
+      detail = profile->Get(r, 3).AsString();
+    }
+  }
+  // The BGP joins each hotspot to the sites near it through the R-tree;
+  // it no longer builds the hotspot x site cross product.
+  size_t pos = detail.find("bgp_rows=");
+  ASSERT_NE(pos, std::string::npos) << detail;
+  size_t bgp_rows = std::stoull(detail.substr(pos + 9));
+  EXPECT_LT(bgp_rows, chain.hotspots.size() * kSites) << detail;
+  EXPECT_NE(detail.find("spatial_join_probes=" +
+                        std::to_string(chain.hotspots.size())),
+            std::string::npos)
+      << detail;
 }
 
 TEST_F(ObservatoryTest, FireChainPopulatesMetrics) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+
 #include "common/strings.h"
+#include "geo/crs.h"
 #include "strabon/spatial_functions.h"
 #include "strabon/strabon.h"
 #include "strabon/temporal.h"
@@ -310,6 +315,316 @@ TEST_F(StSparqlTest, GeometryUpdateViaDifference) {
   auto geom = cache.Get(strabon_.store().dict().At(r->rows[0][0]));
   ASSERT_TRUE(geom.ok());
   EXPECT_NEAR((*geom)->Area(), 0.5, 1e-6);
+}
+
+/// A SELECT's rows as N-Triples tuples, sorted: rows compared as a
+/// multiset.
+std::vector<std::string> SortedRows(Strabon* strabon, const std::string& q) {
+  auto r = strabon->Select(q);
+  EXPECT_TRUE(r.ok()) << q << " -> " << r.status().ToString();
+  std::vector<std::string> rows;
+  if (!r.ok()) return rows;
+  for (const auto& row : r->rows) {
+    std::string line;
+    for (rdf::TermId id : row) {
+      line += id == rdf::kNoTerm ? "UNBOUND"
+                                 : strabon->store().dict().At(id).ToNTriples();
+      line += " ";
+    }
+    rows.push_back(line);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Runs `q` with the spatial index on and off; the rows must agree as a
+/// multiset. Returns them.
+std::vector<std::string> IndexedAndScanned(Strabon* strabon,
+                                           const std::string& q) {
+  strabon->set_spatial_index_enabled(false);
+  std::vector<std::string> scanned = SortedRows(strabon, q);
+  strabon->set_spatial_index_enabled(true);
+  std::vector<std::string> indexed = SortedRows(strabon, q);
+  EXPECT_EQ(indexed, scanned) << q;
+  return indexed;
+}
+
+TEST_F(StSparqlTest, GeodesicDistanceIndexKeepsNearThresholdAnswers) {
+  // 0.017975 degrees of longitude on the equator is 1998.7 m by
+  // geo::GeodesicDistanceMeters (111 195 m per degree).
+  ASSERT_TRUE(strabon_
+                  .Update("INSERT DATA { noa:near noa:hasGeometry "
+                          "\"POINT (0.017975 0)\"^^strdf:WKT }")
+                  .ok());
+  std::string q =
+      "SELECT ?x WHERE { ?x noa:hasGeometry ?g . "
+      "FILTER(strdf:geodesicDistance(?g, \"POINT (0 0)\"^^strdf:WKT) < "
+      "2000.0) }";
+  std::vector<std::string> rows = IndexedAndScanned(&strabon_, q);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_NE(rows[0].find("noa"), std::string::npos);
+}
+
+TEST_F(StSparqlTest, OnlyStrdfWktLiteralsAreGeometries) {
+  // The same polygon as a plain literal and typed strdf:WKT: the R-tree
+  // indexes only typed literals, so the scan must not read the plain one
+  // as a geometry either.
+  ASSERT_TRUE(strabon_
+                  .LoadTurtle(R"ttl(
+@prefix noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> .
+@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .
+noa:plain noa:hasGeometry "POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))" .
+noa:typed noa:hasGeometry "POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))"^^strdf:WKT .
+)ttl")
+                  .ok());
+  std::string q =
+      "SELECT ?x WHERE { ?x noa:hasGeometry ?g . "
+      "FILTER(strdf:intersects(?g, \"POINT (0.5 0.5)\"^^strdf:WKT)) }";
+  std::vector<std::string> rows = IndexedAndScanned(&strabon_, q);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_NE(rows[0].find("#typed>"), std::string::npos) << rows[0];
+  EXPECT_FALSE(
+      GeometryCache()
+          .Get(Term::Literal("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))"))
+          .ok());
+}
+
+TEST_F(StSparqlTest, FilterOverOptionalOnlyVariableRunsLast) {
+  // ?t is bound only inside the OPTIONAL: the FILTER sees the joined rows.
+  std::string q =
+      "SELECT ?h ?t WHERE { ?h a noa:Hotspot . "
+      "OPTIONAL { ?h noa:detectedAt ?t } "
+      "FILTER(?t >= \"2007-08-25T12:00:00\"^^xsd:dateTime) }";
+  EXPECT_EQ(IndexedAndScanned(&strabon_, q).size(), 2u);  // h2, h3
+}
+
+TEST_F(StSparqlTest, FilterOverBindVariableRunsAfterBind) {
+  std::string area =
+      "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g . "
+      "BIND(strdf:area(?g) AS ?a) FILTER(?a > 0.5) }";
+  EXPECT_EQ(IndexedAndScanned(&strabon_, area).size(), 3u);
+  // A BIND that rebinds a BGP variable: the FILTER reads the BIND's value.
+  std::string rebound =
+      "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:detectedAt ?t . "
+      "BIND(\"x\" AS ?t) FILTER(?t = \"x\") }";
+  EXPECT_EQ(IndexedAndScanned(&strabon_, rebound).size(), 3u);
+}
+
+TEST_F(StSparqlTest, FilterInsideOptionalGroup) {
+  std::string q =
+      "SELECT ?h ?t WHERE { ?h a noa:Hotspot . "
+      "OPTIONAL { ?h noa:detectedAt ?t "
+      "FILTER(?t < \"2007-08-26T00:00:00\"^^xsd:dateTime) } }";
+  std::vector<std::string> rows = IndexedAndScanned(&strabon_, q);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                          [](const std::string& r) {
+                            return r.find("UNBOUND") != std::string::npos;
+                          }),
+            1);  // h2 was detected on the 26th
+}
+
+TEST_F(StSparqlTest, BoundFilters) {
+  std::string unbound_optional =
+      "SELECT ?h WHERE { ?h a noa:Hotspot . "
+      "OPTIONAL { ?h noa:near ?x } FILTER(!bound(?x)) }";
+  EXPECT_EQ(IndexedAndScanned(&strabon_, unbound_optional).size(), 3u);
+  std::string bound_bgp =
+      "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g . "
+      "FILTER(bound(?g) && strdf:intersects(?g, \"POLYGON ((0 0, 5 0, 5 5, "
+      "0 5, 0 0))\"^^strdf:WKT)) }";
+  EXPECT_EQ(IndexedAndScanned(&strabon_, bound_bgp).size(), 1u);
+}
+
+TEST_F(StSparqlTest, RefinementUpdateSameWithIndexOnAndOff) {
+  // The refinement idiom, whose FILTER runs before its BIND: the store the
+  // update leaves must not depend on the index.
+  const std::string update =
+      "DELETE { ?h noa:hasGeometry ?g } "
+      "INSERT { ?h noa:hasGeometry ?ng . ?h noa:refinedGeometry ?ng } "
+      "WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g . "
+      "BIND(strdf:difference(?g, \"POLYGON ((1.5 0, 9 0, 9 8.5, 1.5 8.5, "
+      "1.5 0))\"^^strdf:WKT) AS ?ng) "
+      "FILTER(strdf:intersects(?g, \"POLYGON ((1.5 0, 9 0, 9 8.5, 1.5 8.5, "
+      "1.5 0))\"^^strdf:WKT)) }";
+  const std::string all = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
+  std::vector<std::string> after[2];
+  for (bool use_index : {false, true}) {
+    Strabon strabon;
+    ASSERT_TRUE(strabon.LoadTurtle(strabon_.ToTurtle()).ok());
+    strabon.set_spatial_index_enabled(use_index);
+    auto n = strabon.Update(update);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    EXPECT_EQ(*n, 6u);  // h1 and h2: one delete + two inserts each
+    after[use_index] = SortedRows(&strabon, all);
+  }
+  EXPECT_EQ(after[0], after[1]);
+}
+
+/// Deterministic xorshift64* stream for the differential test.
+class Rng {
+ public:
+  explicit Rng(uint64_t seed) : state_(seed) {}
+  double Uniform() {
+    state_ ^= state_ >> 12;
+    state_ ^= state_ << 25;
+    state_ ^= state_ >> 27;
+    return static_cast<double>((state_ * 0x2545f4914f6cdd1dull) >> 11) /
+           9007199254740992.0;
+  }
+
+ private:
+  uint64_t state_;
+};
+
+constexpr double kMetres = 2000.0;
+constexpr double kDegrees = 0.02;
+
+std::string Wkt(double x, double y, double size) {
+  if (size == 0) return StrFormat("POINT (%.9f %.9f)", x, y);
+  return StrFormat(
+      "POLYGON ((%.9f %.9f, %.9f %.9f, %.9f %.9f, %.9f %.9f, %.9f %.9f))", x,
+      y, x + size, y, x + size, y + size, x, y + size, x, y);
+}
+
+/// A point placed within 0.1% of a distance threshold from an anchor.
+struct NearPair {
+  std::string anchor;   // WKT of the anchor point
+  std::string partner;  // IRI of the other point, as N-Triples
+  bool geodesic;        // which threshold: kMetres or kDegrees
+  bool answer;          // inside the threshold and a strdf:WKT literal
+};
+
+/// Seeded features around latitude `lat0`: points and small boxes, most
+/// typed strdf:WKT and some plain, one empty geometry, and near pairs on
+/// either side of the thresholds.
+std::string DifferentialTurtle(uint64_t seed, double lat0,
+                               std::vector<NearPair>* near) {
+  Rng rng(seed);
+  std::ostringstream ttl;
+  ttl << "@prefix ex: <http://example.org/> .\n"
+      << "@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .\n";
+  int n = 0;
+  auto feature = [&](const std::string& wkt, bool typed) {
+    ttl << "ex:f" << n << " ex:geo \"" << wkt << "\""
+        << (typed ? "^^strdf:WKT" : "") << " .\n";
+    return "<http://example.org/f" + std::to_string(n++) + ">";
+  };
+  for (int i = 0; i < 60; ++i) {
+    double size = rng.Uniform() < 0.5 ? 0 : 0.002 + rng.Uniform() * 0.02;
+    feature(Wkt(rng.Uniform() * 0.3, lat0 + rng.Uniform() * 0.3, size),
+            rng.Uniform() < 0.85);
+  }
+  feature("GEOMETRYCOLLECTION EMPTY", true);
+  const double metres_per_degree = geo::kEarthRadiusMeters * M_PI / 180.0;
+  for (int i = 0; i < 12; ++i) {
+    double x = rng.Uniform() * 0.3;
+    double y = lat0 + rng.Uniform() * 0.3;
+    // A relative offset of 1e-5 to 1e-3, outward for even i.
+    double off = (i % 2 == 0 ? 1 : -1) * (1e-5 + rng.Uniform() * 9.9e-4);
+    bool typed = i % 3 != 2;
+    std::string anchor = Wkt(x, y, 0);
+    feature(anchor, true);
+    // The geodesic distance to a point d degrees east or north is
+    // d * M * sqrt(cos(mean latitude)); solve for d by fixed point.
+    bool north = i % 4 < 2;
+    double d = 0;
+    for (int k = 0; k < 8; ++k) {
+      double mean_lat = y + (north ? d / 2 : 0);
+      d = kMetres * (1 + off) /
+          (metres_per_degree * std::sqrt(std::cos(mean_lat * M_PI / 180.0)));
+    }
+    std::string geodesic = north ? Wkt(x, y + d, 0) : Wkt(x + d, y, 0);
+    near->push_back({anchor, feature(geodesic, typed), true, off < 0 && typed});
+    std::string planar = Wkt(x, y + kDegrees * (1 - off), 0);
+    near->push_back({anchor, feature(planar, typed), false, off > 0 && typed});
+  }
+  return ttl.str();
+}
+
+TEST(SpatialIndexDifferentialTest, IndexAndScanAgreeOnEveryShape) {
+  const std::string prefix = "PREFIX ex: <http://example.org/> ";
+  const std::string metres = StrFormat("%.1f", kMetres);
+  const std::string degrees = StrFormat("%.2f", kDegrees);
+  for (double lat0 : {0.0, 60.0}) {
+    SCOPED_TRACE("latitude " + std::to_string(lat0));
+    Strabon strabon;
+    std::vector<NearPair> near;
+    ASSERT_TRUE(strabon
+                    .LoadTurtle(DifferentialTurtle(
+                        static_cast<uint64_t>(lat0) + 17, lat0, &near))
+                    .ok());
+    // Variable against constant: each near pair's partner is an answer
+    // exactly when it is inside the threshold and typed.
+    const std::string one = prefix + "SELECT ?a WHERE { ?a ex:geo ?g . ";
+    for (const NearPair& pair : near) {
+      std::string lit = "\"" + pair.anchor + "\"^^strdf:WKT";
+      std::string filter =
+          pair.geodesic ? "FILTER(strdf:geodesicDistance(?g, " + lit +
+                              ") < " + metres + ") }"
+                        : "FILTER(strdf:distance(" + lit + ", ?g) <= " +
+                              degrees + ") }";
+      std::vector<std::string> rows = IndexedAndScanned(&strabon, one + filter);
+      bool found = std::find(rows.begin(), rows.end(), pair.partner + " ") !=
+                   rows.end();
+      EXPECT_EQ(found, pair.answer) << filter << " " << pair.partner;
+    }
+    for (const NearPair& pair : near) {
+      std::string lit = "\"" + pair.anchor + "\"^^strdf:WKT";
+      IndexedAndScanned(&strabon, one + "FILTER(strdf:geodesicDistance(" +
+                                      lit + ", ?g) <= " + metres + ") }");
+      IndexedAndScanned(&strabon, one + "FILTER(strdf:distance(?g, " + lit +
+                                      ") < " + degrees + ") }");
+    }
+    Rng rng(99);
+    for (int i = 0; i < 8; ++i) {
+      std::string box =
+          "\"" +
+          Wkt(rng.Uniform() * 0.25, lat0 + rng.Uniform() * 0.25,
+              0.01 + rng.Uniform() * 0.05) +
+          "\"^^strdf:WKT";
+      IndexedAndScanned(&strabon,
+                        one + "FILTER(strdf:intersects(?g, " + box + ")) }");
+      IndexedAndScanned(&strabon,
+                        one + "FILTER(strdf:within(?g, " + box + ")) }");
+      IndexedAndScanned(&strabon,
+                        one + "FILTER(strdf:contains(" + box + ", ?g)) }");
+      IndexedAndScanned(&strabon, one + "FILTER(strdf:contains(?g, \"" +
+                                      Wkt(rng.Uniform() * 0.3,
+                                          lat0 + rng.Uniform() * 0.3, 0) +
+                                      "\"^^strdf:WKT)) }");
+    }
+    // Variable against variable: every answering near pair is among the
+    // joined rows.
+    const std::string pairs =
+        prefix + "SELECT ?a ?b WHERE { ?a ex:geo ?ga . ?b ex:geo ?gb . ";
+    std::vector<std::string> geodesic = IndexedAndScanned(
+        &strabon, pairs + "FILTER(strdf:geodesicDistance(?ga, ?gb) < " +
+                      metres + ") }");
+    std::vector<std::string> planar = IndexedAndScanned(
+        &strabon,
+        pairs + "FILTER(strdf:distance(?ga, ?gb) <= " + degrees + ") }");
+    size_t answering = 0;
+    for (const NearPair& pair : near) {
+      if (!pair.answer) continue;
+      ++answering;
+      const std::vector<std::string>& rows = pair.geodesic ? geodesic : planar;
+      EXPECT_TRUE(std::any_of(
+          rows.begin(), rows.end(),
+          [&](const std::string& r) { return r.find(pair.partner) == 0; }))
+          << pair.partner;
+    }
+    EXPECT_GT(answering, 4u);
+    IndexedAndScanned(&strabon, pairs +
+                                    "FILTER(strdf:geodesicDistance(?ga, ?gb) "
+                                    "<= " + metres + ") }");
+    IndexedAndScanned(&strabon, pairs + "FILTER(strdf:distance(?gb, ?ga) < " +
+                                    degrees + ") }");
+    for (const char* rel : {"intersects", "within", "contains"}) {
+      IndexedAndScanned(&strabon, pairs + "FILTER(strdf:" + rel +
+                                      "(?ga, ?gb)) }");
+    }
+  }
 }
 
 }  // namespace
