@@ -145,4 +145,35 @@ void BM_DeleteInsertWhere(benchmark::State& state) {
 }
 BENCHMARK(BM_DeleteInsertWhere)->Unit(benchmark::kMillisecond);
 
+/// A write followed by a spatial read, at growing store sizes: one INSERT
+/// DATA of a new feature, then an intersects SELECT. The read merges the
+/// insert into the permutations and the R-tree; neither cost should grow
+/// with a full re-sort or rebuild of the store.
+void BM_InsertThenSpatialQuery(benchmark::State& state) {
+  Strabon strabon;
+  (void)strabon.LoadTurtle(FeatureTurtle(static_cast<int>(state.range(0)), 7));
+  const std::string query =
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?f WHERE { ?f ex:geo ?g . "
+      "FILTER(strdf:intersects(?g, \"POLYGON ((10 10, 14 10, 14 14, 10 14, "
+      "10 10))\"^^strdf:WKT)) }";
+  (void)strabon.Select(query);
+  int64_t i = 0;
+  for (auto _ : state) {
+    double x = static_cast<double>(i % 97);
+    double y = static_cast<double>(i / 97 % 97);
+    auto n = strabon.Update(StrFormat(
+        "PREFIX ex: <http://example.org/> "
+        "INSERT DATA { ex:new%lld ex:geo \"POLYGON ((%.1f %.1f, %.1f %.1f, "
+        "%.1f %.1f, %.1f %.1f, %.1f %.1f))\"^^strdf:WKT }",
+        static_cast<long long>(i), x, y, x + 0.5, y, x + 0.5, y + 0.5, x,
+        y + 0.5, x, y));
+    auto r = strabon.Select(query);
+    benchmark::DoNotOptimize(*n);
+    benchmark::DoNotOptimize(r->rows.size());
+    ++i;
+  }
+}
+BENCHMARK(BM_InsertThenSpatialQuery)->Arg(1000)->Arg(10000)->Arg(100000);
+
 }  // namespace

@@ -8,7 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "eo/scene.h"
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
@@ -169,5 +171,28 @@ void BM_IngestWithFaultRate(benchmark::State& state) {
   state.counters["failed_runs"] = static_cast<double>(failed_runs);
 }
 BENCHMARK(BM_IngestWithFaultRate)->Arg(0)->Arg(256)->Arg(64);
+
+/// The checksum every verified read pays, per payload byte: the
+/// dispatched kernel (the SSE4.2 instruction where the CPU has it)
+/// against the portable table loop it falls back to.
+void Crc32cOver(benchmark::State& state,
+                uint32_t (*extend)(uint32_t, const void*, size_t)) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 2654435761u >> 13);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extend(0, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+void BM_Crc32c(benchmark::State& state) {
+  Crc32cOver(state, teleios::Crc32cExtend);
+}
+void BM_Crc32cPortable(benchmark::State& state) {
+  Crc32cOver(state, teleios::Crc32cExtendPortable);
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(2 << 20);
+BENCHMARK(BM_Crc32cPortable)->Arg(4096)->Arg(2 << 20);
 
 }  // namespace

@@ -248,53 +248,65 @@ Result<Scene> GenerateScene(const SceneSpec& spec) {
   return scene;
 }
 
-Result<Scene> SceneFromRaster(const vault::TerRaster& raster) {
+Result<Scene> SceneFromBands(const vault::TerHeader& header,
+                             const BandPlanes& band) {
   Scene scene;
-  scene.spec.width = raster.width;
-  scene.spec.height = raster.height;
-  scene.spec.acquisition_time = raster.acquisition_time;
-  scene.spec.name = raster.name;
-  scene.transform = raster.transform;
-  geo::Point tl = raster.transform.PixelToWorld(0, 0);
-  geo::Point br = raster.transform.PixelToWorld(raster.width, raster.height);
+  scene.spec.width = header.width;
+  scene.spec.height = header.height;
+  scene.spec.acquisition_time = header.acquisition_time;
+  scene.spec.name = header.name;
+  scene.transform = header.transform;
+  geo::Point tl = header.transform.PixelToWorld(0, 0);
+  geo::Point br = header.transform.PixelToWorld(header.width, header.height);
   scene.spec.lon_min = std::min(tl.x, br.x);
   scene.spec.lon_max = std::max(tl.x, br.x);
   scene.spec.lat_min = std::min(tl.y, br.y);
   scene.spec.lat_max = std::max(tl.y, br.y);
 
-  auto band = [&](const char* name) -> Result<const std::vector<double>*> {
-    int i = raster.BandIndex(name);
-    if (i < 0) {
+  const size_t n = scene.PixelCount();
+  auto copy = [&](const char* name, std::vector<double>* plane) -> Status {
+    const double* pixels = band(name);
+    if (pixels == nullptr) {
       return Status::NotFound(std::string("raster lacks band ") + name);
     }
-    return &raster.bands[static_cast<size_t>(i)];
+    plane->assign(pixels, pixels + n);
+    return Status::OK();
   };
-  TELEIOS_ASSIGN_OR_RETURN(const std::vector<double>* vis, band("VIS006"));
-  TELEIOS_ASSIGN_OR_RETURN(const std::vector<double>* nir, band("NIR016"));
-  TELEIOS_ASSIGN_OR_RETURN(const std::vector<double>* t39, band("IR039"));
-  TELEIOS_ASSIGN_OR_RETURN(const std::vector<double>* t108, band("IR108"));
-  scene.vis006 = *vis;
-  scene.nir016 = *nir;
-  scene.tir039 = *t39;
-  scene.tir108 = *t108;
-  size_t n = scene.PixelCount();
-  scene.landmask.assign(n, 1);
-  scene.cloudmask.assign(n, 0);
-  int lm = raster.BandIndex("LANDMASK");
-  if (lm >= 0) {
-    for (size_t i = 0; i < n; ++i) {
-      scene.landmask[i] =
-          raster.bands[static_cast<size_t>(lm)][i] > 0.5 ? 1 : 0;
-    }
-  }
-  int cm = raster.BandIndex("CLOUDMASK");
-  if (cm >= 0) {
-    for (size_t i = 0; i < n; ++i) {
-      scene.cloudmask[i] =
-          raster.bands[static_cast<size_t>(cm)][i] > 0.5 ? 1 : 0;
-    }
-  }
+  TELEIOS_RETURN_IF_ERROR(copy("VIS006", &scene.vis006));
+  TELEIOS_RETURN_IF_ERROR(copy("NIR016", &scene.nir016));
+  TELEIOS_RETURN_IF_ERROR(copy("IR039", &scene.tir039));
+  TELEIOS_RETURN_IF_ERROR(copy("IR108", &scene.tir108));
+  auto mask = [&](const char* name, uint8_t absent,
+                  std::vector<uint8_t>* plane) {
+    const double* pixels = band(name);
+    plane->assign(n, absent);
+    if (pixels == nullptr) return;
+    for (size_t i = 0; i < n; ++i) (*plane)[i] = pixels[i] > 0.5 ? 1 : 0;
+  };
+  mask("LANDMASK", 1, &scene.landmask);
+  mask("CLOUDMASK", 0, &scene.cloudmask);
   return scene;
+}
+
+Result<Scene> SceneFromRaster(const vault::TerRaster& raster) {
+  if (raster.bands.size() != raster.band_names.size()) {
+    return Status::InvalidArgument("band name/payload arity mismatch");
+  }
+  for (const std::vector<double>& b : raster.bands) {
+    if (b.size() != raster.PixelCount()) {
+      return Status::InvalidArgument("band payload size mismatch");
+    }
+  }
+  vault::TerHeader header;
+  header.name = raster.name;
+  header.width = raster.width;
+  header.height = raster.height;
+  header.acquisition_time = raster.acquisition_time;
+  header.transform = raster.transform;
+  return SceneFromBands(header, [&](const std::string& name) -> const double* {
+    int i = raster.BandIndex(name);
+    return i < 0 ? nullptr : raster.bands[static_cast<size_t>(i)].data();
+  });
 }
 
 vault::TerRaster Scene::ToTerRaster() const {

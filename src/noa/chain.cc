@@ -1,5 +1,7 @@
 #include "noa/chain.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "exec/parallel_for.h"
@@ -18,6 +20,22 @@ namespace {
 obs::Histogram* StageHistogram(const std::string& stage) {
   return obs::MetricsRegistry::Global().GetHistogram(
       obs::WithLabel("teleios_noa_stage_millis", "stage", stage));
+}
+
+/// Cells the classification's slab covers: the crop clamped to the
+/// raster, as the SciQL slab is; the whole raster without a crop.
+size_t ClassifiedCells(const ChainConfig& config,
+                       const vault::TerHeader& header) {
+  if (!config.has_crop) {
+    return static_cast<size_t>(header.width) *
+           static_cast<size_t>(header.height);
+  }
+  auto extent = [](int lo, int hi, int size) {
+    return static_cast<size_t>(
+        std::max(0, std::min(hi, size) - std::max(lo, 0)));
+  };
+  return extent(config.crop_x0, config.crop_x1, header.width) *
+         extent(config.crop_y0, config.crop_y1, header.height);
 }
 
 }  // namespace
@@ -127,7 +145,10 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
                                                const CancellationToken* cancel) {
   ChainResult result;
 
-  // (a) Ingestion: lazy vault ingestion into a SciQL array.
+  // (a) Ingestion: lazy vault ingestion into a SciQL array. The scene
+  // georeferencing works on is mapped from that same array, so the raster
+  // is read (and checksummed) once and hotspots are extracted from the
+  // pixels SciQL classifies.
   array::ArrayPtr array;
   vault::TerHeader header;
   eo::Scene scene;
@@ -146,18 +167,26 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
       }
     }
     TELEIOS_ASSIGN_OR_RETURN(header, vault_->GetRasterHeader(raster_name));
-    // The re-read raster plus the scene planes built from it; held until
-    // the chain finishes with the scene.
+    if (array->num_cells() != static_cast<size_t>(header.width) *
+                                  static_cast<size_t>(header.height)) {
+      return Status::DataLoss("raster '" + raster_name +
+                              "' no longer matches its attached header");
+    }
+    // The planes the scene copies (four radiometric bands, two masks);
+    // held until the chain finishes with the scene.
     TELEIOS_ASSIGN_OR_RETURN(
         scene_charge,
         governor::ChargeCurrent(
-            2 * static_cast<size_t>(header.width) *
-                static_cast<size_t>(header.height) *
-                header.band_names.size() * sizeof(double),
+            array->num_cells() * (4 * sizeof(double) + 2 * sizeof(uint8_t)),
             "chain scene '" + raster_name + "'"));
-    vault::TerRaster raster;
-    TELEIOS_ASSIGN_OR_RETURN(raster, vault::ReadTer(header.path));
-    TELEIOS_ASSIGN_OR_RETURN(scene, eo::SceneFromRaster(raster));
+    TELEIOS_ASSIGN_OR_RETURN(
+        scene, eo::SceneFromBands(
+                   header, [&](const std::string& band) -> const double* {
+                     int i = array->AttributeIndex(band);
+                     if (i < 0) return nullptr;
+                     auto pixels = array->Doubles(static_cast<size_t>(i));
+                     return pixels.ok() ? *pixels : nullptr;
+                   }));
   }
 
   // (b)+(d) Cropping + classification, expressed as one SciQL SELECT
@@ -170,7 +199,8 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
     result.sciql.push_back(classify);
     TELEIOS_ASSIGN_OR_RETURN(fire_cells, sciql_->Execute(classify));
     stage.SetAttr("fire_pixels", std::to_string(fire_cells.num_rows()));
-    obs::Count("teleios_noa_pixels_classified_total", scene.PixelCount());
+    obs::Count("teleios_noa_pixels_classified_total",
+               ClassifiedCells(config, header));
     obs::Count("teleios_noa_fire_pixels_total", fire_cells.num_rows());
   }
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <string>
+
+#include "obs/trace.h"
 
 namespace teleios::rdf {
 
@@ -20,35 +23,69 @@ bool Less(const Key& a, const Key& b) {
   return a[2] < b[2];
 }
 
-/// Orders permutation entries (indices into the triple vector) by key.
+/// One permutation's order.
 template <Key (*KeyOf)(const Triple&)>
-void SortBy(const std::vector<Triple>& triples, std::vector<uint32_t>* perm) {
-  std::sort(perm->begin(), perm->end(), [&](uint32_t a, uint32_t b) {
-    return Less(KeyOf(triples[a]), KeyOf(triples[b]));
-  });
+struct By {
+  bool operator()(const Triple& a, const Triple& b) const {
+    return Less(KeyOf(a), KeyOf(b));
+  }
+};
+
+/// Sorts `batch` in SPO order without repeats, keeping the triples that
+/// `spo` holds when `present`, else those it lacks.
+void SortedSubset(std::vector<Triple>* batch, const std::vector<Triple>& spo,
+                  bool present) {
+  const By<SpoKey> less;
+  std::sort(batch->begin(), batch->end(), less);
+  batch->erase(std::unique(batch->begin(), batch->end()), batch->end());
+  batch->erase(std::remove_if(batch->begin(), batch->end(),
+                              [&](const Triple& t) {
+                                return std::binary_search(spo.begin(),
+                                                          spo.end(), t,
+                                                          less) != present;
+                              }),
+               batch->end());
 }
 
-/// The triple a permutation entry stands for: itself in triples_ (SPO),
-/// or the triple at its index (POS, OSP).
-const Triple& Entry(const std::vector<Triple>&, const Triple& t) { return t; }
-const Triple& Entry(const std::vector<Triple>& triples, uint32_t index) {
-  return triples[index];
+/// Merges `delta`, sorted in the permutation's order and disjoint from
+/// it, into `perm`.
+template <Key (*KeyOf)(const Triple&)>
+void MergeInto(std::vector<Triple>* perm, const std::vector<Triple>& delta) {
+  auto middle = static_cast<std::ptrdiff_t>(perm->size());
+  perm->insert(perm->end(), delta.begin(), delta.end());
+  std::inplace_merge(perm->begin(), perm->begin() + middle, perm->end(),
+                     By<KeyOf>());
 }
 
-/// Appends the triples in [first, last) whose keys lie in
-/// [KeyOf(lo), KeyOf(hi)]: a binary search to the first, then a walk to
-/// the last.
-template <Key (*KeyOf)(const Triple&), typename It>
-void KeyRange(const std::vector<Triple>& triples, It first, It last,
-              const Triple& lo, const Triple& hi, std::vector<Triple>* out) {
+/// Removes `gone`, sorted in the permutation's order and a subset of it,
+/// from `perm`: the kept runs between the removed triples move down once.
+template <Key (*KeyOf)(const Triple&)>
+void EraseFrom(std::vector<Triple>* perm, const std::vector<Triple>& gone) {
+  const By<KeyOf> less;
+  auto kept = perm->begin();
+  auto out = kept;
+  for (const Triple& t : gone) {
+    auto at = std::lower_bound(kept, perm->end(), t, less);
+    out = std::copy(kept, at, out);
+    kept = at + 1;
+  }
+  out = std::copy(kept, perm->end(), out);
+  perm->erase(out, perm->end());
+}
+
+/// Appends the triples of `perm` whose keys lie in [KeyOf(lo), KeyOf(hi)]:
+/// a binary search to the first, then a walk to the last.
+template <Key (*KeyOf)(const Triple&)>
+void KeyRange(const std::vector<Triple>& perm, const Triple& lo,
+              const Triple& hi, std::vector<Triple>* out) {
   const Key from = KeyOf(lo);
   const Key to = KeyOf(hi);
-  auto key = [&](const auto& entry) { return KeyOf(Entry(triples, entry)); };
-  for (It it = std::partition_point(
-           first, last, [&](const auto& e) { return Less(key(e), from); });
-       it != last && !Less(to, key(*it)); ++it) {
-    out->push_back(Entry(triples, *it));
-  }
+  auto first = std::partition_point(
+      perm.begin(), perm.end(),
+      [&](const Triple& t) { return Less(KeyOf(t), from); });
+  auto last = first;
+  while (last != perm.end() && !Less(to, KeyOf(*last))) ++last;
+  out->insert(out->end(), first, last);
 }
 
 }  // namespace
@@ -57,35 +94,34 @@ void TripleStore::Add(const Term& s, const Term& p, const Term& o) {
   AddEncoded({dict_.Intern(s), dict_.Intern(p), dict_.Intern(o)});
 }
 
-void TripleStore::AddEncoded(Triple t) {
-  // Duplicate check via the SPO index when valid, else linear for small
-  // stores / rebuild later. To keep Add O(log n) amortized we accept
-  // duplicates here and deduplicate on index build.
-  triples_.push_back(t);
-  indexes_valid_ = false;
+void TripleStore::AddEncoded(Triple t) { pending_.push_back(t); }
+
+size_t TripleStore::FoldPending() const {
+  if (pending_.empty()) return 0;
+  std::vector<Triple> delta = std::move(pending_);
+  pending_.clear();
+  SortedSubset(&delta, spo_, /*present=*/false);
+  if (delta.empty()) return 0;
+  MergeInto<SpoKey>(&spo_, delta);
+  std::sort(delta.begin(), delta.end(), By<PosKey>());
+  MergeInto<PosKey>(&pos_, delta);
+  std::sort(delta.begin(), delta.end(), By<OspKey>());
+  MergeInto<OspKey>(&osp_, delta);
+  return delta.size();
 }
 
-void TripleStore::EnsureIndexes() const {
-  if (indexes_valid_) return;
-  // Deduplicate (stable first occurrence).
-  {
-    std::vector<Triple> sorted = triples_;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Triple& a, const Triple& b) {
-                return Less(SpoKey(a), SpoKey(b));
-              });
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    const_cast<TripleStore*>(this)->triples_ = std::move(sorted);
-  }
-  size_t n = triples_.size();
-  pos_.resize(n);
-  osp_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    pos_[i] = osp_[i] = static_cast<uint32_t>(i);
-  }
-  SortBy<PosKey>(triples_, &pos_);
-  SortBy<OspKey>(triples_, &osp_);
-  indexes_valid_ = true;
+void TripleStore::Sync() const {
+  if (pending_.empty()) return;
+  obs::TraceSpan span("rdf.merge");
+  size_t inserted = FoldPending();
+  span.SetAttr("inserted", std::to_string(inserted));
+  span.SetAttr("erased", "0");
+  span.SetAttr("triples", std::to_string(spo_.size()));
+}
+
+size_t TripleStore::size() const {
+  Sync();
+  return spo_.size();
 }
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& pat) const {
@@ -96,10 +132,10 @@ std::vector<Triple> TripleStore::Match(const TriplePattern& pat) const {
 
 void TripleStore::Match(const TriplePattern& pat,
                         std::vector<Triple>* out) const {
-  EnsureIndexes();
+  Sync();
   // Unbound positions span every id, so the matches are the triples
   // between `lo` and `hi`. In the permutation that leads with the bound
-  // positions they form one contiguous range; triples_ itself is SPO.
+  // positions they form one contiguous range.
   constexpr TermId kMin = std::numeric_limits<TermId>::min();
   constexpr TermId kMax = std::numeric_limits<TermId>::max();
   const Triple lo{pat.s.value_or(kMin), pat.p.value_or(kMin),
@@ -107,13 +143,13 @@ void TripleStore::Match(const TriplePattern& pat,
   const Triple hi{pat.s.value_or(kMax), pat.p.value_or(kMax),
                   pat.o.value_or(kMax)};
   if (pat.s && (pat.p || !pat.o)) {
-    KeyRange<SpoKey>(triples_, triples_.begin(), triples_.end(), lo, hi, out);
+    KeyRange<SpoKey>(spo_, lo, hi, out);
   } else if (pat.p) {
-    KeyRange<PosKey>(triples_, pos_.begin(), pos_.end(), lo, hi, out);
+    KeyRange<PosKey>(pos_, lo, hi, out);
   } else if (pat.o) {
-    KeyRange<OspKey>(triples_, osp_.begin(), osp_.end(), lo, hi, out);
+    KeyRange<OspKey>(osp_, lo, hi, out);
   } else {
-    out->insert(out->end(), triples_.begin(), triples_.end());
+    out->insert(out->end(), spo_.begin(), spo_.end());
   }
 }
 
@@ -140,20 +176,31 @@ std::vector<Triple> TripleStore::Match(const std::optional<Term>& s,
 }
 
 size_t TripleStore::Remove(const TriplePattern& pat) {
-  auto matches = [&](const Triple& t) {
-    return (!pat.s || *pat.s == t.s) && (!pat.p || *pat.p == t.p) &&
-           (!pat.o || *pat.o == t.o);
-  };
-  size_t before = triples_.size();
-  triples_.erase(std::remove_if(triples_.begin(), triples_.end(), matches),
-                 triples_.end());
-  indexes_valid_ = false;
-  return before - triples_.size();
+  return Erase(Match(pat));
+}
+
+size_t TripleStore::Erase(std::vector<Triple> batch) {
+  obs::TraceSpan span("rdf.merge");
+  size_t inserted = FoldPending();
+  SortedSubset(&batch, spo_, /*present=*/true);
+  if (!batch.empty()) {
+    EraseFrom<SpoKey>(&spo_, batch);
+    std::sort(batch.begin(), batch.end(), By<PosKey>());
+    EraseFrom<PosKey>(&pos_, batch);
+    std::sort(batch.begin(), batch.end(), By<OspKey>());
+    EraseFrom<OspKey>(&osp_, batch);
+  }
+  span.SetAttr("inserted", std::to_string(inserted));
+  span.SetAttr("erased", std::to_string(batch.size()));
+  span.SetAttr("triples", std::to_string(spo_.size()));
+  return batch.size();
 }
 
 size_t TripleStore::MemoryUsage() const {
-  return dict_.MemoryUsage() + triples_.capacity() * sizeof(Triple) +
-         (pos_.capacity() + osp_.capacity()) * sizeof(uint32_t);
+  return dict_.MemoryUsage() +
+         (spo_.capacity() + pos_.capacity() + osp_.capacity() +
+          pending_.capacity()) *
+             sizeof(Triple);
 }
 
 }  // namespace teleios::rdf

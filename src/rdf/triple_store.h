@@ -28,20 +28,28 @@ struct TriplePattern {
   std::optional<TermId> o;
 };
 
-/// Dictionary-encoded triple store with SPO/POS/OSP sorted permutation
-/// indexes (built lazily, invalidated on write) — the Strabon storage
-/// scheme over a column store.
+/// Dictionary-encoded triple store with SPO/POS/OSP sorted permutations
+/// — the Strabon storage scheme over a column store. Each permutation is
+/// the whole triple set, sorted in its own order and duplicate-free.
+/// Adds wait in a pending buffer; the next read merges them into every
+/// permutation in one linear pass (O(n + k log k) for k adds), and
+/// deletions are one sorted set-difference per permutation, so no write
+/// re-sorts the store.
 class TripleStore {
  public:
   TermDictionary& dict() { return dict_; }
   const TermDictionary& dict() const { return dict_; }
 
-  /// Interns the terms and adds the triple (duplicates are kept out).
+  /// Interns the terms and adds the triple (a triple already present is
+  /// not added again).
   void Add(const Term& s, const Term& p, const Term& o);
   void AddEncoded(Triple t);
 
   /// Removes all triples matching the pattern; returns the count.
   size_t Remove(const TriplePattern& pattern);
+  /// Removes every triple of `batch` that is present; returns how many
+  /// were (a triple listed twice counts once).
+  size_t Erase(std::vector<Triple> batch);
 
   /// All triples matching the pattern: a binary-searched range of the
   /// permutation that leads with the pattern's bound positions, in that
@@ -55,22 +63,25 @@ class TripleStore {
                             const std::optional<Term>& p,
                             const std::optional<Term>& o) const;
 
-  size_t size() const { return triples_.size(); }
-  const std::vector<Triple>& triples() const { return triples_; }
+  /// Distinct triples stored.
+  size_t size() const;
 
   size_t MemoryUsage() const;
 
  private:
-  void EnsureIndexes() const;
+  /// Merges the pending adds that are new into the permutations; returns
+  /// how many there were.
+  size_t FoldPending() const;
+  /// FoldPending under an "rdf.merge" span, when anything is pending.
+  void Sync() const;
 
   TermDictionary dict_;
-  std::vector<Triple> triples_;
-
-  // Lazily built sorted permutations (indices into triples_, which is
-  // kept sorted SPO).
-  mutable bool indexes_valid_ = false;
-  mutable std::vector<uint32_t> pos_;
-  mutable std::vector<uint32_t> osp_;
+  // The permutations, and the adds not yet merged into them. Mutable:
+  // a read merges the pending adds.
+  mutable std::vector<Triple> spo_;
+  mutable std::vector<Triple> pos_;
+  mutable std::vector<Triple> osp_;
+  mutable std::vector<Triple> pending_;
 };
 
 }  // namespace teleios::rdf

@@ -51,15 +51,15 @@ double SearchMargin(double distance, bool geodesic,
 
 void SpatialIndex::Refresh(const rdf::TripleStore& store,
                            GeometryCache* cache) {
-  int32_t n = store.dict().size();
-  if (valid_ && built_at_size_ == n) return;
-  obs::TraceSpan span("rtree.build",
-                      obs::MetricsRegistry::Global().GetHistogram(
-                          "teleios_strabon_index_build_millis"));
-  obs::Count("teleios_strabon_index_builds_total");
+  const TermId n = store.dict().size();
+  if (scanned_ == n) return;
+  const bool bulk = rtree_.size() == 0;
+  obs::TraceSpan span(bulk ? "rtree.build" : "rtree.insert",
+                      bulk ? obs::MetricsRegistry::Global().GetHistogram(
+                                 "teleios_strabon_index_build_millis")
+                           : nullptr);
   std::vector<geo::RTree::Entry> entries;
-  extent_ = geo::Envelope::Empty();
-  for (TermId id = 0; id < n; ++id) {
+  for (TermId id = scanned_; id < n; ++id) {
     const Term& t = store.dict().At(id);
     if (!t.IsWkt()) continue;
     auto g = cache->Get(t);
@@ -67,11 +67,18 @@ void SpatialIndex::Refresh(const rdf::TripleStore& store,
     entries.push_back({(*g)->GetEnvelope(), id});
     extent_.Expand(entries.back().box);
   }
+  scanned_ = n;
+  span.SetAttr("inserted", std::to_string(entries.size()));
+  if (entries.empty()) return;
+  if (bulk) {
+    obs::Count("teleios_strabon_index_builds_total");
+    rtree_.BulkLoad(std::move(entries));
+  } else {
+    obs::Count("teleios_strabon_index_inserts_total", entries.size());
+    for (const geo::RTree::Entry& e : entries) rtree_.Insert(e.box, e.id);
+  }
   obs::SetGauge("teleios_strabon_indexed_geometries",
-                static_cast<double>(entries.size()));
-  rtree_.BulkLoad(std::move(entries));
-  valid_ = true;
-  built_at_size_ = n;
+                static_cast<double>(rtree_.size()));
 }
 
 std::vector<TermId> SpatialIndex::Query(const geo::Envelope& box) const {

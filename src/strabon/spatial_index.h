@@ -12,12 +12,15 @@
 namespace teleios::strabon {
 
 /// The R-tree over a store's geometry literals (strdf:WKT, the literals
-/// GeometryCache accepts), rebuilt when a write invalidated it or the
-/// dictionary grew.
+/// GeometryCache accepts), keyed by dictionary id. The dictionary only
+/// grows, so the index only grows with it: no write invalidates an entry
+/// (a literal no triple uses any more is a candidate that matches
+/// nothing).
 class SpatialIndex {
  public:
+  /// Indexes the literals interned since the last refresh: a bulk load
+  /// while the tree is empty, R-tree inserts after that.
   void Refresh(const rdf::TripleStore& store, GeometryCache* cache);
-  void Invalidate() { valid_ = false; }
 
   /// Term ids of the indexed geometries whose envelopes meet `box`,
   /// ascending.
@@ -30,8 +33,7 @@ class SpatialIndex {
  private:
   geo::RTree rtree_;
   geo::Envelope extent_ = geo::Envelope::Empty();
-  bool valid_ = false;
-  int32_t built_at_size_ = 0;
+  rdf::TermId scanned_ = 0;  // dictionary ids below this are indexed
 };
 
 /// What a FILTER tells the R-tree: every binding of `var` that can pass it

@@ -17,7 +17,6 @@ using rdf::TermId;
 using rdf::Triple;
 
 Result<size_t> Strabon::LoadTurtle(const std::string& text) {
-  index_.Invalidate();
   return rdf::ParseTurtle(text, &store_);
 }
 
@@ -29,7 +28,6 @@ Result<size_t> Strabon::LoadTurtleFile(const std::string& path) {
 
 void Strabon::Add(const Term& s, const Term& p, const Term& o) {
   store_.Add(s, p, o);
-  index_.Invalidate();
   static auto* added = obs::MetricsRegistry::Global().GetCounter(
       "teleios_strabon_triples_added_total");
   added->Inc();
@@ -360,7 +358,6 @@ bool Instantiate(const TriplePatternAst& tmpl, const SolutionSet& solutions,
 }  // namespace
 
 Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
-  index_.Invalidate();
   size_t affected = 0;
   switch (update.kind) {
     case SparqlUpdate::Kind::kInsertData: {
@@ -375,22 +372,19 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
       return affected;
     }
     case SparqlUpdate::Kind::kDeleteData: {
+      std::vector<Triple> to_delete;
       for (const TriplePatternAst& t : update.delete_templates) {
         if (t.s.is_var || t.p.is_var || t.o.is_var) {
           return Status::InvalidArgument(
               "DELETE DATA requires ground triples");
         }
-        rdf::TriplePattern pat;
-        TermId s = store_.dict().Lookup(t.s.term);
-        TermId p = store_.dict().Lookup(t.p.term);
-        TermId o = store_.dict().Lookup(t.o.term);
-        if (s == kNoTerm || p == kNoTerm || o == kNoTerm) continue;
-        pat.s = s;
-        pat.p = p;
-        pat.o = o;
-        affected += store_.Remove(pat);
+        // A term never interned looks up as kNoTerm, which no stored
+        // triple holds.
+        to_delete.push_back({store_.dict().Lookup(t.s.term),
+                             store_.dict().Lookup(t.p.term),
+                             store_.dict().Lookup(t.o.term)});
       }
-      return affected;
+      return store_.Erase(std::move(to_delete));
     }
     case SparqlUpdate::Kind::kModify:
     case SparqlUpdate::Kind::kDeleteWhere: {
@@ -413,13 +407,7 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
           }
         }
       }
-      for (const Triple& t : to_delete) {
-        rdf::TriplePattern pat;
-        pat.s = t.s;
-        pat.p = t.p;
-        pat.o = t.o;
-        affected += store_.Remove(pat);
-      }
+      affected += store_.Erase(std::move(to_delete));
       for (const Triple& t : to_insert) {
         store_.AddEncoded(t);
         ++affected;

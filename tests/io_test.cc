@@ -40,6 +40,43 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+TEST(Crc32cTest, KnownVectorsHoldForThePortablePath) {
+  auto portable = [](std::string_view s) {
+    return Crc32cExtendPortable(0, s.data(), s.size());
+  };
+  EXPECT_EQ(portable("123456789"), 0xE3069283u);
+  EXPECT_EQ(portable(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(portable(std::string(32, '\xff')), 0x62A8AB43u);
+  EXPECT_EQ(portable(std::string_view()), 0u);
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesPortable) {
+  // Every length up to 1 KiB at every start alignment, then a buffer the
+  // size of a 192x192 six-band raster; seeded and running CRCs both.
+  std::vector<uint8_t> data(1770000);
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (uint8_t& b : data) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    b = static_cast<uint8_t>(state);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint8_t* p = data.data() + offset;
+      ASSERT_EQ(Crc32cExtend(0, p, len), Crc32cExtendPortable(0, p, len))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32cExtend(0xDEADBEEFu, p, len),
+                Crc32cExtendPortable(0xDEADBEEFu, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(Crc32c(data.data(), data.size()),
+            Crc32cExtendPortable(0, data.data(), data.size()));
+  EXPECT_EQ(Crc32c(data.data() + 3, data.size() - 3),
+            Crc32cExtendPortable(0, data.data() + 3, data.size() - 3));
+}
+
 TEST(Crc32cTest, DetectsEverySingleBitFlip) {
   std::string data = "payload under test 0123456789";
   const uint32_t good = Crc32c(data);

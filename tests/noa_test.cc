@@ -7,6 +7,8 @@
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "geo/predicates.h"
+#include "io/fault_injection.h"
+#include "io/filesystem.h"
 #include "noa/burned_area.h"
 #include "noa/chain.h"
 #include "noa/classification.h"
@@ -306,6 +308,44 @@ TEST_F(ChainTest, BatchCompletesPastCorruptProduct) {
   auto products = catalog_.GetTable("products");
   ASSERT_TRUE(products.ok());
   EXPECT_EQ((*products)->num_rows(), 1u);
+}
+
+TEST_F(ChainTest, ReadsTheRasterPayloadOnce) {
+  // The filesystem operations one read of the attached file costs...
+  io::FaultInjectingFileSystem counting(io::GetFileSystem());
+  io::ScopedFileSystem scoped(&counting);
+  ASSERT_TRUE(vault::ReadTer((dir_ / "scene.ter").string()).ok());
+  const uint64_t one_read = counting.ops();
+  ASSERT_GT(one_read, 0u);
+  // ...are all a chain run over the freshly attached raster costs: the
+  // vault's ingestion is the only read, and the scene georeferencing
+  // uses is mapped from the array it ingested.
+  ChainConfig config;
+  config.classifier.kind = ClassifierKind::kContextual;
+  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->hotspots.size(), 0u);
+  EXPECT_EQ(counting.ops() - one_read, one_read);
+}
+
+TEST_F(ChainTest, CroppedRunCountsOnlyTheSlabsCells) {
+  obs::Counter* classified = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_noa_pixels_classified_total");
+  ChainConfig config;
+  config.classifier.kind = ClassifierKind::kContextual;
+  uint64_t before = classified->value();
+  ASSERT_TRUE(chain_->Run("MSG2-SEVIRI-scene", config).ok());
+  EXPECT_EQ(classified->value() - before, scene_.PixelCount());
+  // A crop reaching past the bottom edge: SciQL clamps the slab to the
+  // raster, and so does the count.
+  config.has_crop = true;
+  config.crop_x0 = 10;
+  config.crop_x1 = 40;
+  config.crop_y0 = scene_.spec.height - 16;
+  config.crop_y1 = scene_.spec.height + 50;
+  before = classified->value();
+  ASSERT_TRUE(chain_->Run("MSG2-SEVIRI-scene", config).ok());
+  EXPECT_EQ(classified->value() - before, 30u * 16u);
 }
 
 class RefinementTest : public ChainTest {

@@ -100,6 +100,39 @@ TEST_F(TripleStoreTest, Remove) {
   EXPECT_EQ(store_.Match(TriplePattern{}).size(), 2u);
 }
 
+TEST_F(TripleStoreTest, DuplicateAddIsCountedOnceBeforeAnyRead) {
+  store_.Add(Iri("s1"), Iri("type"), Iri("Hotspot"));  // duplicate
+  store_.Add(Iri("s4"), Iri("type"), Iri("Town"));
+  store_.Add(Iri("s4"), Iri("type"), Iri("Town"));  // duplicate of a new one
+  EXPECT_EQ(store_.size(), 6u);
+}
+
+TEST_F(TripleStoreTest, RemoveAfterDuplicateAddRemovesOneTriple) {
+  store_.Add(Iri("s9"), Iri("type"), Iri("Town"));
+  store_.Add(Iri("s9"), Iri("type"), Iri("Town"));
+  TriplePattern pattern;
+  pattern.s = store_.dict().Lookup(Iri("s9"));
+  EXPECT_EQ(store_.Remove(pattern), 1u);
+  EXPECT_EQ(store_.size(), 5u);
+}
+
+TEST_F(TripleStoreTest, EraseCountsPresentTriplesOnce) {
+  TermId s1 = store_.dict().Lookup(Iri("s1"));
+  TermId s2 = store_.dict().Lookup(Iri("s2"));
+  TermId type = store_.dict().Lookup(Iri("type"));
+  TermId hotspot = store_.dict().Lookup(Iri("Hotspot"));
+  TermId town = store_.dict().Lookup(Iri("Town"));
+  // Present, the same again, and one never added.
+  EXPECT_EQ(store_.Erase({{s1, type, hotspot},
+                          {s1, type, hotspot},
+                          {s2, type, town}}),
+            1u);
+  EXPECT_EQ(store_.size(), 4u);
+  EXPECT_TRUE(store_.Match(Iri("s1"), Iri("type"), std::nullopt).empty());
+  EXPECT_EQ(store_.Match(std::nullopt, Iri("type"), std::nullopt).size(), 2u);
+  EXPECT_EQ(store_.Erase({}), 0u);
+}
+
 TEST(TurtleTest, ParsePrefixesAndLists) {
   TripleStore store;
   auto added = ParseTurtle(R"(

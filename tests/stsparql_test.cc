@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "common/strings.h"
 #include "geo/crs.h"
+#include "obs/metrics.h"
 #include "strabon/spatial_functions.h"
 #include "strabon/strabon.h"
 #include "strabon/temporal.h"
@@ -283,8 +287,8 @@ TEST_F(StSparqlTest, SpatialIndexSeesPostUpdateGeometries) {
       "FILTER(strdf:within(?g, " + window + ")) }";
   // Warm the index: nothing in the window yet.
   EXPECT_EQ(Count(query), 0u);
-  // Insert a new hotspot inside the window; the R-tree must be
-  // invalidated and rebuilt, not serve stale candidates.
+  // Insert a new hotspot inside the window; the R-tree must take the new
+  // geometry in, not serve stale candidates.
   ASSERT_TRUE(strabon_
                   .Update("INSERT DATA { noa:h4 a noa:Hotspot ; "
                           "noa:hasGeometry \"POLYGON ((44 44, 45 44, 45 "
@@ -315,6 +319,22 @@ TEST_F(StSparqlTest, GeometryUpdateViaDifference) {
   auto geom = cache.Get(strabon_.store().dict().At(r->rows[0][0]));
   ASSERT_TRUE(geom.ok());
   EXPECT_NEAR((*geom)->Area(), 0.5, 1e-6);
+}
+
+TEST(StrabonUpdateTest, DeleteDataCountsADuplicateAddOnce) {
+  Strabon strabon;
+  const Term s = Term::Iri("http://example.org/s");
+  const Term p = Term::Iri("http://example.org/p");
+  const Term o = Term::Iri("http://example.org/o");
+  strabon.Add(s, p, o);
+  strabon.Add(s, p, o);
+  EXPECT_EQ(strabon.size(), 1u);
+  auto n = strabon.Update(
+      "DELETE DATA { <http://example.org/s> <http://example.org/p> "
+      "<http://example.org/o> }");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 1u);
+  EXPECT_EQ(strabon.size(), 0u);
 }
 
 /// A SELECT's rows as N-Triples tuples, sorted: rows compared as a
@@ -625,6 +645,233 @@ TEST(SpatialIndexDifferentialTest, IndexAndScanAgreeOnEveryShape) {
                                       "(?ga, ?gb)) }");
     }
   }
+}
+
+TEST(SpatialIndexDifferentialTest, IndexFollowsInsertsAndDeletes) {
+  const std::string prefix =
+      "PREFIX ex: <http://example.org/> "
+      "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#> ";
+  const std::string metres = StrFormat("%.1f", kMetres);
+  const std::string degrees = StrFormat("%.2f", kDegrees);
+  std::vector<NearPair> near;
+  Strabon strabon;
+  ASSERT_TRUE(strabon.LoadTurtle(DifferentialTurtle(29, 38.0, &near)).ok());
+  obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_strabon_index_builds_total");
+  obs::Counter* inserts = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_strabon_index_inserts_total");
+  Rng rng(41);
+  auto literal = [&](double size) {
+    return "\"" +
+           Wkt(rng.Uniform() * 0.3, 38.0 + rng.Uniform() * 0.3, size) +
+           "\"^^strdf:WKT";
+  };
+  auto check = [&]() {
+    const std::string one = prefix + "SELECT ?a WHERE { ?a ex:geo ?g . ";
+    IndexedAndScanned(&strabon, one + "FILTER(strdf:intersects(?g, " +
+                                    literal(0.05) + ")) }");
+    IndexedAndScanned(&strabon, one + "FILTER(strdf:geodesicDistance(?g, " +
+                                    literal(0) + ") < " + metres + ") }");
+    IndexedAndScanned(&strabon, one + "FILTER(strdf:distance(" + literal(0) +
+                                    ", ?g) <= " + degrees + ") }");
+    IndexedAndScanned(&strabon, prefix +
+                                    "SELECT ?a ?b WHERE { ?a ex:geo ?ga . "
+                                    "?b ex:geo ?gb . FILTER(strdf:distance("
+                                    "?ga, ?gb) < " + degrees + ") }");
+  };
+  check();  // the first indexed query bulk-loads the tree
+  const uint64_t builds_after_load = builds->value();
+  const uint64_t inserts_after_load = inserts->value();
+  const size_t indexed_after_load = strabon.indexed_geometries();
+  // Inserted (subject, literal) pairs still stored, and the literal
+  // last deleted, which a later insert reuses under a new subject.
+  std::vector<std::pair<std::string, std::string>> live;
+  std::string deleted;
+  for (int step = 0; step < 24; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::string update;
+    switch (step % 4) {
+      case 0: {  // a new feature: a point, a box, or a reused literal
+        std::string lit = !deleted.empty() && step % 8 == 0
+                              ? deleted
+                              : literal(step % 8 == 4 ? 0 : 0.01);
+        live.push_back({"ex:n" + std::to_string(step), lit});
+        update = "INSERT DATA { " + live.back().first + " ex:geo " + lit +
+                 " }";
+        break;
+      }
+      case 1:  // drop one loaded feature's geometry
+        update = "DELETE WHERE { ex:f" + std::to_string(step * 3) +
+                 " ex:geo ?g }";
+        break;
+      case 2:  // move a loaded feature to a new geometry
+        update = "DELETE { ?f ex:geo ?g } INSERT { ?f ex:geo " +
+                 literal(0.005) + " } WHERE { ?f ex:geo ?g . FILTER(?f = ex:f" +
+                 std::to_string(step * 2 + 1) + ") }";
+        break;
+      default:  // delete the newest inserted feature's geometry
+        update = "DELETE DATA { " + live.back().first + " ex:geo " +
+                 live.back().second + " }";
+        deleted = live.back().second;
+        live.pop_back();
+        break;
+    }
+    auto n = strabon.Update(prefix + update);
+    ASSERT_TRUE(n.ok()) << update << " -> " << n.status().ToString();
+    EXPECT_EQ(*n, step % 4 == 2 ? 2u : 1u) << update;
+    check();
+  }
+  // Every write after the load reached the tree as inserts.
+  EXPECT_EQ(builds->value(), builds_after_load);
+  EXPECT_GT(inserts->value(), inserts_after_load);
+  EXPECT_GT(strabon.indexed_geometries(), indexed_after_load);
+}
+
+/// The permutation a TripleStore::Match of `pattern` walks (see Match), as
+/// a key over a triple.
+std::array<rdf::TermId, 3> PermutationKey(const rdf::TriplePattern& pattern,
+                                         const rdf::Triple& t) {
+  if (pattern.s && (pattern.p || !pattern.o)) return {t.s, t.p, t.o};
+  if (pattern.p) return {t.p, t.o, t.s};
+  if (pattern.o) return {t.o, t.s, t.p};
+  return {t.s, t.p, t.o};
+}
+
+struct TripleLess {
+  bool operator()(const rdf::Triple& a, const rdf::Triple& b) const {
+    return std::tie(a.s, a.p, a.o) < std::tie(b.s, b.p, b.o);
+  }
+};
+
+TEST(TripleStoreDifferentialTest, DeltaPathsMatchASetReference) {
+  Strabon strabon;
+  rdf::TripleStore& store = strabon.store();
+  std::set<rdf::Triple, TripleLess> reference;
+  const std::string ns = "http://example.org/";
+  auto name = [&](char kind, int i) { return ns + kind + std::to_string(i); };
+  auto nt = [&](char kind, int i) { return "<" + name(kind, i) + ">"; };
+  // Ids for every term a step can name, including ones never stored.
+  std::vector<rdf::TermId> ids[3];
+  const int kinds[3] = {6, 4, 6};  // subjects, predicates, objects
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < kinds[k]; ++i) {
+      ids[k].push_back(store.dict().Intern(Term::Iri(name("spo"[k], i))));
+    }
+  }
+  Rng rng(2024);
+  auto pick = [&](size_t n) {
+    return static_cast<int>(rng.Uniform() * static_cast<double>(n));
+  };
+  struct Picked {
+    int s, p, o;
+  };
+  auto random_triple = [&]() { return Picked{pick(6), pick(4), pick(6)}; };
+  auto encode = [&](const Picked& t) {
+    return rdf::Triple{ids[0][t.s], ids[1][t.p], ids[2][t.o]};
+  };
+  auto ground = [&](const Picked& t) {
+    return nt('s', t.s) + " " + nt('p', t.p) + " " + nt('o', t.o) + " . ";
+  };
+  auto matches = [](const rdf::TriplePattern& pat, const rdf::Triple& t) {
+    return (!pat.s || *pat.s == t.s) && (!pat.p || *pat.p == t.p) &&
+           (!pat.o || *pat.o == t.o);
+  };
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // size() first: the writes since the last read are still pending.
+    ASSERT_EQ(store.size(), reference.size());
+    for (int shape = 0; shape < 8; ++shape) {
+      rdf::TriplePattern pat;
+      if (shape & 1) pat.s = ids[0][pick(6)];
+      if (shape & 2) pat.p = ids[1][pick(4)];
+      if (shape & 4) pat.o = ids[2][pick(6)];
+      std::vector<rdf::Triple> expected;
+      for (const rdf::Triple& t : reference) {
+        if (matches(pat, t)) expected.push_back(t);
+      }
+      std::sort(expected.begin(), expected.end(),
+                [&](const rdf::Triple& a, const rdf::Triple& b) {
+                  return PermutationKey(pat, a) < PermutationKey(pat, b);
+                });
+      EXPECT_EQ(store.Match(pat), expected) << "shape " << shape;
+    }
+  };
+  // Several writes of any kind between reads, so a read folds a mixed
+  // delta into a non-empty store.
+  for (int step = 0; step < 600; ++step) {
+    int op = pick(8);
+    if (op <= 1) {  // a few adds, duplicates included
+      for (int k = pick(4); k >= 0; --k) {
+        Picked t = random_triple();
+        if (op == 0) {
+          store.Add(Term::Iri(name('s', t.s)), Term::Iri(name('p', t.p)),
+                    Term::Iri(name('o', t.o)));
+        } else {
+          store.AddEncoded(encode(t));
+        }
+        reference.insert(encode(t));
+      }
+    } else if (op == 2) {  // Remove(pattern) with one or two positions bound
+      Picked t = random_triple();
+      rdf::TriplePattern pat;
+      pat.p = ids[1][t.p];
+      if (pick(2) == 0) pat.s = ids[0][t.s];
+      size_t removed = std::erase_if(
+          reference, [&](const rdf::Triple& r) { return matches(pat, r); });
+      EXPECT_EQ(store.Remove(pat), removed);
+    } else if (op == 3) {  // batch erase: present, absent and repeated
+      std::vector<rdf::Triple> batch;
+      for (int k = pick(6); k >= 0; --k) {
+        batch.push_back(encode(random_triple()));
+      }
+      batch.push_back(batch.front());
+      size_t present = 0;
+      for (const rdf::Triple& t : batch) present += reference.erase(t);
+      EXPECT_EQ(store.Erase(batch), present);
+    } else if (op == 4 || op == 5) {  // INSERT DATA / DELETE DATA
+      std::string data;
+      std::set<rdf::Triple, TripleLess> named;
+      for (int k = pick(3); k >= 0; --k) {
+        Picked t = random_triple();
+        data += ground(t);
+        named.insert(encode(t));
+      }
+      size_t deleted = 0;
+      for (const rdf::Triple& t : named) {
+        if (op == 4) {
+          reference.insert(t);
+        } else {
+          deleted += reference.erase(t);
+        }
+      }
+      auto n = strabon.Update((op == 4 ? "INSERT" : "DELETE") +
+                              std::string(" DATA { ") + data + "}");
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      if (op == 5) {
+        EXPECT_EQ(*n, deleted);
+      }
+    } else if (op == 6) {  // DELETE/INSERT WHERE: move a predicate's triples
+      int from = pick(4);
+      int to = pick(4);
+      std::vector<rdf::Triple> moved;
+      for (const rdf::Triple& t : reference) {
+        if (t.p == ids[1][from]) moved.push_back(t);
+      }
+      for (const rdf::Triple& t : moved) reference.erase(t);
+      for (const rdf::Triple& t : moved) {
+        reference.insert({t.s, ids[1][to], t.o});
+      }
+      auto n = strabon.Update("DELETE { ?s " + nt('p', from) + " ?o } " +
+                              "INSERT { ?s " + nt('p', to) + " ?o } " +
+                              "WHERE { ?s " + nt('p', from) + " ?o }");
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      EXPECT_EQ(*n, 2 * moved.size());
+    } else {
+      check(step);
+    }
+  }
+  check(600);
+  EXPECT_GT(reference.size(), 0u);
 }
 
 }  // namespace
