@@ -24,18 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
+
 namespace {
 
-/// Escapes a benchmark name for a JSON string value.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using teleios::obs::JsonEscapeString;
 
 class JsonLinesReporter : public benchmark::BenchmarkReporter {
  public:
@@ -54,13 +47,13 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter {
               ? run.real_accumulated_time /
                     static_cast<double>(run.iterations) * 1e9
               : 0;
-      *os_ << "{\"name\": \"" << JsonEscape(run.benchmark_name())
+      *os_ << "{\"name\": \"" << JsonEscapeString(run.benchmark_name())
            << "\", \"iters\": " << run.iterations
            << ", \"ns_per_op\": " << ns_per_op << ", \"counters\": {";
       // User counters as reported (rates already divided by the time).
       const char* sep = "";
       for (const auto& [name, counter] : run.counters) {
-        *os_ << sep << "\"" << JsonEscape(name) << "\": ";
+        *os_ << sep << "\"" << JsonEscapeString(name) << "\": ";
         if (std::isfinite(counter.value)) {
           *os_ << counter.value;
         } else {

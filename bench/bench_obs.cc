@@ -1,5 +1,5 @@
 // E16 — introspection overheads: what the query lifecycle ledger, the
-// event ring, the trace codec and a sys.* snapshot cost. The registry
+// event ring, the trace export and a sys.* snapshot cost. The registry
 // and event log sit on every governed statement's path, so their
 // per-operation tax bounds how cheap a statement can ever be; the
 // sys.queries materialization cost bounds how aggressively an operator
@@ -110,17 +110,6 @@ void BM_TraceExport(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-/// The inverse codec, JSON -> span tree (tooling-side cost).
-void BM_TraceImport(benchmark::State& state) {
-  std::string json =
-      obs::ToChromeTraceJson(MakeTree(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto tree = obs::FromChromeTraceJson(json);
-    benchmark::DoNotOptimize(tree.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 /// Flattening every registry series into sys.metrics rows.
 void BM_MetricsSamples(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -139,7 +128,6 @@ BENCHMARK(BM_EventPost);
 BENCHMARK(BM_ActiveSnapshot)->Arg(4)->Arg(64);
 BENCHMARK(BM_SysQueriesThroughSql);
 BENCHMARK(BM_TraceExport)->Arg(16)->Arg(256);
-BENCHMARK(BM_TraceImport)->Arg(16)->Arg(256);
 BENCHMARK(BM_MetricsSamples);
 
 }  // namespace

@@ -350,10 +350,6 @@ std::string VirtualEarthObservatory::MetricsText() const {
   return obs::MetricsRegistry::Global().TextExposition();
 }
 
-std::string VirtualEarthObservatory::MetricsJson() const {
-  return obs::MetricsRegistry::Global().JsonExposition();
-}
-
 Result<noa::RefinementReport> VirtualEarthObservatory::Refine(
     const std::string& product_id) {
   return noa::RefineHotspots(&strabon_, product_id);

@@ -153,8 +153,6 @@ class VirtualEarthObservatory {
   /// Prometheus-style text exposition of all process-wide metrics
   /// (counters, gauges, latency summaries) recorded by the tiers.
   std::string MetricsText() const;
-  /// The same metrics as one JSON object.
-  std::string MetricsJson() const;
 
   /// Cooperatively cancels the governed statement with this `sys.queries`
   /// id: a queued statement abandons the admission queue, a running one

@@ -1,35 +1,30 @@
 #include "governor/fault_injection.h"
 
+#include <string>
+
 #include "obs/metrics.h"
 
 namespace teleios::governor {
 
 Status FaultInjectingBudget::Reserve(size_t bytes) {
   if (bytes == 0) return Status::OK();
-  bool inject = false;
+  FaultProgram::Outcome outcome = FaultProgram::Outcome::kPass;
   uint64_t index = 0;
   {
     MutexLock lock(fault_mu_);
-    index = ++reservations_;
-    if (armed_ && spec_.inject_at > 0) {
-      if (index == spec_.inject_at) {
-        inject = true;
-      } else if (spec_.every_n > 0 && index > spec_.inject_at &&
-                 (index - spec_.inject_at) % spec_.every_n == 0) {
-        inject = true;
-      }
-    }
-    if (inject) ++injected_;
+    outcome = program_.Next();
+    index = program_.ops();
   }
-  if (inject) {
+  if (outcome == FaultProgram::Outcome::kPass) {
+    // MemoryBudget::Reserve charges this node (unlimited) and the
+    // wrapped base via the parent chain.
+    return MemoryBudget::Reserve(bytes);
+  }
+  if (outcome == FaultProgram::Outcome::kFault) {
     obs::Count("teleios_governor_oom_injected_total");
-    return Status::ResourceExhausted(
-        "injected allocation failure at reservation #" +
-        std::to_string(index));
   }
-  // Pass-through: MemoryBudget::Reserve charges this node (unlimited)
-  // and the wrapped base via the parent chain.
-  return MemoryBudget::Reserve(bytes);
+  return Status::ResourceExhausted(
+      "injected allocation failure at reservation #" + std::to_string(index));
 }
 
 }  // namespace teleios::governor

@@ -2,26 +2,22 @@
 #define TELEIOS_GOVERNOR_FAULT_INJECTION_H_
 
 #include <cstdint>
-#include <string>
 
+#include "common/fault_program.h"
 #include "common/thread_annotations.h"
 #include "governor/memory_budget.h"
 
 namespace teleios::governor {
 
-/// A deterministic OOM program, mirroring io::FaultSpec: the
-/// `inject_at`-th counted Reserve() after Arm() is refused with
-/// kResourceExhausted; with `every_n` > 0 the refusal also repeats every
-/// `every_n` reservations after that. Zero-byte reservations are not
-/// counted (they never allocate).
-struct BudgetFaultSpec {
-  uint64_t inject_at = 1;  // 1-based reservation index; 0 disables
-  uint64_t every_n = 0;
-};
+/// A deterministic OOM program: the schedule's k-th counted Reserve()
+/// after Arm() is refused with kResourceExhausted. Zero-byte
+/// reservations are not counted (they never allocate).
+using BudgetFaultSpec = FaultSchedule;
 
 /// Wraps any MemoryBudget and deterministically refuses reservations per
-/// an armed BudgetFaultSpec — the allocation-failure analogue of
-/// io::FaultInjectingFileSystem. Disarmed it is a transparent
+/// an armed BudgetFaultSpec — the allocation-failure seam, sharing its
+/// FaultProgram with io::FaultInjectingFileSystem and
+/// server::FaultInjectingTransport. Disarmed it is a transparent
 /// pass-through that still counts reservations. Passed-through
 /// reservations charge `base`, so accounting exactness (balance to zero)
 /// is testable under injection too. Every injected refusal increments
@@ -40,36 +36,30 @@ class FaultInjectingBudget : public MemoryBudget {
   /// Installs `spec` and resets the reservation counter.
   void Arm(const BudgetFaultSpec& spec) {
     MutexLock lock(fault_mu_);
-    spec_ = spec;
-    armed_ = true;
-    reservations_ = 0;
-    injected_ = 0;
+    program_.Arm(spec);
   }
   /// Back to pass-through (the counter keeps its value).
   void Disarm() {
     MutexLock lock(fault_mu_);
-    armed_ = false;
+    program_.Disarm();
   }
 
   /// Reservations counted since the last Arm() (or construction).
   uint64_t reservations() const {
     MutexLock lock(fault_mu_);
-    return reservations_;
+    return program_.ops();
   }
   /// Refusals injected since the last Arm().
   uint64_t injected() const {
     MutexLock lock(fault_mu_);
-    return injected_;
+    return program_.faults();
   }
 
   Status Reserve(size_t bytes) override;
 
  private:
   mutable Mutex fault_mu_;
-  BudgetFaultSpec spec_ TELEIOS_GUARDED_BY(fault_mu_);
-  bool armed_ TELEIOS_GUARDED_BY(fault_mu_) = false;
-  uint64_t reservations_ TELEIOS_GUARDED_BY(fault_mu_) = 0;
-  uint64_t injected_ TELEIOS_GUARDED_BY(fault_mu_) = 0;
+  FaultProgram program_ TELEIOS_GUARDED_BY(fault_mu_);
 };
 
 }  // namespace teleios::governor

@@ -4,39 +4,17 @@
 
 namespace teleios::io {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kIoError:
-      return "io_error";
-    case FaultKind::kShortWrite:
-      return "short_write";
-    case FaultKind::kEnospc:
-      return "enospc";
-    case FaultKind::kSyncFail:
-      return "sync_fail";
-    case FaultKind::kSyncDrop:
-      return "sync_drop";
-    case FaultKind::kBitFlip:
-      return "bit_flip";
-  }
-  return "unknown";
-}
-
 void FaultInjectingFileSystem::Arm(const FaultSpec& spec) {
   MutexLock lock(mu_);
   spec_ = spec;
-  armed_ = spec.inject_at > 0;
-  crashed_ = false;
-  ops_ = 0;
-  faults_ = 0;
+  program_.Arm(spec);
   bits_flipped_ = 0;
   rng_ = spec.seed ? spec.seed : 1;
 }
 
 void FaultInjectingFileSystem::Disarm() {
   MutexLock lock(mu_);
-  armed_ = false;
-  crashed_ = false;
+  program_.Disarm();
 }
 
 uint64_t FaultInjectingFileSystem::NextRand() {
@@ -59,50 +37,33 @@ void FaultInjectingFileSystem::ApplyBitFlip(uint8_t* bytes, size_t len) {
 FaultInjectingFileSystem::FaultAction FaultInjectingFileSystem::NextOp(
     OpClass op) {
   MutexLock lock(mu_);
-  if (crashed_) return FaultAction::kFail;  // everything after the crash
   // The counting mode applies to disabled (inject_at = 0) probe runs
   // too, so a probed op count matches the armed sweep that follows.
+  // Uncounted ops still fail once a crash has happened.
   if (spec_.reads_only && op != OpClass::kRead) {
-    return FaultAction::kNone;  // not counted in a reads-only sweep
+    return program_.crashed() ? FaultAction::kFail : FaultAction::kNone;
   }
-  ++ops_;
-  if (!armed_) return FaultAction::kNone;
-  bool hit = ops_ == spec_.inject_at ||
-             (spec_.every_n > 0 && ops_ > spec_.inject_at &&
-              (ops_ - spec_.inject_at) % spec_.every_n == 0);
-  if (!hit) return FaultAction::kNone;
-  FaultAction action = FaultAction::kFail;
+  // Flips only corrupt read payloads; other ops pass through.
+  bool applies = spec_.kind != FaultKind::kBitFlip || op == OpClass::kRead;
+  switch (program_.Next(applies)) {
+    case FaultProgram::Outcome::kPass:
+      return FaultAction::kNone;
+    case FaultProgram::Outcome::kCrashed:
+      return FaultAction::kFail;
+    case FaultProgram::Outcome::kFault:
+      break;
+  }
+  obs::Count("teleios_io_faults_injected_total");
   switch (spec_.kind) {
     case FaultKind::kIoError:
-      action = FaultAction::kFail;
       break;
     case FaultKind::kShortWrite:
-      action = op == OpClass::kAppend ? FaultAction::kShortWrite
-                                      : FaultAction::kFail;
-      break;
-    case FaultKind::kEnospc:
-      action =
-          op == OpClass::kAppend ? FaultAction::kEnospc : FaultAction::kFail;
-      break;
-    case FaultKind::kSyncFail:
-      action = FaultAction::kFail;
-      break;
-    case FaultKind::kSyncDrop:
-      // Only a Sync can be silently dropped; elsewhere nothing happens.
-      action = op == OpClass::kSync ? FaultAction::kSyncDrop
-                                    : FaultAction::kNone;
+      if (op == OpClass::kAppend) return FaultAction::kShortWrite;
       break;
     case FaultKind::kBitFlip:
-      // Flips only corrupt read payloads; other ops pass through.
-      action =
-          op == OpClass::kRead ? FaultAction::kBitFlip : FaultAction::kNone;
-      break;
+      return FaultAction::kBitFlip;
   }
-  if (action == FaultAction::kNone) return action;
-  ++faults_;
-  obs::Count("teleios_io_faults_injected_total");
-  if (spec_.crash) crashed_ = true;
-  return action;
+  return FaultAction::kFail;
 }
 
 class FaultyWritableFile : public WritableFile {
@@ -142,9 +103,6 @@ Status FaultyWritableFile::Append(const void* data, size_t n) {
       // Torn write: half the bytes land before the error.
       (void)base_->Append(data, n / 2);
       return FaultInjectingFileSystem::InjectedError("torn write");
-    case FaultInjectingFileSystem::FaultAction::kEnospc:
-      return FaultInjectingFileSystem::InjectedError(
-          "no space left on device");
     default:
       return FaultInjectingFileSystem::InjectedError("write failed");
   }
@@ -159,14 +117,11 @@ Status FaultyWritableFile::Flush() {
 }
 
 Status FaultyWritableFile::Sync() {
-  switch (fs_->NextOp(FaultInjectingFileSystem::OpClass::kSync)) {
-    case FaultInjectingFileSystem::FaultAction::kNone:
-      return base_->Sync();
-    case FaultInjectingFileSystem::FaultAction::kSyncDrop:
-      return base_->Flush();  // pretends to be durable; never fsyncs
-    default:
-      return FaultInjectingFileSystem::InjectedError("fsync failed");
+  if (fs_->NextOp(FaultInjectingFileSystem::OpClass::kOther) !=
+      FaultInjectingFileSystem::FaultAction::kNone) {
+    return FaultInjectingFileSystem::InjectedError("fsync failed");
   }
+  return base_->Sync();
 }
 
 Status FaultyWritableFile::Close() {
@@ -245,14 +200,10 @@ Status FaultInjectingFileSystem::CreateDir(const std::string& path) {
 }
 
 Status FaultInjectingFileSystem::SyncDir(const std::string& dir) {
-  switch (NextOp(OpClass::kSync)) {
-    case FaultAction::kNone:
-      return base_->SyncDir(dir);
-    case FaultAction::kSyncDrop:
-      return Status::OK();  // pretends the rename is durable; it isn't
-    default:
-      return InjectedError("directory fsync failed");
+  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
+    return InjectedError("directory fsync failed");
   }
+  return base_->SyncDir(dir);
 }
 
 Result<std::vector<std::string>> FaultInjectingFileSystem::ListDirectory(

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_program.h"
 #include "common/thread_annotations.h"
 #include "io/filesystem.h"
 
@@ -18,32 +19,16 @@ enum class FaultKind {
   /// An Append writes only the first half of its bytes, then errors — a
   /// torn write. Non-append ops fail with IoError.
   kShortWrite,
-  /// An Append fails with "no space left on device" writing nothing.
-  kEnospc,
-  /// A Sync fails (battery-backed cache gone bad); other ops IoError.
-  kSyncFail,
-  /// A Sync silently does nothing and reports success (lying drive).
-  /// Only meaningful combined with a real crash; included so harnesses
-  /// can at least exercise the code path.
-  kSyncDrop,
   /// A Read succeeds but one bit of the returned buffer is flipped —
   /// silent media corruption the checksum layer must catch. Non-read ops
   /// are passed through untouched.
   kBitFlip,
 };
 
-const char* FaultKindName(FaultKind kind);
-
-/// A deterministic, seedable fault program: the `inject_at`-th counted
-/// I/O operation after Arm() misbehaves per `kind`; with `every_n` > 0
-/// the fault also repeats every `every_n` ops after that (fault-rate
-/// benchmarks); with `crash` every operation after the first fault fails
-/// too, simulating a process crash / yanked disk at that exact point.
-struct FaultSpec {
+/// A deterministic, seedable fault program over counted I/O operations:
+/// the FaultSchedule picks the op, `kind` what goes wrong there.
+struct FaultSpec : FaultSchedule {
   FaultKind kind = FaultKind::kIoError;
-  uint64_t inject_at = 1;  // 1-based op index; 0 disables
-  uint64_t every_n = 0;
-  bool crash = false;
   /// When true only Read operations are counted (for read-side sweeps
   /// such as bit-flip coverage, where metadata ops are irrelevant).
   bool reads_only = false;
@@ -57,8 +42,7 @@ struct FaultSpec {
 ///
 /// Counted operations: NewWritableFile, NewReadableFile, Append, Flush,
 /// Sync, Close, Rename, RemoveFile, FileExists, CreateDir, SyncDir,
-/// ListDirectory and each ReadableFile::Read call. SyncDir counts as a
-/// sync op, so kSyncFail/kSyncDrop cover dropped directory fsyncs too.
+/// ListDirectory and each ReadableFile::Read call.
 class FaultInjectingFileSystem : public FileSystem {
  public:
   /// `base` must outlive this wrapper (and any files it opened).
@@ -72,12 +56,12 @@ class FaultInjectingFileSystem : public FileSystem {
   /// Operations counted since the last Arm() (or construction).
   uint64_t ops() const {
     MutexLock lock(mu_);
-    return ops_;
+    return program_.ops();
   }
   /// Faults injected since the last Arm().
   uint64_t faults_injected() const {
     MutexLock lock(mu_);
-    return faults_;
+    return program_.faults();
   }
   /// Bits actually corrupted by kBitFlip faults since the last Arm().
   /// A flip scheduled onto a zero-byte read (an EOF probe) has nothing
@@ -103,23 +87,19 @@ class FaultInjectingFileSystem : public FileSystem {
   friend class FaultyWritableFile;
   friend class FaultyReadableFile;
 
-  enum class OpClass { kRead, kAppend, kSync, kOther };
+  enum class OpClass { kRead, kAppend, kOther };
 
   /// What a particular counted operation actually does.
   enum class FaultAction {
     kNone,        // behave normally
     kFail,        // return an IoError
     kShortWrite,  // write half the bytes, then IoError
-    kEnospc,      // write nothing, ENOSPC-style IoError
-    kSyncDrop,    // report success without syncing
     kBitFlip,     // read normally, flip one bit of the result
   };
 
-  /// Counts one operation and decides its fate. Thread-safe: the op
-  /// counter advances under mu_, so "fail the k-th op" stays exact and
-  /// deterministic even when parallel batch products share the
-  /// filesystem (which op lands on k then depends on scheduling, but
-  /// exactly one does).
+  /// Counts one operation through the fault program (under mu_, so
+  /// parallel batch products can share the filesystem) and maps its
+  /// outcome to what the op does.
   FaultAction NextOp(OpClass op) TELEIOS_EXCLUDES(mu_);
   static Status InjectedError(const char* what);
   /// Corrupts one bit of `bytes[0..len)` (bit-flip bookkeeping + RNG
@@ -131,10 +111,7 @@ class FaultInjectingFileSystem : public FileSystem {
   mutable Mutex mu_;
   FileSystem* base_;
   FaultSpec spec_ TELEIOS_GUARDED_BY(mu_);
-  bool armed_ TELEIOS_GUARDED_BY(mu_) = false;
-  bool crashed_ TELEIOS_GUARDED_BY(mu_) = false;
-  uint64_t ops_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t faults_ TELEIOS_GUARDED_BY(mu_) = 0;
+  FaultProgram program_ TELEIOS_GUARDED_BY(mu_);
   uint64_t bits_flipped_ TELEIOS_GUARDED_BY(mu_) = 0;
   uint64_t rng_ TELEIOS_GUARDED_BY(mu_) = 1;
 };

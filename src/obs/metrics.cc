@@ -15,17 +15,6 @@ std::string NumberToString(double v) {
   return os.str();
 }
 
-/// Escapes a metric name for use as a JSON object key.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Metric name without the trailing {label=...} part.
 std::string BaseName(const std::string& name) {
   size_t brace = name.find('{');
@@ -247,38 +236,6 @@ std::string MetricsRegistry::TextExposition() const {
        << "\n";
     os << Series(name, "_count", "") << " " << hist->count() << "\n";
   }
-  return os.str();
-}
-
-std::string MetricsRegistry::JsonExposition() const {
-  MutexLock lock(mu_);
-  RefreshComputedLocked();
-  std::ostringstream os;
-  os << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    os << (first ? "" : ", ") << "\"" << JsonEscape(name)
-       << "\": " << counter->value();
-    first = false;
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    os << (first ? "" : ", ") << "\"" << JsonEscape(name)
-       << "\": " << NumberToString(gauge->value());
-    first = false;
-  }
-  os << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    os << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": {\"count\": "
-       << hist->count() << ", \"sum\": " << NumberToString(hist->sum())
-       << ", \"p50\": " << NumberToString(hist->Quantile(0.5))
-       << ", \"p95\": " << NumberToString(hist->Quantile(0.95))
-       << ", \"p99\": " << NumberToString(hist->Quantile(0.99)) << "}";
-    first = false;
-  }
-  os << "}}";
   return os.str();
 }
 

@@ -108,10 +108,6 @@ class MetricsRegistry {
   /// `{quantile=...}`, `_sum`, `_count` as a summary.
   std::string TextExposition() const;
 
-  /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, sum, p50, p95, p99}}}.
-  std::string JsonExposition() const;
-
   /// Every series as a flat name/kind/value list, sorted by kind then
   /// name (the order of the text exposition). Backs `sys.metrics`.
   std::vector<MetricSample> Samples() const;

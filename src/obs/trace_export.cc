@@ -1,11 +1,6 @@
 #include "obs/trace_export.h"
 
-#include <cctype>
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <variant>
-#include <vector>
 
 #include "obs/event_log.h"
 
@@ -13,7 +8,8 @@ namespace teleios::obs {
 
 namespace {
 
-/// Full-precision double rendering so ts/dur survive the round trip.
+/// Full-precision double rendering: ts/dur keep every bit of the span's
+/// timing.
 std::string DoubleToJson(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -30,7 +26,7 @@ void AppendEvent(const SpanNode& node, int depth, bool* first,
           R"(, "pid": 1, "tid": 1, "args": {"depth": )" +
           std::to_string(depth);
   for (const auto& [k, v] : node.attrs) {
-    if (k == "depth") continue;  // reserved for the codec
+    if (k == "depth") continue;  // reserved for the nesting depth
     *out += ", \"" + JsonEscapeString(k) + "\": \"" + JsonEscapeString(v) +
             "\"";
   }
@@ -40,214 +36,6 @@ void AppendEvent(const SpanNode& node, int depth, bool* first,
   }
 }
 
-// --- a minimal JSON reader for the exporter's own output ---------------
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      value = nullptr;
-
-  const JsonValue* Find(const std::string& key) const {
-    const auto* obj = std::get_if<std::shared_ptr<JsonObject>>(&value);
-    if (obj == nullptr) return nullptr;
-    for (const auto& [k, v] : **obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    TELEIOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::ParseError("trailing bytes after JSON value");
-    }
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Status::ParseError("unexpected end");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') {
-      TELEIOS_ASSIGN_OR_RETURN(std::string s, ParseString());
-      JsonValue v;
-      v.value = std::move(s);
-      return v;
-    }
-    return ParseNumber();
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    auto obj = std::make_shared<JsonObject>();
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-    } else {
-      for (;;) {
-        SkipSpace();
-        TELEIOS_ASSIGN_OR_RETURN(std::string key, ParseString());
-        SkipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          return Status::ParseError("expected ':' in object");
-        }
-        ++pos_;
-        TELEIOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-        obj->emplace_back(std::move(key), std::move(v));
-        SkipSpace();
-        if (pos_ >= text_.size()) return Status::ParseError("unterminated {}");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          break;
-        }
-        return Status::ParseError("expected ',' or '}' in object");
-      }
-    }
-    JsonValue v;
-    v.value = std::move(obj);
-    return v;
-  }
-
-  Result<JsonValue> ParseArray() {
-    ++pos_;  // '['
-    auto arr = std::make_shared<JsonArray>();
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-    } else {
-      for (;;) {
-        TELEIOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-        arr->push_back(std::move(v));
-        SkipSpace();
-        if (pos_ >= text_.size()) return Status::ParseError("unterminated []");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          break;
-        }
-        return Status::ParseError("expected ',' or ']' in array");
-      }
-    }
-    JsonValue v;
-    v.value = std::move(arr);
-    return v;
-  }
-
-  Result<std::string> ParseString() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Status::ParseError("expected string");
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Status::ParseError("bad escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Status::ParseError("bad \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Status::ParseError("bad \\u escape digit");
-            }
-          }
-          // The exporter only emits \u00xx control escapes.
-          out.push_back(static_cast<char>(code & 0xff));
-          break;
-        }
-        default:
-          return Status::ParseError("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) return Status::ParseError("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Status::ParseError("expected number");
-    char* end = nullptr;
-    std::string token = text_.substr(start, pos_ - start);
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Status::ParseError("bad number '" + token + "'");
-    }
-    JsonValue out;
-    out.value = v;
-    return out;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string ToChromeTraceJson(const SpanNode& root) {
@@ -256,74 +44,6 @@ std::string ToChromeTraceJson(const SpanNode& root) {
   AppendEvent(root, 0, &first, &out);
   out += "\n]}";
   return out;
-}
-
-Result<SpanNode> FromChromeTraceJson(const std::string& json) {
-  JsonReader reader(json);
-  TELEIOS_ASSIGN_OR_RETURN(JsonValue top, reader.Parse());
-  const JsonValue* events = top.Find("traceEvents");
-  if (events == nullptr) {
-    return Status::InvalidArgument("no traceEvents array");
-  }
-  const auto* arr = std::get_if<std::shared_ptr<JsonArray>>(&events->value);
-  if (arr == nullptr || (*arr)->empty()) {
-    return Status::InvalidArgument("traceEvents is not a non-empty array");
-  }
-
-  SpanNode root;
-  std::vector<SpanNode*> stack;  // open chain, root first
-  for (const JsonValue& event : **arr) {
-    const JsonValue* name = event.Find("name");
-    const JsonValue* ts = event.Find("ts");
-    const JsonValue* dur = event.Find("dur");
-    const JsonValue* args = event.Find("args");
-    const JsonValue* depth_v = args != nullptr ? args->Find("depth") : nullptr;
-    if (name == nullptr || ts == nullptr || dur == nullptr ||
-        depth_v == nullptr) {
-      return Status::InvalidArgument("event missing name/ts/dur/args.depth");
-    }
-    const auto* name_s = std::get_if<std::string>(&name->value);
-    const auto* ts_n = std::get_if<double>(&ts->value);
-    const auto* dur_n = std::get_if<double>(&dur->value);
-    const auto* depth_n = std::get_if<double>(&depth_v->value);
-    if (name_s == nullptr || ts_n == nullptr || dur_n == nullptr ||
-        depth_n == nullptr) {
-      return Status::InvalidArgument("event field has the wrong type");
-    }
-    SpanNode node;
-    node.name = *name_s;
-    node.start_millis = *ts_n / 1000.0;
-    node.millis = *dur_n / 1000.0;
-    const auto* args_obj =
-        std::get_if<std::shared_ptr<JsonObject>>(&args->value);
-    if (args_obj != nullptr) {
-      for (const auto& [k, v] : **args_obj) {
-        if (k == "depth") continue;
-        if (const auto* s = std::get_if<std::string>(&v.value)) {
-          node.attrs.emplace_back(k, *s);
-        }
-      }
-    }
-
-    size_t depth = static_cast<size_t>(*depth_n);
-    if (depth == 0) {
-      if (!stack.empty()) {
-        return Status::InvalidArgument("multiple roots in traceEvents");
-      }
-      root = std::move(node);
-      stack.push_back(&root);
-      continue;
-    }
-    if (stack.empty() || depth > stack.size()) {
-      return Status::InvalidArgument("event depth skips a level");
-    }
-    stack.resize(depth);  // pop back to the parent
-    SpanNode* parent = stack.back();
-    parent->children.push_back(std::move(node));
-    stack.push_back(&parent->children.back());
-  }
-  if (stack.empty()) return Status::InvalidArgument("no root event");
-  return root;
 }
 
 }  // namespace teleios::obs

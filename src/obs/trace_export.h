@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "common/status.h"
 #include "obs/trace.h"
 
 namespace teleios::obs {
@@ -12,21 +11,13 @@ namespace teleios::obs {
 /// `chrome://tracing` / Perfetto "JSON Array Format"): one complete
 /// event (`"ph": "X"`) per span, pre-order, with microsecond `ts`
 /// derived from SpanNode::start_millis and `dur` from millis. Span
-/// attributes ride in `args`, alongside a `depth` arg that makes the
-/// serialization exactly invertible (FromChromeTraceJson) without
-/// relying on float timestamp containment.
+/// attributes ride in `args`, alongside a `depth` arg that records the
+/// nesting without relying on float timestamp containment.
 ///
 /// This is the PROFILE/export interchange format: sampled traces in
 /// `sys.query_log` store it, and a saved file loads directly into
 /// about://tracing or `perfetto.dev`.
 std::string ToChromeTraceJson(const SpanNode& root);
-
-/// Parses ToChromeTraceJson output back into a span tree. Only the
-/// exporter's own shape is understood — this is a round-trip codec for
-/// tooling and tests, not a general trace-event reader. Errors with
-/// kParseError on malformed input, kInvalidArgument when the events do
-/// not form a single rooted pre-order tree.
-Result<SpanNode> FromChromeTraceJson(const std::string& json);
 
 }  // namespace teleios::obs
 

@@ -1,8 +1,5 @@
 #include "server/fault_transport.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -15,8 +12,7 @@ Status InjectedIoError(const char* what) {
   return Status::IoError(std::string("injected transport fault: ") + what);
 }
 
-}  // namespace
-
+/// The `kind` label of teleios_transport_faults_injected_total.
 const char* TransportFaultKindName(TransportFaultKind kind) {
   switch (kind) {
     case TransportFaultKind::kIoError:
@@ -27,19 +23,15 @@ const char* TransportFaultKindName(TransportFaultKind kind) {
       return "short_read";
     case TransportFaultKind::kDisconnect:
       return "disconnect";
-    case TransportFaultKind::kConnectRefused:
-      return "connect_refused";
-    case TransportFaultKind::kStall:
-      return "stall";
   }
   return "unknown";
 }
 
+}  // namespace
+
 /// One faulty byte stream: consults the owning transport's fault
-/// program before every counted op, and tracks its own byte total for
-/// drop_after_bytes. Not thread-safe beyond what Connection promises
-/// (ShutdownBoth/Close may race a parked read; the byte counter is only
-/// touched by the I/O thread).
+/// program before every counted op. Not thread-safe beyond what
+/// Connection promises (ShutdownBoth/Close may race a parked read).
 class FaultyConnection : public Connection {
  public:
   FaultyConnection(FaultInjectingTransport* owner,
@@ -48,16 +40,9 @@ class FaultyConnection : public Connection {
 
   Status ReadExact(void* dst, size_t n, int poll_millis,
                    bool (*keep_going)(void*), void* arg) override {
-    if (DropNow()) {
-      return Status::Unavailable(
-          "injected transport fault: connection closed by peer");
-    }
     using Action = FaultInjectingTransport::FaultAction;
     switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
       case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
         break;
       case Action::kShortRead: {
         // Deliver the first half of the message, then the wire dies —
@@ -89,19 +74,13 @@ class FaultyConnection : public Connection {
         base_->ShutdownBoth();
         return InjectedIoError("read failed, connection reset");
     }
-    Status st = base_->ReadExact(dst, n, poll_millis, keep_going, arg);
-    if (st.ok()) bytes_ += n;
-    return st;
+    return base_->ReadExact(dst, n, poll_millis, keep_going, arg);
   }
 
   Result<size_t> ReadSome(void* dst, size_t n, int timeout_millis) override {
-    if (DropNow()) return {static_cast<size_t>(0)};  // clean EOF shape
     using Action = FaultInjectingTransport::FaultAction;
     switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
       case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
         break;
       case Action::kShortRead:
       case Action::kDisconnect:
@@ -111,22 +90,13 @@ class FaultyConnection : public Connection {
         base_->ShutdownBoth();
         return InjectedIoError("read failed, connection reset");
     }
-    Result<size_t> r = base_->ReadSome(dst, n, timeout_millis);
-    if (r.ok()) bytes_ += r.value();
-    return r;
+    return base_->ReadSome(dst, n, timeout_millis);
   }
 
   Status WriteAll(std::string_view data, int timeout_millis) override {
-    if (DropNow()) {
-      return Status::IoError(
-          "injected transport fault: peer closed the connection mid-write");
-    }
     using Action = FaultInjectingTransport::FaultAction;
     switch (owner_->NextOp(FaultInjectingTransport::OpClass::kWrite)) {
       case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
         break;
       case Action::kShortWrite: {
         // Half the bytes reach the peer, then the wire dies — the peer
@@ -145,9 +115,7 @@ class FaultyConnection : public Connection {
         base_->ShutdownBoth();
         return InjectedIoError("write failed, connection reset");
     }
-    Status st = base_->WriteAll(data, timeout_millis);
-    if (st.ok()) bytes_ += data.size();
-    return st;
+    return base_->WriteAll(data, timeout_millis);
   }
 
   void ShutdownBoth() override { base_->ShutdownBoth(); }
@@ -156,27 +124,8 @@ class FaultyConnection : public Connection {
   const std::string& peer() const override { return base_->peer(); }
 
  private:
-  /// drop_after_bytes: the first op after the byte bound is crossed
-  /// finds the connection dead.
-  bool DropNow() {
-    if (!owner_->ShouldDropAfterBytes(bytes_)) return false;
-    if (!dropped_) {
-      dropped_ = true;
-      owner_->CountFault("drop_after_bytes");
-      base_->ShutdownBoth();
-    }
-    return true;
-  }
-
-  void Stall() {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(owner_->stall_millis()));
-  }
-
   FaultInjectingTransport* owner_;
   std::unique_ptr<Connection> base_;
-  uint64_t bytes_ = 0;
-  bool dropped_ = false;
 };
 
 class FaultyListener : public Listener {
@@ -193,21 +142,14 @@ class FaultyListener : public Listener {
     Result<std::unique_ptr<Connection>> accepted =
         base_->AcceptWithTimeout(timeout_millis);
     if (!accepted.ok()) return accepted;
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kAccept)) {
-      case Action::kNone:
-        break;
-      case Action::kStall:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(owner_->stall_millis()));
-        break;
-      default:
-        // Every failing kind degrades to a refusal here: the accept
-        // loop treats kUnavailable as "try again", so an injected fault
-        // never looks like the listener itself dying.
-        accepted.value()->ShutdownBoth();
-        return Status::Unavailable(
-            "injected transport fault: connection refused at accept");
+    if (owner_->NextOp(FaultInjectingTransport::OpClass::kAccept) !=
+        FaultInjectingTransport::FaultAction::kNone) {
+      // Every fault becomes a refusal here: the accept loop treats
+      // kUnavailable as "try again", so an injected fault never looks
+      // like the listener itself dying.
+      accepted.value()->ShutdownBoth();
+      return Status::Unavailable(
+          "injected transport fault: connection refused at accept");
     }
     return {std::make_unique<FaultyConnection>(
         owner_, std::move(accepted).value())};
@@ -235,17 +177,13 @@ FaultInjectingTransport::FaultInjectingTransport(Transport* base)
 
 void FaultInjectingTransport::Arm(const TransportFaultSpec& spec) {
   MutexLock lock(mu_);
-  spec_ = spec;
-  armed_ = true;
-  crashed_ = false;
-  ops_ = 0;
-  faults_ = 0;
+  kind_ = spec.kind;
+  program_.Arm(spec);
 }
 
 void FaultInjectingTransport::Disarm() {
   MutexLock lock(mu_);
-  armed_ = false;
-  crashed_ = false;
+  program_.Disarm();
 }
 
 Result<std::unique_ptr<Listener>> FaultInjectingTransport::Listen(
@@ -257,18 +195,10 @@ Result<std::unique_ptr<Listener>> FaultInjectingTransport::Listen(
 
 Result<std::unique_ptr<Connection>> FaultInjectingTransport::Connect(
     const std::string& host, int port) {
-  switch (NextOp(OpClass::kConnect)) {
-    case FaultAction::kNone:
-      break;
-    case FaultAction::kStall:
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(stall_millis()));
-      break;
-    case FaultAction::kRefuse:
-      return Status::Unavailable(
-          "injected transport fault: connection refused");
-    default:
-      return InjectedIoError("connect failed");
+  // Every fault refuses a connect: there is no stream yet to tear.
+  if (NextOp(OpClass::kConnect) != FaultAction::kNone) {
+    return Status::Unavailable(
+        "injected transport fault: connection refused");
   }
   TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<Connection> conn,
                            base_->Connect(host, port));
@@ -277,76 +207,32 @@ Result<std::unique_ptr<Connection>> FaultInjectingTransport::Connect(
 
 FaultInjectingTransport::FaultAction FaultInjectingTransport::NextOp(
     OpClass op) {
-  FaultAction action = FaultAction::kNone;
-  const char* fired_kind = nullptr;
+  FaultProgram::Outcome outcome = FaultProgram::Outcome::kPass;
+  TransportFaultKind kind = TransportFaultKind::kIoError;
   {
     MutexLock lock(mu_);
-    ++ops_;
-    if (armed_) {
-      if (crashed_) {
-        // Everything after the crash point fails; accepts and connects
-        // stay merely "unavailable" so loops keep polling.
-        action = (op == OpClass::kAccept || op == OpClass::kConnect)
-                     ? FaultAction::kRefuse
-                     : FaultAction::kFail;
-      } else if (spec_.inject_at > 0 && ops_ >= spec_.inject_at &&
-                 (ops_ == spec_.inject_at ||
-                  (spec_.every_n > 0 &&
-                   (ops_ - spec_.inject_at) % spec_.every_n == 0))) {
-        ++faults_;
-        fired_kind = TransportFaultKindName(spec_.kind);
-        if (spec_.crash) crashed_ = true;
-        switch (spec_.kind) {
-          case TransportFaultKind::kIoError:
-            action = FaultAction::kFail;
-            break;
-          case TransportFaultKind::kShortWrite:
-            action = op == OpClass::kWrite ? FaultAction::kShortWrite
-                                           : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kShortRead:
-            action = op == OpClass::kRead ? FaultAction::kShortRead
-                                          : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kDisconnect:
-            action = FaultAction::kDisconnect;
-            break;
-          case TransportFaultKind::kConnectRefused:
-            action = op == OpClass::kConnect ? FaultAction::kRefuse
-                                             : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kStall:
-            action = FaultAction::kStall;
-            break;
-        }
-        // A connect/accept can only refuse or stall, whatever the kind:
-        // there is no established stream to tear.
-        if (op == OpClass::kConnect || op == OpClass::kAccept) {
-          if (action != FaultAction::kStall) action = FaultAction::kRefuse;
-        }
-      }
-    }
+    outcome = program_.Next();
+    kind = kind_;
   }
-  if (fired_kind != nullptr) {
+  if (outcome == FaultProgram::Outcome::kPass) return FaultAction::kNone;
+  if (outcome == FaultProgram::Outcome::kFault) {
     obs::Count(obs::WithLabel("teleios_transport_faults_injected_total",
-                              "kind", fired_kind));
+                              "kind", TransportFaultKindName(kind)));
   }
-  return action;
-}
-
-bool FaultInjectingTransport::ShouldDropAfterBytes(uint64_t total) {
-  MutexLock lock(mu_);
-  return armed_ && spec_.drop_after_bytes > 0 &&
-         total >= spec_.drop_after_bytes;
-}
-
-void FaultInjectingTransport::CountFault(const char* kind) {
-  {
-    MutexLock lock(mu_);
-    ++faults_;
+  if (outcome == FaultProgram::Outcome::kCrashed) return FaultAction::kFail;
+  switch (kind) {
+    case TransportFaultKind::kIoError:
+      break;
+    case TransportFaultKind::kShortWrite:
+      if (op == OpClass::kWrite) return FaultAction::kShortWrite;
+      break;
+    case TransportFaultKind::kShortRead:
+      if (op == OpClass::kRead) return FaultAction::kShortRead;
+      break;
+    case TransportFaultKind::kDisconnect:
+      return FaultAction::kDisconnect;
   }
-  obs::Count(
-      obs::WithLabel("teleios_transport_faults_injected_total", "kind", kind));
+  return FaultAction::kFail;
 }
 
 }  // namespace teleios::server

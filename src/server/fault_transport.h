@@ -5,13 +5,15 @@
 #include <memory>
 #include <string>
 
+#include "common/fault_program.h"
 #include "common/thread_annotations.h"
 #include "server/transport.h"
 
 namespace teleios::server {
 
 /// What goes wrong when the armed fault fires — the wire-level
-/// counterpart of io::FaultKind.
+/// counterpart of io::FaultKind. At a Connect or an Accept every kind
+/// becomes a refusal (kUnavailable): there is no stream yet to tear.
 enum class TransportFaultKind {
   /// The op fails with a generic IoError and the connection dies (a
   /// reset under the caller's feet).
@@ -27,36 +29,15 @@ enum class TransportFaultKind {
   /// The connection is shut down cleanly: the op's peer sees EOF, the
   /// op itself fails (reads kUnavailable, writes kIoError).
   kDisconnect,
-  /// A Connect fails kUnavailable ("connection refused"); other ops
-  /// degrade to kIoError.
-  kConnectRefused,
-  /// The op sleeps `stall_millis`, then proceeds normally — a network
-  /// hiccup for exercising timeouts without failing anything.
-  kStall,
 };
 
-const char* TransportFaultKindName(TransportFaultKind kind);
-
-/// A deterministic fault program over counted transport operations,
-/// mirroring io::FaultSpec: the `inject_at`-th counted op after Arm()
-/// misbehaves per `kind`; with `every_n` > 0 the fault repeats every
-/// `every_n` ops after that (fault-rate benchmarks); with `crash` every
-/// op after the first fault fails too (except accepts, which stay
-/// merely unavailable so a server's accept loop survives its own
+/// A deterministic fault program over counted transport operations: the
+/// FaultSchedule picks the op, `kind` what goes wrong there. With
+/// `crash` every op after the first fault fails too (connects and
+/// accepts are refused, so a server's accept loop survives its own
 /// network dying).
-struct TransportFaultSpec {
+struct TransportFaultSpec : FaultSchedule {
   TransportFaultKind kind = TransportFaultKind::kDisconnect;
-  uint64_t inject_at = 1;  // 1-based op index; 0 disables
-  uint64_t every_n = 0;
-  bool crash = false;
-  /// kStall sleep length.
-  int stall_millis = 50;
-  /// Independent of the op program: when > 0, each connection dies at
-  /// its first I/O op after its cumulative read+write byte count passes
-  /// this — mid-stream disconnects placed by byte position instead of
-  /// op index.
-  uint64_t drop_after_bytes = 0;
-  uint64_t seed = 1;  // reserved for randomized placements
 };
 
 /// Wraps any Transport and injects deterministic faults per an armed
@@ -87,12 +68,12 @@ class FaultInjectingTransport : public Transport {
   /// Operations counted since the last Arm() (or construction).
   uint64_t ops() const {
     MutexLock lock(mu_);
-    return ops_;
+    return program_.ops();
   }
   /// Faults injected since the last Arm().
   uint64_t faults_injected() const {
     MutexLock lock(mu_);
-    return faults_;
+    return program_.faults();
   }
 
   Result<std::unique_ptr<Listener>> Listen(int port, int backlog) override;
@@ -108,35 +89,22 @@ class FaultInjectingTransport : public Transport {
   /// What a particular counted operation actually does.
   enum class FaultAction {
     kNone,
-    kFail,       // IoError (kUnavailable for connects), connection dies
+    kFail,  // IoError, connection dies
     kShortWrite,
     kShortRead,
     kDisconnect,
-    kRefuse,
-    kStall,      // sleep, then behave normally
   };
 
-  /// Counts one operation and decides its fate. Thread-safe: the op
-  /// counter advances under mu_, so "fail the k-th op" stays exact even
-  /// when several connections (client and server ends of a sweep) share
-  /// the transport — which op lands on k then depends on scheduling,
-  /// but exactly one does.
+  /// Counts one operation through the fault program (under mu_, so the
+  /// client and server ends of a sweep can share the transport) and
+  /// maps its outcome to what the op does.
   FaultAction NextOp(OpClass op) TELEIOS_EXCLUDES(mu_);
-  /// drop_after_bytes bookkeeping: true once `total` crossed the bound.
-  bool ShouldDropAfterBytes(uint64_t total) TELEIOS_EXCLUDES(mu_);
-  void CountFault(const char* kind) TELEIOS_EXCLUDES(mu_);
-  int stall_millis() const {
-    MutexLock lock(mu_);
-    return spec_.stall_millis;
-  }
 
   Transport* base_;
   mutable Mutex mu_;
-  TransportFaultSpec spec_ TELEIOS_GUARDED_BY(mu_);
-  bool armed_ TELEIOS_GUARDED_BY(mu_) = false;
-  bool crashed_ TELEIOS_GUARDED_BY(mu_) = false;
-  uint64_t ops_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t faults_ TELEIOS_GUARDED_BY(mu_) = 0;
+  TransportFaultKind kind_ TELEIOS_GUARDED_BY(mu_) =
+      TransportFaultKind::kDisconnect;
+  FaultProgram program_ TELEIOS_GUARDED_BY(mu_);
 };
 
 }  // namespace teleios::server

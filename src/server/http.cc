@@ -1,6 +1,7 @@
 #include "server/http.h"
 
 #include <cctype>
+#include <cmath>
 
 #include "common/strings.h"
 #include "obs/event_log.h"
@@ -40,9 +41,12 @@ void AppendJsonValue(std::string* out, const Value& v) {
     case ValueType::kInt64:
       *out += std::to_string(v.AsInt64());
       return;
-    case ValueType::kFloat64:
-      *out += StrFormat("%.17g", v.AsFloat64());
+    case ValueType::kFloat64: {
+      double d = v.AsFloat64();
+      // JSON has no literal for inf or nan.
+      *out += std::isfinite(d) ? StrFormat("%.17g", d) : "null";
       return;
+    }
     case ValueType::kString:
       *out += '"';
       *out += obs::JsonEscapeString(v.AsString());

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/fault_program.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -164,6 +167,90 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(true).ToString(), "true");
   EXPECT_EQ(Value(int64_t{12}).ToString(), "12");
   EXPECT_EQ(Value("s").ToString(), "s");
+}
+
+// The fault program every injection seam shares.
+
+using Outcome = FaultProgram::Outcome;
+
+TEST(FaultProgramTest, EveryNRepeatsAfterInjectAt) {
+  FaultProgram program;
+  FaultSchedule schedule;
+  schedule.inject_at = 3;
+  schedule.every_n = 2;
+  program.Arm(schedule);
+  std::vector<Outcome> fates;
+  for (int i = 0; i < 8; ++i) fates.push_back(program.Next());
+  // Ops 3, 5 and 7 fault; nothing before inject_at does.
+  EXPECT_EQ(fates, (std::vector<Outcome>{
+                       Outcome::kPass, Outcome::kPass, Outcome::kFault,
+                       Outcome::kPass, Outcome::kFault, Outcome::kPass,
+                       Outcome::kFault, Outcome::kPass}));
+  EXPECT_EQ(program.ops(), 8u);
+  EXPECT_EQ(program.faults(), 3u);
+  EXPECT_FALSE(program.crashed());
+}
+
+TEST(FaultProgramTest, InjectAtZeroIsACountingProbe) {
+  FaultProgram program;
+  FaultSchedule probe;
+  probe.inject_at = 0;
+  probe.every_n = 1;
+  probe.crash = true;
+  program.Arm(probe);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(program.Next(), Outcome::kPass);
+  EXPECT_EQ(program.ops(), 5u);
+  EXPECT_EQ(program.faults(), 0u);
+  // Re-arming resets the counters.
+  program.Arm(FaultSchedule{});
+  EXPECT_EQ(program.ops(), 0u);
+  EXPECT_EQ(program.Next(), Outcome::kFault);
+}
+
+TEST(FaultProgramTest, CrashFailsEveryLaterOpAndKeepsCounting) {
+  FaultProgram program;
+  FaultSchedule schedule;
+  schedule.inject_at = 2;
+  schedule.crash = true;
+  program.Arm(schedule);
+  EXPECT_EQ(program.Next(), Outcome::kPass);
+  EXPECT_EQ(program.Next(), Outcome::kFault);
+  EXPECT_TRUE(program.crashed());
+  EXPECT_EQ(program.Next(), Outcome::kCrashed);
+  EXPECT_EQ(program.Next(/*applies=*/false), Outcome::kCrashed);
+  EXPECT_EQ(program.ops(), 4u);
+  EXPECT_EQ(program.faults(), 1u);
+}
+
+TEST(FaultProgramTest, InapplicableHitRecordsNoFaultAndNoCrash) {
+  FaultProgram program;
+  FaultSchedule schedule;
+  schedule.inject_at = 1;
+  schedule.crash = true;
+  program.Arm(schedule);
+  EXPECT_EQ(program.Next(/*applies=*/false), Outcome::kPass);
+  EXPECT_EQ(program.faults(), 0u);
+  EXPECT_FALSE(program.crashed());
+  // The hit is spent: op 2 is past inject_at and nothing repeats.
+  EXPECT_EQ(program.Next(), Outcome::kPass);
+  EXPECT_EQ(program.ops(), 2u);
+}
+
+TEST(FaultProgramTest, DisarmPassesEverythingAndClearsTheCrash) {
+  FaultProgram program;
+  FaultSchedule schedule;
+  schedule.inject_at = 1;
+  schedule.every_n = 1;
+  schedule.crash = true;
+  program.Arm(schedule);
+  EXPECT_EQ(program.Next(), Outcome::kFault);
+  program.Disarm();
+  EXPECT_FALSE(program.crashed());
+  EXPECT_EQ(program.Next(), Outcome::kPass);
+  EXPECT_EQ(program.Next(), Outcome::kPass);
+  // Disarming keeps the counters.
+  EXPECT_EQ(program.ops(), 3u);
+  EXPECT_EQ(program.faults(), 1u);
 }
 
 TEST(LoggingTest, LevelGate) {

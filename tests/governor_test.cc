@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <iostream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/observatory.h"
@@ -183,6 +186,35 @@ TEST(FaultInjectingBudgetTest, EveryNRepeatsAndZeroBytesAreNotCounted) {
   injector.Disarm();
   EXPECT_TRUE(injector.Reserve(8).ok());
   injector.Release(24);
+  EXPECT_EQ(base.used(), 0u);
+}
+
+TEST(FaultInjectingBudgetTest, ConcurrentReservationsFaultExactlyOnce) {
+  constexpr int kThreads = 8;
+  constexpr int kReservationsPerThread = 500;
+  MemoryBudget base("base", MemoryBudget::kUnlimited);
+  FaultInjectingBudget injector(&base);
+  BudgetFaultSpec spec;
+  spec.inject_at = 1234;
+  injector.Arm(spec);
+  std::atomic<int> refused{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReservationsPerThread; ++i) {
+        if (injector.Reserve(1).ok()) {
+          injector.Release(1);
+        } else {
+          refused.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(injector.reservations(),
+            uint64_t{kThreads * kReservationsPerThread});
+  EXPECT_EQ(injector.injected(), 1u);
+  EXPECT_EQ(refused.load(), 1);
   EXPECT_EQ(base.used(), 0u);
 }
 
@@ -550,6 +582,7 @@ TEST_F(GovernedObservatoryTest, OomInjectionSweepNeverCrashesOrLeaks) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   uint64_t reservations = injector.reservations();
   ASSERT_GT(reservations, 0u) << "query must exercise budget charges";
+  std::cout << "[sweep] " << reservations << " reservations\n";
 
   // Refuse the k-th reservation for every k: each run must fail with a
   // clean kResourceExhausted (no crash, no bad_alloc escape) and leave

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -237,22 +239,6 @@ TEST_F(FaultTest, ShortWriteTearsTheFile) {
   EXPECT_EQ(*back, "01234");  // first half only
 }
 
-TEST_F(FaultTest, EnospcWritesNothing) {
-  FaultInjectingFileSystem faulty(GetFileSystem());
-  FaultSpec spec;
-  spec.kind = FaultKind::kEnospc;
-  spec.inject_at = 2;
-  faulty.Arm(spec);
-  auto file = faulty.NewWritableFile(Path("full"));
-  ASSERT_TRUE(file.ok());
-  Status st = (*file)->Append("0123456789");
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
-  EXPECT_NE(st.message().find("no space"), std::string::npos);
-  ASSERT_TRUE((*file)->Close().ok());
-  faulty.Disarm();
-  EXPECT_EQ(*faulty.ReadFile(Path("full")), "");
-}
-
 TEST_F(FaultTest, BitFlipCorruptsExactlyOneBit) {
   FaultInjectingFileSystem faulty(GetFileSystem());
   std::string body(64, 'A');
@@ -290,6 +276,35 @@ TEST_F(FaultTest, EveryNRepeatsTheFault) {
   EXPECT_FALSE((*file)->Append("c").ok());  // op 4: fault
   EXPECT_TRUE((*file)->Close().ok());       // op 5: ok
   EXPECT_EQ(faulty.faults_injected(), 2u);
+}
+
+TEST_F(FaultTest, ParallelReadsFaultExactlyOnce) {
+  constexpr int kThreads = 8;
+  constexpr int kReadsPerThread = 500;
+  FaultInjectingFileSystem faulty(GetFileSystem());
+  ASSERT_TRUE(
+      faulty.WriteFileAtomic(Path("f"), std::string(kReadsPerThread, 'x'))
+          .ok());
+  FaultSpec spec;
+  spec.reads_only = true;  // the opens are not counted
+  spec.inject_at = 1234;
+  faulty.Arm(spec);
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto file = faulty.NewReadableFile(Path("f"));
+      ASSERT_TRUE(file.ok());
+      char byte;
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        if (!(*file)->Read(&byte, 1).ok()) failed.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(faulty.ops(), uint64_t{kThreads * kReadsPerThread});
+  EXPECT_EQ(faulty.faults_injected(), 1u);
+  EXPECT_EQ(failed.load(), 1);
 }
 
 TEST_F(FaultTest, AtomicWriteLeavesOldOrNewFileOnFault) {
@@ -332,7 +347,7 @@ TEST_F(FaultTest, DirFsyncFaultSurfacesAfterRename) {
   ASSERT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "old").ok());
   uint64_t last_op = faulty.ops();
   FaultSpec spec;
-  spec.kind = FaultKind::kSyncFail;
+  spec.kind = FaultKind::kIoError;
   spec.inject_at = last_op;
   faulty.Arm(spec);
   Status st = GetFileSystem()->WriteFileAtomic(Path("f"), "new");
@@ -343,12 +358,6 @@ TEST_F(FaultTest, DirFsyncFaultSurfacesAfterRename) {
   EXPECT_NE(st.message().find("directory fsync"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(*GetFileSystem()->ReadFile(Path("f")), "new");
-
-  // A dropped (lying) directory fsync reports success.
-  spec.kind = FaultKind::kSyncDrop;
-  faulty.Arm(spec);
-  EXPECT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "newer").ok());
-  faulty.Disarm();
   EXPECT_EQ(faulty.faults_injected(), 1u);
 }
 
@@ -618,7 +627,7 @@ TEST_F(WalTest, SyncFailurePoisonsSegmentAndDropsUnacked) {
   // and the segment is poisoned.
   ASSERT_TRUE((*writer)->Append(7, "lost").ok());
   FaultSpec spec;
-  spec.kind = FaultKind::kSyncFail;
+  spec.kind = FaultKind::kIoError;
   spec.inject_at = 1;
   faulty.Arm(spec);
   Status failed = (*writer)->Sync();

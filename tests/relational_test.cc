@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
@@ -436,6 +437,7 @@ TEST(HashJoinGovernorTest, EveryRefusedReservationFailsCleanly) {
   ASSERT_TRUE(baseline.ok());
   const uint64_t reservations = injector.reservations();
   ASSERT_GE(reservations, 2u) << "the build table and the pairs are charged";
+  std::cout << "[sweep] " << reservations << " reservations\n";
   for (uint64_t k = 1; k <= reservations; ++k) {
     governor::BudgetFaultSpec spec;
     spec.inject_at = k;

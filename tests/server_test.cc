@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +112,20 @@ class ServerTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // protocol unit coverage (no server needed)
 // ---------------------------------------------------------------------------
+
+TEST(ProtocolTest, HttpJsonWritesNullForNonFiniteDoubles) {
+  storage::Table table(
+      storage::Schema({{"v", storage::ColumnType::kFloat64}}));
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(), 0.25}) {
+    table.column(0).AppendFloat64(v);
+  }
+  std::string json = TableToJson(table);
+  EXPECT_NE(json.find("\"rows\":[[null],[null],[null],[0.25]]"),
+            std::string::npos)
+      << json;
+}
 
 TEST(ProtocolTest, TableRoundTripsThroughSchemaAndRowChunks) {
   storage::Table table(
