@@ -8,9 +8,16 @@ using storage::Field;
 using storage::Schema;
 using storage::Table;
 
-Result<ArrayPtr> Array::Create(std::string name, std::vector<Dimension> dims,
-                               std::vector<Field> attributes,
-                               const std::vector<Value>& defaults) {
+namespace {
+
+/// Arrays stay below 2^32 cells: the last linear id of a 2^32-cell array
+/// would equal kNullRow.
+constexpr size_t kMaxCells = storage::kNullRow;
+
+}  // namespace
+
+Result<ArrayPtr> Array::Shape(std::string name, std::vector<Dimension> dims,
+                              std::vector<Field> attributes) {
   if (dims.empty()) return Status::InvalidArgument("array needs >= 1 dimension");
   if (attributes.empty()) {
     return Status::InvalidArgument("array needs >= 1 attribute");
@@ -21,13 +28,10 @@ Result<ArrayPtr> Array::Create(std::string name, std::vector<Dimension> dims,
       return Status::InvalidArgument("dimension '" + d.name +
                                      "' has non-positive size");
     }
-    cells *= static_cast<size_t>(d.size);
-    if (cells > (size_t{1} << 32)) {
+    if (static_cast<uint64_t>(d.size) > kMaxCells / cells) {
       return Status::OutOfRange("array too large");
     }
-  }
-  if (!defaults.empty() && defaults.size() != attributes.size()) {
-    return Status::InvalidArgument("defaults arity mismatch");
+    cells *= static_cast<size_t>(d.size);
   }
   auto arr = std::shared_ptr<Array>(new Array());
   arr->name_ = std::move(name);
@@ -39,9 +43,19 @@ Result<ArrayPtr> Array::Create(std::string name, std::vector<Dimension> dims,
     arr->strides_[i - 1] =
         arr->strides_[i] * static_cast<size_t>(arr->dims_[i].size);
   }
+  return arr;
+}
+
+Result<ArrayPtr> Array::Create(std::string name, std::vector<Dimension> dims,
+                               std::vector<Field> attributes,
+                               const std::vector<Value>& defaults) {
+  TELEIOS_ASSIGN_OR_RETURN(
+      ArrayPtr arr,
+      Shape(std::move(name), std::move(dims), std::move(attributes)));
+  if (!defaults.empty() && defaults.size() != arr->attr_fields_.size()) {
+    return Status::InvalidArgument("defaults arity mismatch");
+  }
   for (size_t a = 0; a < arr->attr_fields_.size(); ++a) {
-    Column col(arr->attr_fields_[a].type);
-    col.Reserve(cells);
     // Arrays are dense: absent an explicit default, cells start at the
     // type's zero value (not NULL), so raw-buffer fills via
     // MutableDoubles produce valid cells.
@@ -64,11 +78,34 @@ Result<ArrayPtr> Array::Create(std::string name, std::vector<Dimension> dims,
           break;
       }
     }
-    for (size_t i = 0; i < cells; ++i) {
-      TELEIOS_RETURN_IF_ERROR(col.Append(def));
-    }
+    Column col(arr->attr_fields_[a].type);
+    TELEIOS_RETURN_IF_ERROR(col.AppendN(def, arr->num_cells_));
     arr->attrs_.push_back(std::move(col));
   }
+  return arr;
+}
+
+Result<ArrayPtr> Array::FromColumns(std::string name,
+                                    std::vector<Dimension> dims,
+                                    std::vector<Field> attributes,
+                                    std::vector<Column> columns) {
+  TELEIOS_ASSIGN_OR_RETURN(
+      ArrayPtr arr,
+      Shape(std::move(name), std::move(dims), std::move(attributes)));
+  if (columns.size() != arr->attr_fields_.size()) {
+    return Status::InvalidArgument("attribute column arity mismatch");
+  }
+  for (size_t a = 0; a < columns.size(); ++a) {
+    const Field& field = arr->attr_fields_[a];
+    if (columns[a].type() != field.type ||
+        columns[a].size() != arr->num_cells_) {
+      return Status::InvalidArgument(
+          "column for attribute '" + field.name + "' is not " +
+          std::to_string(arr->num_cells_) + " " + ColumnTypeName(field.type) +
+          " cells");
+    }
+  }
+  arr->attrs_ = std::move(columns);
   return arr;
 }
 
@@ -143,6 +180,30 @@ Result<const double*> Array::Doubles(size_t attr) const {
   return attrs_[attr].doubles().data();
 }
 
+Column Array::Coordinates(size_t d,
+                          const storage::SelectionVector* cells) const {
+  const int64_t start = dims_[d].start;
+  const size_t size = static_cast<size_t>(dims_[d].size);
+  const size_t stride = strides_[d];
+  std::vector<int64_t> coords;
+  if (cells == nullptr) {
+    // Row-major pattern: each coordinate repeats `stride` times, and the
+    // dimension cycles num_cells_ / (size * stride) times.
+    coords.reserve(num_cells_);
+    for (size_t cyc = 0; cyc < num_cells_ / (size * stride); ++cyc) {
+      for (size_t v = 0; v < size; ++v) {
+        coords.insert(coords.end(), stride, start + static_cast<int64_t>(v));
+      }
+    }
+  } else {
+    coords.resize(cells->size());
+    for (size_t i = 0; i < cells->size(); ++i) {
+      coords[i] = start + static_cast<int64_t>(((*cells)[i] / stride) % size);
+    }
+  }
+  return Column::FromInts(std::move(coords));
+}
+
 Table Array::ToTable() const {
   std::vector<Field> fields;
   for (const Dimension& d : dims_) {
@@ -151,19 +212,7 @@ Table Array::ToTable() const {
   for (const Field& f : attr_fields_) fields.push_back(f);
   Table out{Schema(std::move(fields))};
   for (size_t d = 0; d < dims_.size(); ++d) {
-    Column& col = out.column(d);
-    col.Reserve(num_cells_);
-    // Row-major coordinate pattern: repeat each value `strides_[d]` times,
-    // cycling through the dimension `num_cells_ / (size*stride)` times.
-    size_t stride = strides_[d];
-    size_t size = static_cast<size_t>(dims_[d].size);
-    size_t cycles = num_cells_ / (size * stride);
-    for (size_t cyc = 0; cyc < cycles; ++cyc) {
-      for (size_t v = 0; v < size; ++v) {
-        int64_t coord = dims_[d].start + static_cast<int64_t>(v);
-        for (size_t rep = 0; rep < stride; ++rep) col.AppendInt64(coord);
-      }
-    }
+    out.column(d) = Coordinates(d, nullptr);
   }
   for (size_t a = 0; a < attrs_.size(); ++a) {
     out.column(dims_.size() + a) = attrs_[a];

@@ -24,7 +24,8 @@ struct Dimension {
 /// A SciQL multi-dimensional array: named bounded dimensions plus one or
 /// more cell attributes, each stored as a dense column in row-major order
 /// (last dimension fastest). This is the in-DBMS image representation of
-/// the TELEIOS database tier.
+/// the TELEIOS database tier. Arrays hold fewer than 2^32 cells, so every
+/// linear cell id fits a SelectionVector entry and none equals kNullRow.
 class Array {
  public:
   /// Creates an array with every attribute cell set to its default value.
@@ -33,11 +34,22 @@ class Array {
       std::vector<storage::Field> attributes,
       const std::vector<Value>& defaults = {});
 
+  /// Creates an array that adopts finished attribute columns, one per
+  /// field, each of the field's type and one cell per array cell in
+  /// row-major order. The columns are shared, not copied.
+  static Result<std::shared_ptr<Array>> FromColumns(
+      std::string name, std::vector<Dimension> dims,
+      std::vector<storage::Field> attributes,
+      std::vector<storage::Column> columns);
+
   const std::string& name() const { return name_; }
   const std::vector<Dimension>& dims() const { return dims_; }
   size_t num_dims() const { return dims_.size(); }
   size_t num_attributes() const { return attrs_.size(); }
   const storage::Field& attribute(size_t i) const { return attr_fields_[i]; }
+  /// The cells of attribute `i`, row-major. A copy shares the payload
+  /// and keeps seeing these cells while the array is written.
+  const storage::Column& column(size_t i) const { return attrs_[i]; }
 
   /// Index of the named attribute, or -1.
   int AttributeIndex(const std::string& name) const;
@@ -54,6 +66,11 @@ class Array {
   /// Inverse of LinearIndex.
   std::vector<int64_t> CoordsOf(size_t linear) const;
 
+  /// The coordinates along dimension `d` of the cells with the given
+  /// linear ids, or of every cell in row-major order when `cells` is null.
+  storage::Column Coordinates(size_t d,
+                              const storage::SelectionVector* cells) const;
+
   /// Cell accessors.
   Value Get(const std::vector<int64_t>& coords, size_t attr) const;
   Value GetLinear(size_t linear, size_t attr) const {
@@ -63,19 +80,29 @@ class Array {
   Status SetLinear(size_t linear, size_t attr, const Value& v);
 
   /// Direct mutable double storage of a kFloat64 attribute — the fast path
-  /// used by image processing kernels. TypeError for other types.
+  /// used by image processing kernels. TypeError for other types. The
+  /// attribute's payload is unshared first, so copies of its column taken
+  /// before (a SciQL statement's scratch table, a reader's snapshot) keep
+  /// the old cells.
   Result<double*> MutableDoubles(size_t attr);
+  /// Read-only double storage; valid until the attribute is next written.
+  /// A reader that must keep the cells longer holds a copy of column().
   Result<const double*> Doubles(size_t attr) const;
 
-  /// Materializes the array as a table: one column per dimension followed
-  /// by one per attribute, one row per cell (row-major order). This is how
-  /// SciQL SELECTs lower onto the relational engine.
+  /// The array as a table: one column per dimension followed by one per
+  /// attribute, one row per cell (row-major order). The dimension columns
+  /// are built; the attribute columns are shared with the array.
   storage::Table ToTable() const;
 
   size_t MemoryUsage() const;
 
  private:
   Array() = default;
+
+  /// Validates the shape and returns an array with no attribute columns.
+  static Result<std::shared_ptr<Array>> Shape(
+      std::string name, std::vector<Dimension> dims,
+      std::vector<storage::Field> attributes);
 
   std::string name_;
   std::vector<Dimension> dims_;

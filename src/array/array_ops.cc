@@ -22,11 +22,12 @@ Status Check2D(const Array& input) {
 
 }  // namespace
 
-Result<ArrayPtr> Slice(const Array& input, const std::vector<Range>& slab) {
+Result<std::vector<Dimension>> ClampSlab(const Array& input,
+                                         const std::vector<Range>& slab) {
   if (slab.size() != input.num_dims()) {
     return Status::InvalidArgument("slab arity mismatch");
   }
-  std::vector<Dimension> out_dims;
+  std::vector<Dimension> out;
   for (size_t d = 0; d < slab.size(); ++d) {
     const Dimension& dim = input.dims()[d];
     int64_t start = std::max(slab[d].start, dim.start);
@@ -34,23 +35,61 @@ Result<ArrayPtr> Slice(const Array& input, const std::vector<Range>& slab) {
     if (start >= end) {
       return Status::OutOfRange("empty slab on dimension '" + dim.name + "'");
     }
-    out_dims.push_back({dim.name, start, end - start});
+    out.push_back({dim.name, start, end - start});
   }
-  std::vector<Field> attrs;
-  for (size_t a = 0; a < input.num_attributes(); ++a) {
-    attrs.push_back(input.attribute(a));
+  return out;
+}
+
+storage::SelectionVector SlabCells(const Array& input,
+                                   const std::vector<Dimension>& slab) {
+  // One contiguous run of the last dimension per position of the outer
+  // dimensions, which advance like an odometer.
+  const size_t nd = slab.size();
+  std::vector<size_t> stride(nd, 1);
+  for (size_t d = nd; d-- > 1;) {
+    stride[d - 1] = stride[d] * static_cast<size_t>(input.dims()[d].size);
   }
-  TELEIOS_ASSIGN_OR_RETURN(
-      ArrayPtr out, Array::Create(input.name() + "_slice", out_dims, attrs));
-  std::vector<int64_t> coords(out_dims.size());
-  for (size_t i = 0; i < out->num_cells(); ++i) {
-    coords = out->CoordsOf(i);
-    TELEIOS_ASSIGN_OR_RETURN(size_t src, input.LinearIndex(coords));
-    for (size_t a = 0; a < attrs.size(); ++a) {
-      TELEIOS_RETURN_IF_ERROR(out->SetLinear(i, a, input.GetLinear(src, a)));
+  size_t cells = 1;
+  for (const Dimension& d : slab) cells *= static_cast<size_t>(d.size);
+  const size_t run = static_cast<size_t>(slab[nd - 1].size);
+  storage::SelectionVector out(cells);
+  std::vector<int64_t> pos(nd - 1, 0);  // offset within each outer extent
+  for (size_t begin = 0; begin < cells; begin += run) {
+    size_t base = 0;
+    for (size_t d = 0; d < nd; ++d) {
+      int64_t offset = d + 1 < nd ? pos[d] : 0;
+      base += static_cast<size_t>(slab[d].start + offset -
+                                  input.dims()[d].start) *
+              stride[d];
+    }
+    for (size_t i = 0; i < run; ++i) {
+      out[begin + i] = static_cast<uint32_t>(base + i);
+    }
+    for (size_t d = nd - 1; d-- > 0;) {
+      if (++pos[d] < slab[d].size) break;
+      pos[d] = 0;
     }
   }
   return out;
+}
+
+Result<ArrayPtr> Slice(const Array& input, const std::vector<Range>& slab) {
+  TELEIOS_ASSIGN_OR_RETURN(std::vector<Dimension> dims,
+                           ClampSlab(input, slab));
+  size_t count = 1;
+  for (const Dimension& d : dims) count *= static_cast<size_t>(d.size);
+  // A slab that covers the array leaves `cells` empty: nothing to gather.
+  storage::SelectionVector cells;
+  if (count < input.num_cells()) cells = SlabCells(input, dims);
+  std::vector<Field> fields;
+  std::vector<storage::Column> columns;
+  for (size_t a = 0; a < input.num_attributes(); ++a) {
+    fields.push_back(input.attribute(a));
+    columns.push_back(cells.empty() ? input.column(a)
+                                    : input.column(a).Take(cells));
+  }
+  return Array::FromColumns(input.name() + "_slice", std::move(dims),
+                            std::move(fields), std::move(columns));
 }
 
 Result<ArrayPtr> Resample2D(const Array& input, int64_t new_h, int64_t new_w,

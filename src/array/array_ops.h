@@ -17,8 +17,22 @@ struct Range {
   int64_t end;  // exclusive
 };
 
+/// Clamps `slab` (one Range per dimension) to `input`: the slab's
+/// dimensions, keeping the array's coordinates. InvalidArgument on an
+/// arity mismatch, OutOfRange when the slab is empty on a dimension.
+Result<std::vector<Dimension>> ClampSlab(const Array& input,
+                                         const std::vector<Range>& slab);
+
+/// The linear ids in `input` of the cells of `slab` (dimensions as
+/// ClampSlab returns them), ascending in row-major order — the one slab
+/// enumeration behind Slice and SciQL slabs.
+storage::SelectionVector SlabCells(const Array& input,
+                                   const std::vector<Dimension>& slab);
+
 /// Crops an array to the given slab (one Range per dimension); the output
-/// keeps the original coordinate origin of the slab.
+/// keeps the original coordinate origin of the slab. Its attribute
+/// columns are gathered at the slab's cells, or shared when the slab
+/// covers the whole array.
 Result<ArrayPtr> Slice(const Array& input, const std::vector<Range>& slab);
 
 /// Resampling kernels for Resample2D.

@@ -248,46 +248,6 @@ Result<Scene> GenerateScene(const SceneSpec& spec) {
   return scene;
 }
 
-Result<Scene> SceneFromBands(const vault::TerHeader& header,
-                             const BandPlanes& band) {
-  Scene scene;
-  scene.spec.width = header.width;
-  scene.spec.height = header.height;
-  scene.spec.acquisition_time = header.acquisition_time;
-  scene.spec.name = header.name;
-  scene.transform = header.transform;
-  geo::Point tl = header.transform.PixelToWorld(0, 0);
-  geo::Point br = header.transform.PixelToWorld(header.width, header.height);
-  scene.spec.lon_min = std::min(tl.x, br.x);
-  scene.spec.lon_max = std::max(tl.x, br.x);
-  scene.spec.lat_min = std::min(tl.y, br.y);
-  scene.spec.lat_max = std::max(tl.y, br.y);
-
-  const size_t n = scene.PixelCount();
-  auto copy = [&](const char* name, std::vector<double>* plane) -> Status {
-    const double* pixels = band(name);
-    if (pixels == nullptr) {
-      return Status::NotFound(std::string("raster lacks band ") + name);
-    }
-    plane->assign(pixels, pixels + n);
-    return Status::OK();
-  };
-  TELEIOS_RETURN_IF_ERROR(copy("VIS006", &scene.vis006));
-  TELEIOS_RETURN_IF_ERROR(copy("NIR016", &scene.nir016));
-  TELEIOS_RETURN_IF_ERROR(copy("IR039", &scene.tir039));
-  TELEIOS_RETURN_IF_ERROR(copy("IR108", &scene.tir108));
-  auto mask = [&](const char* name, uint8_t absent,
-                  std::vector<uint8_t>* plane) {
-    const double* pixels = band(name);
-    plane->assign(n, absent);
-    if (pixels == nullptr) return;
-    for (size_t i = 0; i < n; ++i) (*plane)[i] = pixels[i] > 0.5 ? 1 : 0;
-  };
-  mask("LANDMASK", 1, &scene.landmask);
-  mask("CLOUDMASK", 0, &scene.cloudmask);
-  return scene;
-}
-
 Result<Scene> SceneFromRaster(const vault::TerRaster& raster) {
   if (raster.bands.size() != raster.band_names.size()) {
     return Status::InvalidArgument("band name/payload arity mismatch");
@@ -297,16 +257,47 @@ Result<Scene> SceneFromRaster(const vault::TerRaster& raster) {
       return Status::InvalidArgument("band payload size mismatch");
     }
   }
-  vault::TerHeader header;
-  header.name = raster.name;
-  header.width = raster.width;
-  header.height = raster.height;
-  header.acquisition_time = raster.acquisition_time;
-  header.transform = raster.transform;
-  return SceneFromBands(header, [&](const std::string& name) -> const double* {
+  Scene scene;
+  scene.spec.width = raster.width;
+  scene.spec.height = raster.height;
+  scene.spec.acquisition_time = raster.acquisition_time;
+  scene.spec.name = raster.name;
+  scene.transform = raster.transform;
+  geo::Point tl = raster.transform.PixelToWorld(0, 0);
+  geo::Point br = raster.transform.PixelToWorld(raster.width, raster.height);
+  scene.spec.lon_min = std::min(tl.x, br.x);
+  scene.spec.lon_max = std::max(tl.x, br.x);
+  scene.spec.lat_min = std::min(tl.y, br.y);
+  scene.spec.lat_max = std::max(tl.y, br.y);
+
+  auto band = [&](const char* name) -> const std::vector<double>* {
     int i = raster.BandIndex(name);
-    return i < 0 ? nullptr : raster.bands[static_cast<size_t>(i)].data();
-  });
+    return i < 0 ? nullptr : &raster.bands[static_cast<size_t>(i)];
+  };
+  auto copy = [&](const char* name, std::vector<double>* plane) -> Status {
+    const std::vector<double>* pixels = band(name);
+    if (pixels == nullptr) {
+      return Status::NotFound(std::string("raster lacks band ") + name);
+    }
+    *plane = *pixels;
+    return Status::OK();
+  };
+  TELEIOS_RETURN_IF_ERROR(copy("VIS006", &scene.vis006));
+  TELEIOS_RETURN_IF_ERROR(copy("NIR016", &scene.nir016));
+  TELEIOS_RETURN_IF_ERROR(copy("IR039", &scene.tir039));
+  TELEIOS_RETURN_IF_ERROR(copy("IR108", &scene.tir108));
+  auto mask = [&](const char* name, uint8_t absent,
+                  std::vector<uint8_t>* plane) {
+    const std::vector<double>* pixels = band(name);
+    plane->assign(scene.PixelCount(), absent);
+    if (pixels == nullptr) return;
+    const double* src = pixels->data();
+    uint8_t* dst = plane->data();
+    for (size_t i = 0; i < plane->size(); ++i) dst[i] = src[i] > 0.5 ? 1 : 0;
+  };
+  mask("LANDMASK", 1, &scene.landmask);
+  mask("CLOUDMASK", 0, &scene.cloudmask);
+  return scene;
 }
 
 vault::TerRaster Scene::ToTerRaster() const {

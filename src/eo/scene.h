@@ -2,7 +2,6 @@
 #define TELEIOS_EO_SCENE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,21 +79,11 @@ struct Scene {
 /// thermal field, gaussian fire plumes, noise-blob clouds).
 Result<Scene> GenerateScene(const SceneSpec& spec);
 
-/// A raster's band planes by band name: the band's width * height
-/// pixels, row-major, or null when the raster lacks the band.
-using BandPlanes = std::function<const double*(const std::string&)>;
-
-/// Builds a Scene from the metadata of a .ter raster and its band planes
-/// (bands VIS006/NIR016/IR039/IR108 required; masks default to all-land
-/// / no-cloud when absent), copying the four radiometric planes and the
-/// two masks. Ground-truth fires are not recoverable from a raster and
-/// stay empty. The one band mapping behind SceneFromRaster and the NOA
-/// chain, which maps the planes of the array it classified.
-Result<Scene> SceneFromBands(const vault::TerHeader& header,
-                             const BandPlanes& band);
-
 /// Rebuilds a Scene from a .ter raster previously written with
-/// Scene::ToTerRaster, through SceneFromBands.
+/// Scene::ToTerRaster (bands VIS006/NIR016/IR039/IR108 required; masks
+/// default to all-land / no-cloud when absent), copying the four
+/// radiometric planes and the two masks. Ground-truth fires are not
+/// recoverable from a raster and stay empty.
 Result<Scene> SceneFromRaster(const vault::TerRaster& raster);
 
 /// Coarse land polygon(s) extracted from the landmask (marching squares

@@ -145,14 +145,12 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
                                                const CancellationToken* cancel) {
   ChainResult result;
 
-  // (a) Ingestion: lazy vault ingestion into a SciQL array. The scene
-  // georeferencing works on is mapped from that same array, so the raster
-  // is read (and checksummed) once and hotspots are extracted from the
-  // pixels SciQL classifies.
+  // (a) Ingestion: lazy vault ingestion into a SciQL array. Hotspots are
+  // rated from that same array's 3.9um band, so the raster is read (and
+  // checksummed) once and extraction sees the pixels SciQL classifies.
   array::ArrayPtr array;
   vault::TerHeader header;
-  eo::Scene scene;
-  governor::BudgetCharge scene_charge;
+  storage::Column ir039(storage::ColumnType::kFloat64);
   {
     obs::TraceSpan stage("ingestion", StageHistogram("ingestion"));
     stage.SetAttr("raster", raster_name);
@@ -172,21 +170,14 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
       return Status::DataLoss("raster '" + raster_name +
                               "' no longer matches its attached header");
     }
-    // The planes the scene copies (four radiometric bands, two masks);
-    // held until the chain finishes with the scene.
-    TELEIOS_ASSIGN_OR_RETURN(
-        scene_charge,
-        governor::ChargeCurrent(
-            array->num_cells() * (4 * sizeof(double) + 2 * sizeof(uint8_t)),
-            "chain scene '" + raster_name + "'"));
-    TELEIOS_ASSIGN_OR_RETURN(
-        scene, eo::SceneFromBands(
-                   header, [&](const std::string& band) -> const double* {
-                     int i = array->AttributeIndex(band);
-                     if (i < 0) return nullptr;
-                     auto pixels = array->Doubles(static_cast<size_t>(i));
-                     return pixels.ok() ? *pixels : nullptr;
-                   }));
+    int band = array->AttributeIndex("IR039");
+    if (band < 0 || array->attribute(static_cast<size_t>(band)).type !=
+                        storage::ColumnType::kFloat64) {
+      return Status::NotFound("raster '" + raster_name +
+                              "' lacks band IR039");
+    }
+    // A copy shares the band's cells and keeps them for this run.
+    ir039 = array->column(static_cast<size_t>(band));
   }
 
   // (b)+(d) Cropping + classification, expressed as one SciQL SELECT
@@ -209,7 +200,11 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
     obs::TraceSpan stage("georeference+polygonize",
                          StageHistogram("hotspot_extraction"));
     // Build the fire mask from the (y, x) result rows.
-    std::vector<uint8_t> mask(scene.PixelCount(), 0);
+    TELEIOS_ASSIGN_OR_RETURN(
+        governor::BudgetCharge mask_charge,
+        governor::ChargeCurrent(array->num_cells(),
+                                "chain fire mask '" + raster_name + "'"));
+    std::vector<uint8_t> mask(array->num_cells(), 0);
     auto ycol = fire_cells.ColumnByName("y");
     auto xcol = fire_cells.ColumnByName("x");
     if (!ycol.ok() || !xcol.ok()) {
@@ -218,12 +213,15 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
     for (size_t r = 0; r < fire_cells.num_rows(); ++r) {
       int64_t y = (*ycol)->GetInt64(r);
       int64_t x = (*xcol)->GetInt64(r);
-      if (y >= 0 && x >= 0 && y < scene.spec.height && x < scene.spec.width) {
-        mask[static_cast<size_t>(y) * scene.spec.width + x] = 1;
+      if (y >= 0 && x >= 0 && y < header.height && x < header.width) {
+        mask[static_cast<size_t>(y) * header.width + x] = 1;
       }
     }
     TELEIOS_ASSIGN_OR_RETURN(
-        result.hotspots, ExtractHotspots(scene, mask, config.min_pixels));
+        result.hotspots,
+        ExtractHotspots(header.width, header.height, header.transform,
+                        header.acquisition_time, ir039.doubles().data(), mask,
+                        config.min_pixels));
     stage.SetAttr("hotspots", std::to_string(result.hotspots.size()));
     obs::Count("teleios_noa_hotspots_extracted_total",
                result.hotspots.size());

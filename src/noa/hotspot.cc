@@ -41,15 +41,15 @@ size_t LabelComponents(const std::vector<uint8_t>& mask, int width,
 }
 
 Result<std::vector<Hotspot>> ExtractHotspots(
-    const eo::Scene& scene, const std::vector<uint8_t>& fire_mask,
-    int min_pixels) {
-  if (fire_mask.size() != scene.PixelCount()) {
+    int width, int height, const geo::GeoTransform& transform,
+    int64_t acquisition_time, const double* ir039,
+    const std::vector<uint8_t>& fire_mask, int min_pixels) {
+  if (fire_mask.size() !=
+      static_cast<size_t>(width) * static_cast<size_t>(height)) {
     return Status::InvalidArgument("mask size mismatch");
   }
-  int w = scene.spec.width;
-  int h = scene.spec.height;
   std::vector<int32_t> labels;
-  size_t count = LabelComponents(fire_mask, w, h, &labels);
+  size_t count = LabelComponents(fire_mask, width, height, &labels);
 
   std::vector<Hotspot> hotspots;
   for (size_t comp = 1; comp <= count; ++comp) {
@@ -60,12 +60,12 @@ Result<std::vector<Hotspot>> ExtractHotspots(
       if (labels[i] == static_cast<int32_t>(comp)) {
         comp_mask[i] = 1;
         ++pixels;
-        max_t39 = std::max(max_t39, scene.tir039[i]);
+        max_t39 = std::max(max_t39, ir039[i]);
       }
     }
     if (pixels < min_pixels) continue;
     std::vector<geo::Polygon> pixel_polys =
-        geo::PolygonizeMask(comp_mask, w, h);
+        geo::PolygonizeMask(comp_mask, width, height);
     // Georeference every vertex.
     std::vector<geo::Polygon> world;
     for (geo::Polygon& poly : pixel_polys) {
@@ -73,7 +73,7 @@ Result<std::vector<Hotspot>> ExtractHotspots(
       auto map_ring = [&](const geo::Ring& ring) {
         geo::Ring r;
         for (const geo::Point& p : ring) {
-          r.push_back(scene.transform.PixelToWorld(p.x, p.y));
+          r.push_back(transform.PixelToWorld(p.x, p.y));
         }
         return r;
       };
@@ -91,10 +91,21 @@ Result<std::vector<Hotspot>> ExtractHotspots(
     // Confidence: saturating function of peak temperature over 310K.
     hotspot.confidence =
         std::clamp((max_t39 - 310.0) / 40.0, 0.05, 0.99);
-    hotspot.detected_at = scene.spec.acquisition_time;
+    hotspot.detected_at = acquisition_time;
     hotspots.push_back(std::move(hotspot));
   }
   return hotspots;
+}
+
+Result<std::vector<Hotspot>> ExtractHotspots(
+    const eo::Scene& scene, const std::vector<uint8_t>& fire_mask,
+    int min_pixels) {
+  if (scene.tir039.size() != scene.PixelCount()) {
+    return Status::InvalidArgument("3.9um plane size mismatch");
+  }
+  return ExtractHotspots(scene.spec.width, scene.spec.height, scene.transform,
+                         scene.spec.acquisition_time, scene.tir039.data(),
+                         fire_mask, min_pixels);
 }
 
 vault::VecFile HotspotsToVec(const std::vector<Hotspot>& hotspots,

@@ -24,9 +24,16 @@ struct Hotspot {
   int64_t detected_at = 0;   // acquisition time
 };
 
-/// Extracts hotspots from a fire mask: 4-connected components >=
-/// `min_pixels`, boundary polygonization, georeferencing through the
-/// scene transform.
+/// Extracts hotspots from a fire mask over a `width` x `height` raster:
+/// 4-connected components >= `min_pixels`, boundary polygonization,
+/// georeferencing through `transform`. `ir039` is the raster's 3.9um
+/// band (width * height pixels, row-major), which rates each hotspot.
+Result<std::vector<Hotspot>> ExtractHotspots(
+    int width, int height, const geo::GeoTransform& transform,
+    int64_t acquisition_time, const double* ir039,
+    const std::vector<uint8_t>& fire_mask, int min_pixels = 1);
+
+/// ExtractHotspots over a scene's size, transform, time and 3.9um plane.
 Result<std::vector<Hotspot>> ExtractHotspots(
     const eo::Scene& scene, const std::vector<uint8_t>& fire_mask,
     int min_pixels = 1);

@@ -284,6 +284,15 @@ Result<Value> Evaluate(const ExprPtr& expr, const ColumnResolver& resolver) {
   return Status::Internal("bad expression kind");
 }
 
+int ResolveField(const storage::Schema& schema, const std::string& name) {
+  int idx = schema.FieldIndex(name);
+  size_t dot = name.find('.');
+  if (idx < 0 && dot != std::string::npos) {
+    idx = schema.FieldIndex(name.substr(dot + 1));
+  }
+  return idx;
+}
+
 Result<int> BoundExpr::BindNode(const ExprPtr& expr,
                                 const storage::Table& table) {
   Node node;
@@ -293,14 +302,7 @@ Result<int> BoundExpr::BindNode(const ExprPtr& expr,
   node.binary_op = expr->binary_op;
   node.function = expr->function;
   if (expr->kind == ExprKind::kColumnRef) {
-    int idx = table.schema().FieldIndex(expr->column);
-    if (idx < 0) {
-      // Try without "qualifier." prefix.
-      size_t dot = expr->column.find('.');
-      if (dot != std::string::npos) {
-        idx = table.schema().FieldIndex(expr->column.substr(dot + 1));
-      }
-    }
+    int idx = ResolveField(table.schema(), expr->column);
     if (idx < 0) {
       return Status::NotFound("unknown column '" + expr->column + "'");
     }

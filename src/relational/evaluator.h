@@ -27,6 +27,10 @@ using ColumnResolver =
 /// greatest, length, lower, upper, substr, concat, coalesce, if.
 Result<Value> Evaluate(const ExprPtr& expr, const ColumnResolver& resolver);
 
+/// The field a column reference `name` binds to in `schema`: `name`
+/// itself, else `name` past a "qualifier." prefix; -1 when neither exists.
+int ResolveField(const storage::Schema& schema, const std::string& name);
+
 /// An expression pre-bound to a table schema: column refs are resolved to
 /// column indices once, making per-row evaluation cheap.
 class BoundExpr {

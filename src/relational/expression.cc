@@ -105,6 +105,23 @@ std::string Expr::ToString() const {
   return "?";
 }
 
+void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
+  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
+    SplitConjuncts(expr->children[0], out);
+    SplitConjuncts(expr->children[1], out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+ExprPtr AndTogether(const std::vector<ExprPtr>& exprs) {
+  ExprPtr acc;
+  for (const ExprPtr& e : exprs) {
+    acc = acc ? Expr::Binary(BinaryOp::kAnd, acc, e) : e;
+  }
+  return acc;
+}
+
 bool IsAggregateFunction(const std::string& name) {
   return name == "count" || name == "sum" || name == "avg" ||
          name == "min" || name == "max";

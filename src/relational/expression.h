@@ -81,6 +81,12 @@ bool ContainsAggregate(const ExprPtr& expr);
 /// Collects the distinct column names referenced by the tree.
 void CollectColumnRefs(const ExprPtr& expr, std::vector<std::string>* out);
 
+/// Appends the AND-ed factors of `expr` to `out`, left to right.
+void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out);
+
+/// `exprs` AND-ed together left to right; null when empty.
+ExprPtr AndTogether(const std::vector<ExprPtr>& exprs);
+
 }  // namespace teleios::relational
 
 #endif  // TELEIOS_RELATIONAL_EXPRESSION_H_

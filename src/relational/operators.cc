@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "exec/parallel_for.h"
 #include "governor/memory_budget.h"
@@ -82,14 +83,7 @@ bool IsComparison(BinaryOp op) {
 
 int ResolveColumn(const Table& table, const ExprPtr& e) {
   if (e->kind != ExprKind::kColumnRef) return -1;
-  int idx = table.schema().FieldIndex(e->column);
-  if (idx < 0) {
-    size_t dot = e->column.find('.');
-    if (dot != std::string::npos) {
-      idx = table.schema().FieldIndex(e->column.substr(dot + 1));
-    }
-  }
-  return idx;
+  return ResolveField(table.schema(), e->column);
 }
 
 bool NumericLiteral(const ExprPtr& e, double* out) {
@@ -209,19 +203,10 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   return false;
 }
 
-void SplitAnd(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-    SplitAnd(e->children[0], out);
-    SplitAnd(e->children[1], out);
-    return;
-  }
-  out->push_back(e);
-}
-
 bool CompilePredicate(const Table& table, const ExprPtr& predicate,
                       std::vector<VecPred>* preds) {
   std::vector<ExprPtr> conjuncts;
-  SplitAnd(predicate, &conjuncts);
+  SplitConjuncts(predicate, &conjuncts);
   for (const ExprPtr& c : conjuncts) {
     VecPred pred;
     if (!CompileConjunct(table, c, &pred)) return false;
@@ -234,6 +219,9 @@ bool CompilePredicate(const Table& table, const ExprPtr& predicate,
 void ApplyVecPred(const Table& table, const VecPred& pred,
                   SelectionVector* sel) {
   const Column& a = table.column(static_cast<size_t>(pred.col_a));
+  // Raw pointers, loaded once: the output stores may alias anything, so
+  // reading through the columns would reload their payloads every row.
+  const uint8_t* valid_a = a.validity().data();
   SelectionVector out;
   out.reserve(sel->size());
   switch (pred.kind) {
@@ -242,14 +230,14 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
       if (a.type() == ColumnType::kFloat64) {
         const double* data = a.doubles().data();
         for (uint32_t r : *sel) {
-          if (!a.IsNull(r) && CompareDoubles(pred.cmp, data[r], pred.constant)) {
+          if (valid_a[r] && CompareDoubles(pred.cmp, data[r], pred.constant)) {
             out.push_back(r);
           }
         }
       } else if (a.type() == ColumnType::kInt64) {
         const int64_t* data = a.ints().data();
         for (uint32_t r : *sel) {
-          if (!a.IsNull(r) &&
+          if (valid_a[r] &&
               CompareDoubles(pred.cmp, static_cast<double>(data[r]),
                              pred.constant)) {
             out.push_back(r);
@@ -257,7 +245,7 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
         }
       } else {
         for (uint32_t r : *sel) {
-          if (!a.IsNull(r) &&
+          if (valid_a[r] &&
               CompareDoubles(pred.cmp, NumericAt(a, r), pred.constant)) {
             out.push_back(r);
           }
@@ -267,8 +255,9 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
     }
     case VecPred::Kind::kColCol: {
       const Column& b = table.column(static_cast<size_t>(pred.col_b));
+      const uint8_t* valid_b = b.validity().data();
       for (uint32_t r : *sel) {
-        if (!a.IsNull(r) && !b.IsNull(r) &&
+        if (valid_a[r] && valid_b[r] &&
             CompareDoubles(pred.cmp, NumericAt(a, r), NumericAt(b, r))) {
           out.push_back(r);
         }
@@ -277,19 +266,20 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
     }
     case VecPred::Kind::kDiffConst: {
       const Column& b = table.column(static_cast<size_t>(pred.col_b));
+      const uint8_t* valid_b = b.validity().data();
       if (a.type() == ColumnType::kFloat64 &&
           b.type() == ColumnType::kFloat64) {
         const double* da = a.doubles().data();
         const double* db = b.doubles().data();
         for (uint32_t r : *sel) {
-          if (!a.IsNull(r) && !b.IsNull(r) &&
+          if (valid_a[r] && valid_b[r] &&
               CompareDoubles(pred.cmp, da[r] - db[r], pred.constant)) {
             out.push_back(r);
           }
         }
       } else {
         for (uint32_t r : *sel) {
-          if (!a.IsNull(r) && !b.IsNull(r) &&
+          if (valid_a[r] && valid_b[r] &&
               CompareDoubles(pred.cmp, NumericAt(a, r) - NumericAt(b, r),
                              pred.constant)) {
             out.push_back(r);
@@ -299,9 +289,9 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
       break;
     }
     case VecPred::Kind::kStrEq: {
-      const auto& codes = a.codes();
+      const int32_t* codes = a.codes().data();
       for (uint32_t r : *sel) {
-        if (a.IsNull(r)) continue;
+        if (!valid_a[r]) continue;
         bool eq = codes[r] == pred.code;
         if (eq != pred.negate) out.push_back(r);
       }
@@ -309,7 +299,7 @@ void ApplyVecPred(const Table& table, const VecPred& pred,
     }
     case VecPred::Kind::kBoolCol: {
       for (uint32_t r : *sel) {
-        if (!a.IsNull(r) && a.GetBool(r)) out.push_back(r);
+        if (valid_a[r] && a.GetBool(r)) out.push_back(r);
       }
       break;
     }
@@ -339,28 +329,36 @@ SelectionVector MergeSelections(std::vector<SelectionVector>& partials) {
   return sel;
 }
 
+/// Row `i` of the rows a filter tests: `candidates[i]`, or `i` itself.
+uint32_t CandidateRow(const SelectionVector* candidates, size_t i) {
+  return candidates != nullptr ? (*candidates)[i] : static_cast<uint32_t>(i);
+}
+
 }  // namespace
 
-Result<SelectionVector> FilterIndicesInterpreted(const Table& table,
-                                                 const ExprPtr& predicate) {
+Result<SelectionVector> FilterIndicesInterpreted(
+    const Table& table, const ExprPtr& predicate,
+    const SelectionVector* candidates) {
   TELEIOS_ASSIGN_OR_RETURN(BoundExpr bound,
                            BoundExpr::Bind(predicate, table));
+  const size_t n =
+      candidates != nullptr ? candidates->size() : table.num_rows();
   // Worst case the partials plus their merged copy hold every row index.
   TELEIOS_ASSIGN_OR_RETURN(
       governor::BudgetCharge charge,
-      governor::ChargeCurrent(table.num_rows() * 2 * sizeof(uint32_t),
+      governor::ChargeCurrent(n * 2 * sizeof(uint32_t),
                               "filter selection vectors"));
   exec::ParallelOptions opts;
   opts.label = "exec.filter";
-  exec::MorselPlan plan = exec::PlanMorsels(table.num_rows(), opts.grain);
+  exec::MorselPlan plan = exec::PlanMorsels(n, opts.grain);
   std::vector<SelectionVector> partials(plan.count);
   TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
-      table.num_rows(), opts,
-      [&](size_t morsel, size_t begin, size_t end) -> Status {
+      n, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
         SelectionVector& sel = partials[morsel];
-        for (size_t r = begin; r < end; ++r) {
+        for (size_t i = begin; i < end; ++i) {
+          uint32_t r = CandidateRow(candidates, i);
           TELEIOS_ASSIGN_OR_RETURN(Value v, bound.Eval(table, r));
-          if (v.Truthy()) sel.push_back(static_cast<uint32_t>(r));
+          if (v.Truthy()) sel.push_back(r);
         }
         return Status::OK();
       }));
@@ -368,24 +366,29 @@ Result<SelectionVector> FilterIndicesInterpreted(const Table& table,
 }
 
 Result<SelectionVector> FilterIndices(const Table& table,
-                                      const ExprPtr& predicate) {
+                                      const ExprPtr& predicate,
+                                      const SelectionVector* candidates) {
   std::vector<VecPred> preds;
   if (CompilePredicate(table, predicate, &preds)) {
+    const size_t n =
+        candidates != nullptr ? candidates->size() : table.num_rows();
     TELEIOS_ASSIGN_OR_RETURN(
         governor::BudgetCharge charge,
-        governor::ChargeCurrent(table.num_rows() * 2 * sizeof(uint32_t),
+        governor::ChargeCurrent(n * 2 * sizeof(uint32_t),
                                 "filter selection vectors"));
     exec::ParallelOptions opts;
     opts.label = "exec.filter";
-    exec::MorselPlan plan = exec::PlanMorsels(table.num_rows(), opts.grain);
+    exec::MorselPlan plan = exec::PlanMorsels(n, opts.grain);
     std::vector<SelectionVector> partials(plan.count);
     TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
-        table.num_rows(), opts,
-        [&](size_t morsel, size_t begin, size_t end) -> Status {
+        n, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
           SelectionVector& sel = partials[morsel];
-          sel.resize(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            sel[i - begin] = static_cast<uint32_t>(i);
+          if (candidates != nullptr) {
+            sel.assign(candidates->begin() + static_cast<ptrdiff_t>(begin),
+                       candidates->begin() + static_cast<ptrdiff_t>(end));
+          } else {
+            sel.resize(end - begin);
+            std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
           }
           for (const VecPred& pred : preds) {
             ApplyVecPred(table, pred, &sel);
@@ -395,7 +398,7 @@ Result<SelectionVector> FilterIndices(const Table& table,
         }));
     return MergeSelections(partials);
   }
-  return FilterIndicesInterpreted(table, predicate);
+  return FilterIndicesInterpreted(table, predicate, candidates);
 }
 
 Result<Table> Filter(const Table& table, const ExprPtr& predicate) {

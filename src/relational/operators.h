@@ -11,20 +11,24 @@
 
 namespace teleios::relational {
 
-/// Rows of `table` for which `predicate` is truthy (candidate list).
+/// Rows of `table` for which `predicate` is truthy (candidate list),
+/// ascending. Given `candidates` (ascending row ids), only those rows are
+/// tested — MonetDB's candidate-list input to a selection.
 ///
 /// Predicates that decompose into a conjunction of simple comparisons
 /// (column vs constant, column vs column, column-difference vs constant,
 /// string equality via dictionary code) are evaluated on the raw typed
 /// vectors — the MonetDB-style vectorized selection path. Anything else
 /// falls back to the row-wise expression interpreter.
-Result<storage::SelectionVector> FilterIndices(const storage::Table& table,
-                                               const ExprPtr& predicate);
+Result<storage::SelectionVector> FilterIndices(
+    const storage::Table& table, const ExprPtr& predicate,
+    const storage::SelectionVector* candidates = nullptr);
 
 /// The row-wise interpreter path only (no vectorization) — exposed for
 /// the ablation benchmark; produces identical results to FilterIndices.
 Result<storage::SelectionVector> FilterIndicesInterpreted(
-    const storage::Table& table, const ExprPtr& predicate);
+    const storage::Table& table, const ExprPtr& predicate,
+    const storage::SelectionVector* candidates = nullptr);
 
 /// True if FilterIndices would take the vectorized path for `predicate`
 /// against `table` (introspection for tests and EXPLAIN).

@@ -13,24 +13,6 @@ using storage::Table;
 
 namespace {
 
-/// Splits a conjunction into its AND-ed factors.
-void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
-  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
-    SplitConjuncts(expr->children[0], out);
-    SplitConjuncts(expr->children[1], out);
-    return;
-  }
-  out->push_back(expr);
-}
-
-ExprPtr AndTogether(const std::vector<ExprPtr>& exprs) {
-  ExprPtr acc;
-  for (const ExprPtr& e : exprs) {
-    acc = acc ? Expr::Binary(BinaryOp::kAnd, acc, e) : e;
-  }
-  return acc;
-}
-
 /// Strips a "qualifier." prefix.
 std::string BareName(const std::string& name) {
   size_t dot = name.find('.');

@@ -9,6 +9,7 @@
 #include "array/array.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "governor/memory_budget.h"
 #include "relational/virtual_tables.h"
 #include "sciql/sciql_parser.h"
 #include "storage/catalog.h"
@@ -18,9 +19,13 @@ namespace teleios::sciql {
 
 /// The SciQL execution engine: maintains the array catalog and evaluates
 /// SciQL statements. SELECT statements are lowered onto the relational
-/// planner by materializing (a slab of) the array as a dims+attrs table,
-/// so arrays and tables can be mixed in one query (join an array against
-/// a metadata table, SciQL's headline symbiosis claim).
+/// planner by presenting (a slab of) the array as a dims+attrs table, so
+/// arrays and tables can be mixed in one query (join an array against a
+/// metadata table, SciQL's headline symbiosis claim). The table is
+/// materialized late: a slab is a list of cell ids, attribute-only WHERE
+/// conjuncts narrow it on the shared attribute columns, and only then are
+/// dimension columns generated (when the statement names one) and
+/// attributes gathered (shared when no cell was dropped).
 class SciQlEngine {
  public:
   /// `tables` is the relational catalog joined against in SELECTs; may be
@@ -60,9 +65,18 @@ class SciQlEngine {
   /// Builds the scratch catalog for a SELECT (arrays materialized as
   /// dims+attrs tables with slabs applied; plain tables passed through),
   /// appending one human-readable line per source to `notes` if given.
+  /// What it builds is charged to the current budget through `charges`,
+  /// which the caller holds until the statement ends.
   Status MaterializeSources(const relational::SelectStatement& stmt,
                             storage::Catalog* scratch,
+                            std::vector<governor::BudgetCharge>* charges,
                             std::vector<std::string>* notes);
+  /// MaterializeSources for one array source.
+  Status MaterializeArray(const relational::SelectStatement& stmt,
+                          const relational::TableRef& ref,
+                          const array::Array& arr, storage::Catalog* scratch,
+                          std::vector<governor::BudgetCharge>* charges,
+                          std::vector<std::string>* notes);
 
   storage::Catalog* tables_;
   relational::VirtualTableProvider* virtual_tables_ = nullptr;

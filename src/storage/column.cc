@@ -46,36 +46,91 @@ ValueType ValueTypeForColumn(ColumnType t) {
   return ValueType::kNull;
 }
 
-Column::Column(ColumnType type) : type_(type) {
+Column::Column(ColumnType type)
+    : type_(type), data_(std::make_shared<Payload>()) {
   if (type_ == ColumnType::kString) dict_ = std::make_shared<Dictionary>();
 }
 
-Status Column::Append(const Value& v) {
-  if (v.is_null()) {
-    AppendNull();
-    return Status::OK();
+Column Column::FromDoubles(std::vector<double> values) {
+  Column col(ColumnType::kFloat64);
+  col.data_->validity.assign(values.size(), 1);
+  col.data_->doubles = std::move(values);
+  return col;
+}
+
+Column Column::FromInts(std::vector<int64_t> values) {
+  Column col(ColumnType::kInt64);
+  col.data_->validity.assign(values.size(), 1);
+  col.data_->ints = std::move(values);
+  return col;
+}
+
+Column::Payload& Column::Mut() {
+  // A payload another column still holds is copied before the write.
+  if (data_.use_count() != 1) {
+    data_ = data_ ? std::make_shared<Payload>(*data_)
+                  : std::make_shared<Payload>();
   }
+  return *data_;
+}
+
+Status Column::Append(const Value& v) { return AppendN(v, 1); }
+
+namespace {
+
+template <typename T>
+void Fill(std::vector<uint8_t>* validity, std::vector<T>* cells, size_t n,
+          bool valid, T cell) {
+  validity->insert(validity->end(), n, valid ? 1 : 0);
+  cells->insert(cells->end(), n, cell);
+}
+
+}  // namespace
+
+Status Column::AppendN(const Value& v, size_t n) {
+  // A NULL appends the cell AppendNull writes: validity 0 over the type's
+  // zero (kInvalidCode for strings).
+  const bool valid = !v.is_null();
   switch (type_) {
-    case ColumnType::kBool:
-      if (v.type() != ValueType::kBool) break;
-      AppendBool(v.AsBool());
+    case ColumnType::kBool: {
+      if (valid && v.type() != ValueType::kBool) break;
+      Payload& p = Mut();
+      Fill(&p.validity, &p.bools, n, valid,
+           static_cast<uint8_t>(valid && v.AsBool()));
       return Status::OK();
+    }
     case ColumnType::kInt64: {
-      auto r = v.ToInt64();
-      if (!r.ok()) break;
-      AppendInt64(*r);
+      int64_t cell = 0;
+      if (valid) {
+        auto r = v.ToInt64();
+        if (!r.ok()) break;
+        cell = *r;
+      }
+      Payload& p = Mut();
+      Fill(&p.validity, &p.ints, n, valid, cell);
       return Status::OK();
     }
     case ColumnType::kFloat64: {
-      auto r = v.ToDouble();
-      if (!r.ok()) break;
-      AppendFloat64(*r);
+      double cell = 0.0;
+      if (valid) {
+        auto r = v.ToDouble();
+        if (!r.ok()) break;
+        cell = *r;
+      }
+      Payload& p = Mut();
+      Fill(&p.validity, &p.doubles, n, valid, cell);
       return Status::OK();
     }
-    case ColumnType::kString:
-      if (v.type() != ValueType::kString) break;
-      AppendString(v.AsString());
+    case ColumnType::kString: {
+      int32_t code = Dictionary::kInvalidCode;
+      if (valid) {
+        if (v.type() != ValueType::kString) break;
+        code = dict_->Intern(v.AsString());
+      }
+      Payload& p = Mut();
+      Fill(&p.validity, &p.codes, n, valid, code);
       return Status::OK();
+    }
   }
   return Status::TypeError(std::string("cannot append ") +
                            ValueTypeName(v.type()) + " to " +
@@ -83,41 +138,32 @@ Status Column::Append(const Value& v) {
 }
 
 void Column::AppendBool(bool v) {
-  validity_.push_back(1);
-  bools_.push_back(v ? 1 : 0);
+  Payload& p = Mut();
+  p.validity.push_back(1);
+  p.bools.push_back(v ? 1 : 0);
 }
 
 void Column::AppendInt64(int64_t v) {
-  validity_.push_back(1);
-  ints_.push_back(v);
+  Payload& p = Mut();
+  p.validity.push_back(1);
+  p.ints.push_back(v);
 }
 
 void Column::AppendFloat64(double v) {
-  validity_.push_back(1);
-  doubles_.push_back(v);
+  Payload& p = Mut();
+  p.validity.push_back(1);
+  p.doubles.push_back(v);
 }
 
 void Column::AppendString(std::string_view v) {
-  validity_.push_back(1);
-  codes_.push_back(dict_->Intern(v));
+  Payload& p = Mut();
+  p.validity.push_back(1);
+  p.codes.push_back(dict_->Intern(v));
 }
 
 void Column::AppendNull() {
-  validity_.push_back(0);
-  switch (type_) {
-    case ColumnType::kBool:
-      bools_.push_back(0);
-      break;
-    case ColumnType::kInt64:
-      ints_.push_back(0);
-      break;
-    case ColumnType::kFloat64:
-      doubles_.push_back(0.0);
-      break;
-    case ColumnType::kString:
-      codes_.push_back(Dictionary::kInvalidCode);
-      break;
-  }
+  Status st = AppendN(Value(), 1);
+  (void)st;  // appending NULL cannot fail
 }
 
 Value Column::Get(size_t row) const {
@@ -138,34 +184,41 @@ Value Column::Get(size_t row) const {
 Status Column::Set(size_t row, const Value& v) {
   if (row >= size()) return Status::OutOfRange("Set past end of column");
   if (v.is_null()) {
-    validity_[row] = 0;
+    Mut().validity[row] = 0;
     return Status::OK();
   }
   switch (type_) {
-    case ColumnType::kBool:
+    case ColumnType::kBool: {
       if (v.type() != ValueType::kBool) break;
-      bools_[row] = v.AsBool() ? 1 : 0;
-      validity_[row] = 1;
+      Payload& p = Mut();
+      p.bools[row] = v.AsBool() ? 1 : 0;
+      p.validity[row] = 1;
       return Status::OK();
+    }
     case ColumnType::kInt64: {
       auto r = v.ToInt64();
       if (!r.ok()) break;
-      ints_[row] = *r;
-      validity_[row] = 1;
+      Payload& p = Mut();
+      p.ints[row] = *r;
+      p.validity[row] = 1;
       return Status::OK();
     }
     case ColumnType::kFloat64: {
       auto r = v.ToDouble();
       if (!r.ok()) break;
-      doubles_[row] = *r;
-      validity_[row] = 1;
+      Payload& p = Mut();
+      p.doubles[row] = *r;
+      p.validity[row] = 1;
       return Status::OK();
     }
-    case ColumnType::kString:
+    case ColumnType::kString: {
       if (v.type() != ValueType::kString) break;
-      codes_[row] = dict_->Intern(v.AsString());
-      validity_[row] = 1;
+      int32_t code = dict_->Intern(v.AsString());
+      Payload& p = Mut();
+      p.codes[row] = code;
+      p.validity[row] = 1;
       return Status::OK();
+    }
   }
   return Status::TypeError(std::string("cannot set ") +
                            ValueTypeName(v.type()) + " into " +
@@ -200,47 +253,51 @@ void Gather(const std::vector<T>& in, const std::vector<uint8_t>& validity,
 
 Column Column::Take(const SelectionVector& sel) const {
   Column out(type_, dict_);
+  const Payload& in = *data_;
+  Payload& p = *out.data_;
   switch (type_) {
     case ColumnType::kBool:
-      Gather(bools_, validity_, sel, uint8_t{0}, &out.bools_, &out.validity_);
+      Gather(in.bools, in.validity, sel, uint8_t{0}, &p.bools, &p.validity);
       break;
     case ColumnType::kInt64:
-      Gather(ints_, validity_, sel, int64_t{0}, &out.ints_, &out.validity_);
+      Gather(in.ints, in.validity, sel, int64_t{0}, &p.ints, &p.validity);
       break;
     case ColumnType::kFloat64:
-      Gather(doubles_, validity_, sel, 0.0, &out.doubles_, &out.validity_);
+      Gather(in.doubles, in.validity, sel, 0.0, &p.doubles, &p.validity);
       break;
     case ColumnType::kString:
-      Gather(codes_, validity_, sel, Dictionary::kInvalidCode, &out.codes_,
-             &out.validity_);
+      Gather(in.codes, in.validity, sel, Dictionary::kInvalidCode, &p.codes,
+             &p.validity);
       break;
   }
   return out;
 }
 
 size_t Column::MemoryUsage() const {
-  size_t bytes = validity_.capacity() + bools_.capacity() +
-                 ints_.capacity() * sizeof(int64_t) +
-                 doubles_.capacity() * sizeof(double) +
-                 codes_.capacity() * sizeof(int32_t);
+  const Payload& p = *data_;
+  size_t bytes = p.validity.capacity() + p.bools.capacity() +
+                 p.ints.capacity() * sizeof(int64_t) +
+                 p.doubles.capacity() * sizeof(double) +
+                 p.codes.capacity() * sizeof(int32_t);
   if (dict_) bytes += dict_->MemoryUsage();
   return bytes;
 }
 
 void Column::Reserve(size_t n) {
-  validity_.reserve(n);
+  Payload& p = Mut();
+  p.validity.reserve(n);
   switch (type_) {
     case ColumnType::kBool:
-      bools_.reserve(n);
+      p.bools.reserve(n);
       break;
     case ColumnType::kInt64:
-      ints_.reserve(n);
+      p.ints.reserve(n);
       break;
     case ColumnType::kFloat64:
-      doubles_.reserve(n);
+      p.doubles.reserve(n);
       break;
     case ColumnType::kString:
-      codes_.reserve(n);
+      p.codes.reserve(n);
       break;
   }
 }

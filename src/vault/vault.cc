@@ -1,7 +1,5 @@
 #include "vault/vault.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/strings.h"
 #include "governor/memory_budget.h"
@@ -305,32 +303,31 @@ Result<ArrayPtr> DataVault::GetRasterArrayLocked(
                           "teleios_vault_ingest_millis"));
   span.SetAttr("raster", name);
   // The header tells us the materialization cost before any payload I/O:
-  // the decoded TerRaster plus the array it is copied into.
+  // the decoded TerRaster, whose bands the array then adopts.
   TELEIOS_ASSIGN_OR_RETURN(
       governor::BudgetCharge charge,
       governor::ChargeCurrent(
-          2 * static_cast<size_t>(it->second.width) *
+          static_cast<size_t>(it->second.width) *
               static_cast<size_t>(it->second.height) *
               it->second.band_names.size() * sizeof(double),
           "vault raster ingest '" + name + "'"));
   TELEIOS_ASSIGN_OR_RETURN(TerRaster raster,
                            IngestPayload(name, it->second.path, quarantined));
   std::vector<storage::Field> attrs;
-  for (const std::string& band : raster.band_names) {
-    attrs.push_back({band, ColumnType::kFloat64});
+  std::vector<storage::Column> bands;
+  size_t bytes = 0;
+  for (size_t b = 0; b < raster.bands.size(); ++b) {
+    bytes += raster.bands[b].size() * sizeof(double);
+    attrs.push_back({raster.band_names[b], ColumnType::kFloat64});
+    bands.push_back(storage::Column::FromDoubles(std::move(raster.bands[b])));
   }
   TELEIOS_ASSIGN_OR_RETURN(
       ArrayPtr array,
-      Array::Create(name,
-                    {{"y", 0, raster.height}, {"x", 0, raster.width}},
-                    attrs));
-  for (size_t b = 0; b < raster.bands.size(); ++b) {
-    TELEIOS_ASSIGN_OR_RETURN(double* dst, array->MutableDoubles(b));
-    std::copy(raster.bands[b].begin(), raster.bands[b].end(), dst);
-    stats_.bytes_ingested += raster.bands[b].size() * sizeof(double);
-    obs::Count("teleios_vault_bytes_materialized_total",
-               raster.bands[b].size() * sizeof(double));
-  }
+      Array::FromColumns(name,
+                         {{"y", 0, raster.height}, {"x", 0, raster.width}},
+                         std::move(attrs), std::move(bands)));
+  stats_.bytes_ingested += bytes;
+  obs::Count("teleios_vault_bytes_materialized_total", bytes);
   ++stats_.rasters_ingested;
   obs::Count("teleios_vault_rasters_ingested_total");
   cache_[name] = array;
@@ -364,13 +361,13 @@ Result<ArrayPtr> DataVault::GetBandArrayLocked(
                       obs::MetricsRegistry::Global().GetHistogram(
                           "teleios_vault_ingest_millis"));
   span.SetAttr("raster", key);
-  // Whole payload decoded, one band copied out.
+  // Whole payload decoded; the array adopts one band of it.
   TELEIOS_ASSIGN_OR_RETURN(
       governor::BudgetCharge charge,
       governor::ChargeCurrent(
           static_cast<size_t>(it->second.width) *
               static_cast<size_t>(it->second.height) *
-              (it->second.band_names.size() + 1) * sizeof(double),
+              it->second.band_names.size() * sizeof(double),
           "vault band ingest '" + key + "'"));
   TELEIOS_ASSIGN_OR_RETURN(TerRaster raster,
                            IngestPayload(name, it->second.path, quarantined));
@@ -379,17 +376,15 @@ Result<ArrayPtr> DataVault::GetBandArrayLocked(
     return Status::NotFound("raster '" + name + "' has no band '" + band +
                             "'");
   }
+  const size_t bytes = raster.PixelCount() * sizeof(double);
   TELEIOS_ASSIGN_OR_RETURN(
       ArrayPtr array,
-      Array::Create(key, {{"y", 0, raster.height}, {"x", 0, raster.width}},
-                    {{"v", ColumnType::kFloat64}}));
-  TELEIOS_ASSIGN_OR_RETURN(double* dst, array->MutableDoubles(0));
-  std::copy(raster.bands[static_cast<size_t>(b)].begin(),
-            raster.bands[static_cast<size_t>(b)].end(), dst);
-  stats_.bytes_ingested +=
-      raster.bands[static_cast<size_t>(b)].size() * sizeof(double);
-  obs::Count("teleios_vault_bytes_materialized_total",
-             raster.bands[static_cast<size_t>(b)].size() * sizeof(double));
+      Array::FromColumns(key, {{"y", 0, raster.height}, {"x", 0, raster.width}},
+                         {{"v", ColumnType::kFloat64}},
+                         {storage::Column::FromDoubles(std::move(
+                             raster.bands[static_cast<size_t>(b)]))}));
+  stats_.bytes_ingested += bytes;
+  obs::Count("teleios_vault_bytes_materialized_total", bytes);
   ++stats_.rasters_ingested;
   obs::Count("teleios_vault_rasters_ingested_total");
   cache_[key] = array;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "array/array.h"
 #include "array/array_ops.h"
 
@@ -91,6 +93,107 @@ TEST(ArrayTest, ToTableLaysOutDims) {
   EXPECT_EQ(t.Get(4, 0), Value(int64_t{1}));
   EXPECT_EQ(t.Get(4, 1), Value(int64_t{1}));
   EXPECT_DOUBLE_EQ(t.Get(4, 2).AsFloat64(), 101.0);
+}
+
+TEST(ArrayTest, CreateStaysBelowTwoToThe32Cells) {
+  // 2^32 cells would give the last cell the linear id kNullRow; the
+  // shape is refused before anything is allocated.
+  auto exact = Array::Create("a", {{"y", 0, 65536}, {"x", 0, 65536}},
+                             {{"v", ColumnType::kFloat64}});
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kOutOfRange);
+  auto huge = Array::Create("a", {{"x", 0, int64_t{1} << 40}, {"y", 0, 1 << 30}},
+                            {{"v", ColumnType::kFloat64}});
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kOutOfRange);
+  auto adopted = Array::FromColumns("a", {{"y", 0, 65536}, {"x", 0, 65536}},
+                                    {{"v", ColumnType::kFloat64}},
+                                    {storage::Column(ColumnType::kFloat64)});
+  EXPECT_EQ(adopted.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ArrayTest, FromColumnsAdoptsWithoutCopy) {
+  storage::Column v = storage::Column::FromDoubles({1, 2, 3, 4, 5, 6});
+  const double* cells = v.doubles().data();
+  auto arr = Array::FromColumns("a", {{"y", 1, 2}, {"x", 0, 3}},
+                                {{"v", ColumnType::kFloat64}}, {v});
+  ASSERT_TRUE(arr.ok()) << arr.status().ToString();
+  EXPECT_EQ(*(*arr)->Doubles(0), cells);
+  EXPECT_DOUBLE_EQ((*arr)->Get({2, 1}, 0).AsFloat64(), 5.0);
+  // Wrong length, wrong type, wrong arity.
+  EXPECT_FALSE(Array::FromColumns("a", {{"x", 0, 5}},
+                                  {{"v", ColumnType::kFloat64}}, {v})
+                   .ok());
+  EXPECT_FALSE(Array::FromColumns("a", {{"x", 0, 6}},
+                                  {{"v", ColumnType::kInt64}}, {v})
+                   .ok());
+  EXPECT_FALSE(Array::FromColumns("a", {{"x", 0, 6}},
+                                  {{"v", ColumnType::kFloat64}}, {})
+                   .ok());
+}
+
+TEST(ArrayTest, ToTableSharesAttributes) {
+  ArrayPtr arr = MakeRamp(3, 4);
+  storage::Table t = arr->ToTable();
+  EXPECT_EQ(t.column(2).doubles().data(), *arr->Doubles(0));
+}
+
+TEST(ArrayTest, MutableDoublesUnsharesFromItsTable) {
+  ArrayPtr arr = MakeRamp(3, 4);
+  storage::Table t = arr->ToTable();
+  double* cells = *arr->MutableDoubles(0);
+  cells[5] = -1.0;
+  EXPECT_DOUBLE_EQ(t.Get(5, 2).AsFloat64(), 101.0);
+  EXPECT_DOUBLE_EQ(arr->GetLinear(5, 0).AsFloat64(), -1.0);
+  EXPECT_NE(t.column(2).doubles().data(), *arr->Doubles(0));
+}
+
+TEST(ArrayOpsTest, SliceMatchesCellByCellCopy) {
+  // A 3-D array with non-zero origins and NULL cells, sliced through the
+  // gather and checked against a coordinate-by-coordinate read.
+  auto made = Array::Create(
+      "cube", {{"z", -2, 3}, {"y", 5, 4}, {"x", 1, 5}},
+      {{"v", ColumnType::kFloat64}, {"s", ColumnType::kString}});
+  ASSERT_TRUE(made.ok());
+  ArrayPtr arr = *made;
+  for (size_t i = 0; i < arr->num_cells(); ++i) {
+    ASSERT_TRUE(arr->SetLinear(i, 0, i % 7 == 0 ? Value() : Value(i * 1.0))
+                    .ok());
+    ASSERT_TRUE(arr->SetLinear(i, 1, Value("c" + std::to_string(i % 5))).ok());
+  }
+  const std::vector<std::vector<Range>> slabs = {
+      {{-2, 1}, {5, 9}, {1, 6}},    // whole array
+      {{-1, 0}, {6, 8}, {2, 5}},    // interior
+      {{-9, -1}, {7, 99}, {0, 2}},  // clamped on every side
+      {{0, 1}, {8, 9}, {5, 6}},     // one corner cell
+  };
+  for (const std::vector<Range>& slab : slabs) {
+    auto sliced = Slice(*arr, slab);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+    const Array& out = **sliced;
+    size_t expected = 1;
+    for (size_t d = 0; d < 3; ++d) {
+      const Dimension& dim = arr->dims()[d];
+      int64_t lo = std::max(slab[d].start, dim.start);
+      int64_t hi = std::min(slab[d].end, dim.start + dim.size);
+      EXPECT_EQ(out.dims()[d].start, lo);
+      EXPECT_EQ(out.dims()[d].size, hi - lo);
+      expected *= static_cast<size_t>(hi - lo);
+    }
+    ASSERT_EQ(out.num_cells(), expected);
+    for (size_t i = 0; i < out.num_cells(); ++i) {
+      std::vector<int64_t> coords = out.CoordsOf(i);
+      for (size_t a = 0; a < 2; ++a) {
+        EXPECT_EQ(out.GetLinear(i, a).ToString(),
+                  arr->Get(coords, a).ToString())
+            << "cell " << i;
+      }
+    }
+  }
+  EXPECT_EQ(Slice(*arr, {{0, 1}, {5, 6}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Slice(*arr, {{0, 1}, {9, 12}, {1, 2}}).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(ArrayOpsTest, SliceKeepsCoordinates) {

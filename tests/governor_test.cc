@@ -606,6 +606,31 @@ TEST_F(GovernedObservatoryTest, OomInjectionSweepNeverCrashesOrLeaks) {
   EXPECT_EQ(recovered->ToString(1000), baseline->ToString(1000));
 }
 
+TEST_F(GovernedObservatoryTest, CancelledCallerStopsASciQlUpdate) {
+  ASSERT_TRUE(veo_.SciQl("CREATE ARRAY img (y INT DIMENSION [0:256], "
+                         "x INT DIMENSION [0:256], v DOUBLE DEFAULT 1.0)")
+                  .ok());
+  auto checksum = [&] {
+    auto arr = veo_.sciql().GetArray("img");
+    EXPECT_TRUE(arr.ok());
+    double sum = 0;
+    for (size_t i = 0; i < (*arr)->num_cells(); ++i) {
+      sum += (*arr)->GetLinear(i, 0).AsFloat64() * static_cast<double>(i);
+    }
+    return sum;
+  };
+  const double before = checksum();
+  CancellationToken token;
+  token.Cancel();
+  auto update = veo_.SciQl("UPDATE img SET v = v + x", &token);
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(checksum(), before);
+  // Without the token the same statement runs.
+  ASSERT_TRUE(veo_.SciQl("UPDATE img SET v = v + x").ok());
+  EXPECT_NE(checksum(), before);
+}
+
 TEST_F(GovernedObservatoryTest, AdmissionShedsWhenSaturated) {
   veo_.SetAdmissionConfig(AdmitConfig(1, 0, 0));
   auto held = veo_.admission().Admit(nullptr);

@@ -7,6 +7,7 @@
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "geo/predicates.h"
+#include "geo/wkt.h"
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
 #include "noa/burned_area.h"
@@ -175,6 +176,34 @@ TEST_F(ChainTest, EndToEndRun) {
       "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g }");
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->rows.size(), result->hotspots.size());
+}
+
+TEST_F(ChainTest, MatchesTheSceneOracle) {
+  // The chain rates hotspots from the ingested array's 3.9um band; the
+  // oracle classifies and extracts straight from the generated scene.
+  for (ClassifierKind kind :
+       {ClassifierKind::kThreshold, ClassifierKind::kContextual}) {
+    ChainConfig config;
+    config.classifier.kind = kind;
+    config.classifier.threshold_kelvin = 315.0;
+    auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto mask = ClassifyFirePixels(scene_, config.classifier);
+    ASSERT_TRUE(mask.ok());
+    auto oracle = ExtractHotspots(scene_, *mask, config.min_pixels);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_GT(oracle->size(), 0u);
+    ASSERT_EQ(result->hotspots.size(), oracle->size());
+    for (size_t i = 0; i < oracle->size(); ++i) {
+      const Hotspot& got = result->hotspots[i];
+      const Hotspot& want = (*oracle)[i];
+      EXPECT_EQ(got.pixel_count, want.pixel_count) << i;
+      EXPECT_EQ(got.max_t39, want.max_t39) << i;
+      EXPECT_EQ(got.confidence, want.confidence) << i;
+      EXPECT_EQ(got.detected_at, want.detected_at) << i;
+      EXPECT_EQ(geo::WriteWkt(got.geometry), geo::WriteWkt(want.geometry)) << i;
+    }
+  }
 }
 
 TEST_F(ChainTest, HotspotsCarryValidTimePeriods) {

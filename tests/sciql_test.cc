@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
+#include "common/cancellation.h"
+#include "governor/memory_budget.h"
+#include "obs/metrics.h"
+#include "relational/operators.h"
+#include "relational/sql_planner.h"
 #include "sciql/sciql_engine.h"
 #include "sciql/sciql_parser.h"
 
@@ -175,6 +183,382 @@ TEST_P(ThresholdSweep, SciQlCountMatchesDirect) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(-1.0, 0.0, 5.5, 12.0, 99.0));
+
+// ---------------------------------------------------------------------------
+// Governance: the cells a statement builds are charged, and UPDATE stops
+// when its token does — changing nothing.
+
+class SciQlGovernanceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(engine_
+                    .Execute("CREATE ARRAY img (y INT DIMENSION [0:512], "
+                             "x INT DIMENSION [0:512], v DOUBLE DEFAULT 0.5)")
+                    .ok());
+    ASSERT_TRUE(engine_.Execute("UPDATE img[0:4, 0:512] SET v = x").ok());
+  }
+
+  /// Order-sensitive digest of every cell of `img`.
+  double Checksum() {
+    auto arr = engine_.GetArray("img");
+    EXPECT_TRUE(arr.ok());
+    double sum = 0;
+    for (size_t i = 0; i < (*arr)->num_cells(); ++i) {
+      Value v = (*arr)->GetLinear(i, 0);
+      sum += v.is_null() ? -7.0 * static_cast<double>(i)
+                         : v.AsFloat64() * static_cast<double>(i % 97 + 1);
+    }
+    return sum;
+  }
+
+  storage::Catalog tables_;
+  SciQlEngine engine_{&tables_};
+};
+
+TEST_F(SciQlGovernanceTest, SelectChargesTheCellsItBuilds) {
+  governor::MemoryBudget tiny("tiny", 16);
+  {
+    governor::ScopedBudget scope(&tiny);
+    auto starved = engine_.Execute("SELECT y, x FROM img");
+    ASSERT_FALSE(starved.ok()) << starved->num_rows() << " rows";
+    EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+    // Shared attribute columns cost nothing: no cell is built.
+    auto shared = engine_.Execute("SELECT v FROM img");
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    EXPECT_EQ(shared->num_rows(), 512u * 512u);
+  }
+  EXPECT_EQ(tiny.used(), 0u);
+  governor::MemoryBudget roomy("roomy", 64u << 20);
+  {
+    governor::ScopedBudget scope(&roomy);
+    auto cells = engine_.Execute("SELECT y, x FROM img");
+    ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+    EXPECT_EQ(cells->num_rows(), 512u * 512u);
+    auto slab = engine_.Execute("SELECT v FROM img[10:20, 30:40] WHERE v > 0");
+    ASSERT_TRUE(slab.ok()) << slab.status().ToString();
+    EXPECT_EQ(slab->num_rows(), 100u);
+  }
+  EXPECT_EQ(roomy.used(), 0u);
+  EXPECT_GE(roomy.peak(), 512u * 512u * 2 * sizeof(int64_t));
+}
+
+TEST_F(SciQlGovernanceTest, UpdateStopsOnACancelledToken) {
+  const double before = Checksum();
+  CancellationToken token;
+  token.Cancel();
+  {
+    ScopedCancel scope(&token);
+    auto update = engine_.Execute("UPDATE img SET v = v + 1");
+    ASSERT_FALSE(update.ok());
+    EXPECT_EQ(update.status().code(), StatusCode::kCancelled);
+  }
+  EXPECT_EQ(Checksum(), before);
+}
+
+TEST_F(SciQlGovernanceTest, UpdateStopsAtAnExpiredDeadline) {
+  const double before = Checksum();
+  CancellationToken token;
+  token.SetDeadline(std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1));
+  {
+    ScopedCancel scope(&token);
+    auto update = engine_.Execute("UPDATE img SET v = v * 2 WHERE x > 3");
+    ASSERT_FALSE(update.ok());
+    EXPECT_EQ(update.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(Checksum(), before);
+}
+
+TEST_F(SciQlGovernanceTest, FailedUpdateChangesNothing) {
+  const double before = Checksum();
+  // Integer division by zero at x = 100, long after the first cells.
+  auto update = engine_.Execute("UPDATE img SET v = 1 / (x - 100)");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Checksum(), before);
+  auto applied = engine_.Execute("UPDATE img[0:2, 0:8] SET v = x + y");
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->Get(0, 0), Value(int64_t{16}));
+  EXPECT_DOUBLE_EQ((*engine_.GetArray("img"))->Get({1, 7}, 0).AsFloat64(), 8.0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: late materialization against Array::ToTable() +
+// relational::ExecuteSelect on seeded arrays, slabs and statements.
+
+class Rng {
+ public:
+  explicit Rng(uint64_t seed) : state_(seed * 0x9E3779B97F4A7C15ull + 1) {}
+  int Below(int n) {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return static_cast<int>(state_ % static_cast<uint64_t>(n));
+  }
+
+ private:
+  uint64_t state_;
+};
+
+/// 1-3 dimensions with non-zero starts; bool/int/double/string attributes
+/// with about one NULL cell in seven.
+array::ArrayPtr RandomArray(Rng& rng) {
+  const int nd = 1 + rng.Below(3);
+  static const char* kNames[] = {"z", "y", "x"};
+  std::vector<array::Dimension> dims;
+  for (int d = 0; d < nd; ++d) {
+    dims.push_back({kNames[3 - nd + d], rng.Below(11) - 5,
+                    1 + rng.Below(nd == 1 ? 24 : 7)});
+  }
+  auto made = array::Array::Create(
+      "a", dims,
+      {{"b", storage::ColumnType::kBool},
+       {"i", storage::ColumnType::kInt64},
+       {"d", storage::ColumnType::kFloat64},
+       {"s", storage::ColumnType::kString}});
+  EXPECT_TRUE(made.ok());
+  array::ArrayPtr arr = *made;
+  static const char* kWords[] = {"p", "q", "r", "qq"};
+  for (size_t c = 0; c < arr->num_cells(); ++c) {
+    for (size_t a = 0; a < 4; ++a) {
+      Value v;
+      if (rng.Below(7) != 0) {
+        switch (a) {
+          case 0:
+            v = Value(rng.Below(2) == 0);
+            break;
+          case 1:
+            v = Value(int64_t{rng.Below(9) - 4});
+            break;
+          case 2:
+            v = Value(static_cast<double>(rng.Below(200) - 100) / 10.0);
+            break;
+          default:
+            v = Value(kWords[rng.Below(4)]);
+            break;
+        }
+      }
+      EXPECT_TRUE(arr->SetLinear(c, a, v).ok());
+    }
+  }
+  return arr;
+}
+
+/// "" (no slab) or "[lo:hi, ...]": inside the array, clamped past its
+/// edges, or empty on one dimension.
+std::string RandomSlab(Rng& rng, const array::Array& arr) {
+  const int kind = rng.Below(10);
+  if (kind < 3) return "";
+  const int empty_dim = kind == 9 ? rng.Below(static_cast<int>(arr.num_dims())) : -1;
+  std::string out = "[";
+  for (size_t d = 0; d < arr.num_dims(); ++d) {
+    const array::Dimension& dim = arr.dims()[d];
+    const int64_t end = dim.start + dim.size;
+    int64_t lo, hi;
+    if (static_cast<int>(d) == empty_dim) {
+      lo = end + rng.Below(3);
+      hi = lo + 1 + rng.Below(3);
+    } else if (kind < 7) {
+      lo = dim.start + rng.Below(static_cast<int>(dim.size));
+      hi = lo + 1 + rng.Below(static_cast<int>(end - lo));
+    } else {
+      lo = dim.start - 1 - rng.Below(3);
+      hi = end - rng.Below(static_cast<int>(dim.size)) + rng.Below(2) * 4;
+    }
+    out += (d ? ", " : "") + std::to_string(lo) + ":" + std::to_string(hi);
+  }
+  return out + "]";
+}
+
+/// A WHERE of 0-3 conjuncts; `attr_only` reports whether every conjunct
+/// references attributes only.
+std::string RandomWhere(Rng& rng, const array::Array& arr, bool* attr_only) {
+  *attr_only = true;
+  const int n = rng.Below(4);
+  if (n == 0) return "";
+  auto dim = [&] {
+    return arr.dims()[static_cast<size_t>(
+                          rng.Below(static_cast<int>(arr.num_dims())))]
+        .name;
+  };
+  auto num = [&] { return std::to_string(rng.Below(9) - 4); };
+  std::string where;
+  for (int c = 0; c < n; ++c) {
+    std::string conjunct;
+    const int shape = rng.Below(20);
+    if (shape < 14) {
+      const std::string attribute_only[] = {
+          "d > " + num(),        "i <= " + num(),
+          "s = 'q'",             "s <> 'p'",
+          "b",                   "d - i > " + num(),
+          "d > i",               "NOT (i > " + num() + ")",
+          "abs(d) > " + num(),   "coalesce(i, 0) >= " + num(),
+          "length(s) > 1",       "i * 2 < d",
+          "1 / i > 0",           "sqrt(d) > 1"};
+      conjunct = attribute_only[shape];
+    } else {
+      *attr_only = false;
+      const std::string with_dims[] = {
+          dim() + " >= " + num(),
+          dim() + " < " + num(),
+          "(" + dim() + " > " + num() + " OR d > " + num() + ")",
+          "NOT (" + dim() + " = " + num() + ")",
+          dim() + " + i > " + num(),
+          "(" + dim() + " < 0 OR s = 'r')"};
+      conjunct = with_dims[shape - 14];
+    }
+    where += (c ? " AND " : " WHERE ") + conjunct;
+  }
+  return where;
+}
+
+/// The reference: the whole array as a table, the slab applied as a
+/// coordinate filter, then the relational engine.
+Result<Table> Reference(const array::Array& arr,
+                        const relational::SelectStatement& stmt,
+                        const storage::Catalog& tables) {
+  Table cells = arr.ToTable();
+  if (!stmt.from.slab.empty()) {
+    if (stmt.from.slab.size() != arr.num_dims()) {
+      return Status::InvalidArgument("slab arity mismatch");
+    }
+    std::vector<std::pair<int64_t, int64_t>> bounds;
+    for (size_t d = 0; d < arr.num_dims(); ++d) {
+      const array::Dimension& dim = arr.dims()[d];
+      int64_t lo = std::max(stmt.from.slab[d].first, dim.start);
+      int64_t hi = std::min(stmt.from.slab[d].second, dim.start + dim.size);
+      if (lo >= hi) {
+        return Status::OutOfRange("empty slab on dimension '" + dim.name +
+                                  "'");
+      }
+      bounds.emplace_back(lo, hi);
+    }
+    storage::SelectionVector keep;
+    for (size_t r = 0; r < cells.num_rows(); ++r) {
+      bool inside = true;
+      for (size_t d = 0; d < bounds.size(); ++d) {
+        int64_t c = cells.column(d).GetInt64(r);
+        inside = inside && c >= bounds[d].first && c < bounds[d].second;
+      }
+      if (inside) keep.push_back(static_cast<uint32_t>(r));
+    }
+    cells = cells.Take(keep);
+  }
+  storage::Catalog catalog;
+  TELEIOS_RETURN_IF_ERROR(
+      catalog.CreateTable("a", std::make_shared<Table>(std::move(cells))));
+  TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr r, tables.GetTable("r"));
+  TELEIOS_RETURN_IF_ERROR(catalog.CreateTable("r", r));
+  return relational::ExecuteSelect(stmt, catalog);
+}
+
+TEST(SciQlDifferentialTest, LateMaterializationMatchesTheFullTable) {
+  obs::Counter* built = obs::MetricsRegistry::Global().GetCounter(
+      "teleios_sciql_cells_materialized_total");
+  size_t compared = 0, failed_alike = 0, counted = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    storage::Catalog tables;
+    auto labels = std::make_shared<Table>(storage::Schema(
+        {{"k", storage::ColumnType::kInt64},
+         {"label", storage::ColumnType::kString}}));
+    for (int k = -6; k <= 6; k += 2) {
+      ASSERT_TRUE(labels
+                      ->AppendRow({Value(int64_t{k}),
+                                   Value("row" + std::to_string(k))})
+                      .ok());
+    }
+    ASSERT_TRUE(tables.CreateTable("r", labels).ok());
+    SciQlEngine engine(&tables);
+    array::ArrayPtr arr = RandomArray(rng);
+    ASSERT_TRUE(engine.RegisterArray(arr).ok());
+    const std::string first = arr->dims().front().name;
+    const std::string last = arr->dims().back().name;
+    for (int t = 0; t < 8; ++t) {
+      bool attr_only = false;
+      const std::string slab = RandomSlab(rng, *arr);
+      const std::string where = RandomWhere(rng, *arr, &attr_only);
+      // Whether the statement names a dimension (so they are built).
+      bool dims = true;
+      std::string text;
+      switch (t) {
+        case 0:
+          text = "SELECT * FROM a" + slab + where;
+          break;
+        case 1:
+          text = "SELECT count(*) AS n FROM a" + slab + where;
+          dims = !attr_only;
+          break;
+        case 2:
+          text = "SELECT i, d FROM a" + slab + where;
+          dims = !attr_only;
+          break;
+        case 3:
+          text = "SELECT " + first + ", s FROM a" + slab + where +
+                 " ORDER BY s, " + first + " LIMIT 7";
+          break;
+        case 4:
+          text = "SELECT " + last + " / 2 AS t, count(*) AS n, max(d) AS m, "
+                 "min(i) AS lo FROM a" + slab + where + " GROUP BY " + last +
+                 " / 2 ORDER BY t";
+          break;
+        case 5:
+          text = "SELECT a.i, a.d, r.label FROM a" + slab + " JOIN r ON a." +
+                 first + " = r.k" + where;
+          break;
+        case 6:
+          text = "SELECT d, b FROM a" + slab + where +
+                 " ORDER BY d DESC LIMIT 3";
+          dims = !attr_only;
+          break;
+        default:
+          text = "SELECT " + last + " FROM a" + slab + where;
+          break;
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " + text);
+      auto parsed = ParseSciQl(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      const auto& stmt = std::get<relational::SelectStatement>(*parsed);
+      Result<Table> expected = Reference(*arr, stmt, tables);
+      const uint64_t built_before = built->value();
+      Result<Table> got = engine.Execute(text);
+      const uint64_t built_cells = built->value() - built_before;
+      ASSERT_EQ(got.ok(), expected.ok())
+          << "got " << got.status().ToString() << ", expected "
+          << expected.status().ToString();
+      if (!got.ok()) {
+        EXPECT_EQ(got.status().ToString(), expected.status().ToString());
+        ++failed_alike;
+        continue;
+      }
+      EXPECT_EQ(got->ToString(1 << 20), expected->ToString(1 << 20));
+      ++compared;
+      // An attribute-only WHERE runs wholly before materialization: only
+      // the cells it keeps are built (none when every cell survives and
+      // no dimension is named, as the attribute columns are shared).
+      if (attr_only && stmt.joins.empty()) {
+        auto whole = ParseSciQl("SELECT * FROM a" + slab);
+        ASSERT_TRUE(whole.ok());
+        Result<Table> in_slab = Reference(
+            *arr, std::get<relational::SelectStatement>(*whole), tables);
+        ASSERT_TRUE(in_slab.ok());
+        size_t kept = in_slab->num_rows();
+        if (stmt.where != nullptr) {
+          auto sel = relational::FilterIndices(*in_slab, stmt.where);
+          ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+          kept = sel->size();
+        }
+        const bool all = kept == arr->num_cells();
+        EXPECT_EQ(built_cells, dims || !all ? kept : 0u);
+        ++counted;
+      }
+    }
+  }
+  // The seeds reach every outcome the test distinguishes.
+  EXPECT_GT(compared, 300u);
+  EXPECT_GT(failed_alike, 20u);
+  EXPECT_GT(counted, 80u);
+}
 
 }  // namespace
 }  // namespace teleios::sciql

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <thread>
+#include <vector>
 
 #include "io/codec.h"
 #include "io/filesystem.h"
@@ -94,6 +97,185 @@ TEST(ColumnTest, TakeSelectsRows) {
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(taken.GetString(0), "c");
   EXPECT_EQ(taken.GetString(1), "a");
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write payloads
+
+/// Renders every cell, NULLs included, so two columns compare cell by cell.
+std::string Cells(const Column& col) {
+  std::string out;
+  for (size_t r = 0; r < col.size(); ++r) out += col.Get(r).ToString() + ";";
+  return out;
+}
+
+TEST(ColumnCowTest, EveryMutatorLeavesTheOtherCopyAlone) {
+  struct Mutator {
+    ColumnType type;
+    std::function<void(Column*)> apply;
+  };
+  const std::vector<std::pair<std::string, Mutator>> mutators = {
+      {"Append", {ColumnType::kFloat64,
+                  [](Column* c) { ASSERT_TRUE(c->Append(Value(9.0)).ok()); }}},
+      {"AppendN", {ColumnType::kFloat64,
+                   [](Column* c) {
+                     ASSERT_TRUE(c->AppendN(Value(9.0), 3).ok());
+                   }}},
+      {"AppendBool", {ColumnType::kBool,
+                      [](Column* c) { c->AppendBool(true); }}},
+      {"AppendInt64", {ColumnType::kInt64,
+                       [](Column* c) { c->AppendInt64(9); }}},
+      {"AppendFloat64", {ColumnType::kFloat64,
+                         [](Column* c) { c->AppendFloat64(9.0); }}},
+      {"AppendString", {ColumnType::kString,
+                        [](Column* c) { c->AppendString("z"); }}},
+      {"AppendNull", {ColumnType::kInt64, [](Column* c) { c->AppendNull(); }}},
+      {"Set", {ColumnType::kString,
+               [](Column* c) { ASSERT_TRUE(c->Set(0, Value("z")).ok()); }}},
+      {"SetNull", {ColumnType::kInt64,
+                   [](Column* c) { ASSERT_TRUE(c->Set(1, Value()).ok()); }}},
+      {"Reserve", {ColumnType::kFloat64, [](Column* c) { c->Reserve(4096); }}},
+      {"mutable_doubles", {ColumnType::kFloat64,
+                           [](Column* c) { c->mutable_doubles()[0] = 9.0; }}},
+  };
+  for (const auto& [name, m] : mutators) {
+    SCOPED_TRACE(name);
+    Column original(m.type);
+    for (int i = 0; i < 3; ++i) {
+      Value v;
+      switch (m.type) {
+        case ColumnType::kBool:
+          v = Value(i % 2 == 0);
+          break;
+        case ColumnType::kInt64:
+          v = Value(int64_t{i});
+          break;
+        case ColumnType::kFloat64:
+          v = Value(static_cast<double>(i));
+          break;
+        case ColumnType::kString:
+          v = Value(std::string(1, static_cast<char>('a' + i)));
+          break;
+      }
+      ASSERT_TRUE(original.Append(v).ok());
+    }
+    const std::string before = Cells(original);
+    const void* payload = original.type() == ColumnType::kFloat64
+                              ? static_cast<const void*>(
+                                    original.doubles().data())
+                              : nullptr;
+    Column copy = original;
+    m.apply(&copy);
+    EXPECT_EQ(Cells(original), before);
+    if (payload != nullptr) {
+      EXPECT_EQ(original.doubles().data(), payload);
+      EXPECT_NE(copy.doubles().data(), payload);
+    }
+    // And the other way round: the copy is unaffected by the original.
+    Column second = original;
+    const std::string second_before = Cells(second);
+    m.apply(&original);
+    EXPECT_EQ(Cells(second), second_before);
+  }
+}
+
+TEST(ColumnCowTest, AppendNFillsLikeRepeatedAppends) {
+  for (const Value& v : {Value(2.5), Value(int64_t{7}), Value(), Value("s"),
+                         Value(true)}) {
+    for (ColumnType type : {ColumnType::kBool, ColumnType::kInt64,
+                            ColumnType::kFloat64, ColumnType::kString}) {
+      Column bulk(type);
+      Column one_by_one(type);
+      Status bulk_status = bulk.AppendN(v, 5);
+      Status last = Status::OK();
+      for (int i = 0; i < 5; ++i) last = one_by_one.Append(v);
+      EXPECT_EQ(bulk_status.code(), last.code()) << v.ToString();
+      EXPECT_EQ(Cells(bulk), Cells(one_by_one)) << v.ToString();
+    }
+  }
+}
+
+TEST(ColumnCowTest, TableCopySharesBuffers) {
+  Table t{Schema({{"v", ColumnType::kFloat64}, {"s", ColumnType::kString}})};
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(i * 0.5), Value("x")}).ok());
+  }
+  Table copy = t;
+  EXPECT_EQ(copy.column(0).doubles().data(), t.column(0).doubles().data());
+  EXPECT_EQ(copy.column(1).codes().data(), t.column(1).codes().data());
+  // A write to the copy unshares only the column it writes.
+  ASSERT_TRUE(copy.AppendRow({Value(1.0), Value("y")}).ok());
+  EXPECT_NE(copy.column(0).doubles().data(), t.column(0).doubles().data());
+  EXPECT_EQ(t.num_rows(), 100u);
+  EXPECT_EQ(copy.num_rows(), 101u);
+}
+
+TEST(ColumnCowTest, TakeOutputIsUnshared) {
+  Column col(ColumnType::kInt64);
+  for (int i = 0; i < 10; ++i) col.AppendInt64(i);
+  Column all = col.Take({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  EXPECT_NE(all.ints().data(), col.ints().data());
+  // The gather owns its payload: writing to it copies nothing.
+  const int64_t* gathered = all.ints().data();
+  ASSERT_TRUE(all.Set(0, Value(int64_t{99})).ok());
+  EXPECT_EQ(all.ints().data(), gathered);
+  EXPECT_EQ(col.GetInt64(0), 0);
+}
+
+TEST(ColumnCowTest, MutableDoublesUnsharesFromATable) {
+  Column col = Column::FromDoubles({1.0, 2.0, 3.0});
+  Table t{Schema({{"v", ColumnType::kFloat64}})};
+  t.column(0) = col;
+  ASSERT_EQ(t.column(0).doubles().data(), col.doubles().data());
+  col.mutable_doubles()[1] = 20.0;
+  EXPECT_DOUBLE_EQ(t.column(0).GetFloat64(1), 2.0);
+  EXPECT_DOUBLE_EQ(col.GetFloat64(1), 20.0);
+  EXPECT_NE(t.column(0).doubles().data(), col.doubles().data());
+}
+
+TEST(ColumnCowTest, FromDoublesAdoptsTheVector) {
+  std::vector<double> values = {1.5, 2.5};
+  const double* data = values.data();
+  Column col = Column::FromDoubles(std::move(values));
+  EXPECT_EQ(col.doubles().data(), data);
+  ASSERT_EQ(col.size(), 2u);
+  EXPECT_FALSE(col.IsNull(1));
+  Column ints = Column::FromInts({4, 5, 6});
+  EXPECT_EQ(Cells(ints), "4;5;6;");
+}
+
+TEST(ColumnCowTest, ReadersOfASharedColumnNeverSeeAWritersCopy) {
+  // Readers copy and scan one shared column while a writer appends to its
+  // own copy; under TSan this proves the unshare never touches the cells
+  // the readers scan.
+  Column shared(ColumnType::kFloat64);
+  double expected = 0;
+  for (int i = 0; i < 4096; ++i) {
+    shared.AppendFloat64(i);
+    expected += i;
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        Column mine = shared;
+        double sum = 0;
+        for (double v : mine.doubles()) sum += v;
+        if (sum != expected || mine.size() != 4096) ++mismatches[t];
+      }
+    });
+  }
+  Column writer = shared;
+  threads.emplace_back([&] {
+    for (int i = 0; i < 20000; ++i) writer.AppendFloat64(-1.0);
+    ASSERT_TRUE(writer.Set(0, Value(-5.0)).ok());
+  });
+  for (std::thread& t : threads) t.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
+  EXPECT_EQ(writer.size(), 4096u + 20000u);
+  EXPECT_EQ(shared.size(), 4096u);
+  EXPECT_DOUBLE_EQ(shared.GetFloat64(0), 0.0);
 }
 
 Table MakePeople() {

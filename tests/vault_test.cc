@@ -5,6 +5,7 @@
 
 #include "core/observatory.h"
 #include "eo/scene.h"
+#include "governor/memory_budget.h"
 #include "vault/formats.h"
 #include "vault/vault.h"
 
@@ -153,6 +154,30 @@ TEST_F(VaultTest, BandArrayIngestsSingleBand) {
   ASSERT_TRUE(band.ok());
   EXPECT_EQ((*band)->num_attributes(), 1u);
   EXPECT_FALSE(vault.GetBandArray("a", "NOPE").ok());
+}
+
+TEST_F(VaultTest, IngestChargesThePayloadOnce) {
+  // The array adopts the decoded bands, so ingestion needs room for the
+  // payload once — not for the payload plus a copy of it.
+  TerRaster raster = MakeRaster("a");
+  ASSERT_TRUE(WriteTer(raster, (dir_ / "a.ter").string()).ok());
+  storage::Catalog catalog;
+  DataVault vault(&catalog);
+  ASSERT_TRUE(vault.Attach(dir_.string()).ok());
+  const size_t payload = raster.PixelCount() * 2 * sizeof(double);
+  governor::MemoryBudget exact("exact", payload);
+  {
+    governor::ScopedBudget scope(&exact);
+    auto arr = vault.GetRasterArray("a");
+    ASSERT_TRUE(arr.ok()) << arr.status().ToString();
+    EXPECT_DOUBLE_EQ((*arr)->GetLinear(20, 1).AsFloat64(), raster.bands[1][20]);
+    auto band = vault.GetBandArray("a", "IR108");
+    ASSERT_TRUE(band.ok()) << band.status().ToString();
+    EXPECT_DOUBLE_EQ((*band)->GetLinear(20, 0).AsFloat64(),
+                     raster.bands[1][20]);
+  }
+  EXPECT_EQ(exact.used(), 0u);
+  EXPECT_EQ(exact.peak(), payload);
 }
 
 TEST_F(VaultTest, EvictionForcesReingest) {
