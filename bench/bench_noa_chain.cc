@@ -117,7 +117,7 @@ void BM_CatalogSearchPriorRuns(benchmark::State& state) {
     auto r = env.strabon.Select(
         "SELECT ?p ?lvl WHERE { ?p a noa:Product ; "
         "noa:hasProcessingLevel ?lvl ; noa:wasDerivedFrom ?raw . }");
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
 }
 BENCHMARK(BM_CatalogSearchPriorRuns);

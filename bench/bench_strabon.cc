@@ -61,7 +61,7 @@ void BM_BgpJoin(benchmark::State& state) {
     auto r = strabon.Select(
         "PREFIX ex: <http://example.org/> "
         "SELECT ?f ?n WHERE { ?f a ex:Feature ; ex:name ?n . }");
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -75,7 +75,7 @@ void BM_BgpBoundObject(benchmark::State& state) {
     auto r = strabon.Select(
         "PREFIX ex: <http://example.org/> "
         "SELECT ?f WHERE { ?f ex:name \"feature17\" . }");
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
 }
 BENCHMARK(BM_BgpBoundObject)->Arg(1000)->Arg(10000);
@@ -96,7 +96,7 @@ void SpatialSelection(benchmark::State& state, bool use_index) {
   (void)strabon.Select(query);
   for (auto _ : state) {
     auto r = strabon.Select(query);
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -122,7 +122,7 @@ void BM_DistanceSelection(benchmark::State& state) {
   (void)strabon.Select(query);
   for (auto _ : state) {
     auto r = strabon.Select(query);
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
 }
 BENCHMARK(BM_DistanceSelection)->Arg(0)->Arg(1);
@@ -170,7 +170,7 @@ void BM_InsertThenSpatialQuery(benchmark::State& state) {
         y + 0.5, x, y));
     auto r = strabon.Select(query);
     benchmark::DoNotOptimize(*n);
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
     ++i;
   }
 }

@@ -95,8 +95,8 @@ void HeadlineQuery(benchmark::State& state, bool use_index) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    state.counters["answers"] = static_cast<double>(r->rows.size());
-    benchmark::DoNotOptimize(r->rows.size());
+    state.counters["answers"] = static_cast<double>(r->num_rows());
+    benchmark::DoNotOptimize(r->num_rows());
   }
 }
 
@@ -120,7 +120,7 @@ void BM_TimeWindowOnly(benchmark::State& state) {
       "FILTER(?t < \"2007-08-26T00:00:00\"^^xsd:dateTime) }";
   for (auto _ : state) {
     auto r = obs.strabon.Select(query);
-    benchmark::DoNotOptimize(r->rows.size());
+    benchmark::DoNotOptimize(r->num_rows());
   }
 }
 BENCHMARK(BM_TimeWindowOnly);

@@ -48,17 +48,20 @@ cmake --build build-tsan -j "${JOBS}"
 TELEIOS_THREADS=8 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}"
 
 echo "== pass 4b/5: overload leg — governor tests under tight budgets =="
-# The resource-governor suite again, now with an externally tightened
+# The resource-governor suites again — the governor itself, the facade,
+# and every engine's governance tests (hash join, SciQL, stSPARQL, SQL
+# DISTINCT, the WAL commit point) — now with an externally tightened
 # process budget and a tiny admission pool, under both sanitizer builds:
 # shed paths and refusal paths must stay clean under ASan/UBSan (no
 # leak on any error path) and TSan (admission queue + breaker + budget
 # locking). Facade-level tests install their own roomy budget via
 # ScopedBudget, so a 64m process root only starves what means to be
 # starved.
+GOVERNANCE="governor_test|GovernedObservatoryTest|MemoryBudgetTest|AdmissionTest|BreakerTest|HashJoinGovernorTest|SciQlGovernanceTest|GovernedEngineTest|StSparqlGovernanceTest|StSparqlCommitTest"
 TELEIOS_MEMORY_BUDGET=64m TELEIOS_MAX_CONCURRENT_QUERIES=2 \
-  ctest --test-dir build-sanitize --output-on-failure -R "governor_test|GovernedObservatoryTest|MemoryBudgetTest|AdmissionTest|BreakerTest"
+  ctest --test-dir build-sanitize --output-on-failure -R "${GOVERNANCE}"
 TELEIOS_MEMORY_BUDGET=64m TELEIOS_MAX_CONCURRENT_QUERIES=2 TELEIOS_THREADS=8 \
-  ctest --test-dir build-tsan --output-on-failure -R "governor_test|GovernedObservatoryTest|MemoryBudgetTest|AdmissionTest|BreakerTest"
+  ctest --test-dir build-tsan --output-on-failure -R "${GOVERNANCE}"
 
 echo "== pass 4c/5: introspection leg — every statement traced and flagged =="
 # The introspection suite (sys.* tables, KillQuery, query log, event

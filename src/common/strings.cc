@@ -1,9 +1,12 @@
 #include "common/strings.h"
 
+#include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cctype>
+
+#include "common/logging.h"
 
 namespace teleios {
 
@@ -73,6 +76,28 @@ Result<int64_t> ParseInt64(std::string_view s) {
     return Status::ParseError("invalid integer: '" + buf + "'");
   }
   return static_cast<int64_t>(v);
+}
+
+uint64_t EnvNumber(const char* name, uint64_t def) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return def;
+  std::string_view digits(env);
+  const char suffix = std::tolower(static_cast<unsigned char>(digits.back()));
+  const int shift =
+      suffix == 'k' ? 10 : suffix == 'm' ? 20 : suffix == 'g' ? 30 : 0;
+  if (shift > 0) digits.remove_suffix(1);
+  uint64_t v = 0;
+  const char* end = digits.data() + digits.size();
+  auto parsed = std::from_chars(digits.data(), end, v);
+  if (digits.empty() || parsed.ec != std::errc() || parsed.ptr != end ||
+      v > (UINT64_MAX >> shift)) {
+    TELEIOS_LOG(Warning) << name << "='" << env
+                         << "' is not digits with an optional k/m/g "
+                            "suffix; using "
+                         << def;
+    return def;
+  }
+  return v << shift;
 }
 
 Result<double> ParseDouble(std::string_view s) {

@@ -35,6 +35,12 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Parses a double from the whole of `s`.
 Result<double> ParseDouble(std::string_view s);
 
+/// A numeric TELEIOS_* setting: digits, an optional k, m or g suffix
+/// (binary multiples, either case) and nothing else. Unset or empty gives
+/// `def`; a value that does not parse logs one warning naming `name` and
+/// gives `def` too.
+uint64_t EnvNumber(const char* name, uint64_t def);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -1,9 +1,9 @@
 #include "core/recovery.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
+#include "common/strings.h"
 #include "governor/memory_budget.h"
 #include "io/codec.h"
 #include "io/filesystem.h"
@@ -21,38 +21,6 @@ namespace {
 // right cap here too.
 constexpr size_t kMaxBodyStr = io::kMaxWalRecordLen;
 
-Result<uint64_t> ParseEnvBytes(const char* raw) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(raw, &end, 10);
-  uint64_t bytes = v;
-  if (end == raw) {
-    return Status::InvalidArgument("not a byte count");
-  }
-  switch (*end) {
-    case '\0':
-      break;
-    case 'k':
-    case 'K':
-      bytes <<= 10;
-      ++end;
-      break;
-    case 'm':
-    case 'M':
-      bytes <<= 20;
-      ++end;
-      break;
-    case 'g':
-    case 'G':
-      bytes <<= 30;
-      ++end;
-      break;
-    default:
-      return Status::InvalidArgument("bad suffix");
-  }
-  if (*end != '\0') return Status::InvalidArgument("trailing garbage");
-  return bytes;
-}
-
 std::string EncodeQuarantineBody(const std::string& name,
                                  const Status& sticky) {
   std::string body;
@@ -66,10 +34,8 @@ std::string EncodeQuarantineBody(const std::string& name,
 
 DurabilityOptions DurabilityOptions::FromEnv() {
   DurabilityOptions options;
-  if (const char* raw = std::getenv("TELEIOS_WAL_CHECKPOINT_BYTES")) {
-    Result<uint64_t> parsed = ParseEnvBytes(raw);
-    if (parsed.ok()) options.checkpoint_bytes = *parsed;
-  }
+  options.checkpoint_bytes =
+      EnvNumber("TELEIOS_WAL_CHECKPOINT_BYTES", options.checkpoint_bytes);
   return options;
 }
 

@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "governor/memory_budget.h"
 #include "io/wal.h"
 #include "mining/annotation.h"
 #include "relational/sql_engine.h"
@@ -181,6 +183,9 @@ class DurabilityManager {
   /// is acknowledged (durable) iff the sync succeeded; apply failures
   /// propagate to the caller but the record stays in the log — replay
   /// re-runs the same apply deterministically, converging either way.
+  /// Past the sync nothing may stop or refuse the apply, or the live
+  /// state would lack a mutation the log holds: it runs with no
+  /// cancellation token and under an unlimited budget of its own.
   template <typename Fn>
   auto LogAndApply(WalRecordType type, const std::string& body, Fn&& apply)
       -> decltype(apply()) {
@@ -192,6 +197,10 @@ class DurabilityManager {
     auto lsn = wal_->Append(static_cast<uint32_t>(type), body);
     if (!lsn.ok()) return lsn.status();
     TELEIOS_RETURN_IF_ERROR(wal_->Sync());
+    governor::MemoryBudget commit_budget("wal-apply",
+                                         governor::MemoryBudget::kUnlimited);
+    governor::ScopedBudget budget_scope(&commit_budget);
+    ScopedCancel cancel_scope(nullptr);
     auto result = apply();
     MaybeAutoCheckpointLocked();
     return result;

@@ -1,6 +1,6 @@
 #include "exec/thread_pool.h"
 
-#include <cstdlib>
+#include "common/strings.h"
 
 namespace teleios::exec {
 
@@ -175,9 +175,8 @@ void ThreadPool::WorkerLoop(int index) {
 }
 
 int ThreadPool::DefaultThreads() {
-  if (const char* env = std::getenv("TELEIOS_THREADS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
+  if (uint64_t n = EnvNumber("TELEIOS_THREADS", 0); n >= 1) {
+    return static_cast<int>(n);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -1,9 +1,9 @@
 #include "governor/admission.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
+#include "common/strings.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -11,12 +11,8 @@ namespace teleios::governor {
 
 AdmissionConfig AdmissionConfig::FromEnv() {
   AdmissionConfig config;
-  const char* env = std::getenv("TELEIOS_MAX_CONCURRENT_QUERIES");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) config.max_concurrent = static_cast<int>(v);
-  }
+  uint64_t v = EnvNumber("TELEIOS_MAX_CONCURRENT_QUERIES", 0);
+  if (v > 0) config.max_concurrent = static_cast<int>(v);
   return config;
 }
 

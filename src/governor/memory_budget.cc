@@ -1,9 +1,8 @@
 #include "governor/memory_budget.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
+#include "common/strings.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -33,27 +32,10 @@ void ReportRootGauges(const MemoryBudget& budget) {
                 static_cast<double>(budget.peak()));
 }
 
-/// Parses TELEIOS_MEMORY_BUDGET: plain bytes with an optional k/m/g
-/// (binary) suffix; unset, 0 or unparsable = unlimited.
+/// TELEIOS_MEMORY_BUDGET in bytes (common/strings.h EnvNumber grammar);
+/// unset, 0 or unparsable = unlimited.
 size_t EnvBudgetBytes() {
-  const char* env = std::getenv("TELEIOS_MEMORY_BUDGET");
-  if (env == nullptr || *env == '\0') return MemoryBudget::kUnlimited;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return MemoryBudget::kUnlimited;
-  switch (std::tolower(static_cast<unsigned char>(*end))) {
-    case 'k':
-      v <<= 10;
-      break;
-    case 'm':
-      v <<= 20;
-      break;
-    case 'g':
-      v <<= 30;
-      break;
-    default:
-      break;
-  }
+  uint64_t v = EnvNumber("TELEIOS_MEMORY_BUDGET", 0);
   return v == 0 ? MemoryBudget::kUnlimited : static_cast<size_t>(v);
 }
 

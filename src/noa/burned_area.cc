@@ -23,7 +23,7 @@ Result<BurnedAreaProduct> MapBurnedArea(strabon::Strabon* strabon,
                        "]\"^^strdf:period";
   // Hotspots whose valid time falls inside the window, with provenance.
   TELEIOS_ASSIGN_OR_RETURN(
-      strabon::SolutionSet solutions,
+      storage::Table solutions,
       strabon->Select("SELECT ?g ?p WHERE { ?h a noa:Hotspot ; "
                       "noa:hasGeometry ?g ; noa:hasValidTime ?vt ; "
                       "noa:derivedFromProduct ?p . "
@@ -35,9 +35,10 @@ Result<BurnedAreaProduct> MapBurnedArea(strabon::Strabon* strabon,
 
   std::set<rdf::TermId> sources;
   geo::Geometry merged;
-  for (const auto& row : solutions.rows) {
-    if (row[0] == rdf::kNoTerm) continue;
-    const Term& term = strabon->store().dict().At(row[0]);
+  for (size_t r = 0; r < solutions.num_rows(); ++r) {
+    rdf::TermId g_id = strabon::Binding(solutions, "g", r);
+    if (g_id == rdf::kNoTerm) continue;
+    const Term& term = strabon->store().dict().At(g_id);
     auto g = geo::ParseWkt(term.lexical);
     if (!g.ok() || g->IsEmpty()) continue;  // rejected/empty geometries
     if (merged.IsEmpty()) {
@@ -46,7 +47,8 @@ Result<BurnedAreaProduct> MapBurnedArea(strabon::Strabon* strabon,
       TELEIOS_ASSIGN_OR_RETURN(merged, geo::Union(merged, *g));
     }
     ++product.hotspots_merged;
-    if (row.size() > 1 && row[1] != rdf::kNoTerm) sources.insert(row[1]);
+    rdf::TermId p_id = strabon::Binding(solutions, "p", r);
+    if (p_id != rdf::kNoTerm) sources.insert(p_id);
   }
   product.geometry = std::move(merged);
   product.area = product.geometry.Area();

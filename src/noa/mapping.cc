@@ -12,21 +12,25 @@ namespace teleios::noa {
 Status RapidMapper::AddQueryLayer(const std::string& name,
                                   const std::string& color, char glyph,
                                   const std::string& query) {
-  TELEIOS_ASSIGN_OR_RETURN(strabon::SolutionSet solutions,
-                           strabon_->Select(query));
+  TELEIOS_ASSIGN_OR_RETURN(storage::Table solutions, strabon_->Select(query));
   MapLayer layer;
   layer.name = name;
   layer.color = color;
   layer.glyph = glyph;
-  for (const auto& row : solutions.rows) {
-    if (row.empty() || row[0] == rdf::kNoTerm) continue;
-    const rdf::Term& term = strabon_->store().dict().At(row[0]);
+  // The first column is the geometry, the second (if any) its label.
+  auto term_at = [&](size_t col, size_t row) -> rdf::TermId {
+    return col < solutions.num_columns() ? solutions.column(col).GetInt64(row)
+                                         : rdf::kNoTerm;
+  };
+  for (size_t r = 0; r < solutions.num_rows(); ++r) {
+    if (term_at(0, r) == rdf::kNoTerm) continue;
+    const rdf::Term& term = strabon_->store().dict().At(term_at(0, r));
     auto g = geo::ParseWkt(term.lexical);
     if (!g.ok() || g->IsEmpty()) continue;
     layer.geometries.push_back(std::move(*g));
     std::string label;
-    if (row.size() > 1 && row[1] != rdf::kNoTerm) {
-      label = strabon_->store().dict().At(row[1]).lexical;
+    if (term_at(1, r) != rdf::kNoTerm) {
+      label = strabon_->store().dict().At(term_at(1, r)).lexical;
     }
     layer.labels.push_back(std::move(label));
   }

@@ -23,12 +23,12 @@ Result<std::vector<geo::Geometry>> FetchHotspotGeometries(
       "noa:derivedFromProduct <" +
       ProductIri(product_id) +
       "> ; noa:hasGeometry ?g . }";
-  TELEIOS_ASSIGN_OR_RETURN(strabon::SolutionSet solutions,
-                           strabon->Select(query));
+  TELEIOS_ASSIGN_OR_RETURN(storage::Table solutions, strabon->Select(query));
   std::vector<geo::Geometry> out;
-  for (const auto& row : solutions.rows) {
-    if (row[0] == rdf::kNoTerm) continue;
-    const rdf::Term& term = strabon->store().dict().At(row[0]);
+  for (size_t r = 0; r < solutions.num_rows(); ++r) {
+    rdf::TermId id = strabon::Binding(solutions, "g", r);
+    if (id == rdf::kNoTerm) continue;
+    const rdf::Term& term = strabon->store().dict().At(id);
     TELEIOS_ASSIGN_OR_RETURN(geo::Geometry g, geo::ParseWkt(term.lexical));
     out.push_back(std::move(g));
   }
@@ -42,15 +42,16 @@ Result<RefinementReport> RefineHotspots(strabon::Strabon* strabon,
   // Fetch the sea geometry from the coastline linked-data layer.
   std::string sea_query =
       "SELECT ?g WHERE { ?sea a noa:Sea ; noa:hasGeometry ?g . }";
-  TELEIOS_ASSIGN_OR_RETURN(strabon::SolutionSet sea_solutions,
+  TELEIOS_ASSIGN_OR_RETURN(storage::Table sea_solutions,
                            strabon->Select(sea_query));
-  if (sea_solutions.rows.empty() ||
-      sea_solutions.rows[0][0] == rdf::kNoTerm) {
+  rdf::TermId sea = sea_solutions.num_rows() == 0
+                        ? rdf::kNoTerm
+                        : strabon::Binding(sea_solutions, "g", 0);
+  if (sea == rdf::kNoTerm) {
     return Status::NotFound(
         "no noa:Sea geometry loaded; load the coastline layer first");
   }
-  const std::string sea_wkt =
-      strabon->store().dict().At(sea_solutions.rows[0][0]).lexical;
+  const std::string sea_wkt = strabon->store().dict().At(sea).lexical;
   std::string sea_literal = "\"" + sea_wkt + "\"^^strdf:WKT";
 
   TELEIOS_ASSIGN_OR_RETURN(std::vector<geo::Geometry> before,

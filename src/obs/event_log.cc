@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace teleios::obs {
@@ -11,13 +12,8 @@ namespace teleios::obs {
 namespace {
 
 size_t CapacityFromEnv() {
-  const char* env = std::getenv("TELEIOS_EVENT_LOG_CAPACITY");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<size_t>(v);
-  }
-  return EventLog::kDefaultCapacity;
+  uint64_t v = EnvNumber("TELEIOS_EVENT_LOG_CAPACITY", 0);
+  return v > 0 ? static_cast<size_t>(v) : EventLog::kDefaultCapacity;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -36,19 +37,11 @@ IntrospectionConfig IntrospectionConfig::FromEnv() {
     double v = std::strtod(env, &end);
     if (end != env && v >= 0) config.slow_query_millis = v;
   }
-  if (const char* env = std::getenv("TELEIOS_TRACE_SAMPLE");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) {
-      config.trace_sample_every = static_cast<uint64_t>(v);
-    }
+  if (uint64_t v = EnvNumber("TELEIOS_TRACE_SAMPLE", 0); v > 0) {
+    config.trace_sample_every = v;
   }
-  if (const char* env = std::getenv("TELEIOS_QUERY_LOG_CAPACITY");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) config.query_log_capacity = static_cast<size_t>(v);
+  if (uint64_t v = EnvNumber("TELEIOS_QUERY_LOG_CAPACITY", 0); v > 0) {
+    config.query_log_capacity = static_cast<size_t>(v);
   }
   return config;
 }

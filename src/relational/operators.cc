@@ -441,10 +441,11 @@ struct KeyColumn {
   const std::vector<int32_t>* translate = nullptr;
 };
 
-KeyKind OwnKeyKind(ColumnType t) {
-  if (t == ColumnType::kFloat64) return KeyKind::kDouble;
-  if (t == ColumnType::kString) return KeyKind::kCode;
-  return KeyKind::kInt;
+/// A column keyed by its own type.
+KeyColumn OwnKey(const Column& column) {
+  if (column.type() == ColumnType::kFloat64) return {&column, KeyKind::kDouble};
+  if (column.type() == ColumnType::kString) return {&column, KeyKind::kCode};
+  return {&column, KeyKind::kInt};
 }
 
 /// Words per encoded key: one per column, then the null mask.
@@ -667,7 +668,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::vector<std::string>& left_keys,
                        const std::vector<std::string>& right_keys,
                        JoinType type) {
-  if (left_keys.size() != right_keys.size() || left_keys.empty()) {
+  if (left_keys.size() != right_keys.size()) {
     return Status::InvalidArgument("join key arity mismatch");
   }
   std::vector<int> lcols, rcols;
@@ -824,20 +825,12 @@ Result<Table> HashJoin(const Table& left, const Table& right,
         return Status::OK();
       }));
 
-  // Output schema: all left columns, then right columns with clash rename.
-  std::vector<Field> fields;
-  for (const Field& f : left.schema().fields()) fields.push_back(f);
-  for (const Field& f : right.schema().fields()) {
-    std::string name = f.name;
-    bool clash = left.schema().FieldIndex(name) >= 0;
-    fields.push_back({clash ? "r_" + name : name, f.type});
-  }
-  Table out{Schema(std::move(fields))};
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    out.column(c) = left.column(c).Take(left_rows);
-  }
+  // All left columns, then right columns with clash rename.
+  Table out = left.Take(left_rows);
   for (size_t c = 0; c < right.num_columns(); ++c) {
-    out.column(left.num_columns() + c) = right.column(c).Take(right_rows);
+    const std::string& name = right.schema().field(c).name;
+    bool clash = left.schema().FieldIndex(name) >= 0;
+    out.AddColumn(clash ? "r_" + name : name, right.column(c).Take(right_rows));
   }
   return out;
 }
@@ -945,7 +938,7 @@ Result<Table> GroupAggregate(const Table& table,
     if (i < 0) return Status::NotFound("group column '" + g + "' not found");
     gcols.push_back(i);
     const Column& col = table.column(static_cast<size_t>(i));
-    keys.push_back({&col, OwnKeyKind(col.type())});
+    keys.push_back(OwnKey(col));
   }
   std::vector<AggPlan> plans(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
@@ -1153,27 +1146,42 @@ Table Limit(const Table& table, size_t limit, size_t offset) {
   return table.Take(sel);
 }
 
-Table Distinct(const Table& table) {
+Result<Grouping> GroupRows(const Table& table,
+                           const std::vector<size_t>& columns) {
   std::vector<KeyColumn> keys;
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    keys.push_back({&table.column(c), OwnKeyKind(table.column(c).type())});
-  }
-  const size_t width = KeyWidth(keys.size());
+  for (size_t c : columns) keys.push_back(OwnKey(table.column(c)));
   const size_t n = table.num_rows();
-  KeyIndex seen(width);
-  SelectionVector sel;
+  const size_t width = KeyWidth(keys.size());
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge charge,
+      governor::ChargeCurrent(
+          n * (KeyIndex::BytesPerKey(width) + 2 * sizeof(uint32_t)) +
+              kKeyBatch * width * sizeof(uint64_t),
+          "grouping hash table"));
+  const CancellationToken* cancel = CurrentCancel();
+  KeyIndex index(width);
+  Grouping out;
+  out.group_of.resize(n);
   std::vector<uint64_t> words(std::min(n, kKeyBatch) * width);
   for (size_t begin = 0; begin < n; begin += kKeyBatch) {
+    if (cancel != nullptr) TELEIOS_RETURN_IF_ERROR(cancel->Check());
     size_t end = std::min(n, begin + kKeyBatch);
     EncodeKeys(keys, begin, end, words.data());
     for (size_t r = begin; r < end; ++r) {
-      const uint64_t* key = words.data() + (r - begin) * width;
       bool inserted = false;
-      seen.Insert(key, &inserted);
-      if (inserted) sel.push_back(static_cast<uint32_t>(r));
+      out.group_of[r] =
+          index.Insert(words.data() + (r - begin) * width, &inserted);
+      if (inserted) out.first_rows.push_back(static_cast<uint32_t>(r));
     }
   }
-  return table.Take(sel);
+  return out;
+}
+
+Result<Table> Distinct(const Table& table) {
+  std::vector<size_t> columns(table.num_columns());
+  std::iota(columns.begin(), columns.end(), 0);
+  TELEIOS_ASSIGN_OR_RETURN(Grouping grouping, GroupRows(table, columns));
+  return table.Take(grouping.first_rows);
 }
 
 }  // namespace teleios::relational

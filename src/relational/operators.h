@@ -55,10 +55,10 @@ enum class JoinType { kInner, kLeftOuter };
 
 /// Hash join on equality of `left_keys[i]` = `right_keys[i]`, where key
 /// equality is the WHERE clause's `=` (an int64 meets a double as a
-/// double; a string never equals a number; NULL keys never match). Output
-/// rows follow left row order, each left row's matches in right row
-/// order. Column name clashes in the output are disambiguated with a
-/// "r_" prefix.
+/// double; a string never equals a number; NULL keys never match); with
+/// no keys every pair matches (the cross product). Output rows follow
+/// left row order, each left row's matches in right row order. Column
+/// name clashes in the output are disambiguated with a "r_" prefix.
 Result<storage::Table> HashJoin(const storage::Table& left,
                                 const storage::Table& right,
                                 const std::vector<std::string>& left_keys,
@@ -92,8 +92,21 @@ Result<storage::Table> Sort(const storage::Table& table,
 storage::Table Limit(const storage::Table& table, size_t limit,
                      size_t offset = 0);
 
+/// Rows grouped by equal keys in the columns at `columns` (`=` equality,
+/// -0.0 with 0.0; NULL keys form one group): each row's group id, numbered
+/// in order of first appearance, and each group's first row. No columns
+/// put every row in one group. The key index is charged to the current
+/// budget up front, and the current cancellation token is polled as rows
+/// go in.
+struct Grouping {
+  std::vector<uint32_t> group_of;
+  storage::SelectionVector first_rows;
+};
+Result<Grouping> GroupRows(const storage::Table& table,
+                           const std::vector<size_t>& columns);
+
 /// Removes duplicate rows (first occurrence kept).
-storage::Table Distinct(const storage::Table& table);
+Result<storage::Table> Distinct(const storage::Table& table);
 
 }  // namespace teleios::relational
 

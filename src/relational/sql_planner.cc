@@ -379,7 +379,7 @@ Result<Table> RunSelect(const SelectStatement& stmt,
   if (stmt.distinct) {
     trace->Add("distinct");
     obs::TraceSpan distinct_span("distinct");
-    output = Distinct(output);
+    TELEIOS_ASSIGN_OR_RETURN(output, Distinct(output));
     distinct_span.SetAttr("rows", std::to_string(output.num_rows()));
   }
   if (!stmt.order_by.empty()) {

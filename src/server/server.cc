@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -21,39 +20,15 @@ using std::chrono::steady_clock;
 
 /// Env int with a floor; unset/unparsable keeps the default.
 int EnvInt(const char* name, int def, int min_value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return def;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  if (end == env) return def;
-  return std::max(min_value, static_cast<int>(v));
+  return std::max(min_value, static_cast<int>(EnvNumber(
+                                 name, static_cast<uint64_t>(def))));
 }
 
-/// Same k/m/g-suffix grammar as TELEIOS_MEMORY_BUDGET (see the
-/// governor); unset, 0 or unparsable = unlimited.
+/// Same grammar as TELEIOS_MEMORY_BUDGET; unset, 0 or unparsable =
+/// unlimited.
 size_t EnvBytes(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return governor::MemoryBudget::kUnlimited;
-  }
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return governor::MemoryBudget::kUnlimited;
-  switch (std::tolower(static_cast<unsigned char>(*end))) {
-    case 'k':
-      v <<= 10;
-      break;
-    case 'm':
-      v <<= 20;
-      break;
-    case 'g':
-      v <<= 30;
-      break;
-    default:
-      break;
-  }
-  return v == 0 ? governor::MemoryBudget::kUnlimited
-                : static_cast<size_t>(v);
+  uint64_t v = EnvNumber(name, 0);
+  return v == 0 ? governor::MemoryBudget::kUnlimited : static_cast<size_t>(v);
 }
 
 /// Frame header + CRC overhead on the wire, for budget accounting.

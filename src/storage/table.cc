@@ -41,31 +41,39 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   for (size_t i = 0; i < row.size(); ++i) {
     TELEIOS_RETURN_IF_ERROR(columns_[i].Append(row[i]));
   }
+  if (columns_.empty()) ++rows_;
   return Status::OK();
 }
 
 Table Table::Take(const SelectionVector& sel) const {
-  Table out(schema_);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    out.columns_[c] = columns_[c].Take(sel);
-  }
+  Table out;
+  out.schema_ = schema_;
+  out.columns_.reserve(columns_.size());
+  for (const Column& c : columns_) out.columns_.push_back(c.Take(sel));
+  out.rows_ = sel.size();
   return out;
 }
 
 Result<Table> Table::Project(const std::vector<std::string>& names) const {
-  std::vector<Field> fields;
-  std::vector<int> idx;
+  std::vector<size_t> indices;
   for (const std::string& n : names) {
     int i = schema_.FieldIndex(n);
     if (i < 0) return Status::NotFound("no column named '" + n + "'");
-    fields.push_back(schema_.field(i));
-    idx.push_back(i);
+    indices.push_back(static_cast<size_t>(i));
   }
-  Table out{Schema(std::move(fields))};
-  for (size_t c = 0; c < idx.size(); ++c) {
-    out.columns_[c] = columns_[idx[c]];
-  }
+  return ProjectIndices(indices);
+}
+
+Table Table::ProjectIndices(const std::vector<size_t>& indices) const {
+  Table out;
+  for (size_t i : indices) out.AddColumn(schema_.field(i).name, columns_[i]);
+  out.rows_ = num_rows();
   return out;
+}
+
+void Table::AddColumn(std::string name, Column column) {
+  schema_.AddField({std::move(name), column.type()});
+  columns_.push_back(std::move(column));
 }
 
 Status Table::AppendTable(const Table& other) {
@@ -82,6 +90,7 @@ Status Table::AppendTable(const Table& other) {
       TELEIOS_RETURN_IF_ERROR(columns_[c].Append(other.Get(r, c)));
     }
   }
+  if (columns_.empty()) rows_ += other.num_rows();
   return Status::OK();
 }
 

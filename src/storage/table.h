@@ -26,6 +26,7 @@ class Schema {
   const std::vector<Field>& fields() const { return fields_; }
   size_t num_fields() const { return fields_.size(); }
   const Field& field(size_t i) const { return fields_[i]; }
+  void AddField(Field field) { fields_.push_back(std::move(field)); }
 
   /// Index of `name`, or -1.
   int FieldIndex(const std::string& name) const;
@@ -37,6 +38,9 @@ class Schema {
 };
 
 /// A columnar table: a schema plus one Column per field, all equal length.
+/// A table with no columns still has a row count (an stSPARQL solution
+/// that binds no variable is one such row); Take, Project, AppendRow and
+/// AppendTable keep it.
 class Table {
  public:
   Table() = default;
@@ -44,7 +48,7 @@ class Table {
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const {
-    return columns_.empty() ? 0 : columns_[0].size();
+    return columns_.empty() ? rows_ : columns_[0].size();
   }
   size_t num_columns() const { return columns_.size(); }
 
@@ -64,8 +68,14 @@ class Table {
   /// New table with only the rows in `sel` (in order).
   Table Take(const SelectionVector& sel) const;
 
-  /// New table with only the named columns (projection).
+  /// New table with only the named columns (projection); the columns are
+  /// shared, not copied.
   Result<Table> Project(const std::vector<std::string>& names) const;
+  /// The same by column index.
+  Table ProjectIndices(const std::vector<size_t>& indices) const;
+
+  /// Appends `column` as a new field; it must hold num_rows() cells.
+  void AddColumn(std::string name, Column column);
 
   /// Appends all rows of `other`; schemas must match by type.
   Status AppendTable(const Table& other);
@@ -78,6 +88,7 @@ class Table {
  private:
   Schema schema_;
   std::vector<Column> columns_;
+  size_t rows_ = 0;  // the row count while there are no columns
 };
 
 using TablePtr = std::shared_ptr<Table>;

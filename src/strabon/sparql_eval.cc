@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <regex>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "relational/operators.h"
 #include "strabon/temporal.h"
 
 namespace teleios::strabon {
@@ -16,39 +16,13 @@ using rdf::kNoTerm;
 using rdf::Term;
 using rdf::TermId;
 using rdf::TriplePattern;
+using storage::Column;
+using storage::SelectionVector;
+using storage::Table;
 
-int SolutionSet::VarIndex(const std::string& name) const {
-  for (size_t i = 0; i < vars.size(); ++i) {
-    if (vars[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int SolutionSet::AddVar(const std::string& name) {
-  int idx = VarIndex(name);
-  if (idx >= 0) return idx;
-  vars.push_back(name);
-  for (auto& row : rows) row.push_back(kNoTerm);
-  return static_cast<int>(vars.size() - 1);
-}
-
-storage::Table SolutionSet::ToTable(const rdf::TermDictionary& dict) const {
-  std::vector<storage::Field> fields;
-  for (const std::string& v : vars) {
-    fields.push_back({v, storage::ColumnType::kString});
-  }
-  storage::Table out{storage::Schema(std::move(fields))};
-  for (const auto& row : rows) {
-    for (size_t c = 0; c < vars.size(); ++c) {
-      if (row[c] == kNoTerm) {
-        out.column(c).AppendNull();
-      } else {
-        out.column(c).AppendString(dict.At(row[c]).lexical);
-      }
-    }
-  }
-  return out;
-}
+/// Rows between polls of the cancellation token, and the smallest
+/// solution growth charged to the budget at once.
+constexpr size_t kPollRows = 1024;
 
 namespace {
 
@@ -63,6 +37,41 @@ bool IsDateTime(const Term& t) {
   return t.IsLiteral() && t.datatype == rdf::kXsdDateTime;
 }
 
+/// The SPARQL join of two solution sets on their shared variables (an
+/// unbound variable matches only unbound), a cross product when they share
+/// none: `left`'s columns, then `right`'s other ones. `optional` keeps
+/// every left row, with `right`'s variables unbound where nothing matched.
+Result<Table> JoinSolutions(const Table& left, const Table& right,
+                            bool optional) {
+  std::vector<std::string> shared;
+  std::vector<size_t> keep;
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    const std::string& var = left.schema().field(c).name;
+    if (right.schema().FieldIndex(var) >= 0) shared.push_back(var);
+    keep.push_back(c);
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    if (left.schema().FieldIndex(right.schema().field(c).name) < 0) {
+      keep.push_back(left.num_columns() + c);
+    }
+  }
+  TELEIOS_ASSIGN_OR_RETURN(
+      Table joined,
+      relational::HashJoin(left, right, shared, shared,
+                           optional ? relational::JoinType::kLeftOuter
+                                    : relational::JoinType::kInner));
+  Table out = joined.ProjectIndices(keep);
+  for (size_t c = left.num_columns(); optional && c < out.num_columns(); ++c) {
+    const Column& col = out.column(c);
+    std::vector<int64_t> ids = col.ints();
+    for (size_t r = 0; r < ids.size(); ++r) {
+      if (col.IsNull(r)) ids[r] = kNoTerm;
+    }
+    out.column(c) = Column::FromInts(std::move(ids));
+  }
+  return out;
+}
+
 /// Adds the variables `e` reads to `vars`, each once.
 void CollectVars(const SparqlExpr& e, std::vector<std::string>* vars) {
   if (e.kind == SparqlExprKind::kVar &&
@@ -73,6 +82,28 @@ void CollectVars(const SparqlExpr& e, std::vector<std::string>* vars) {
 }
 
 }  // namespace
+
+TermId Binding(const Table& solutions, const std::string& var, size_t row) {
+  int col = solutions.schema().FieldIndex(var);
+  if (col < 0) return kNoTerm;
+  return static_cast<TermId>(solutions.column(col).GetInt64(row));
+}
+
+Table WithVars(const Table& solutions, const std::vector<std::string>& vars) {
+  Table out = solutions.ProjectIndices({});
+  for (const std::string& var : vars) {
+    int col = solutions.schema().FieldIndex(var);
+    out.AddColumn(var, col >= 0 ? solutions.column(col)
+                                : Column::FromInts(std::vector<int64_t>(
+                                      solutions.num_rows(), kNoTerm)));
+  }
+  return out;
+}
+
+Status SparqlEvaluator::Poll(size_t row) const {
+  if (cancel_ == nullptr || row % kPollRows != 0) return Status::OK();
+  return cancel_->Check();
+}
 
 Result<bool> SparqlEvaluator::EffectiveBooleanValue(const Term& term) {
   if (!term.IsLiteral()) {
@@ -122,11 +153,11 @@ int SparqlEvaluator::CompareTerms(const Term& a, const Term& b) {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
-Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
+Result<Table> SparqlEvaluator::EvalBasicGraphPattern(
     const std::vector<TriplePatternAst>& triples,
     const std::vector<PushedFilter>& filters) {
-  SolutionSet solutions;
-  solutions.rows.push_back({});  // the empty solution
+  Table solutions;
+  TELEIOS_RETURN_IF_ERROR(solutions.AppendRow({}));  // the empty solution
 
   std::vector<const TriplePatternAst*> remaining;
   for (const auto& t : triples) remaining.push_back(&t);
@@ -190,17 +221,15 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
     const TriplePatternAst& pat = *remaining[best];
     remaining.erase(remaining.begin() + static_cast<long>(best));
 
-    // Resolve ground terms once; unknown ground term -> no matches.
-    auto resolve = [&](const PatternNode& n) -> std::optional<TermId> {
-      if (n.is_var) return std::nullopt;
-      TermId id = store_->dict().Lookup(n.term);
-      return id;  // kNoTerm if unknown
-    };
-    std::optional<TermId> gs = resolve(pat.s);
-    std::optional<TermId> gp = resolve(pat.p);
-    std::optional<TermId> go = resolve(pat.o);
-    bool impossible = (gs && *gs == kNoTerm) || (gp && *gp == kNoTerm) ||
-                      (go && *go == kNoTerm);
+    // Ground terms resolve once; an unknown one matches nothing.
+    const PatternNode* nodes[3] = {&pat.s, &pat.p, &pat.o};
+    std::optional<TermId> at[3];  // the positions a row's match fixes
+    bool impossible = false;
+    for (int k = 0; k < 3; ++k) {
+      if (nodes[k]->is_var) continue;
+      at[k] = store_->dict().Lookup(nodes[k]->term);
+      impossible = impossible || *at[k] == kNoTerm;
+    }
 
     // A restricted variable binds only the R-tree's candidates (ascending
     // ids). As the object under a bound predicate and an unbound subject,
@@ -212,7 +241,7 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
                 pat.s.is_var && !bound_vars.count(pat.s.var) &&
                 pat.s.var != restriction->var &&
                 !is_var(pat.p, restriction->var) &&
-                (gp || bound_vars.count(pat.p.var));
+                (at[1] || bound_vars.count(pat.p.var));
     std::vector<TermId> candidates;
     if (restriction != nullptr && restriction->partner.empty()) {
       obs::Count("teleios_strabon_rtree_probes_total");
@@ -220,33 +249,59 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
           restriction->Around(restriction->probe, index_->extent()));
     }
     int partner = restriction != nullptr && !restriction->partner.empty()
-                      ? solutions.VarIndex(restriction->partner)
+                      ? solutions.schema().FieldIndex(restriction->partner)
                       : -1;
 
-    // Ensure variable columns exist.
-    int si = pat.s.is_var ? solutions.AddVar(pat.s.var) : -1;
-    int pi = pat.p.is_var ? solutions.AddVar(pat.p.var) : -1;
-    int oi = pat.o.is_var ? solutions.AddVar(pat.o.var) : -1;
-    if (pat.s.is_var) bound_vars.insert(pat.s.var);
-    if (pat.p.is_var) bound_vars.insert(pat.p.var);
-    if (pat.o.is_var) bound_vars.insert(pat.o.var);
+    // Each variable position reads the column that binds it, or binds a new
+    // variable (the first position naming it supplies its value). A match
+    // must repeat a repeated variable's term (e.g. ?x ?p ?x), and a
+    // restricted variable takes only the R-tree's candidates.
+    const int64_t* bound_ids[3] = {nullptr, nullptr, nullptr};
+    int same_as[3] = {-1, -1, -1};
+    bool restricted[3] = {false, false, false};
+    std::vector<std::string> new_vars;
+    std::vector<int> new_pos;
+    for (int k = 0; k < 3; ++k) {
+      if (!nodes[k]->is_var) continue;
+      const std::string& var = nodes[k]->var;
+      for (int b = 0; b < k; ++b) {
+        if (nodes[b]->is_var && nodes[b]->var == var) same_as[k] = b;
+      }
+      restricted[k] =
+          restriction != nullptr && !seek && var == restriction->var;
+      int col = solutions.schema().FieldIndex(var);
+      if (col >= 0) {
+        bound_ids[k] = solutions.column(col).ints().data();
+      } else if (std::find(new_vars.begin(), new_vars.end(), var) ==
+                 new_vars.end()) {
+        new_vars.push_back(var);
+        new_pos.push_back(k);
+      }
+      bound_vars.insert(var);
+    }
 
-    std::vector<std::vector<TermId>> next_rows;
+    // The surviving parent row of every match, and the new variables'
+    // values; the growth is charged as it happens.
+    SelectionVector parents;
+    std::vector<std::vector<int64_t>> values(new_vars.size());
+    const size_t row_bytes =
+        sizeof(uint32_t) +
+        (solutions.num_columns() + new_vars.size()) * (sizeof(int64_t) + 1);
+    size_t polled = 0;  // output rows when the token was last polled
     std::vector<rdf::Triple> matches;  // one row's, reused across rows
-    for (const auto& row : solutions.rows) {
-      if (impossible) break;  // an unknown ground term matches nothing
-      TriplePattern query;
-      if (gs) query.s = *gs;
-      else if (row[si] != kNoTerm) query.s = row[si];
-      if (gp) query.p = *gp;
-      else if (row[pi] != kNoTerm) query.p = row[pi];
-      if (go) query.o = *go;
-      else if (row[oi] != kNoTerm) query.o = row[oi];
+    const size_t rows = impossible ? 0 : solutions.num_rows();
+    for (size_t r = 0; r < rows; ++r) {
+      TELEIOS_RETURN_IF_ERROR(Poll(r));
+      for (int k = 0; k < 3; ++k) {
+        if (bound_ids[k] != nullptr) at[k] = bound_ids[k][r];
+      }
+      TriplePattern query{at[0], at[1], at[2]};
 
       if (partner >= 0) {
         // Spatial join: the candidates near this row's partner geometry.
         ++probes;
-        auto g = cache_->Get(store_->dict().At(row[partner]));
+        auto g = cache_->Get(store_->dict().At(
+            static_cast<TermId>(solutions.column(partner).GetInt64(r))));
         candidates.clear();
         if (g.ok()) {
           candidates = index_->Query(
@@ -254,32 +309,6 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
         }
         probe_candidates += candidates.size();
       }
-      auto admits = [&](const PatternNode& n, TermId id) {
-        return seek || !is_var(n, restriction->var) ||
-               std::binary_search(candidates.begin(), candidates.end(), id);
-      };
-      auto extend = [&](const rdf::Triple& t) {
-        // Repeated-variable consistency (e.g. ?x ?p ?x).
-        if (si >= 0 && pi >= 0 && pat.s.var == pat.p.var && t.s != t.p) {
-          return;
-        }
-        if (si >= 0 && oi >= 0 && pat.s.var == pat.o.var && t.s != t.o) {
-          return;
-        }
-        if (pi >= 0 && oi >= 0 && pat.p.var == pat.o.var && t.p != t.o) {
-          return;
-        }
-        if (restriction != nullptr &&
-            !(admits(pat.s, t.s) && admits(pat.p, t.p) &&
-              admits(pat.o, t.o))) {
-          return;
-        }
-        std::vector<TermId> extended = row;
-        if (si >= 0) extended[si] = t.s;
-        if (pi >= 0) extended[pi] = t.p;
-        if (oi >= 0) extended[oi] = t.o;
-        next_rows.push_back(std::move(extended));
-      };
       matches.clear();
       if (seek) {
         for (TermId c : candidates) {
@@ -289,10 +318,43 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
       } else {
         store_->Match(query, &matches);
       }
-      for (const rdf::Triple& t : matches) extend(t);
+      for (const rdf::Triple& t : matches) {
+        const TermId v[3] = {t.s, t.p, t.o};
+        bool keep = true;
+        for (int k = 0; k < 3 && keep; ++k) {
+          keep = (same_as[k] < 0 || v[k] == v[same_as[k]]) &&
+                 (!restricted[k] || std::binary_search(candidates.begin(),
+                                                       candidates.end(), v[k]));
+        }
+        if (!keep) continue;
+        parents.push_back(static_cast<uint32_t>(r));
+        for (size_t j = 0; j < new_vars.size(); ++j) {
+          values[j].push_back(v[new_pos[j]]);
+        }
+      }
+      while (parents.size() * row_bytes > charged_) {
+        size_t more = std::max(charged_, kPollRows * row_bytes);
+        TELEIOS_ASSIGN_OR_RETURN(
+            governor::BudgetCharge charge,
+            governor::ChargeCurrent(more, "stsparql solutions"));
+        charges_.push_back(std::move(charge));
+        charged_ += more;
+      }
+      if (parents.size() >= polled + kPollRows) {
+        polled = parents.size();
+        if (cancel_ != nullptr) TELEIOS_RETURN_IF_ERROR(cancel_->Check());
+      }
     }
-    solutions.rows = std::move(next_rows);
-    rows_built_ += solutions.rows.size();
+    // A step that matched every row once, in order, keeps its columns.
+    bool each_once = parents.size() == solutions.num_rows();
+    for (size_t i = 0; each_once && i < parents.size(); ++i) {
+      each_once = parents[i] == i;
+    }
+    if (!each_once) solutions = solutions.Take(parents);
+    for (size_t j = 0; j < new_vars.size(); ++j) {
+      solutions.AddColumn(new_vars[j], Column::FromInts(std::move(values[j])));
+    }
+    rows_built_ += solutions.num_rows();
 
     // The FILTERs whose last variable this pattern bound.
     for (size_t f = 0; f < filters.size(); ++f) {
@@ -306,7 +368,7 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
       applied[f] = true;
       TELEIOS_RETURN_IF_ERROR(ApplyFilter(filters[f].expr, &solutions));
     }
-    if (solutions.rows.empty()) break;
+    if (solutions.num_rows() == 0) break;
   }
   if (probes > 0) {
     join_probes_ += probes;
@@ -318,82 +380,42 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
   return solutions;
 }
 
-Result<SolutionSet> SparqlEvaluator::Join(const SolutionSet& left,
-                                          const SolutionSet& right,
-                                          bool left_outer) {
-  // Shared variables.
-  std::vector<std::pair<int, int>> shared;
-  for (size_t i = 0; i < left.vars.size(); ++i) {
-    int j = right.VarIndex(left.vars[i]);
-    if (j >= 0) shared.emplace_back(static_cast<int>(i), j);
-  }
-  SolutionSet out;
-  out.vars = left.vars;
-  std::vector<int> right_extra;  // right columns not in left
-  for (size_t j = 0; j < right.vars.size(); ++j) {
-    if (left.VarIndex(right.vars[j]) < 0) {
-      right_extra.push_back(static_cast<int>(j));
-      out.vars.push_back(right.vars[j]);
-    }
-  }
-  // Hash the right side on shared vars.
-  std::unordered_map<std::string, std::vector<size_t>> index;
-  auto key_of_right = [&](size_t r) {
-    std::string key;
-    for (const auto& [li, rj] : shared) {
-      key += std::to_string(right.rows[r][rj]) + "|";
-    }
-    return key;
-  };
-  for (size_t r = 0; r < right.rows.size(); ++r) {
-    index[key_of_right(r)].push_back(r);
-  }
-  auto key_of_left = [&](size_t r) {
-    std::string key;
-    for (const auto& [li, rj] : shared) {
-      key += std::to_string(left.rows[r][li]) + "|";
-    }
-    return key;
-  };
-  for (size_t r = 0; r < left.rows.size(); ++r) {
-    const std::vector<size_t>* matches = nullptr;
-    auto it = index.find(key_of_left(r));
-    if (it != index.end()) matches = &it->second;
-    bool any = false;
-    if (matches) {
-      for (size_t rr : *matches) {
-        // Compatibility also requires unbound-side handling; with
-        // kNoTerm encoded in the key this is exact-match semantics,
-        // which suffices for our pattern shapes.
-        std::vector<TermId> row = left.rows[r];
-        for (int j : right_extra) row.push_back(right.rows[rr][j]);
-        out.rows.push_back(std::move(row));
-        any = true;
-      }
-    }
-    if (!any && left_outer) {
-      std::vector<TermId> row = left.rows[r];
-      row.resize(out.vars.size(), kNoTerm);
-      out.rows.push_back(std::move(row));
-    }
-  }
-  return out;
-}
-
 Status SparqlEvaluator::ApplyFilter(const SparqlExprPtr& filter,
-                                    SolutionSet* solutions) {
-  std::vector<std::vector<TermId>> kept;
-  for (size_t r = 0; r < solutions->rows.size(); ++r) {
+                                    Table* solutions) {
+  SelectionVector kept;
+  for (size_t r = 0; r < solutions->num_rows(); ++r) {
+    TELEIOS_RETURN_IF_ERROR(Poll(r));
     auto value = EvalExpr(filter, *solutions, r);
     if (!value.ok()) continue;  // evaluation error -> row dropped
     auto ebv = EffectiveBooleanValue(*value);
-    if (ebv.ok() && *ebv) kept.push_back(std::move(solutions->rows[r]));
+    if (ebv.ok() && *ebv) kept.push_back(static_cast<uint32_t>(r));
   }
-  solutions->rows = std::move(kept);
+  if (kept.size() < solutions->num_rows()) *solutions = solutions->Take(kept);
   return Status::OK();
 }
 
-Result<SolutionSet> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
+Status SparqlEvaluator::Bind(const std::string& var, const SparqlExprPtr& expr,
+                             Table* solutions) {
+  int col = solutions->schema().FieldIndex(var);
+  std::vector<int64_t> ids = col >= 0 ? solutions->column(col).ints()
+                                      : std::vector<int64_t>(
+                                            solutions->num_rows(), kNoTerm);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    TELEIOS_RETURN_IF_ERROR(Poll(r));
+    auto value = EvalExpr(expr, *solutions, r);
+    if (value.ok()) {
+      ids[r] = const_cast<rdf::TripleStore*>(store_)->dict().Intern(*value);
+    }
+  }
+  if (col >= 0) {
+    solutions->column(col) = Column::FromInts(std::move(ids));
+  } else {
+    solutions->AddColumn(var, Column::FromInts(std::move(ids)));
+  }
+  return Status::OK();
+}
+
+Result<Table> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
   // A FILTER over variables that the group's triple patterns all bind, and
   // no BIND reassigns, runs inside the BGP right after the last of them is
   // bound: the UNION and OPTIONAL joins keep each BGP row's bindings as
@@ -422,43 +444,31 @@ Result<SolutionSet> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
       last.push_back(f);
     }
   }
-  TELEIOS_ASSIGN_OR_RETURN(SolutionSet solutions,
+  TELEIOS_ASSIGN_OR_RETURN(Table solutions,
                            EvalBasicGraphPattern(group.triples, pushed));
   for (const UnionPattern& u : group.unions) {
-    TELEIOS_ASSIGN_OR_RETURN(SolutionSet lhs, EvalGroup(*u.left));
-    TELEIOS_ASSIGN_OR_RETURN(SolutionSet rhs, EvalGroup(*u.right));
-    // Union: same solution space; concatenate aligning variables.
-    SolutionSet merged;
-    merged.vars = lhs.vars;
-    for (const std::string& v : rhs.vars) merged.AddVar(v);
-    for (const auto& row : lhs.rows) {
-      std::vector<TermId> r = row;
-      r.resize(merged.vars.size(), kNoTerm);
-      merged.rows.push_back(std::move(r));
-    }
-    for (const auto& row : rhs.rows) {
-      std::vector<TermId> r(merged.vars.size(), kNoTerm);
-      for (size_t j = 0; j < rhs.vars.size(); ++j) {
-        r[static_cast<size_t>(merged.VarIndex(rhs.vars[j]))] = row[j];
+    TELEIOS_ASSIGN_OR_RETURN(Table lhs, EvalGroup(*u.left));
+    TELEIOS_ASSIGN_OR_RETURN(Table rhs, EvalGroup(*u.right));
+    // Both branches' rows over all their variables, the left's first; a
+    // variable only one branch binds is unbound in the other's rows.
+    std::vector<std::string> vars;
+    for (const Table* branch : {&lhs, &rhs}) {
+      for (const storage::Field& f : branch->schema().fields()) {
+        if (std::find(vars.begin(), vars.end(), f.name) == vars.end()) {
+          vars.push_back(f.name);
+        }
       }
-      merged.rows.push_back(std::move(r));
     }
-    TELEIOS_ASSIGN_OR_RETURN(solutions, Join(solutions, merged, false));
+    Table both = WithVars(lhs, vars);
+    TELEIOS_RETURN_IF_ERROR(both.AppendTable(WithVars(rhs, vars)));
+    TELEIOS_ASSIGN_OR_RETURN(solutions, JoinSolutions(solutions, both, false));
   }
   for (const GroupPattern& opt : group.optionals) {
-    TELEIOS_ASSIGN_OR_RETURN(SolutionSet rhs, EvalGroup(opt));
-    TELEIOS_ASSIGN_OR_RETURN(solutions, Join(solutions, rhs, true));
+    TELEIOS_ASSIGN_OR_RETURN(Table rhs, EvalGroup(opt));
+    TELEIOS_ASSIGN_OR_RETURN(solutions, JoinSolutions(solutions, rhs, true));
   }
   for (const BindClause& bind : group.binds) {
-    int col = solutions.AddVar(bind.var);
-    for (size_t r = 0; r < solutions.rows.size(); ++r) {
-      auto value = EvalExpr(bind.expr, solutions, r);
-      if (value.ok()) {
-        TermId id = const_cast<rdf::TripleStore*>(store_)->dict().Intern(
-            *value);
-        solutions.rows[r][col] = id;
-      }
-    }
+    TELEIOS_RETURN_IF_ERROR(Bind(bind.var, bind.expr, &solutions));
   }
   for (const SparqlExprPtr& filter : last) {
     TELEIOS_RETURN_IF_ERROR(ApplyFilter(filter, &solutions));
@@ -467,17 +477,16 @@ Result<SolutionSet> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
 }
 
 Result<Term> SparqlEvaluator::EvalExpr(const SparqlExprPtr& expr,
-                                       const SolutionSet& solutions,
-                                       size_t row) {
+                                       const Table& solutions, size_t row) {
   switch (expr->kind) {
     case SparqlExprKind::kTerm:
       return expr->term;
     case SparqlExprKind::kVar: {
-      int idx = solutions.VarIndex(expr->var);
-      if (idx < 0 || solutions.rows[row][idx] == kNoTerm) {
+      TermId id = Binding(solutions, expr->var, row);
+      if (id == kNoTerm) {
         return Status::NotFound("unbound variable ?" + expr->var);
       }
-      return store_->dict().At(solutions.rows[row][idx]);
+      return store_->dict().At(id);
     }
     case SparqlExprKind::kUnary: {
       if (expr->negate) {
@@ -587,9 +596,8 @@ Result<Term> SparqlEvaluator::EvalExpr(const SparqlExprPtr& expr,
             expr->args[0]->kind != SparqlExprKind::kVar) {
           return Status::InvalidArgument("BOUND expects a variable");
         }
-        int idx = solutions.VarIndex(expr->args[0]->var);
-        bool bound = idx >= 0 && solutions.rows[row][idx] != kNoTerm;
-        return Term::BooleanLiteral(bound);
+        return Term::BooleanLiteral(
+            Binding(solutions, expr->args[0]->var, row) != kNoTerm);
       }
       std::vector<Term> args;
       args.reserve(expr->args.size());

@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/status.h"
+#include "governor/memory_budget.h"
 #include "rdf/triple_store.h"
 #include "storage/table.h"
 #include "strabon/spatial_functions.h"
@@ -13,22 +15,15 @@
 
 namespace teleios::strabon {
 
-/// A set of SPARQL solutions: named variables, rows of term ids
-/// (rdf::kNoTerm = unbound).
-struct SolutionSet {
-  std::vector<std::string> vars;
-  std::vector<std::vector<rdf::TermId>> rows;
-
-  int VarIndex(const std::string& name) const;
-  /// Adds a variable column (unbound in existing rows); returns its index.
-  int AddVar(const std::string& name);
-
-  /// Pretty table: one VARCHAR column per variable, IRIs/literals printed
-  /// without angle brackets or quotes.
-  storage::Table ToTable(const rdf::TermDictionary& dict) const;
-};
-
-/// Evaluates group graph patterns against a triple store.
+/// Evaluates group graph patterns against a triple store. A set of
+/// solutions is a storage::Table of term ids: one BIGINT column per
+/// variable, named by it, with rdf::kNoTerm (an ordinary value, not NULL)
+/// where the variable is unbound, so that joins, DISTINCT and grouping on
+/// the relational kernels match unbound with unbound.
+///
+/// The evaluator polls the thread's cancellation token and charges the
+/// solutions its basic graph patterns build to the thread's memory
+/// budget; the charges last as long as the evaluator.
 class SparqlEvaluator {
  public:
   /// `store`, `geometry_cache` and `index` must outlive the evaluator.
@@ -36,9 +31,12 @@ class SparqlEvaluator {
   /// otherwise `index` must be refreshed for the store's current state.
   SparqlEvaluator(const rdf::TripleStore* store, GeometryCache* geometry_cache,
                   const SpatialIndex* index = nullptr)
-      : store_(store), cache_(geometry_cache), index_(index) {}
+      : store_(store),
+        cache_(geometry_cache),
+        index_(index),
+        cancel_(CurrentCancel()) {}
 
-  Result<SolutionSet> EvalGroup(const GroupPattern& group);
+  Result<storage::Table> EvalGroup(const GroupPattern& group);
 
   /// Rows the basic graph patterns built, summed over their steps.
   size_t rows_built() const { return rows_built_; }
@@ -50,7 +48,12 @@ class SparqlEvaluator {
   /// variables and type mismatches produce an error Status (which FILTER
   /// treats as false, per SPARQL semantics).
   Result<rdf::Term> EvalExpr(const SparqlExprPtr& expr,
-                             const SolutionSet& solutions, size_t row);
+                             const storage::Table& solutions, size_t row);
+
+  /// Binds `var` in every row to the interned value of `expr`; a row where
+  /// `expr` fails keeps its binding (unbound when `var` is new).
+  Status Bind(const std::string& var, const SparqlExprPtr& expr,
+              storage::Table* solutions);
 
   /// SPARQL effective boolean value of a term.
   static Result<bool> EffectiveBooleanValue(const rdf::Term& term);
@@ -67,20 +70,34 @@ class SparqlEvaluator {
     std::vector<std::string> vars;
   };
 
-  Result<SolutionSet> EvalBasicGraphPattern(
+  Result<storage::Table> EvalBasicGraphPattern(
       const std::vector<TriplePatternAst>& triples,
       const std::vector<PushedFilter>& filters);
-  Result<SolutionSet> Join(const SolutionSet& left, const SolutionSet& right,
-                           bool left_outer);
-  Status ApplyFilter(const SparqlExprPtr& filter, SolutionSet* solutions);
+  Status ApplyFilter(const SparqlExprPtr& filter, storage::Table* solutions);
+  /// Polls the cancellation token on every kPollRows-th row.
+  Status Poll(size_t row) const;
 
   const rdf::TripleStore* store_;
   GeometryCache* cache_;
   const SpatialIndex* index_;
+  const CancellationToken* cancel_;
+  /// The budget charged for the largest table a BGP step built, doubling
+  /// from kPollRows rows.
+  std::vector<governor::BudgetCharge> charges_;
+  size_t charged_ = 0;
   size_t rows_built_ = 0;
   size_t join_probes_ = 0;
   size_t join_candidates_ = 0;
 };
+
+/// The term id `solutions` binds `var` to in `row`; kNoTerm when unbound.
+rdf::TermId Binding(const storage::Table& solutions, const std::string& var,
+                    size_t row);
+
+/// `solutions` with exactly the columns `vars`, in that order (shared, not
+/// copied); a variable it lacks is unbound in every row.
+storage::Table WithVars(const storage::Table& solutions,
+                        const std::vector<std::string>& vars);
 
 }  // namespace teleios::strabon
 

@@ -1,13 +1,13 @@
 #include "strabon/strabon.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/strings.h"
 #include "io/filesystem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "relational/operators.h"
 
 namespace teleios::strabon {
 
@@ -15,6 +15,9 @@ using rdf::kNoTerm;
 using rdf::Term;
 using rdf::TermId;
 using rdf::Triple;
+using storage::Column;
+using storage::SelectionVector;
+using storage::Table;
 
 Result<size_t> Strabon::LoadTurtle(const std::string& text) {
   return rdf::ParseTurtle(text, &store_);
@@ -54,10 +57,13 @@ bool ContainsAggregateExpr(const SparqlExprPtr& e) {
 
 }  // namespace
 
-/// GROUP BY + aggregate projection over a solution set.
-static Result<SolutionSet> AggregateSolutions(
-    const SparqlQuery& query, const SolutionSet& solutions,
-    SparqlEvaluator* eval, rdf::TermDictionary* dict) {
+/// GROUP BY + aggregate projection over a solution set: the relational
+/// grouping kernel forms the groups, and each aggregate folds its group's
+/// values with SPARQL's term semantics.
+static Result<Table> AggregateSolutions(const SparqlQuery& query,
+                                        const Table& solutions,
+                                        SparqlEvaluator* eval,
+                                        rdf::TermDictionary* dict) {
   // Plain projected variables must be grouping variables.
   for (const std::string& v : query.variables) {
     if (std::find(query.group_by.begin(), query.group_by.end(), v) ==
@@ -66,120 +72,127 @@ static Result<SolutionSet> AggregateSolutions(
                                      " must appear in GROUP BY");
     }
   }
-  std::vector<int> group_cols;
+  // A grouping variable no solution binds is unbound in every row, so it
+  // splits no group.
+  std::vector<size_t> keys;
   for (const std::string& g : query.group_by) {
-    group_cols.push_back(solutions.VarIndex(g));
+    int col = solutions.schema().FieldIndex(g);
+    if (col >= 0) keys.push_back(static_cast<size_t>(col));
   }
-  // Group rows (a single global group when GROUP BY is absent).
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  std::vector<std::string> order;
-  for (size_t r = 0; r < solutions.rows.size(); ++r) {
-    std::string key;
-    for (int c : group_cols) {
-      key += std::to_string(c < 0 ? kNoTerm : solutions.rows[r][c]) + "|";
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      groups.emplace(key, std::vector<size_t>{r});
-      order.push_back(key);
-    } else {
-      it->second.push_back(r);
-    }
-  }
-  if (groups.empty() && query.group_by.empty()) {
-    groups.emplace("", std::vector<size_t>{});
-    order.push_back("");
+  TELEIOS_ASSIGN_OR_RETURN(relational::Grouping grouping,
+                           relational::GroupRows(solutions, keys));
+  // Without GROUP BY, no solutions still make one (empty) group.
+  size_t ngroups = grouping.first_rows.size();
+  if (ngroups == 0 && query.group_by.empty()) ngroups = 1;
+  std::vector<std::vector<uint32_t>> members(ngroups);  // ascending rows
+  for (size_t r = 0; r < grouping.group_of.size(); ++r) {
+    members[grouping.group_of[r]].push_back(static_cast<uint32_t>(r));
   }
 
-  SolutionSet out;
-  out.vars = query.variables;
-  for (const SparqlProjection& p : query.computed) out.vars.push_back(p.name);
-
-  for (const std::string& key : order) {
-    const std::vector<size_t>& members = groups.at(key);
-    std::vector<TermId> row;
-    for (const std::string& v : query.variables) {
-      int idx = solutions.VarIndex(v);
-      row.push_back(idx < 0 || members.empty() ? kNoTerm
-                                               : solutions.rows[members[0]][idx]);
+  // The value of a computed projection over a group's rows; kNoTerm when
+  // there is none.
+  auto fold = [&](const SparqlExprPtr& expr,
+                  const std::vector<uint32_t>& rows) -> Result<TermId> {
+    if (!IsAggregateCall(expr)) {
+      // Non-aggregate computed projection: evaluate on the group's first
+      // member (its value is constant over the group when it only uses
+      // grouping variables).
+      if (rows.empty()) return kNoTerm;
+      auto v = eval->EvalExpr(expr, solutions, rows[0]);
+      return v.ok() ? dict->Intern(*v) : kNoTerm;
     }
-    for (const SparqlProjection& p : query.computed) {
-      Term value;
-      if (IsAggregateCall(p.expr)) {
-        std::string fn = p.expr->function;
-        for (char& ch : fn) ch = static_cast<char>(std::tolower(ch));
-        if (fn == "count") {
-          int64_t n = 0;
-          if (p.expr->args.empty()) {
-            n = static_cast<int64_t>(members.size());
-          } else {
-            for (size_t r : members) {
-              if (eval->EvalExpr(p.expr->args[0], solutions, r).ok()) ++n;
-            }
-          }
-          value = Term::IntegerLiteral(n);
-        } else if (fn == "sum" || fn == "avg") {
-          if (p.expr->args.size() != 1) {
-            return Status::InvalidArgument(fn + " expects one argument");
-          }
-          double sum = 0;
-          int64_t n = 0;
-          for (size_t r : members) {
-            auto v = eval->EvalExpr(p.expr->args[0], solutions, r);
-            if (!v.ok()) continue;
-            auto d = ParseDouble(v->lexical);
-            if (!d.ok()) continue;
-            sum += *d;
-            ++n;
-          }
-          if (fn == "avg" && n > 0) sum /= static_cast<double>(n);
-          value = Term::DoubleLiteral(sum);
-        } else {  // min / max
-          if (p.expr->args.size() != 1) {
-            return Status::InvalidArgument(fn + " expects one argument");
-          }
-          bool seen = false;
-          Term best;
-          for (size_t r : members) {
-            auto v = eval->EvalExpr(p.expr->args[0], solutions, r);
-            if (!v.ok()) continue;
-            if (!seen) {
-              best = *v;
-              seen = true;
-              continue;
-            }
-            int c = SparqlEvaluator::CompareTerms(*v, best);
-            if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = *v;
-          }
-          if (!seen) {
-            row.push_back(kNoTerm);
-            continue;
-          }
-          value = best;
-        }
+    std::string fn = StrLower(expr->function);
+    if (fn == "count") {
+      int64_t n = 0;
+      if (expr->args.empty()) {
+        n = static_cast<int64_t>(rows.size());
       } else {
-        // Non-aggregate computed projection: evaluate on the group's
-        // first member (its value is constant over the group when it
-        // only uses grouping variables).
-        if (members.empty()) {
-          row.push_back(kNoTerm);
-          continue;
+        for (uint32_t r : rows) {
+          if (eval->EvalExpr(expr->args[0], solutions, r).ok()) ++n;
         }
-        auto v = eval->EvalExpr(p.expr, solutions, members[0]);
-        if (!v.ok()) {
-          row.push_back(kNoTerm);
-          continue;
-        }
-        value = *v;
       }
-      row.push_back(dict->Intern(value));
+      return dict->Intern(Term::IntegerLiteral(n));
     }
-    out.rows.push_back(std::move(row));
+    if (expr->args.size() != 1) {
+      return Status::InvalidArgument(fn + " expects one argument");
+    }
+    if (fn == "sum" || fn == "avg") {
+      double sum = 0;
+      int64_t n = 0;
+      for (uint32_t r : rows) {
+        auto v = eval->EvalExpr(expr->args[0], solutions, r);
+        if (!v.ok()) continue;
+        auto d = ParseDouble(v->lexical);
+        if (!d.ok()) continue;
+        sum += *d;
+        ++n;
+      }
+      if (fn == "avg" && n > 0) sum /= static_cast<double>(n);
+      return dict->Intern(Term::DoubleLiteral(sum));
+    }
+    // min / max
+    bool seen = false;
+    Term best;
+    for (uint32_t r : rows) {
+      auto v = eval->EvalExpr(expr->args[0], solutions, r);
+      if (!v.ok()) continue;
+      int cmp = seen ? SparqlEvaluator::CompareTerms(*v, best) : 0;
+      if (!seen || (fn == "min" && cmp < 0) || (fn == "max" && cmp > 0)) {
+        best = std::move(*v);
+        seen = true;
+      }
+    }
+    return seen ? dict->Intern(best) : kNoTerm;
+  };
+
+  const size_t nvars = query.variables.size();
+  std::vector<std::vector<int64_t>> columns(
+      nvars + query.computed.size(), std::vector<int64_t>(ngroups, kNoTerm));
+  for (size_t g = 0; g < ngroups; ++g) {
+    const std::vector<uint32_t>& rows = members[g];
+    for (size_t v = 0; v < nvars && !rows.empty(); ++v) {
+      columns[v][g] = Binding(solutions, query.variables[v], rows[0]);
+    }
+    for (size_t c = 0; c < query.computed.size(); ++c) {
+      TELEIOS_ASSIGN_OR_RETURN(columns[nvars + c][g],
+                               fold(query.computed[c].expr, rows));
+    }
+  }
+
+  Table out = Table().Take(SelectionVector(ngroups));  // one row per group
+  for (size_t c = 0; c < columns.size(); ++c) {
+    out.AddColumn(c < nvars ? query.variables[c]
+                            : query.computed[c - nvars].name,
+                  Column::FromInts(std::move(columns[c])));
   }
   return out;
 }
 
-Result<SolutionSet> Strabon::RunQuery(const SparqlQuery& query) {
+/// The printable form of a solution table: one VARCHAR column per
+/// variable, IRIs and literals by their lexical form (no angle brackets or
+/// quotes), NULL where unbound.
+static Table LexicalTable(const Table& solutions,
+                          const rdf::TermDictionary& dict) {
+  std::vector<storage::Field> fields;
+  for (const storage::Field& f : solutions.schema().fields()) {
+    fields.push_back({f.name, storage::ColumnType::kString});
+  }
+  Table out{storage::Schema(std::move(fields))};
+  for (size_t c = 0; c < solutions.num_columns(); ++c) {
+    const std::vector<int64_t>& ids = solutions.column(c).ints();
+    Column& column = out.column(c);
+    for (int64_t id : ids) {
+      if (id == kNoTerm) {
+        column.AppendNull();
+      } else {
+        column.AppendString(dict.At(static_cast<TermId>(id)).lexical);
+      }
+    }
+  }
+  return out;
+}
+
+Result<Table> Strabon::RunQuery(const SparqlQuery& query) {
   const SpatialIndex* index = nullptr;
   {
     obs::TraceSpan plan_span("plan");
@@ -188,11 +201,11 @@ Result<SolutionSet> Strabon::RunQuery(const SparqlQuery& query) {
   }
   obs::TraceSpan exec_span("execute");
   SparqlEvaluator eval(&store_, &cache_, index);
-  SolutionSet solutions;
+  Table solutions;
   {
     obs::TraceSpan match_span("match");
     TELEIOS_ASSIGN_OR_RETURN(solutions, eval.EvalGroup(query.where));
-    match_span.SetAttr("solutions", std::to_string(solutions.rows.size()));
+    match_span.SetAttr("solutions", std::to_string(solutions.num_rows()));
     match_span.SetAttr("bgp_rows", std::to_string(eval.rows_built()));
     if (eval.join_probes() > 0) {
       match_span.SetAttr("spatial_join_probes",
@@ -209,100 +222,65 @@ Result<SolutionSet> Strabon::RunQuery(const SparqlQuery& query) {
   for (const SparqlProjection& p : query.computed) {
     if (ContainsAggregateExpr(p.expr)) has_aggregate = true;
   }
-  bool already_projected = false;
   if (has_aggregate) {
     obs::TraceSpan agg_span("aggregate");
     TELEIOS_ASSIGN_OR_RETURN(
         solutions,
         AggregateSolutions(query, solutions, &eval, &store_.dict()));
-    agg_span.SetAttr("groups", std::to_string(solutions.rows.size()));
-    already_projected = true;
-  } else if (!query.computed.empty()) {
+    agg_span.SetAttr("groups", std::to_string(solutions.num_rows()));
+  } else {
     // Row-wise computed projections (BIND-like).
     for (const SparqlProjection& p : query.computed) {
-      int col = solutions.AddVar(p.name);
-      for (size_t r = 0; r < solutions.rows.size(); ++r) {
-        auto v = eval.EvalExpr(p.expr, solutions, r);
-        if (v.ok()) solutions.rows[r][col] = store_.dict().Intern(*v);
-      }
+      TELEIOS_RETURN_IF_ERROR(eval.Bind(p.name, p.expr, &solutions));
     }
   }
 
-  // ORDER BY.
+  // ORDER BY: a stable sort of row ids under SPARQL term order, applied
+  // with one gather.
   if (!query.order_by.empty()) {
     obs::TraceSpan sort_span("sort");
-    std::vector<size_t> order(solutions.rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    // Pre-evaluate keys.
-    std::vector<std::vector<Term>> keys(solutions.rows.size());
-    for (size_t r = 0; r < solutions.rows.size(); ++r) {
-      for (const SparqlOrderKey& k : query.order_by) {
-        auto v = eval.EvalExpr(k.expr, solutions, r);
-        keys[r].push_back(v.ok() ? *v : Term());
+    const size_t n = solutions.num_rows();
+    const size_t nkeys = query.order_by.size();
+    std::vector<Term> keys(n * nkeys);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t k = 0; k < nkeys; ++k) {
+        auto v = eval.EvalExpr(query.order_by[k].expr, solutions, r);
+        if (v.ok()) keys[r * nkeys + k] = std::move(*v);
       }
     }
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < query.order_by.size(); ++k) {
-        int c = SparqlEvaluator::CompareTerms(keys[a][k], keys[b][k]);
+    SelectionVector order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      for (size_t k = 0; k < nkeys; ++k) {
+        int c = SparqlEvaluator::CompareTerms(keys[a * nkeys + k],
+                                              keys[b * nkeys + k]);
         if (c != 0) return query.order_by[k].descending ? c > 0 : c < 0;
       }
       return false;
     });
-    std::vector<std::vector<TermId>> sorted;
-    sorted.reserve(order.size());
-    for (size_t i : order) sorted.push_back(std::move(solutions.rows[i]));
-    solutions.rows = std::move(sorted);
+    solutions = solutions.Take(order);
   }
 
   // Projection (aggregation above already projects).
-  if (!already_projected &&
+  if (!has_aggregate &&
       (!query.variables.empty() || !query.computed.empty())) {
-    SolutionSet projected;
-    projected.vars = query.variables;
-    for (const SparqlProjection& p : query.computed) {
-      projected.vars.push_back(p.name);
-    }
-    std::vector<int> idx;
-    for (const std::string& v : projected.vars) {
-      idx.push_back(solutions.VarIndex(v));
-    }
-    for (const auto& row : solutions.rows) {
-      std::vector<TermId> r;
-      r.reserve(idx.size());
-      for (int i : idx) r.push_back(i < 0 ? kNoTerm : row[i]);
-      projected.rows.push_back(std::move(r));
-    }
-    solutions = std::move(projected);
+    std::vector<std::string> vars = query.variables;
+    for (const SparqlProjection& p : query.computed) vars.push_back(p.name);
+    solutions = WithVars(solutions, vars);
   }
-
   if (query.distinct) {
-    std::unordered_set<std::string> seen;
-    std::vector<std::vector<TermId>> unique;
-    for (auto& row : solutions.rows) {
-      std::string key;
-      for (TermId id : row) key += std::to_string(id) + "|";
-      if (seen.insert(key).second) unique.push_back(std::move(row));
-    }
-    solutions.rows = std::move(unique);
+    TELEIOS_ASSIGN_OR_RETURN(solutions, relational::Distinct(solutions));
   }
-
-  // OFFSET / LIMIT.
   if (query.offset > 0 || query.limit >= 0) {
-    size_t begin = std::min(static_cast<size_t>(query.offset),
-                            solutions.rows.size());
-    size_t end = solutions.rows.size();
-    if (query.limit >= 0) {
-      end = std::min(end, begin + static_cast<size_t>(query.limit));
-    }
-    std::vector<std::vector<TermId>> window(
-        solutions.rows.begin() + static_cast<long>(begin),
-        solutions.rows.begin() + static_cast<long>(end));
-    solutions.rows = std::move(window);
+    solutions = relational::Limit(
+        solutions,
+        query.limit >= 0 ? static_cast<size_t>(query.limit) : SIZE_MAX,
+        static_cast<size_t>(query.offset));
   }
   return solutions;
 }
 
-Result<SolutionSet> Strabon::Select(const std::string& sparql) {
+Result<Table> Strabon::Select(const std::string& sparql) {
   SparqlStatement stmt;
   {
     obs::TraceSpan parse_span("parse");
@@ -315,41 +293,36 @@ Result<SolutionSet> Strabon::Select(const std::string& sparql) {
   return RunQuery(*query);
 }
 
-Result<storage::Table> Strabon::Query(const std::string& sparql) {
+Result<Table> Strabon::Query(const std::string& sparql) {
   obs::Count("teleios_strabon_queries_total");
   obs::TraceSpan query_span("sparql.query",
                             obs::MetricsRegistry::Global().GetHistogram(
                                 "teleios_strabon_query_millis"));
-  Result<SolutionSet> solutions = Select(sparql);
+  Result<Table> solutions = Select(sparql);
   if (!solutions.ok()) {
     obs::Count(obs::WithLabel("teleios_strabon_errors_total", "code",
                               StatusCodeName(solutions.status().code())));
     return solutions.status();
   }
-  obs::Count("teleios_strabon_result_rows_total", solutions->rows.size());
-  return solutions->ToTable(store_.dict());
+  obs::Count("teleios_strabon_result_rows_total", solutions->num_rows());
+  return LexicalTable(*solutions, store_.dict());
 }
 
 Result<bool> Strabon::Ask(const std::string& sparql) {
-  TELEIOS_ASSIGN_OR_RETURN(SolutionSet solutions, Select(sparql));
-  return !solutions.rows.empty();
+  TELEIOS_ASSIGN_OR_RETURN(Table solutions, Select(sparql));
+  return solutions.num_rows() > 0;
 }
 
 namespace {
 
 /// Instantiates a template triple for one solution; false when a variable
 /// is unbound (the instantiation is skipped, per SPARQL Update).
-bool Instantiate(const TriplePatternAst& tmpl, const SolutionSet& solutions,
+bool Instantiate(const TriplePatternAst& tmpl, const Table& solutions,
                  size_t row, rdf::TripleStore* store, Triple* out) {
   auto resolve = [&](const PatternNode& n, TermId* id) {
-    if (!n.is_var) {
-      *id = store->dict().Intern(n.term);
-      return true;
-    }
-    int idx = solutions.VarIndex(n.var);
-    if (idx < 0 || solutions.rows[row][idx] == kNoTerm) return false;
-    *id = solutions.rows[row][idx];
-    return true;
+    *id = n.is_var ? Binding(solutions, n.var, row)
+                   : store->dict().Intern(n.term);
+    return *id != kNoTerm;
   };
   return resolve(tmpl.s, &out->s) && resolve(tmpl.p, &out->p) &&
          resolve(tmpl.o, &out->o);
@@ -389,11 +362,10 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
     case SparqlUpdate::Kind::kModify:
     case SparqlUpdate::Kind::kDeleteWhere: {
       SparqlEvaluator eval(&store_, &cache_, IndexFor(update.where));
-      TELEIOS_ASSIGN_OR_RETURN(SolutionSet solutions,
-                               eval.EvalGroup(update.where));
+      TELEIOS_ASSIGN_OR_RETURN(Table solutions, eval.EvalGroup(update.where));
       std::vector<Triple> to_delete;
       std::vector<Triple> to_insert;
-      for (size_t r = 0; r < solutions.rows.size(); ++r) {
+      for (size_t r = 0; r < solutions.num_rows(); ++r) {
         for (const TriplePatternAst& t : update.delete_templates) {
           Triple triple;
           if (Instantiate(t, solutions, r, &store_, &triple)) {

@@ -1,7 +1,6 @@
 #ifndef TELEIOS_STRABON_STRABON_H_
 #define TELEIOS_STRABON_STRABON_H_
 
-#include <map>
 #include <string>
 
 #include "common/status.h"
@@ -31,8 +30,9 @@ class Strabon {
   /// Adds one triple directly.
   void Add(const rdf::Term& s, const rdf::Term& p, const rdf::Term& o);
 
-  /// Executes a SELECT/ASK, returning the solutions.
-  Result<SolutionSet> Select(const std::string& sparql);
+  /// Executes a SELECT/ASK, returning the solutions: one BIGINT column of
+  /// term ids per projected variable, rdf::kNoTerm where it is unbound.
+  Result<storage::Table> Select(const std::string& sparql);
 
   /// Executes a SELECT/ASK, returning a printable table (ASK yields a
   /// single boolean-ish row).
@@ -64,7 +64,7 @@ class Strabon {
   Status SaveTurtleFile(const std::string& path) const;
 
  private:
-  Result<SolutionSet> RunQuery(const SparqlQuery& query);
+  Result<storage::Table> RunQuery(const SparqlQuery& query);
   Result<size_t> RunUpdate(const SparqlUpdate& update);
 
   /// The spatial index, refreshed, for evaluating `where`; null when the

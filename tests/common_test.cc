@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "common/fault_program.h"
@@ -75,6 +76,35 @@ Result<int> HelperReturnsEarly(bool fail) {
 TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(*HelperReturnsEarly(false), 8);
   EXPECT_FALSE(HelperReturnsEarly(true).ok());
+}
+
+TEST(StringsTest, EnvNumberGrammar) {
+  const char* kVar = "TELEIOS_ENV_NUMBER_TEST";
+  struct Case {
+    const char* value;  // nullptr = unset
+    uint64_t expected;
+  };
+  const Case cases[] = {
+      {nullptr, 7},  {"", 7},           {"0", 0},
+      {"42", 42},    {"64k", 64 << 10}, {"64K", 64 << 10},
+      {"3m", 3 << 20}, {"3M", 3 << 20}, {"2g", uint64_t{2} << 30},
+      {"2G", uint64_t{2} << 30},
+      // Anything else keeps the default.
+      {"64mb", 7},   {"64x", 7},        {"k", 7},
+      {"-5", 7},     {" 5", 7},         {"5 ", 7},
+      {"+5", 7},     {"1.5m", 7},       {"99999999999999999999", 7},
+      {"17179869184g", 7},
+  };
+  for (const Case& c : cases) {
+    if (c.value == nullptr) {
+      ::unsetenv(kVar);
+    } else {
+      ::setenv(kVar, c.value, 1);
+    }
+    EXPECT_EQ(EnvNumber(kVar, 7), c.expected)
+        << (c.value == nullptr ? "(unset)" : c.value);
+  }
+  ::unsetenv(kVar);
 }
 
 TEST(StringsTest, Split) {

@@ -180,7 +180,7 @@ TEST(ProductTest, RegisterRowAndTriples) {
       "SELECT ?p WHERE { ?p a noa:Product ; noa:hasProcessingLevel \"L2\" ; "
       "noa:wasDerivedFrom ?parent . }");
   ASSERT_TRUE(found.ok()) << found.status().ToString();
-  EXPECT_EQ(found->rows.size(), 1u);
+  EXPECT_EQ(found->num_rows(), 1u);
 }
 
 TEST(OntologyTest, ParsesAndHasClasses) {

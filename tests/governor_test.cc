@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -815,6 +816,219 @@ TEST_F(GovernedObservatoryTest, OverloadEndToEnd) {
               baseline->hotspots[i].confidence)
         << "hotspot " << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// SQL DISTINCT and stSPARQL under the governor
+// ---------------------------------------------------------------------
+
+TEST(GovernedEngineTest, SqlDistinctIsChargedToTheBudget) {
+  core::VirtualEarthObservatory veo;
+  auto table = std::make_shared<storage::Table>(
+      storage::Schema({{"id", storage::ColumnType::kInt64}}));
+  for (int64_t i = 0; i < 200000; ++i) table->column(0).AppendInt64(i);
+  ASSERT_TRUE(veo.catalog().CreateTable("t", table).ok());
+  MemoryBudget budget("distinct-256k", 256u << 10);
+  Result<storage::Table> refused = [&] {
+    ScopedBudget scope(&budget);
+    return veo.Sql("SELECT DISTINCT id FROM t");
+  }();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status().ToString();
+  EXPECT_EQ(budget.used(), 0u);
+  auto unlimited = veo.Sql("SELECT DISTINCT id FROM t");
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  EXPECT_EQ(unlimited->num_rows(), 200000u);
+}
+
+/// A store of 1,500 `ex:p` triples and a query whose two patterns share no
+/// variable: its basic graph pattern builds 1,500 x 1,500 solutions before
+/// LIMIT keeps three. Runs that mean to finish use `roomy_`, a budget of
+/// their own, so a tight process budget starves only the refusal tests.
+class StSparqlGovernanceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string ttl = "@prefix ex: <http://example.org/> .\n";
+    for (int i = 0; i < 1500; ++i) {
+      ttl += "ex:a" + std::to_string(i) + " ex:p ex:b" + std::to_string(i) +
+             " .\n";
+    }
+    ASSERT_TRUE(veo_.LoadLinkedData(ttl).ok());
+  }
+
+  static constexpr const char* kCartesian =
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?a ?d WHERE { ?a ex:p ?b . ?c ex:p ?d } LIMIT 3";
+
+  MemoryBudget roomy_{"stsparql-roomy", MemoryBudget::kUnlimited};
+  core::VirtualEarthObservatory veo_;
+};
+
+TEST_F(StSparqlGovernanceTest, CancelledTokenStopsTheQuery) {
+  CancellationToken token;
+  token.Cancel();
+  auto stopped = veo_.StSparql(kCartesian, &token);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+  ScopedBudget scope(&roomy_);
+  auto answered = veo_.StSparql(kCartesian);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->num_rows(), 3u);
+}
+
+TEST_F(StSparqlGovernanceTest, ExpiredDeadlineStopsTheQuery) {
+  CancellationToken token;
+  token.SetDeadline(std::chrono::steady_clock::now());
+  auto stopped = veo_.StSparql(kCartesian, &token);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(StSparqlGovernanceTest, KillQueryStopsTheQueryFromAnotherThread) {
+  Result<storage::Table> victim = Status::Internal("never ran");
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    ScopedBudget scope(&roomy_);
+    victim = veo_.StSparql(kCartesian);
+    done = true;
+  });
+  bool killed = false;
+  while (!done && !killed) {
+    auto active = veo_.Sql("SELECT id, statement, state FROM sys.queries");
+    ASSERT_TRUE(active.ok()) << active.status().ToString();
+    for (size_t r = 0; r < active->num_rows() && !killed; ++r) {
+      if (active->Get(r, 1).AsString().find("ex:p ?d") != std::string::npos &&
+          active->Get(r, 2).AsString() == "running") {
+        killed = veo_
+                     .KillQuery(
+                         static_cast<uint64_t>(active->Get(r, 0).AsInt64()))
+                     .ok();
+      }
+    }
+    if (!killed) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  worker.join();
+  ASSERT_TRUE(killed) << "the query finished before it could be killed";
+  ASSERT_FALSE(victim.ok());
+  EXPECT_EQ(victim.status().code(), StatusCode::kCancelled)
+      << victim.status().ToString();
+}
+
+TEST_F(StSparqlGovernanceTest, TinyBudgetRefusesTheQuery) {
+  MemoryBudget budget("stsparql-1mib", 1u << 20);
+  Result<storage::Table> refused = [&] {
+    ScopedBudget scope(&budget);
+    return veo_.StSparql(kCartesian);
+  }();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status().ToString();
+  EXPECT_EQ(budget.used(), 0u);
+  EXPECT_GT(budget.peak(), 0u);
+}
+
+TEST_F(StSparqlGovernanceTest, OomInjectionSweepNeverCrashesOrLeaks) {
+  // Headline-shaped: a BGP with a pushed FILTER, an R-tree spatial join,
+  // DISTINCT and ORDER BY.
+  std::string ttl =
+      "@prefix ex: <http://example.org/> .\n"
+      "@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .\n";
+  for (int i = 0; i < 60; ++i) {
+    ttl += "ex:h" + std::to_string(i) + " a ex:Hotspot ; ex:conf " +
+           std::to_string(i % 10) + " ; ex:geom \"POINT (" +
+           std::to_string(i % 12) + " " + std::to_string(i / 12) +
+           ")\"^^strdf:WKT .\n";
+  }
+  for (int i = 0; i < 8; ++i) {
+    ttl += "ex:site" + std::to_string(i) + " a ex:Site ; ex:geom \"POINT (" +
+           std::to_string(i * 1.5) + " 2)\"^^strdf:WKT .\n";
+  }
+  ASSERT_TRUE(veo_.LoadLinkedData(ttl).ok());
+  const std::string query =
+      "PREFIX ex: <http://example.org/> "
+      "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#> "
+      "SELECT DISTINCT ?site ?h WHERE { "
+      "?h a ex:Hotspot ; ex:conf ?c ; ex:geom ?hg . "
+      "?site a ex:Site ; ex:geom ?sg . "
+      "FILTER(?c > 2) FILTER(strdf:distance(?hg, ?sg) < 2) } "
+      "ORDER BY ?site ?h";
+  MemoryBudget root("sweep-root", MemoryBudget::kUnlimited);
+  FaultInjectingBudget injector(&root);
+  ScopedBudget scope(&injector);
+
+  auto baseline = veo_.StSparql(query);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ASSERT_GT(baseline->num_rows(), 0u);
+  uint64_t reservations = injector.reservations();
+  ASSERT_GT(reservations, 0u) << "query must exercise budget charges";
+  std::cout << "[sweep] " << reservations << " reservations\n";
+
+  for (uint64_t k = 1; k <= reservations; ++k) {
+    BudgetFaultSpec spec;
+    spec.inject_at = k;
+    injector.Arm(spec);
+    auto starved = veo_.StSparql(query);
+    ASSERT_FALSE(starved.ok()) << "k=" << k;
+    EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted)
+        << "k=" << k << ": " << starved.status().ToString();
+    EXPECT_EQ(root.used(), 0u) << "k=" << k;
+    EXPECT_EQ(injector.used(), 0u) << "k=" << k;
+  }
+
+  injector.Disarm();
+  auto recovered = veo_.StSparql(query);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->ToString(1000), baseline->ToString(1000));
+}
+
+/// The store's triples as sorted N-Triples lines.
+std::vector<std::string> SortedTriples(const strabon::Strabon& store) {
+  std::vector<std::string> lines;
+  const auto& dict = store.store().dict();
+  for (const rdf::Triple& t : store.store().Match(rdf::TriplePattern{})) {
+    lines.push_back(dict.At(t.s).ToNTriples() + " " +
+                    dict.At(t.p).ToNTriples() + " " +
+                    dict.At(t.o).ToNTriples());
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(StSparqlCommitTest, LoggedUpdateAppliesUnderATinySessionBudget) {
+  // Once the WAL has synced an update, the live store must apply it: a
+  // budget refusal there would leave the log holding a mutation the live
+  // store never made.
+  const stdfs::path dir = stdfs::temp_directory_path() /
+                          ("stsparql_commit_" + std::to_string(::getpid()));
+  const stdfs::path copy = dir.string() + "_copy";
+  stdfs::remove_all(dir);
+  stdfs::remove_all(copy);
+  core::VirtualEarthObservatory live;
+  core::DurabilityOptions options;
+  options.checkpoint_bytes = 0;
+  ASSERT_TRUE(live.Open(dir.string(), options).ok());
+  ASSERT_TRUE(live.StSparqlUpdate("PREFIX ex: <http://example.org/> "
+                                  "INSERT DATA { ex:a ex:p ex:b . "
+                                  "ex:c ex:p ex:d . ex:e ex:p ex:f }")
+                  .ok());
+  MemoryBudget tiny("tiny", 16);
+  {
+    ScopedBudget scope(&tiny);
+    auto moved = live.StSparqlUpdate(
+        "PREFIX ex: <http://example.org/> "
+        "DELETE { ?s ex:p ?o } INSERT { ?s ex:q ?o } WHERE { ?s ex:p ?o }");
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_EQ(*moved, 6u);
+  }
+  EXPECT_EQ(tiny.used(), 0u);
+
+  stdfs::copy(dir, copy, stdfs::copy_options::recursive);
+  core::VirtualEarthObservatory reopened;
+  ASSERT_TRUE(reopened.Open(copy.string()).ok());
+  EXPECT_EQ(SortedTriples(reopened.strabon()), SortedTriples(live.strabon()));
+  stdfs::remove_all(copy);
+  stdfs::remove_all(dir);
 }
 
 }  // namespace

@@ -212,7 +212,7 @@ TEST(AnnotationTest, PublishesToStrabon) {
       "SELECT ?p ?c WHERE { ?p a noa:Patch ; noa:hasConcept ?c ; "
       "noa:derivedFromProduct ?prod }");
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->rows.size(), annotations->size());
+  EXPECT_EQ(found->num_rows(), annotations->size());
 }
 
 TEST(AnnotationServiceTest, InteractiveCorrectionPropagates) {
@@ -275,7 +275,7 @@ TEST(AnnotationServiceTest, RepublishReplacesOldAnnotations) {
   auto count = strabon.Select(
       "SELECT (count(*) AS ?n) WHERE { ?p a noa:Patch }");
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(strabon.store().dict().At(count->rows[0][0]).lexical,
+  EXPECT_EQ(strabon.store().dict().At(count->column(0).GetInt64(0)).lexical,
             std::to_string(patches.size()));
   EXPECT_GE(strabon.size(), first);
 }

@@ -175,7 +175,7 @@ TEST_F(ChainTest, EndToEndRun) {
   auto found = strabon_.Select(
       "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g }");
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->rows.size(), result->hotspots.size());
+  EXPECT_EQ(found->num_rows(), result->hotspots.size());
 }
 
 TEST_F(ChainTest, MatchesTheSceneOracle) {
@@ -218,7 +218,7 @@ TEST_F(ChainTest, HotspotsCarryValidTimePeriods) {
       "FILTER(strdf:during(?vt, \"[2007-08-25T00:00:00, "
       "2007-08-25T23:59:59]\"^^strdf:period)) }");
   ASSERT_TRUE(found.ok()) << found.status().ToString();
-  EXPECT_EQ(found->rows.size(), result->hotspots.size());
+  EXPECT_EQ(found->num_rows(), result->hotspots.size());
 }
 
 TEST_F(ChainTest, AggregateHotspotsPerProduct) {
@@ -236,11 +236,11 @@ TEST_F(ChainTest, AggregateHotspotsPerProduct) {
       "SELECT ?p (count(*) AS ?n) WHERE { ?h a noa:Hotspot ; "
       "noa:derivedFromProduct ?p } GROUP BY ?p ORDER BY ?p");
   ASSERT_TRUE(counts.ok()) << counts.status().ToString();
-  ASSERT_EQ(counts->rows.size(), 2u);
+  ASSERT_EQ(counts->num_rows(), 2u);
   const auto& dict = strabon_.store().dict();
   int64_t total = 0;
-  for (const auto& row : counts->rows) {
-    total += std::stoll(dict.At(row[1]).lexical);
+  for (size_t row = 0; row < counts->num_rows(); ++row) {
+    total += std::stoll(dict.At(counts->column(1).GetInt64(row)).lexical);
   }
   EXPECT_EQ(total, static_cast<int64_t>(ra->hotspots.size() +
                                         rb->hotspots.size()));
@@ -485,7 +485,7 @@ TEST_F(ChainTest, BurnedAreaAggregatesWindow) {
       "SELECT ?b ?p WHERE { ?b a noa:BurnedArea ; noa:hasValidTime ?vt ; "
       "noa:derivedFromProduct ?p . }");
   ASSERT_TRUE(found.ok()) << found.status().ToString();
-  EXPECT_EQ(found->rows.size(), 1u);
+  EXPECT_EQ(found->num_rows(), 1u);
 }
 
 TEST_F(ChainTest, BurnedAreaEmptyWindow) {
@@ -519,13 +519,13 @@ TEST(LinkedDataTest, GeneratorsEmitParseableTurtle) {
   ASSERT_TRUE(strabon.LoadTurtle(*landcover).ok());
   auto count = strabon.Select("SELECT ?s WHERE { ?s ?p ?o }");
   ASSERT_TRUE(count.ok());
-  EXPECT_GT(count->rows.size(), 50u);
+  EXPECT_GT(count->num_rows(), 50u);
   // Towns landed on land pixels.
   auto town_geos = strabon.Select(
       "PREFIX geonames: <http://www.geonames.org/ontology#> "
       "SELECT ?g WHERE { ?t a geonames:Feature ; strdf:hasGeometry ?g }");
   ASSERT_TRUE(town_geos.ok());
-  EXPECT_EQ(town_geos->rows.size(), 8u);
+  EXPECT_EQ(town_geos->num_rows(), 8u);
 }
 
 }  // namespace

@@ -329,11 +329,12 @@ TEST_F(ObservatoryTest, HeadlineQueryMatchesBruteForceOracle) {
     auto r = veo_.strabon().Select(kHeadlineQuery);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     std::vector<std::string> got;
-    for (const auto& row : r->rows) {
+    for (size_t row = 0; row < r->num_rows(); ++row) {
       std::string line;
-      for (rdf::TermId id : row) {
+      for (size_t c = 0; c < r->num_columns(); ++c) {
         if (!line.empty()) line += " ";
-        line += veo_.strabon().store().dict().At(id).lexical;
+        line += veo_.strabon().store().dict().At(r->column(c).GetInt64(row))
+                    .lexical;
       }
       got.push_back(line);
     }

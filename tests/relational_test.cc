@@ -306,7 +306,7 @@ TEST(OperatorsTest, Distinct) {
   for (int64_t v : {1, 2, 1, 3, 2}) {
     ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
   }
-  Table d = Distinct(t);
+  Table d = *Distinct(t);
   ASSERT_EQ(d.num_rows(), 3u);
   EXPECT_EQ(d.Get(0, 0), Value(int64_t{1}));
   EXPECT_EQ(d.Get(2, 0), Value(int64_t{3}));
@@ -768,7 +768,7 @@ TEST(DifferentialTest, TypedOperatorsMatchReferenceAtAnyThreadCount) {
                              std::vector<std::string>{"i", "d", "b", "s"}}) {
       auto projected = left.Project(cols);
       ASSERT_TRUE(projected.ok());
-      ExpectSameTable(Distinct(*projected), ReferenceDistinct(*projected),
+      ExpectSameTable(*Distinct(*projected), ReferenceDistinct(*projected),
                       "distinct" + at);
     }
   }

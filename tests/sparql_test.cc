@@ -28,10 +28,10 @@ class SparqlTest : public ::testing::Test {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   }
 
-  SolutionSet Run(const std::string& q) {
+  storage::Table Run(const std::string& q) {
     auto r = strabon_.Select("PREFIX ex: <http://example.org/> " + q);
     EXPECT_TRUE(r.ok()) << q << " -> " << r.status().ToString();
-    return r.ok() ? *r : SolutionSet{};
+    return r.ok() ? *r : storage::Table{};
   }
 
   Strabon strabon_;
@@ -49,99 +49,101 @@ TEST_F(SparqlTest, ParserRecognizesForms) {
 }
 
 TEST_F(SparqlTest, BasicGraphPattern) {
-  SolutionSet s = Run("SELECT ?f WHERE { ?f a ex:Hotspot }");
-  EXPECT_EQ(s.rows.size(), 3u);
+  storage::Table s = Run("SELECT ?f WHERE { ?f a ex:Hotspot }");
+  EXPECT_EQ(s.num_rows(), 3u);
 }
 
 TEST_F(SparqlTest, MultiPatternJoin) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f ?t WHERE { ?f a ex:Hotspot ; ex:in ?r . "
       "?t a ex:Town ; ex:in ?r . }");
-  EXPECT_EQ(s.rows.size(), 2u);  // (f1,t1) and (f2,t2)
+  EXPECT_EQ(s.num_rows(), 2u);  // (f1,t1) and (f2,t2)
 }
 
 TEST_F(SparqlTest, FilterNumericComparison) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f WHERE { ?f a ex:Hotspot ; ex:conf ?c . FILTER(?c > 0.5) }");
-  EXPECT_EQ(s.rows.size(), 2u);
+  EXPECT_EQ(s.num_rows(), 2u);
 }
 
 TEST_F(SparqlTest, FilterBooleanConnectives) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f WHERE { ?f a ex:Hotspot ; ex:conf ?c . "
       "FILTER(?c > 0.8 || ?c < 0.5) }");
-  EXPECT_EQ(s.rows.size(), 2u);
+  EXPECT_EQ(s.num_rows(), 2u);
   s = Run(
       "SELECT ?f WHERE { ?f a ex:Hotspot ; ex:conf ?c . "
       "FILTER(!(?c > 0.5)) }");
-  EXPECT_EQ(s.rows.size(), 1u);
+  EXPECT_EQ(s.num_rows(), 1u);
 }
 
 TEST_F(SparqlTest, OptionalKeepsUnmatched) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f ?r WHERE { ?f a ex:Hotspot . OPTIONAL { ?f ex:in ?r } }");
-  EXPECT_EQ(s.rows.size(), 3u);
-  int r_idx = s.VarIndex("r");
+  EXPECT_EQ(s.num_rows(), 3u);
+  int r_idx = s.schema().FieldIndex("r");
   ASSERT_GE(r_idx, 0);
   int unbound = 0;
-  for (const auto& row : s.rows) {
-    if (row[static_cast<size_t>(r_idx)] == rdf::kNoTerm) ++unbound;
+  for (size_t row = 0; row < s.num_rows(); ++row) {
+    if (s.column(static_cast<size_t>(r_idx)).GetInt64(row) == rdf::kNoTerm) {
+      ++unbound;
+    }
   }
   EXPECT_EQ(unbound, 1);  // f3 has no region
 }
 
 TEST_F(SparqlTest, BoundFilterOverOptional) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f WHERE { ?f a ex:Hotspot . OPTIONAL { ?f ex:in ?r } "
       "FILTER(!bound(?r)) }");
-  ASSERT_EQ(s.rows.size(), 1u);
+  ASSERT_EQ(s.num_rows(), 1u);
 }
 
 TEST_F(SparqlTest, Union) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?x WHERE { { ?x a ex:Hotspot } UNION { ?x a ex:Town } }");
-  EXPECT_EQ(s.rows.size(), 5u);
+  EXPECT_EQ(s.num_rows(), 5u);
 }
 
 TEST_F(SparqlTest, BindComputesValues) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f ?double WHERE { ?f ex:conf ?c . "
       "BIND(?c * 2 AS ?double) } ORDER BY ?double");
-  ASSERT_EQ(s.rows.size(), 3u);
-  int idx = s.VarIndex("double");
+  ASSERT_EQ(s.num_rows(), 3u);
+  int idx = s.schema().FieldIndex("double");
   const Term& smallest = strabon_.store().dict().At(
-      s.rows[0][static_cast<size_t>(idx)]);
+      s.column(static_cast<size_t>(idx)).GetInt64(0));
   EXPECT_DOUBLE_EQ(std::stod(smallest.lexical), 0.8);
 }
 
 TEST_F(SparqlTest, OrderLimitOffsetDistinct) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT DISTINCT ?r WHERE { ?x ex:in ?r } ORDER BY ?r LIMIT 1");
-  ASSERT_EQ(s.rows.size(), 1u);
-  SolutionSet s2 = Run(
+  ASSERT_EQ(s.num_rows(), 1u);
+  storage::Table s2 = Run(
       "SELECT DISTINCT ?r WHERE { ?x ex:in ?r } ORDER BY ?r LIMIT 1 "
       "OFFSET 1");
-  ASSERT_EQ(s2.rows.size(), 1u);
-  EXPECT_NE(s.rows[0][0], s2.rows[0][0]);
+  ASSERT_EQ(s2.num_rows(), 1u);
+  EXPECT_NE(s.column(0).GetInt64(0), s2.column(0).GetInt64(0));
 }
 
 TEST_F(SparqlTest, OrderByDescExpression) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f ?c WHERE { ?f ex:conf ?c } ORDER BY DESC(?c)");
-  ASSERT_EQ(s.rows.size(), 3u);
-  const Term& top = strabon_.store().dict().At(s.rows[0][1]);
+  ASSERT_EQ(s.num_rows(), 3u);
+  const Term& top = strabon_.store().dict().At(s.column(1).GetInt64(0));
   EXPECT_DOUBLE_EQ(std::stod(top.lexical), 0.9);
 }
 
 TEST_F(SparqlTest, StringBuiltins) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?t WHERE { ?t ex:name ?n . FILTER(strstarts(?n, \"Spar\")) }");
-  EXPECT_EQ(s.rows.size(), 1u);
+  EXPECT_EQ(s.num_rows(), 1u);
   s = Run("SELECT ?t WHERE { ?t ex:name ?n . FILTER(regex(?n, \"^tri\", "
           "\"i\")) }");
-  EXPECT_EQ(s.rows.size(), 1u);
+  EXPECT_EQ(s.num_rows(), 1u);
   s = Run("SELECT ?t WHERE { ?t ex:name ?n . FILTER(strlen(?n) = 6) }");
-  EXPECT_EQ(s.rows.size(), 1u);  // Sparta
+  EXPECT_EQ(s.num_rows(), 1u);  // Sparta
 }
 
 TEST_F(SparqlTest, AskQueries) {
@@ -180,8 +182,8 @@ TEST_F(SparqlTest, DeleteDataUpdate) {
       "DELETE DATA { ex:f3 a ex:Hotspot . }");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
-  SolutionSet s = Run("SELECT ?f WHERE { ?f a ex:Hotspot }");
-  EXPECT_EQ(s.rows.size(), 2u);
+  storage::Table s = Run("SELECT ?f WHERE { ?f a ex:Hotspot }");
+  EXPECT_EQ(s.num_rows(), 2u);
 }
 
 TEST_F(SparqlTest, DeleteInsertWhere) {
@@ -192,8 +194,8 @@ TEST_F(SparqlTest, DeleteInsertWhere) {
       "WHERE { ?f a ex:Hotspot ; ex:conf ?c . FILTER(?c < 0.5) }");
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, 2u);  // one delete + one insert
-  EXPECT_EQ(Run("SELECT ?f WHERE { ?f a ex:Hotspot }").rows.size(), 2u);
-  EXPECT_EQ(Run("SELECT ?f WHERE { ?f a ex:Candidate }").rows.size(), 1u);
+  EXPECT_EQ(Run("SELECT ?f WHERE { ?f a ex:Hotspot }").num_rows(), 2u);
+  EXPECT_EQ(Run("SELECT ?f WHERE { ?f a ex:Candidate }").num_rows(), 1u);
 }
 
 TEST_F(SparqlTest, DeleteWhereShorthand) {
@@ -202,7 +204,7 @@ TEST_F(SparqlTest, DeleteWhereShorthand) {
       "DELETE WHERE { ?f ex:conf ?c }");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 3u);
-  EXPECT_EQ(Run("SELECT ?f WHERE { ?f ex:conf ?c }").rows.size(), 0u);
+  EXPECT_EQ(Run("SELECT ?f WHERE { ?f ex:conf ?c }").num_rows(), 0u);
 }
 
 TEST_F(SparqlTest, RepeatedVariableInPattern) {
@@ -210,55 +212,55 @@ TEST_F(SparqlTest, RepeatedVariableInPattern) {
                   .Update("PREFIX ex: <http://example.org/> INSERT DATA { "
                           "ex:self ex:links ex:self }")
                   .ok());
-  SolutionSet s = Run("SELECT ?x WHERE { ?x ex:links ?x }");
-  ASSERT_EQ(s.rows.size(), 1u);
+  storage::Table s = Run("SELECT ?x WHERE { ?x ex:links ?x }");
+  ASSERT_EQ(s.num_rows(), 1u);
 }
 
 TEST_F(SparqlTest, EmptyResultNotError) {
-  SolutionSet s = Run("SELECT ?x WHERE { ?x a ex:Volcano }");
-  EXPECT_TRUE(s.rows.empty());
+  storage::Table s = Run("SELECT ?x WHERE { ?x a ex:Volcano }");
+  EXPECT_TRUE(s.num_rows() == 0);
 }
 
 TEST_F(SparqlTest, CountStarGlobal) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT (count(*) AS ?n) WHERE { ?f a ex:Hotspot }");
-  ASSERT_EQ(s.rows.size(), 1u);
-  ASSERT_EQ(s.vars.size(), 1u);
-  EXPECT_EQ(s.vars[0], "n");
-  EXPECT_EQ(strabon_.store().dict().At(s.rows[0][0]).lexical, "3");
+  ASSERT_EQ(s.num_rows(), 1u);
+  ASSERT_EQ(s.num_columns(), 1u);
+  EXPECT_EQ(s.schema().field(0).name, "n");
+  EXPECT_EQ(strabon_.store().dict().At(s.column(0).GetInt64(0)).lexical, "3");
 }
 
 TEST_F(SparqlTest, CountStarEmptyMatchIsZero) {
-  SolutionSet s = Run("SELECT (count(*) AS ?n) WHERE { ?f a ex:Volcano }");
-  ASSERT_EQ(s.rows.size(), 1u);
-  EXPECT_EQ(strabon_.store().dict().At(s.rows[0][0]).lexical, "0");
+  storage::Table s = Run("SELECT (count(*) AS ?n) WHERE { ?f a ex:Volcano }");
+  ASSERT_EQ(s.num_rows(), 1u);
+  EXPECT_EQ(strabon_.store().dict().At(s.column(0).GetInt64(0)).lexical, "0");
 }
 
 TEST_F(SparqlTest, GroupByWithAggregates) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?r (count(*) AS ?n) (max(?c) AS ?top) WHERE { "
       "?f a ex:Hotspot ; ex:in ?r ; ex:conf ?c } GROUP BY ?r "
       "ORDER BY ?r");
-  ASSERT_EQ(s.rows.size(), 2u);
-  ASSERT_EQ(s.vars.size(), 3u);
+  ASSERT_EQ(s.num_rows(), 2u);
+  ASSERT_EQ(s.num_columns(), 3u);
   const auto& dict = strabon_.store().dict();
   // arcadia first alphabetically... IRIs compare lexically.
-  EXPECT_NE(dict.At(s.rows[0][0]).lexical.find("arcadia"),
+  EXPECT_NE(dict.At(s.column(0).GetInt64(0)).lexical.find("arcadia"),
             std::string::npos);
-  EXPECT_EQ(dict.At(s.rows[0][1]).lexical, "1");
-  EXPECT_DOUBLE_EQ(std::stod(dict.At(s.rows[0][2]).lexical), 0.4);
-  EXPECT_EQ(dict.At(s.rows[1][1]).lexical, "1");
-  EXPECT_DOUBLE_EQ(std::stod(dict.At(s.rows[1][2]).lexical), 0.9);
+  EXPECT_EQ(dict.At(s.column(1).GetInt64(0)).lexical, "1");
+  EXPECT_DOUBLE_EQ(std::stod(dict.At(s.column(2).GetInt64(0)).lexical), 0.4);
+  EXPECT_EQ(dict.At(s.column(1).GetInt64(1)).lexical, "1");
+  EXPECT_DOUBLE_EQ(std::stod(dict.At(s.column(2).GetInt64(1)).lexical), 0.9);
 }
 
 TEST_F(SparqlTest, SumAvgAggregates) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT (sum(?c) AS ?total) (avg(?c) AS ?mean) WHERE { "
       "?f ex:conf ?c }");
-  ASSERT_EQ(s.rows.size(), 1u);
+  ASSERT_EQ(s.num_rows(), 1u);
   const auto& dict = strabon_.store().dict();
-  EXPECT_NEAR(std::stod(dict.At(s.rows[0][0]).lexical), 2.0, 1e-9);
-  EXPECT_NEAR(std::stod(dict.At(s.rows[0][1]).lexical), 2.0 / 3, 1e-9);
+  EXPECT_NEAR(std::stod(dict.At(s.column(0).GetInt64(0)).lexical), 2.0, 1e-9);
+  EXPECT_NEAR(std::stod(dict.At(s.column(1).GetInt64(0)).lexical), 2.0 / 3, 1e-9);
 }
 
 TEST_F(SparqlTest, NonGroupedVariableRejected) {
@@ -269,12 +271,12 @@ TEST_F(SparqlTest, NonGroupedVariableRejected) {
 }
 
 TEST_F(SparqlTest, ComputedProjectionWithoutAggregate) {
-  SolutionSet s = Run(
+  storage::Table s = Run(
       "SELECT ?f (?c * 10 AS ?scaled) WHERE { ?f ex:conf ?c } "
       "ORDER BY DESC(?scaled) LIMIT 1");
-  ASSERT_EQ(s.rows.size(), 1u);
+  ASSERT_EQ(s.num_rows(), 1u);
   EXPECT_NEAR(
-      std::stod(strabon_.store().dict().At(s.rows[0][1]).lexical), 9.0,
+      std::stod(strabon_.store().dict().At(s.column(1).GetInt64(0)).lexical), 9.0,
       1e-9);
 }
 

@@ -212,7 +212,7 @@ noa:town a noa:Town ;
   size_t Count(const std::string& query) {
     auto r = strabon_.Select(query);
     EXPECT_TRUE(r.ok()) << query << " -> " << r.status().ToString();
-    return r.ok() ? r->rows.size() : 0;
+    return r.ok() ? r->num_rows() : 0;
   }
 
   Strabon strabon_;
@@ -314,9 +314,9 @@ TEST_F(StSparqlTest, GeometryUpdateViaDifference) {
   auto r = strabon_.Select(
       "SELECT ?g WHERE { noa:h1 noa:hasGeometry ?g }");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 1u);
+  ASSERT_EQ(r->num_rows(), 1u);
   GeometryCache cache;
-  auto geom = cache.Get(strabon_.store().dict().At(r->rows[0][0]));
+  auto geom = cache.Get(strabon_.store().dict().At(r->column(0).GetInt64(0)));
   ASSERT_TRUE(geom.ok());
   EXPECT_NEAR((*geom)->Area(), 0.5, 1e-6);
 }
@@ -344,9 +344,10 @@ std::vector<std::string> SortedRows(Strabon* strabon, const std::string& q) {
   EXPECT_TRUE(r.ok()) << q << " -> " << r.status().ToString();
   std::vector<std::string> rows;
   if (!r.ok()) return rows;
-  for (const auto& row : r->rows) {
+  for (size_t row = 0; row < r->num_rows(); ++row) {
     std::string line;
-    for (rdf::TermId id : row) {
+    for (size_t c = 0; c < r->num_columns(); ++c) {
+      rdf::TermId id = r->column(c).GetInt64(row);
       line += id == rdf::kNoTerm ? "UNBOUND"
                                  : strabon->store().dict().At(id).ToNTriples();
       line += " ";
