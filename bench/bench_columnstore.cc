@@ -101,6 +101,47 @@ void BM_SqlJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlJoin)->Arg(10000)->Arg(100000);
 
+/// The write path: one UPDATE and one DELETE against a 5-column table,
+/// selected with the SELECT kernel. The UPDATE changes one row (the
+/// "SELECT id FROM obs WHERE id = 4242" of the same WHERE is its read
+/// twin); the DELETE matches no row.
+TablePtr MakeWideObservations(int64_t rows) {
+  TablePtr table = MakeObservations(rows);
+  Column quality(ColumnType::kInt64);
+  Column valid(ColumnType::kBool);
+  for (int64_t i = 0; i < rows; ++i) {
+    quality.AppendInt64(i % 5);
+    valid.AppendBool(i % 3 != 0);
+  }
+  table->AddColumn("quality", std::move(quality));
+  table->AddColumn("valid", std::move(valid));
+  return table;
+}
+
+void BM_SqlUpdateOneRow(benchmark::State& state) {
+  Catalog catalog;
+  (void)catalog.CreateTable("obs", MakeWideObservations(state.range(0)));
+  teleios::relational::SqlEngine engine(&catalog);
+  for (auto _ : state) {
+    auto r = engine.Execute("UPDATE obs SET temp = temp + 1 WHERE id = 4242");
+    benchmark::DoNotOptimize(r->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SqlUpdateOneRow)->Arg(100000);
+
+void BM_SqlDeleteNone(benchmark::State& state) {
+  Catalog catalog;
+  (void)catalog.CreateTable("obs", MakeWideObservations(state.range(0)));
+  teleios::relational::SqlEngine engine(&catalog);
+  for (auto _ : state) {
+    auto r = engine.Execute("DELETE FROM obs WHERE id < 0");
+    benchmark::DoNotOptimize(r->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SqlDeleteNone)->Arg(100000);
+
 /// Dictionary encoding: append throughput and memory for low-cardinality
 /// strings vs unique strings.
 void BM_DictionaryEncodedAppend(benchmark::State& state) {

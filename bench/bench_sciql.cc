@@ -104,6 +104,27 @@ void BM_SciQlSlabSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_SciQlSlabSelect)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+/// A cell-wise UPDATE whose WHERE keeps 9% of the cells; SET v = v writes
+/// every kept cell back unchanged, so each iteration does the same work.
+void BM_SciQlUpdateWhere(benchmark::State& state) {
+  const int64_t size = state.range(0);
+  teleios::sciql::SciQlEngine engine;
+  auto arr = *teleios::array::Array::Create(
+      "img", {{"y", 0, size}, {"x", 0, size}},
+      {{"v", teleios::storage::ColumnType::kFloat64}});
+  double* v = *arr->MutableDoubles(0);
+  for (size_t i = 0; i < arr->num_cells(); ++i) {
+    v[i] = static_cast<double>((i * 37) % 100);
+  }
+  (void)engine.RegisterArray(arr);
+  for (auto _ : state) {
+    auto r = engine.Execute("UPDATE img SET v = v WHERE v > 90");
+    benchmark::DoNotOptimize(r->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_SciQlUpdateWhere)->Arg(256);
+
 /// Array kernel primitives the NOA chain uses.
 void BM_TileAggregate(benchmark::State& state) {
   Scene scene = BenchScene(256);

@@ -92,33 +92,30 @@ Result<ArrayPtr> Array::FromColumns(std::string name,
   TELEIOS_ASSIGN_OR_RETURN(
       ArrayPtr arr,
       Shape(std::move(name), std::move(dims), std::move(attributes)));
-  if (columns.size() != arr->attr_fields_.size()) {
+  TELEIOS_RETURN_IF_ERROR(arr->ReplaceColumns(std::move(columns)));
+  return arr;
+}
+
+Status Array::ReplaceColumns(std::vector<Column> columns) {
+  if (columns.size() != attr_fields_.size()) {
     return Status::InvalidArgument("attribute column arity mismatch");
   }
   for (size_t a = 0; a < columns.size(); ++a) {
-    const Field& field = arr->attr_fields_[a];
-    if (columns[a].type() != field.type ||
-        columns[a].size() != arr->num_cells_) {
+    const Field& field = attr_fields_[a];
+    if (columns[a].type() != field.type || columns[a].size() != num_cells_) {
       return Status::InvalidArgument(
           "column for attribute '" + field.name + "' is not " +
-          std::to_string(arr->num_cells_) + " " + ColumnTypeName(field.type) +
+          std::to_string(num_cells_) + " " + ColumnTypeName(field.type) +
           " cells");
     }
   }
-  arr->attrs_ = std::move(columns);
-  return arr;
+  attrs_ = std::move(columns);
+  return Status::OK();
 }
 
 int Array::AttributeIndex(const std::string& name) const {
   for (size_t i = 0; i < attr_fields_.size(); ++i) {
     if (attr_fields_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int Array::DimensionIndex(const std::string& name) const {
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    if (dims_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -204,13 +201,17 @@ Column Array::Coordinates(size_t d,
   return Column::FromInts(std::move(coords));
 }
 
-Table Array::ToTable() const {
-  std::vector<Field> fields;
+Schema Array::CellSchema() const {
+  Schema schema;
   for (const Dimension& d : dims_) {
-    fields.push_back({d.name, ColumnType::kInt64});
+    schema.AddField({d.name, ColumnType::kInt64});
   }
-  for (const Field& f : attr_fields_) fields.push_back(f);
-  Table out{Schema(std::move(fields))};
+  for (const Field& f : attr_fields_) schema.AddField(f);
+  return schema;
+}
+
+Table Array::ToTable() const {
+  Table out{CellSchema()};
   for (size_t d = 0; d < dims_.size(); ++d) {
     out.column(d) = Coordinates(d, nullptr);
   }

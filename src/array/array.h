@@ -50,11 +50,10 @@ class Array {
   /// The cells of attribute `i`, row-major. A copy shares the payload
   /// and keeps seeing these cells while the array is written.
   const storage::Column& column(size_t i) const { return attrs_[i]; }
+  const std::vector<storage::Column>& columns() const { return attrs_; }
 
   /// Index of the named attribute, or -1.
   int AttributeIndex(const std::string& name) const;
-  /// Index of the named dimension, or -1.
-  int DimensionIndex(const std::string& name) const;
 
   /// Total number of cells.
   size_t num_cells() const { return num_cells_; }
@@ -79,6 +78,12 @@ class Array {
   Status Set(const std::vector<int64_t>& coords, size_t attr, const Value& v);
   Status SetLinear(size_t linear, size_t attr, const Value& v);
 
+  /// Replaces every attribute column at once. Each is checked as
+  /// FromColumns checks it (the field's type, one cell per array cell); on
+  /// a mismatch nothing is replaced. Copies of column() taken before keep
+  /// the old cells.
+  Status ReplaceColumns(std::vector<storage::Column> columns);
+
   /// Direct mutable double storage of a kFloat64 attribute — the fast path
   /// used by image processing kernels. TypeError for other types. The
   /// attribute's payload is unshared first, so copies of its column taken
@@ -88,6 +93,9 @@ class Array {
   /// Read-only double storage; valid until the attribute is next written.
   /// A reader that must keep the cells longer holds a copy of column().
   Result<const double*> Doubles(size_t attr) const;
+
+  /// The fields of ToTable(): a BIGINT per dimension, then the attributes.
+  storage::Schema CellSchema() const;
 
   /// The array as a table: one column per dimension followed by one per
   /// attribute, one row per cell (row-major order). The dimension columns

@@ -206,18 +206,6 @@ Result<ArrayPtr> Convolve2D(const Array& input, size_t attr,
   return out;
 }
 
-Status MapCells(Array* array, size_t attr,
-                const std::function<Value(const std::vector<Value>&)>& fn) {
-  size_t n = array->num_cells();
-  size_t na = array->num_attributes();
-  std::vector<Value> cell(na);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t a = 0; a < na; ++a) cell[a] = array->GetLinear(i, a);
-    TELEIOS_RETURN_IF_ERROR(array->SetLinear(i, attr, fn(cell)));
-  }
-  return Status::OK();
-}
-
 Result<ArrayStats> ComputeStats(const Array& input, size_t attr) {
   TELEIOS_ASSIGN_OR_RETURN(const double* data, input.Doubles(attr));
   ArrayStats stats;

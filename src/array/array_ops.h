@@ -1,7 +1,6 @@
 #ifndef TELEIOS_ARRAY_ARRAY_OPS_H_
 #define TELEIOS_ARRAY_ARRAY_OPS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,11 +47,6 @@ Result<ArrayPtr> Resample2D(const Array& input, int64_t new_h, int64_t new_w,
 Result<ArrayPtr> Convolve2D(const Array& input, size_t attr,
                             const std::vector<double>& kernel,
                             int kernel_size);
-
-/// Applies `fn(cell values) -> new value` to every cell of attribute
-/// `attr` in place.
-Status MapCells(Array* array, size_t attr,
-                const std::function<Value(const std::vector<Value>&)>& fn);
 
 /// Per-attribute summary statistics of a DOUBLE attribute.
 struct ArrayStats {

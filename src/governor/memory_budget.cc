@@ -23,13 +23,19 @@ std::vector<MemoryBudget*>& BudgetRegistry() {
   return *budgets;
 }
 
-/// Updates the root-budget gauges; only the process root reports, so the
-/// series mean one thing regardless of how many children exist.
+/// Updates the root-budget gauges when `budget` is the process root: only
+/// it reports, so the series mean one thing however many budgets exist
+/// (other budgets without a parent, such as a WAL commit's, included).
 void ReportRootGauges(const MemoryBudget& budget) {
-  obs::SetGauge("teleios_governor_budget_used_bytes",
-                static_cast<double>(budget.used()));
-  obs::SetGauge("teleios_governor_budget_peak_bytes",
-                static_cast<double>(budget.peak()));
+  if (&budget != &ProcessBudget()) return;
+  // Charged and released on every operator's reservation: the gauges are
+  // looked up once.
+  static obs::Gauge* used = obs::MetricsRegistry::Global().GetGauge(
+      "teleios_governor_budget_used_bytes");
+  static obs::Gauge* peak = obs::MetricsRegistry::Global().GetGauge(
+      "teleios_governor_budget_peak_bytes");
+  used->Set(static_cast<double>(budget.used()));
+  peak->Set(static_cast<double>(budget.peak()));
 }
 
 /// TELEIOS_MEMORY_BUDGET in bytes (common/strings.h EnvNumber grammar);

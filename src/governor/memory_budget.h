@@ -59,14 +59,10 @@ class MemoryBudget {
     MutexLock lock(mu_);
     return used_;
   }
-  /// High-water mark of used() since construction (or ResetPeak).
+  /// High-water mark of used() since construction.
   size_t peak() const {
     MutexLock lock(mu_);
     return peak_;
-  }
-  void ResetPeak() {
-    MutexLock lock(mu_);
-    peak_ = used_;
   }
 
  private:

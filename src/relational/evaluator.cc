@@ -6,10 +6,38 @@
 
 namespace teleios::relational {
 
+bool LikeMatch(const std::string& text, const std::string& pattern) {
+  // Iterative wildcard matching with backtracking on '%'.
+  size_t t = 0, p = 0;
+  size_t star_p = std::string::npos, star_t = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() &&
+        (pattern[p] == '_' || pattern[p] == text[t])) {
+      ++t;
+      ++p;
+    } else if (p < pattern.size() && pattern[p] == '%') {
+      star_p = p++;
+      star_t = t;
+    } else if (star_p != std::string::npos) {
+      p = star_p + 1;
+      t = ++star_t;
+    } else {
+      return false;
+    }
+  }
+  while (p < pattern.size() && pattern[p] == '%') ++p;
+  return p == pattern.size();
+}
+
 namespace {
 
 bool BothInts(const Value& a, const Value& b) {
   return a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64;
+}
+
+bool IsNumber(const Value& v) {
+  return v.type() == ValueType::kInt64 || v.type() == ValueType::kFloat64 ||
+         v.type() == ValueType::kBool;
 }
 
 Result<Value> Arithmetic(BinaryOp op, const Value& lhs, const Value& rhs) {
@@ -59,31 +87,6 @@ Result<Value> Arithmetic(BinaryOp op, const Value& lhs, const Value& rhs) {
   return Status::Internal("bad arithmetic op");
 }
 
-}  // namespace
-
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  // Iterative wildcard matching with backtracking on '%'.
-  size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = p++;
-      star_t = t;
-    } else if (star_p != std::string::npos) {
-      p = star_p + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
-}
-
 Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
   switch (op) {
     case BinaryOp::kAdd:
@@ -99,21 +102,13 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
       if (lhs.is_null() || rhs.is_null()) return Value();
-      int c = lhs.Compare(rhs);
-      switch (op) {
-        case BinaryOp::kEq:
-          return Value(c == 0);
-        case BinaryOp::kNe:
-          return Value(c != 0);
-        case BinaryOp::kLt:
-          return Value(c < 0);
-        case BinaryOp::kLe:
-          return Value(c <= 0);
-        case BinaryOp::kGt:
-          return Value(c > 0);
-        default:
-          return Value(c >= 0);
+      if (BothInts(lhs, rhs)) {
+        return Value(CompareScalars(op, lhs.AsInt64(), rhs.AsInt64()));
       }
+      if (IsNumber(lhs) && IsNumber(rhs)) {
+        return Value(CompareScalars(op, *lhs.ToDouble(), *rhs.ToDouble()));
+      }
+      return Value(CompareScalars(op, lhs.Compare(rhs), 0));
     }
     case BinaryOp::kAnd:
       return Value(lhs.Truthy() && rhs.Truthy());
@@ -243,45 +238,16 @@ Result<Value> ApplyFunction(const std::string& name,
   return Status::NotFound("unknown function '" + name + "'");
 }
 
-Result<Value> Evaluate(const ExprPtr& expr, const ColumnResolver& resolver) {
-  switch (expr->kind) {
-    case ExprKind::kLiteral:
-      return expr->literal;
-    case ExprKind::kColumnRef:
-      return resolver(expr->column);
-    case ExprKind::kUnary: {
-      TELEIOS_ASSIGN_OR_RETURN(Value v, Evaluate(expr->children[0], resolver));
-      if (expr->unary_op == UnaryOp::kNot) return Value(!v.Truthy());
-      if (v.is_null()) return Value();
-      if (v.type() == ValueType::kInt64) return Value(-v.AsInt64());
-      TELEIOS_ASSIGN_OR_RETURN(double x, v.ToDouble());
-      return Value(-x);
-    }
-    case ExprKind::kBinary: {
-      TELEIOS_ASSIGN_OR_RETURN(Value lhs,
-                               Evaluate(expr->children[0], resolver));
-      // Short-circuit AND/OR.
-      if (expr->binary_op == BinaryOp::kAnd && !lhs.Truthy()) {
-        return Value(false);
-      }
-      if (expr->binary_op == BinaryOp::kOr && lhs.Truthy()) {
-        return Value(true);
-      }
-      TELEIOS_ASSIGN_OR_RETURN(Value rhs,
-                               Evaluate(expr->children[1], resolver));
-      return ApplyBinary(expr->binary_op, lhs, rhs);
-    }
-    case ExprKind::kFunction: {
-      std::vector<Value> args;
-      args.reserve(expr->children.size());
-      for (const ExprPtr& c : expr->children) {
-        TELEIOS_ASSIGN_OR_RETURN(Value v, Evaluate(c, resolver));
-        args.push_back(std::move(v));
-      }
-      return ApplyFunction(expr->function, args);
-    }
+}  // namespace
+
+Result<Value> EvaluateConstant(const ExprPtr& expr) {
+  static const storage::Table kNoColumns;
+  Result<BoundExpr> bound = BoundExpr::Bind(expr, kNoColumns);
+  if (!bound.ok()) {
+    return Status::InvalidArgument(bound.status().message() +
+                                   " in a constant expression");
   }
-  return Status::Internal("bad expression kind");
+  return bound->Eval(kNoColumns, 0);
 }
 
 int ResolveField(const storage::Schema& schema, const std::string& name) {

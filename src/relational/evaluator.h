@@ -1,7 +1,6 @@
 #ifndef TELEIOS_RELATIONAL_EVALUATOR_H_
 #define TELEIOS_RELATIONAL_EVALUATOR_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,27 +11,20 @@
 
 namespace teleios::relational {
 
-/// Resolves a column name to a Value for the current row; used to bind
-/// expression trees against arbitrary row providers (tables, SciQL cells,
-/// SPARQL solutions).
-using ColumnResolver =
-    std::function<Result<Value>(const std::string& name)>;
-
-/// Evaluates `expr` with column refs resolved by `resolver`.
-///
-/// Semantics (SQL-ish): arithmetic promotes int->double when mixed; any
-/// NULL operand yields NULL for arithmetic and comparisons; AND/OR use
-/// two-valued truthiness over non-null values with NULL treated as false.
-/// Scalar functions: abs, sqrt, floor, ceil, round, ln, exp, pow, least,
-/// greatest, length, lower, upper, substr, concat, coalesce, if.
-Result<Value> Evaluate(const ExprPtr& expr, const ColumnResolver& resolver);
+/// Evaluates an expression that references no column (an INSERT value, a
+/// SciQL DEFAULT): SQL-ish semantics as BoundExpr. A column reference is
+/// InvalidArgument.
+Result<Value> EvaluateConstant(const ExprPtr& expr);
 
 /// The field a column reference `name` binds to in `schema`: `name`
 /// itself, else `name` past a "qualifier." prefix; -1 when neither exists.
 int ResolveField(const storage::Schema& schema, const std::string& name);
 
 /// An expression pre-bound to a table schema: column refs are resolved to
-/// column indices once, making per-row evaluation cheap.
+/// column indices once, making per-row evaluation cheap. Arithmetic stays
+/// in int64 between int64s and is double otherwise; a NULL operand gives
+/// NULL; numbers compare as CompareScalars does, exactly between int64s;
+/// AND/OR are two-valued, NULL counting as false.
 class BoundExpr {
  public:
   /// Binds against `table`'s schema. An unknown column is an error unless
@@ -65,12 +57,30 @@ class BoundExpr {
 /// SQL LIKE with % and _ wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
-/// Applies a binary operator to two scalar values.
-Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs);
-
-/// Applies a scalar (non-aggregate) function.
-Result<Value> ApplyFunction(const std::string& name,
-                            const std::vector<Value>& args);
+/// `a cmp b` for a comparison operator; for doubles the IEEE answer (a NaN
+/// operand makes every comparison false but <>). The one comparison
+/// behind both the interpreted and the vectorized WHERE; forced inline
+/// because the vectorized filter calls it once per row, and GCC at -O2
+/// otherwise leaves some of those calls out of line.
+template <typename T>
+[[gnu::always_inline]] inline bool CompareScalars(BinaryOp cmp, T a, T b) {
+  switch (cmp) {
+    case BinaryOp::kEq:
+      return a == b;
+    case BinaryOp::kNe:
+      return a != b;
+    case BinaryOp::kLt:
+      return a < b;
+    case BinaryOp::kLe:
+      return a <= b;
+    case BinaryOp::kGt:
+      return a > b;
+    case BinaryOp::kGe:
+      return a >= b;
+    default:
+      return false;
+  }
+}
 
 }  // namespace teleios::relational
 

@@ -33,6 +33,10 @@ struct VecPred {
   int col_a = -1;
   int col_b = -1;
   double constant = 0;
+  /// An integer literal also as an int64: a BIGINT column, or the
+  /// difference of two, meets it exactly, as the interpreter does.
+  bool int_constant = false;
+  int64_t int_value = 0;
   int32_t code = storage::Dictionary::kInvalidCode;  // kStrEq
   bool negate = false;                               // kStrEq: <>
 };
@@ -57,25 +61,6 @@ double NumericAt(const Column& col, size_t row) {
   return 0.0;
 }
 
-bool CompareDoubles(BinaryOp cmp, double a, double b) {
-  switch (cmp) {
-    case BinaryOp::kEq:
-      return a == b;
-    case BinaryOp::kNe:
-      return a != b;
-    case BinaryOp::kLt:
-      return a < b;
-    case BinaryOp::kLe:
-      return a <= b;
-    case BinaryOp::kGt:
-      return a > b;
-    case BinaryOp::kGe:
-      return a >= b;
-    default:
-      return false;
-  }
-}
-
 bool IsComparison(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
          op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
@@ -86,12 +71,26 @@ int ResolveColumn(const Table& table, const ExprPtr& e) {
   return ResolveField(table.schema(), e->column);
 }
 
-bool NumericLiteral(const ExprPtr& e, double* out) {
+/// Reads a numeric literal into `out`'s constant.
+bool NumericLiteral(const ExprPtr& e, VecPred* out) {
   if (e->kind != ExprKind::kLiteral) return false;
   auto d = e->literal.ToDouble();
   if (!d.ok()) return false;
-  *out = *d;
+  out->constant = *d;
+  out->int_constant = e->literal.type() == ValueType::kInt64;
+  if (out->int_constant) out->int_value = e->literal.AsInt64();
   return true;
+}
+
+bool BothInt64(const Column& a, const Column& b) {
+  return a.type() == ColumnType::kInt64 && b.type() == ColumnType::kInt64;
+}
+
+/// a - b in int64, wrapping where the interpreter's subtraction would
+/// overflow.
+int64_t Int64Difference(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
 }
 
 /// Tries to compile one conjunct; false if the shape is unsupported.
@@ -136,20 +135,16 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   };
   if (try_str(lhs, rhs) || try_str(rhs, lhs)) return true;
 
-  double constant = 0;
   // col CMP const / const CMP col.
   int col = ResolveColumn(table, lhs);
-  if (col >= 0 && IsNumericColumn(table, col) &&
-      NumericLiteral(rhs, &constant)) {
+  if (col >= 0 && IsNumericColumn(table, col) && NumericLiteral(rhs, out)) {
     out->kind = VecPred::Kind::kColConst;
     out->cmp = e->binary_op;
     out->col_a = col;
-    out->constant = constant;
     return true;
   }
   col = ResolveColumn(table, rhs);
-  if (col >= 0 && IsNumericColumn(table, col) &&
-      NumericLiteral(lhs, &constant)) {
+  if (col >= 0 && IsNumericColumn(table, col) && NumericLiteral(lhs, out)) {
     // Mirror the comparison: const CMP col == col CMP' const.
     BinaryOp mirrored = e->binary_op;
     switch (e->binary_op) {
@@ -171,7 +166,6 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
     out->kind = VecPred::Kind::kColConst;
     out->cmp = mirrored;
     out->col_a = col;
-    out->constant = constant;
     return true;
   }
   // colA CMP colB.
@@ -187,7 +181,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   }
   // (colA - colB) CMP const.
   if (lhs->kind == ExprKind::kBinary && lhs->binary_op == BinaryOp::kSub &&
-      NumericLiteral(rhs, &constant)) {
+      NumericLiteral(rhs, out)) {
     int a = ResolveColumn(table, lhs->children[0]);
     int b = ResolveColumn(table, lhs->children[1]);
     if (a >= 0 && b >= 0 && IsNumericColumn(table, a) &&
@@ -196,7 +190,6 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
       out->cmp = e->binary_op;
       out->col_a = a;
       out->col_b = b;
-      out->constant = constant;
       return true;
     }
   }
@@ -215,96 +208,102 @@ bool CompilePredicate(const Table& table, const ExprPtr& predicate,
   return true;
 }
 
+/// The rows of `sel` whose `valid` byte is set and that pass `test`, in
+/// order: one loop per typed test, which captures pointers and constants
+/// by value so they stay in registers across the output stores.
+template <typename Test>
+SelectionVector Keep(const SelectionVector& sel, const uint8_t* valid,
+                     Test test) {
+  SelectionVector out;
+  out.reserve(sel.size());
+  for (uint32_t r : sel) {
+    if (valid[r] && test(r)) out.push_back(r);
+  }
+  return out;
+}
+
 /// Applies one compiled conjunct on the raw vectors.
 void ApplyVecPred(const Table& table, const VecPred& pred,
                   SelectionVector* sel) {
   const Column& a = table.column(static_cast<size_t>(pred.col_a));
-  // Raw pointers, loaded once: the output stores may alias anything, so
-  // reading through the columns would reload their payloads every row.
+  const Column& b = table.column(
+      static_cast<size_t>(pred.col_b >= 0 ? pred.col_b : pred.col_a));
   const uint8_t* valid_a = a.validity().data();
-  SelectionVector out;
-  out.reserve(sel->size());
+  const uint8_t* valid_b = b.validity().data();
+  const double* da = a.doubles().data();
+  const double* db = b.doubles().data();
+  const int64_t* ia = a.ints().data();
+  const int64_t* ib = b.ints().data();
+  const BinaryOp cmp = pred.cmp;
+  const double k = pred.constant;
+  const int64_t ik = pred.int_value;
   switch (pred.kind) {
-    case VecPred::Kind::kColConst: {
-      // Specialize the hot types to avoid per-row dispatch.
+    case VecPred::Kind::kColConst:
       if (a.type() == ColumnType::kFloat64) {
-        const double* data = a.doubles().data();
-        for (uint32_t r : *sel) {
-          if (valid_a[r] && CompareDoubles(pred.cmp, data[r], pred.constant)) {
-            out.push_back(r);
-          }
-        }
-      } else if (a.type() == ColumnType::kInt64) {
-        const int64_t* data = a.ints().data();
-        for (uint32_t r : *sel) {
-          if (valid_a[r] &&
-              CompareDoubles(pred.cmp, static_cast<double>(data[r]),
-                             pred.constant)) {
-            out.push_back(r);
-          }
-        }
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return CompareScalars(cmp, da[r], k);
+        });
+      } else if (a.type() == ColumnType::kInt64 && pred.int_constant) {
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return CompareScalars(cmp, ia[r], ik);
+        });
       } else {
-        for (uint32_t r : *sel) {
-          if (valid_a[r] &&
-              CompareDoubles(pred.cmp, NumericAt(a, r), pred.constant)) {
-            out.push_back(r);
-          }
-        }
+        *sel = Keep(*sel, valid_a, [=, &a](uint32_t r) {
+          return CompareScalars(cmp, NumericAt(a, r), k);
+        });
       }
       break;
-    }
-    case VecPred::Kind::kColCol: {
-      const Column& b = table.column(static_cast<size_t>(pred.col_b));
-      const uint8_t* valid_b = b.validity().data();
-      for (uint32_t r : *sel) {
-        if (valid_a[r] && valid_b[r] &&
-            CompareDoubles(pred.cmp, NumericAt(a, r), NumericAt(b, r))) {
-          out.push_back(r);
-        }
+    case VecPred::Kind::kColCol:
+      if (BothInt64(a, b)) {
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return valid_b[r] && CompareScalars(cmp, ia[r], ib[r]);
+        });
+      } else {
+        *sel = Keep(*sel, valid_a, [=, &a, &b](uint32_t r) {
+          return valid_b[r] &&
+                 CompareScalars(cmp, NumericAt(a, r), NumericAt(b, r));
+        });
       }
       break;
-    }
-    case VecPred::Kind::kDiffConst: {
-      const Column& b = table.column(static_cast<size_t>(pred.col_b));
-      const uint8_t* valid_b = b.validity().data();
+    case VecPred::Kind::kDiffConst:
       if (a.type() == ColumnType::kFloat64 &&
           b.type() == ColumnType::kFloat64) {
-        const double* da = a.doubles().data();
-        const double* db = b.doubles().data();
-        for (uint32_t r : *sel) {
-          if (valid_a[r] && valid_b[r] &&
-              CompareDoubles(pred.cmp, da[r] - db[r], pred.constant)) {
-            out.push_back(r);
-          }
-        }
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return valid_b[r] && CompareScalars(cmp, da[r] - db[r], k);
+        });
+      } else if (BothInt64(a, b) && pred.int_constant) {
+        // Subtracted in int64, as the interpreter does.
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return valid_b[r] &&
+                 CompareScalars(cmp, Int64Difference(ia[r], ib[r]), ik);
+        });
+      } else if (BothInt64(a, b)) {
+        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+          return valid_b[r] &&
+                 CompareScalars(
+                     cmp, static_cast<double>(Int64Difference(ia[r], ib[r])),
+                     k);
+        });
       } else {
-        for (uint32_t r : *sel) {
-          if (valid_a[r] && valid_b[r] &&
-              CompareDoubles(pred.cmp, NumericAt(a, r) - NumericAt(b, r),
-                             pred.constant)) {
-            out.push_back(r);
-          }
-        }
+        *sel = Keep(*sel, valid_a, [=, &a, &b](uint32_t r) {
+          return valid_b[r] &&
+                 CompareScalars(cmp, NumericAt(a, r) - NumericAt(b, r), k);
+        });
       }
       break;
-    }
     case VecPred::Kind::kStrEq: {
       const int32_t* codes = a.codes().data();
-      for (uint32_t r : *sel) {
-        if (!valid_a[r]) continue;
-        bool eq = codes[r] == pred.code;
-        if (eq != pred.negate) out.push_back(r);
-      }
+      const int32_t code = pred.code;
+      const bool negate = pred.negate;
+      *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        return (codes[r] == code) != negate;
+      });
       break;
     }
-    case VecPred::Kind::kBoolCol: {
-      for (uint32_t r : *sel) {
-        if (valid_a[r] && a.GetBool(r)) out.push_back(r);
-      }
+    case VecPred::Kind::kBoolCol:
+      *sel = Keep(*sel, valid_a, [&a](uint32_t r) { return a.GetBool(r); });
       break;
-    }
   }
-  *sel = std::move(out);
 }
 
 }  // namespace
@@ -662,6 +661,48 @@ Result<Table> ProjectCompute(const Table& table,
     }
   }
   return out;
+}
+
+Result<std::vector<Column>> SetAssignments(
+    const Table& table, const SelectionVector* rows,
+    const std::vector<Assignment>& assignments, const SelectionVector* to,
+    std::vector<Column> columns) {
+  const size_t n = rows != nullptr ? rows->size() : table.num_rows();
+  std::vector<BoundExpr> bound;
+  size_t copied = 0;  // what the first write to each copy unshares
+  for (const Assignment& a : assignments) {
+    TELEIOS_ASSIGN_OR_RETURN(BoundExpr b, BoundExpr::Bind(a.expr, table));
+    bound.push_back(std::move(b));
+    if (n > 0) copied += columns[a.column].MemoryUsage();
+  }
+  const size_t width = bound.size();
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge charge,
+      governor::ChargeCurrent(n * width * sizeof(Value) + copied,
+                              "update staged values"));
+  std::vector<Value> staged(n * width);
+  exec::ParallelOptions opts;
+  opts.label = "exec.update";
+  TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
+      n, opts, [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const uint32_t r = CandidateRow(rows, i);
+          for (size_t j = 0; j < width; ++j) {
+            TELEIOS_ASSIGN_OR_RETURN(staged[i * width + j],
+                                     bound[j].Eval(table, r));
+          }
+        }
+        return Status::OK();
+      }));
+  for (size_t j = 0; j < width; ++j) {
+    Column& column = columns[assignments[j].column];
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = CandidateRow(rows, i);
+      TELEIOS_RETURN_IF_ERROR(
+          column.Set(to != nullptr ? (*to)[r] : r, staged[i * width + j]));
+    }
+  }
+  return columns;
 }
 
 Result<Table> HashJoin(const Table& left, const Table& right,

@@ -51,6 +51,24 @@ struct ProjectItem {
 Result<storage::Table> ProjectCompute(const storage::Table& table,
                                       const std::vector<ProjectItem>& items);
 
+/// One SET of an UPDATE: the value of `expr` goes into column `column`.
+struct Assignment {
+  size_t column;
+  ExprPtr expr;
+};
+
+/// The write half of an UPDATE: `columns` (copies, which share payloads
+/// until written) with each assignment's value for row r of `table` set
+/// at `to[r]` (at r when `to` is null), for the rows `rows` (every row
+/// when null); assignments to one column apply in order. Values see
+/// `table` as it stands, are evaluated in morsels that poll the current
+/// cancellation token, and are staged, charged to the current budget,
+/// before any is set; a value its column cannot hold is a TypeError.
+Result<std::vector<storage::Column>> SetAssignments(
+    const storage::Table& table, const storage::SelectionVector* rows,
+    const std::vector<Assignment>& assignments,
+    const storage::SelectionVector* to, std::vector<storage::Column> columns);
+
 enum class JoinType { kInner, kLeftOuter };
 
 /// Hash join on equality of `left_keys[i]` = `right_keys[i]`, where key

@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/evaluator.h"
+#include "relational/operators.h"
 #include "relational/sql_planner.h"
 
 namespace teleios::relational {
@@ -17,18 +18,21 @@ using storage::TablePtr;
 
 namespace {
 
-/// Evaluates a constant expression (no column refs allowed).
-Result<Value> EvalConstant(const ExprPtr& expr) {
-  return Evaluate(expr, [](const std::string& name) -> Result<Value> {
-    return Status::InvalidArgument("column reference '" + name +
-                                   "' in constant context");
-  });
-}
-
 Table AffectedRows(int64_t n) {
   Table t{Schema({{"affected", storage::ColumnType::kInt64}})};
   t.column(0).AppendInt64(n);
   return t;
+}
+
+/// The rows of `table` that `where` selects: the SELECT kernel, in the
+/// same `filter` span.
+Result<storage::SelectionVector> SelectRows(const Table& table,
+                                            const ExprPtr& where) {
+  obs::TraceSpan filter_span("filter");
+  TELEIOS_ASSIGN_OR_RETURN(storage::SelectionVector rows,
+                           FilterIndices(table, where));
+  filter_span.SetAttr("rows", std::to_string(rows.size()));
+  return rows;
 }
 
 }  // namespace
@@ -130,7 +134,8 @@ Result<Table> SqlEngine::ExecuteStatement(const Statement& stmt) {
       }
       std::vector<Value> row(table->num_columns());  // defaults to NULL
       for (size_t i = 0; i < slots.size(); ++i) {
-        TELEIOS_ASSIGN_OR_RETURN(row[slots[i]], EvalConstant(row_exprs[i]));
+        TELEIOS_ASSIGN_OR_RETURN(row[slots[i]],
+                                 EvaluateConstant(row_exprs[i]));
       }
       TELEIOS_RETURN_IF_ERROR(table->AppendRow(row));
     }
@@ -138,59 +143,52 @@ Result<Table> SqlEngine::ExecuteStatement(const Statement& stmt) {
   }
   if (const auto* del = std::get_if<DeleteStatement>(&stmt)) {
     TELEIOS_ASSIGN_OR_RETURN(TablePtr table, catalog_->GetTable(del->table));
-    storage::SelectionVector keep;
+    size_t removed = table->num_rows();  // no WHERE: every row
+    storage::SelectionVector keep;       // the rows WHERE does not select
     if (del->where) {
-      TELEIOS_ASSIGN_OR_RETURN(BoundExpr bound,
-                               BoundExpr::Bind(del->where, *table));
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        TELEIOS_ASSIGN_OR_RETURN(Value v, bound.Eval(*table, r));
-        if (!v.Truthy()) keep.push_back(static_cast<uint32_t>(r));
+      TELEIOS_ASSIGN_OR_RETURN(storage::SelectionVector hits,
+                               SelectRows(*table, del->where));
+      removed = hits.size();
+      if (removed > 0) {
+        keep.reserve(table->num_rows() - removed);
+        auto hit = hits.begin();
+        for (uint32_t r = 0; r < table->num_rows(); ++r) {
+          if (hit != hits.end() && *hit == r) {
+            ++hit;
+          } else {
+            keep.push_back(r);
+          }
+        }
       }
     }
-    int64_t removed = static_cast<int64_t>(table->num_rows() - keep.size());
-    *table = table->Take(keep);
-    return AffectedRows(removed);
+    if (removed > 0) *table = table->Take(keep);
+    return AffectedRows(static_cast<int64_t>(removed));
   }
   if (const auto* update = std::get_if<UpdateStatement>(&stmt)) {
     TELEIOS_ASSIGN_OR_RETURN(TablePtr table,
                              catalog_->GetTable(update->table));
-    std::vector<int> slots;
-    std::vector<BoundExpr> exprs;
+    std::vector<Assignment> assignments;
     for (const auto& [col, expr] : update->assignments) {
       int idx = table->schema().FieldIndex(col);
       if (idx < 0) return Status::NotFound("no column '" + col + "'");
-      slots.push_back(idx);
-      TELEIOS_ASSIGN_OR_RETURN(BoundExpr b, BoundExpr::Bind(expr, *table));
-      exprs.push_back(std::move(b));
+      assignments.push_back({static_cast<size_t>(idx), expr});
     }
-    BoundExpr where;
-    bool has_where = update->where != nullptr;
-    if (has_where) {
-      TELEIOS_ASSIGN_OR_RETURN(where, BoundExpr::Bind(update->where, *table));
+    storage::SelectionVector hits;
+    const storage::SelectionVector* rows = nullptr;  // every row
+    if (update->where) {
+      TELEIOS_ASSIGN_OR_RETURN(hits, SelectRows(*table, update->where));
+      rows = &hits;
     }
-    // Rebuild the table row by row (columns are append-only).
-    Table rebuilt{table->schema()};
-    int64_t changed = 0;
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      bool hit = true;
-      if (has_where) {
-        TELEIOS_ASSIGN_OR_RETURN(Value v, where.Eval(*table, r));
-        hit = v.Truthy();
-      }
-      std::vector<Value> row(table->num_columns());
-      for (size_t c = 0; c < table->num_columns(); ++c) {
-        row[c] = table->Get(r, c);
-      }
-      if (hit) {
-        ++changed;
-        for (size_t i = 0; i < slots.size(); ++i) {
-          TELEIOS_ASSIGN_OR_RETURN(row[slots[i]], exprs[i].Eval(*table, r));
-        }
-      }
-      TELEIOS_RETURN_IF_ERROR(rebuilt.AppendRow(row));
+    // The values go into copies of the columns; the table takes them only
+    // once every value is written, so a failed UPDATE changes nothing.
+    TELEIOS_ASSIGN_OR_RETURN(
+        std::vector<Column> columns,
+        SetAssignments(*table, rows, assignments, nullptr, table->columns()));
+    for (const Assignment& a : assignments) {
+      table->column(a.column) = columns[a.column];
     }
-    *table = std::move(rebuilt);
-    return AffectedRows(changed);
+    return AffectedRows(static_cast<int64_t>(
+        rows != nullptr ? hits.size() : table->num_rows()));
   }
   return Status::Internal("unhandled statement variant");
 }

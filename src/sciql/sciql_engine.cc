@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "array/array_ops.h"
-#include "common/cancellation.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -43,11 +42,18 @@ bool BindsFrom(const ExprPtr& expr, const storage::Schema& schema,
   return true;
 }
 
-/// True when the statement names one of the first `num_dims` fields of
-/// `cells` (the dimensions) — or selects `*` or joins, whose output
-/// columns depend on every column of the source.
-bool NeedsDimensions(const SelectStatement& stmt,
-                     const storage::Schema& cells, int num_dims) {
+/// True when one of `refs` names a dimension of `arr`.
+bool NamesADimension(const std::vector<std::string>& refs, const Array& arr) {
+  const storage::Schema cells = arr.CellSchema();
+  return std::any_of(refs.begin(), refs.end(), [&](const std::string& ref) {
+    int field = relational::ResolveField(cells, ref);
+    return field >= 0 && field < static_cast<int>(arr.num_dims());
+  });
+}
+
+/// True when the statement names a dimension of `arr` — or selects `*` or
+/// joins, whose output columns depend on every column of the source.
+bool NeedsDimensions(const SelectStatement& stmt, const Array& arr) {
   if (!stmt.joins.empty()) return true;
   std::vector<std::string> refs;
   for (const relational::SelectItem& item : stmt.items) {
@@ -58,10 +64,72 @@ bool NeedsDimensions(const SelectStatement& stmt,
   for (const ExprPtr& g : stmt.group_by) relational::CollectColumnRefs(g, &refs);
   relational::CollectColumnRefs(stmt.having, &refs);
   for (const relational::OrderItem& o : stmt.order_by) refs.push_back(o.column);
-  return std::any_of(refs.begin(), refs.end(), [&](const std::string& ref) {
-    int field = relational::ResolveField(cells, ref);
-    return field >= 0 && field < num_dims;
-  });
+  return NamesADimension(refs, arr);
+}
+
+/// The cells of an array a statement reads: their linear ids, ascending,
+/// or every cell in row-major order when `all`.
+struct Cells {
+  bool all = true;
+  SelectionVector ids;
+};
+
+/// The cells of `slab` (every cell when it is empty); the ids are
+/// enumerated, and charged through `charges`, only when the slab is not
+/// the whole array. ClampSlab's errors: InvalidArgument on an arity
+/// mismatch, OutOfRange when the slab misses the array.
+Result<Cells> CellsOfSlab(
+    const Array& arr, const std::vector<std::pair<int64_t, int64_t>>& slab,
+    std::vector<governor::BudgetCharge>* charges) {
+  Cells cells;
+  if (slab.empty()) return cells;
+  std::vector<Range> ranges;
+  for (const auto& [start, end] : slab) ranges.push_back({start, end});
+  TELEIOS_ASSIGN_OR_RETURN(std::vector<array::Dimension> dims,
+                           array::ClampSlab(arr, ranges));
+  size_t count = 1;
+  for (const array::Dimension& d : dims) count *= static_cast<size_t>(d.size);
+  if (count < arr.num_cells()) {
+    TELEIOS_ASSIGN_OR_RETURN(
+        governor::BudgetCharge charge,
+        governor::ChargeCurrent(count * sizeof(uint32_t), "sciql slab cells"));
+    charges->push_back(std::move(charge));
+    cells.ids = array::SlabCells(arr, dims);
+    cells.all = false;
+  }
+  return cells;
+}
+
+/// The table of `cells`: a BIGINT column per dimension when `dims`, then
+/// the attributes gathered at the cells — or shared when `all`. What it
+/// builds is charged through `charges` and counted in
+/// teleios_sciql_cells_materialized_total.
+Result<Table> CellTable(const Array& arr, const Cells& cells, bool dims,
+                        std::vector<governor::BudgetCharge>* charges) {
+  const size_t rows = cells.all ? arr.num_cells() : cells.ids.size();
+  const size_t built_columns =
+      (dims ? arr.num_dims() : 0) + (cells.all ? 0 : arr.num_attributes());
+  // At most 8 bytes and a validity byte per built cell.
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge charge,
+      governor::ChargeCurrent(rows * built_columns * (sizeof(int64_t) + 1),
+                              "sciql materialized cells"));
+  charges->push_back(std::move(charge));
+  std::vector<storage::Field> fields = arr.CellSchema().fields();
+  if (!dims) fields.erase(fields.begin(), fields.begin() + arr.num_dims());
+  Table table{storage::Schema(std::move(fields))};
+  const SelectionVector* ids = cells.all ? nullptr : &cells.ids;
+  size_t col = 0;
+  for (size_t d = 0; dims && d < arr.num_dims(); ++d) {
+    table.column(col++) = arr.Coordinates(d, ids);
+  }
+  for (size_t a = 0; a < arr.num_attributes(); ++a) {
+    table.column(col++) =
+        cells.all ? arr.column(a) : arr.column(a).Take(cells.ids);
+  }
+  obs::Count("teleios_sciql_cells_materialized_total",
+             dims || !cells.all ? rows : 0);
+  return table;
 }
 
 /// The WHERE conjuncts of a single-source SELECT that can run on the
@@ -125,13 +193,6 @@ bool SciQlEngine::HasArray(const std::string& name) const {
   return arrays_.count(name) > 0;
 }
 
-std::vector<std::string> SciQlEngine::ArrayNames() const {
-  ReaderMutexLock lock(arrays_mu_);
-  std::vector<std::string> names;
-  for (const auto& [name, _] : arrays_) names.push_back(name);
-  return names;
-}
-
 Status SciQlEngine::DropArray(const std::string& name) {
   WriterMutexLock lock(arrays_mu_);
   if (!arrays_.erase(name)) {
@@ -185,95 +246,41 @@ Status SciQlEngine::MaterializeArray(
     std::vector<std::string>* notes) {
   obs::TraceSpan span("materialize");
   span.SetAttr("array", ref.name);
-  // The cells the statement reads: the slab's (enumerated only when it
-  // is not the whole array), narrowed by the attribute-only conjuncts.
-  // `all` stands for every cell in row-major order.
-  std::string slab_text;
-  bool all = true;
-  SelectionVector cells;
-  if (!ref.slab.empty()) {
-    std::vector<Range> slab;
-    for (const auto& [start, end] : ref.slab) {
-      slab.push_back({start, end});
-      slab_text += (slab_text.empty() ? "" : ", ") + std::to_string(start) +
-                   ":" + std::to_string(end);
-    }
-    TELEIOS_ASSIGN_OR_RETURN(std::vector<array::Dimension> dims,
-                             array::ClampSlab(arr, slab));
-    size_t count = 1;
-    for (const array::Dimension& d : dims) {
-      count *= static_cast<size_t>(d.size);
-    }
-    if (count < arr.num_cells()) {
-      TELEIOS_ASSIGN_OR_RETURN(
-          governor::BudgetCharge charge,
-          governor::ChargeCurrent(count * sizeof(uint32_t), "sciql slab cells"));
-      charges->push_back(std::move(charge));
-      cells = array::SlabCells(arr, dims);
-      all = false;
-    }
-  }
-  // The dims+attrs schema, with no rows: what the plan would bind to.
+  // The cells the statement reads: the slab's, narrowed by the
+  // attribute-only conjuncts.
+  TELEIOS_ASSIGN_OR_RETURN(Cells cells, CellsOfSlab(arr, ref.slab, charges));
   const int num_dims = static_cast<int>(arr.num_dims());
-  std::vector<storage::Field> fields;
-  for (const array::Dimension& d : arr.dims()) {
-    fields.push_back({d.name, ColumnType::kInt64});
-  }
-  for (size_t a = 0; a < arr.num_attributes(); ++a) {
-    fields.push_back(arr.attribute(a));
-  }
-  const Table probe{storage::Schema(fields)};
+  // The dims+attrs schema, with no rows: what the plan would bind to.
+  const Table probe{arr.CellSchema()};
   size_t prefiltered = 0;
   if (stmt.joins.empty() && stmt.where != nullptr) {
     ExprPtr pre =
         PrefilterConjuncts(stmt.where, probe, num_dims, &prefiltered);
     if (pre != nullptr) {
-      Table attributes{storage::Schema(
-          std::vector<storage::Field>(fields.begin() + num_dims, fields.end()))};
-      for (size_t a = 0; a < arr.num_attributes(); ++a) {
-        attributes.column(a) = arr.column(a);
-      }
-      // Tested the way the plan will test the whole WHERE, so the two
-      // agree cell for cell (they differ on NaN).
-      const SelectionVector* candidates = all ? nullptr : &cells;
+      TELEIOS_ASSIGN_OR_RETURN(Table attributes,
+                               CellTable(arr, Cells{}, false, charges));
+      const SelectionVector* candidates = cells.all ? nullptr : &cells.ids;
       TELEIOS_ASSIGN_OR_RETURN(
-          cells, relational::IsVectorizablePredicate(probe, stmt.where)
-                     ? relational::FilterIndices(attributes, pre, candidates)
-                     : relational::FilterIndicesInterpreted(attributes, pre,
-                                                            candidates));
-      all = all && cells.size() == arr.num_cells();
+          cells.ids, relational::FilterIndices(attributes, pre, candidates));
+      cells.all = cells.all && cells.ids.size() == arr.num_cells();
     }
   }
   // Build what the statement reads: dimension columns when it names one,
   // attributes gathered at the selected cells — or shared when no cell
   // was dropped.
-  const bool dims = NeedsDimensions(stmt, probe.schema(), num_dims);
-  const size_t rows = all ? arr.num_cells() : cells.size();
-  const size_t built_columns =
-      (dims ? arr.num_dims() : 0) + (all ? 0 : arr.num_attributes());
-  // At most 8 bytes and a validity byte per built cell.
-  TELEIOS_ASSIGN_OR_RETURN(
-      governor::BudgetCharge charge,
-      governor::ChargeCurrent(rows * built_columns * (sizeof(int64_t) + 1),
-                              "sciql materialized cells"));
-  charges->push_back(std::move(charge));
-  if (!dims) fields.erase(fields.begin(), fields.begin() + num_dims);
-  auto table = std::make_shared<Table>(storage::Schema(std::move(fields)));
-  size_t col = 0;
-  if (dims) {
-    for (size_t d = 0; d < arr.num_dims(); ++d) {
-      table->column(col++) = arr.Coordinates(d, all ? nullptr : &cells);
-    }
-  }
-  for (size_t a = 0; a < arr.num_attributes(); ++a) {
-    table->column(col++) = all ? arr.column(a) : arr.column(a).Take(cells);
-  }
-  const size_t built = dims || !all ? rows : 0;
-  obs::Count("teleios_sciql_cells_materialized_total", built);
+  const bool dims = NeedsDimensions(stmt, arr);
+  TELEIOS_ASSIGN_OR_RETURN(Table table, CellTable(arr, cells, dims, charges));
+  const size_t rows = table.num_rows();
+  const size_t built = dims || !cells.all ? rows : 0;
   span.SetAttr("cells", std::to_string(built));
   span.SetAttr("prefiltered", std::to_string(prefiltered));
   span.SetAttr("dimensions", dims ? "built" : "not referenced");
   if (notes != nullptr) {
+    std::string slab_text;
+    for (const auto& [start, end] : ref.slab) {
+      slab_text += (slab_text.empty() ? "" : ", ") + std::to_string(start) +
+                   ":" + std::to_string(end);
+    }
     notes->push_back(
         "materialize array '" + ref.name + "'" +
         (slab_text.empty() ? std::string(" (full extent)")
@@ -281,9 +288,10 @@ Status SciQlEngine::MaterializeArray(
         " -> " + std::to_string(rows) + " cell rows (" +
         std::to_string(prefiltered) + " conjuncts pre-filtered; dimensions " +
         (dims ? "built" : "not referenced") + "; " +
-        (all ? "attributes shared" : "attributes gathered") + ")");
+        (cells.all ? "attributes shared" : "attributes gathered") + ")");
   }
-  return scratch->CreateTable(ref.name, std::move(table));
+  return scratch->CreateTable(ref.name,
+                              std::make_shared<Table>(std::move(table)));
 }
 
 Status SciQlEngine::MaterializeSources(
@@ -369,80 +377,53 @@ Result<Table> SciQlEngine::ExecuteUpdate(const UpdateArrayStatement& stmt) {
   if (!stmt.slab.empty() && stmt.slab.size() != arr->num_dims()) {
     return Status::InvalidArgument("slab arity mismatch");
   }
-  // Resolve assignment targets.
-  std::vector<int> targets;
-  for (const auto& [col, _] : stmt.assignments) {
+  std::vector<relational::Assignment> assignments;
+  std::vector<std::string> refs;
+  relational::CollectColumnRefs(stmt.where, &refs);
+  for (const auto& [col, expr] : stmt.assignments) {
     int a = arr->AttributeIndex(col);
     if (a < 0) {
       return Status::NotFound("array '" + stmt.name +
                               "' has no attribute '" + col + "'");
     }
-    targets.push_back(a);
+    assignments.push_back({static_cast<size_t>(a), expr});
+    relational::CollectColumnRefs(expr, &refs);
   }
-  // Cell resolver: dims + attributes by name.
-  size_t cell = 0;
-  std::vector<int64_t> coords(arr->num_dims());
-  auto resolver = [&](const std::string& name) -> Result<Value> {
-    int d = arr->DimensionIndex(name);
-    if (d >= 0) return Value(coords[d]);
-    int a = arr->AttributeIndex(name);
-    if (a >= 0) return arr->GetLinear(cell, static_cast<size_t>(a));
-    return Status::NotFound("unknown cell reference '" + name + "'");
-  };
-  // Every new value is evaluated and staged before any is written, so an
-  // UPDATE that fails or is cancelled part-way changes nothing. The token
-  // is polled every kPollCells cells; the staging is charged as it grows,
-  // doubling from kPollCells cells.
-  constexpr size_t kPollCells = 1024;
-  const CancellationToken* cancel = CurrentCancel();
-  const size_t width = targets.size();
-  std::vector<uint32_t> staged_cells;
-  std::vector<Value> staged;
+  // The cells are built as a SELECT of the slab builds them, so the two
+  // agree on which cells a WHERE names. A slab that misses the array
+  // names no cell (a SELECT of it is OutOfRange).
   std::vector<governor::BudgetCharge> charges;
-  size_t charged_cells = 0;
-  for (cell = 0; cell < arr->num_cells(); ++cell) {
-    if (cancel != nullptr && cell % kPollCells == 0) {
-      TELEIOS_RETURN_IF_ERROR(cancel->Check());
-    }
-    coords = arr->CoordsOf(cell);
-    bool in_slab = true;
-    for (size_t d = 0; d < stmt.slab.size(); ++d) {
-      if (coords[d] < stmt.slab[d].first || coords[d] >= stmt.slab[d].second) {
-        in_slab = false;
-        break;
-      }
-    }
-    if (!in_slab) continue;
-    if (stmt.where) {
-      TELEIOS_ASSIGN_OR_RETURN(Value cond,
-                               relational::Evaluate(stmt.where, resolver));
-      if (!cond.Truthy()) continue;
-    }
-    if (staged_cells.size() == charged_cells) {
-      size_t more = std::max<size_t>(charged_cells, kPollCells);
-      TELEIOS_ASSIGN_OR_RETURN(
-          governor::BudgetCharge charge,
-          governor::ChargeCurrent(
-              more * (sizeof(uint32_t) + width * sizeof(Value)),
-              "sciql update staged values"));
-      charges.push_back(std::move(charge));
-      charged_cells += more;
-    }
-    // All right-hand sides see the old cells (simultaneous update).
-    staged_cells.push_back(static_cast<uint32_t>(cell));
-    for (const auto& [_, expr] : stmt.assignments) {
-      TELEIOS_ASSIGN_OR_RETURN(Value v, relational::Evaluate(expr, resolver));
-      staged.push_back(std::move(v));
-    }
+  Result<Cells> cells = CellsOfSlab(*arr, stmt.slab, &charges);
+  if (cells.status().code() == StatusCode::kOutOfRange) return AffectedRows(0);
+  TELEIOS_RETURN_IF_ERROR(cells.status());
+  const bool dims = NamesADimension(refs, *arr);
+  Table table;
+  {
+    obs::TraceSpan span("materialize");
+    TELEIOS_ASSIGN_OR_RETURN(table, CellTable(*arr, *cells, dims, &charges));
+    span.SetAttr("dimensions", dims ? "built" : "not referenced");
   }
-  for (size_t i = 0; i < staged_cells.size(); ++i) {
-    for (size_t t = 0; t < width; ++t) {
-      TELEIOS_RETURN_IF_ERROR(arr->SetLinear(staged_cells[i],
-                                             static_cast<size_t>(targets[t]),
-                                             staged[i * width + t]));
-    }
+  SelectionVector hits;
+  const SelectionVector* rows = nullptr;  // every cell of the slab
+  if (stmt.where != nullptr) {
+    obs::TraceSpan filter_span("filter");
+    TELEIOS_ASSIGN_OR_RETURN(hits,
+                             relational::FilterIndices(table, stmt.where));
+    filter_span.SetAttr("rows", std::to_string(hits.size()));
+    rows = &hits;
   }
-  return AffectedRows(static_cast<int64_t>(staged_cells.size()));
+  // The values go into copies of the attribute columns — row r of the
+  // table at cell r, or at cell ids[r] when the slab listed them — which
+  // replace the array's only once every value is written: a failed UPDATE
+  // changes nothing.
+  TELEIOS_ASSIGN_OR_RETURN(
+      std::vector<storage::Column> columns,
+      relational::SetAssignments(table, rows, assignments,
+                                 cells->all ? nullptr : &cells->ids,
+                                 arr->columns()));
+  TELEIOS_RETURN_IF_ERROR(arr->ReplaceColumns(std::move(columns)));
+  return AffectedRows(
+      static_cast<int64_t>(rows != nullptr ? hits.size() : table.num_rows()));
 }
 
 }  // namespace teleios::sciql

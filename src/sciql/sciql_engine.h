@@ -38,7 +38,6 @@ class SciQlEngine {
 
   Result<array::ArrayPtr> GetArray(const std::string& name) const;
   bool HasArray(const std::string& name) const;
-  std::vector<std::string> ArrayNames() const;
   Status DropArray(const std::string& name);
 
   /// Parses and executes one SciQL statement. SELECT returns the result

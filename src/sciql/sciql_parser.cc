@@ -53,12 +53,7 @@ Result<CreateArrayStatement> ParseCreateArray(TokenCursor* cur) {
       Value def;  // NULL default unless specified
       if (cur->AcceptKeyword("default")) {
         TELEIOS_ASSIGN_OR_RETURN(relational::ExprPtr e, ParseExpression(cur));
-        TELEIOS_ASSIGN_OR_RETURN(
-            def, relational::Evaluate(
-                     e, [](const std::string& n) -> Result<Value> {
-                       return Status::InvalidArgument(
-                           "column ref '" + n + "' in DEFAULT");
-                     }));
+        TELEIOS_ASSIGN_OR_RETURN(def, relational::EvaluateConstant(e));
       }
       stmt.attributes.push_back({col_name, type});
       stmt.defaults.push_back(std::move(def));

@@ -290,8 +290,9 @@ Status DecodeRowChunk(std::string_view payload, storage::Table* table) {
   if (!reader.ReadU32(&nrows)) return Status::DataLoss("truncated row chunk");
   size_t ncols = table->num_columns();
   // A row is at least one tag byte per column; bound the declared count
-  // by what the payload could hold before appending anything.
-  if (ncols > 0 && nrows > payload.size()) {
+  // by what the payload could hold before appending anything. A row of no
+  // columns (a true ASK) takes no bytes: the frame limit bounds those.
+  if (nrows > (ncols > 0 ? payload.size() : size_t{kMaxFrameBytes})) {
     return Status::DataLoss("row count exceeds chunk payload");
   }
   std::vector<Value> row(ncols);
@@ -416,22 +417,31 @@ Status DecodeError(std::string_view payload) {
 
 bool IsMutatingStatement(Lang lang, std::string_view statement) {
   std::string_view head = StrTrim(statement);
-  size_t end = 0;
-  while (end < head.size() &&
-         std::isalpha(static_cast<unsigned char>(head[end]))) {
-    ++end;
+  for (;;) {
+    size_t end = 0;
+    while (end < head.size() &&
+           std::isalpha(static_cast<unsigned char>(head[end]))) {
+      ++end;
+    }
+    std::string word = StrLower(head.substr(0, end));
+    switch (lang) {
+      case Lang::kSql:
+      case Lang::kSciQl:
+        return word == "insert" || word == "update" || word == "delete" ||
+               word == "create" || word == "drop" || word == "alter" ||
+               word == "truncate";
+      case Lang::kStSparql:
+        if (word == "insert" || word == "delete") return true;
+        // Past the prologue: PREFIX p: <iri> and BASE <iri>, each ending
+        // with its IRI's '>'.
+        if (word != "prefix" && word != "base") return false;
+        end = head.find('>');
+        if (end == std::string_view::npos) return false;
+        head = StrTrim(head.substr(end + 1));
+        continue;
+    }
+    return false;
   }
-  std::string word = StrLower(head.substr(0, end));
-  switch (lang) {
-    case Lang::kSql:
-    case Lang::kSciQl:
-      return word == "insert" || word == "update" || word == "delete" ||
-             word == "create" || word == "drop" || word == "alter" ||
-             word == "truncate";
-    case Lang::kStSparql:
-      return word == "insert" || word == "delete";
-  }
-  return false;
 }
 
 Result<std::string> BindParameters(const std::string& text,

@@ -173,9 +173,11 @@ std::string EncodeStmtReady(uint32_t stmt_id);
 Status DecodeError(std::string_view payload);
 
 /// True when `statement` looks like it changes state — the client-side
-/// classifier deciding which statements get a retry request id. First
-/// keyword based: SQL/SciQL INSERT/UPDATE/DELETE/CREATE/DROP/ALTER,
-/// stSPARQL INSERT/DELETE. Conservative in the safe direction:
+/// classifier deciding which statements get a retry request id, and the
+/// server's choice between an stSPARQL update and a query. First keyword
+/// based: SQL/SciQL INSERT/UPDATE/DELETE/CREATE/DROP/ALTER, stSPARQL
+/// INSERT/DELETE past any PREFIX/BASE declarations. Conservative in the
+/// safe direction:
 /// misclassifying a read as mutating costs one dedup-window slot;
 /// statements the parser rejects mutate nothing either way.
 bool IsMutatingStatement(Lang lang, std::string_view statement);

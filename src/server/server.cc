@@ -494,10 +494,7 @@ Result<storage::Table> TeleiosServer::RunStatement(
     case Lang::kStSparql: {
       // SELECT/ASK stream rows; updates return a one-row count table so
       // both shapes fit the same SCHEMA/ROWS/DONE stream.
-      std::string_view head = StrTrim(statement);
-      std::string first = StrLower(std::string(
-          head.substr(0, std::min<size_t>(head.size(), 6))));
-      if (StrStartsWith(first, "insert") || StrStartsWith(first, "delete")) {
+      if (IsMutatingStatement(Lang::kStSparql, statement)) {
         Result<size_t> count = observatory_->StSparqlUpdate(statement);
         if (!count.ok()) {
           result = count.status();

@@ -32,20 +32,6 @@ Result<ColumnType> ColumnTypeForValue(ValueType t) {
   return Status::Internal("bad value type");
 }
 
-ValueType ValueTypeForColumn(ColumnType t) {
-  switch (t) {
-    case ColumnType::kBool:
-      return ValueType::kBool;
-    case ColumnType::kInt64:
-      return ValueType::kInt64;
-    case ColumnType::kFloat64:
-      return ValueType::kFloat64;
-    case ColumnType::kString:
-      return ValueType::kString;
-  }
-  return ValueType::kNull;
-}
-
 Column::Column(ColumnType type)
     : type_(type), data_(std::make_shared<Payload>()) {
   if (type_ == ColumnType::kString) dict_ = std::make_shared<Dictionary>();

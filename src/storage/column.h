@@ -27,8 +27,6 @@ const char* ColumnTypeName(ColumnType t);
 
 /// Maps a scalar ValueType to its column storage type.
 Result<ColumnType> ColumnTypeForValue(ValueType t);
-/// Maps a column type to the scalar type its cells produce.
-ValueType ValueTypeForColumn(ColumnType t);
 
 /// Row indices selected by a predicate — MonetDB candidate-list idiom.
 using SelectionVector = std::vector<uint32_t>;

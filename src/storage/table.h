@@ -54,6 +54,7 @@ class Table {
 
   const Column& column(size_t i) const { return columns_[i]; }
   Column& column(size_t i) { return columns_[i]; }
+  const std::vector<Column>& columns() const { return columns_; }
 
   /// Column by name; NotFound if the name is unknown.
   Result<const Column*> ColumnByName(const std::string& name) const;

@@ -170,24 +170,21 @@ static Result<Table> AggregateSolutions(const SparqlQuery& query,
 
 /// The printable form of a solution table: one VARCHAR column per
 /// variable, IRIs and literals by their lexical form (no angle brackets or
-/// quotes), NULL where unbound.
+/// quotes), NULL where unbound. The row count is the solutions', columns
+/// or not: a true ASK is one row of none.
 static Table LexicalTable(const Table& solutions,
                           const rdf::TermDictionary& dict) {
-  std::vector<storage::Field> fields;
-  for (const storage::Field& f : solutions.schema().fields()) {
-    fields.push_back({f.name, storage::ColumnType::kString});
-  }
-  Table out{storage::Schema(std::move(fields))};
+  Table out = solutions.ProjectIndices({});
   for (size_t c = 0; c < solutions.num_columns(); ++c) {
-    const std::vector<int64_t>& ids = solutions.column(c).ints();
-    Column& column = out.column(c);
-    for (int64_t id : ids) {
+    Column column(storage::ColumnType::kString);
+    for (int64_t id : solutions.column(c).ints()) {
       if (id == kNoTerm) {
         column.AppendNull();
       } else {
         column.AppendString(dict.At(static_cast<TermId>(id)).lexical);
       }
     }
+    out.AddColumn(solutions.schema().field(c).name, std::move(column));
   }
   return out;
 }

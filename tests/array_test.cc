@@ -266,14 +266,6 @@ TEST(ArrayOpsTest, ConvolveRejectsBadKernel) {
   EXPECT_FALSE(Convolve2D(*arr, 0, {1, 2, 3, 4}, 2).ok());
 }
 
-TEST(ArrayOpsTest, MapCells) {
-  ArrayPtr arr = MakeRamp(2, 2);
-  ASSERT_TRUE(MapCells(arr.get(), 0, [](const std::vector<Value>& cell) {
-                return Value(cell[0].AsFloat64() * 2);
-              }).ok());
-  EXPECT_DOUBLE_EQ(arr->Get({1, 1}, 0).AsFloat64(), 202.0);
-}
-
 TEST(ArrayOpsTest, Stats) {
   ArrayPtr arr = MakeRamp(2, 2);  // values 0, 1, 100, 101
   auto stats = ComputeStats(*arr, 0);

@@ -32,6 +32,7 @@
 #include "io/retry.h"
 #include "mining/kmeans.h"
 #include "noa/chain.h"
+#include "obs/metrics.h"
 
 namespace teleios {
 namespace {
@@ -105,6 +106,51 @@ TEST(MemoryBudgetTest, ZeroByteReserveIsFree) {
   MemoryBudget budget("b", 0);  // refuses any non-zero request
   EXPECT_TRUE(budget.Reserve(0).ok());
   EXPECT_EQ(budget.Reserve(1).code(), StatusCode::kResourceExhausted);
+}
+
+TEST(MemoryBudgetTest, RootGaugesFollowTheProcessBudgetOnly) {
+  MemoryBudget& root = governor::ProcessBudget();
+  const obs::Gauge* used = obs::MetricsRegistry::Global().GetGauge(
+      "teleios_governor_budget_used_bytes");
+  const obs::Gauge* peak = obs::MetricsRegistry::Global().GetGauge(
+      "teleios_governor_budget_peak_bytes");
+  auto expect_root = [&](const char* after) {
+    EXPECT_EQ(used->value(), static_cast<double>(root.used())) << after;
+    EXPECT_EQ(peak->value(), static_cast<double>(root.peak())) << after;
+  };
+  {
+    auto charge = governor::TryCharge(&root, 1u << 20, "gauge test");
+    ASSERT_TRUE(charge.ok());
+    expect_root("a root charge");
+  }
+  expect_root("a root release");
+  // Another budget without a parent, as a WAL commit's is, reports
+  // nothing.
+  MemoryBudget other("other-root", MemoryBudget::kUnlimited);
+  {
+    auto charge = governor::TryCharge(&other, 64, "gauge test");
+    ASSERT_TRUE(charge.ok());
+    expect_root("a charge on another root");
+  }
+  expect_root("a release on another root");
+  const stdfs::path dir = stdfs::temp_directory_path() /
+                          ("gauge_commit_" + std::to_string(::getpid()));
+  stdfs::remove_all(dir);
+  {
+    core::VirtualEarthObservatory live;
+    ASSERT_TRUE(live.Open(dir.string()).ok());
+    ASSERT_TRUE(live.StSparqlUpdate("PREFIX ex: <http://example.org/> "
+                                    "INSERT DATA { ex:a ex:p ex:b . "
+                                    "ex:c ex:p ex:d }")
+                    .ok());
+    auto moved = live.StSparqlUpdate(
+        "PREFIX ex: <http://example.org/> "
+        "DELETE { ?s ex:p ?o } INSERT { ?s ex:q ?o } WHERE { ?s ex:p ?o }");
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_EQ(*moved, 4u);
+    expect_root("a durable DELETE/INSERT WHERE");
+  }
+  stdfs::remove_all(dir);
 }
 
 TEST(BudgetChargeTest, RaiiReleasesOnScopeExitAndMoves) {
@@ -840,6 +886,145 @@ TEST(GovernedEngineTest, SqlDistinctIsChargedToTheBudget) {
   auto unlimited = veo.Sql("SELECT DISTINCT id FROM t");
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
   EXPECT_EQ(unlimited->num_rows(), 200000u);
+}
+
+/// A table of `rows` rows: id = 0, 1, ... and v = id % 1000.
+std::shared_ptr<storage::Table> IdTable(int64_t rows) {
+  auto table = std::make_shared<storage::Table>(
+      storage::Schema({{"id", storage::ColumnType::kInt64},
+                       {"v", storage::ColumnType::kInt64}}));
+  for (int64_t i = 0; i < rows; ++i) {
+    table->column(0).AppendInt64(i);
+    table->column(1).AppendInt64(i % 1000);
+  }
+  return table;
+}
+
+/// Every row of `table`, rendered.
+std::string Rendered(core::VirtualEarthObservatory& veo,
+                     const std::string& table) {
+  auto all = veo.Sql("SELECT * FROM " + table);
+  EXPECT_TRUE(all.ok()) << all.status().ToString();
+  return all.ok() ? all->ToString(1u << 30) : "";
+}
+
+const char* const kSqlWrites[] = {"UPDATE t SET v = v + 1 WHERE id > 5",
+                                  "DELETE FROM t WHERE v > 500"};
+
+TEST(GovernedEngineTest, SqlWritesStopOnACancelledToken) {
+  core::VirtualEarthObservatory veo;
+  ASSERT_TRUE(veo.catalog().CreateTable("t", IdTable(20000)).ok());
+  const std::string before = Rendered(veo, "t");
+  CancellationToken token;
+  token.Cancel();
+  for (const char* write : kSqlWrites) {
+    auto stopped = veo.Sql(write, &token);
+    ASSERT_FALSE(stopped.ok()) << write;
+    EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled) << write;
+  }
+  EXPECT_EQ(Rendered(veo, "t"), before);
+}
+
+TEST(GovernedEngineTest, SqlWritesAreChargedToTheBudget) {
+  core::VirtualEarthObservatory veo;
+  ASSERT_TRUE(veo.catalog().CreateTable("t", IdTable(20000)).ok());
+  const std::string before = Rendered(veo, "t");
+  MemoryBudget kib("sql-writes-1k", 1024);
+  for (const char* write : kSqlWrites) {
+    Result<storage::Table> refused = [&] {
+      ScopedBudget scope(&kib);
+      return veo.Sql(write);
+    }();
+    ASSERT_FALSE(refused.ok()) << write;
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+        << refused.status().ToString();
+    EXPECT_EQ(kib.used(), 0u) << write;
+  }
+  EXPECT_EQ(Rendered(veo, "t"), before);
+  // With room the same writes apply.
+  auto updated = veo.Sql(kSqlWrites[0]);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated->Get(0, 0), Value(int64_t{19994}));
+  auto deleted = veo.Sql(kSqlWrites[1]);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->Get(0, 0), Value(int64_t{10000}));
+}
+
+TEST(GovernedEngineTest, KillQueryStopsASqlUpdate) {
+  core::VirtualEarthObservatory veo;
+  ASSERT_TRUE(veo.catalog().CreateTable("t", IdTable(1 << 20)).ok());
+  const std::string before = Rendered(veo, "t");
+  // The WHERE runs interpreted, row by row, polling at morsel boundaries;
+  // SET v = v leaves every finished run's table as it was, so the worker
+  // repeats the statement until a kill lands in one.
+  const std::string slow =
+      "UPDATE t SET v = v WHERE sqrt(abs(id * 37 - v)) + ln(id + 2) > 6000";
+  Result<storage::Table> victim = Status::Internal("never ran");
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    for (int attempt = 0; attempt < 50; ++attempt) {
+      victim = veo.Sql(slow);
+      if (!victim.ok()) break;
+    }
+    done = true;
+  });
+  while (!done) {
+    auto active = veo.Sql("SELECT id, statement, state FROM sys.queries");
+    ASSERT_TRUE(active.ok()) << active.status().ToString();
+    for (size_t r = 0; r < active->num_rows(); ++r) {
+      if (active->Get(r, 1).AsString() == slow &&
+          active->Get(r, 2).AsString() == "running") {
+        (void)veo.KillQuery(static_cast<uint64_t>(active->Get(r, 0).AsInt64()));
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  worker.join();
+  ASSERT_FALSE(victim.ok()) << "every run finished before a kill landed";
+  EXPECT_EQ(victim.status().code(), StatusCode::kCancelled)
+      << victim.status().ToString();
+  EXPECT_EQ(Rendered(veo, "t"), before);
+}
+
+TEST(GovernedEngineTest, LoggedSqlWritesApplyUnderATinySessionBudget) {
+  // Once the WAL has synced a statement, the live catalog must apply it:
+  // a budget refusal there would leave the log holding a write the live
+  // tables never made.
+  const stdfs::path dir = stdfs::temp_directory_path() /
+                          ("sql_commit_" + std::to_string(::getpid()));
+  const stdfs::path copy = dir.string() + "_copy";
+  stdfs::remove_all(dir);
+  stdfs::remove_all(copy);
+  core::VirtualEarthObservatory live;
+  core::DurabilityOptions options;
+  options.checkpoint_bytes = 0;
+  ASSERT_TRUE(live.Open(dir.string(), options).ok());
+  ASSERT_TRUE(live.Sql("CREATE TABLE t (id INT, v DOUBLE, s VARCHAR)").ok());
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 300; ++i) {
+    insert += (i ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i) + ".5, 'r" + std::to_string(i % 7) + "')";
+  }
+  ASSERT_TRUE(live.Sql(insert).ok());
+  MemoryBudget tiny("tiny", 16);
+  {
+    ScopedBudget scope(&tiny);
+    auto updated =
+        live.Sql("UPDATE t SET v = v * 2, s = 'upd' WHERE id % 3 = 0");
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated->Get(0, 0), Value(int64_t{100}));
+    auto deleted = live.Sql("DELETE FROM t WHERE id >= 250");
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(deleted->Get(0, 0), Value(int64_t{50}));
+  }
+  EXPECT_EQ(tiny.used(), 0u);
+
+  stdfs::copy(dir, copy, stdfs::copy_options::recursive);
+  core::VirtualEarthObservatory reopened;
+  ASSERT_TRUE(reopened.Open(copy.string()).ok());
+  EXPECT_EQ(Rendered(reopened, "t"), Rendered(live, "t"));
+  stdfs::remove_all(copy);
+  stdfs::remove_all(dir);
 }
 
 /// A store of 1,500 `ex:p` triples and a query whose two patterns share no

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -53,9 +54,7 @@ TEST(EvaluatorTest, Arithmetic) {
   auto lit = [](double d) { return Expr::Literal(Value(d)); };
   ExprPtr e = Expr::Binary(BinaryOp::kAdd, lit(2),
                            Expr::Binary(BinaryOp::kMul, lit(3), lit(4)));
-  auto v = Evaluate(e, [](const std::string&) -> Result<Value> {
-    return Status::NotFound("none");
-  });
+  auto v = EvaluateConstant(e);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(v->AsFloat64(), 14.0);
 }
@@ -63,9 +62,7 @@ TEST(EvaluatorTest, Arithmetic) {
 TEST(EvaluatorTest, IntegerDivisionStaysInt) {
   ExprPtr e = Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value(int64_t{7})),
                            Expr::Literal(Value(int64_t{2})));
-  auto v = Evaluate(e, [](const std::string&) -> Result<Value> {
-    return Value();
-  });
+  auto v = EvaluateConstant(e);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->type(), ValueType::kInt64);
   EXPECT_EQ(v->AsInt64(), 3);
@@ -74,17 +71,13 @@ TEST(EvaluatorTest, IntegerDivisionStaysInt) {
 TEST(EvaluatorTest, DivisionByZeroErrors) {
   ExprPtr e = Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value(int64_t{1})),
                            Expr::Literal(Value(int64_t{0})));
-  EXPECT_FALSE(Evaluate(e, [](const std::string&) -> Result<Value> {
-                 return Value();
-               }).ok());
+  EXPECT_FALSE(EvaluateConstant(e).ok());
 }
 
 TEST(EvaluatorTest, NullPropagatesThroughComparison) {
   ExprPtr e = Expr::Binary(BinaryOp::kLt, Expr::Literal(Value()),
                            Expr::Literal(Value(int64_t{1})));
-  auto v = Evaluate(e, [](const std::string&) -> Result<Value> {
-    return Value();
-  });
+  auto v = EvaluateConstant(e);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
 }
@@ -100,11 +93,7 @@ TEST(EvaluatorTest, LikeMatching) {
 }
 
 TEST(EvaluatorTest, ScalarFunctions) {
-  auto eval = [](ExprPtr e) {
-    return Evaluate(e, [](const std::string&) -> Result<Value> {
-      return Value();
-    });
-  };
+  auto eval = [](ExprPtr e) { return EvaluateConstant(e); };
   EXPECT_DOUBLE_EQ(
       eval(Expr::Function("sqrt", {Expr::Literal(Value(9.0))}))->AsFloat64(),
       3.0);
@@ -338,6 +327,27 @@ TEST(VectorizedFilterTest, RecognizesSimpleShapes) {
 
 TEST(VectorizedFilterTest, MatchesInterpreterOnAllShapes) {
   Table t = Sensors();
+  // A second BIGINT column, and rows where the two paths could part: NaN,
+  // -0.0 and 0.0, NULLs, and int64 values about +-2^53, past which a
+  // double no longer holds every integer (k - id stays in int64 range).
+  storage::Column k(ColumnType::kInt64);
+  for (int64_t v : {1, 3, 2, 4}) k.AppendInt64(v);
+  t.AddColumn("k", std::move(k));
+  const int64_t big = int64_t{1} << 53;
+  const double nan = std::nan("");
+  const std::vector<std::vector<Value>> edge_rows = {
+      {Value(big), Value("IR039"), Value(nan), Value(big + 1)},
+      {Value(big + 1), Value("IR108"), Value(-0.0), Value(big)},
+      {Value(-big), Value("VIS006"), Value(0.0), Value(-big - 1)},
+      {Value(-big - 1), Value(), Value(1.0), Value(-big)},
+      {Value(), Value("IR039"), Value(nan), Value(int64_t{5})},
+      {Value(int64_t{7}), Value("IR108"), Value(), Value()},
+  };
+  for (const std::vector<Value>& row : edge_rows) {
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  auto col = [](const char* name) { return Expr::ColumnRef(name); };
+  auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
   std::vector<ExprPtr> predicates = {
       Expr::Binary(BinaryOp::kGt, Expr::ColumnRef("temp"),
                    Expr::Literal(Value(300.0))),
@@ -360,6 +370,27 @@ TEST(VectorizedFilterTest, MatchesInterpreterOnAllShapes) {
   // Conjunction of the first two as well.
   predicates.push_back(Expr::Binary(BinaryOp::kAnd, predicates[0],
                                     predicates[2]));
+  // int64 against int64 exactly: a literal, a column, a difference.
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kGe}) {
+    predicates.push_back(Expr::Binary(op, col("id"), lit(Value(big + 1))));
+    predicates.push_back(Expr::Binary(op, lit(Value(-big)), col("id")));
+    predicates.push_back(Expr::Binary(op, col("id"), col("k")));
+    predicates.push_back(Expr::Binary(
+        op, Expr::Binary(BinaryOp::kSub, col("k"), col("id")),
+        lit(Value(int64_t{0}))));
+    predicates.push_back(Expr::Binary(
+        op, Expr::Binary(BinaryOp::kSub, col("k"), col("id")),
+        lit(Value(0.5))));
+    predicates.push_back(Expr::Binary(op, col("id"), lit(Value(9.0e15))));
+    // NaN, -0.0 and 0.0 under IEEE rules.
+    predicates.push_back(Expr::Binary(op, col("temp"), lit(Value(1.0))));
+    predicates.push_back(Expr::Binary(op, col("temp"), lit(Value(-0.0))));
+    predicates.push_back(Expr::Binary(op, col("temp"), col("id")));
+    predicates.push_back(Expr::Binary(
+        op, Expr::Binary(BinaryOp::kSub, col("temp"), col("k")),
+        lit(Value(int64_t{0}))));
+  }
   for (const ExprPtr& p : predicates) {
     auto fast = FilterIndices(t, p);
     auto slow = FilterIndicesInterpreted(t, p);

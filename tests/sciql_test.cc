@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/cancellation.h"
+#include "exec/thread_pool.h"
 #include "governor/memory_budget.h"
 #include "obs/metrics.h"
 #include "relational/operators.h"
@@ -282,6 +283,16 @@ TEST_F(SciQlGovernanceTest, FailedUpdateChangesNothing) {
   EXPECT_DOUBLE_EQ((*engine_.GetArray("img"))->Get({1, 7}, 0).AsFloat64(), 8.0);
 }
 
+TEST_F(SciQlGovernanceTest, MixedTypeUpdateChangesNothing) {
+  const double before = Checksum();
+  // 'oops' fails only when written into the DOUBLE attribute, at x = 3,
+  // after the values of cells x = 0..2 were computed.
+  auto update = engine_.Execute("UPDATE img SET v = if(x > 2, 'oops', 100.0)");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(Checksum(), before);
+}
+
 // ---------------------------------------------------------------------------
 // Differential: late materialization against Array::ToTable() +
 // relational::ExecuteSelect on seeded arrays, slabs and statements.
@@ -558,6 +569,95 @@ TEST(SciQlDifferentialTest, LateMaterializationMatchesTheFullTable) {
   EXPECT_GT(compared, 300u);
   EXPECT_GT(failed_alike, 20u);
   EXPECT_GT(counted, 80u);
+}
+
+TEST(SciQlDifferentialTest, UpdateChangesExactlyTheCellsSelectReturns) {
+  struct ThreadsGuard {
+    ~ThreadsGuard() {
+      exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+    }
+  } guard;
+  size_t updated = 0, failed_alike = 0, missed = 0;
+  for (int threads : {1, 2, 8}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      Rng rng(seed);
+      storage::Catalog tables;
+      auto keys = std::make_shared<Table>(
+          storage::Schema({{"k", storage::ColumnType::kInt64}}));
+      ASSERT_TRUE(tables.CreateTable("r", keys).ok());
+      SciQlEngine engine(&tables);
+      array::ArrayPtr arr = RandomArray(rng);
+      ASSERT_TRUE(engine.RegisterArray(arr).ok());
+      std::string dims;
+      for (const array::Dimension& d : arr->dims()) {
+        dims += (dims.empty() ? "" : ", ") + d.name;
+      }
+      const std::string last = arr->dims().back().name;
+      for (int t = 0; t < 6; ++t) {
+        bool attr_only = false;
+        const std::string slab = RandomSlab(rng, *arr);
+        const std::string where = RandomWhere(rng, *arr, &attr_only);
+        // Odd trials also write a value that names a dimension.
+        const std::string set =
+            " SET s = 'hit'" + (t % 2 ? ", i = " + last + " + 1000" : "");
+        const std::string text = "UPDATE a" + slab + set + where;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " at " +
+                     std::to_string(threads) + " threads: " + text);
+        auto parsed = ParseSciQl("SELECT " + dims + " FROM a" + slab + where);
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        // The cells a SELECT returns, by the reference.
+        Result<Table> expected = Reference(
+            *arr, std::get<relational::SelectStatement>(*parsed), tables);
+        const Table before = arr->ToTable();  // shares the old cells
+        Result<Table> got = engine.Execute(text);
+        std::vector<bool> hit(arr->num_cells(), false);
+        if (expected.ok()) {
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got->Get(0, 0),
+                    Value(static_cast<int64_t>(expected->num_rows())));
+          for (size_t r = 0; r < expected->num_rows(); ++r) {
+            std::vector<int64_t> coords;
+            for (size_t d = 0; d < arr->num_dims(); ++d) {
+              coords.push_back(expected->Get(r, d).AsInt64());
+            }
+            auto cell = arr->LinearIndex(coords);
+            ASSERT_TRUE(cell.ok());
+            hit[*cell] = true;
+          }
+          ++updated;
+        } else if (expected.status().code() == StatusCode::kOutOfRange) {
+          // A slab that misses the array: no cell to update.
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got->Get(0, 0), Value(int64_t{0}));
+          ++missed;
+        } else {
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status().ToString(), expected.status().ToString());
+          ++failed_alike;
+        }
+        const size_t nd = arr->num_dims();
+        for (size_t c = 0; c < arr->num_cells(); ++c) {
+          for (size_t a = 0; a < arr->num_attributes(); ++a) {
+            const Value now = arr->GetLinear(c, a);
+            const Value old = before.Get(c, nd + a);
+            if (hit[c] && arr->attribute(a).name == "s") {
+              ASSERT_EQ(now, Value("hit")) << "cell " << c;
+            } else if (hit[c] && t % 2 && arr->attribute(a).name == "i") {
+              ASSERT_EQ(now, Value(before.Get(c, nd - 1).AsInt64() + 1000))
+                  << "cell " << c;
+            } else {
+              ASSERT_EQ(now.ToString(), old.ToString())
+                  << "cell " << c << " attribute " << a;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(updated, 400u);
+  EXPECT_GT(failed_alike, 30u);
+  EXPECT_GT(missed, 10u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "core/observatory.h"
 #include "eo/scene.h"
 #include "governor/memory_budget.h"
+#include "io/codec.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/http.h"
@@ -144,6 +145,54 @@ TEST(ProtocolTest, TableRoundTripsThroughSchemaAndRowChunks) {
   ASSERT_TRUE(DecodeRowChunk(EncodeRowChunk(table, 0, 4), &*decoded).ok());
   ASSERT_TRUE(DecodeRowChunk(EncodeRowChunk(table, 4, 10), &*decoded).ok());
   EXPECT_EQ(EncodeTable(table, 7), EncodeTable(*decoded, 7));
+}
+
+TEST(ProtocolTest, ZeroColumnChunksKeepTheirRowCount) {
+  // A true ASK: one row of no columns.
+  storage::Table ask = storage::Table().Take({0});
+  auto decoded = DecodeSchema(EncodeSchema(ask));
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(DecodeRowChunk(EncodeRowChunk(ask, 0, 1), &*decoded).ok());
+  EXPECT_EQ(decoded->num_rows(), 1u);
+  // A hostile count is refused before any row is added, not looped over.
+  std::string hostile;
+  io::PutU32(&hostile, std::numeric_limits<uint32_t>::max());
+  auto refused = DecodeRowChunk(hostile, &*decoded);
+  EXPECT_EQ(refused.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded->num_rows(), 1u);
+}
+
+TEST(ProtocolTest, StSparqlUpdatesAreClassifiedPastThePrologue) {
+  const struct {
+    const char* statement;
+    bool mutating;
+  } kCases[] = {
+      {"INSERT DATA { <a> <b> <c> }", true},
+      {"  delete where { ?s ?p ?o }", true},
+      {"PREFIX ex: <http://example.org/> INSERT DATA { ex:a ex:p ex:b }", true},
+      {"prefix ex: <http://example.org/>\nprefix y: <urn:y>\n"
+       "DELETE { ?s ex:p ?o } WHERE { ?s ex:p ?o }",
+       true},
+      {"BASE <http://example.org/> INSERT DATA { <a> <b> <c> }", true},
+      {"BASE <http://example.org/> PREFIX ex: <http://example.org/> "
+       "DELETE DATA { ex:a ex:p ex:b }",
+       true},
+      {"PREFIX ex: <http://example.org/> SELECT ?s WHERE { ?s ex:p ?o }",
+       false},
+      {"PREFIX ex: <http://example.org/> ASK { ex:a ex:p ex:b }", false},
+      {"PREFIX insert: <http://insert.example.org/delete#> "
+       "SELECT ?s WHERE { ?s insert:p ?o }",
+       false},
+      {"SELECT ?s WHERE { ?s <http://example.org/insert> ?o }", false},
+      {"PREFIX ex: <http://example.org/", false},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(IsMutatingStatement(Lang::kStSparql, c.statement), c.mutating)
+        << c.statement;
+  }
+  // SQL's PREFIX is no keyword.
+  EXPECT_FALSE(IsMutatingStatement(Lang::kSql, "PREFIX <x> INSERT"));
+  EXPECT_TRUE(IsMutatingStatement(Lang::kSql, "update t set v = 1"));
 }
 
 TEST(ProtocolTest, FrameLengthBoundsAreEnforcedBeforeAllocation) {
@@ -311,6 +360,56 @@ TEST_F(ServerTest, StSparqlUpdateStreamsCountTable) {
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   ASSERT_EQ(count->num_rows(), 1u);
   EXPECT_GE(count->Get(0, 0).AsInt64(), 1);
+  ASSERT_TRUE(client.Goodbye().ok());
+}
+
+TEST_F(ServerTest, PrefixedStSparqlUpdateRunsAsAnUpdate) {
+  StartServer();
+  const std::string update =
+      "PREFIX ex: <http://example.org/> INSERT DATA { ex:a ex:p ex:b }";
+  Client client = MustConnect();
+  auto count = client.Query(Lang::kStSparql, update);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count->num_rows(), 1u);
+  EXPECT_EQ(count->Get(0, 0), Value(int64_t{1}));
+  ASSERT_TRUE(client.Goodbye().ok());
+  // Over HTTP too: the triple is there, so the count names a second one.
+  const std::string body =
+      "PREFIX ex: <http://example.org/> INSERT DATA { ex:c ex:p ex:d }";
+  auto sock = Socket::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(sock->WriteAll("POST /query?lang=stsparql HTTP/1.1\r\n"
+                             "Content-Length: " +
+                             std::to_string(body.size()) + "\r\n\r\n" +
+                             body)
+                  .ok());
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    auto got = sock->ReadSome(buf, sizeof(buf), 5000);
+    if (!got.ok() || *got == 0) break;
+    response.append(buf, *got);
+  }
+  EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"rows\":[[1]]"), std::string::npos) << response;
+}
+
+TEST_F(ServerTest, AskAnswersAreRowCountsOverTheWire) {
+  ASSERT_TRUE(veo_.StSparqlUpdate("INSERT DATA { <http://ex.org/s> "
+                                  "<http://ex.org/p> <http://ex.org/o> }")
+                  .ok());
+  StartServer();
+  Client client = MustConnect();
+  auto yes = client.Query(
+      Lang::kStSparql,
+      "ASK { <http://ex.org/s> <http://ex.org/p> <http://ex.org/o> }");
+  ASSERT_TRUE(yes.ok()) << yes.status().ToString();
+  EXPECT_EQ(yes->num_rows(), 1u);
+  auto no = client.Query(
+      Lang::kStSparql,
+      "ASK { <http://ex.org/s> <http://ex.org/p> <http://ex.org/nothing> }");
+  ASSERT_TRUE(no.ok()) << no.status().ToString();
+  EXPECT_EQ(no->num_rows(), 0u);
   ASSERT_TRUE(client.Goodbye().ok());
 }
 

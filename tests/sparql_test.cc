@@ -157,6 +157,19 @@ TEST_F(SparqlTest, AskQueries) {
   EXPECT_FALSE(*no);
 }
 
+TEST_F(SparqlTest, AskThroughQueryIsARowCount) {
+  // A ground ASK binds no variable: true is one row of no columns.
+  auto yes = strabon_.Query(
+      "PREFIX ex: <http://example.org/> ASK { ex:f1 a ex:Hotspot }");
+  ASSERT_TRUE(yes.ok());
+  EXPECT_EQ(yes->num_columns(), 0u);
+  EXPECT_EQ(yes->num_rows(), 1u);
+  auto no = strabon_.Query(
+      "PREFIX ex: <http://example.org/> ASK { ex:t1 a ex:Hotspot }");
+  ASSERT_TRUE(no.ok());
+  EXPECT_EQ(no->num_rows(), 0u);
+}
+
 TEST_F(SparqlTest, QueryReturnsTable) {
   auto table = strabon_.Query(
       "PREFIX ex: <http://example.org/> SELECT ?n WHERE { ?t ex:name ?n } "

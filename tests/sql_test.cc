@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
+#include "relational/operators.h"
 #include "relational/sql_engine.h"
 #include "relational/sql_lexer.h"
 #include "relational/sql_parser.h"
@@ -205,6 +208,47 @@ TEST_F(SqlEngineTest, DeleteWithWhere) {
   Table affected = Exec("DELETE FROM obs WHERE temp IS NULL");
   EXPECT_EQ(affected.Get(0, 0), Value(int64_t{1}));
   EXPECT_EQ(Exec("SELECT * FROM obs").num_rows(), 3u);
+}
+
+TEST_F(SqlEngineTest, FailedUpdateChangesNothing) {
+  auto table = catalog_.GetTable("obs");
+  ASSERT_TRUE(table.ok());
+  const std::string before = Exec("SELECT * FROM obs").ToString(100);
+  const double* temps = (*table)->column(2).doubles().data();
+  // 'oops' fails only when written into the DOUBLE column, at the third
+  // row, after the first two values were computed.
+  auto mixed =
+      engine_->Execute("UPDATE obs SET temp = if(id > 2, 'oops', 1.0)");
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kTypeError);
+  // Integer division by zero at the third row.
+  auto divided = engine_->Execute(
+      "UPDATE obs SET station = 'x', id = 10 / (id - 3) WHERE id > 0");
+  ASSERT_FALSE(divided.ok());
+  EXPECT_EQ(divided.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Exec("SELECT * FROM obs").ToString(100), before);
+  // The table kept its very buffers.
+  EXPECT_EQ((*table)->column(2).doubles().data(), temps);
+}
+
+TEST_F(SqlEngineTest, UpdateAssignsSimultaneouslyAndKeepsTheDictionary) {
+  auto table = catalog_.GetTable("obs");
+  ASSERT_TRUE(table.ok());
+  const storage::Dictionary* dict = &(*table)->column(1).dict();
+  Table affected = Exec(
+      "UPDATE obs SET id = id + 10, temp = id, station = 'argos' "
+      "WHERE station = 'athens'");
+  EXPECT_EQ(affected.Get(0, 0), Value(int64_t{2}));
+  // Every right-hand side read the row as it was.
+  Table t = Exec("SELECT id, station, temp FROM obs ORDER BY id");
+  ASSERT_EQ(t.num_rows(), 4u);
+  EXPECT_EQ(t.Get(2, 0), Value(int64_t{11}));
+  EXPECT_EQ(t.Get(2, 1), Value("argos"));
+  EXPECT_EQ(t.Get(2, 2), Value(1.0));
+  EXPECT_EQ(t.Get(3, 0), Value(int64_t{13}));
+  EXPECT_EQ(t.Get(3, 2), Value(3.0));
+  // The new string went into the table's own dictionary, as INSERT does.
+  EXPECT_EQ(&(*table)->column(1).dict(), dict);
 }
 
 TEST_F(SqlEngineTest, DropTable) {
@@ -424,6 +468,144 @@ TEST_P(AggregateSweep, SumOfFirstN) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AggregateSweep,
                          ::testing::Values(0, 1, 2, 10, 100));
+
+// ---------------------------------------------------------------------------
+// Writes select with the SELECT kernel: UPDATE and DELETE touch exactly the
+// rows a SELECT with the same WHERE returns.
+
+/// 10,000 seeded rows (three filter morsels): a row id `rid`; BIGINTs `i`
+/// and `k` from a small domain plus values about +-2^53; a DOUBLE `d` with
+/// NaN, -0.0, 0.0 and halves; a VARCHAR `s`; a BOOL `f`; an all-NULL
+/// BIGINT `mark`. About one cell in eight of i, k, d, s and f is NULL.
+storage::TablePtr WriteTable() {
+  auto t = std::make_shared<Table>(storage::Schema(
+      {{"rid", storage::ColumnType::kInt64},
+       {"i", storage::ColumnType::kInt64},
+       {"k", storage::ColumnType::kInt64},
+       {"d", storage::ColumnType::kFloat64},
+       {"s", storage::ColumnType::kString},
+       {"f", storage::ColumnType::kBool},
+       {"mark", storage::ColumnType::kInt64}}));
+  const int64_t big = int64_t{1} << 53;
+  const int64_t ints[] = {0, 1, 2, 3, -4, big, big + 1, -big, -big - 1};
+  const double doubles[] = {std::nan(""), -0.0, 0.0, 1.0, 1.5, -2.5, 3.0};
+  const char* words[] = {"a", "b", "ab", "ba"};
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto below = [&](uint64_t n) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state % n;
+  };
+  for (int64_t r = 0; r < 10000; ++r) {
+    auto maybe = [&](Value v) { return below(8) == 0 ? Value() : v; };
+    EXPECT_TRUE(t->AppendRow({Value(r), maybe(Value(ints[below(9)])),
+                              maybe(Value(ints[below(9)])),
+                              maybe(Value(doubles[below(7)])),
+                              maybe(Value(words[below(4)])),
+                              maybe(Value(below(2) == 0)), Value()})
+                    .ok());
+  }
+  return t;
+}
+
+/// WHEREs whose conjuncts all vectorize, then ones the interpreter runs.
+const std::vector<std::string>& WriteWheres() {
+  static const std::vector<std::string> kWheres = {
+      "i = 9007199254740993", "i >= 9007199254740992", "i = k", "i < k",
+      "k - i > 0", "k - i = 1", "d = 0.0", "d <> 1.5", "d < 1", "d = i",
+      "d <> d", "s = 'b'", "s <> 'a'", "f", "d > 0 AND i < 100",
+      "rid < 5000 AND s = 'ab' AND f",
+      // Interpreted.
+      "d = 1.0 OR k < 0", "NOT (d > 0)", "abs(i) > 5", "s LIKE 'a%'",
+      "i % 3 = 1", "coalesce(d, -1.0) < 0", "s IS NULL",
+      "i = -9007199254740993", "i * 2 > k", "d >= 0 OR d < 0"};
+  return kWheres;
+}
+
+/// Row r of `t` rendered cell by cell (NaN-safe).
+std::string RowText(const Table& t, size_t r) {
+  std::string out;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    out += t.Get(r, c).ToString() + "|";
+  }
+  return out;
+}
+
+TEST(SqlWriteDifferentialTest, WritesTouchExactlyTheRowsSelectReturns) {
+  struct ThreadsGuard {
+    ~ThreadsGuard() {
+      exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+    }
+  } guard;
+  const storage::TablePtr original = WriteTable();
+  const size_t mark = 6, s = 4;
+  for (int threads : {1, 2, 8}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    for (const std::string& where : WriteWheres()) {
+      SCOPED_TRACE(where + " at " + std::to_string(threads) + " threads");
+      Catalog catalog;
+      SqlEngine engine(&catalog);
+      // A copy shares the cells until a write unshares them.
+      auto table = std::make_shared<Table>(*original);
+      ASSERT_TRUE(catalog.CreateTable("t", table).ok());
+      auto selected = engine.Execute("SELECT rid FROM t WHERE " + where);
+      ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+      auto counted =
+          engine.Execute("SELECT count(*) AS n FROM t WHERE " + where);
+      ASSERT_TRUE(counted.ok());
+      ASSERT_EQ(counted->Get(0, 0),
+                Value(static_cast<int64_t>(selected->num_rows())));
+      // The SELECT kernel against the row-wise interpreter.
+      auto parsed = ParseSql("SELECT rid FROM t WHERE " + where);
+      ASSERT_TRUE(parsed.ok());
+      auto oracle = FilterIndicesInterpreted(
+          *original, std::get<SelectStatement>(*parsed).where);
+      ASSERT_TRUE(oracle.ok());
+      std::vector<bool> hit(original->num_rows(), false);
+      ASSERT_EQ(selected->num_rows(), oracle->size());
+      for (size_t i = 0; i < oracle->size(); ++i) {
+        ASSERT_EQ(selected->Get(i, 0),
+                  Value(static_cast<int64_t>((*oracle)[i])));
+        hit[(*oracle)[i]] = true;
+      }
+
+      auto updated =
+          engine.Execute("UPDATE t SET mark = rid, s = 'hit' WHERE " + where);
+      ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+      EXPECT_EQ(updated->Get(0, 0), counted->Get(0, 0));
+      for (size_t r = 0; r < original->num_rows(); ++r) {
+        if (!hit[r]) {
+          ASSERT_EQ(RowText(*table, r), RowText(*original, r)) << r;
+          continue;
+        }
+        ASSERT_EQ(table->Get(r, mark), Value(static_cast<int64_t>(r))) << r;
+        ASSERT_EQ(table->Get(r, s), Value("hit")) << r;
+        // No other column changed.
+        ASSERT_EQ(RowText(table->ProjectIndices({0, 1, 2, 3, 5}), r),
+                  RowText(original->ProjectIndices({0, 1, 2, 3, 5}), r))
+            << r;
+      }
+
+      ASSERT_TRUE(catalog.DropTable("t").ok());
+      ASSERT_TRUE(
+          catalog.CreateTable("t", std::make_shared<Table>(*original)).ok());
+      auto deleted = engine.Execute("DELETE FROM t WHERE " + where);
+      ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+      EXPECT_EQ(deleted->Get(0, 0), counted->Get(0, 0));
+      auto left = catalog.GetTable("t");
+      ASSERT_TRUE(left.ok());
+      size_t kept = 0;
+      for (size_t r = 0; r < original->num_rows(); ++r) {
+        if (hit[r]) continue;
+        ASSERT_LT(kept, (*left)->num_rows());
+        ASSERT_EQ(RowText(**left, kept), RowText(*original, r)) << r;
+        ++kept;
+      }
+      EXPECT_EQ(kept, (*left)->num_rows());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace teleios::relational
