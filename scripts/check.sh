@@ -83,9 +83,9 @@ echo "== pass 4d/5: durability leg — crash sweep with aggressive checkpointing
 # poisoned-segment path must be leak-free under ASan/UBSan and the
 # writer/durability-manager locking race-free under TSan.
 TELEIOS_WAL_CHECKPOINT_BYTES=4k \
-  ctest --test-dir build-sanitize --output-on-failure -R "RecoverySweepTest|WalTest|RetryTest"
+  ctest --test-dir build-sanitize --output-on-failure -R "RecoverySweepTest|WritePathTest|WalTest|RetryTest"
 TELEIOS_WAL_CHECKPOINT_BYTES=4k TELEIOS_THREADS=8 \
-  ctest --test-dir build-tsan --output-on-failure -R "RecoverySweepTest|WalTest|RetryTest"
+  ctest --test-dir build-tsan --output-on-failure -R "RecoverySweepTest|WritePathTest|WalTest|RetryTest"
 
 echo "== pass 4e/5: server leg — wire protocol under tight admission =="
 # The network service layer (E2E server suite + wire-protocol

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "eo/ontology.h"
+#include "mining/annotation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -56,6 +57,12 @@ bool IsSqlMutation(const std::string& statement) {
   Result<relational::Statement> parsed = relational::ParseSql(statement);
   if (!parsed.ok()) return false;
   return !std::holds_alternative<relational::SelectStatement>(*parsed);
+}
+
+/// The count a write answers with, out of its one-row `count` table.
+Result<size_t> CountOf(const Result<storage::Table>& answer) {
+  if (!answer.ok()) return answer.status();
+  return static_cast<size_t>(answer->column(0).GetInt64(0));
 }
 
 /// The span tree as a table, pre-order, one row per span.
@@ -176,6 +183,8 @@ VirtualEarthObservatory::VirtualEarthObservatory() {
   sql_ = std::make_unique<relational::SqlEngine>(&catalog_);
   chain_ = std::make_unique<noa::ProcessingChain>(vault_.get(), sciql_.get(),
                                                   &strabon_, &catalog_);
+  write_path_ = std::make_unique<DurabilityManager>(
+      DurabilityEngines{&catalog_, sql_.get(), &strabon_, vault_.get()});
   // Both query engines serve the sys.* schema from this observatory's
   // live state.
   sql_->set_virtual_tables(&system_tables_);
@@ -209,16 +218,9 @@ Result<storage::Table> VirtualEarthObservatory::Sql(
   std::string body = statement;
   bool profile = StripProfilePrefix(&body);
   return Governed("sql", body, profile, cancel, [&] {
-    // A durable observatory write-ahead-logs mutating statements; the
-    // log+apply runs inside the governed scope, so admission, budget,
-    // and introspection see the durable path like any other statement.
-    // Mutations are single-writer (see sql_write_mu_) — the lock is
-    // taken inside the governed scope so admission queueing, not the
-    // mutex, is where concurrent statements wait first.
     if (IsSqlMutation(body)) {
-      MutexLock write_lock(sql_write_mu_);
-      if (durability_ != nullptr) return durability_->SqlMutation(body);
-      return sql_->Execute(body);
+      return write_path_->Commit(WalRecordType::kSqlStatement,
+                                 RecordBody(body));
     }
     return sql_->Execute(body);
   });
@@ -236,20 +238,36 @@ Result<storage::Table> VirtualEarthObservatory::StSparql(
     const std::string& query, const CancellationToken* cancel) {
   std::string body = query;
   bool profile = StripProfilePrefix(&body);
-  return Governed("stsparql", body, profile, cancel,
-                  [&] { return strabon_.Query(body); });
+  return Governed("stsparql", body, profile, cancel, [&] {
+    // One parse routes the statement: a query runs from it, an update
+    // commits its text (the engine parses it again when it applies).
+    Result<strabon::SparqlStatement> parsed = strabon::Strabon::Parse(body);
+    if (parsed.ok() && std::holds_alternative<strabon::SparqlUpdate>(*parsed)) {
+      return write_path_->Commit(WalRecordType::kStrabonUpdate,
+                                 RecordBody(body));
+    }
+    return strabon_.Query(parsed);
+  });
 }
 
 Result<size_t> VirtualEarthObservatory::StSparqlUpdate(
     const std::string& update) {
-  if (durability_ != nullptr) return durability_->StrabonUpdate(update);
-  return strabon_.Update(update);
+  return CountOf(Governed("stsparql", update, /*profile=*/false, nullptr, [&] {
+    return write_path_->Commit(WalRecordType::kStrabonUpdate,
+                               RecordBody(update));
+  }));
 }
 
 Result<size_t> VirtualEarthObservatory::LoadLinkedData(
     const std::string& turtle) {
-  if (durability_ != nullptr) return durability_->LoadTurtle(turtle);
-  return strabon_.LoadTurtle(turtle);
+  // The registry keeps a label, not the document.
+  std::string label =
+      "linked-data (" + std::to_string(turtle.size()) + " bytes)";
+  return CountOf(
+      Governed("linked-data", label, /*profile=*/false, nullptr, [&] {
+        return write_path_->Commit(WalRecordType::kLoadTurtle,
+                                   RecordBody(turtle));
+      }));
 }
 
 Result<noa::ChainResult> VirtualEarthObservatory::RunFireChain(
@@ -287,23 +305,11 @@ Status VirtualEarthObservatory::Open(const std::string& dir) {
 
 Status VirtualEarthObservatory::Open(const std::string& dir,
                                      const DurabilityOptions& options) {
-  if (durability_ != nullptr) {
-    return Status::Internal("observatory already opened at '" +
-                            durability_->dir() + "'");
-  }
-  DurabilityEngines engines;
-  engines.catalog = &catalog_;
-  engines.sql = sql_.get();
-  engines.strabon = &strabon_;
-  engines.vault = vault_.get();
-  auto durability =
-      std::make_unique<DurabilityManager>(engines, dir, options);
-  TELEIOS_RETURN_IF_ERROR(durability->Recover());
-  durability_ = std::move(durability);
+  TELEIOS_RETURN_IF_ERROR(write_path_->Open(dir, options));
   // Live vault transitions mirror into the log from here on (replayed
   // attachments above fired no hooks — the hook was not yet installed —
   // so recovery does not re-log itself).
-  DurabilityManager* raw = durability_.get();
+  DurabilityManager* raw = write_path_.get();
   vault_->set_transition_hook([raw](const vault::VaultTransition& t) {
     raw->OnVaultTransition(t);
   });
@@ -312,38 +318,37 @@ Status VirtualEarthObservatory::Open(const std::string& dir,
 }
 
 Status VirtualEarthObservatory::Checkpoint() {
-  if (durability_ == nullptr) {
-    return Status::Internal("observatory is not durable; call Open first");
-  }
-  return durability_->Checkpoint();
+  return write_path_->Checkpoint();
 }
 
 RecoveryReport VirtualEarthObservatory::recovery_report() const {
-  if (durability_ == nullptr) return RecoveryReport{};
-  return durability_->recovery_report();
+  return write_path_->recovery_report();
 }
 
 DurabilityStats VirtualEarthObservatory::durability_stats() const {
-  if (durability_ == nullptr) return DurabilityStats{};
-  return durability_->stats();
+  return write_path_->stats();
 }
 
 Result<size_t> VirtualEarthObservatory::PublishAnnotations(
     const mining::AnnotationService& service, const std::string& product_id) {
-  if (durability_ != nullptr) {
-    if (service.annotations().empty()) {
-      return Status::InvalidArgument("nothing annotated yet");
-    }
-    return durability_->PublishAnnotations(service.annotations(),
-                                           product_id);
+  if (service.annotations().empty()) {
+    return Status::InvalidArgument("nothing annotated yet");
   }
-  return service.Publish(product_id, &strabon_);
+  return CountOf(Governed(
+      "annotations", "publish-annotations " + product_id, /*profile=*/false,
+      nullptr, [&]() -> Result<storage::Table> {
+        TELEIOS_ASSIGN_OR_RETURN(
+            std::string turtle,
+            mining::RenderAnnotationsTurtle(service.annotations(),
+                                            product_id));
+        return write_path_->Commit(WalRecordType::kAnnotationPublish,
+                                   RecordBody(product_id) + RecordBody(turtle));
+      }));
 }
 
 Result<size_t> VirtualEarthObservatory::DeleteAnnotations(
     const std::string& product_id) {
-  if (durability_ != nullptr) return durability_->DeleteAnnotations(product_id);
-  return strabon_.Update(mining::DeleteAnnotationsUpdate(product_id));
+  return StSparqlUpdate(mining::DeleteAnnotationsUpdate(product_id));
 }
 
 std::string VirtualEarthObservatory::MetricsText() const {

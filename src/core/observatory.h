@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/recovery.h"
 #include "core/system_tables.h"
 #include "mining/annotation_service.h"
@@ -64,6 +63,14 @@ class VirtualEarthObservatory {
   // kResourceExhausted instead of taking the process down). `cancel`
   // (optional) bounds the queue wait and the statement's retries by the
   // caller's deadline.
+  //
+  // Every write entry point (mutating SQL, stSPARQL updates, linked-data
+  // loads, annotation publication) is governed too, and commits through
+  // the one write path (DurabilityManager::Commit): one writer at a
+  // time, write-ahead logged once Open has made the observatory durable.
+  // The commit runs inside the governed scope, so a write waits for
+  // admission first and for the writer mutex second. An update answers
+  // with one row, one BIGINT column `count`.
 
   /// SQL over catalog/metadata tables.
   Result<storage::Table> Sql(const std::string& statement,
@@ -71,11 +78,11 @@ class VirtualEarthObservatory {
   /// SciQL over registered arrays (and catalog tables).
   Result<storage::Table> SciQl(const std::string& statement,
                                const CancellationToken* cancel = nullptr);
-  /// stSPARQL SELECT/ASK over the semantic store.
+  /// stSPARQL over the semantic store: SELECT/ASK, or an update.
   Result<storage::Table> StSparql(
       const std::string& query,
       const CancellationToken* cancel = nullptr);
-  /// stSPARQL update.
+  /// stSPARQL update; returns triples added + removed.
   Result<size_t> StSparqlUpdate(const std::string& update);
   /// Loads Turtle (ontologies, annotations, linked open data).
   Result<size_t> LoadLinkedData(const std::string& turtle);
@@ -106,20 +113,18 @@ class VirtualEarthObservatory {
   Result<size_t> LoadCatalog(const std::string& dir);
 
   /// Makes this observatory durable, rooted at `dir`: recovers the
-  /// newest catalog snapshot plus the WAL tail (automatic crash
-  /// recovery — a torn log tail is dropped and counted, never an
-  /// error), then routes every subsequent logical mutation (mutating
-  /// SQL, stSPARQL updates, linked-data loads, annotation publication,
-  /// vault attach/quarantine/heal) through the write-ahead log before
-  /// applying it. Call on a freshly constructed observatory, once;
-  /// options default to DurabilityOptions::FromEnv(). After Open,
-  /// `sys.wal` serves the durability state and recovery_report() says
-  /// what replay did.
+  /// newest catalog snapshot plus the WAL tail into the write path
+  /// (automatic crash recovery — a torn log tail is dropped and counted,
+  /// never an error), then opens its log, so every later commit (and
+  /// vault attach/quarantine/heal) is logged before it applies. Call on
+  /// a freshly constructed observatory, once; options default to
+  /// DurabilityOptions::FromEnv(). After Open, `sys.wal` serves the
+  /// durability state and recovery_report() says what replay did.
   Status Open(const std::string& dir);
   Status Open(const std::string& dir, const DurabilityOptions& options);
 
   /// True once Open() succeeded.
-  bool durable() const { return durability_ != nullptr; }
+  bool durable() const { return write_path_->durable(); }
 
   /// Snapshot + WAL rotation + truncation, on demand (Open also
   /// checkpoints automatically once the log passes its size threshold).
@@ -131,10 +136,10 @@ class VirtualEarthObservatory {
   DurabilityStats durability_stats() const;
 
   /// Publishes a mining service's annotations for `product_id`
-  /// (replace semantics), durably when open. Returns triples added.
+  /// (replace semantics). Returns triples added.
   Result<size_t> PublishAnnotations(const mining::AnnotationService& service,
                                     const std::string& product_id);
-  /// Removes a product's published annotations, durably when open.
+  /// Removes a product's published annotations.
   Result<size_t> DeleteAnnotations(const std::string& product_id);
 
   /// Refines a chain product against the loaded coastline layer.
@@ -217,16 +222,10 @@ class VirtualEarthObservatory {
   std::unique_ptr<sciql::SciQlEngine> sciql_;
   std::unique_ptr<relational::SqlEngine> sql_;
   std::unique_ptr<noa::ProcessingChain> chain_;
-  std::unique_ptr<DurabilityManager> durability_;
-  /// SQL mutations are single-writer: concurrent INSERT/UPDATE/DELETE
-  /// from server handler threads would otherwise race on column
-  /// vectors. The durable path already serializes under the WAL lock;
-  /// this keeps the non-durable path honest too. Reads stay lock-free,
-  /// so a scan concurrent with a mutation of the *same* table remains
-  /// unsynchronized — workloads that need that run statements on one
-  /// thread, as before.
-  // teleios-lint: allow(TL002) -- guards catalog column state, see above.
-  mutable Mutex sql_write_mu_;
+  /// Every write commits here, one writer at a time. Reads take no lock,
+  /// so a scan concurrent with a write of the *same* table or store is
+  /// still unsynchronized.
+  std::unique_ptr<DurabilityManager> write_path_;
   Status ontology_status_;
   governor::AdmissionController admission_{governor::AdmissionConfig::FromEnv()};
   obs::ActiveQueryRegistry introspection_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/strings.h"
 #include "governor/memory_budget.h"
 #include "io/codec.h"
 #include "io/filesystem.h"
+#include "mining/annotation.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,7 +32,21 @@ std::string EncodeQuarantineBody(const std::string& name,
   return body;
 }
 
+/// The answer of every write but SQL's: one row, one BIGINT `count`.
+storage::Table CountTable(size_t count) {
+  storage::Table table(
+      storage::Schema({{"count", storage::ColumnType::kInt64}}));
+  table.column(0).AppendInt64(static_cast<int64_t>(count));
+  return table;
+}
+
 }  // namespace
+
+std::string RecordBody(std::string_view text) {
+  std::string body;
+  io::PutStr(&body, text);
+  return body;
+}
 
 DurabilityOptions DurabilityOptions::FromEnv() {
   DurabilityOptions options;
@@ -39,19 +55,30 @@ DurabilityOptions DurabilityOptions::FromEnv() {
   return options;
 }
 
-DurabilityManager::DurabilityManager(const DurabilityEngines& engines,
-                                     std::string dir,
-                                     const DurabilityOptions& options)
-    : engines_(engines), dir_(std::move(dir)), options_(options) {}
+DurabilityManager::DurabilityManager(const DurabilityEngines& engines)
+    : engines_(engines) {}
 
 DurabilityManager::~DurabilityManager() = default;
 
-Status DurabilityManager::Recover() {
+Status DurabilityManager::Open(const std::string& dir,
+                               const DurabilityOptions& options) {
   MutexLock lock(mu_);
   if (wal_ != nullptr) {
-    return Status::Internal("durability manager already recovered");
+    return Status::Internal("observatory already opened at '" + dir_ + "'");
   }
+  dir_ = dir;
+  options_ = options;
   return RecoverLocked();
+}
+
+bool DurabilityManager::durable() const {
+  MutexLock lock(mu_);
+  return wal_ != nullptr;
+}
+
+std::string DurabilityManager::dir() const {
+  MutexLock lock(mu_);
+  return dir_;
 }
 
 Status DurabilityManager::RecoverLocked() {
@@ -71,7 +98,7 @@ Status DurabilityManager::RecoverLocked() {
   TELEIOS_ASSIGN_OR_RETURN(
       io::WalReplayStats replay,
       io::ReplayWal(wal_dir(), [&](const io::WalRecord& record) {
-        return ApplyRecord(record, &report);
+        return Replay(record, &report);
       }));
   report.tail_records_dropped = replay.tail_dropped;
   report.wal_segments = replay.segments;
@@ -118,132 +145,105 @@ Status DurabilityManager::RecoverLocked() {
   return Status::OK();
 }
 
-Status DurabilityManager::ApplyRecord(const io::WalRecord& record,
-                                      RecoveryReport* report) {
-  ++report->records_replayed;
-  io::ByteReader reader(record.payload);
-
-  // Per-record apply outcomes are tolerated: a statement that failed on
-  // the live path fails the same deterministic way here (it was logged
-  // before execution), and a record for an engine this deployment lacks
-  // is simply inert. Only undecodable bodies and WAL-layer corruption
-  // (handled by the replayer) are fatal.
-  Status applied = Status::OK();
-  bool skipped = false;
-  switch (static_cast<WalRecordType>(record.type)) {
-    case WalRecordType::kSqlStatement: {
-      std::string statement;
-      if (!reader.ReadStr(&statement, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss("WAL: malformed kSqlStatement body at LSN " +
-                                std::to_string(record.lsn));
-      }
-      if (record.lsn <= report->snapshot_lsn) {
-        skipped = true;  // the snapshot already contains this effect
-      } else if (engines_.sql != nullptr) {
-        applied = engines_.sql->Execute(statement).status();
-      } else {
-        skipped = true;
-      }
-      break;
-    }
-    case WalRecordType::kStrabonUpdate: {
-      std::string update;
-      if (!reader.ReadStr(&update, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss("WAL: malformed kStrabonUpdate body at LSN " +
-                                std::to_string(record.lsn));
-      }
-      if (engines_.strabon != nullptr) {
-        applied = engines_.strabon->Update(update).status();
-      } else {
-        skipped = true;
-      }
-      break;
-    }
+Result<DurabilityManager::Fields> DurabilityManager::Decode(
+    WalRecordType type, const std::string& body) {
+  io::ByteReader reader(body);
+  Fields fields;
+  bool ok = reader.ReadStr(&fields.text, kMaxBodyStr);
+  switch (type) {
+    case WalRecordType::kSqlStatement:
+    case WalRecordType::kStrabonUpdate:
     case WalRecordType::kLoadTurtle:
-    case WalRecordType::kStrabonSnapshot: {
-      std::string turtle;
-      if (!reader.ReadStr(&turtle, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss("WAL: malformed turtle body at LSN " +
-                                std::to_string(record.lsn));
-      }
-      if (engines_.strabon != nullptr) {
-        applied = engines_.strabon->LoadTurtle(turtle).status();
-      } else {
-        skipped = true;
-      }
+    case WalRecordType::kStrabonSnapshot:
+    case WalRecordType::kVaultAttach:
+    case WalRecordType::kVaultHeal:
       break;
-    }
-    case WalRecordType::kAnnotationPublish: {
-      std::string product_id, turtle;
-      if (!reader.ReadStr(&product_id, kMaxBodyStr) ||
-          !reader.ReadStr(&turtle, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss(
-            "WAL: malformed kAnnotationPublish body at LSN " +
-            std::to_string(record.lsn));
-      }
-      if (engines_.strabon != nullptr) {
-        applied = engines_.strabon
-                      ->Update(mining::DeleteAnnotationsUpdate(product_id))
-                      .status();
-        if (applied.ok()) {
-          applied = engines_.strabon->LoadTurtle(turtle).status();
-        }
-      } else {
-        skipped = true;
-      }
+    case WalRecordType::kAnnotationPublish:
+      ok = ok && reader.ReadStr(&fields.second, kMaxBodyStr);
       break;
-    }
-    case WalRecordType::kVaultAttach: {
-      std::string path;
-      if (!reader.ReadStr(&path, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss("WAL: malformed kVaultAttach body at LSN " +
-                                std::to_string(record.lsn));
-      }
-      if (engines_.vault != nullptr) {
-        applied = engines_.vault->RestoreAttachment(path);
-      } else {
-        skipped = true;
-      }
+    case WalRecordType::kVaultQuarantine:
+      ok = ok && reader.ReadU32(&fields.code) &&
+           reader.ReadStr(&fields.second, kMaxBodyStr);
       break;
-    }
-    case WalRecordType::kVaultQuarantine: {
-      std::string name, message;
-      uint32_t code = 0;
-      if (!reader.ReadStr(&name, kMaxBodyStr) || !reader.ReadU32(&code) ||
-          !reader.ReadStr(&message, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss(
-            "WAL: malformed kVaultQuarantine body at LSN " +
-            std::to_string(record.lsn));
-      }
-      if (engines_.vault != nullptr) {
-        engines_.vault->RestoreQuarantine(
-            name, Status(static_cast<StatusCode>(code), std::move(message)));
-      } else {
-        skipped = true;
-      }
-      break;
-    }
-    case WalRecordType::kVaultHeal: {
-      std::string name;
-      if (!reader.ReadStr(&name, kMaxBodyStr) || !reader.exhausted()) {
-        return Status::DataLoss("WAL: malformed kVaultHeal body at LSN " +
-                                std::to_string(record.lsn));
-      }
-      if (engines_.vault != nullptr) {
-        engines_.vault->ClearQuarantine(name);
-      } else {
-        skipped = true;
-      }
-      break;
-    }
     default:
       return Status::DataLoss("WAL: unknown record type " +
-                              std::to_string(record.type) + " at LSN " +
-                              std::to_string(record.lsn));
+                              std::to_string(static_cast<uint32_t>(type)));
   }
-  if (skipped) {
-    ++report->records_skipped;
-  } else if (applied.ok()) {
+  if (!ok || !reader.exhausted()) {
+    return Status::DataLoss("WAL: malformed body of record type " +
+                            std::to_string(static_cast<uint32_t>(type)));
+  }
+  return fields;
+}
+
+bool DurabilityManager::HasEngine(WalRecordType type) const {
+  switch (type) {
+    case WalRecordType::kSqlStatement:
+      return engines_.sql != nullptr;
+    case WalRecordType::kVaultAttach:
+    case WalRecordType::kVaultQuarantine:
+    case WalRecordType::kVaultHeal:
+      return engines_.vault != nullptr;
+    default:
+      return engines_.strabon != nullptr;
+  }
+}
+
+Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
+                                                const Fields& fields) {
+  Result<size_t> count = size_t{1};
+  switch (type) {
+    case WalRecordType::kSqlStatement:
+      return engines_.sql->Execute(fields.text);
+    case WalRecordType::kStrabonUpdate:
+      count = engines_.strabon->Update(fields.text);
+      break;
+    case WalRecordType::kLoadTurtle:
+    case WalRecordType::kStrabonSnapshot:
+      count = engines_.strabon->LoadTurtle(fields.text);
+      break;
+    case WalRecordType::kAnnotationPublish:
+      count = engines_.strabon->Update(
+          mining::DeleteAnnotationsUpdate(fields.text));
+      if (count.ok()) count = engines_.strabon->LoadTurtle(fields.second);
+      break;
+    case WalRecordType::kVaultAttach:
+      if (Status attached = engines_.vault->RestoreAttachment(fields.text);
+          !attached.ok()) {
+        count = attached;
+      }
+      break;
+    case WalRecordType::kVaultQuarantine:
+      engines_.vault->RestoreQuarantine(
+          fields.text, Status(static_cast<StatusCode>(fields.code),
+                              fields.second));
+      break;
+    case WalRecordType::kVaultHeal:
+      engines_.vault->ClearQuarantine(fields.text);
+      break;
+  }
+  if (!count.ok()) return count.status();
+  return CountTable(*count);
+}
+
+Status DurabilityManager::Replay(const io::WalRecord& record,
+                                 RecoveryReport* report) {
+  ++report->records_replayed;
+  const auto type = static_cast<WalRecordType>(record.type);
+  // Only undecodable bodies and WAL-layer corruption (handled by the
+  // replayer) are fatal. A statement that failed on the live path fails
+  // the same deterministic way here (it was logged before it applied),
+  // so apply failures are counted, not returned.
+  Result<Fields> fields = Decode(type, record.payload);
+  if (!fields.ok()) {
+    return Status::DataLoss(fields.status().message() + " at LSN " +
+                            std::to_string(record.lsn));
+  }
+  if ((type == WalRecordType::kSqlStatement &&
+       record.lsn <= report->snapshot_lsn) ||
+      !HasEngine(type)) {
+    ++report->records_skipped;  // in the snapshot, or inert here
+  } else if (Apply(type, *fields).ok()) {
     ++report->records_applied;
   } else {
     ++report->replay_errors;
@@ -259,8 +259,7 @@ RecoveryReport DurabilityManager::recovery_report() const {
 Status DurabilityManager::Checkpoint() {
   MutexLock lock(mu_);
   if (wal_ == nullptr) {
-    return Status::Internal(
-        "durability manager not recovered; call Recover() first");
+    return Status::Internal("observatory is not durable; call Open first");
   }
   return CheckpointLocked();
 }
@@ -355,62 +354,30 @@ void DurabilityManager::MaybeAutoCheckpointLocked() {
   (void)CheckpointLocked();
 }
 
-Result<storage::Table> DurabilityManager::SqlMutation(
-    const std::string& statement) {
-  if (engines_.sql == nullptr) {
-    return Status::Internal("no SQL engine attached");
+Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
+                                                 const std::string& body) {
+  // Nothing is logged that replay could not apply.
+  TELEIOS_ASSIGN_OR_RETURN(Fields fields, Decode(type, body));
+  if (!HasEngine(type)) {
+    return Status::Internal("no engine attached for WAL record type " +
+                            std::to_string(static_cast<uint32_t>(type)));
   }
-  std::string body;
-  io::PutStr(&body, statement);
-  return LogAndApply(WalRecordType::kSqlStatement, body,
-                     [&] { return engines_.sql->Execute(statement); });
-}
-
-Result<size_t> DurabilityManager::StrabonUpdate(const std::string& update) {
-  if (engines_.strabon == nullptr) {
-    return Status::Internal("no semantic store attached");
+  MutexLock lock(mu_);
+  // A write stopped while it waited for the writer stops here.
+  if (const CancellationToken* cancel = CurrentCancel(); cancel != nullptr) {
+    TELEIOS_RETURN_IF_ERROR(cancel->Check());
   }
-  std::string body;
-  io::PutStr(&body, update);
-  return LogAndApply(WalRecordType::kStrabonUpdate, body,
-                     [&] { return engines_.strabon->Update(update); });
-}
-
-Result<size_t> DurabilityManager::LoadTurtle(const std::string& turtle) {
-  if (engines_.strabon == nullptr) {
-    return Status::Internal("no semantic store attached");
-  }
-  std::string body;
-  io::PutStr(&body, turtle);
-  return LogAndApply(WalRecordType::kLoadTurtle, body,
-                     [&] { return engines_.strabon->LoadTurtle(turtle); });
-}
-
-Result<size_t> DurabilityManager::PublishAnnotations(
-    const std::vector<mining::Annotation>& annotations,
-    const std::string& product_id) {
-  if (engines_.strabon == nullptr) {
-    return Status::Internal("no semantic store attached");
-  }
-  TELEIOS_ASSIGN_OR_RETURN(
-      std::string turtle,
-      mining::RenderAnnotationsTurtle(annotations, product_id));
-  std::string body;
-  io::PutStr(&body, product_id);
-  io::PutStr(&body, turtle);
-  return LogAndApply(
-      WalRecordType::kAnnotationPublish, body, [&]() -> Result<size_t> {
-        TELEIOS_RETURN_IF_ERROR(
-            engines_.strabon
-                ->Update(mining::DeleteAnnotationsUpdate(product_id))
-                .status());
-        return engines_.strabon->LoadTurtle(turtle);
-      });
-}
-
-Result<size_t> DurabilityManager::DeleteAnnotations(
-    const std::string& product_id) {
-  return StrabonUpdate(mining::DeleteAnnotationsUpdate(product_id));
+  if (wal_ == nullptr) return Apply(type, fields);
+  auto lsn = wal_->Append(static_cast<uint32_t>(type), body);
+  if (!lsn.ok()) return lsn.status();
+  TELEIOS_RETURN_IF_ERROR(wal_->Sync());
+  governor::MemoryBudget commit_budget("wal-apply",
+                                       governor::MemoryBudget::kUnlimited);
+  governor::ScopedBudget budget_scope(&commit_budget);
+  ScopedCancel cancel_scope(nullptr);
+  Result<storage::Table> result = Apply(type, fields);
+  MaybeAutoCheckpointLocked();
+  return result;
 }
 
 void DurabilityManager::OnVaultTransition(

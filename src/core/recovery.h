@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "governor/memory_budget.h"
 #include "io/wal.h"
-#include "mining/annotation.h"
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
 #include "storage/persistence.h"
@@ -34,9 +32,9 @@ enum class WalRecordType : uint32_t {
   kStrabonUpdate = 2,
   /// A Turtle document, re-loaded (triple stores deduplicate).
   kLoadTurtle = 3,
-  /// An annotation publication: {product_id, rendered turtle}. Replay
-  /// deletes the product's previous patches, then loads the turtle —
-  /// the same replace semantics as the live path.
+  /// An annotation publication: {product_id, rendered turtle}. Apply
+  /// deletes the product's previous patches, then loads the turtle
+  /// (replace semantics).
   kAnnotationPublish = 4,
   /// A vault attachment by source path; replay re-harvests the header
   /// idempotently (no duplicate metadata rows).
@@ -52,9 +50,9 @@ enum class WalRecordType : uint32_t {
   kStrabonSnapshot = 8,
 };
 
-/// What Recover() did, for callers and the crash-sweep harness.
+/// What Open's recovery did, for callers and the crash-sweep harness.
 struct RecoveryReport {
-  bool recovered = false;          ///< Recover() completed
+  bool recovered = false;          ///< recovery completed
   bool snapshot_loaded = false;    ///< a catalog snapshot existed
   uint64_t snapshot_generation = 0;
   uint64_t snapshot_lsn = 0;       ///< `#LSN` mark of the snapshot
@@ -94,10 +92,10 @@ struct DurabilityOptions {
   static DurabilityOptions FromEnv();
 };
 
-/// The engines a DurabilityManager recovers and logs for. All pointers
-/// are borrowed and must outlive the manager; strabon and vault may be
-/// null (their record types are then skipped on replay and never
-/// produced).
+/// The engines a DurabilityManager applies records to. All pointers are
+/// borrowed and must outlive the manager; strabon and vault may be null
+/// (their record types are then refused by Commit and skipped on
+/// replay).
 struct DurabilityEngines {
   storage::Catalog* catalog = nullptr;
   relational::SqlEngine* sql = nullptr;
@@ -105,16 +103,23 @@ struct DurabilityEngines {
   vault::DataVault* vault = nullptr;
 };
 
-/// Write-ahead logging + checkpointing + crash recovery over the
-/// observatory's durable state, rooted at one directory:
+/// The body of a record of one string (every kind but kAnnotationPublish
+/// and kVaultQuarantine). A kAnnotationPublish body is
+/// RecordBody(product_id) + RecordBody(turtle).
+std::string RecordBody(std::string_view text);
+
+/// The observatory's one write path: every logical mutation is a record
+/// committed here, and the same Apply runs it live and at WAL replay.
+/// Without a log, Commit applies under the writer mutex; once Open has
+/// rooted it at a directory, it also write-ahead logs, checkpoints and
+/// recovers that directory:
 ///
 ///   <dir>/catalog/   generation-unique TELT snapshot (SaveCatalog)
 ///   <dir>/wal/       CRC32C-framed log segments (io/wal.h)
 ///
-/// Protocol: every durable logical mutation goes through LogAndApply —
-/// append + fsync FIRST (the acknowledgement point), then apply in
-/// memory. One mutex spans append+sync+apply+auto-checkpoint, so a
-/// checkpoint can never slip between a record's fsync and its apply
+/// Protocol: append + fsync FIRST (the acknowledgement point), then
+/// apply in memory. One mutex spans append+sync+apply+auto-checkpoint,
+/// so a checkpoint can never slip between a record's fsync and its apply
 /// (which would stamp the snapshot with an LSN covering an un-applied
 /// record). Checkpoint = snapshot the catalog with the current synced
 /// LSN inside the MANIFEST, rotate the log, re-append carry-forward
@@ -126,38 +131,38 @@ struct DurabilityEngines {
 /// kDataLoss.
 class DurabilityManager {
  public:
-  DurabilityManager(const DurabilityEngines& engines, std::string dir,
-                    const DurabilityOptions& options);
+  explicit DurabilityManager(const DurabilityEngines& engines);
   ~DurabilityManager();
 
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
-  /// Loads the newest valid snapshot, replays the WAL tail, and opens
-  /// the log for appending. Must be called (once) before any Log*
-  /// entry point; the engines must still be empty. Emits the
+  /// Roots the write path at `dir`: loads the newest valid snapshot,
+  /// replays the WAL tail, and opens the log, so every later Commit is
+  /// durable. Once only; the engines must still be empty. Emits the
   /// `recovery.complete` event and teleios_recovery_* metrics.
-  Status Recover();
+  Status Open(const std::string& dir, const DurabilityOptions& options);
 
-  /// The report of the Recover() call (zero-valued before it).
+  /// True once Open succeeded.
+  bool durable() const;
+
+  /// Commits one record: refuses a body that does not decode or a kind
+  /// whose engine is missing, then — with a log — appends and fsyncs it,
+  /// and applies it with the function replay uses. Answers SQL's result
+  /// table, or a one-row BIGINT `count` table for every other kind. An
+  /// apply failure propagates, but a logged record stays logged: replay
+  /// re-runs the same deterministic apply. Past the sync nothing may stop
+  /// or refuse the apply, or the live state would lack a mutation the
+  /// log holds: it runs with no cancellation token and under an
+  /// unlimited budget of its own. Without a log the apply runs under the
+  /// caller's token and budget, so a stopped write applies nothing.
+  Result<storage::Table> Commit(WalRecordType type, const std::string& body);
+
+  /// The report of the Open call (zero-valued before it).
   RecoveryReport recovery_report() const;
 
   /// Snapshot + rotate + carry-forward + truncate, unconditionally.
   Status Checkpoint();
-
-  /// Durable mutating SQL: logs the statement, then executes it.
-  Result<storage::Table> SqlMutation(const std::string& statement);
-  /// Durable SPARQL update.
-  Result<size_t> StrabonUpdate(const std::string& update);
-  /// Durable Turtle load.
-  Result<size_t> LoadTurtle(const std::string& turtle);
-  /// Durable annotation publication (replace semantics): renders the
-  /// triples once, logs {product, turtle}, then deletes + loads.
-  Result<size_t> PublishAnnotations(
-      const std::vector<mining::Annotation>& annotations,
-      const std::string& product_id);
-  /// Durable removal of a product's annotations.
-  Result<size_t> DeleteAnnotations(const std::string& product_id);
 
   /// Vault transition subscriber (install via set_transition_hook):
   /// mirrors attach/quarantine/heal into the log. Best-effort — the
@@ -168,49 +173,39 @@ class DurabilityManager {
 
   DurabilityStats stats() const;
 
-  const std::string& dir() const { return dir_; }
-  std::string wal_dir() const { return dir_ + "/wal"; }
-  std::string snapshot_dir() const { return dir_ + "/catalog"; }
+  /// The directory Open rooted the log at ("" before it).
+  std::string dir() const;
 
  private:
+  /// A decoded record body: one string, two for kAnnotationPublish, or
+  /// {name, status code, message} for kVaultQuarantine.
+  struct Fields {
+    std::string text;
+    uint32_t code = 0;
+    std::string second;
+  };
+  static Result<Fields> Decode(WalRecordType type, const std::string& body);
+  bool HasEngine(WalRecordType type) const;
+  /// The one apply, shared by Commit and replay.
+  Result<storage::Table> Apply(WalRecordType type, const Fields& fields)
+      TELEIOS_REQUIRES(mu_);
+  /// Replay's rules around Apply: skip catalog-class records the
+  /// snapshot covers, and count a failed apply instead of failing.
+  Status Replay(const io::WalRecord& record, RecoveryReport* report)
+      TELEIOS_REQUIRES(mu_);
   Status RecoverLocked() TELEIOS_REQUIRES(mu_);
   Status CheckpointLocked() TELEIOS_REQUIRES(mu_);
   void MaybeAutoCheckpointLocked() TELEIOS_REQUIRES(mu_);
-  Status ApplyRecord(const io::WalRecord& record, RecoveryReport* report)
-      TELEIOS_REQUIRES(mu_);
-
-  /// Append + fsync `body` under `type`, then run `apply`. The record
-  /// is acknowledged (durable) iff the sync succeeded; apply failures
-  /// propagate to the caller but the record stays in the log — replay
-  /// re-runs the same apply deterministically, converging either way.
-  /// Past the sync nothing may stop or refuse the apply, or the live
-  /// state would lack a mutation the log holds: it runs with no
-  /// cancellation token and under an unlimited budget of its own.
-  template <typename Fn>
-  auto LogAndApply(WalRecordType type, const std::string& body, Fn&& apply)
-      -> decltype(apply()) {
-    MutexLock lock(mu_);
-    if (wal_ == nullptr) {
-      return Status::Internal(
-          "durability manager not recovered; call Recover() first");
-    }
-    auto lsn = wal_->Append(static_cast<uint32_t>(type), body);
-    if (!lsn.ok()) return lsn.status();
-    TELEIOS_RETURN_IF_ERROR(wal_->Sync());
-    governor::MemoryBudget commit_budget("wal-apply",
-                                         governor::MemoryBudget::kUnlimited);
-    governor::ScopedBudget budget_scope(&commit_budget);
-    ScopedCancel cancel_scope(nullptr);
-    auto result = apply();
-    MaybeAutoCheckpointLocked();
-    return result;
+  std::string wal_dir() const TELEIOS_REQUIRES(mu_) { return dir_ + "/wal"; }
+  std::string snapshot_dir() const TELEIOS_REQUIRES(mu_) {
+    return dir_ + "/catalog";
   }
 
   const DurabilityEngines engines_;
-  const std::string dir_;
-  const DurabilityOptions options_;
 
   mutable Mutex mu_;
+  std::string dir_ TELEIOS_GUARDED_BY(mu_);
+  DurabilityOptions options_ TELEIOS_GUARDED_BY(mu_);
   std::unique_ptr<io::WalWriter> wal_ TELEIOS_GUARDED_BY(mu_);
   RecoveryReport report_ TELEIOS_GUARDED_BY(mu_);
   uint64_t checkpoints_ TELEIOS_GUARDED_BY(mu_) = 0;

@@ -491,25 +491,9 @@ Result<storage::Table> TeleiosServer::RunStatement(
     case Lang::kSciQl:
       result = observatory_->SciQl(statement, token.get());
       break;
-    case Lang::kStSparql: {
-      // SELECT/ASK stream rows; updates return a one-row count table so
-      // both shapes fit the same SCHEMA/ROWS/DONE stream.
-      if (IsMutatingStatement(Lang::kStSparql, statement)) {
-        Result<size_t> count = observatory_->StSparqlUpdate(statement);
-        if (!count.ok()) {
-          result = count.status();
-        } else {
-          storage::Table table(
-              storage::Schema({{"count", storage::ColumnType::kInt64}}));
-          table.column(0).AppendInt64(
-              static_cast<int64_t>(count.value()));
-          result = std::move(table);
-        }
-      } else {
-        result = observatory_->StSparql(statement, token.get());
-      }
+    case Lang::kStSparql:
+      result = observatory_->StSparql(statement, token.get());
       break;
-    }
   }
   session->EndStatement();
   return result;
@@ -590,10 +574,13 @@ Status TeleiosServer::RunAndStream(Connection* conn,
     //
     // Cancellation / deadline are not definitive: the statement was
     // aborted before committing, so the retry should re-execute rather
-    // than replay an error that no longer describes anything.
+    // than replay an error that no longer describes anything. Nor is
+    // kUnavailable: on every statement path it comes only from admission
+    // shedding (queue full or wait timed out), before the statement ran.
     StatusCode code = result.status().code();
     if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
+        code == StatusCode::kDeadlineExceeded ||
+        code == StatusCode::kUnavailable) {
       dedup_.Abandon(client_id, request_id);
     } else if (result.ok()) {
       dedup_.Complete(client_id, request_id, Status::OK(),

@@ -277,25 +277,34 @@ Result<Table> Strabon::RunQuery(const SparqlQuery& query) {
   return solutions;
 }
 
-Result<Table> Strabon::Select(const std::string& sparql) {
-  SparqlStatement stmt;
-  {
-    obs::TraceSpan parse_span("parse");
-    TELEIOS_ASSIGN_OR_RETURN(stmt, ParseSparql(sparql));
-  }
-  const auto* query = std::get_if<SparqlQuery>(&stmt);
+Result<SparqlStatement> Strabon::Parse(const std::string& sparql) {
+  obs::TraceSpan parse_span("parse");
+  return ParseSparql(sparql);
+}
+
+Result<Table> Strabon::Solutions(const Result<SparqlStatement>& parsed) {
+  TELEIOS_RETURN_IF_ERROR(parsed.status());
+  const auto* query = std::get_if<SparqlQuery>(&*parsed);
   if (query == nullptr) {
     return Status::InvalidArgument("expected a SELECT/ASK query");
   }
   return RunQuery(*query);
 }
 
+Result<Table> Strabon::Select(const std::string& sparql) {
+  return Solutions(Parse(sparql));
+}
+
 Result<Table> Strabon::Query(const std::string& sparql) {
+  return Query(Parse(sparql));
+}
+
+Result<Table> Strabon::Query(const Result<SparqlStatement>& parsed) {
   obs::Count("teleios_strabon_queries_total");
   obs::TraceSpan query_span("sparql.query",
                             obs::MetricsRegistry::Global().GetHistogram(
                                 "teleios_strabon_query_millis"));
-  Result<Table> solutions = Select(sparql);
+  Result<Table> solutions = Solutions(parsed);
   if (!solutions.ok()) {
     obs::Count(obs::WithLabel("teleios_strabon_errors_total", "code",
                               StatusCodeName(solutions.status().code())));
@@ -389,11 +398,7 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
 
 Result<size_t> Strabon::Update(const std::string& sparql) {
   obs::Count("teleios_strabon_updates_total");
-  SparqlStatement stmt;
-  {
-    obs::TraceSpan parse_span("parse");
-    TELEIOS_ASSIGN_OR_RETURN(stmt, ParseSparql(sparql));
-  }
+  TELEIOS_ASSIGN_OR_RETURN(SparqlStatement stmt, Parse(sparql));
   const auto* update = std::get_if<SparqlUpdate>(&stmt);
   if (update == nullptr) {
     return Status::InvalidArgument("expected an update statement");

@@ -34,9 +34,16 @@ class Strabon {
   /// term ids per projected variable, rdf::kNoTerm where it is unbound.
   Result<storage::Table> Select(const std::string& sparql);
 
+  /// Parses a statement under a `parse` span.
+  static Result<SparqlStatement> Parse(const std::string& sparql);
+
   /// Executes a SELECT/ASK, returning a printable table (ASK yields a
   /// single boolean-ish row).
   Result<storage::Table> Query(const std::string& sparql);
+  /// Query over a Parse result, so a caller that parsed to route the
+  /// statement does not parse it twice; a parse error or an update
+  /// fails here as it would in Query(text).
+  Result<storage::Table> Query(const Result<SparqlStatement>& parsed);
 
   /// Executes ASK.
   Result<bool> Ask(const std::string& sparql);
@@ -64,6 +71,8 @@ class Strabon {
   Status SaveTurtleFile(const std::string& path) const;
 
  private:
+  /// The solutions of a parsed SELECT/ASK.
+  Result<storage::Table> Solutions(const Result<SparqlStatement>& parsed);
   Result<storage::Table> RunQuery(const SparqlQuery& query);
   Result<size_t> RunUpdate(const SparqlUpdate& update);
 

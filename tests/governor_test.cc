@@ -33,6 +33,9 @@
 #include "mining/kmeans.h"
 #include "noa/chain.h"
 #include "obs/metrics.h"
+#include "obs/query_registry.h"
+#include "server/client.h"
+#include "server/server.h"
 
 namespace teleios {
 namespace {
@@ -1046,8 +1049,29 @@ class StSparqlGovernanceTest : public ::testing::Test {
       "PREFIX ex: <http://example.org/> "
       "SELECT ?a ?d WHERE { ?a ex:p ?b . ?c ex:p ?d } LIMIT 3";
 
+  void TearDown() override {
+    if (server_ != nullptr) {
+      ASSERT_TRUE(server_->Shutdown().ok());
+    }
+  }
+
+  /// A wire client of a server over veo_ (started on first use), for the
+  /// stops a client sends: a statement deadline and a CANCEL frame.
+  server::Client Connect() {
+    if (server_ == nullptr) {
+      server::ServerConfig config;
+      config.port = 0;
+      server_ = std::make_unique<server::TeleiosServer>(&veo_, config);
+      EXPECT_TRUE(server_->Start().ok());
+    }
+    auto client = server::Client::Connect("127.0.0.1", server_->port());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(client).value();
+  }
+
   MemoryBudget roomy_{"stsparql-roomy", MemoryBudget::kUnlimited};
   core::VirtualEarthObservatory veo_;
+  std::unique_ptr<server::TeleiosServer> server_;
 };
 
 TEST_F(StSparqlGovernanceTest, CancelledTokenStopsTheQuery) {
@@ -1165,6 +1189,113 @@ TEST_F(StSparqlGovernanceTest, OomInjectionSweepNeverCrashesOrLeaks) {
   auto recovered = veo_.StSparql(query);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->ToString(1000), baseline->ToString(1000));
+}
+
+/// The fixture's 1,500 `ex:p` triples crossed with 100 `ex:r` ones under
+/// a FILTER of 48 regexes per solution: the WHERE stays small in memory
+/// (a 64 MiB root holds it) but would run for tens of seconds, polling
+/// cancellation every 1,024 rows, so a stop always lands mid-statement.
+/// Run to the end it would insert 150,000 triples.
+std::string SlowCartesianUpdate(core::VirtualEarthObservatory* veo) {
+  std::string ttl = "@prefix ex: <http://example.org/> .\n";
+  for (int i = 0; i < 100; ++i) {
+    ttl += "ex:c" + std::to_string(i) + " ex:r ex:d" + std::to_string(i) +
+           " .\n";
+  }
+  EXPECT_TRUE(veo->LoadLinkedData(ttl).ok());
+  std::string filter;
+  for (int t = 0; t < 48; ++t) {
+    filter += std::string(t > 0 ? " && " : "") + "!regex(str(?d), \"^z" +
+              std::to_string(t) + "\")";
+  }
+  return "PREFIX ex: <http://example.org/> INSERT { ?a ex:q ?d } WHERE { "
+         "?a ex:p ?b . ?c ex:r ?d . FILTER(" + filter + ") }";
+}
+
+/// The status sys.query_log recorded for `statement` ("" when absent).
+std::string LoggedStatus(core::VirtualEarthObservatory& veo,
+                         const std::string& statement) {
+  for (const obs::QueryCompletion& c : veo.introspection().Log()) {
+    if (c.statement == statement) return c.status;
+  }
+  return "";
+}
+
+TEST_F(StSparqlGovernanceTest, KillQueryStopsAnUpdate) {
+  const std::string update = SlowCartesianUpdate(&veo_);
+  const size_t before = veo_.strabon().size();
+  Result<storage::Table> victim = Status::Internal("never ran");
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    ScopedBudget scope(&roomy_);
+    victim = veo_.StSparql(update);
+    done = true;
+  });
+  bool killed = false;
+  while (!done && !killed) {
+    auto active = veo_.Sql("SELECT id, statement, state FROM sys.queries");
+    ASSERT_TRUE(active.ok()) << active.status().ToString();
+    for (size_t r = 0; r < active->num_rows() && !killed; ++r) {
+      if (active->Get(r, 1).AsString() == update &&
+          active->Get(r, 2).AsString() == "running") {
+        killed = veo_
+                     .KillQuery(
+                         static_cast<uint64_t>(active->Get(r, 0).AsInt64()))
+                     .ok();
+      }
+    }
+    if (!killed) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  worker.join();
+  ASSERT_TRUE(killed) << "the update finished before it could be killed";
+  ASSERT_FALSE(victim.ok());
+  EXPECT_EQ(victim.status().code(), StatusCode::kCancelled)
+      << victim.status().ToString();
+  EXPECT_EQ(LoggedStatus(veo_, update), "Cancelled");
+  EXPECT_EQ(veo_.strabon().size(), before);
+}
+
+TEST_F(StSparqlGovernanceTest, StatementDeadlineStopsAnUpdate) {
+  const std::string update = SlowCartesianUpdate(&veo_);
+  const size_t before = veo_.strabon().size();
+  server::Client client = Connect();
+  auto stopped = client.Query(server::Lang::kStSparql, update,
+                              /*deadline_millis=*/30);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded)
+      << stopped.status().ToString();
+  EXPECT_EQ(LoggedStatus(veo_, update), "DeadlineExceeded");
+  EXPECT_EQ(veo_.strabon().size(), before);
+  ASSERT_TRUE(client.Goodbye().ok());
+}
+
+TEST_F(StSparqlGovernanceTest, CancelFrameStopsAnUpdate) {
+  const std::string update = SlowCartesianUpdate(&veo_);
+  const size_t before = veo_.strabon().size();
+  server::Client victim = Connect();
+  Result<storage::Table> outcome = Status::Internal("never ran");
+  std::thread runner(
+      [&] { outcome = victim.Query(server::Lang::kStSparql, update); });
+  bool running = false;
+  for (int i = 0; i < 3000 && !running; ++i) {
+    for (const obs::ActiveQuery& q : veo_.introspection().Active()) {
+      running = running || (q.statement == update &&
+                            q.state == obs::QueryState::kRunning);
+    }
+    if (!running) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server::Client controller = Connect();
+  EXPECT_TRUE(running) << "the update never started";
+  ASSERT_TRUE(
+      controller.Cancel(victim.session_id(), victim.cancel_key()).ok());
+  runner.join();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled)
+      << outcome.status().ToString();
+  EXPECT_EQ(LoggedStatus(veo_, update), "Cancelled");
+  EXPECT_EQ(veo_.strabon().size(), before);
+  ASSERT_TRUE(victim.Goodbye().ok());
+  ASSERT_TRUE(controller.Goodbye().ok());
 }
 
 /// The store's triples as sorted N-Triples lines.

@@ -13,18 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/observatory.h"
 #include "core/recovery.h"
+#include "eo/scene.h"
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
 #include "io/wal.h"
+#include "mining/annotation_service.h"
+#include "mining/features.h"
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
 #include "strabon/strabon.h"
@@ -37,23 +43,29 @@ namespace stdfs = std::filesystem;
 using core::DurabilityEngines;
 using core::DurabilityManager;
 using core::DurabilityOptions;
+using core::RecordBody;
 using core::RecoveryReport;
+using core::WalRecordType;
 
 // One "process": engines plus the durability layer over them. A fresh
 // Instance over the same directory is a restart.
 struct Instance {
   explicit Instance(const std::string& dir, const DurabilityOptions& options)
-      : sql(&catalog) {
+      : sql(&catalog), dir(dir), options(options) {
     DurabilityEngines engines;
     engines.catalog = &catalog;
     engines.sql = &sql;
     engines.strabon = &strabon;
-    db = std::make_unique<DurabilityManager>(engines, dir, options);
+    db = std::make_unique<DurabilityManager>(engines);
   }
+
+  Status Open() { return db->Open(dir, options); }
 
   storage::Catalog catalog;
   relational::SqlEngine sql;
   strabon::Strabon strabon;
+  const std::string dir;
+  const DurabilityOptions options;
   std::unique_ptr<DurabilityManager> db;
 };
 
@@ -81,14 +93,18 @@ class RecoverySweepTest : public ::testing::Test {
   // mutations into a dead instance.
   static int RunWorkload(Instance* instance) {
     int acked = 0;
-    if (!instance->db->SqlMutation("CREATE TABLE log (id INT)").ok()) {
+    if (!instance->db
+             ->Commit(WalRecordType::kSqlStatement,
+                      RecordBody("CREATE TABLE log (id INT)"))
+             .ok()) {
       return acked;
     }
     ++acked;
     for (int i = 0; i < kInserts; ++i) {
       if (!instance->db
-               ->SqlMutation("INSERT INTO log VALUES (" + std::to_string(i) +
-                             ")")
+               ->Commit(WalRecordType::kSqlStatement,
+                        RecordBody("INSERT INTO log VALUES (" +
+                                   std::to_string(i) + ")"))
                .ok()) {
         return acked;
       }
@@ -134,7 +150,7 @@ class RecoverySweepTest : public ::testing::Test {
     faulty_->Arm(probe);
     {
       Instance baseline(Path(tag + "_probe"), options);
-      ASSERT_TRUE(baseline.db->Recover().ok());
+      ASSERT_TRUE(baseline.Open().ok());
       ASSERT_EQ(RunWorkload(&baseline), 1 + kInserts);
     }
     uint64_t total_ops = faulty_->ops();
@@ -151,14 +167,14 @@ class RecoverySweepTest : public ::testing::Test {
         spec.crash = true;
         faulty_->Arm(spec);
         Instance victim(dir, options);
-        if (victim.db->Recover().ok()) {
+        if (victim.Open().ok()) {
           acked = RunWorkload(&victim);
         }
         faulty_->Disarm();
       }
       // Restart: recovery must succeed cleanly at every crash point.
       Instance restarted(dir, options);
-      Status recovered = restarted.db->Recover();
+      Status recovered = restarted.Open();
       ASSERT_TRUE(recovered.ok())
           << "crash at op " << k << ": " << recovered.ToString();
       ASSERT_NE(recovered.code(), StatusCode::kDataLoss);
@@ -202,7 +218,7 @@ TEST_F(RecoverySweepTest, CheckpointTruncatesAndStateAccumulates) {
   options.checkpoint_bytes = 0;  // explicit checkpoints only
   {
     Instance a(dir, options);
-    ASSERT_TRUE(a.db->Recover().ok());
+    ASSERT_TRUE(a.Open().ok());
     ASSERT_EQ(RunWorkload(&a), 1 + kInserts);
     ASSERT_GT(a.db->stats().wal.total_bytes, 0u);
     uint64_t seq_before = a.db->stats().wal.segment_seq;
@@ -214,12 +230,13 @@ TEST_F(RecoverySweepTest, CheckpointTruncatesAndStateAccumulates) {
     ASSERT_TRUE(segments.ok());
     ASSERT_EQ(segments->size(), 1u);
     EXPECT_GT(a.db->stats().wal.segment_seq, seq_before);
-    ASSERT_TRUE(
-        a.db->SqlMutation("INSERT INTO log VALUES (100)").ok());
+    ASSERT_TRUE(a.db->Commit(WalRecordType::kSqlStatement,
+                             RecordBody("INSERT INTO log VALUES (100)"))
+                    .ok());
   }
   {
     Instance b(dir, options);
-    ASSERT_TRUE(b.db->Recover().ok());
+    ASSERT_TRUE(b.Open().ok());
     RecoveryReport report = b.db->recovery_report();
     EXPECT_TRUE(report.snapshot_loaded);
     EXPECT_GT(report.snapshot_lsn, 0u);
@@ -244,21 +261,23 @@ TEST_F(RecoverySweepTest, StrabonStateSurvivesRestart) {
   size_t loaded_size = 0;
   {
     Instance a(dir, options);
-    ASSERT_TRUE(a.db->Recover().ok());
-    ASSERT_TRUE(a.db
-                    ->LoadTurtle("<http://e/s> <http://e/p> <http://e/o> .\n"
-                                 "<http://e/s> <http://e/p> <http://e/o2> .")
-                    .ok());
+    ASSERT_TRUE(a.Open().ok());
     ASSERT_TRUE(
-        a.db->StrabonUpdate("INSERT DATA { <http://e/s2> <http://e/p> "
-                            "<http://e/o> . }")
+        a.db->Commit(WalRecordType::kLoadTurtle,
+                     RecordBody("<http://e/s> <http://e/p> <http://e/o> .\n"
+                                "<http://e/s> <http://e/p> <http://e/o2> ."))
+            .ok());
+    ASSERT_TRUE(
+        a.db->Commit(WalRecordType::kStrabonUpdate,
+                     RecordBody("INSERT DATA { <http://e/s2> <http://e/p> "
+                                "<http://e/o> . }"))
             .ok());
     loaded_size = a.strabon.size();
     ASSERT_EQ(loaded_size, 3u);
   }
   {
     Instance b(dir, options);
-    ASSERT_TRUE(b.db->Recover().ok());
+    ASSERT_TRUE(b.Open().ok());
     EXPECT_EQ(b.strabon.size(), loaded_size);
     // Checkpoint, then restart again: the store now comes back from the
     // carry-forward record alone.
@@ -266,7 +285,7 @@ TEST_F(RecoverySweepTest, StrabonStateSurvivesRestart) {
   }
   {
     Instance c(dir, options);
-    ASSERT_TRUE(c.db->Recover().ok());
+    ASSERT_TRUE(c.Open().ok());
     EXPECT_EQ(c.strabon.size(), loaded_size);
   }
 }
@@ -280,7 +299,7 @@ TEST_F(RecoverySweepTest, TornTailToleratedMidLogCorruptionFatal) {
   options.checkpoint_bytes = 0;
   {
     Instance a(dir, options);
-    ASSERT_TRUE(a.db->Recover().ok());
+    ASSERT_TRUE(a.Open().ok());
     ASSERT_EQ(RunWorkload(&a), 1 + kInserts);
   }
   auto segments = io::ListWalSegments(dir + "/wal");
@@ -297,7 +316,7 @@ TEST_F(RecoverySweepTest, TornTailToleratedMidLogCorruptionFatal) {
                   .ok());
   {
     Instance b(dir, options);
-    ASSERT_TRUE(b.db->Recover().ok());
+    ASSERT_TRUE(b.Open().ok());
     RecoveryReport report = b.db->recovery_report();
     EXPECT_EQ(report.tail_records_dropped, 1u);
     EXPECT_EQ(report.records_applied, static_cast<uint64_t>(kInserts));
@@ -314,7 +333,7 @@ TEST_F(RecoverySweepTest, TornTailToleratedMidLogCorruptionFatal) {
   ASSERT_TRUE(io::GetFileSystem()->WriteFileAtomic(segment, corrupt).ok());
   {
     Instance c(dir, options);
-    Status st = c.db->Recover();
+    Status st = c.Open();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
   }
@@ -356,6 +375,147 @@ TEST_F(RecoverySweepTest, ObservatoryOpenRoutesAndReports) {
     EXPECT_TRUE(report.recovered);
     EXPECT_EQ(report.records_applied, 3u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One write path in both modes
+// ---------------------------------------------------------------------------
+
+/// Two annotation sets over one small scene, for publish and republish.
+const std::vector<mining::AnnotationService>& AnnotationServices() {
+  static const std::vector<mining::AnnotationService> services = [] {
+    eo::SceneSpec spec;
+    spec.width = 64;
+    spec.height = 64;
+    spec.num_fires = 2;
+    std::vector<mining::AnnotationService> out(2);
+    auto patches = mining::CutPatches(*eo::GenerateScene(spec), 16);
+    EXPECT_TRUE(patches.ok());
+    EXPECT_TRUE(out[0].Annotate(*patches, 3, 1).ok());
+    EXPECT_TRUE(out[1].Annotate(*patches, 4, 2).ok());
+    return out;
+  }();
+  return services;
+}
+
+/// One seeded mix of writes through the facade — SQL CREATE, INSERT,
+/// UPDATE and DELETE, stSPARQL INSERT DATA and DELETE/INSERT WHERE,
+/// Turtle loads, annotation publish and delete — with `midway` run once
+/// halfway through.
+void ApplyWriteMix(core::VirtualEarthObservatory& veo, uint64_t seed,
+                   const std::function<void()>& midway) {
+  constexpr int kWrites = 120;
+  std::mt19937_64 rng(seed);
+  auto pick = [&](uint64_t n) { return static_cast<int>(rng() % n); };
+  ASSERT_TRUE(veo.Sql("CREATE TABLE mix (id INT, v DOUBLE, s VARCHAR)").ok());
+  const std::string ex = "PREFIX ex: <http://example.org/> ";
+  for (int w = 0; w < kWrites; ++w) {
+    if (w == kWrites / 2) midway();
+    const std::string n = std::to_string(w);
+    const std::string k = std::to_string(pick(7));
+    Status st = Status::OK();
+    switch (pick(8)) {
+      case 0:
+        st = veo.Sql("INSERT INTO mix VALUES (" + n + ", " + k + ".25, 's" +
+                     k + "'), (" + std::to_string(w + 1000) + ", -" + k +
+                     ".5, 't" + n + "')")
+                 .status();
+        break;
+      case 1:
+        st = veo.Sql("UPDATE mix SET v = v * 2 + " + k +
+                     ", s = 'u" + n + "' WHERE id % 7 = " + k)
+                 .status();
+        break;
+      case 2:
+        st = veo.Sql("DELETE FROM mix WHERE id % 11 = " + k).status();
+        break;
+      case 3:
+        st = veo.StSparql(ex + "INSERT DATA { ex:s" + n + " ex:p ex:o" + k +
+                          " ; ex:at \"POINT (" + n + " " + k +
+                          ")\"^^<http://strdf.di.uoa.gr/ontology#WKT> }")
+                 .status();
+        break;
+      case 4:
+        st = veo.StSparql(ex + "DELETE { ?s ex:p ex:o" + k +
+                          " } INSERT { ?s ex:q ex:o" + k + " ; ex:w " + n +
+                          " } WHERE { ?s ex:p ex:o" + k + " }")
+                 .status();
+        break;
+      case 5:
+        st = veo.LoadLinkedData("@prefix ex: <http://example.org/> .\n"
+                                "ex:t" + n + " ex:r ex:s" + k +
+                                " ; ex:label \"turtle " + n + "\" .\n")
+                 .status();
+        break;
+      case 6:
+        st = veo.PublishAnnotations(AnnotationServices()[pick(2)],
+                                    "prod" + std::to_string(pick(3)))
+                 .status();
+        break;
+      default:
+        st = veo.DeleteAnnotations("prod" + std::to_string(pick(3))).status();
+        break;
+    }
+    ASSERT_TRUE(st.ok()) << "write " << w << ": " << st.ToString();
+  }
+}
+
+/// The store's triples as sorted N-Triples lines: the store's content
+/// whatever ids its dictionary gave the terms.
+std::vector<std::string> SortedTriples(const strabon::Strabon& store) {
+  std::vector<std::string> lines;
+  const auto& dict = store.store().dict();
+  for (const rdf::Triple& t : store.store().Match(rdf::TriplePattern{})) {
+    lines.push_back(dict.At(t.s).ToNTriples() + " " +
+                    dict.At(t.p).ToNTriples() + " " +
+                    dict.At(t.o).ToNTriples());
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Every catalog table, rendered in full.
+std::string CatalogImage(core::VirtualEarthObservatory& veo) {
+  std::string image;
+  for (const std::string& name : veo.catalog().TableNames()) {
+    auto rows = veo.Sql("SELECT * FROM " + name);
+    EXPECT_TRUE(rows.ok()) << name << ": " << rows.status().ToString();
+    image += name + "\n" + (rows.ok() ? rows->ToString(1u << 30) : "");
+  }
+  return image;
+}
+
+using WritePathTest = RecoverySweepTest;
+
+// Live apply and replay are one function: the same mix leaves an
+// in-memory observatory, a durable one checkpointed midway, and that
+// durable one reopened in one state.
+TEST_F(WritePathTest, OneMixOneStateInEveryMode) {
+  const std::string dir = Path("both_modes");
+  // Under TELEIOS_WAL_CHECKPOINT_BYTES automatic checkpoints land in the
+  // mix as well.
+  const DurabilityOptions options = DurabilityOptions::FromEnv();
+  core::VirtualEarthObservatory memory;
+  ApplyWriteMix(memory, 24, [] {});
+  core::VirtualEarthObservatory durable;
+  ASSERT_TRUE(durable.Open(dir, options).ok());
+  ApplyWriteMix(durable, 24,
+                [&] { ASSERT_TRUE(durable.Checkpoint().ok()); });
+  ASSERT_GE(durable.durability_stats().checkpoints, 1u);
+  core::VirtualEarthObservatory reopened;
+  ASSERT_TRUE(reopened.Open(dir, options).ok());
+  EXPECT_EQ(reopened.recovery_report().replay_errors, 0u);
+
+  // ToTurtle lists triples in term-id order. The live observatories
+  // interned every term in the same order; the reopened one re-interned
+  // the checkpoint's carry-forward dump in dump order, so it holds the
+  // same triples under other ids.
+  EXPECT_EQ(durable.strabon().ToTurtle(), memory.strabon().ToTurtle());
+  EXPECT_EQ(SortedTriples(reopened.strabon()),
+            SortedTriples(memory.strabon()));
+  const std::string catalog = CatalogImage(memory);
+  EXPECT_EQ(CatalogImage(durable), catalog);
+  EXPECT_EQ(CatalogImage(reopened), catalog);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +414,52 @@ TEST_F(ServerTest, AskAnswersAreRowCountsOverTheWire) {
   ASSERT_TRUE(client.Goodbye().ok());
 }
 
+TEST_F(ServerTest, ConcurrentStSparqlWritersKeepEveryAcknowledgedTriple) {
+  // Wire updates from several sessions at once commit one at a time
+  // through the write path, so none tears the store or loses a triple.
+  StartServer();
+  constexpr int kSessions = 4;
+  constexpr int kWrites = 50;
+  std::vector<std::vector<std::string>> acked(kSessions);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kSessions; ++w) {
+    writers.emplace_back([&, w] {
+      auto client = Client::Connect("127.0.0.1", server_->port());
+      if (!client.ok()) return;
+      for (int i = 0; i < kWrites; ++i) {
+        std::string subject = "http://ex.org/w" + std::to_string(w) + "_" +
+                              std::to_string(i);
+        auto count = client->Query(
+            Lang::kStSparql,
+            "INSERT DATA { <" + subject + "> <http://ex.org/at> \"POINT (" +
+                std::to_string(i) + " " + std::to_string(w) +
+                ")\"^^<http://strdf.di.uoa.gr/ontology#WKT> }");
+        if (count.ok() && count->num_rows() == 1 &&
+            count->Get(0, 0) == Value(int64_t{1})) {
+          acked[w].push_back(subject);
+        }
+      }
+      (void)client->Goodbye();
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  auto stored = veo_.StSparql("SELECT ?s WHERE { ?s <http://ex.org/at> ?g }");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  std::set<std::string> subjects;
+  for (size_t r = 0; r < stored->num_rows(); ++r) {
+    subjects.insert(stored->Get(r, 0).AsString());
+  }
+  size_t acknowledged = 0;
+  for (const std::vector<std::string>& session : acked) {
+    acknowledged += session.size();
+    for (const std::string& subject : session) {
+      EXPECT_EQ(subjects.count(subject), 1u) << subject;
+    }
+  }
+  EXPECT_EQ(acknowledged, static_cast<size_t>(kSessions * kWrites));
+  EXPECT_EQ(stored->num_rows(), acknowledged);
+}
+
 // ---------------------------------------------------------------------------
 // prepared statements
 // ---------------------------------------------------------------------------
@@ -452,10 +499,16 @@ TEST_F(ServerTest, CancelFrameStopsARunningStatement) {
   MakeBigTable("huge", 4u << 20);
   StartServer();
   Client victim = MustConnect();
-  // Slow by construction: the modulo predicate stays on the interpreted
-  // per-row path, polling cancellation at every morsel boundary.
-  const std::string slow =
-      "SELECT x FROM huge WHERE (x * 37 + x) % 1013 = 5";
+  // Slow by construction: 64 chained modulo terms keep the predicate on
+  // the interpreted per-row path, polling cancellation at every morsel
+  // boundary, and would take tens of CPU seconds over 4M rows — however
+  // late the controller's CANCEL lands, the statement is still running.
+  std::string predicate;
+  for (int t = 0; t < 64; ++t) {
+    predicate += std::string(t > 0 ? " + " : "") + "(x * " +
+                 std::to_string(37 + 2 * t) + " + x) % 1013";
+  }
+  const std::string slow = "SELECT x FROM huge WHERE " + predicate + " = -1";
   Result<storage::Table> outcome = Status::Internal("never ran");
   std::thread runner([&] { outcome = victim.Query(Lang::kSql, slow); });
 

@@ -444,6 +444,46 @@ TEST_F(ChaosServerTest, WriteTimeoutKillsAClientThatStoppedReading) {
   EXPECT_GE(CounterValue("teleios_server_write_timeouts_total"), before + 1);
 }
 
+TEST_F(ChaosServerTest, ShedWriteIsRetriedNotReplayed) {
+  // A write that admission shed never ran: its retry must run it, not
+  // replay the recorded refusal from the dedup window.
+  ASSERT_TRUE(veo_.Sql("CREATE TABLE shed_t (v INT)").ok());
+  governor::AdmissionConfig one_slot;
+  one_slot.max_concurrent = 1;
+  one_slot.max_queue = 0;
+  veo_.SetAdmissionConfig(one_slot);
+  StartServer({});
+  // Hold the only slot, as a long statement would, until the write has
+  // been shed once.
+  auto held = veo_.admission().Admit(nullptr);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+
+  const uint64_t shed_before =
+      CounterValue("teleios_governor_admission_shed_total");
+  ResilientClientOptions options;
+  options.client.client_id = 77;
+  options.retry.max_attempts = 8;
+  options.retry.base_backoff_ms = 50;
+  options.retry.max_backoff_ms = 400;
+  options.retry.jitter_seed = 7;
+  ResilientClient rc("127.0.0.1", server_->port(), options);
+  Result<storage::Table> insert = Status::Internal("never ran");
+  std::thread writer(
+      [&] { insert = rc.Query(Lang::kSql, "INSERT INTO shed_t VALUES (1)"); });
+  EXPECT_TRUE(Eventually([&] {
+    return CounterValue("teleios_governor_admission_shed_total") >
+           shed_before;
+  }));
+  held->reset();
+  writer.join();
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  EXPECT_GE(rc.retries(), 1u);
+  auto rows = veo_.Sql("SELECT count(*) AS n FROM shed_t");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->Get(0, 0).AsInt64(), 1);
+  ASSERT_TRUE(rc.Goodbye().ok());
+}
+
 // --- 5. the socket chaos sweep --------------------------------------------
 
 /// One full client lifetime against a durable observatory: mutations
