@@ -142,6 +142,34 @@ void BM_SqlDeleteNone(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlDeleteNone)->Arg(100000);
 
+/// An IN list over a string-id table, through the engine: the read-back a
+/// durable_writes cycle runs after its INSERT. The four literals compile
+/// to one dictionary-code set tested per row.
+void BM_SqlInList(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  auto products = std::make_shared<Table>(Schema(
+      {{"id", ColumnType::kString}, {"acq_time", ColumnType::kInt64}}));
+  for (int64_t i = 0; i < rows; ++i) {
+    products->column(0).AppendString("P" + std::to_string(i));
+    products->column(1).AppendInt64(1188036000 + i * 900);
+  }
+  Catalog catalog;
+  (void)catalog.CreateTable("products", products);
+  teleios::relational::SqlEngine engine(&catalog);
+  std::string in_list;
+  for (int64_t k = 1; k <= 4; ++k) {
+    in_list += (k > 1 ? ", 'P" : "'P") + std::to_string(rows * k / 5) + "'";
+  }
+  const std::string sql =
+      "SELECT id, acq_time FROM products WHERE id IN (" + in_list + ")";
+  for (auto _ : state) {
+    auto r = engine.Execute(sql);
+    benchmark::DoNotOptimize(r->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_SqlInList)->Arg(4000)->Arg(100000);
+
 /// Dictionary encoding: append throughput and memory for low-cardinality
 /// strings vs unique strings.
 void BM_DictionaryEncodedAppend(benchmark::State& state) {

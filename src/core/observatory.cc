@@ -239,12 +239,12 @@ Result<storage::Table> VirtualEarthObservatory::StSparql(
   std::string body = query;
   bool profile = StripProfilePrefix(&body);
   return Governed("stsparql", body, profile, cancel, [&] {
-    // One parse routes the statement: a query runs from it, an update
-    // commits its text (the engine parses it again when it applies).
+    // One parse routes the statement and runs it: a query from it, an
+    // update by logging its text and applying the parse.
     Result<strabon::SparqlStatement> parsed = strabon::Strabon::Parse(body);
     if (parsed.ok() && std::holds_alternative<strabon::SparqlUpdate>(*parsed)) {
       return write_path_->Commit(WalRecordType::kStrabonUpdate,
-                                 RecordBody(body));
+                                 RecordBody(body), &parsed);
     }
     return strabon_.Query(parsed);
   });

@@ -196,7 +196,9 @@ Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
     case WalRecordType::kSqlStatement:
       return engines_.sql->Execute(fields.text);
     case WalRecordType::kStrabonUpdate:
-      count = engines_.strabon->Update(fields.text);
+      count = fields.parsed != nullptr
+                  ? engines_.strabon->Update(*fields.parsed)
+                  : engines_.strabon->Update(fields.text);
       break;
     case WalRecordType::kLoadTurtle:
     case WalRecordType::kStrabonSnapshot:
@@ -354,10 +356,12 @@ void DurabilityManager::MaybeAutoCheckpointLocked() {
   (void)CheckpointLocked();
 }
 
-Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
-                                                 const std::string& body) {
+Result<storage::Table> DurabilityManager::Commit(
+    WalRecordType type, const std::string& body,
+    const Result<strabon::SparqlStatement>* parsed) {
   // Nothing is logged that replay could not apply.
   TELEIOS_ASSIGN_OR_RETURN(Fields fields, Decode(type, body));
+  fields.parsed = parsed;
   if (!HasEngine(type)) {
     return Status::Internal("no engine attached for WAL record type " +
                             std::to_string(static_cast<uint32_t>(type)));

@@ -156,7 +156,12 @@ class DurabilityManager {
   /// log holds: it runs with no cancellation token and under an
   /// unlimited budget of its own. Without a log the apply runs under the
   /// caller's token and budget, so a stopped write applies nothing.
-  Result<storage::Table> Commit(WalRecordType type, const std::string& body);
+  /// `parsed`, for a kStrabonUpdate, is the caller's parse of the body's
+  /// text, which the live apply runs instead of parsing it again (replay
+  /// parses the logged text).
+  Result<storage::Table> Commit(
+      WalRecordType type, const std::string& body,
+      const Result<strabon::SparqlStatement>* parsed = nullptr);
 
   /// The report of the Open call (zero-valued before it).
   RecoveryReport recovery_report() const;
@@ -183,6 +188,8 @@ class DurabilityManager {
     std::string text;
     uint32_t code = 0;
     std::string second;
+    /// A kStrabonUpdate's text already parsed (Commit's `parsed`).
+    const Result<strabon::SparqlStatement>* parsed = nullptr;
   };
   static Result<Fields> Decode(WalRecordType type, const std::string& body);
   bool HasEngine(WalRecordType type) const;

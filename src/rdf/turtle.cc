@@ -1,6 +1,9 @@
 #include "rdf/turtle.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <numeric>
 #include <sstream>
 
 #include "common/strings.h"
@@ -365,23 +368,60 @@ std::string WriteTurtle(const TripleStore& store,
     os << "@prefix " << name << ": <" << iri << "> .\n";
   }
   if (!prefixes.empty()) os << "\n";
-  // Group by subject (Match({}) returns SPO order after index build).
-  std::vector<Triple> all = store.Match(TriplePattern{});
+  // Triples list in the order of their terms' text, not of their ids, so
+  // a store that interned the same triples in another order writes the
+  // same document: each distinct term is rendered and ranked once (equal
+  // text, equal rank), then the triples sort by rank.
+  const std::vector<Triple> all = store.Match(TriplePattern{});
   const TermDictionary& dict = store.dict();
-  for (size_t i = 0; i < all.size();) {
-    TermId s = all[i].s;
-    os << TermToTurtle(dict.At(s), prefixes);
+  std::vector<TermId> ids;
+  ids.reserve(all.size() * 3);
+  for (const Triple& t : all) {
+    ids.insert(ids.end(), {t.s, t.p, t.o});
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<std::string> text(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    text[i] = TermToTurtle(dict.At(ids[i]), prefixes);
+  }
+  std::vector<uint32_t> by_text(ids.size());
+  std::iota(by_text.begin(), by_text.end(), 0);
+  std::sort(by_text.begin(), by_text.end(),
+            [&](uint32_t a, uint32_t b) { return text[a] < text[b]; });
+  // rank[i]: the rank of term ids[i], the first position of its text in
+  // by_text.
+  std::vector<uint32_t> rank(ids.size());
+  for (size_t i = 0; i < by_text.size(); ++i) {
+    const bool tie = i > 0 && text[by_text[i]] == text[by_text[i - 1]];
+    rank[by_text[i]] = tie ? rank[by_text[i - 1]] : static_cast<uint32_t>(i);
+  }
+  auto rank_of = [&](TermId id) {
+    return rank[std::lower_bound(ids.begin(), ids.end(), id) - ids.begin()];
+  };
+  std::vector<std::array<uint32_t, 3>> ranked;
+  ranked.reserve(all.size());
+  for (const Triple& t : all) {
+    ranked.push_back({rank_of(t.s), rank_of(t.p), rank_of(t.o)});
+  }
+  std::sort(ranked.begin(), ranked.end());
+  auto term = [&](uint32_t r) -> const std::string& {
+    return text[by_text[r]];
+  };
+  // Group by subject, then by predicate.
+  for (size_t i = 0; i < ranked.size();) {
+    const uint32_t s = ranked[i][0];
+    os << term(s);
     size_t j = i;
     bool first = true;
-    while (j < all.size() && all[j].s == s) {
+    while (j < ranked.size() && ranked[j][0] == s) {
       os << (first ? " " : " ;\n    ");
       first = false;
-      os << TermToTurtle(dict.At(all[j].p), prefixes) << " "
-         << TermToTurtle(dict.At(all[j].o), prefixes);
-      TermId p = all[j].p;
+      const uint32_t p = ranked[j][1];
+      os << term(p) << " " << term(ranked[j][2]);
       ++j;
-      while (j < all.size() && all[j].s == s && all[j].p == p) {
-        os << ", " << TermToTurtle(dict.At(all[j].o), prefixes);
+      while (j < ranked.size() && ranked[j][0] == s && ranked[j][1] == p) {
+        os << ", " << term(ranked[j][2]);
         ++j;
       }
     }

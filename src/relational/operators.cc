@@ -20,14 +20,20 @@ using storage::Table;
 
 namespace {
 
-/// One vectorizable conjunct. Shapes:
+/// One leaf of a compiled WHERE. Shapes:
 ///   kColConst:  col CMP constant            (numeric or bool column)
 ///   kColCol:    colA CMP colB               (numeric columns)
 ///   kDiffConst: (colA - colB) CMP constant  (numeric columns)
-///   kStrEq:     col = 'literal' / col <> 'literal' (dictionary code test)
+///   kCodeIn:    string col = or <> a set of dictionary codes: what
+///               `col = 'x'`, `col <> 'x'` and `col IN ('x', ...)` compile
+///               to (literals the dictionary lacks match no row)
 ///   kBoolCol:   bare bool column reference
-struct VecPred {
-  enum class Kind { kColConst, kColCol, kDiffConst, kStrEq, kBoolCol };
+/// A row passes a leaf when every column the leaf reads is valid there and
+/// the test holds. A negated leaf (a NOT pushed down onto it) keeps the
+/// rows that do not pass, NULL rows among them: the interpreter's NOT is
+/// two-valued, and NOT of NULL is true there.
+struct Leaf {
+  enum class Kind { kColConst, kColCol, kDiffConst, kCodeIn, kBoolCol };
   Kind kind;
   BinaryOp cmp = BinaryOp::kEq;
   int col_a = -1;
@@ -37,8 +43,19 @@ struct VecPred {
   /// difference of two, meets it exactly, as the interpreter does.
   bool int_constant = false;
   int64_t int_value = 0;
-  int32_t code = storage::Dictionary::kInvalidCode;  // kStrEq
-  bool negate = false;                               // kStrEq: <>
+  /// kCodeIn: the codes of the literals, distinct once the tree is
+  /// compiled; a set of two or more also as one bit per dictionary code.
+  std::vector<int32_t> codes;
+  std::vector<uint64_t> members;
+  bool negate = false;
+};
+
+/// A compiled WHERE: one leaf, or an AND or OR of nodes in source order.
+struct PredNode {
+  enum class Kind { kLeaf, kAnd, kOr };
+  Kind kind = Kind::kLeaf;
+  Leaf leaf;
+  std::vector<PredNode> children;
 };
 
 bool IsNumericColumn(const Table& table, int col) {
@@ -72,7 +89,7 @@ int ResolveColumn(const Table& table, const ExprPtr& e) {
 }
 
 /// Reads a numeric literal into `out`'s constant.
-bool NumericLiteral(const ExprPtr& e, VecPred* out) {
+bool NumericLiteral(const ExprPtr& e, Leaf* out) {
   if (e->kind != ExprKind::kLiteral) return false;
   auto d = e->literal.ToDouble();
   if (!d.ok()) return false;
@@ -93,8 +110,8 @@ int64_t Int64Difference(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
-/// Tries to compile one conjunct; false if the shape is unsupported.
-bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
+/// Tries to compile one leaf; false if the shape is unsupported.
+bool CompileLeaf(const Table& table, const ExprPtr& e, Leaf* out) {
   // Bare bool column.
   if (e->kind == ExprKind::kColumnRef) {
     int col = ResolveColumn(table, e);
@@ -102,7 +119,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
         table.column(static_cast<size_t>(col)).type() != ColumnType::kBool) {
       return false;
     }
-    out->kind = VecPred::Kind::kBoolCol;
+    out->kind = Leaf::Kind::kBoolCol;
     out->col_a = col;
     return true;
   }
@@ -111,7 +128,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   }
   const ExprPtr& lhs = e->children[0];
   const ExprPtr& rhs = e->children[1];
-  // String equality: col = 'x' (either side).
+  // String equality: col = 'x' / col <> 'x' (either side).
   auto try_str = [&](const ExprPtr& col_e, const ExprPtr& lit_e) {
     if (e->binary_op != BinaryOp::kEq && e->binary_op != BinaryOp::kNe) {
       return false;
@@ -125,12 +142,13 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
         lit_e->literal.type() != ValueType::kString) {
       return false;
     }
-    out->kind = VecPred::Kind::kStrEq;
+    out->kind = Leaf::Kind::kCodeIn;
+    out->cmp = e->binary_op;
     out->col_a = col;
-    out->code = table.column(static_cast<size_t>(col))
-                    .dict()
-                    .Lookup(lit_e->literal.AsString());
-    out->negate = e->binary_op == BinaryOp::kNe;
+    int32_t code = table.column(static_cast<size_t>(col))
+                       .dict()
+                       .Lookup(lit_e->literal.AsString());
+    if (code != storage::Dictionary::kInvalidCode) out->codes.push_back(code);
     return true;
   };
   if (try_str(lhs, rhs) || try_str(rhs, lhs)) return true;
@@ -138,7 +156,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   // col CMP const / const CMP col.
   int col = ResolveColumn(table, lhs);
   if (col >= 0 && IsNumericColumn(table, col) && NumericLiteral(rhs, out)) {
-    out->kind = VecPred::Kind::kColConst;
+    out->kind = Leaf::Kind::kColConst;
     out->cmp = e->binary_op;
     out->col_a = col;
     return true;
@@ -163,7 +181,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
       default:
         break;
     }
-    out->kind = VecPred::Kind::kColConst;
+    out->kind = Leaf::Kind::kColConst;
     out->cmp = mirrored;
     out->col_a = col;
     return true;
@@ -173,7 +191,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   int col_b = ResolveColumn(table, rhs);
   if (col_a >= 0 && col_b >= 0 && IsNumericColumn(table, col_a) &&
       IsNumericColumn(table, col_b)) {
-    out->kind = VecPred::Kind::kColCol;
+    out->kind = Leaf::Kind::kColCol;
     out->cmp = e->binary_op;
     out->col_a = col_a;
     out->col_b = col_b;
@@ -186,7 +204,7 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
     int b = ResolveColumn(table, lhs->children[1]);
     if (a >= 0 && b >= 0 && IsNumericColumn(table, a) &&
         IsNumericColumn(table, b)) {
-      out->kind = VecPred::Kind::kDiffConst;
+      out->kind = Leaf::Kind::kDiffConst;
       out->cmp = e->binary_op;
       out->col_a = a;
       out->col_b = b;
@@ -196,121 +214,276 @@ bool CompileConjunct(const Table& table, const ExprPtr& e, VecPred* out) {
   return false;
 }
 
-bool CompilePredicate(const Table& table, const ExprPtr& predicate,
-                      std::vector<VecPred>* preds) {
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(predicate, &conjuncts);
-  for (const ExprPtr& c : conjuncts) {
-    VecPred pred;
-    if (!CompileConjunct(table, c, &pred)) return false;
-    preds->push_back(pred);
+/// True when code-set leaves `a` and `b` act, inside a node of kind
+/// `kind`, as one leaf over the union of their codes: in an OR when a
+/// larger set keeps more rows (`=`, or `<>` under a NOT), in an AND when
+/// it keeps fewer (`<>`, or `=` under a NOT, which NOT IN gives).
+bool Foldable(const Leaf& a, const Leaf& b, PredNode::Kind kind) {
+  if (a.kind != Leaf::Kind::kCodeIn || b.kind != Leaf::Kind::kCodeIn ||
+      a.col_a != b.col_a || a.cmp != b.cmp || a.negate != b.negate) {
+    return false;
+  }
+  const bool grows = (a.cmp == BinaryOp::kEq) != a.negate;
+  return grows == (kind == PredNode::Kind::kOr);
+}
+
+/// Compiles `e`, under a NOT when `negate`, into `out`; false when some
+/// leaf has no compiled form. NOT is pushed down to the leaves by De
+/// Morgan's laws; nested ANDs (ORs) flatten into one node, in source
+/// order, and its foldable code-set leaves merge into the first of them.
+bool CompileNode(const Table& table, const ExprPtr& e, bool negate,
+                 PredNode* out) {
+  if (e->kind == ExprKind::kUnary && e->unary_op == UnaryOp::kNot) {
+    return CompileNode(table, e->children[0], !negate, out);
+  }
+  if (e->kind != ExprKind::kBinary ||
+      (e->binary_op != BinaryOp::kAnd && e->binary_op != BinaryOp::kOr)) {
+    out->kind = PredNode::Kind::kLeaf;
+    out->leaf.negate = negate;
+    return CompileLeaf(table, e, &out->leaf);
+  }
+  out->kind = (e->binary_op == BinaryOp::kAnd) != negate
+                  ? PredNode::Kind::kAnd
+                  : PredNode::Kind::kOr;
+  for (const ExprPtr& side : e->children) {
+    PredNode child;
+    if (!CompileNode(table, side, negate, &child)) return false;
+    std::vector<PredNode> parts;
+    if (child.kind == out->kind) {
+      parts = std::move(child.children);
+    } else {
+      parts.push_back(std::move(child));
+    }
+    for (PredNode& part : parts) {
+      auto into = std::find_if(
+          out->children.begin(), out->children.end(), [&](const PredNode& c) {
+            return c.kind == PredNode::Kind::kLeaf &&
+                   part.kind == PredNode::Kind::kLeaf &&
+                   Foldable(c.leaf, part.leaf, out->kind);
+          });
+      if (into == out->children.end()) {
+        out->children.push_back(std::move(part));
+      } else {
+        std::vector<int32_t>& codes = into->leaf.codes;
+        codes.insert(codes.end(), part.leaf.codes.begin(),
+                     part.leaf.codes.end());
+      }
+    }
+  }
+  if (out->children.size() == 1) {
+    PredNode only = std::move(out->children.front());
+    *out = std::move(only);
   }
   return true;
 }
 
-/// The rows of `sel` whose `valid` byte is set and that pass `test`, in
-/// order: one loop per typed test, which captures pointers and constants
-/// by value so they stay in registers across the output stores.
-template <typename Test>
-SelectionVector Keep(const SelectionVector& sel, const uint8_t* valid,
-                     Test test) {
-  SelectionVector out;
-  out.reserve(sel.size());
-  for (uint32_t r : sel) {
-    if (valid[r] && test(r)) out.push_back(r);
+/// Makes every code-set leaf's codes distinct, and gives a set of two or
+/// more its bit set.
+void BuildMembers(const Table& table, PredNode* node) {
+  for (PredNode& child : node->children) BuildMembers(table, &child);
+  Leaf& leaf = node->leaf;
+  if (node->kind != PredNode::Kind::kLeaf ||
+      leaf.kind != Leaf::Kind::kCodeIn) {
+    return;
   }
-  return out;
+  std::sort(leaf.codes.begin(), leaf.codes.end());
+  leaf.codes.erase(std::unique(leaf.codes.begin(), leaf.codes.end()),
+                   leaf.codes.end());
+  if (leaf.codes.size() < 2) return;
+  const int32_t size =
+      table.column(static_cast<size_t>(leaf.col_a)).dict().size();
+  leaf.members.assign(static_cast<size_t>(size + 63) / 64, 0);
+  for (int32_t code : leaf.codes) {
+    leaf.members[static_cast<size_t>(code) / 64] |= uint64_t{1}
+                                                    << (code % 64);
+  }
 }
 
-/// Applies one compiled conjunct on the raw vectors.
-void ApplyVecPred(const Table& table, const VecPred& pred,
-                  SelectionVector* sel) {
-  const Column& a = table.column(static_cast<size_t>(pred.col_a));
+/// Compiles the whole WHERE; false when any leaf has no compiled form, so
+/// the interpreter runs all of it.
+bool CompilePredicate(const Table& table, const ExprPtr& predicate,
+                      PredNode* root) {
+  if (!CompileNode(table, predicate, false, root)) return false;
+  BuildMembers(table, root);
+  return true;
+}
+
+/// The deepest nesting of OR nodes in `node`.
+size_t OrDepth(const PredNode& node) {
+  size_t deepest = 0;
+  for (const PredNode& child : node.children) {
+    deepest = std::max(deepest, OrDepth(child));
+  }
+  return deepest + (node.kind == PredNode::Kind::kOr ? 1 : 0);
+}
+
+/// Narrows `sel` in place, in order, to the rows whose `valid` byte is set
+/// and that pass `test` (the rows that do not, when `negate`): one loop
+/// per typed test, which captures pointers and constants by value so they
+/// stay in registers across the output stores.
+template <typename Test>
+void Keep(SelectionVector* sel, const uint8_t* valid, bool negate,
+          Test test) {
+  uint32_t* rows = sel->data();
+  size_t kept = 0;
+  for (size_t i = 0, n = sel->size(); i < n; ++i) {
+    const uint32_t r = rows[i];
+    rows[kept] = r;
+    kept += (valid[r] && test(r)) != negate;
+  }
+  sel->resize(kept);
+}
+
+/// Applies one compiled leaf on the raw vectors.
+void ApplyLeaf(const Table& table, const Leaf& leaf, SelectionVector* sel) {
+  const Column& a = table.column(static_cast<size_t>(leaf.col_a));
   const Column& b = table.column(
-      static_cast<size_t>(pred.col_b >= 0 ? pred.col_b : pred.col_a));
+      static_cast<size_t>(leaf.col_b >= 0 ? leaf.col_b : leaf.col_a));
   const uint8_t* valid_a = a.validity().data();
   const uint8_t* valid_b = b.validity().data();
   const double* da = a.doubles().data();
   const double* db = b.doubles().data();
   const int64_t* ia = a.ints().data();
   const int64_t* ib = b.ints().data();
-  const BinaryOp cmp = pred.cmp;
-  const double k = pred.constant;
-  const int64_t ik = pred.int_value;
-  switch (pred.kind) {
-    case VecPred::Kind::kColConst:
+  const BinaryOp cmp = leaf.cmp;
+  const double k = leaf.constant;
+  const int64_t ik = leaf.int_value;
+  const bool negate = leaf.negate;
+  switch (leaf.kind) {
+    case Leaf::Kind::kColConst:
       if (a.type() == ColumnType::kFloat64) {
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return CompareScalars(cmp, da[r], k);
         });
-      } else if (a.type() == ColumnType::kInt64 && pred.int_constant) {
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+      } else if (a.type() == ColumnType::kInt64 && leaf.int_constant) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return CompareScalars(cmp, ia[r], ik);
         });
       } else {
-        *sel = Keep(*sel, valid_a, [=, &a](uint32_t r) {
+        Keep(sel, valid_a, negate, [=, &a](uint32_t r) {
           return CompareScalars(cmp, NumericAt(a, r), k);
         });
       }
       break;
-    case VecPred::Kind::kColCol:
+    case Leaf::Kind::kColCol:
       if (BothInt64(a, b)) {
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return valid_b[r] && CompareScalars(cmp, ia[r], ib[r]);
         });
       } else {
-        *sel = Keep(*sel, valid_a, [=, &a, &b](uint32_t r) {
+        Keep(sel, valid_a, negate, [=, &a, &b](uint32_t r) {
           return valid_b[r] &&
                  CompareScalars(cmp, NumericAt(a, r), NumericAt(b, r));
         });
       }
       break;
-    case VecPred::Kind::kDiffConst:
+    case Leaf::Kind::kDiffConst:
       if (a.type() == ColumnType::kFloat64 &&
           b.type() == ColumnType::kFloat64) {
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return valid_b[r] && CompareScalars(cmp, da[r] - db[r], k);
         });
-      } else if (BothInt64(a, b) && pred.int_constant) {
+      } else if (BothInt64(a, b) && leaf.int_constant) {
         // Subtracted in int64, as the interpreter does.
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return valid_b[r] &&
                  CompareScalars(cmp, Int64Difference(ia[r], ib[r]), ik);
         });
       } else if (BothInt64(a, b)) {
-        *sel = Keep(*sel, valid_a, [=](uint32_t r) {
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
           return valid_b[r] &&
                  CompareScalars(
                      cmp, static_cast<double>(Int64Difference(ia[r], ib[r])),
                      k);
         });
       } else {
-        *sel = Keep(*sel, valid_a, [=, &a, &b](uint32_t r) {
+        Keep(sel, valid_a, negate, [=, &a, &b](uint32_t r) {
           return valid_b[r] &&
                  CompareScalars(cmp, NumericAt(a, r) - NumericAt(b, r), k);
         });
       }
       break;
-    case VecPred::Kind::kStrEq: {
+    case Leaf::Kind::kCodeIn: {
       const int32_t* codes = a.codes().data();
-      const int32_t code = pred.code;
-      const bool negate = pred.negate;
-      *sel = Keep(*sel, valid_a, [=](uint32_t r) {
-        return (codes[r] == code) != negate;
+      const bool outside = cmp == BinaryOp::kNe;
+      if (leaf.members.empty()) {
+        // No code or one: a compare costs less than a bit test.
+        const int32_t code = leaf.codes.empty()
+                                 ? storage::Dictionary::kInvalidCode
+                                 : leaf.codes.front();
+        Keep(sel, valid_a, negate, [=](uint32_t r) {
+          return (codes[r] == code) != outside;
+        });
+        break;
+      }
+      const uint64_t* members = leaf.members.data();
+      Keep(sel, valid_a, negate, [=](uint32_t r) {
+        const uint32_t code = static_cast<uint32_t>(codes[r]);
+        return ((members[code / 64] >> (code % 64)) & 1) != outside;
       });
       break;
     }
-    case VecPred::Kind::kBoolCol:
-      *sel = Keep(*sel, valid_a, [&a](uint32_t r) { return a.GetBool(r); });
+    case Leaf::Kind::kBoolCol:
+      Keep(sel, valid_a, negate, [&a](uint32_t r) { return a.GetBool(r); });
       break;
+  }
+}
+
+/// Narrows `sel` (ascending rows) to the rows `node` accepts, in order.
+/// An AND narrows through its children in turn. An OR tests each branch
+/// only on the rows no earlier branch accepted, so the accepted sets are
+/// disjoint, and merges them back into row order.
+void ApplyNode(const Table& table, const PredNode& node,
+               SelectionVector* sel) {
+  switch (node.kind) {
+    case PredNode::Kind::kLeaf:
+      ApplyLeaf(table, node.leaf, sel);
+      return;
+    case PredNode::Kind::kAnd:
+      for (const PredNode& child : node.children) {
+        if (sel->empty()) return;
+        ApplyNode(table, child, sel);
+      }
+      return;
+    case PredNode::Kind::kOr: {
+      SelectionVector rest = std::move(*sel);
+      SelectionVector accepted, hits, merged;
+      for (const PredNode& child : node.children) {
+        if (rest.empty()) break;
+        hits = rest;
+        ApplyNode(table, child, &hits);
+        if (hits.empty()) continue;
+        // `hits` is an ordered subset of `rest`: drop it from `rest`.
+        size_t kept = 0;
+        for (size_t i = 0, h = 0; i < rest.size(); ++i) {
+          if (h < hits.size() && hits[h] == rest[i]) {
+            ++h;
+          } else {
+            rest[kept++] = rest[i];
+          }
+        }
+        rest.resize(kept);
+        merged.resize(accepted.size() + hits.size());
+        std::merge(accepted.begin(), accepted.end(), hits.begin(), hits.end(),
+                   merged.begin());
+        accepted.swap(merged);
+      }
+      *sel = std::move(accepted);
+      return;
+    }
   }
 }
 
 }  // namespace
 
 bool IsVectorizablePredicate(const Table& table, const ExprPtr& predicate) {
-  std::vector<VecPred> preds;
-  return CompilePredicate(table, predicate, &preds);
+  PredNode root;
+  return CompileNode(table, predicate, false, &root);
+}
+
+const char* FilterPath(const Table& table, const ExprPtr& predicate) {
+  return IsVectorizablePredicate(table, predicate) ? "vectorized"
+                                                   : "interpreted";
 }
 
 namespace {
@@ -367,37 +540,37 @@ Result<SelectionVector> FilterIndicesInterpreted(
 Result<SelectionVector> FilterIndices(const Table& table,
                                       const ExprPtr& predicate,
                                       const SelectionVector* candidates) {
-  std::vector<VecPred> preds;
-  if (CompilePredicate(table, predicate, &preds)) {
-    const size_t n =
-        candidates != nullptr ? candidates->size() : table.num_rows();
-    TELEIOS_ASSIGN_OR_RETURN(
-        governor::BudgetCharge charge,
-        governor::ChargeCurrent(n * 2 * sizeof(uint32_t),
-                                "filter selection vectors"));
-    exec::ParallelOptions opts;
-    opts.label = "exec.filter";
-    exec::MorselPlan plan = exec::PlanMorsels(n, opts.grain);
-    std::vector<SelectionVector> partials(plan.count);
-    TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
-        n, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
-          SelectionVector& sel = partials[morsel];
-          if (candidates != nullptr) {
-            sel.assign(candidates->begin() + static_cast<ptrdiff_t>(begin),
-                       candidates->begin() + static_cast<ptrdiff_t>(end));
-          } else {
-            sel.resize(end - begin);
-            std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
-          }
-          for (const VecPred& pred : preds) {
-            ApplyVecPred(table, pred, &sel);
-            if (sel.empty()) break;
-          }
-          return Status::OK();
-        }));
-    return MergeSelections(partials);
+  PredNode root;
+  if (!CompilePredicate(table, predicate, &root)) {
+    return FilterIndicesInterpreted(table, predicate, candidates);
   }
-  return FilterIndicesInterpreted(table, predicate, candidates);
+  const size_t n =
+      candidates != nullptr ? candidates->size() : table.num_rows();
+  // Worst case the partials plus their merged copy hold every row index,
+  // and each level of ORs a branch's hits, the rows it accepted so far
+  // and their merge.
+  TELEIOS_ASSIGN_OR_RETURN(
+      governor::BudgetCharge charge,
+      governor::ChargeCurrent(n * (2 + 3 * OrDepth(root)) * sizeof(uint32_t),
+                              "filter selection vectors"));
+  exec::ParallelOptions opts;
+  opts.label = "exec.filter";
+  exec::MorselPlan plan = exec::PlanMorsels(n, opts.grain);
+  std::vector<SelectionVector> partials(plan.count);
+  TELEIOS_RETURN_IF_ERROR(exec::ParallelFor(
+      n, opts, [&](size_t morsel, size_t begin, size_t end) -> Status {
+        SelectionVector& sel = partials[morsel];
+        if (candidates != nullptr) {
+          sel.assign(candidates->begin() + static_cast<ptrdiff_t>(begin),
+                     candidates->begin() + static_cast<ptrdiff_t>(end));
+        } else {
+          sel.resize(end - begin);
+          std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
+        }
+        ApplyNode(table, root, &sel);
+        return Status::OK();
+      }));
+  return MergeSelections(partials);
 }
 
 Result<Table> Filter(const Table& table, const ExprPtr& predicate) {
@@ -429,7 +602,8 @@ ColumnType InferColumnType(const std::vector<Value>& values) {
 //            dictionary when a join's two columns do not share one.
 // A NULL cell encodes as 0 and sets its column's bit in the trailing
 // null-mask words, so NULL keys group together; a join skips every row
-// whose mask is non-zero, so NULL keys never join.
+// whose mask is non-zero, so NULL keys never join. A join's NaN sets the
+// bit too, since `=` calls NaN equal to nothing; grouping keeps one NaN.
 
 enum class KeyKind { kInt, kDouble, kCode };
 
@@ -438,6 +612,8 @@ struct KeyColumn {
   KeyKind kind;
   /// Probe-side code -> build-side code (kInvalidCode when absent there).
   const std::vector<int32_t>* translate = nullptr;
+  /// A join key: a NaN marks its row like a NULL.
+  bool nan_is_null = false;
 };
 
 /// A column keyed by its own type.
@@ -502,6 +678,13 @@ void EncodeKeys(const std::vector<KeyColumn>& keys, size_t begin, size_t end,
         if (col.type() == ColumnType::kFloat64) {
           const double* data = col.doubles().data();
           each([&](size_t r) { return DoubleWord(data[r]); });
+          if (keys[k].nan_is_null) {
+            for (size_t i = 0; i < rows; ++i) {
+              if (std::isnan(data[begin + i])) {
+                words[i * width + mask_word] |= null_bit;
+              }
+            }
+          }
         } else {
           each([&](size_t r) { return DoubleWord(NumericAt(col, r)); });
         }
@@ -749,8 +932,8 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                rc.type() == ColumnType::kFloat64) {
       kind = KeyKind::kDouble;
     }
-    probe_keys.push_back({&lc, kind});
-    build_keys.push_back({&rc, kind});
+    probe_keys.push_back({&lc, kind, nullptr, true});
+    build_keys.push_back({&rc, kind, nullptr, true});
   }
 
   const size_t nl = left.num_rows();

@@ -15,11 +15,12 @@ namespace teleios::relational {
 /// ascending. Given `candidates` (ascending row ids), only those rows are
 /// tested — MonetDB's candidate-list input to a selection.
 ///
-/// Predicates that decompose into a conjunction of simple comparisons
-/// (column vs constant, column vs column, column-difference vs constant,
-/// string equality via dictionary code) are evaluated on the raw typed
-/// vectors — the MonetDB-style vectorized selection path. Anything else
-/// falls back to the row-wise expression interpreter.
+/// A predicate whose every leaf is a simple comparison (column vs
+/// constant, column vs column, column difference vs constant, a string
+/// column = / <> / IN string literals by dictionary code, a bool column),
+/// under any AND, OR and NOT, compiles to a tree evaluated on the raw
+/// typed vectors — the MonetDB-style vectorized selection path. Anything
+/// else runs whole on the row-wise expression interpreter.
 Result<storage::SelectionVector> FilterIndices(
     const storage::Table& table, const ExprPtr& predicate,
     const storage::SelectionVector* candidates = nullptr);
@@ -34,6 +35,10 @@ Result<storage::SelectionVector> FilterIndicesInterpreted(
 /// against `table` (introspection for tests and EXPLAIN).
 bool IsVectorizablePredicate(const storage::Table& table,
                              const ExprPtr& predicate);
+
+/// That path by name, as EXPLAIN and PROFILE show it: "vectorized" or
+/// "interpreted".
+const char* FilterPath(const storage::Table& table, const ExprPtr& predicate);
 
 /// Materialized filter.
 Result<storage::Table> Filter(const storage::Table& table,
@@ -73,10 +78,11 @@ enum class JoinType { kInner, kLeftOuter };
 
 /// Hash join on equality of `left_keys[i]` = `right_keys[i]`, where key
 /// equality is the WHERE clause's `=` (an int64 meets a double as a
-/// double; a string never equals a number; NULL keys never match); with
-/// no keys every pair matches (the cross product). Output rows follow
-/// left row order, each left row's matches in right row order. Column
-/// name clashes in the output are disambiguated with a "r_" prefix.
+/// double; a string never equals a number; NULL and NaN keys never
+/// match); with no keys every pair matches (the cross product). Output
+/// rows follow left row order, each left row's matches in right row
+/// order. Column name clashes in the output are disambiguated with a "r_"
+/// prefix.
 Result<storage::Table> HashJoin(const storage::Table& left,
                                 const storage::Table& right,
                                 const std::vector<std::string>& left_keys,
@@ -92,7 +98,7 @@ struct AggregateItem {
 
 /// Hash group-by over `group_columns` computing `aggregates`. An empty
 /// group list computes global aggregates (one output row). Keys group by
-/// `=` (-0.0 with 0.0); NULL keys form one group.
+/// `=` (-0.0 with 0.0); NULL keys form one group, and NaN keys another.
 Result<storage::Table> GroupAggregate(
     const storage::Table& table, const std::vector<std::string>& group_columns,
     const std::vector<AggregateItem>& aggregates);
@@ -111,11 +117,11 @@ storage::Table Limit(const storage::Table& table, size_t limit,
                      size_t offset = 0);
 
 /// Rows grouped by equal keys in the columns at `columns` (`=` equality,
-/// -0.0 with 0.0; NULL keys form one group): each row's group id, numbered
-/// in order of first appearance, and each group's first row. No columns
-/// put every row in one group. The key index is charged to the current
-/// budget up front, and the current cancellation token is polled as rows
-/// go in.
+/// -0.0 with 0.0; NULL keys form one group, NaN keys another): each row's
+/// group id, numbered in order of first appearance, and each group's first
+/// row. No columns put every row in one group. The key index is charged to
+/// the current budget up front, and the current cancellation token is
+/// polled as rows go in.
 struct Grouping {
   std::vector<uint32_t> group_of;
   storage::SelectionVector first_rows;

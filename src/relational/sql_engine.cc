@@ -29,6 +29,9 @@ Table AffectedRows(int64_t n) {
 Result<storage::SelectionVector> SelectRows(const Table& table,
                                             const ExprPtr& where) {
   obs::TraceSpan filter_span("filter");
+  if (obs::TraceActive()) {
+    filter_span.SetAttr("path", FilterPath(table, where));
+  }
   TELEIOS_ASSIGN_OR_RETURN(storage::SelectionVector rows,
                            FilterIndices(table, where));
   filter_span.SetAttr("rows", std::to_string(rows.size()));

@@ -124,6 +124,9 @@ Result<Table> RunSelect(const SelectStatement& stmt,
                     const char* side) -> Result<Table> {
     obs::TraceSpan filter_span("filter");
     if (side != nullptr) filter_span.SetAttr("side", side);
+    if (obs::TraceActive()) {
+      filter_span.SetAttr("path", FilterPath(input, predicate));
+    }
     TELEIOS_ASSIGN_OR_RETURN(Table out, Filter(input, predicate));
     filter_span.SetAttr("rows", std::to_string(out.num_rows()));
     return out;
@@ -207,9 +210,8 @@ Result<Table> RunSelect(const SelectStatement& stmt,
   }
   if (!conjuncts.empty()) {
     ExprPtr where = AndTogether(conjuncts);
-    trace->Add("filter " + where->ToString() +
-               (IsVectorizablePredicate(*current, where) ? " [vectorized]"
-                                                         : " [interpreted]"));
+    trace->Add("filter " + where->ToString() + " [" +
+               FilterPath(*current, where) + "]");
     TELEIOS_ASSIGN_OR_RETURN(Table filtered, filter(*current, where, nullptr));
     produce(std::move(filtered));
   }

@@ -407,6 +407,9 @@ Result<Table> SciQlEngine::ExecuteUpdate(const UpdateArrayStatement& stmt) {
   const SelectionVector* rows = nullptr;  // every cell of the slab
   if (stmt.where != nullptr) {
     obs::TraceSpan filter_span("filter");
+    if (obs::TraceActive()) {
+      filter_span.SetAttr("path", relational::FilterPath(table, stmt.where));
+    }
     TELEIOS_ASSIGN_OR_RETURN(hits,
                              relational::FilterIndices(table, stmt.where));
     filter_span.SetAttr("rows", std::to_string(hits.size()));

@@ -397,9 +397,13 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
 }
 
 Result<size_t> Strabon::Update(const std::string& sparql) {
+  return Update(Parse(sparql));
+}
+
+Result<size_t> Strabon::Update(const Result<SparqlStatement>& parsed) {
   obs::Count("teleios_strabon_updates_total");
-  TELEIOS_ASSIGN_OR_RETURN(SparqlStatement stmt, Parse(sparql));
-  const auto* update = std::get_if<SparqlUpdate>(&stmt);
+  TELEIOS_RETURN_IF_ERROR(parsed.status());
+  const auto* update = std::get_if<SparqlUpdate>(&*parsed);
   if (update == nullptr) {
     return Status::InvalidArgument("expected an update statement");
   }

@@ -51,6 +51,9 @@ class Strabon {
   /// Executes an update (INSERT DATA / DELETE DATA / DELETE-INSERT-WHERE
   /// / DELETE WHERE); returns triples added + removed.
   Result<size_t> Update(const std::string& sparql);
+  /// Update over a Parse result, as Query has it; a parse error or a
+  /// query fails here as it would in Update(text).
+  Result<size_t> Update(const Result<SparqlStatement>& parsed);
 
   /// Spatial index control (on by default). Disabling it forces full-scan
   /// spatial filters — the baseline in the E9 benchmark.

@@ -251,6 +251,33 @@ TEST_F(ObservatoryTest, ProfileJoinShowsEveryOperatorUnderExecute) {
   EXPECT_EQ(children[7], "project");
 }
 
+TEST_F(ObservatoryTest, ProfileShowsWhichFilterPathRan) {
+  for (const char* sql :
+       {"CREATE TABLE products (id VARCHAR, satellite VARCHAR)",
+        "INSERT INTO products VALUES ('p1', 'MSG2'), ('p2', 'TERRA'), "
+        "('p3', 'MSG2')"}) {
+    ASSERT_TRUE(veo_.Sql(sql).ok()) << sql;
+  }
+  // The detail of the first `filter` span.
+  auto filter_detail = [&](const std::string& sql) -> std::string {
+    auto profile = veo_.Sql("PROFILE " + sql);
+    EXPECT_TRUE(profile.ok()) << sql << ": " << profile.status().ToString();
+    for (size_t r = 0; profile.ok() && r < profile->num_rows(); ++r) {
+      if (profile->Get(r, 0).AsString() == "filter") {
+        return profile->Get(r, 3).AsString();
+      }
+    }
+    return "no filter span";
+  };
+  std::string in_list = filter_detail(
+      "SELECT id FROM products WHERE id IN ('p1', 'p3', 'p9')");
+  EXPECT_NE(in_list.find("path=vectorized"), std::string::npos) << in_list;
+  EXPECT_NE(in_list.find("rows=2"), std::string::npos) << in_list;
+  std::string like =
+      filter_detail("SELECT id FROM products WHERE satellite LIKE 'MSG%'");
+  EXPECT_NE(like.find("path=interpreted"), std::string::npos) << like;
+}
+
 TEST_F(ObservatoryTest, ProfileSciQlReturnsSpanTree) {
   ASSERT_TRUE(veo_.AttachArchive(dir_.string()).ok());
   ASSERT_TRUE(veo_.RegisterRaster("msg").ok());

@@ -13,6 +13,7 @@
 #include "relational/evaluator.h"
 #include "relational/expression.h"
 #include "relational/operators.h"
+#include "relational/sql_parser.h"
 
 namespace teleios::relational {
 namespace {
@@ -301,6 +302,13 @@ TEST(OperatorsTest, Distinct) {
   EXPECT_EQ(d.Get(2, 0), Value(int64_t{3}));
 }
 
+/// The WHERE of `SELECT * FROM t WHERE <where>`.
+ExprPtr ParseWhere(const std::string& where) {
+  auto stmt = ParseSql("SELECT * FROM t WHERE " + where);
+  EXPECT_TRUE(stmt.ok()) << where << ": " << stmt.status().ToString();
+  return stmt.ok() ? std::get<SelectStatement>(*stmt).where : nullptr;
+}
+
 TEST(VectorizedFilterTest, RecognizesSimpleShapes) {
   Table t = Sensors();
   auto col_const = Expr::Binary(BinaryOp::kGt, Expr::ColumnRef("temp"),
@@ -323,6 +331,24 @@ TEST(VectorizedFilterTest, RecognizesSimpleShapes) {
   EXPECT_FALSE(IsVectorizablePredicate(t, like));
   auto fn = Expr::Function("sqrt", {Expr::ColumnRef("temp")});
   EXPECT_FALSE(IsVectorizablePredicate(t, fn));
+  // Whole trees compile when every leaf does: IN lists, NOT IN, OR of
+  // mixed leaves and NOT over an AND, pushed down to the leaves.
+  for (const char* where :
+       {"band IN ('IR039', 'VIS006', 'IR039', 'NOT_IN_DICT')",
+        "band NOT IN ('IR039', 'IR108')", "id IN (1, 4, 9.5)",
+        "temp > 310 OR band = 'IR108' OR id - id = 0",
+        "NOT (temp > 300 AND band <> 'IR039')",
+        "NOT (id < 2 OR NOT (temp >= 305.0)) AND band IN ('IR039')"}) {
+    EXPECT_TRUE(IsVectorizablePredicate(t, ParseWhere(where))) << where;
+  }
+  // One leaf the kernels cannot run keeps the whole WHERE interpreted.
+  for (const char* where :
+       {"band LIKE 'IR%' OR temp > 300", "temp IS NULL",
+        "NOT (temp IS NULL) AND id = 1", "band IN ('IR039', NULL)",
+        "id IN (1, 'IR039')", "temp > 300 OR sqrt(temp) > 17",
+        "NOT (id % 2 = 0)", "id * 2 > 3 AND band = 'IR039'"}) {
+    EXPECT_FALSE(IsVectorizablePredicate(t, ParseWhere(where))) << where;
+  }
 }
 
 TEST(VectorizedFilterTest, MatchesInterpreterOnAllShapes) {
@@ -391,12 +417,177 @@ TEST(VectorizedFilterTest, MatchesInterpreterOnAllShapes) {
         op, Expr::Binary(BinaryOp::kSub, col("temp"), col("k")),
         lit(Value(int64_t{0}))));
   }
+  // Whole trees over the same rows: IN lists, NOT IN, OR and NOT, where
+  // a negated leaf keeps NULL rows and NaN rows as the interpreter does.
+  for (const char* where :
+       {"band IN ('IR039', 'VIS006', 'IR039', 'NOT_IN_DICT')",
+        "band NOT IN ('IR039', 'NOT_IN_DICT')", "NOT (temp < 1)",
+        "NOT (temp <> temp)", "temp = 0.0 OR temp < 1.5 OR band = 'IR108'",
+        "NOT (id < 9007199254740993 AND k - id >= 0)",
+        "id IN (9007199254740993, 7, 5) OR NOT (temp >= 0.0)",
+        "NOT (band = 'IR039' OR k - id = 1) AND temp - k < 1000"}) {
+    ExprPtr p = ParseWhere(where);
+    ASSERT_TRUE(IsVectorizablePredicate(t, p)) << where;
+    predicates.push_back(p);
+  }
   for (const ExprPtr& p : predicates) {
     auto fast = FilterIndices(t, p);
     auto slow = FilterIndicesInterpreted(t, p);
     ASSERT_TRUE(fast.ok()) << p->ToString();
     ASSERT_TRUE(slow.ok()) << p->ToString();
     EXPECT_EQ(*fast, *slow) << p->ToString();
+  }
+}
+
+class ThreadsGuard {
+ public:
+  ~ThreadsGuard() {
+    exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+  }
+};
+
+/// Seeded random WHERE trees for the compiled-tree differential: AND, OR
+/// and NOT up to `depth` levels over every leaf shape the kernels compile.
+class TreeMaker {
+ public:
+  explicit TreeMaker(uint64_t seed) : state_(seed) {}
+
+  ExprPtr Tree(int depth) {
+    const uint64_t pick = depth == 0 ? 0 : Below(5);
+    if (pick <= 1) return Leaf();
+    if (pick == 2) return Expr::Unary(UnaryOp::kNot, Tree(depth - 1));
+    ExprPtr lhs = Tree(depth - 1);
+    ExprPtr rhs = Tree(depth - 1);
+    return Expr::Binary(pick == 3 ? BinaryOp::kAnd : BinaryOp::kOr, lhs, rhs);
+  }
+
+ private:
+  uint64_t Below(uint64_t n) {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_ % n;
+  }
+  BinaryOp Cmp() {
+    static const BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                    BinaryOp::kLt, BinaryOp::kLe,
+                                    BinaryOp::kGt, BinaryOp::kGe};
+    return kOps[Below(6)];
+  }
+  static ExprPtr Col(const char* name) { return Expr::ColumnRef(name); }
+  ExprPtr IntLit() {
+    const int64_t big = int64_t{1} << 53;
+    const int64_t kInts[] = {0, 1, 3, -4, big, big + 1, -big - 1};
+    return Expr::Literal(Value(kInts[Below(7)]));
+  }
+  ExprPtr NumLit() {
+    const double kDoubles[] = {0.0, -0.0, 1.0, 1.5, -2.5, std::nan("")};
+    return Below(3) == 0 ? IntLit() : Expr::Literal(Value(kDoubles[Below(6)]));
+  }
+  ExprPtr StrLit() {
+    const char* kWords[] = {"a", "b", "ab", "ba", "missing"};
+    return Expr::Literal(Value(kWords[Below(5)]));
+  }
+  /// `s IN (...)` as the parser builds it: `=` tests OR-ed left to
+  /// right, duplicates and literals the dictionary lacks included.
+  ExprPtr InList() {
+    ExprPtr any;
+    for (uint64_t n = 1 + Below(4); n-- > 0;) {
+      ExprPtr eq = Expr::Binary(BinaryOp::kEq, Col("s"), StrLit());
+      any = any ? Expr::Binary(BinaryOp::kOr, any, eq) : eq;
+    }
+    return Below(3) == 0 ? Expr::Unary(UnaryOp::kNot, any) : any;
+  }
+  ExprPtr Leaf() {
+    const char* kNumbers[] = {"i", "k", "d", "e", "f"};
+    const char* a = kNumbers[Below(5)];
+    const char* b = kNumbers[Below(5)];
+    const BinaryOp op = Cmp();
+    const ExprPtr number = NumLit();
+    switch (Below(8)) {
+      case 0:
+        return Expr::Binary(op, Col(a), number);
+      case 1:
+        return Expr::Binary(op, number, Col(a));
+      case 2:
+        return Expr::Binary(op, Col(a), Col(b));
+      case 3:
+        return Expr::Binary(
+            op, Expr::Binary(BinaryOp::kSub, Col(a), Col(b)), number);
+      case 4: {
+        const BinaryOp eq = Below(2) == 0 ? BinaryOp::kEq : BinaryOp::kNe;
+        const ExprPtr word = StrLit();
+        return Below(2) == 0 ? Expr::Binary(eq, Col("s"), word)
+                             : Expr::Binary(eq, word, Col("s"));
+      }
+      case 5:
+        return Col("f");
+      default:
+        return InList();
+    }
+  }
+
+  uint64_t state_;
+};
+
+/// i, k BIGINT about 0 and +-2^53, d, e DOUBLE with NaN and +-0.0, f BOOL
+/// and s VARCHAR, each NULL one time in eight.
+Table TreeTable(size_t rows) {
+  Table t{Schema({{"i", ColumnType::kInt64},
+                  {"k", ColumnType::kInt64},
+                  {"d", ColumnType::kFloat64},
+                  {"e", ColumnType::kFloat64},
+                  {"f", ColumnType::kBool},
+                  {"s", ColumnType::kString}})};
+  const int64_t big = int64_t{1} << 53;
+  const int64_t ints[] = {0, 1, 3, -4, big, big + 1, -big - 1, 2};
+  const double doubles[] = {std::nan(""), -0.0, 0.0,  1.0,
+                            1.5,          -2.5, 3.0, 1e300};
+  const char* words[] = {"a", "b", "ab", "ba"};
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto below = [&](uint64_t n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % n;
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    auto maybe = [&](Value v) { return below(8) == 0 ? Value() : v; };
+    EXPECT_TRUE(t.AppendRow({maybe(Value(ints[below(8)])),
+                             maybe(Value(ints[below(8)])),
+                             maybe(Value(doubles[below(8)])),
+                             maybe(Value(doubles[below(8)])),
+                             maybe(Value(below(2) == 0)),
+                             maybe(Value(words[below(4)]))})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(VectorizedFilterTest, RandomTreesMatchInterpreter) {
+  ThreadsGuard guard;
+  // Three morsels of rows, two of candidates.
+  const Table t = TreeTable(10000);
+  storage::SelectionVector candidates;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    if (r % 3 != 1) candidates.push_back(r);
+  }
+  TreeMaker maker(0x9E3779B97F4A7C15ull);
+  for (int n = 0; n < 200; ++n) {
+    const ExprPtr tree = maker.Tree(1 + n % 4);
+    const std::string what = tree->ToString();
+    ASSERT_TRUE(IsVectorizablePredicate(t, tree)) << what;
+    exec::ThreadPool::SetGlobalThreads(1);
+    auto all = FilterIndicesInterpreted(t, tree);
+    auto some = FilterIndicesInterpreted(t, tree, &candidates);
+    ASSERT_TRUE(all.ok() && some.ok()) << what;
+    for (int threads : {1, 2, 8}) {
+      exec::ThreadPool::SetGlobalThreads(threads);
+      auto fast_all = FilterIndices(t, tree);
+      auto fast_some = FilterIndices(t, tree, &candidates);
+      ASSERT_TRUE(fast_all.ok() && fast_some.ok()) << what;
+      ASSERT_EQ(*fast_all, *all) << what << " at " << threads << " threads";
+      ASSERT_EQ(*fast_some, *some)
+          << what << " over candidates at " << threads << " threads";
+    }
   }
 }
 
@@ -498,15 +689,8 @@ TEST(HashJoinGovernorTest, CancelledTokenStopsTheProbe) {
 // ---------------------------------------------------------------------------
 // Differential: typed keys against reference implementations
 
-class ThreadsGuard {
- public:
-  ~ThreadsGuard() {
-    exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
-  }
-};
-
 /// Seeded tables whose key columns repeat from a small domain and hold
-/// NULLs: i BIGINT, d DOUBLE (integral values, halves, 0.0 and -0.0),
+/// NULLs: i BIGINT, d DOUBLE (integral values, halves, 0.0, -0.0 and NaN),
 /// b BOOL, s VARCHAR, and payloads v BIGINT and w DOUBLE.
 Table RandomTable(size_t rows, uint64_t seed) {
   Table t{Schema({{"i", ColumnType::kInt64},
@@ -534,6 +718,11 @@ Table RandomTable(size_t rows, uint64_t seed) {
           row.emplace_back(k);
           break;
         case 1:
+          if (k == 19) {
+            row.emplace_back(std::nan(""));
+            break;
+          }
+          [[fallthrough]];
         case 5:
           row.emplace_back(k == 0   ? (next(2) ? -0.0 : 0.0)
                            : k % 3 == 0 ? static_cast<double>(k) + 0.5
@@ -565,21 +754,27 @@ std::vector<Value> RowValues(const Table& t, size_t row,
   return values;
 }
 
-/// Orders key tuples by Value::Compare, so NULLs are one key and
-/// -0.0 equals 0.0, as `=` has it.
+bool IsNaN(const Value& v) {
+  return v.type() == ValueType::kFloat64 && std::isnan(v.AsFloat64());
+}
+
+/// Orders key tuples by Value::Compare, so NULLs are one key and -0.0
+/// equals 0.0, as `=` has it; every NaN is one key, after the numbers.
 struct KeyLess {
   bool operator()(const std::vector<Value>& a,
                   const std::vector<Value>& b) const {
     for (size_t i = 0; i < a.size(); ++i) {
-      int c = a[i].Compare(b[i]);
+      int c = IsNaN(a[i]) || IsNaN(b[i])
+                  ? static_cast<int>(IsNaN(a[i])) - IsNaN(b[i])
+                  : a[i].Compare(b[i]);
       if (c != 0) return c < 0;
     }
     return false;
   }
 };
 
-/// Nested-loop join: a pair joins when every key pair is non-NULL and
-/// compares equal.
+/// Nested-loop join: a pair joins when every key pair is equal under
+/// WHERE's `=`: non-NULL, not NaN and equal under Compare.
 Table ReferenceJoin(const Table& left, const Table& right,
                     const std::vector<std::string>& lkeys,
                     const std::vector<std::string>& rkeys, JoinType type) {
@@ -605,6 +800,7 @@ Table ReferenceJoin(const Table& left, const Table& right,
       bool equal = true;
       for (size_t k = 0; k < lval.size() && equal; ++k) {
         equal = !lval[k].is_null() && !rvals[r][k].is_null() &&
+                !IsNaN(lval[k]) && !IsNaN(rvals[r][k]) &&
                 lval[k].Compare(rvals[r][k]) == 0;
       }
       if (!equal) continue;
