@@ -135,26 +135,6 @@
 #define TELEIOS_NO_THREAD_SAFETY_ANALYSIS
 #endif
 
-// Runtime lock-order validation (cmake -DTELEIOS_DEADLOCK_CHECK=ON):
-// every acquisition through the wrappers below reports to the process-
-// wide deadlock graph in common/deadlock.h, which aborts with the cycle
-// when an acquisition order inverts. Off (the default) these hooks
-// compile to nothing and the wrappers stay zero-cost veneers.
-#if defined(TELEIOS_DEADLOCK_CHECK)
-#include "common/deadlock.h"
-#define TELEIOS_DL_ACQUIRE_(mu) ::teleios::deadlock::OnAcquire(mu)
-#define TELEIOS_DL_ACQUIRED_(mu) ::teleios::deadlock::OnAcquired(mu)
-#define TELEIOS_DL_TRY_ACQUIRED_(mu) ::teleios::deadlock::OnTryAcquired(mu)
-#define TELEIOS_DL_RELEASE_(mu) ::teleios::deadlock::OnRelease(mu)
-#define TELEIOS_DL_DESTROY_(mu) ::teleios::deadlock::OnDestroy(mu)
-#else
-#define TELEIOS_DL_ACQUIRE_(mu) ((void)0)
-#define TELEIOS_DL_ACQUIRED_(mu) ((void)0)
-#define TELEIOS_DL_TRY_ACQUIRED_(mu) ((void)0)
-#define TELEIOS_DL_RELEASE_(mu) ((void)0)
-#define TELEIOS_DL_DESTROY_(mu) ((void)0)
-#endif
-
 namespace teleios {
 
 /// An annotated std::mutex: a capability the analysis can track. Same
@@ -165,24 +145,12 @@ namespace teleios {
 class TELEIOS_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  ~Mutex() { TELEIOS_DL_DESTROY_(this); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() TELEIOS_ACQUIRE() {
-    TELEIOS_DL_ACQUIRE_(this);
-    mu_.lock();
-    TELEIOS_DL_ACQUIRED_(this);
-  }
-  void Unlock() TELEIOS_RELEASE() {
-    TELEIOS_DL_RELEASE_(this);
-    mu_.unlock();
-  }
-  bool TryLock() TELEIOS_TRY_ACQUIRE(true) {
-    bool ok = mu_.try_lock();
-    if (ok) TELEIOS_DL_TRY_ACQUIRED_(this);
-    return ok;
-  }
+  void Lock() TELEIOS_ACQUIRE() { mu_.lock(); }
+  void Unlock() TELEIOS_RELEASE() { mu_.unlock(); }
+  bool TryLock() TELEIOS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   std::mutex& native() { return mu_; }
 
@@ -195,30 +163,13 @@ class TELEIOS_CAPABILITY("mutex") Mutex {
 class TELEIOS_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
-  ~SharedMutex() { TELEIOS_DL_DESTROY_(this); }
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() TELEIOS_ACQUIRE() {
-    TELEIOS_DL_ACQUIRE_(this);
-    mu_.lock();
-    TELEIOS_DL_ACQUIRED_(this);
-  }
-  void Unlock() TELEIOS_RELEASE() {
-    TELEIOS_DL_RELEASE_(this);
-    mu_.unlock();
-  }
-  void LockShared() TELEIOS_ACQUIRE_SHARED() {
-    // Shared holders share the same graph node as writers: reader/writer
-    // order cycles deadlock just the same.
-    TELEIOS_DL_ACQUIRE_(this);
-    mu_.lock_shared();
-    TELEIOS_DL_ACQUIRED_(this);
-  }
-  void UnlockShared() TELEIOS_RELEASE_SHARED() {
-    TELEIOS_DL_RELEASE_(this);
-    mu_.unlock_shared();
-  }
+  void Lock() TELEIOS_ACQUIRE() { mu_.lock(); }
+  void Unlock() TELEIOS_RELEASE() { mu_.unlock(); }
+  void LockShared() TELEIOS_ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void UnlockShared() TELEIOS_RELEASE_SHARED() { mu_.unlock_shared(); }
 
  private:
   // teleios-lint: allow(TL002) -- the wrapper IS the capability.
@@ -230,18 +181,8 @@ class TELEIOS_CAPABILITY("shared_mutex") SharedMutex {
 /// wait through `native()`; it is always re-locked when the scope ends.
 class TELEIOS_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) TELEIOS_ACQUIRE(mu)
-      : lock_((TELEIOS_DL_ACQUIRE_(&mu), mu.native())) {
-    TELEIOS_DL_ACQUIRED_(&mu);
-#if defined(TELEIOS_DEADLOCK_CHECK)
-    dl_mu_ = &mu;
-#endif
-  }
-  ~MutexLock() TELEIOS_RELEASE() {
-#if defined(TELEIOS_DEADLOCK_CHECK)
-    TELEIOS_DL_RELEASE_(dl_mu_);
-#endif
-  }
+  explicit MutexLock(Mutex& mu) TELEIOS_ACQUIRE(mu) : lock_(mu.native()) {}
+  ~MutexLock() TELEIOS_RELEASE() {}
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
@@ -254,9 +195,6 @@ class TELEIOS_SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-#if defined(TELEIOS_DEADLOCK_CHECK)
-  const void* dl_mu_ = nullptr;
-#endif
 };
 
 /// RAII exclusive (writer) lock over a SharedMutex.

@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "relational/sql_parser.h"
-#include "storage/persistence.h"
 
 namespace teleios::core {
 
@@ -289,14 +288,6 @@ Result<noa::ChainResult> VirtualEarthObservatory::RunFireChainBatch(
   return Governed("fire-chain-batch", label, /*profile=*/false, cancel, [&] {
     return chain_->RunBatch(raster_names, config, cancel);
   });
-}
-
-Status VirtualEarthObservatory::SaveCatalog(const std::string& dir) {
-  return storage::SaveCatalog(catalog_, dir);
-}
-
-Result<size_t> VirtualEarthObservatory::LoadCatalog(const std::string& dir) {
-  return storage::LoadCatalog(dir, &catalog_);
 }
 
 Status VirtualEarthObservatory::Open(const std::string& dir) {

@@ -50,8 +50,8 @@ class VirtualEarthObservatory {
 
   // --- database tier --------------------------------------------------------
   //
-  // Each query entry point also understands a leading PROFILE keyword
-  // (mirroring EXPLAIN): `PROFILE <statement>` executes the statement
+  // Each query entry point also understands a leading PROFILE keyword,
+  // the one way to explain a statement: `PROFILE <statement>` executes it
   // under a trace and returns the span tree as a table with columns
   // (span, depth, millis, detail) instead of the result rows; the root
   // span carries the result cardinality as a rows= detail.
@@ -104,13 +104,6 @@ class VirtualEarthObservatory {
       const CancellationToken* cancel = nullptr);
 
   // --- persistence & durability ---------------------------------------------
-
-  /// Saves every catalog table (metadata, attached products, chain
-  /// outputs) as a checksummed snapshot under `dir`.
-  Status SaveCatalog(const std::string& dir);
-
-  /// Loads a SaveCatalog snapshot into this observatory's catalog.
-  Result<size_t> LoadCatalog(const std::string& dir);
 
   /// Makes this observatory durable, rooted at `dir`: recovers the
   /// newest catalog snapshot plus the WAL tail into the write path

@@ -88,8 +88,19 @@ int ResolveColumn(const Table& table, const ExprPtr& e) {
   return ResolveField(table.schema(), e->column);
 }
 
-/// Reads a numeric literal into `out`'s constant.
+/// Reads a numeric literal, or a unary minus over one (how the parser
+/// reads a negative number: its literal is never negative, so negating
+/// an int64 cannot overflow), into `out`'s constant.
 bool NumericLiteral(const ExprPtr& e, Leaf* out) {
+  if (e->kind == ExprKind::kUnary && e->unary_op == UnaryOp::kNeg) {
+    if (e->children[0]->kind != ExprKind::kLiteral ||
+        !NumericLiteral(e->children[0], out)) {
+      return false;
+    }
+    out->constant = -out->constant;
+    out->int_value = -out->int_value;
+    return true;
+  }
   if (e->kind != ExprKind::kLiteral) return false;
   auto d = e->literal.ToDouble();
   if (!d.ok()) return false;

@@ -32,12 +32,12 @@ Result<storage::SelectionVector> FilterIndicesInterpreted(
     const storage::SelectionVector* candidates = nullptr);
 
 /// True if FilterIndices would take the vectorized path for `predicate`
-/// against `table` (introspection for tests and EXPLAIN).
+/// against `table`; such a predicate cannot fail (SciQL's prefilter).
 bool IsVectorizablePredicate(const storage::Table& table,
                              const ExprPtr& predicate);
 
-/// That path by name, as EXPLAIN and PROFILE show it: "vectorized" or
-/// "interpreted".
+/// That path by name, as PROFILE's `filter` spans show it: "vectorized"
+/// or "interpreted".
 const char* FilterPath(const storage::Table& table, const ExprPtr& predicate);
 
 /// Materialized filter.

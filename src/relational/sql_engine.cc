@@ -64,15 +64,6 @@ Result<Table> SqlEngine::ParseAndExecute(const std::string& sql) {
   return ExecuteStatement(stmt);
 }
 
-Result<std::string> SqlEngine::Explain(const std::string& sql) {
-  TELEIOS_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
-  const auto* select = std::get_if<SelectStatement>(&stmt);
-  if (select == nullptr) {
-    return Status::InvalidArgument("EXPLAIN supports SELECT only");
-  }
-  return ExplainSelect(*select, *catalog_);
-}
-
 Result<Table> SqlEngine::ExecuteStatement(const Statement& stmt) {
   if (const auto* select = std::get_if<SelectStatement>(&stmt)) {
     // Serve `sys.*` references through an overlay catalog: a cheap copy

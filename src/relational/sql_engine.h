@@ -22,9 +22,6 @@ class SqlEngine {
   /// Parses and executes one statement.
   Result<storage::Table> Execute(const std::string& sql);
 
-  /// Returns the optimizer's plan steps for a SELECT.
-  Result<std::string> Explain(const std::string& sql);
-
   /// Installs a `sys.*` provider (nullptr to detach; must outlive the
   /// engine). SELECTs referencing a served name run against an overlay
   /// catalog holding a fresh snapshot of those tables; DDL/DML never see

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -93,13 +92,8 @@ ExprPtr RewriteSubtree(const ExprPtr& expr, const std::string& target_str,
   return copy;
 }
 
-struct PlanTrace {
-  std::vector<std::string> steps;
-  void Add(std::string s) { steps.push_back(std::move(s)); }
-};
-
 Result<Table> RunSelect(const SelectStatement& stmt,
-                        const storage::Catalog& catalog, PlanTrace* trace) {
+                        const storage::Catalog& catalog) {
   std::vector<ExprPtr> conjuncts;
   {
     obs::TraceSpan plan_span("plan");
@@ -117,7 +111,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr table, catalog.GetTable(name));
     scan_span.SetAttr("rows", std::to_string(table->num_rows()));
     obs::Count("teleios_relational_scans_total");
-    trace->Add("scan " + name);
     return table;
   };
   auto filter = [&](const Table& input, const ExprPtr& predicate,
@@ -155,7 +148,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     if (!stmt.from.alias.empty()) left_names.push_back(stmt.from.alias);
     std::vector<ExprPtr> pushed = take_pushable(current->schema(), left_names);
     if (!pushed.empty()) {
-      trace->Add("  pushdown filter: " + AndTogether(pushed)->ToString());
       TELEIOS_ASSIGN_OR_RETURN(Table left,
                                filter(*current, AndTogether(pushed), "left"));
       produce(std::move(left));
@@ -172,8 +164,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
       if (join.type == JoinType::kInner) {
         pushed = take_pushable(right->schema(), right_names);
         if (!pushed.empty()) {
-          trace->Add("  pushdown filter (right): " +
-                     AndTogether(pushed)->ToString());
           TELEIOS_ASSIGN_OR_RETURN(
               right_filtered, filter(*right, AndTogether(pushed), "right"));
           right = &right_filtered;
@@ -187,8 +177,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
             "tables: " +
             join.condition->ToString());
       }
-      trace->Add("hash join on " + keys.left[0] + " = " + keys.right[0] +
-                 (join.type == JoinType::kLeftOuter ? " (left outer)" : ""));
       {
         obs::TraceSpan join_span("hash join");
         join_span.SetAttr("right", join.table.name);
@@ -209,10 +197,8 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     }
   }
   if (!conjuncts.empty()) {
-    ExprPtr where = AndTogether(conjuncts);
-    trace->Add("filter " + where->ToString() + " [" +
-               FilterPath(*current, where) + "]");
-    TELEIOS_ASSIGN_OR_RETURN(Table filtered, filter(*current, where, nullptr));
+    TELEIOS_ASSIGN_OR_RETURN(
+        Table filtered, filter(*current, AndTogether(conjuncts), nullptr));
     produce(std::move(filtered));
   }
 
@@ -340,8 +326,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         having = RewriteSubtree(having, call_str, alias);
       }
     }
-    trace->Add("group aggregate (" + std::to_string(group_names.size()) +
-               " keys, " + std::to_string(aggs.size()) + " aggregates)");
     Table agg_out;
     {
       obs::TraceSpan agg_span("aggregate");
@@ -350,7 +334,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
       agg_span.SetAttr("groups", std::to_string(agg_out.num_rows()));
     }
     if (having) {
-      trace->Add("having " + having->ToString());
       TELEIOS_ASSIGN_OR_RETURN(agg_out, filter(agg_out, having, "having"));
     }
     // Final projection to requested output order / names.
@@ -374,12 +357,10 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         proj.push_back({item.expr, item.alias});
       }
     }
-    trace->Add("project " + std::to_string(proj.size()) + " columns");
     TELEIOS_ASSIGN_OR_RETURN(output, project(*current, proj));
   }
 
   if (stmt.distinct) {
-    trace->Add("distinct");
     obs::TraceSpan distinct_span("distinct");
     TELEIOS_ASSIGN_OR_RETURN(output, Distinct(output));
     distinct_span.SetAttr("rows", std::to_string(output.num_rows()));
@@ -389,14 +370,12 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     for (const OrderItem& o : stmt.order_by) {
       keys.push_back({o.column, o.descending});
     }
-    trace->Add("sort");
     obs::TraceSpan sort_span("sort");
     TELEIOS_ASSIGN_OR_RETURN(output, Sort(output, keys));
   }
   if (stmt.limit >= 0 || stmt.offset > 0) {
     size_t limit = stmt.limit >= 0 ? static_cast<size_t>(stmt.limit)
                                    : output.num_rows();
-    trace->Add("limit " + std::to_string(limit));
     obs::TraceSpan limit_span("limit");
     output = Limit(output, limit, static_cast<size_t>(stmt.offset));
   }
@@ -407,25 +386,13 @@ Result<Table> RunSelect(const SelectStatement& stmt,
 
 Result<Table> ExecuteSelect(const SelectStatement& stmt,
                             const storage::Catalog& catalog) {
-  PlanTrace trace;
   obs::TraceSpan exec_span("execute");
-  Result<Table> result = RunSelect(stmt, catalog, &trace);
+  Result<Table> result = RunSelect(stmt, catalog);
   if (result.ok()) {
     exec_span.SetAttr("rows", std::to_string(result->num_rows()));
     obs::Count("teleios_relational_rows_emitted_total", result->num_rows());
   }
   return result;
-}
-
-Result<std::string> ExplainSelect(const SelectStatement& stmt,
-                                  const storage::Catalog& catalog) {
-  PlanTrace trace;
-  TELEIOS_ASSIGN_OR_RETURN(Table out, RunSelect(stmt, catalog, &trace));
-  (void)out;  // EXPLAIN wants the trace, not the rows; execution errors
-              // still propagate via ASSIGN_OR_RETURN above.
-  std::ostringstream os;
-  for (const std::string& s : trace.steps) os << s << "\n";
-  return os.str();
 }
 
 }  // namespace teleios::relational

@@ -1,9 +1,6 @@
 #ifndef TELEIOS_RELATIONAL_SQL_PLANNER_H_
 #define TELEIOS_RELATIONAL_SQL_PLANNER_H_
 
-#include <string>
-#include <vector>
-
 #include "common/status.h"
 #include "relational/sql_parser.h"
 #include "storage/catalog.h"
@@ -20,10 +17,6 @@ namespace teleios::relational {
 /// applied as a post-join filter.
 Result<storage::Table> ExecuteSelect(const SelectStatement& stmt,
                                      const storage::Catalog& catalog);
-
-/// Renders the plan the optimizer would run, for EXPLAIN-style debugging.
-Result<std::string> ExplainSelect(const SelectStatement& stmt,
-                                  const storage::Catalog& catalog);
 
 }  // namespace teleios::relational
 

@@ -1,7 +1,6 @@
 #include "sciql/sciql_engine.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "array/array_ops.h"
 #include "common/strings.h"
@@ -242,8 +241,7 @@ Result<Table> SciQlEngine::ParseAndExecute(const std::string& statement) {
 Status SciQlEngine::MaterializeArray(
     const SelectStatement& stmt, const relational::TableRef& ref,
     const Array& arr, storage::Catalog* scratch,
-    std::vector<governor::BudgetCharge>* charges,
-    std::vector<std::string>* notes) {
+    std::vector<governor::BudgetCharge>* charges) {
   obs::TraceSpan span("materialize");
   span.SetAttr("array", ref.name);
   // The cells the statement reads: the slab's, narrowed by the
@@ -270,34 +268,17 @@ Status SciQlEngine::MaterializeArray(
   // was dropped.
   const bool dims = NeedsDimensions(stmt, arr);
   TELEIOS_ASSIGN_OR_RETURN(Table table, CellTable(arr, cells, dims, charges));
-  const size_t rows = table.num_rows();
-  const size_t built = dims || !cells.all ? rows : 0;
-  span.SetAttr("cells", std::to_string(built));
+  span.SetAttr("cells",
+               std::to_string(dims || !cells.all ? table.num_rows() : 0));
   span.SetAttr("prefiltered", std::to_string(prefiltered));
   span.SetAttr("dimensions", dims ? "built" : "not referenced");
-  if (notes != nullptr) {
-    std::string slab_text;
-    for (const auto& [start, end] : ref.slab) {
-      slab_text += (slab_text.empty() ? "" : ", ") + std::to_string(start) +
-                   ":" + std::to_string(end);
-    }
-    notes->push_back(
-        "materialize array '" + ref.name + "'" +
-        (slab_text.empty() ? std::string(" (full extent)")
-                           : " slab [" + slab_text + "]") +
-        " -> " + std::to_string(rows) + " cell rows (" +
-        std::to_string(prefiltered) + " conjuncts pre-filtered; dimensions " +
-        (dims ? "built" : "not referenced") + "; " +
-        (cells.all ? "attributes shared" : "attributes gathered") + ")");
-  }
   return scratch->CreateTable(ref.name,
                               std::make_shared<Table>(std::move(table)));
 }
 
 Status SciQlEngine::MaterializeSources(
     const SelectStatement& stmt, storage::Catalog* scratch,
-    std::vector<governor::BudgetCharge>* charges,
-    std::vector<std::string>* notes) {
+    std::vector<governor::BudgetCharge>* charges) {
   // Referenced arrays become dims+attrs tables (late: see
   // MaterializeArray); plain tables pass through from the relational
   // catalog.
@@ -310,7 +291,7 @@ Status SciQlEngine::MaterializeSources(
       if (it != arrays_.end()) arr = it->second;
     }
     if (arr != nullptr) {
-      return MaterializeArray(stmt, ref, *arr, scratch, charges, notes);
+      return MaterializeArray(stmt, ref, *arr, scratch, charges);
     }
     if (!ref.slab.empty()) {
       return Status::InvalidArgument("slab on non-array '" + ref.name + "'");
@@ -318,20 +299,11 @@ Status SciQlEngine::MaterializeSources(
     if (virtual_tables_ != nullptr && virtual_tables_->Serves(ref.name)) {
       TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr snapshot,
                                virtual_tables_->Materialize(ref.name));
-      if (notes != nullptr) {
-        notes->push_back("materialize virtual table '" + ref.name + "'");
-      }
       return scratch->CreateTable(ref.name, std::move(snapshot));
     }
     if (tables_ != nullptr) {
       auto table = tables_->GetTable(ref.name);
-      if (table.ok()) {
-        if (notes != nullptr) {
-          notes->push_back("pass through table '" + ref.name +
-                           "' from the relational catalog");
-        }
-        return scratch->CreateTable(ref.name, *table);
-      }
+      if (table.ok()) return scratch->CreateTable(ref.name, *table);
     }
     return Status::NotFound("no array or table named '" + ref.name + "'");
   };
@@ -346,28 +318,8 @@ Result<Table> SciQlEngine::ExecuteSelect(const SelectStatement& stmt) {
   storage::Catalog scratch;
   // What materialization built stays charged until the statement ends.
   std::vector<governor::BudgetCharge> charges;
-  TELEIOS_RETURN_IF_ERROR(MaterializeSources(stmt, &scratch, &charges, nullptr));
+  TELEIOS_RETURN_IF_ERROR(MaterializeSources(stmt, &scratch, &charges));
   return relational::ExecuteSelect(stmt, scratch);
-}
-
-Result<std::string> SciQlEngine::Explain(const std::string& statement) {
-  TELEIOS_ASSIGN_OR_RETURN(SciQlStatement stmt, ParseSciQl(statement));
-  const auto* select = std::get_if<SelectStatement>(&stmt);
-  if (select == nullptr) {
-    return Status::InvalidArgument("EXPLAIN supports SELECT only");
-  }
-  storage::Catalog scratch;
-  std::vector<governor::BudgetCharge> charges;
-  std::vector<std::string> notes;
-  TELEIOS_RETURN_IF_ERROR(
-      MaterializeSources(*select, &scratch, &charges, &notes));
-  std::ostringstream os;
-  for (const std::string& note : notes) os << note << "\n";
-  os << "lowered relational plan:\n";
-  TELEIOS_ASSIGN_OR_RETURN(std::string plan,
-                           relational::ExplainSelect(*select, scratch));
-  os << plan;
-  return os.str();
 }
 
 Result<Table> SciQlEngine::ExecuteUpdate(const UpdateArrayStatement& stmt) {

@@ -44,11 +44,6 @@ class SciQlEngine {
   /// table; DDL/updates return a one-cell "affected" table.
   Result<storage::Table> Execute(const std::string& statement);
 
-  /// Renders the plan of a SciQL SELECT: the array-slab materialization
-  /// steps followed by the lowered relational plan (the SciQL analogue of
-  /// SqlEngine::Explain).
-  Result<std::string> Explain(const std::string& statement);
-
   /// Installs a `sys.*` provider (nullptr to detach; must outlive the
   /// engine). Served names resolve in SELECTs after arrays, before
   /// relational pass-through.
@@ -62,20 +57,17 @@ class SciQlEngine {
       const relational::SelectStatement& stmt);
   Result<storage::Table> ExecuteUpdate(const UpdateArrayStatement& stmt);
   /// Builds the scratch catalog for a SELECT (arrays materialized as
-  /// dims+attrs tables with slabs applied; plain tables passed through),
-  /// appending one human-readable line per source to `notes` if given.
+  /// dims+attrs tables with slabs applied; plain tables passed through).
   /// What it builds is charged to the current budget through `charges`,
   /// which the caller holds until the statement ends.
   Status MaterializeSources(const relational::SelectStatement& stmt,
                             storage::Catalog* scratch,
-                            std::vector<governor::BudgetCharge>* charges,
-                            std::vector<std::string>* notes);
+                            std::vector<governor::BudgetCharge>* charges);
   /// MaterializeSources for one array source.
   Status MaterializeArray(const relational::SelectStatement& stmt,
                           const relational::TableRef& ref,
                           const array::Array& arr, storage::Catalog* scratch,
-                          std::vector<governor::BudgetCharge>* charges,
-                          std::vector<std::string>* notes);
+                          std::vector<governor::BudgetCharge>* charges);
 
   storage::Catalog* tables_;
   relational::VirtualTableProvider* virtual_tables_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <regex>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -103,6 +102,25 @@ Table WithVars(const Table& solutions, const std::vector<std::string>& vars) {
 Status SparqlEvaluator::Poll(size_t row) const {
   if (cancel_ == nullptr || row % kPollRows != 0) return Status::OK();
   return cancel_->Check();
+}
+
+Result<const std::regex*> SparqlEvaluator::CompiledRegex(
+    const std::string& pattern, bool icase) {
+  auto [it, fresh] = regexes_.try_emplace({pattern, icase});
+  if (fresh) {
+    try {
+      it->second.emplace(pattern, icase ? std::regex::ECMAScript |
+                                              std::regex::icase
+                                        : std::regex::ECMAScript);
+    } catch (const std::regex_error&) {
+      // Left empty: every row that uses the pattern fails alike.
+    }
+  }
+  if (!it->second) {
+    return Status::InvalidArgument("REGEX: invalid pattern '" + pattern +
+                                   "'");
+  }
+  return &*it->second;
 }
 
 Result<bool> SparqlEvaluator::EffectiveBooleanValue(const Term& term) {
@@ -646,13 +664,15 @@ Result<Term> SparqlEvaluator::EvalExpr(const SparqlExprPtr& expr,
         if (args.size() < 2) {
           return Status::InvalidArgument("REGEX expects 2-3 arguments");
         }
-        auto flags = std::regex::ECMAScript;
-        if (args.size() == 3 &&
-            args[2].lexical.find('i') != std::string::npos) {
-          flags |= std::regex::icase;
+        const bool icase = args.size() == 3 &&
+                           args[2].lexical.find('i') != std::string::npos;
+        TELEIOS_ASSIGN_OR_RETURN(const std::regex* re,
+                                 CompiledRegex(args[1].lexical, icase));
+        try {
+          return Term::BooleanLiteral(std::regex_search(args[0].lexical, *re));
+        } catch (const std::regex_error& e) {
+          return Status::InvalidArgument(std::string("REGEX: ") + e.what());
         }
-        std::regex re(args[1].lexical, flags);
-        return Term::BooleanLiteral(std::regex_search(args[0].lexical, re));
       }
       if (name == "contains") {
         TELEIOS_RETURN_IF_ERROR(need(2));

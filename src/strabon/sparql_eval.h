@@ -1,7 +1,11 @@
 #ifndef TELEIOS_STRABON_SPARQL_EVAL_H_
 #define TELEIOS_STRABON_SPARQL_EVAL_H_
 
+#include <map>
+#include <optional>
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -76,6 +80,10 @@ class SparqlEvaluator {
   Status ApplyFilter(const SparqlExprPtr& filter, storage::Table* solutions);
   /// Polls the cancellation token on every kPollRows-th row.
   Status Poll(size_t row) const;
+  /// REGEX's compiled `pattern`, compiled on its first use in this
+  /// statement; an error when it does not compile.
+  Result<const std::regex*> CompiledRegex(const std::string& pattern,
+                                          bool icase);
 
   const rdf::TripleStore* store_;
   GeometryCache* cache_;
@@ -88,6 +96,8 @@ class SparqlEvaluator {
   size_t rows_built_ = 0;
   size_t join_probes_ = 0;
   size_t join_candidates_ = 0;
+  /// Keyed by (pattern, icase); nullopt for a pattern that failed.
+  std::map<std::pair<std::string, bool>, std::optional<std::regex>> regexes_;
 };
 
 /// The term id `solutions` binds `var` to in `row`; kNoTerm when unbound.

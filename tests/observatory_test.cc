@@ -191,6 +191,24 @@ TEST_F(ObservatoryTest, ErrorsSurface) {
   EXPECT_FALSE(veo_.Refine("no-such-product").ok());
 }
 
+TEST_F(ObservatoryTest, InvalidRegexPatternIsAFilterError) {
+  ASSERT_TRUE(veo_.LoadLinkedData("@prefix ex: <http://example.org/> .\n"
+                                  "ex:a ex:name \"alpha\" .\n")
+                  .ok());
+  // A pattern that does not compile is an evaluation error in every row,
+  // which FILTER treats as false: no row passes, and nothing throws.
+  auto bad = veo_.StSparql(
+      "SELECT ?s WHERE { ?s ?p ?o . FILTER(regex(str(?o), \"(\")) }");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad->num_rows(), 0u);
+  // One pattern compiled with and without the "i" flag in one statement.
+  auto good = veo_.StSparql(
+      "PREFIX ex: <http://example.org/> SELECT ?s WHERE { ?s ex:name ?o . "
+      "FILTER(regex(?o, \"^AL\", \"i\") && !regex(?o, \"^AL\")) }");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->num_rows(), 1u);
+}
+
 TEST_F(ObservatoryTest, ProfileSqlReturnsSpanTree) {
   ASSERT_TRUE(veo_.AttachArchive(dir_.string()).ok());
   auto profile = veo_.Sql("PROFILE SELECT name FROM vault_rasters");

@@ -338,7 +338,8 @@ TEST(VectorizedFilterTest, RecognizesSimpleShapes) {
         "band NOT IN ('IR039', 'IR108')", "id IN (1, 4, 9.5)",
         "temp > 310 OR band = 'IR108' OR id - id = 0",
         "NOT (temp > 300 AND band <> 'IR039')",
-        "NOT (id < 2 OR NOT (temp >= 305.0)) AND band IN ('IR039')"}) {
+        "NOT (id < 2 OR NOT (temp >= 305.0)) AND band IN ('IR039')",
+        "temp > -1", "id = -9007199254740993", "id IN (-1, 4)"}) {
     EXPECT_TRUE(IsVectorizablePredicate(t, ParseWhere(where))) << where;
   }
   // One leaf the kernels cannot run keeps the whole WHERE interpreted.
@@ -475,14 +476,23 @@ class TreeMaker {
     return kOps[Below(6)];
   }
   static ExprPtr Col(const char* name) { return Expr::ColumnRef(name); }
+  /// A negative constant half the time as the parser builds it: a unary
+  /// minus over the positive literal.
+  template <typename T>
+  ExprPtr Constant(T v) {
+    if (!std::signbit(static_cast<double>(v)) || Below(2) == 0) {
+      return Expr::Literal(Value(v));
+    }
+    return Expr::Unary(UnaryOp::kNeg, Expr::Literal(Value(-v)));
+  }
   ExprPtr IntLit() {
     const int64_t big = int64_t{1} << 53;
     const int64_t kInts[] = {0, 1, 3, -4, big, big + 1, -big - 1};
-    return Expr::Literal(Value(kInts[Below(7)]));
+    return Constant(kInts[Below(7)]);
   }
   ExprPtr NumLit() {
     const double kDoubles[] = {0.0, -0.0, 1.0, 1.5, -2.5, std::nan("")};
-    return Below(3) == 0 ? IntLit() : Expr::Literal(Value(kDoubles[Below(6)]));
+    return Below(3) == 0 ? IntLit() : Constant(kDoubles[Below(6)]);
   }
   ExprPtr StrLit() {
     const char* kWords[] = {"a", "b", "ab", "ba", "missing"};

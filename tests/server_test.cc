@@ -352,6 +352,24 @@ TEST_F(ServerTest, EngineErrorKeepsConnectionUsable) {
   ASSERT_TRUE(client.Goodbye().ok());
 }
 
+TEST_F(ServerTest, InvalidRegexPatternLeavesTheServerServing) {
+  StartServer();
+  Client client = MustConnect();
+  auto triples = client.Query(Lang::kStSparql,
+                              "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1");
+  ASSERT_TRUE(triples.ok()) << triples.status().ToString();
+  ASSERT_EQ(triples->num_rows(), 1u) << "the FILTER below must see a row";
+  auto bad = client.Query(
+      Lang::kStSparql,
+      "SELECT ?s WHERE { ?s ?p ?o . FILTER(regex(str(?o), \"(\")) }");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad->num_rows(), 0u);
+  auto good = client.Query(Lang::kSql, "SELECT count(*) AS n FROM big");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->Get(0, 0).AsInt64(), 4096);
+  ASSERT_TRUE(client.Goodbye().ok());
+}
+
 TEST_F(ServerTest, StSparqlUpdateStreamsCountTable) {
   StartServer();
   Client client = MustConnect();

@@ -9,6 +9,7 @@
 
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "relational/operators.h"
 #include "relational/sql_engine.h"
 #include "relational/sql_lexer.h"
@@ -111,6 +112,13 @@ class SqlEngineTest : public ::testing::Test {
     return r.ok() ? *r : Table();
   }
 
+  /// The span tree of running `sql`: the plan PROFILE shows.
+  obs::SpanNode Profile(const std::string& sql) {
+    obs::ScopedTrace trace("statement");
+    Exec(sql);
+    return trace.Finish();
+  }
+
   Catalog catalog_;
   std::unique_ptr<SqlEngine> engine_;
 };
@@ -170,14 +178,15 @@ TEST_F(SqlEngineTest, JoinWithPushdown) {
       "SELECT region, temp FROM obs JOIN stations ON obs.station = "
       "stations.station WHERE temp > 32");
   ASSERT_EQ(t.num_rows(), 2u);
-  auto plan = engine_->Explain(
+  obs::SpanNode plan = Profile(
       "SELECT region, temp FROM obs JOIN stations ON obs.station = "
       "stations.station WHERE temp > 32");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("pushdown"), std::string::npos)
-      << "expected pushdown in plan:\n"
-      << *plan;
-  EXPECT_NE(plan->find("hash join"), std::string::npos);
+  const obs::SpanNode* pushdown = plan.Find("filter");
+  ASSERT_NE(pushdown, nullptr) << plan.Render();
+  EXPECT_EQ(pushdown->Attr("side"), "left") << plan.Render();
+  const obs::SpanNode* join = plan.Find("hash join");
+  ASSERT_NE(join, nullptr) << plan.Render();
+  EXPECT_EQ(join->Attr("right"), "stations");
 }
 
 TEST_F(SqlEngineTest, LeftJoinKeepsUnmatched) {
@@ -289,18 +298,17 @@ TEST_F(SqlEngineTest, BetweenAndInEndToEnd) {
 }
 
 TEST_F(SqlEngineTest, ExplainShowsVectorizedFilter) {
-  auto plan = engine_->Explain("SELECT id FROM obs WHERE temp > 32");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("[vectorized]"), std::string::npos) << *plan;
-  auto in_list = engine_->Explain(
-      "SELECT id FROM obs WHERE station IN ('athens', 'patras', 'nowhere')");
-  ASSERT_TRUE(in_list.ok());
-  EXPECT_NE(in_list->find("[vectorized]"), std::string::npos) << *in_list;
-  auto interpreted =
-      engine_->Explain("SELECT id FROM obs WHERE station LIKE 'a%'");
-  ASSERT_TRUE(interpreted.ok());
-  EXPECT_NE(interpreted->find("[interpreted]"), std::string::npos)
-      << *interpreted;
+  auto filter_path = [&](const std::string& sql) -> std::string {
+    obs::SpanNode plan = Profile(sql);
+    const obs::SpanNode* filter = plan.Find("filter");
+    return filter == nullptr ? "no filter span" : filter->Attr("path");
+  };
+  EXPECT_EQ(filter_path("SELECT id FROM obs WHERE temp > 32"), "vectorized");
+  EXPECT_EQ(filter_path("SELECT id FROM obs WHERE station IN "
+                        "('athens', 'patras', 'nowhere')"),
+            "vectorized");
+  EXPECT_EQ(filter_path("SELECT id FROM obs WHERE station LIKE 'a%'"),
+            "interpreted");
 }
 
 TEST_F(SqlEngineTest, DoubleKeysApartPastTenDigitsStayApart) {
@@ -527,7 +535,9 @@ storage::TablePtr WriteTable() {
   return t;
 }
 
-/// WHEREs the kernels compile whole, then ones the interpreter runs.
+/// WHEREs the kernels compile whole (the first kCompiledWheres), then ones
+/// the interpreter runs.
+constexpr size_t kCompiledWheres = 26;
 const std::vector<std::string>& WriteWheres() {
   static const std::vector<std::string> kWheres = {
       "i = 9007199254740993", "i >= 9007199254740992", "i = k", "i < k",
@@ -538,9 +548,10 @@ const std::vector<std::string>& WriteWheres() {
       "s NOT IN ('b', 'zz')", "i IN (0, 9007199254740993, 3)",
       "NOT (f AND d < 1.5) OR s = 'ab'",
       "NOT (s IN ('a', 'b') OR k - i <= 0) AND rid >= 100",
+      "i = -9007199254740993", "d < -1",
       // Interpreted.
       "abs(i) > 5", "s LIKE 'a%'", "i % 3 = 1", "coalesce(d, -1.0) < 0",
-      "s IS NULL", "i = -9007199254740993", "i * 2 > k",
+      "s IS NULL", "i * 2 > k",
       "s IN ('a', NULL)", "NOT (s LIKE 'a%') OR d > 1"};
   return kWheres;
 }
@@ -564,7 +575,8 @@ TEST(SqlWriteDifferentialTest, WritesTouchExactlyTheRowsSelectReturns) {
   const size_t mark = 6, s = 4;
   for (int threads : {1, 2, 8}) {
     exec::ThreadPool::SetGlobalThreads(threads);
-    for (const std::string& where : WriteWheres()) {
+    for (size_t w = 0; w < WriteWheres().size(); ++w) {
+      const std::string& where = WriteWheres()[w];
       SCOPED_TRACE(where + " at " + std::to_string(threads) + " threads");
       Catalog catalog;
       SqlEngine engine(&catalog);
@@ -581,8 +593,9 @@ TEST(SqlWriteDifferentialTest, WritesTouchExactlyTheRowsSelectReturns) {
       // The SELECT kernel against the row-wise interpreter.
       auto parsed = ParseSql("SELECT rid FROM t WHERE " + where);
       ASSERT_TRUE(parsed.ok());
-      auto oracle = FilterIndicesInterpreted(
-          *original, std::get<SelectStatement>(*parsed).where);
+      const ExprPtr& tree = std::get<SelectStatement>(*parsed).where;
+      ASSERT_EQ(IsVectorizablePredicate(*original, tree), w < kCompiledWheres);
+      auto oracle = FilterIndicesInterpreted(*original, tree);
       ASSERT_TRUE(oracle.ok());
       std::vector<bool> hit(original->num_rows(), false);
       ASSERT_EQ(selected->num_rows(), oracle->size());

@@ -35,13 +35,13 @@
 ///       A scanned file lives in (or includes into) a directory the
 ///       layer spec does not declare — the DAG must stay total.
 ///
-/// Known static blind spots, by design (the runtime validator in
-/// common/deadlock.h covers them): callbacks through std::function,
-/// work deferred to the thread pool (lambda bodies are analyzed with an
-/// empty held-set, since they usually run on another thread), and
-/// same-class parent/child chains (two instances of one class map to
-/// one graph node, so such edges are excluded as self-edges rather than
-/// reported as cycles).
+/// Known static blind spots, by design (TSan's lock-order detector in
+/// the -DTELEIOS_SANITIZE=thread build covers them at run time):
+/// callbacks through std::function, work deferred to the thread pool
+/// (lambda bodies are analyzed with an empty held-set, since they
+/// usually run on another thread), and same-class parent/child chains
+/// (two instances of one class map to one graph node, so such edges are
+/// excluded as self-edges rather than reported as cycles).
 namespace teleios::analyze {
 
 struct Site {
