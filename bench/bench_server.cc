@@ -6,6 +6,10 @@
 // accounting, budget-charged chunking, and the thread-per-connection
 // handoff. Run with --json to diff ns_per_op across changes.
 //
+// BM_ServerRoundTrip is the fixed cost of one statement on one idle
+// connection: a PING round trip, and a 1-row SQL SELECT over the wire
+// next to the same SELECT through the in-process facade.
+//
 // E20 — the retry tax: BM_ServerFaultRate runs the same streamed query
 // through a ResilientClient while the fault-injecting transport kills
 // every N-th transport op (cells N = 0/32/128/512; 0 = clean wire).
@@ -188,6 +192,78 @@ BENCHMARK(BM_ServerSweep)
     ->Args({64, 1})
     ->Args({64, 4})
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// One statement at a time on one connection: range(0) = 0 round-trips a
+/// PING, 1 a SELECT that answers one row. For the SELECT, `facade_p50_us`
+/// is the same statement through the in-process facade, so `rtt_p50_us`
+/// minus it is what the wire adds.
+void BM_ServerRoundTrip(benchmark::State& state) {
+  const bool select = state.range(0) == 1;
+  core::VirtualEarthObservatory veo;
+  auto table = std::make_shared<storage::Table>(
+      storage::Schema({{"x", storage::ColumnType::kInt64}}));
+  for (size_t i = 0; i < kRowsPerQuery; ++i) {
+    table->column(0).AppendInt64(static_cast<int64_t>(i));
+  }
+  if (!veo.catalog().CreateTable("bench_rows", table).ok()) {
+    state.SkipWithError("CreateTable failed");
+    return;
+  }
+  server::ServerConfig config;
+  config.port = 0;
+  server::TeleiosServer srv(&veo, config);
+  if (!srv.Start().ok()) {
+    state.SkipWithError("server Start failed");
+    return;
+  }
+  auto client = server::Client::Connect("127.0.0.1", srv.port());
+  if (!client.ok()) {
+    state.SkipWithError("client Connect failed");
+    (void)srv.Shutdown();
+    return;
+  }
+
+  const std::string query = "SELECT x FROM bench_rows WHERE x = 7";
+  auto micros_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> rtt_micros;
+  bool failed = false;
+  for (auto _ : state) {
+    auto start = std::chrono::steady_clock::now();
+    if (select) {
+      auto result = client->Query(server::Lang::kSql, query);
+      failed = !result.ok() || result->num_rows() != 1;
+    } else {
+      failed = !client->Ping().ok();
+    }
+    rtt_micros.push_back(micros_since(start));
+    if (failed) break;
+  }
+  if (select && !failed) {
+    std::vector<double> facade_micros;
+    for (int i = 0; i < 2000 && !failed; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      failed = !veo.Sql(query).ok();
+      facade_micros.push_back(micros_since(start));
+    }
+    state.counters["facade_p50_us"] = Percentile(facade_micros, 0.50);
+  }
+  (void)client->Goodbye();
+  if (failed) state.SkipWithError("a round trip failed");
+  if (!srv.Shutdown().ok()) state.SkipWithError("Shutdown failed");
+  state.counters["rtt_p50_us"] = Percentile(rtt_micros, 0.50);
+  state.counters["rtt_p99_us"] = Percentile(rtt_micros, 0.99);
+}
+
+BENCHMARK(BM_ServerRoundTrip)
+    ->ArgName("select")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 /// One resilient client querying through a transport that injects a

@@ -48,16 +48,6 @@ void FlattenSpans(const obs::SpanNode& node, int64_t depth,
   }
 }
 
-/// True when `statement` parses as a mutating SQL statement (anything
-/// but SELECT). Parse failures return false: the engine will produce
-/// the real error, and nothing gets logged for a statement that can
-/// never apply.
-bool IsSqlMutation(const std::string& statement) {
-  Result<relational::Statement> parsed = relational::ParseSql(statement);
-  if (!parsed.ok()) return false;
-  return !std::holds_alternative<relational::SelectStatement>(*parsed);
-}
-
 /// The count a write answers with, out of its one-row `count` table.
 Result<size_t> CountOf(const Result<storage::Table>& answer) {
   if (!answer.ok()) return answer.status();
@@ -217,11 +207,16 @@ Result<storage::Table> VirtualEarthObservatory::Sql(
   std::string body = statement;
   bool profile = StripProfilePrefix(&body);
   return Governed("sql", body, profile, cancel, [&] {
-    if (IsSqlMutation(body)) {
+    // One parse routes the statement and runs it: a SELECT from it, a
+    // write by logging its text and applying the parse. A parse error
+    // logs nothing and fails in Execute.
+    Result<relational::Statement> parsed = relational::SqlEngine::Parse(body);
+    if (parsed.ok() &&
+        !std::holds_alternative<relational::SelectStatement>(*parsed)) {
       return write_path_->Commit(WalRecordType::kSqlStatement,
-                                 RecordBody(body));
+                                 RecordBody(body), {.sql = &parsed});
     }
-    return sql_->Execute(body);
+    return sql_->Execute(parsed);
   });
 }
 
@@ -243,7 +238,7 @@ Result<storage::Table> VirtualEarthObservatory::StSparql(
     Result<strabon::SparqlStatement> parsed = strabon::Strabon::Parse(body);
     if (parsed.ok() && std::holds_alternative<strabon::SparqlUpdate>(*parsed)) {
       return write_path_->Commit(WalRecordType::kStrabonUpdate,
-                                 RecordBody(body), &parsed);
+                                 RecordBody(body), {.sparql = &parsed});
     }
     return strabon_.Query(parsed);
   });

@@ -194,10 +194,12 @@ Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
   Result<size_t> count = size_t{1};
   switch (type) {
     case WalRecordType::kSqlStatement:
-      return engines_.sql->Execute(fields.text);
+      return fields.parsed.sql != nullptr
+                 ? engines_.sql->Execute(*fields.parsed.sql)
+                 : engines_.sql->Execute(fields.text);
     case WalRecordType::kStrabonUpdate:
-      count = fields.parsed != nullptr
-                  ? engines_.strabon->Update(*fields.parsed)
+      count = fields.parsed.sparql != nullptr
+                  ? engines_.strabon->Update(*fields.parsed.sparql)
                   : engines_.strabon->Update(fields.text);
       break;
     case WalRecordType::kLoadTurtle:
@@ -356,9 +358,9 @@ void DurabilityManager::MaybeAutoCheckpointLocked() {
   (void)CheckpointLocked();
 }
 
-Result<storage::Table> DurabilityManager::Commit(
-    WalRecordType type, const std::string& body,
-    const Result<strabon::SparqlStatement>* parsed) {
+Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
+                                                 const std::string& body,
+                                                 ParsedBody parsed) {
   // Nothing is logged that replay could not apply.
   TELEIOS_ASSIGN_OR_RETURN(Fields fields, Decode(type, body));
   fields.parsed = parsed;

@@ -108,6 +108,15 @@ struct DurabilityEngines {
 /// RecordBody(product_id) + RecordBody(turtle).
 std::string RecordBody(std::string_view text);
 
+/// A record body's text as its caller already parsed it, for
+/// DurabilityManager::Commit: at most one is set, by the record's kind.
+struct ParsedBody {
+  /// A kSqlStatement's.
+  const Result<relational::Statement>* sql = nullptr;
+  /// A kStrabonUpdate's.
+  const Result<strabon::SparqlStatement>* sparql = nullptr;
+};
+
 /// The observatory's one write path: every logical mutation is a record
 /// committed here, and the same Apply runs it live and at WAL replay.
 /// Without a log, Commit applies under the writer mutex; once Open has
@@ -156,12 +165,11 @@ class DurabilityManager {
   /// log holds: it runs with no cancellation token and under an
   /// unlimited budget of its own. Without a log the apply runs under the
   /// caller's token and budget, so a stopped write applies nothing.
-  /// `parsed`, for a kStrabonUpdate, is the caller's parse of the body's
-  /// text, which the live apply runs instead of parsing it again (replay
-  /// parses the logged text).
-  Result<storage::Table> Commit(
-      WalRecordType type, const std::string& body,
-      const Result<strabon::SparqlStatement>* parsed = nullptr);
+  /// `parsed` is the caller's parse of the body's text, which the live
+  /// apply runs instead of parsing it again (replay parses the logged
+  /// text).
+  Result<storage::Table> Commit(WalRecordType type, const std::string& body,
+                                ParsedBody parsed = {});
 
   /// The report of the Open call (zero-valued before it).
   RecoveryReport recovery_report() const;
@@ -188,8 +196,8 @@ class DurabilityManager {
     std::string text;
     uint32_t code = 0;
     std::string second;
-    /// A kStrabonUpdate's text already parsed (Commit's `parsed`).
-    const Result<strabon::SparqlStatement>* parsed = nullptr;
+    /// The text already parsed (Commit's `parsed`).
+    ParsedBody parsed;
   };
   static Result<Fields> Decode(WalRecordType type, const std::string& body);
   bool HasEngine(WalRecordType type) const;

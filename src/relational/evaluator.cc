@@ -35,6 +35,10 @@ bool BothInts(const Value& a, const Value& b) {
   return a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64;
 }
 
+/// SQL's FALSE: a value that is not NULL and not truthy. With Truthy()
+/// as TRUE and is_null() as UNKNOWN, the three truth values.
+bool IsFalse(const Value& v) { return !v.is_null() && !v.Truthy(); }
+
 bool IsNumber(const Value& v) {
   return v.type() == ValueType::kInt64 || v.type() == ValueType::kFloat64 ||
          v.type() == ValueType::kBool;
@@ -111,9 +115,15 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
       return Value(CompareScalars(op, lhs.Compare(rhs), 0));
     }
     case BinaryOp::kAnd:
-      return Value(lhs.Truthy() && rhs.Truthy());
+      // Three-valued: FALSE if either side is, else NULL if either is.
+      if (IsFalse(lhs) || IsFalse(rhs)) return Value(false);
+      if (lhs.is_null() || rhs.is_null()) return Value();
+      return Value(true);
     case BinaryOp::kOr:
-      return Value(lhs.Truthy() || rhs.Truthy());
+      // Three-valued: TRUE if either side is, else NULL if either is.
+      if (lhs.Truthy() || rhs.Truthy()) return Value(true);
+      if (lhs.is_null() || rhs.is_null()) return Value();
+      return Value(false);
     case BinaryOp::kLike: {
       if (lhs.is_null() || rhs.is_null()) return Value();
       if (lhs.type() != ValueType::kString ||
@@ -299,8 +309,8 @@ Result<Value> BoundExpr::EvalNode(int idx, const storage::Table& table,
       return table.Get(row, node.column_index);
     case ExprKind::kUnary: {
       TELEIOS_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], table, row));
+      if (v.is_null()) return Value();  // NOT NULL and -NULL are NULL
       if (node.unary_op == UnaryOp::kNot) return Value(!v.Truthy());
-      if (v.is_null()) return Value();
       if (v.type() == ValueType::kInt64) return Value(-v.AsInt64());
       TELEIOS_ASSIGN_OR_RETURN(double x, v.ToDouble());
       return Value(-x);
@@ -308,7 +318,9 @@ Result<Value> BoundExpr::EvalNode(int idx, const storage::Table& table,
     case ExprKind::kBinary: {
       TELEIOS_ASSIGN_OR_RETURN(Value lhs,
                                EvalNode(node.children[0], table, row));
-      if (node.binary_op == BinaryOp::kAnd && !lhs.Truthy()) {
+      // AND stops at a FALSE left side and OR at a TRUE one; a NULL one
+      // (unknown) needs the right side too.
+      if (node.binary_op == BinaryOp::kAnd && IsFalse(lhs)) {
         return Value(false);
       }
       if (node.binary_op == BinaryOp::kOr && lhs.Truthy()) {

@@ -24,7 +24,9 @@ int ResolveField(const storage::Schema& schema, const std::string& name);
 /// column indices once, making per-row evaluation cheap. Arithmetic stays
 /// in int64 between int64s and is double otherwise; a NULL operand gives
 /// NULL; numbers compare as CompareScalars does, exactly between int64s;
-/// AND/OR are two-valued, NULL counting as false.
+/// NOT, AND and OR are SQL's three-valued logic (NOT NULL is NULL, FALSE
+/// AND NULL is FALSE, TRUE OR NULL is TRUE, otherwise a NULL operand gives
+/// NULL), and a WHERE keeps only the rows it makes TRUE.
 class BoundExpr {
  public:
   /// Binds against `table`'s schema. An unknown column is an error unless

@@ -30,8 +30,8 @@ namespace {
 ///   kBoolCol:   bare bool column reference
 /// A row passes a leaf when every column the leaf reads is valid there and
 /// the test holds. A negated leaf (a NOT pushed down onto it) keeps the
-/// rows that do not pass, NULL rows among them: the interpreter's NOT is
-/// two-valued, and NOT of NULL is true there.
+/// rows whose columns are valid and where the test fails: NOT of NULL is
+/// NULL, which a WHERE drops, as in the interpreter's three-valued logic.
 struct Leaf {
   enum class Kind { kColConst, kColCol, kDiffConst, kCodeIn, kBoolCol };
   Kind kind;
@@ -328,19 +328,20 @@ size_t OrDepth(const PredNode& node) {
   return deepest + (node.kind == PredNode::Kind::kOr ? 1 : 0);
 }
 
-/// Narrows `sel` in place, in order, to the rows whose `valid` byte is set
-/// and that pass `test` (the rows that do not, when `negate`): one loop
-/// per typed test, which captures pointers and constants by value so they
-/// stay in registers across the output stores.
+/// Narrows `sel` in place, in order, to the rows whose `valid_a` and
+/// `valid_b` bytes are set and that pass `test` (that fail it, when
+/// `negate`): one loop per typed test, which captures pointers and
+/// constants by value so they stay in registers across the output stores.
+/// A one-column leaf passes its column's validity twice.
 template <typename Test>
-void Keep(SelectionVector* sel, const uint8_t* valid, bool negate,
-          Test test) {
+void Keep(SelectionVector* sel, const uint8_t* valid_a,
+          const uint8_t* valid_b, bool negate, Test test) {
   uint32_t* rows = sel->data();
   size_t kept = 0;
   for (size_t i = 0, n = sel->size(); i < n; ++i) {
     const uint32_t r = rows[i];
     rows[kept] = r;
-    kept += (valid[r] && test(r)) != negate;
+    kept += valid_a[r] && valid_b[r] && (test(r) != negate);
   }
   sel->resize(kept);
 }
@@ -363,54 +364,49 @@ void ApplyLeaf(const Table& table, const Leaf& leaf, SelectionVector* sel) {
   switch (leaf.kind) {
     case Leaf::Kind::kColConst:
       if (a.type() == ColumnType::kFloat64) {
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
           return CompareScalars(cmp, da[r], k);
         });
       } else if (a.type() == ColumnType::kInt64 && leaf.int_constant) {
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
           return CompareScalars(cmp, ia[r], ik);
         });
       } else {
-        Keep(sel, valid_a, negate, [=, &a](uint32_t r) {
+        Keep(sel, valid_a, valid_b, negate, [=, &a](uint32_t r) {
           return CompareScalars(cmp, NumericAt(a, r), k);
         });
       }
       break;
     case Leaf::Kind::kColCol:
       if (BothInt64(a, b)) {
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
-          return valid_b[r] && CompareScalars(cmp, ia[r], ib[r]);
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
+          return CompareScalars(cmp, ia[r], ib[r]);
         });
       } else {
-        Keep(sel, valid_a, negate, [=, &a, &b](uint32_t r) {
-          return valid_b[r] &&
-                 CompareScalars(cmp, NumericAt(a, r), NumericAt(b, r));
+        Keep(sel, valid_a, valid_b, negate, [=, &a, &b](uint32_t r) {
+          return CompareScalars(cmp, NumericAt(a, r), NumericAt(b, r));
         });
       }
       break;
     case Leaf::Kind::kDiffConst:
       if (a.type() == ColumnType::kFloat64 &&
           b.type() == ColumnType::kFloat64) {
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
-          return valid_b[r] && CompareScalars(cmp, da[r] - db[r], k);
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
+          return CompareScalars(cmp, da[r] - db[r], k);
         });
       } else if (BothInt64(a, b) && leaf.int_constant) {
         // Subtracted in int64, as the interpreter does.
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
-          return valid_b[r] &&
-                 CompareScalars(cmp, Int64Difference(ia[r], ib[r]), ik);
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
+          return CompareScalars(cmp, Int64Difference(ia[r], ib[r]), ik);
         });
       } else if (BothInt64(a, b)) {
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
-          return valid_b[r] &&
-                 CompareScalars(
-                     cmp, static_cast<double>(Int64Difference(ia[r], ib[r])),
-                     k);
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
+          return CompareScalars(
+              cmp, static_cast<double>(Int64Difference(ia[r], ib[r])), k);
         });
       } else {
-        Keep(sel, valid_a, negate, [=, &a, &b](uint32_t r) {
-          return valid_b[r] &&
-                 CompareScalars(cmp, NumericAt(a, r) - NumericAt(b, r), k);
+        Keep(sel, valid_a, valid_b, negate, [=, &a, &b](uint32_t r) {
+          return CompareScalars(cmp, NumericAt(a, r) - NumericAt(b, r), k);
         });
       }
       break;
@@ -422,20 +418,20 @@ void ApplyLeaf(const Table& table, const Leaf& leaf, SelectionVector* sel) {
         const int32_t code = leaf.codes.empty()
                                  ? storage::Dictionary::kInvalidCode
                                  : leaf.codes.front();
-        Keep(sel, valid_a, negate, [=](uint32_t r) {
+        Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
           return (codes[r] == code) != outside;
         });
         break;
       }
       const uint64_t* members = leaf.members.data();
-      Keep(sel, valid_a, negate, [=](uint32_t r) {
+      Keep(sel, valid_a, valid_b, negate, [=](uint32_t r) {
         const uint32_t code = static_cast<uint32_t>(codes[r]);
         return ((members[code / 64] >> (code % 64)) & 1) != outside;
       });
       break;
     }
     case Leaf::Kind::kBoolCol:
-      Keep(sel, valid_a, negate, [&a](uint32_t r) { return a.GetBool(r); });
+      Keep(sel, valid_a, valid_b, negate, [&a](uint32_t r) { return a.GetBool(r); });
       break;
   }
 }

@@ -40,12 +40,22 @@ Result<storage::SelectionVector> SelectRows(const Table& table,
 
 }  // namespace
 
+Result<Statement> SqlEngine::Parse(const std::string& sql) {
+  obs::TraceSpan parse_span("parse");
+  return ParseSql(sql);
+}
+
 Result<Table> SqlEngine::Execute(const std::string& sql) {
+  return Execute(Parse(sql));
+}
+
+Result<Table> SqlEngine::Execute(const Result<Statement>& parsed) {
   obs::Count("teleios_sql_statements_total");
   obs::TraceSpan statement_span("sql.statement",
                                 obs::MetricsRegistry::Global().GetHistogram(
                                     "teleios_sql_execute_millis"));
-  Result<Table> result = ParseAndExecute(sql);
+  Result<Table> result =
+      parsed.ok() ? ExecuteStatement(*parsed) : Result<Table>(parsed.status());
   if (result.ok()) {
     obs::Count("teleios_sql_result_rows_total", result->num_rows());
   } else {
@@ -53,15 +63,6 @@ Result<Table> SqlEngine::Execute(const std::string& sql) {
                               StatusCodeName(result.status().code())));
   }
   return result;
-}
-
-Result<Table> SqlEngine::ParseAndExecute(const std::string& sql) {
-  Statement stmt;
-  {
-    obs::TraceSpan parse_span("parse");
-    TELEIOS_ASSIGN_OR_RETURN(stmt, ParseSql(sql));
-  }
-  return ExecuteStatement(stmt);
 }
 
 Result<Table> SqlEngine::ExecuteStatement(const Statement& stmt) {

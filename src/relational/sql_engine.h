@@ -19,8 +19,15 @@ class SqlEngine {
   /// `catalog` must outlive the engine.
   explicit SqlEngine(storage::Catalog* catalog) : catalog_(catalog) {}
 
+  /// Parses one statement under a `parse` span.
+  static Result<Statement> Parse(const std::string& sql);
+
   /// Parses and executes one statement.
   Result<storage::Table> Execute(const std::string& sql);
+  /// Execute over a Parse result, so a caller that parsed to route the
+  /// statement does not parse it twice; a parse error fails here as it
+  /// would in Execute(text).
+  Result<storage::Table> Execute(const Result<Statement>& parsed);
 
   /// Installs a `sys.*` provider (nullptr to detach; must outlive the
   /// engine). SELECTs referencing a served name run against an overlay
@@ -33,7 +40,6 @@ class SqlEngine {
   storage::Catalog* catalog() { return catalog_; }
 
  private:
-  Result<storage::Table> ParseAndExecute(const std::string& sql);
   Result<storage::Table> ExecuteStatement(const Statement& stmt);
 
   storage::Catalog* catalog_;

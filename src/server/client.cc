@@ -11,6 +11,7 @@ Result<Client> Client::Connect(const std::string& host, int port,
   Client client;
   TELEIOS_ASSIGN_OR_RETURN(client.conn_,
                            GetTransport()->Connect(host, port));
+  client.reader_ = FrameReader(client.conn_.get());
   std::string hello(kMagic, sizeof(kMagic));
   AppendFrame(&hello, Opcode::kHello,
               EncodeHello(kProtocolVersion, options.auth_token,
@@ -31,18 +32,6 @@ Result<Client> Client::Connect(const std::string& host, int port,
   }
   client.default_deadline_millis_ = options.default_deadline_millis;
   return client;
-}
-
-Result<Frame> Client::ReadFrame() {
-  char header[8];
-  TELEIOS_RETURN_IF_ERROR(conn_->ReadExact(header, sizeof(header)));
-  uint32_t crc = 0;
-  TELEIOS_ASSIGN_OR_RETURN(
-      uint32_t length,
-      DecodeFrameLength(std::string_view(header, sizeof(header)), &crc));
-  std::string body(length, '\0');
-  TELEIOS_RETURN_IF_ERROR(conn_->ReadExact(body.data(), body.size()));
-  return DecodeFrameBody(body, crc);
 }
 
 Status Client::SendFrame(Opcode opcode, std::string_view payload) {

@@ -96,8 +96,8 @@ class Client {
 
   /// Writes raw bytes on the connection, bypassing framing.
   Status SendRaw(std::string_view bytes) { return conn_->WriteAll(bytes); }
-  /// Reads one frame off the wire.
-  Result<Frame> ReadFrame();
+  /// The next frame off the connection's reader.
+  Result<Frame> ReadFrame() { return reader_.Next(); }
   /// Sends one well-formed frame.
   Status SendFrame(Opcode opcode, std::string_view payload);
 
@@ -110,6 +110,9 @@ class Client {
   Status ReadAck();
 
   std::unique_ptr<Connection> conn_;
+  /// Every read of the connection: one wakeup per reply that has fully
+  /// arrived, however many frames it holds.
+  FrameReader reader_;
   uint64_t session_id_ = 0;
   uint64_t cancel_key_ = 0;
   uint64_t default_deadline_millis_ = 0;

@@ -38,59 +38,32 @@ class FaultyConnection : public Connection {
                    std::unique_ptr<Connection> base)
       : owner_(owner), base_(std::move(base)) {}
 
-  Status ReadExact(void* dst, size_t n, int poll_millis,
-                   bool (*keep_going)(void*), void* arg) override {
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
-      case Action::kNone:
-        break;
-      case Action::kShortRead: {
-        // Deliver the first half of the message, then the wire dies —
-        // the caller sees a torn frame (kDataLoss), or a clean close
-        // when nothing at all had arrived.
-        size_t half = n / 2;
-        if (half > 0) {
-          Status st = base_->ReadExact(dst, half, poll_millis, keep_going,
-                                       arg);
-          if (!st.ok()) {
-            base_->ShutdownBoth();
-            return st;
-          }
-        }
-        base_->ShutdownBoth();
-        if (half == 0) {
-          return Status::Unavailable(
-              "injected transport fault: connection closed by peer");
-        }
-        return Status::DataLoss(
-            "injected transport fault: connection closed mid-message (" +
-            std::to_string(half) + "/" + std::to_string(n) + " bytes)");
-      }
-      case Action::kDisconnect:
-        base_->ShutdownBoth();
-        return Status::Unavailable(
-            "injected transport fault: connection closed by peer");
-      default:
-        base_->ShutdownBoth();
-        return InjectedIoError("read failed, connection reset");
-    }
-    return base_->ReadExact(dst, n, poll_millis, keep_going, arg);
-  }
-
   Result<size_t> ReadSome(void* dst, size_t n, int timeout_millis) override {
+    // The read runs first and counts only if it returned: a poll slice
+    // that timed out happens a scheduling-dependent number of times and
+    // must not perturb the op index.
+    Result<size_t> got = base_->ReadSome(dst, n, timeout_millis);
+    if (!got.ok() && got.status().code() == StatusCode::kUnavailable) {
+      return got;
+    }
     using Action = FaultInjectingTransport::FaultAction;
     switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
       case Action::kNone:
-        break;
+        return got;
       case Action::kShortRead:
+        // The first half of what arrived reaches the caller, then the
+        // wire dies: a frame in flight is torn (its reader sees
+        // kDataLoss at the EOF that follows), and a read that brought
+        // one byte or none is a clean close.
+        base_->ShutdownBoth();
+        return {got.ok() ? got.value() / 2 : size_t{0}};
       case Action::kDisconnect:
         base_->ShutdownBoth();
-        return {static_cast<size_t>(0)};
+        return {size_t{0}};
       default:
         base_->ShutdownBoth();
         return InjectedIoError("read failed, connection reset");
     }
-    return base_->ReadSome(dst, n, timeout_millis);
   }
 
   Status WriteAll(std::string_view data, int timeout_millis) override {

@@ -22,9 +22,10 @@ enum class TransportFaultKind {
   /// connection is torn down — the peer sees a mid-frame disconnect.
   /// Non-write ops fail with IoError.
   kShortWrite,
-  /// A read delivers what is available, then the connection is torn
-  /// down — the caller sees kDataLoss mid-message (or kUnavailable when
-  /// nothing had arrived yet). Non-read ops fail with IoError.
+  /// A read delivers the first half of what it received, then the
+  /// connection is torn down — the frame reader sees kDataLoss
+  /// mid-message (or kUnavailable when nothing had arrived yet).
+  /// Non-read ops fail with IoError.
   kShortRead,
   /// The connection is shut down cleanly: the op's peer sees EOF, the
   /// op itself fails (reads kUnavailable, writes kIoError).
@@ -46,11 +47,15 @@ struct TransportFaultSpec : FaultSchedule {
 /// Every injected fault counts `teleios_transport_faults_injected_total`
 /// (labeled by kind).
 ///
-/// Counted operations: Connect, successful Accept, ReadExact, ReadSome,
-/// WriteAll — on every connection made through this transport, client
-/// and server side alike. Accept/read timeouts are NOT counted: they
-/// happen a nondeterministic number of times (poll slices), and
-/// counting them would make "fail the k-th op" irreproducible.
+/// Counted operations: Connect, successful Accept, ReadSome, WriteAll —
+/// on every connection made through this transport, client and server
+/// side alike. A read counts once it returned (data, EOF or an error),
+/// so a fault on it acts on what it received. Accept/read timeouts are
+/// NOT counted: they happen a nondeterministic number of times (poll
+/// slices), and counting them would make "fail the k-th op"
+/// irreproducible. How many reads a reply takes depends on how much has
+/// arrived when the reader wakes, so a sweep's op count can vary by a
+/// few between runs.
 ///
 /// The transport must outlive every Listener and Connection it handed
 /// out (test scope does this naturally).

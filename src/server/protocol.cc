@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
+#include <cstring>
 
 #include "common/crc32c.h"
 #include "common/strings.h"
@@ -57,6 +59,52 @@ uint8_t ColumnTypeToWire(ColumnType t) {
       return 3;
   }
   return 255;  // unreachable
+}
+
+/// The wire tag of a non-NULL cell of a `type` column.
+uint8_t TagOf(ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool:
+      return kTagBool;
+    case ColumnType::kInt64:
+      return kTagInt64;
+    case ColumnType::kFloat64:
+      return kTagFloat64;
+    case ColumnType::kString:
+      return kTagString;
+  }
+  return kTagNull;  // unreachable
+}
+
+/// The Value whose tag was just read; kDataLoss on a bad tag or
+/// truncation.
+Result<Value> ReadTagged(uint8_t tag, io::ByteReader* reader) {
+  switch (tag) {
+    case kTagNull:
+      return Value();
+    case kTagBool: {
+      uint8_t b = 0;
+      if (!ReadU8(reader, &b)) return Status::DataLoss("truncated bool");
+      return Value(b != 0);
+    }
+    case kTagInt64: {
+      int64_t v = 0;
+      if (!reader->ReadI64(&v)) return Status::DataLoss("truncated int64");
+      return Value(v);
+    }
+    case kTagFloat64: {
+      double v = 0;
+      if (!reader->ReadF64(&v)) return Status::DataLoss("truncated float64");
+      return Value(v);
+    }
+    case kTagString: {
+      std::string s;
+      if (!reader->ReadStr(&s)) return Status::DataLoss("truncated string");
+      return Value(std::move(s));
+    }
+    default:
+      return Status::DataLoss("unknown value tag " + std::to_string(tag));
+  }
 }
 
 /// Renders `v` as a SQL literal for parameter binding.
@@ -143,14 +191,80 @@ Result<Lang> ParseLang(std::string_view name) {
                                  "' (sql, sciql, stsparql)");
 }
 
+namespace {
+
+/// Opens a frame at the end of `out`: a header to fill in, then the
+/// opcode. Returns where the frame starts; the payload is appended next.
+size_t BeginFrame(std::string* out, Opcode opcode) {
+  const size_t start = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  PutU8(out, static_cast<uint8_t>(opcode));
+  return start;
+}
+
+/// Writes the length and CRC of the frame opened at `start`, whose body
+/// runs to the end of `out`.
+void EndFrame(std::string* out, size_t start) {
+  char* header = out->data() + start;
+  const uint32_t length =
+      static_cast<uint32_t>(out->size() - start - kFrameHeaderBytes);
+  const uint32_t crc = Crc32c(header + kFrameHeaderBytes, length);
+  std::memcpy(header, &length, sizeof(length));
+  std::memcpy(header + sizeof(length), &crc, sizeof(crc));
+}
+
+/// Appends the ROWS payload of rows [begin, end) of `table`, row-major in
+/// AppendValue's bytes, read straight off the typed columns.
+void AppendRowChunk(std::string* out, const storage::Table& table,
+                    size_t begin, size_t end) {
+  end = std::min(end, table.num_rows());
+  begin = std::min(begin, end);
+  const size_t ncols = table.num_columns();
+  // A tag and eight bytes a cell; string cells grow the buffer as needed.
+  out->reserve(out->size() + sizeof(uint32_t) + (end - begin) * ncols * 9);
+  io::PutU32(out, static_cast<uint32_t>(end - begin));
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const storage::Column& col = table.column(c);
+      if (col.IsNull(r)) {
+        PutU8(out, kTagNull);
+        continue;
+      }
+      switch (col.type()) {
+        case ColumnType::kBool:
+          PutU8(out, kTagBool);
+          PutU8(out, col.GetBool(r) ? 1 : 0);
+          break;
+        case ColumnType::kInt64:
+          PutU8(out, kTagInt64);
+          io::PutI64(out, col.ints()[r]);
+          break;
+        case ColumnType::kFloat64:
+          PutU8(out, kTagFloat64);
+          io::PutF64(out, col.doubles()[r]);
+          break;
+        case ColumnType::kString:
+          PutU8(out, kTagString);
+          io::PutStr(out, col.GetString(r));
+          break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void AppendFrame(std::string* out, Opcode opcode, std::string_view payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  PutU8(&body, static_cast<uint8_t>(opcode));
-  body.append(payload.data(), payload.size());
-  io::PutU32(out, static_cast<uint32_t>(body.size()));
-  io::PutU32(out, Crc32c(body.data(), body.size()));
-  out->append(body);
+  const size_t start = BeginFrame(out, opcode);
+  out->append(payload.data(), payload.size());
+  EndFrame(out, start);
+}
+
+void AppendRowsFrame(std::string* out, const storage::Table& table,
+                     size_t begin, size_t end) {
+  const size_t start = BeginFrame(out, Opcode::kRows);
+  AppendRowChunk(out, table, begin, end);
+  EndFrame(out, start);
 }
 
 Result<uint32_t> DecodeFrameLength(std::string_view header, uint32_t* crc) {
@@ -209,32 +323,7 @@ void AppendValue(std::string* out, const Value& value) {
 Result<Value> ReadValue(io::ByteReader* reader) {
   uint8_t tag = 0;
   if (!ReadU8(reader, &tag)) return Status::DataLoss("truncated value tag");
-  switch (tag) {
-    case kTagNull:
-      return Value();
-    case kTagBool: {
-      uint8_t b = 0;
-      if (!ReadU8(reader, &b)) return Status::DataLoss("truncated bool");
-      return Value(b != 0);
-    }
-    case kTagInt64: {
-      int64_t v = 0;
-      if (!reader->ReadI64(&v)) return Status::DataLoss("truncated int64");
-      return Value(v);
-    }
-    case kTagFloat64: {
-      double v = 0;
-      if (!reader->ReadF64(&v)) return Status::DataLoss("truncated float64");
-      return Value(v);
-    }
-    case kTagString: {
-      std::string s;
-      if (!reader->ReadStr(&s)) return Status::DataLoss("truncated string");
-      return Value(std::move(s));
-    }
-    default:
-      return Status::DataLoss("unknown value tag " + std::to_string(tag));
-  }
+  return ReadTagged(tag, reader);
 }
 
 std::string EncodeSchema(const storage::Table& table) {
@@ -272,15 +361,8 @@ Result<storage::Table> DecodeSchema(std::string_view payload) {
 
 std::string EncodeRowChunk(const storage::Table& table, size_t begin,
                            size_t end) {
-  end = std::min(end, table.num_rows());
-  begin = std::min(begin, end);
   std::string out;
-  io::PutU32(&out, static_cast<uint32_t>(end - begin));
-  for (size_t r = begin; r < end; ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      AppendValue(&out, table.Get(r, c));
-    }
-  }
+  AppendRowChunk(&out, table, begin, end);
   return out;
 }
 
@@ -288,22 +370,73 @@ Status DecodeRowChunk(std::string_view payload, storage::Table* table) {
   io::ByteReader reader(payload);
   uint32_t nrows = 0;
   if (!reader.ReadU32(&nrows)) return Status::DataLoss("truncated row chunk");
-  size_t ncols = table->num_columns();
+  const size_t ncols = table->num_columns();
   // A row is at least one tag byte per column; bound the declared count
   // by what the payload could hold before appending anything. A row of no
   // columns (a true ASK) takes no bytes: the frame limit bounds those.
   if (nrows > (ncols > 0 ? payload.size() : size_t{kMaxFrameBytes})) {
     return Status::DataLoss("row count exceeds chunk payload");
   }
-  std::vector<Value> row(ncols);
-  for (uint32_t r = 0; r < nrows; ++r) {
-    for (size_t c = 0; c < ncols; ++c) {
-      TELEIOS_ASSIGN_OR_RETURN(row[c], ReadValue(&reader));
+  if (ncols == 0) {
+    for (uint32_t r = 0; r < nrows; ++r) {
+      TELEIOS_RETURN_IF_ERROR(table->AppendRow({}));
     }
-    Status appended = table->AppendRow(row);
-    if (!appended.ok()) {
-      return Status::DataLoss("row chunk type mismatch: " +
-                              appended.message());
+  } else if (table->num_rows() == 0) {
+    // The first chunk sizes the columns, by no more rows than the payload
+    // could hold.
+    const size_t rows = std::min<size_t>(nrows, payload.size() / ncols);
+    for (size_t c = 0; c < ncols; ++c) table->column(c).Reserve(rows);
+  }
+  std::string text;  // a string cell, its buffer reused
+  for (uint32_t r = 0; r < nrows && ncols > 0; ++r) {
+    for (size_t c = 0; c < ncols; ++c) {
+      storage::Column& col = table->column(c);
+      uint8_t tag = 0;
+      if (!ReadU8(&reader, &tag)) {
+        return Status::DataLoss("truncated value tag");
+      }
+      if (tag == kTagNull) {
+        col.AppendNull();
+        continue;
+      }
+      if (tag != TagOf(col.type())) {
+        // Appended as the Value it carries, so Column::Append's coercions
+        // and refusals decide, as they did for every cell through
+        // Table::AppendRow.
+        TELEIOS_ASSIGN_OR_RETURN(Value value, ReadTagged(tag, &reader));
+        Status appended = col.Append(value);
+        if (!appended.ok()) {
+          return Status::DataLoss("row chunk type mismatch: " +
+                                  appended.message());
+        }
+        continue;
+      }
+      bool read = false;
+      switch (col.type()) {
+        case ColumnType::kBool: {
+          uint8_t b = 0;
+          read = ReadU8(&reader, &b);
+          if (read) col.AppendBool(b != 0);
+          break;
+        }
+        case ColumnType::kInt64: {
+          int64_t v = 0;
+          read = reader.ReadI64(&v);
+          if (read) col.AppendInt64(v);
+          break;
+        }
+        case ColumnType::kFloat64: {
+          double v = 0;
+          read = reader.ReadF64(&v);
+          if (read) col.AppendFloat64(v);
+          break;
+        }
+        case ColumnType::kString:
+          read = reader.ReadStr(&text);
+          if (read) col.AppendString(text);
+          break;
+      }
+      if (!read) return Status::DataLoss("truncated row chunk cell");
     }
   }
   if (!reader.exhausted()) {
@@ -319,6 +452,89 @@ std::string EncodeTable(const storage::Table& table, size_t chunk_rows) {
     out += EncodeRowChunk(table, begin, begin + chunk_rows);
   }
   return out;
+}
+
+namespace {
+
+/// The room a read asks for at least: a whole small reply, or several
+/// pipelined requests, in one wakeup.
+constexpr size_t kReadBytes = 64u << 10;
+
+/// A buffer grown past this for one big frame is released once that
+/// frame is consumed, so a connection does not pin its largest frame.
+constexpr size_t kKeepBytes = 1u << 20;
+
+}  // namespace
+
+Status FrameReader::Fill(size_t n, int64_t timeout_millis) {
+  if (end_ - begin_ >= n) return Status::OK();
+  const auto start = std::chrono::steady_clock::now();
+  // Room for n bytes, and at least as much free as is buffered: a caller
+  // that asks for one byte more each time (an HTTP head) grows the buffer
+  // geometrically, and every read may bring kReadBytes / 2 or more.
+  const size_t room = std::max({n, kReadBytes, 2 * (end_ - begin_)});
+  if (buf_.size() - begin_ < room) {
+    // Slide the buffered bytes to the front, and grow to fit.
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (buf_.size() < room) buf_.resize(room);
+  }
+  while (end_ - begin_ < n) {
+    Result<size_t> got =
+        conn_->ReadSome(buf_.data() + end_, buf_.size() - end_, poll_millis_);
+    if (!got.ok()) {
+      // kUnavailable is a poll slice that passed with nothing to read.
+      if (got.status().code() != StatusCode::kUnavailable) {
+        return got.status();
+      }
+      if (keep_going_ != nullptr && !keep_going_(arg_)) {
+        return Status::Cancelled("read abandoned (connection draining)");
+      }
+      if (timeout_millis >= 0 &&
+          std::chrono::steady_clock::now() - start >=
+              std::chrono::milliseconds(timeout_millis)) {
+        return Status::Cancelled("read timed out after " +
+                                 std::to_string(timeout_millis) + "ms");
+      }
+      continue;
+    }
+    if (got.value() == 0) {
+      if (end_ == begin_) return Status::Unavailable("connection closed by peer");
+      return Status::DataLoss("connection closed mid-message (" +
+                              std::to_string(end_ - begin_) + "/" +
+                              std::to_string(n) + " bytes)");
+    }
+    end_ += got.value();
+  }
+  return Status::OK();
+}
+
+void FrameReader::Consume(size_t n) {
+  begin_ += std::min(n, end_ - begin_);
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+    if (buf_.size() > kKeepBytes) buf_ = std::string();
+  }
+}
+
+Result<Frame> FrameReader::Next() {
+  TELEIOS_RETURN_IF_ERROR(Fill(kFrameHeaderBytes));
+  uint32_t crc = 0;
+  TELEIOS_ASSIGN_OR_RETURN(
+      uint32_t length,
+      DecodeFrameLength(buffered().substr(0, kFrameHeaderBytes), &crc));
+  Status body = Fill(kFrameHeaderBytes + length,
+                     frame_timeout_millis_ > 0 ? frame_timeout_millis_ : -1);
+  if (!body.ok()) {
+    return body.code() == StatusCode::kCancelled
+               ? body
+               : Status::DataLoss("frame body truncated: " + body.message());
+  }
+  Result<Frame> frame =
+      DecodeFrameBody(buffered().substr(kFrameHeaderBytes, length), crc);
+  Consume(kFrameHeaderBytes + length);
+  return frame;
 }
 
 std::string EncodeHello(uint32_t version, std::string_view auth_token,

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "io/codec.h"
+#include "server/transport.h"
 #include "storage/table.h"
 
 namespace teleios::server {
@@ -41,7 +42,10 @@ namespace teleios::server {
 /// chunk size and charged to the session budget while in flight), and a
 /// final DONE — so a million-row result never materializes twice on the
 /// server side and a slow reader backpressures the stream through the
-/// socket send buffer instead of growing the heap.
+/// socket send buffer instead of growing the heap. The server writes a
+/// reply's SCHEMA in one socket write with its first ROWS chunk and its
+/// DONE with its last, so a reply of at most one chunk is one write; the
+/// frames themselves are the same either way.
 /// Several client payloads end in optional version-2 trailing fields
 /// (marked [v2] below): a v1 encoder simply stops earlier, and the
 /// decoder reads the extra field only when bytes remain — both
@@ -104,8 +108,17 @@ struct Frame {
   std::string payload;
 };
 
+/// Bytes of a frame header: the u32 length and the u32 CRC.
+inline constexpr size_t kFrameHeaderBytes = 8;
+
 /// Appends one encoded frame (header + CRC + body) to `out`.
 void AppendFrame(std::string* out, Opcode opcode, std::string_view payload);
+
+/// Appends one ROWS frame holding rows [begin, end) of `table`, encoded
+/// in place: AppendFrame(out, kRows, EncodeRowChunk(...)) without the
+/// intermediate payload.
+void AppendRowsFrame(std::string* out, const storage::Table& table,
+                     size_t begin, size_t end);
 
 /// Parses the 8-byte frame header. Returns the body length (opcode +
 /// payload) to read next and the CRC it must match; kDataLoss when the
@@ -133,18 +146,78 @@ std::string EncodeSchema(const storage::Table& table);
 Result<storage::Table> DecodeSchema(std::string_view payload);
 
 /// ROWS payload holding rows [begin, end) of `table`, row-major tagged
-/// values.
+/// values (AppendValue's bytes), read straight off the typed columns.
 std::string EncodeRowChunk(const storage::Table& table, size_t begin,
                            size_t end);
 
 /// Appends a ROWS payload onto `table` (whose schema came from
-/// DecodeSchema). kDataLoss on truncation/type mismatch.
+/// DecodeSchema), cell by cell into the typed columns. A cell whose tag
+/// is not its column's type is appended as a Value, with Column::Append's
+/// coercions. kDataLoss on truncation/type mismatch.
 Status DecodeRowChunk(std::string_view payload, storage::Table* table);
 
 /// Whole table as one SCHEMA payload + row payloads of `chunk_rows` —
 /// the canonical byte image used by tests to prove streamed results are
 /// byte-identical to in-process execution.
 std::string EncodeTable(const storage::Table& table, size_t chunk_rows);
+
+// --- reading frames --------------------------------------------------------
+
+/// The one reader of a connection's bytes, on both ends of the wire. A
+/// read takes whatever has arrived, up to the buffer's free space, so one
+/// wakeup brings a whole small reply or several pipelined requests; the
+/// bytes past the frame in hand wait in the buffer for the next call.
+/// The server also sniffs the preamble and reads HTTP requests through
+/// it, so nothing it buffered past those is lost.
+///
+/// Reads wait in `poll_millis` slices and ask `keep_going` (nullptr:
+/// never stop) between them; false abandons the read with kCancelled,
+/// which is how the server's handlers notice a drain. Movable; the
+/// connection must outlive the reader.
+class FrameReader {
+ public:
+  FrameReader() = default;
+  /// `frame_timeout_millis` > 0 bounds how long a frame's body may take
+  /// to follow its header (kCancelled past it); 0 waits as keep_going
+  /// allows.
+  explicit FrameReader(Connection* conn, int poll_millis = 250,
+                       bool (*keep_going)(void*) = nullptr,
+                       void* arg = nullptr, int64_t frame_timeout_millis = 0)
+      : conn_(conn),
+        poll_millis_(poll_millis),
+        keep_going_(keep_going),
+        arg_(arg),
+        frame_timeout_millis_(frame_timeout_millis) {}
+
+  /// Buffers at least `n` bytes. kUnavailable on a clean EOF with nothing
+  /// buffered, kDataLoss on EOF after some bytes, kCancelled when
+  /// keep_going says stop or `timeout_millis` (when >= 0) passes first;
+  /// a transport error as the transport reported it.
+  Status Fill(size_t n, int64_t timeout_millis = -1);
+
+  /// The bytes buffered and not consumed yet.
+  std::string_view buffered() const {
+    return std::string_view(buf_).substr(begin_, end_ - begin_);
+  }
+  /// Drops the first `n` buffered bytes.
+  void Consume(size_t n);
+
+  /// The next frame. kUnavailable on a clean EOF between frames,
+  /// kCancelled as Fill, kDataLoss for a malformed, oversized, corrupt or
+  /// torn frame; the length bound is checked before the body is read.
+  Result<Frame> Next();
+
+ private:
+  Connection* conn_ = nullptr;
+  int poll_millis_ = 250;
+  bool (*keep_going_)(void*) = nullptr;
+  void* arg_ = nullptr;
+  int64_t frame_timeout_millis_ = 0;
+  /// Bytes [begin_, end_) of buf_ are buffered; the rest is free room.
+  std::string buf_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
 
 // --- message payload builders (client side) --------------------------------
 

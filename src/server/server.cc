@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -31,30 +30,20 @@ size_t EnvBytes(const char* name) {
   return v == 0 ? governor::MemoryBudget::kUnlimited : static_cast<size_t>(v);
 }
 
-/// Frame header + CRC overhead on the wire, for budget accounting.
-constexpr size_t kFrameOverhead = 9;  // u32 length + u32 crc + u8 opcode
-
 /// How long a fresh connection may take to show its first protocol
-/// bytes and HELLO before the server hangs up — an unauthenticated
-/// socket must not pin a pool worker forever.
-constexpr std::chrono::seconds kHandshakeTimeout(10);
+/// bytes, and a started frame or HTTP body to arrive, before the server
+/// hangs up — an unauthenticated socket must not pin a pool worker
+/// forever.
+constexpr int64_t kHandshakeMillis = 10'000;
+
+/// keep_going of a connection's reads: abandon a parked read once the
+/// server stops or drains.
+bool KeepServing(void* server) {
+  auto* srv = static_cast<TeleiosServer*>(server);
+  return srv->running() && !srv->draining();
+}
 
 }  // namespace
-
-/// keep_going context for Socket::ReadExact poll slices: abandon the
-/// read once the server drains, and optionally on a handshake deadline.
-struct ConnectionIo {
-  TeleiosServer* server = nullptr;
-  bool has_deadline = false;
-  steady_clock::time_point deadline;
-
-  static bool KeepGoing(void* arg) {
-    auto* io = static_cast<ConnectionIo*>(arg);
-    if (io->server->stopping_ || io->server->draining_) return false;
-    if (io->has_deadline && steady_clock::now() > io->deadline) return false;
-    return true;
-  }
-};
 
 ServerConfig ServerConfig::FromEnv() {
   ServerConfig config;
@@ -161,16 +150,15 @@ void TeleiosServer::ShedConnection(std::unique_ptr<Connection> conn) {
                   {"live", std::to_string(active_connections_.load())}});
   // Sniff briefly (one poll slice) so the refusal speaks the client's
   // protocol; a silent client just gets the close.
-  char preamble[4] = {0};
-  ConnectionIo io{this, true, steady_clock::now()};
-  Status sniffed = conn->ReadExact(preamble, sizeof(preamble), 200,
-                                   &ConnectionIo::KeepGoing, &io);
+  FrameReader reader(conn.get(), /*poll_millis=*/200, &KeepServing, this);
+  Status sniffed = reader.Fill(sizeof(kMagic), /*timeout_millis=*/0);
   Status refusal =
       Status::Unavailable("server at max_sessions=" +
                           std::to_string(config_.max_sessions) +
                           "; connection refused");
   Status st;
-  if (sniffed.ok() && std::memcmp(preamble, kMagic, sizeof(kMagic)) == 0) {
+  if (sniffed.ok() && reader.buffered().substr(0, sizeof(kMagic)) ==
+                          std::string_view(kMagic, sizeof(kMagic))) {
     std::string out;
     AppendFrame(&out, Opcode::kError, EncodeError(refusal));
     st = conn->WriteAll(out, config_.write_timeout_millis);
@@ -183,21 +171,25 @@ void TeleiosServer::ShedConnection(std::unique_ptr<Connection> conn) {
 }
 
 void TeleiosServer::HandleConnection(std::unique_ptr<Connection> conn) {
-  char preamble[4] = {0};
-  ConnectionIo io{this, true, steady_clock::now() + kHandshakeTimeout};
-  Status st = conn->ReadExact(preamble, sizeof(preamble), 250,
-                              &ConnectionIo::KeepGoing, &io);
+  // Every read of this connection goes through one reader, so whatever
+  // arrived with the preamble (HELLO, a whole HTTP request) stays
+  // buffered for the protocol that reads it.
+  FrameReader reader(conn.get(), /*poll_millis=*/250, &KeepServing, this,
+                     kHandshakeMillis);
+  Status st = reader.Fill(sizeof(kMagic), kHandshakeMillis);
   if (!st.ok()) return;  // silent or dropped connection: nothing owed
 
-  const bool binary = std::memcmp(preamble, kMagic, sizeof(kMagic)) == 0;
+  const bool binary = reader.buffered().substr(0, sizeof(kMagic)) ==
+                      std::string_view(kMagic, sizeof(kMagic));
   std::shared_ptr<Session> session = sessions_.Open(
       conn->peer(), binary ? "binary" : "http",
       config_.session_budget_bytes);
   session->RegisterConnection(conn.get());
   if (binary) {
-    ServeBinary(conn.get(), session);
+    reader.Consume(sizeof(kMagic));
+    ServeBinary(conn.get(), &reader, session);
   } else {
-    ServeHttp(conn.get(), session, std::string(preamble, sizeof(preamble)));
+    ServeHttp(conn.get(), &reader, session);
   }
   session->ClearConnection();
   // A dropped socket cancels whatever the session was still running —
@@ -207,39 +199,10 @@ void TeleiosServer::HandleConnection(std::unique_ptr<Connection> conn) {
   sessions_.Close(session);
 }
 
-Status TeleiosServer::ReadFrame(Connection* conn, Frame* frame) {
-  char header[8];
-  ConnectionIo io{this, false, {}};
-  TELEIOS_RETURN_IF_ERROR(conn->ReadExact(header, sizeof(header), 250,
-                                          &ConnectionIo::KeepGoing, &io));
-  uint32_t crc = 0;
-  TELEIOS_ASSIGN_OR_RETURN(
-      uint32_t length,
-      DecodeFrameLength(std::string_view(header, sizeof(header)), &crc));
-  std::string body(length, '\0');
-  // The body must follow promptly — a half-sent frame cannot hold the
-  // connection open past the handshake timeout.
-  ConnectionIo body_io{this, true, steady_clock::now() + kHandshakeTimeout};
-  Status st = conn->ReadExact(body.data(), body.size(), 250,
-                              &ConnectionIo::KeepGoing, &body_io);
-  if (!st.ok()) {
-    return st.code() == StatusCode::kCancelled
-               ? st
-               : Status::DataLoss("frame body truncated: " + st.message());
-  }
-  TELEIOS_ASSIGN_OR_RETURN(*frame, DecodeFrameBody(body, crc));
-  obs::Count("teleios_server_frames_total");
-  obs::Count("teleios_server_bytes_in_total", sizeof(header) + body.size());
-  return Status::OK();
-}
-
-Status TeleiosServer::WriteFrame(Connection* conn,
-                                 const std::shared_ptr<Session>& session,
-                                 Opcode opcode, std::string_view payload) {
-  std::string out;
-  out.reserve(payload.size() + kFrameOverhead);
-  AppendFrame(&out, opcode, payload);
-  Status st = conn->WriteAll(out, config_.write_timeout_millis);
+Status TeleiosServer::Send(Connection* conn,
+                           const std::shared_ptr<Session>& session,
+                           std::string_view frames, Opcode opcode) {
+  Status st = conn->WriteAll(frames, config_.write_timeout_millis);
   if (!st.ok()) {
     if (st.code() == StatusCode::kDeadlineExceeded) {
       // The client stopped reading long enough to stall this write:
@@ -255,21 +218,40 @@ Status TeleiosServer::WriteFrame(Connection* conn,
     }
     return st;
   }
-  if (session != nullptr) session->AddBytesStreamed(out.size());
+  if (session != nullptr) session->AddBytesStreamed(frames.size());
   return Status::OK();
 }
 
-void TeleiosServer::ServeBinary(Connection* conn,
+Status TeleiosServer::WriteFrame(Connection* conn,
+                                 const std::shared_ptr<Session>& session,
+                                 Opcode opcode, std::string_view payload) {
+  std::string out;
+  out.reserve(kFrameHeaderBytes + 1 + payload.size());
+  AppendFrame(&out, opcode, payload);
+  return Send(conn, session, out, opcode);
+}
+
+void TeleiosServer::ServeBinary(Connection* conn, FrameReader* reader,
                                 const std::shared_ptr<Session>& session) {
   auto protocol_error = [&](const Status& st) {
     obs::Count("teleios_server_protocol_errors_total");
     Status write = WriteFrame(conn, session, Opcode::kError, EncodeError(st));
     (void)write;  // the connection is being dropped regardless
   };
+  // One frame off the reader: kUnavailable on a clean close between
+  // frames, kCancelled once draining (or a body that never came),
+  // kDataLoss on a malformed or torn frame.
+  Frame frame;
+  auto read_frame = [&]() -> Status {
+    TELEIOS_ASSIGN_OR_RETURN(frame, reader->Next());
+    obs::Count("teleios_server_frames_total");
+    obs::Count("teleios_server_bytes_in_total",
+               kFrameHeaderBytes + 1 + frame.payload.size());
+    return Status::OK();
+  };
 
   // --- HELLO ---------------------------------------------------------------
-  Frame frame;
-  Status st = ReadFrame(conn, &frame);
+  Status st = read_frame();
   if (!st.ok()) {
     if (st.code() == StatusCode::kDataLoss) protocol_error(st);
     return;
@@ -317,7 +299,7 @@ void TeleiosServer::ServeBinary(Connection* conn,
 
   // --- statement loop ------------------------------------------------------
   for (;;) {
-    st = ReadFrame(conn, &frame);
+    st = read_frame();
     if (!st.ok()) {
       // kUnavailable: clean close between frames. kCancelled: draining.
       if (st.code() == StatusCode::kDataLoss) protocol_error(st);
@@ -332,19 +314,19 @@ void TeleiosServer::ServeBinary(Connection* conn,
     // Every frame renews the lease — including PING, whose whole job
     // is to renew it.
     session->Touch(sessions_.NowMillis());
-    io::ByteReader reader(frame.payload);
+    io::ByteReader payload(frame.payload);
     switch (frame.opcode) {
       case Opcode::kQuery: {
         uint8_t lang_byte = 0;
         std::string statement;
         uint64_t deadline = 0;
         uint64_t request_id = 0;
-        if (!reader.ReadBytes(&lang_byte, 1) ||
-            !reader.ReadStr(&statement, kMaxFrameBytes) ||
-            !reader.ReadU64(&deadline) || lang_byte < 1 || lang_byte > 3 ||
+        if (!payload.ReadBytes(&lang_byte, 1) ||
+            !payload.ReadStr(&statement, kMaxFrameBytes) ||
+            !payload.ReadU64(&deadline) || lang_byte < 1 || lang_byte > 3 ||
             // Optional v2 trailing field: the retry request id.
-            (!reader.exhausted() &&
-             (!reader.ReadU64(&request_id) || !reader.exhausted()))) {
+            (!payload.exhausted() &&
+             (!payload.ReadU64(&request_id) || !payload.exhausted()))) {
           protocol_error(Status::DataLoss("malformed QUERY payload"));
           return;
         }
@@ -358,9 +340,9 @@ void TeleiosServer::ServeBinary(Connection* conn,
       case Opcode::kPrepare: {
         uint8_t lang_byte = 0;
         std::string statement;
-        if (!reader.ReadBytes(&lang_byte, 1) ||
-            !reader.ReadStr(&statement, kMaxFrameBytes) ||
-            !reader.exhausted() || lang_byte < 1 || lang_byte > 3) {
+        if (!payload.ReadBytes(&lang_byte, 1) ||
+            !payload.ReadStr(&statement, kMaxFrameBytes) ||
+            !payload.exhausted() || lang_byte < 1 || lang_byte > 3) {
           protocol_error(Status::DataLoss("malformed PREPARE payload"));
           return;
         }
@@ -374,7 +356,7 @@ void TeleiosServer::ServeBinary(Connection* conn,
       case Opcode::kExecute: {
         uint32_t stmt_id = 0;
         uint32_t nparams = 0;
-        if (!reader.ReadU32(&stmt_id) || !reader.ReadU32(&nparams) ||
+        if (!payload.ReadU32(&stmt_id) || !payload.ReadU32(&nparams) ||
             nparams > 1024) {
           protocol_error(Status::DataLoss("malformed EXECUTE payload"));
           return;
@@ -383,7 +365,7 @@ void TeleiosServer::ServeBinary(Connection* conn,
         params.reserve(nparams);
         bool bad = false;
         for (uint32_t i = 0; i < nparams; ++i) {
-          Result<Value> v = ReadValue(&reader);
+          Result<Value> v = ReadValue(&payload);
           if (!v.ok()) {
             bad = true;
             break;
@@ -392,10 +374,10 @@ void TeleiosServer::ServeBinary(Connection* conn,
         }
         uint64_t deadline = 0;
         uint64_t request_id = 0;
-        if (bad || !reader.ReadU64(&deadline) ||
+        if (bad || !payload.ReadU64(&deadline) ||
             // Optional v2 trailing field: the retry request id.
-            (!reader.exhausted() &&
-             (!reader.ReadU64(&request_id) || !reader.exhausted()))) {
+            (!payload.exhausted() &&
+             (!payload.ReadU64(&request_id) || !payload.exhausted()))) {
           protocol_error(Status::DataLoss("malformed EXECUTE payload"));
           return;
         }
@@ -423,8 +405,8 @@ void TeleiosServer::ServeBinary(Connection* conn,
       case Opcode::kCancel: {
         uint64_t target_session = 0;
         uint64_t cancel_key = 0;
-        if (!reader.ReadU64(&target_session) ||
-            !reader.ReadU64(&cancel_key) || !reader.exhausted()) {
+        if (!payload.ReadU64(&target_session) ||
+            !payload.ReadU64(&cancel_key) || !payload.exhausted()) {
           protocol_error(Status::DataLoss("malformed CANCEL payload"));
           return;
         }
@@ -439,7 +421,7 @@ void TeleiosServer::ServeBinary(Connection* conn,
       }
       case Opcode::kCloseStmt: {
         uint32_t stmt_id = 0;
-        if (!reader.ReadU32(&stmt_id) || !reader.exhausted()) {
+        if (!payload.ReadU32(&stmt_id) || !payload.exhausted()) {
           protocol_error(Status::DataLoss("malformed CLOSE_STMT payload"));
           return;
         }
@@ -503,33 +485,46 @@ Status TeleiosServer::StreamTable(Connection* conn,
                                   const std::shared_ptr<Session>& session,
                                   const storage::Table& table) {
   session->set_state("streaming");
-  Status st =
-      WriteFrame(conn, session, Opcode::kSchema, EncodeSchema(table));
-  if (!st.ok()) return st;
-  uint64_t chunks = 0;
+  // One write per chunk: SCHEMA goes out with the first chunk and DONE
+  // with the last, so a reply of at most one chunk is one write. `out`
+  // holds the frames of one write, never more than one chunk.
   const size_t num_rows = table.num_rows();
-  for (size_t begin = 0; begin < num_rows; begin += config_.chunk_rows) {
-    size_t end = std::min(num_rows, begin + config_.chunk_rows);
-    std::string payload = EncodeRowChunk(table, begin, end);
-    // Backpressure: the serialized chunk is charged to the session
-    // budget for as long as it sits in our hands / the socket buffer —
-    // a slow reader throttles the stream instead of growing the heap.
-    Result<governor::BudgetCharge> charge = governor::TryCharge(
-        session->budget(), payload.size() + kFrameOverhead,
-        "result stream window");
-    if (!charge.ok()) {
-      session->set_state("idle");
-      return WriteFrame(conn, session, Opcode::kError,
-                        EncodeError(charge.status()));
+  const uint64_t chunks =
+      (num_rows + config_.chunk_rows - 1) / config_.chunk_rows;
+  std::string out;
+  AppendFrame(&out, Opcode::kSchema, EncodeSchema(table));
+  size_t begin = 0;
+  for (;;) {
+    const bool has_chunk = begin < num_rows;
+    if (has_chunk) {
+      const size_t end = std::min(num_rows, begin + config_.chunk_rows);
+      AppendRowsFrame(&out, table, begin, end);
+      begin = end;
     }
-    st = WriteFrame(conn, session, Opcode::kRows, payload);
-    if (!st.ok()) return st;
-    ++chunks;
+    const bool last = begin == num_rows;
+    if (last) AppendFrame(&out, Opcode::kDone, EncodeDone(num_rows, chunks));
+    // Backpressure: the write carrying a chunk is charged to the session
+    // budget for as long as it sits in our hands / the socket buffer — a
+    // slow reader throttles the stream instead of growing the heap. A
+    // refusal discards this write's frames; its ERROR follows what was
+    // already sent.
+    governor::BudgetCharge charge;
+    if (has_chunk) {
+      Result<governor::BudgetCharge> charged = governor::TryCharge(
+          session->budget(), out.size(), "result stream window");
+      if (!charged.ok()) {
+        session->set_state("idle");
+        return WriteFrame(conn, session, Opcode::kError,
+                          EncodeError(charged.status()));
+      }
+      charge = std::move(charged).value();
+    }
+    Status st =
+        Send(conn, session, out, has_chunk ? Opcode::kRows : Opcode::kDone);
+    if (last) session->set_state("idle");
+    if (!st.ok() || last) return st;
+    out.clear();
   }
-  st = WriteFrame(conn, session, Opcode::kDone,
-                  EncodeDone(num_rows, chunks));
-  session->set_state("idle");
-  return st;
 }
 
 Status TeleiosServer::RunAndStream(Connection* conn,
@@ -598,9 +593,8 @@ Status TeleiosServer::RunAndStream(Connection* conn,
   return StreamTable(conn, session, result.value());
 }
 
-void TeleiosServer::ServeHttp(Connection* conn,
-                              const std::shared_ptr<Session>& session,
-                              const std::string& sniffed) {
+void TeleiosServer::ServeHttp(Connection* conn, FrameReader* reader,
+                              const std::shared_ptr<Session>& session) {
   obs::Count("teleios_server_http_requests_total");
   session->set_state("executing");
   session->Touch(sessions_.NowMillis());
@@ -611,21 +605,27 @@ void TeleiosServer::ServeHttp(Connection* conn,
     if (st.ok()) session->AddBytesStreamed(out.size());
   };
 
-  // Read up to CRLFCRLF (the head), bounded by max_http_bytes.
-  std::string data = sniffed;
+  // Read up to CRLFCRLF (the head), bounded by max_http_bytes; each read
+  // may wait 5 s (the slowloris bound). The reader already holds the
+  // sniffed preamble and whatever arrived with it. Each search resumes
+  // where the last one could not yet have matched.
   size_t head_end;
-  while ((head_end = data.find("\r\n\r\n")) == std::string::npos) {
-    if (data.size() > config_.max_http_bytes) {
+  size_t searched = 0;
+  while ((head_end = reader->buffered().find("\r\n\r\n", searched)) ==
+         std::string_view::npos) {
+    const size_t buffered = reader->buffered().size();
+    if (buffered > config_.max_http_bytes) {
       respond(413, "application/json",
               ErrorToJson(Status::InvalidArgument("request too large")));
       return;
     }
-    char buf[4096];
-    Result<size_t> r = conn->ReadSome(buf, sizeof(buf), 5000);
-    if (!r.ok() || r.value() == 0) return;  // slowloris / dropped
-    data.append(buf, r.value());
+    searched = buffered < 3 ? 0 : buffered - 3;
+    Status st = reader->Fill(buffered + 1, /*timeout_millis=*/5000);
+    if (!st.ok()) return;  // slowloris / dropped
   }
-  Result<HttpRequest> parsed = ParseHttpHead(data.substr(0, head_end + 4));
+  const size_t body_begin = head_end + 4;
+  Result<HttpRequest> parsed =
+      ParseHttpHead(std::string(reader->buffered().substr(0, body_begin)));
   if (!parsed.ok()) {
     respond(400, "application/json", ErrorToJson(parsed.status()));
     return;
@@ -637,20 +637,13 @@ void TeleiosServer::ServeHttp(Connection* conn,
     respond(413, "application/json", ErrorToJson(length.status()));
     return;
   }
-  request.body = data.substr(head_end + 4);
-  if (request.body.size() < length.value()) {
-    size_t missing = length.value() - request.body.size();
-    std::string rest(missing, '\0');
-    ConnectionIo io{this, true, steady_clock::now() + kHandshakeTimeout};
-    Status st = conn->ReadExact(rest.data(), rest.size(), 250,
-                                &ConnectionIo::KeepGoing, &io);
-    if (!st.ok()) return;
-    request.body += rest;
-  } else {
-    request.body.resize(length.value());
-  }
-  obs::Count("teleios_server_bytes_in_total",
-             data.size() + request.body.size());
+  // The body follows within the handshake timeout.
+  Status body = reader->Fill(body_begin + length.value(), kHandshakeMillis);
+  if (!body.ok()) return;
+  request.body =
+      std::string(reader->buffered().substr(body_begin, length.value()));
+  reader->Consume(body_begin + length.value());
+  obs::Count("teleios_server_bytes_in_total", body_begin + length.value());
 
   // --- routes --------------------------------------------------------------
   if (request.method == "GET" && request.path == "/healthz") {

@@ -108,8 +108,6 @@ class TeleiosServer {
   const ServerConfig& config() const { return config_; }
 
  private:
-  friend struct ConnectionIo;
-
   void AcceptLoop();
   /// The lease reaper: polls the session registry and force-closes
   /// sessions idle past config_.lease_millis (see
@@ -119,17 +117,20 @@ class TeleiosServer {
   /// answer in the right protocol, replies kUnavailable / 503, closes.
   void ShedConnection(std::unique_ptr<Connection> conn);
   void HandleConnection(std::unique_ptr<Connection> conn);
-  void ServeBinary(Connection* conn,
+  /// The binary protocol and the HTTP facade, each reading through the
+  /// connection's one FrameReader (which already holds the preamble
+  /// sniff's bytes; ServeBinary's reader is past the magic).
+  void ServeBinary(Connection* conn, FrameReader* reader,
                    const std::shared_ptr<Session>& session);
-  void ServeHttp(Connection* conn, const std::shared_ptr<Session>& session,
-                 const std::string& sniffed);
+  void ServeHttp(Connection* conn, FrameReader* reader,
+                 const std::shared_ptr<Session>& session);
 
-  /// Reads one frame (header + CRC-checked body); kUnavailable on clean
-  /// EOF between frames, kCancelled once draining, kDataLoss on a
-  /// malformed or torn frame.
-  Status ReadFrame(Connection* conn, Frame* frame);
-  /// Writes one frame under the per-write timeout; a stalled client
-  /// surfaces kDeadlineExceeded (counted) and kills the connection.
+  /// Writes `frames` (whole frames) in one write under the per-write
+  /// timeout; a stalled client surfaces kDeadlineExceeded (counted, the
+  /// event naming `opcode`) and kills the connection.
+  Status Send(Connection* conn, const std::shared_ptr<Session>& session,
+              std::string_view frames, Opcode opcode);
+  /// Send of one frame.
   Status WriteFrame(Connection* conn,
                     const std::shared_ptr<Session>& session, Opcode opcode,
                     std::string_view payload);
@@ -146,8 +147,9 @@ class TeleiosServer {
                       const std::string& statement, uint64_t deadline_millis,
                       uint64_t request_id = 0);
 
-  /// Streams one materialized table as SCHEMA / ROWS* / DONE — shared
-  /// by fresh results and dedup replays.
+  /// Streams one materialized table as SCHEMA / ROWS* / DONE, one write
+  /// per chunk (SCHEMA with the first, DONE with the last) — shared by
+  /// fresh results and dedup replays.
   Status StreamTable(Connection* conn,
                      const std::shared_ptr<Session>& session,
                      const storage::Table& table);

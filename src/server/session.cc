@@ -121,6 +121,11 @@ uint64_t Session::client_id() const {
   return client_id_;
 }
 
+void Session::AddQuery() {
+  MutexLock lock(mu_);
+  ++queries_run_;
+}
+
 void Session::AddBytesStreamed(uint64_t n) {
   obs::Count("teleios_server_bytes_out_total", n);
   MutexLock lock(mu_);

@@ -91,7 +91,7 @@ class Session {
   /// Lifecycle / accounting, all thread-safe.
   void set_state(const std::string& state);
   std::string state() const;
-  void AddQuery() { ++queries_run_; }
+  void AddQuery();
   void AddBytesStreamed(uint64_t n);
   uint64_t bytes_streamed() const;
 

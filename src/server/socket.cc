@@ -112,36 +112,6 @@ Result<Socket> Socket::AcceptWithTimeout(int timeout_millis) {
   return sock;
 }
 
-Status Socket::ReadExact(void* dst, size_t n, int poll_millis,
-                         bool (*keep_going)(void*), void* arg) {
-  char* out = static_cast<char*>(dst);
-  size_t got = 0;
-  while (got < n) {
-    pollfd pfd = {fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, poll_millis);
-    if (ready < 0 && errno != EINTR) return Errno("poll");
-    if (ready <= 0) {
-      if (keep_going != nullptr && !keep_going(arg)) {
-        return Status::Cancelled("read abandoned (connection draining)");
-      }
-      continue;
-    }
-    ssize_t r = ::recv(fd_, out + got, n - got, 0);
-    if (r == 0) {
-      if (got == 0) return Status::Unavailable("connection closed by peer");
-      return Status::DataLoss("connection closed mid-message (" +
-                              std::to_string(got) + "/" +
-                              std::to_string(n) + " bytes)");
-    }
-    if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return Errno("recv");
-    }
-    got += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
 Result<size_t> Socket::ReadSome(void* dst, size_t n, int timeout_millis) {
   for (;;) {
     pollfd pfd = {fd_, POLLIN, 0};

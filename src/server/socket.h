@@ -18,9 +18,9 @@ namespace teleios::server {
 /// I/O and src/io/.
 ///
 /// All operations are blocking with explicit timeouts where waiting
-/// must be interruptible (AcceptWithTimeout, ReadExact's poll_millis):
-/// the server's drain logic depends on handlers noticing a shutdown
-/// flag between polls rather than parking forever in recv(2).
+/// must be interruptible (AcceptWithTimeout, ReadSome): the server's
+/// drain logic depends on handlers noticing a shutdown flag between
+/// polls rather than parking forever in recv(2).
 class Socket {
  public:
   Socket() = default;
@@ -48,17 +48,10 @@ class Socket {
   /// once the socket was shut down.
   Result<Socket> AcceptWithTimeout(int timeout_millis);
 
-  /// Reads exactly `n` bytes. Polls in `poll_millis` slices and calls
-  /// `keep_going` (may be nullptr) between slices — returning false
-  /// aborts with kCancelled. kUnavailable on clean EOF before any byte,
-  /// kDataLoss on EOF mid-read (a torn frame), kIoError otherwise.
-  Status ReadExact(void* dst, size_t n, int poll_millis = 250,
-                   bool (*keep_going)(void*) = nullptr,
-                   void* arg = nullptr);
-
   /// Reads up to `n` bytes, waiting at most `timeout_millis` for the
-  /// first byte. Returns 0 on clean EOF, kUnavailable on timeout
-  /// (HTTP's slowloris bound), kIoError otherwise.
+  /// first byte. Returns 0 on clean EOF, kUnavailable on timeout (the
+  /// poll slice after which a reader checks for a drain or a deadline),
+  /// kIoError otherwise.
   Result<size_t> ReadSome(void* dst, size_t n, int timeout_millis);
 
   /// Writes all of `data`; kIoError when the peer is gone (EPIPE /

@@ -12,10 +12,6 @@ class TcpConnection : public Connection {
  public:
   explicit TcpConnection(Socket sock) : sock_(std::move(sock)) {}
 
-  Status ReadExact(void* dst, size_t n, int poll_millis,
-                   bool (*keep_going)(void*), void* arg) override {
-    return sock_.ReadExact(dst, n, poll_millis, keep_going, arg);
-  }
   Result<size_t> ReadSome(void* dst, size_t n, int timeout_millis) override {
     return sock_.ReadSome(dst, n, timeout_millis);
   }

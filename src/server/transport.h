@@ -20,9 +20,10 @@ namespace teleios::server {
 ///
 /// One established byte stream. Semantics match Socket exactly (the
 /// contract every caller was written against):
-///  - ReadExact: kUnavailable on clean EOF before any byte, kDataLoss on
-///    EOF mid-read, kCancelled when keep_going says stop.
-///  - ReadSome: 0 on clean EOF, kUnavailable on timeout.
+///  - ReadSome: whatever has arrived, up to `n` bytes, waiting at most
+///    `timeout_millis` for the first; 0 on clean EOF, kUnavailable on
+///    timeout. The one read primitive: FrameReader (protocol.h) builds
+///    frames, the preamble sniff and HTTP requests on it.
 ///  - WriteAll: kIoError when the peer is gone; with timeout_millis > 0
 ///    a stalled peer (send buffer full for that long) fails
 ///    kDeadlineExceeded instead of blocking forever — the server's
@@ -31,9 +32,6 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  virtual Status ReadExact(void* dst, size_t n, int poll_millis = 250,
-                           bool (*keep_going)(void*) = nullptr,
-                           void* arg = nullptr) = 0;
   virtual Result<size_t> ReadSome(void* dst, size_t n,
                                   int timeout_millis) = 0;
   virtual Status WriteAll(std::string_view data, int timeout_millis = 0) = 0;

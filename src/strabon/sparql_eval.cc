@@ -23,6 +23,11 @@ using storage::Table;
 /// solution growth charged to the budget at once.
 constexpr size_t kPollRows = 1024;
 
+/// Expression nodes evaluated between polls of the cancellation token
+/// by FILTER and BIND: a stride in work, so a row that runs 48 REGEXes
+/// waits no longer for its poll than a row that compares two numbers.
+constexpr size_t kPollNodes = 1024;
+
 namespace {
 
 Result<double> NumericValue(const Term& t) {
@@ -101,6 +106,12 @@ Table WithVars(const Table& solutions, const std::vector<std::string>& vars) {
 
 Status SparqlEvaluator::Poll(size_t row) const {
   if (cancel_ == nullptr || row % kPollRows != 0) return Status::OK();
+  return cancel_->Check();
+}
+
+Status SparqlEvaluator::PollWork() {
+  if (cancel_ == nullptr || evaluated_ < next_poll_) return Status::OK();
+  next_poll_ = evaluated_ + kPollNodes;
   return cancel_->Check();
 }
 
@@ -402,7 +413,7 @@ Status SparqlEvaluator::ApplyFilter(const SparqlExprPtr& filter,
                                     Table* solutions) {
   SelectionVector kept;
   for (size_t r = 0; r < solutions->num_rows(); ++r) {
-    TELEIOS_RETURN_IF_ERROR(Poll(r));
+    TELEIOS_RETURN_IF_ERROR(PollWork());
     auto value = EvalExpr(filter, *solutions, r);
     if (!value.ok()) continue;  // evaluation error -> row dropped
     auto ebv = EffectiveBooleanValue(*value);
@@ -419,7 +430,7 @@ Status SparqlEvaluator::Bind(const std::string& var, const SparqlExprPtr& expr,
                                       : std::vector<int64_t>(
                                             solutions->num_rows(), kNoTerm);
   for (size_t r = 0; r < ids.size(); ++r) {
-    TELEIOS_RETURN_IF_ERROR(Poll(r));
+    TELEIOS_RETURN_IF_ERROR(PollWork());
     auto value = EvalExpr(expr, *solutions, r);
     if (value.ok()) {
       ids[r] = const_cast<rdf::TripleStore*>(store_)->dict().Intern(*value);
@@ -496,6 +507,7 @@ Result<Table> SparqlEvaluator::EvalGroup(const GroupPattern& group) {
 
 Result<Term> SparqlEvaluator::EvalExpr(const SparqlExprPtr& expr,
                                        const Table& solutions, size_t row) {
+  ++evaluated_;
   switch (expr->kind) {
     case SparqlExprKind::kTerm:
       return expr->term;

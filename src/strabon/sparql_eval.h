@@ -78,8 +78,14 @@ class SparqlEvaluator {
       const std::vector<TriplePatternAst>& triples,
       const std::vector<PushedFilter>& filters);
   Status ApplyFilter(const SparqlExprPtr& filter, storage::Table* solutions);
-  /// Polls the cancellation token on every kPollRows-th row.
+  /// Polls the cancellation token on every kPollRows-th row of a basic
+  /// graph pattern.
   Status Poll(size_t row) const;
+  /// Polls the cancellation token once kPollNodes more expression nodes
+  /// were evaluated since the last poll (and on the first call): FILTER
+  /// and BIND call it per row, so the gap between polls is bounded by
+  /// evaluation work, not by a row count.
+  Status PollWork();
   /// REGEX's compiled `pattern`, compiled on its first use in this
   /// statement; an error when it does not compile.
   Result<const std::regex*> CompiledRegex(const std::string& pattern,
@@ -94,6 +100,10 @@ class SparqlEvaluator {
   std::vector<governor::BudgetCharge> charges_;
   size_t charged_ = 0;
   size_t rows_built_ = 0;
+  /// Expression nodes EvalExpr evaluated, and the count at which
+  /// PollWork polls next.
+  size_t evaluated_ = 0;
+  size_t next_poll_ = 0;
   size_t join_probes_ = 0;
   size_t join_candidates_ = 0;
   /// Keyed by (pattern, icase); nullopt for a pattern that failed.

@@ -1193,8 +1193,9 @@ TEST_F(StSparqlGovernanceTest, OomInjectionSweepNeverCrashesOrLeaks) {
 
 /// The fixture's 1,500 `ex:p` triples crossed with 100 `ex:r` ones under
 /// a FILTER of 48 regexes per solution: the WHERE stays small in memory
-/// (a 64 MiB root holds it) but would run for tens of seconds, polling
-/// cancellation every 1,024 rows, so a stop always lands mid-statement.
+/// (a 64 MiB root holds it) but would run for seconds, polling
+/// cancellation every 1,024 evaluated expression nodes (a few rows), so a
+/// stop always lands mid-statement.
 /// Run to the end it would insert 150,000 triples.
 std::string SlowCartesianUpdate(core::VirtualEarthObservatory* veo) {
   std::string ttl = "@prefix ex: <http://example.org/> .\n";

@@ -463,6 +463,40 @@ Result<Table> Reference(const array::Array& arr,
   return relational::ExecuteSelect(stmt, catalog);
 }
 
+TEST(SciQlThreeValuedLogicTest, NegationDropsNullCells) {
+  // As in SQL: NOT of a NULL cell's test is NULL, which a WHERE drops.
+  storage::Catalog tables;
+  SciQlEngine engine(&tables);
+  auto made = array::Array::Create(
+      "a", {{"x", 0, 4}},
+      {{"i", storage::ColumnType::kInt64}, {"s", storage::ColumnType::kString}});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const std::vector<std::pair<Value, Value>> cells = {
+      {Value(int64_t{1}), Value("a")},
+      {Value(int64_t{2}), Value("b")},
+      {Value(), Value()},
+      {Value(int64_t{3}), Value("ab")}};
+  for (size_t c = 0; c < cells.size(); ++c) {
+    ASSERT_TRUE((*made)->SetLinear(c, 0, cells[c].first).ok());
+    ASSERT_TRUE((*made)->SetLinear(c, 1, cells[c].second).ok());
+  }
+  ASSERT_TRUE(engine.RegisterArray(*made).ok());
+  auto xs = [&](const std::string& where) {
+    std::vector<int64_t> out;
+    auto t = engine.Execute("SELECT x FROM a WHERE " + where);
+    EXPECT_TRUE(t.ok()) << where << ": " << t.status().ToString();
+    for (size_t r = 0; t.ok() && r < t->num_rows(); ++r) {
+      out.push_back(t->Get(r, 0).AsInt64());
+    }
+    return out;
+  };
+  using Xs = std::vector<int64_t>;
+  EXPECT_EQ(xs("s NOT IN ('a')"), (Xs{1, 3}));
+  EXPECT_EQ(xs("NOT (i = 1)"), (Xs{1, 3}));
+  EXPECT_EQ(xs("NOT (s LIKE 'a%')"), (Xs{1}));
+  EXPECT_EQ(xs("NOT (x = 0 OR i > 2)"), (Xs{1}));
+}
+
 TEST(SciQlDifferentialTest, LateMaterializationMatchesTheFullTable) {
   obs::Counter* built = obs::MetricsRegistry::Global().GetCounter(
       "teleios_sciql_cells_materialized_total");

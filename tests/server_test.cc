@@ -25,10 +25,12 @@
 #include "io/codec.h"
 #include "obs/metrics.h"
 #include "server/client.h"
+#include "server/fault_transport.h"
 #include "server/http.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/socket.h"
+#include "server/transport.h"
 #include "vault/vault.h"
 
 namespace teleios::server {
@@ -242,6 +244,166 @@ TEST(ProtocolTest, BindParametersSubstitutesOutsideLiterals) {
   auto too_many =
       BindParameters("SELECT 1", {Value(int64_t{1})});
   EXPECT_FALSE(too_many.ok());
+}
+
+/// A table with a NULL, a bool, an int64, a double and a string cell in
+/// every column's mix, for the codec's golden bytes.
+storage::Table MixedCellTable() {
+  storage::Table table(
+      storage::Schema({{"b", storage::ColumnType::kBool},
+                       {"i", storage::ColumnType::kInt64},
+                       {"d", storage::ColumnType::kFloat64},
+                       {"s", storage::ColumnType::kString}}));
+  const std::vector<std::vector<Value>> rows = {
+      {Value(true), Value(int64_t{42}), Value(1.5), Value(std::string("alpha"))},
+      {Value(), Value(int64_t{-7}), Value(), Value(std::string(""))},
+      {Value(false), Value(), Value(-0.25), Value()},
+      {Value(), Value(), Value(), Value(std::string("alpha"))},
+  };
+  for (const std::vector<Value>& row : rows) {
+    EXPECT_TRUE(table.AppendRow(row).ok());
+  }
+  return table;
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+TEST(ProtocolTest, RowChunkBytesMatchTheGoldenImage) {
+  // Captured from the per-cell Value encoder: the typed encoder must put
+  // the same bytes on the wire, and the decoder must read them back.
+  const storage::Table table = MixedCellTable();
+  EXPECT_EQ(Hex(EncodeRowChunk(table, 0, 4)),
+            "040000000101022a0000000000000003000000000000f83f0405000000616c"
+            "7068610002f9ffffffffffffff00040000000001000003000000000000d0bf"
+            "000000000405000000616c706861");
+  EXPECT_EQ(Hex(EncodeRowChunk(table, 1, 3)),
+            "020000000002f9ffffffffffffff00040000000001000003000000000000d0"
+            "bf00");
+  EXPECT_EQ(Hex(EncodeRowChunk(table, 4, 4)), "00000000");
+  EXPECT_EQ(Hex(EncodeSchema(table)),
+            "04000000010000006200010000006901010000006402010000007303");
+  auto decoded = DecodeSchema(EncodeSchema(table));
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(DecodeRowChunk(EncodeRowChunk(table, 0, 4), &*decoded).ok());
+  EXPECT_EQ(EncodeTable(*decoded, 3), EncodeTable(table, 3));
+  // AppendRowsFrame is AppendFrame over the same payload.
+  std::string in_place;
+  std::string framed;
+  AppendRowsFrame(&in_place, table, 1, 3);
+  AppendFrame(&framed, Opcode::kRows, EncodeRowChunk(table, 1, 3));
+  EXPECT_EQ(Hex(in_place), Hex(framed));
+}
+
+TEST(ProtocolTest, MismatchedCellTagsTakeTheValuePath) {
+  storage::Table target(
+      storage::Schema({{"d", storage::ColumnType::kFloat64},
+                       {"i", storage::ColumnType::kInt64}}));
+  // An int64 cell in a DOUBLE column and a double in a BIGINT one are
+  // coerced, as Column::Append coerces them.
+  std::string coerced;
+  io::PutU32(&coerced, 1);
+  AppendValue(&coerced, Value(int64_t{3}));
+  AppendValue(&coerced, Value(2.0));
+  ASSERT_TRUE(DecodeRowChunk(coerced, &target).ok());
+  EXPECT_EQ(target.Get(0, 0).AsFloat64(), 3.0);
+  EXPECT_EQ(target.Get(0, 1).AsInt64(), 2);
+  // A string in a DOUBLE column is refused.
+  std::string refused;
+  io::PutU32(&refused, 1);
+  AppendValue(&refused, Value(std::string("x")));
+  AppendValue(&refused, Value(int64_t{1}));
+  Status st = DecodeRowChunk(refused, &target);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find("type mismatch"), std::string::npos)
+      << st.ToString();
+  // A truncated cell and trailing bytes are refused too.
+  std::string truncated;
+  io::PutU32(&truncated, 1);
+  AppendValue(&truncated, Value(1.0));
+  truncated += std::string(1, '\x02');
+  EXPECT_EQ(DecodeRowChunk(truncated, &target).code(), StatusCode::kDataLoss);
+  std::string trailing;
+  io::PutU32(&trailing, 0);
+  trailing += "x";
+  EXPECT_EQ(DecodeRowChunk(trailing, &target).code(), StatusCode::kDataLoss);
+}
+
+/// A connected pair of TCP connections on the real transport.
+struct ConnectionPair {
+  std::unique_ptr<Listener> listener;
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> server;
+};
+
+ConnectionPair MustPair() {
+  ConnectionPair pair;
+  auto listener = GetTransport()->Listen(0, 4);
+  EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+  pair.listener = std::move(listener).value();
+  auto client = GetTransport()->Connect("127.0.0.1",
+                                        pair.listener->bound_port());
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  pair.client = std::move(client).value();
+  auto server = pair.listener->AcceptWithTimeout(5000);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  pair.server = std::move(server).value();
+  return pair;
+}
+
+TEST(ProtocolTest, FrameReaderKeepsTheBytesAfterAFrame) {
+  ConnectionPair pair = MustPair();
+  std::string wire;
+  AppendFrame(&wire, Opcode::kPing, "one");
+  AppendFrame(&wire, Opcode::kPing, "two");
+  AppendFrame(&wire, Opcode::kGoodbye, "");
+  ASSERT_TRUE(pair.client->WriteAll(wire).ok());
+  pair.client->ShutdownBoth();
+  FrameReader reader(pair.server.get());
+  for (const char* payload : {"one", "two"}) {
+    auto frame = reader.Next();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->opcode, Opcode::kPing);
+    EXPECT_EQ(frame->payload, payload);
+  }
+  auto goodbye = reader.Next();
+  ASSERT_TRUE(goodbye.ok()) << goodbye.status().ToString();
+  EXPECT_EQ(goodbye->opcode, Opcode::kGoodbye);
+  // A clean EOF between frames.
+  auto closed = reader.Next();
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ProtocolTest, FrameReaderTornFrameIsDataLoss) {
+  std::string frame;
+  AppendFrame(&frame, Opcode::kQuery, EncodeQuery(Lang::kSql, "SELECT 1", 0));
+  // Cut inside the header, and inside the body.
+  for (size_t cut : {size_t{3}, frame.size() - 2}) {
+    ConnectionPair pair = MustPair();
+    ASSERT_TRUE(pair.client->WriteAll(frame.substr(0, cut)).ok());
+    pair.client->ShutdownBoth();
+    FrameReader reader(pair.server.get());
+    auto torn = reader.Next();
+    ASSERT_FALSE(torn.ok()) << "cut at " << cut;
+    EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss)
+        << "cut at " << cut << ": " << torn.status().ToString();
+  }
+  // A length past the frame bound is refused off the header alone.
+  ConnectionPair pair = MustPair();
+  std::string hostile(kFrameHeaderBytes, '\xff');
+  ASSERT_TRUE(pair.client->WriteAll(hostile).ok());
+  FrameReader reader(pair.server.get());
+  auto refused = reader.Next();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------
@@ -690,6 +852,115 @@ TEST_F(ServerTest, SysSessionsIsQueryableOverTheWire) {
   EXPECT_NE(metrics.find("teleios_server_connections_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("teleios_server_frames_total"), std::string::npos);
+}
+
+TEST_F(ServerTest, ReplyIsOneWritePerChunk) {
+  MakeBigTable("five", 5);
+  ServerConfig config;
+  config.chunk_rows = 2;
+  // Only the server's connections go through the counting transport: it
+  // listens on it, and the client connects once the scope is gone.
+  FaultInjectingTransport counting;
+  {
+    ScopedTransport scope(&counting);
+    StartServer(config);
+  }
+  Client client = MustConnect();
+  // The server's ops for one statement: the read that brought the QUERY
+  // frame, then its writes.
+  auto writes_for = [&](const std::string& sql) -> uint64_t {
+    const uint64_t before = counting.ops();
+    auto result = client.Query(Lang::kSql, sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return counting.ops() - before - 1;
+  };
+  EXPECT_EQ(writes_for("SELECT x FROM five WHERE x > 9"), 1u);  // empty
+  EXPECT_EQ(writes_for("SELECT x FROM five WHERE x < 2"), 1u);  // one chunk
+  EXPECT_EQ(writes_for("SELECT x FROM five"), 3u);  // three chunks
+  EXPECT_EQ(client.last_chunks(), 3u);
+  // An engine error is one write too.
+  const uint64_t before_error = counting.ops();
+  auto error = client.Query(Lang::kSql, "SELECT nope FROM five");
+  EXPECT_FALSE(error.ok());
+  EXPECT_EQ(counting.ops() - before_error - 1, 1u);
+  EXPECT_TRUE(client.Goodbye().ok());
+  // The server's listener and connections use `counting`: stop it first.
+  EXPECT_TRUE(server_->Shutdown().ok());
+  server_.reset();
+}
+
+TEST_F(ServerTest, PipelinedQueriesInOneWriteAreBothAnswered) {
+  StartServer();
+  Client client = MustConnect();
+  std::string both;
+  AppendFrame(&both, Opcode::kQuery,
+              EncodeQuery(Lang::kSql, "SELECT count(*) AS n FROM big", 0));
+  AppendFrame(&both, Opcode::kQuery,
+              EncodeQuery(Lang::kSql, "SELECT x FROM big WHERE x < 3", 0));
+  ASSERT_TRUE(client.SendRaw(both).ok());
+  auto count = client.ReadResult();
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->Get(0, 0).AsInt64(), 4096);
+  auto rows = client.ReadResult();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->num_rows(), 3u);
+  ASSERT_TRUE(client.Ping().ok());
+  ASSERT_TRUE(client.Goodbye().ok());
+}
+
+TEST_F(ServerTest, HttpRequestInOnePacketLosesNoBytes) {
+  StartServer();
+  // Head and body in one write: the preamble sniff reads all of it, and
+  // the HTTP facade must take the rest from the same buffer.
+  const std::string body = "SELECT count(*) AS n FROM big";
+  const std::string request = "POST /query?lang=sql HTTP/1.1\r\nContent-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" + body;
+  auto sock = Socket::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  ASSERT_TRUE(sock->WriteAll(request).ok());
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    auto got = sock->ReadSome(buf, sizeof(buf), 5000);
+    if (!got.ok() || *got == 0) break;
+    response.append(buf, *got);
+  }
+  EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"rows\":[[4096]]"), std::string::npos) << response;
+  EXPECT_TRUE(Eventually([&] { return server_->sessions().live() == 0; }));
+}
+
+TEST_F(ServerTest, OversizedHttpHeadIsRefusedInFewReads) {
+  ServerConfig config;
+  config.max_http_bytes = 128u << 10;
+  // Only the server's connections go through the counting transport.
+  FaultInjectingTransport counting;
+  {
+    ScopedTransport scope(&counting);
+    StartServer(config);
+  }
+  // A head that never ends: the server must reach max_http_bytes in reads
+  // of tens of KiB, not one byte per read once its buffer is full.
+  const std::string head = "GET /" + std::string(320u << 10, 'a');
+  auto sock = Socket::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  Status sent = sock->WriteAll(head, 5000);
+  (void)sent;  // the server may hang up before taking it all
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    auto got = sock->ReadSome(buf, sizeof(buf), 5000);
+    if (!got.ok() || *got == 0) break;
+    response.append(buf, *got);
+  }
+  EXPECT_NE(response.find("413"), std::string::npos) << response;
+  EXPECT_TRUE(Eventually([&] { return server_->sessions().live() == 0; }));
+  // The accept, the reads and the one write of the 413: a byte per read
+  // past the first 64 KiB would be tens of thousands of ops.
+  EXPECT_LT(counting.ops(), 100u);
+  // The server's listener and connections use `counting`: stop it first.
+  EXPECT_TRUE(server_->Shutdown().ok());
+  server_.reset();
 }
 
 // ---------------------------------------------------------------------------

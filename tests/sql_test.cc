@@ -129,6 +129,39 @@ TEST_F(SqlEngineTest, SelectStar) {
   EXPECT_EQ(t.num_columns(), 3u);
 }
 
+TEST_F(SqlEngineTest, NegationDropsNullRows) {
+  // SQL's three-valued logic: NOT of NULL is NULL and a WHERE keeps only
+  // TRUE rows, so a negated test never returns the rows where its column
+  // is NULL — on the compiled kernels (NOT IN, NOT =) as in the
+  // interpreter (NOT LIKE).
+  Exec("CREATE TABLE n (x VARCHAR, i INT)");
+  Exec("INSERT INTO n VALUES ('a', 1), ('b', 2), (NULL, NULL), ('ab', 3)");
+  auto ids = [&](const std::string& where) {
+    Table t = Exec("SELECT i FROM n WHERE " + where);
+    std::vector<int64_t> out;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      out.push_back(t.Get(r, 0).AsInt64());
+    }
+    return out;
+  };
+  using Ids = std::vector<int64_t>;
+  EXPECT_EQ(ids("x NOT IN ('a')"), (Ids{2, 3}));
+  EXPECT_EQ(ids("NOT (i = 1)"), (Ids{2, 3}));
+  EXPECT_EQ(ids("NOT (x LIKE 'a%')"), (Ids{2}));
+  // FALSE AND NULL is FALSE, TRUE OR NULL is TRUE; otherwise NULL stays
+  // NULL through AND, OR and NOT.
+  EXPECT_EQ(ids("NOT (x = 'a' AND i = 5)"), (Ids{1, 2, 3}));
+  EXPECT_EQ(ids("NOT (x = 'zz' OR i > 2)"), (Ids{1, 2}));
+  EXPECT_EQ(ids("NOT (x LIKE 'zz%' OR i > 2)"), (Ids{1, 2}));
+  EXPECT_EQ(ids("x = 'b' OR NOT (i = 1)"), (Ids{2, 3}));
+  // In a select list, NOT of NULL reads NULL.
+  Table negated = Exec("SELECT NOT (i = 1) AS v FROM n");
+  ASSERT_EQ(negated.num_rows(), 4u);
+  EXPECT_FALSE(negated.Get(0, 0).AsBool());
+  EXPECT_TRUE(negated.Get(1, 0).AsBool());
+  EXPECT_TRUE(negated.Get(2, 0).is_null());
+}
+
 TEST_F(SqlEngineTest, WhereProjection) {
   Table t = Exec("SELECT station, temp FROM obs WHERE temp > 32");
   ASSERT_EQ(t.num_rows(), 2u);
