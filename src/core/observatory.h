@@ -105,8 +105,8 @@ class VirtualEarthObservatory {
 
   // --- persistence & durability ---------------------------------------------
 
-  /// Makes this observatory durable, rooted at `dir`: recovers the
-  /// newest catalog snapshot plus the WAL tail into the write path
+  /// Makes this observatory durable, rooted at `dir`: replays the WAL
+  /// from its newest complete checkpoint into the write path
   /// (automatic crash recovery — a torn log tail is dropped and counted,
   /// never an error), then opens its log, so every later commit (and
   /// vault attach/quarantine/heal) is logged before it applies. Call on

@@ -12,15 +12,16 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/persistence.h"
 
 namespace teleios::core {
 
 namespace {
 
-// Record bodies are io/codec-framed. LoadTurtle and kStrabonSnapshot
-// payloads can exceed ByteReader's default string cap; the WAL layer
-// already bounds a whole record at kMaxWalRecordLen, so that is the
-// right cap here too.
+// Record bodies are io/codec-framed. LoadTurtle, kStrabonSnapshot and
+// kCatalogTable payloads can exceed ByteReader's default string cap; the
+// WAL layer already bounds a whole record at kMaxWalRecordLen, so that
+// is the right cap here too.
 constexpr size_t kMaxBodyStr = io::kMaxWalRecordLen;
 
 std::string EncodeQuarantineBody(const std::string& name,
@@ -85,16 +86,32 @@ Status DurabilityManager::RecoverLocked() {
   obs::TraceSpan span("recovery.replay");
   io::FileSystem* fs = io::GetFileSystem();
   TELEIOS_RETURN_IF_ERROR(fs->CreateDir(dir_));
+  TELEIOS_ASSIGN_OR_RETURN(bool old_layout,
+                           fs->FileExists(dir_ + "/catalog/MANIFEST"));
+  if (old_layout) {
+    return Status::Unimplemented(
+        "'" + dir_ + "' keeps its tables in the catalog/MANIFEST snapshot " +
+        "layout of earlier releases, which this binary does not read; " +
+        "open it with the release that wrote it");
+  }
 
+  // Pass 1: the newest checkpoint marker on disk names the first record
+  // to replay. Pass 2 replays from there, counting the bytes logged past
+  // that marker towards the next auto-checkpoint.
   RecoveryReport report;
-  TELEIOS_ASSIGN_OR_RETURN(
-      storage::SnapshotMeta meta,
-      storage::LoadCatalogSnapshot(snapshot_dir(), engines_.catalog));
-  report.snapshot_loaded = meta.loaded;
-  report.snapshot_generation = meta.generation;
-  report.snapshot_lsn = meta.lsn;
-  report.snapshot_tables = meta.tables;
-
+  uint64_t since_checkpoint = 0;
+  TELEIOS_RETURN_IF_ERROR(
+      io::ReplayWal(wal_dir(), [&](const io::WalRecord& record) -> Status {
+        if (record.type != static_cast<uint32_t>(WalRecordType::kCheckpoint)) {
+          since_checkpoint += record.payload.size() + io::kWalRecordOverhead;
+          return Status::OK();
+        }
+        TELEIOS_ASSIGN_OR_RETURN(
+            Fields marker, Decode(WalRecordType::kCheckpoint, record.payload));
+        report.checkpoint_lsn = marker.lsn;
+        since_checkpoint = 0;
+        return Status::OK();
+      }).status());
   TELEIOS_ASSIGN_OR_RETURN(
       io::WalReplayStats replay,
       io::ReplayWal(wal_dir(), [&](const io::WalRecord& record) {
@@ -103,7 +120,7 @@ Status DurabilityManager::RecoverLocked() {
   report.tail_records_dropped = replay.tail_dropped;
   report.wal_segments = replay.segments;
   report.wal_bytes = replay.bytes;
-  report.last_lsn = std::max(replay.last_lsn, meta.lsn);
+  report.last_lsn = replay.last_lsn;
   report.recovered = true;
 
   io::WalWriter::Options wal_options;
@@ -114,8 +131,8 @@ Status DurabilityManager::RecoverLocked() {
       wal_, io::WalWriter::Open(wal_dir(), report.last_lsn + 1,
                                 replay.bytes, wal_options));
   report_ = report;
-  checkpoint_generation_ = meta.generation;
-  checkpoint_lsn_ = meta.lsn;
+  checkpoint_lsn_ = report.checkpoint_lsn;
+  checkpointed_bytes_ = replay.bytes - since_checkpoint;
 
   obs::Count("teleios_recovery_runs_total");
   obs::Count("teleios_recovery_records_replayed_total",
@@ -125,13 +142,10 @@ Status DurabilityManager::RecoverLocked() {
   obs::Count("teleios_recovery_tail_dropped_total",
              report.tail_records_dropped);
   obs::Count("teleios_recovery_replay_errors_total", report.replay_errors);
-  obs::SetGauge("teleios_recovery_snapshot_generation",
-                static_cast<double>(report.snapshot_generation));
   obs::PostEvent(
       "recovery.complete",
       {{"dir", dir_},
-       {"snapshot_generation", std::to_string(report.snapshot_generation)},
-       {"snapshot_lsn", std::to_string(report.snapshot_lsn)},
+       {"checkpoint_lsn", std::to_string(report.checkpoint_lsn)},
        {"records_replayed", std::to_string(report.records_replayed)},
        {"records_applied", std::to_string(report.records_applied)},
        {"records_skipped", std::to_string(report.records_skipped)},
@@ -146,10 +160,12 @@ Status DurabilityManager::RecoverLocked() {
 }
 
 Result<DurabilityManager::Fields> DurabilityManager::Decode(
-    WalRecordType type, const std::string& body) {
+    WalRecordType type, std::string_view body) {
   io::ByteReader reader(body);
   Fields fields;
-  bool ok = reader.ReadStr(&fields.text, kMaxBodyStr);
+  bool ok = type == WalRecordType::kCheckpoint
+                ? reader.ReadU64(&fields.lsn)
+                : reader.ReadStr(&fields.text, kMaxBodyStr);
   switch (type) {
     case WalRecordType::kSqlStatement:
     case WalRecordType::kStrabonUpdate:
@@ -157,6 +173,7 @@ Result<DurabilityManager::Fields> DurabilityManager::Decode(
     case WalRecordType::kStrabonSnapshot:
     case WalRecordType::kVaultAttach:
     case WalRecordType::kVaultHeal:
+    case WalRecordType::kCheckpoint:
       break;
     case WalRecordType::kAnnotationPublish:
       ok = ok && reader.ReadStr(&fields.second, kMaxBodyStr);
@@ -165,6 +182,18 @@ Result<DurabilityManager::Fields> DurabilityManager::Decode(
       ok = ok && reader.ReadU32(&fields.code) &&
            reader.ReadStr(&fields.second, kMaxBodyStr);
       break;
+    case WalRecordType::kCatalogTable: {
+      std::string_view image;
+      ok = ok && reader.ReadStrView(&image, kMaxBodyStr);
+      if (!ok) break;
+      Result<storage::Table> table = storage::DecodeTelt(image);
+      if (!table.ok()) {
+        return Status::DataLoss("WAL: image of table '" + fields.text +
+                                "': " + table.status().message());
+      }
+      fields.table = std::make_shared<storage::Table>(std::move(*table));
+      break;
+    }
     default:
       return Status::DataLoss("WAL: unknown record type " +
                               std::to_string(static_cast<uint32_t>(type)));
@@ -180,6 +209,10 @@ bool DurabilityManager::HasEngine(WalRecordType type) const {
   switch (type) {
     case WalRecordType::kSqlStatement:
       return engines_.sql != nullptr;
+    case WalRecordType::kCatalogTable:
+      return engines_.catalog != nullptr;
+    case WalRecordType::kCheckpoint:
+      return true;
     case WalRecordType::kVaultAttach:
     case WalRecordType::kVaultQuarantine:
     case WalRecordType::kVaultHeal:
@@ -225,6 +258,16 @@ Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
     case WalRecordType::kVaultHeal:
       engines_.vault->ClearQuarantine(fields.text);
       break;
+    case WalRecordType::kCatalogTable:
+      if (engines_.catalog->HasTable(fields.text)) {
+        TELEIOS_RETURN_IF_ERROR(engines_.catalog->DropTable(fields.text));
+      }
+      TELEIOS_RETURN_IF_ERROR(
+          engines_.catalog->CreateTable(fields.text, fields.table));
+      break;
+    case WalRecordType::kCheckpoint:
+      count = size_t{0};
+      break;
   }
   if (!count.ok()) return count.status();
   return CountTable(*count);
@@ -233,6 +276,10 @@ Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
 Status DurabilityManager::Replay(const io::WalRecord& record,
                                  RecoveryReport* report) {
   ++report->records_replayed;
+  if (record.lsn < report->checkpoint_lsn) {
+    ++report->records_skipped;  // the checkpoint replay starts from has it
+    return Status::OK();
+  }
   const auto type = static_cast<WalRecordType>(record.type);
   // Only undecodable bodies and WAL-layer corruption (handled by the
   // replayer) are fatal. A statement that failed on the live path fails
@@ -243,10 +290,8 @@ Status DurabilityManager::Replay(const io::WalRecord& record,
     return Status::DataLoss(fields.status().message() + " at LSN " +
                             std::to_string(record.lsn));
   }
-  if ((type == WalRecordType::kSqlStatement &&
-       record.lsn <= report->snapshot_lsn) ||
-      !HasEngine(type)) {
-    ++report->records_skipped;  // in the snapshot, or inert here
+  if (!HasEngine(type)) {
+    ++report->records_skipped;  // inert here
   } else if (Apply(type, *fields).ok()) {
     ++report->records_applied;
   } else {
@@ -268,6 +313,11 @@ Status DurabilityManager::Checkpoint() {
   return CheckpointLocked();
 }
 
+Status DurabilityManager::AppendLocked(WalRecordType type,
+                                       std::string_view body) {
+  return wal_->Append(static_cast<uint32_t>(type), body).status();
+}
+
 Status DurabilityManager::CheckpointLocked() {
   obs::TraceSpan span("wal.checkpoint");
   // Guard against re-entry: carry-forward vault reads fire no hooks,
@@ -276,56 +326,51 @@ Status DurabilityManager::CheckpointLocked() {
     return Status::Internal("checkpoint already in progress");
   }
   in_checkpoint_ = true;
+  uint64_t live_seq = 0;
   Status status = [&]() -> Status {
-    // 1. Everything logged so far becomes durable, then the snapshot is
-    //    stamped with the highest durable LSN it covers.
-    TELEIOS_RETURN_IF_ERROR(wal_->Sync());
-    uint64_t ckpt_lsn = wal_->stats().synced_lsn;
-    storage::SnapshotMeta meta;
-    if (engines_.catalog != nullptr) {
-      TELEIOS_RETURN_IF_ERROR(storage::SaveCatalogCheckpoint(
-          *engines_.catalog, snapshot_dir(), ckpt_lsn, &meta));
-    }
-    // 2. Seal the old log. From here on, a crash at any point is safe:
-    //    the old segments still hold every record the snapshot covers
-    //    until the truncation at the end.
+    // 1. Seal everything logged so far; the checkpoint fills a fresh
+    //    segment.
     TELEIOS_RETURN_IF_ERROR(wal_->Rotate());
-    uint64_t live_seq = wal_->segment_seq();
-    // 3. Carry forward state that lives outside the catalog snapshot,
-    //    as fresh records in the new segment. These are idempotent
-    //    redo intents, so replaying them alongside (or without) the
-    //    old log converges.
+    live_seq = wal_->segment_seq();
+    const uint64_t first_lsn = wal_->last_lsn() + 1;
+    // 2. The whole state as carry-forward records. Each table image is
+    //    synced on its own, so the log buffers one image at a time.
+    if (engines_.catalog != nullptr) {
+      for (const std::string& name : engines_.catalog->TableNames()) {
+        TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr table,
+                                 engines_.catalog->GetTable(name));
+        std::string body = RecordBody(name);
+        io::PutStr(&body, storage::EncodeTelt(*table));
+        TELEIOS_RETURN_IF_ERROR(
+            AppendLocked(WalRecordType::kCatalogTable, body));
+        TELEIOS_RETURN_IF_ERROR(wal_->Sync());
+      }
+    }
     if (engines_.vault != nullptr) {
       for (const std::string& path : engines_.vault->AttachedFilePaths()) {
-        std::string body;
-        io::PutStr(&body, path);
         TELEIOS_RETURN_IF_ERROR(
-            wal_->Append(static_cast<uint32_t>(WalRecordType::kVaultAttach),
-                         body)
-                .status());
+            AppendLocked(WalRecordType::kVaultAttach, RecordBody(path)));
       }
       for (const auto& [name, sticky] :
            engines_.vault->QuarantineSnapshot()) {
         TELEIOS_RETURN_IF_ERROR(
-            wal_->Append(
-                    static_cast<uint32_t>(WalRecordType::kVaultQuarantine),
-                    EncodeQuarantineBody(name, sticky))
-                .status());
+            AppendLocked(WalRecordType::kVaultQuarantine,
+                         EncodeQuarantineBody(name, sticky)));
       }
     }
     if (engines_.strabon != nullptr) {
-      std::string body;
-      io::PutStr(&body, engines_.strabon->ToTurtle());
       TELEIOS_RETURN_IF_ERROR(
-          wal_->Append(static_cast<uint32_t>(WalRecordType::kStrabonSnapshot),
-                       body)
-              .status());
+          AppendLocked(WalRecordType::kStrabonSnapshot,
+                       RecordBody(engines_.strabon->ToTurtle())));
     }
     TELEIOS_RETURN_IF_ERROR(wal_->Sync());
-    // 4. Only now are the old segments redundant.
-    TELEIOS_RETURN_IF_ERROR(wal_->TruncateBefore(live_seq));
-    checkpoint_generation_ = meta.generation;
-    checkpoint_lsn_ = ckpt_lsn;
+    // 3. The synced marker commits the checkpoint: recovery replays
+    //    from `first_lsn` on and never reads an older segment again.
+    std::string marker;
+    io::PutU64(&marker, first_lsn);
+    TELEIOS_RETURN_IF_ERROR(AppendLocked(WalRecordType::kCheckpoint, marker));
+    TELEIOS_RETURN_IF_ERROR(wal_->Sync());
+    checkpoint_lsn_ = first_lsn;
     return Status::OK();
   }();
   in_checkpoint_ = false;
@@ -333,13 +378,16 @@ Status DurabilityManager::CheckpointLocked() {
     obs::Count("teleios_wal_checkpoint_failures_total");
     return status;
   }
+  // 4. The older segments are garbage. A segment that survives a failed
+  //    removal is never replayed, and the next checkpoint retries it.
+  if (!wal_->TruncateBefore(live_seq).ok()) {
+    obs::Count("teleios_wal_truncate_failures_total");
+  }
+  checkpointed_bytes_ = wal_->size_bytes();
   ++checkpoints_;
   obs::Count("teleios_wal_checkpoints_total");
-  obs::SetGauge("teleios_wal_checkpoint_generation",
-                static_cast<double>(checkpoint_generation_));
   obs::PostEvent("wal.checkpoint",
                  {{"dir", dir_},
-                  {"generation", std::to_string(checkpoint_generation_)},
                   {"lsn", std::to_string(checkpoint_lsn_)},
                   {"wal_bytes", std::to_string(wal_->size_bytes())}});
   (void)obs::EventLog::Global().SyncSink();
@@ -347,8 +395,10 @@ Status DurabilityManager::CheckpointLocked() {
 }
 
 void DurabilityManager::MaybeAutoCheckpointLocked() {
-  if (options_.checkpoint_bytes == 0 || in_checkpoint_) return;
-  if (wal_ == nullptr || wal_->size_bytes() < options_.checkpoint_bytes) {
+  if (options_.checkpoint_bytes == 0 || in_checkpoint_ || wal_ == nullptr) {
+    return;
+  }
+  if (wal_->size_bytes() < checkpointed_bytes_ + options_.checkpoint_bytes) {
     return;
   }
   // Auto-checkpointing is opportunistic: a failure leaves the log
@@ -361,7 +411,12 @@ void DurabilityManager::MaybeAutoCheckpointLocked() {
 Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
                                                  const std::string& body,
                                                  ParsedBody parsed) {
-  // Nothing is logged that replay could not apply.
+  // Only Checkpoint writes markers, and nothing is logged that replay
+  // could not apply.
+  if (type == WalRecordType::kCheckpoint) {
+    return Status::InvalidArgument("checkpoint markers are written by "
+                                   "Checkpoint only");
+  }
   TELEIOS_ASSIGN_OR_RETURN(Fields fields, Decode(type, body));
   fields.parsed = parsed;
   if (!HasEngine(type)) {
@@ -374,8 +429,7 @@ Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
     TELEIOS_RETURN_IF_ERROR(cancel->Check());
   }
   if (wal_ == nullptr) return Apply(type, fields);
-  auto lsn = wal_->Append(static_cast<uint32_t>(type), body);
-  if (!lsn.ok()) return lsn.status();
+  TELEIOS_RETURN_IF_ERROR(AppendLocked(type, body));
   TELEIOS_RETURN_IF_ERROR(wal_->Sync());
   governor::MemoryBudget commit_budget("wal-apply",
                                        governor::MemoryBudget::kUnlimited);
@@ -389,24 +443,23 @@ Result<storage::Table> DurabilityManager::Commit(WalRecordType type,
 void DurabilityManager::OnVaultTransition(
     const vault::VaultTransition& transition) {
   std::string body;
-  uint32_t type = 0;
+  WalRecordType type = WalRecordType::kVaultAttach;
   switch (transition.kind) {
     case vault::VaultTransition::Kind::kAttach:
-      type = static_cast<uint32_t>(WalRecordType::kVaultAttach);
       io::PutStr(&body, transition.path);
       break;
     case vault::VaultTransition::Kind::kQuarantine:
-      type = static_cast<uint32_t>(WalRecordType::kVaultQuarantine);
+      type = WalRecordType::kVaultQuarantine;
       body = EncodeQuarantineBody(transition.name, transition.status);
       break;
     case vault::VaultTransition::Kind::kHeal:
-      type = static_cast<uint32_t>(WalRecordType::kVaultHeal);
+      type = WalRecordType::kVaultHeal;
       io::PutStr(&body, transition.name);
       break;
   }
   MutexLock lock(mu_);
   if (wal_ == nullptr) return;  // not recovered yet: nothing to mirror into
-  Status mirrored = wal_->Append(type, body).status();
+  Status mirrored = AppendLocked(type, body);
   if (mirrored.ok()) mirrored = wal_->Sync();
   if (!mirrored.ok()) {
     // The vault change already committed in memory; the next
@@ -423,7 +476,6 @@ DurabilityStats DurabilityManager::stats() const {
   stats.durable = wal_ != nullptr;
   if (wal_ != nullptr) stats.wal = wal_->stats();
   stats.checkpoints = checkpoints_;
-  stats.checkpoint_generation = checkpoint_generation_;
   stats.checkpoint_lsn = checkpoint_lsn_;
   stats.recovery = report_;
   return stats;

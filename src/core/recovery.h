@@ -12,23 +12,17 @@
 #include "io/wal.h"
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
-#include "storage/persistence.h"
 #include "strabon/strabon.h"
 #include "vault/vault.h"
 
 namespace teleios::core {
 
 /// The logical WAL record catalogue. Records are REDO intents replayed
-/// in LSN order at startup; every apply is idempotent (see each entry),
-/// so replaying a record whose effect already reached the snapshot — or
-/// replaying twice after repeated crashes — converges to the same state.
+/// in LSN order at startup, from the newest complete checkpoint on.
 enum class WalRecordType : uint32_t {
-  /// A mutating SQL statement, re-executed verbatim. Catalog-class:
-  /// skipped when its LSN is at or below the snapshot's `#LSN` mark
-  /// (the snapshot already contains its effect).
+  /// A mutating SQL statement, re-executed verbatim.
   kSqlStatement = 1,
-  /// A SPARQL update, re-run verbatim (state-class: always replayed;
-  /// the store is only persisted through carry-forward snapshots).
+  /// A SPARQL update, re-run verbatim.
   kStrabonUpdate = 2,
   /// A Turtle document, re-loaded (triple stores deduplicate).
   kLoadTurtle = 3,
@@ -45,21 +39,27 @@ enum class WalRecordType : uint32_t {
   /// A quarantine entry cleared by Heal().
   kVaultHeal = 7,
   /// Carry-forward of the whole semantic store at a checkpoint (full
-  /// Turtle dump); written right after log rotation so truncating the
-  /// old segments loses nothing that is not in snapshot + new log.
+  /// Turtle dump).
   kStrabonSnapshot = 8,
+  /// Carry-forward of one catalog table at a checkpoint:
+  /// RecordBody(name) + RecordBody(TELT image). Apply replaces the table
+  /// of that name, so an image that equals the replayed state changes
+  /// nothing.
+  kCatalogTable = 9,
+  /// Closes a checkpoint: the u64 LSN of its first record. Written only
+  /// by Checkpoint; recovery starts from the newest one on disk.
+  kCheckpoint = 10,
 };
 
 /// What Open's recovery did, for callers and the crash-sweep harness.
 struct RecoveryReport {
   bool recovered = false;          ///< recovery completed
-  bool snapshot_loaded = false;    ///< a catalog snapshot existed
-  uint64_t snapshot_generation = 0;
-  uint64_t snapshot_lsn = 0;       ///< `#LSN` mark of the snapshot
-  size_t snapshot_tables = 0;
+  /// First LSN of the checkpoint replay started from; 0 when the log
+  /// held no complete checkpoint and every segment replayed.
+  uint64_t checkpoint_lsn = 0;
   uint64_t records_replayed = 0;   ///< decoded intact from the WAL
   uint64_t records_applied = 0;    ///< actually re-applied
-  uint64_t records_skipped = 0;    ///< catalog-class at/below snapshot LSN
+  uint64_t records_skipped = 0;    ///< older than checkpoint_lsn
   uint64_t tail_records_dropped = 0;  ///< torn tails dropped (not errors)
   uint64_t replay_errors = 0;      ///< per-record apply failures tolerated
   uint64_t last_lsn = 0;           ///< highest LSN seen anywhere
@@ -72,16 +72,17 @@ struct DurabilityStats {
   bool durable = false;  ///< a DurabilityManager is open and recovered
   io::WalWriter::Stats wal;
   uint64_t checkpoints = 0;
-  uint64_t checkpoint_generation = 0;
+  /// First LSN of the newest complete checkpoint (0: none yet).
   uint64_t checkpoint_lsn = 0;
   RecoveryReport recovery;
 };
 
 /// Knobs for the durability layer.
 struct DurabilityOptions {
-  /// Auto-checkpoint (snapshot + log truncation) once the durable log
-  /// exceeds this many bytes; 0 disables auto-checkpointing (explicit
-  /// Checkpoint() still works). Default 8 MiB.
+  /// Auto-checkpoint once this many bytes were logged since the last
+  /// checkpoint (or, on a log without one, since its first record); 0
+  /// disables auto-checkpointing (explicit Checkpoint() still works).
+  /// Default 8 MiB.
   uint64_t checkpoint_bytes = 8ull << 20;
   /// Budget charged for the WAL's append buffer (group-commit batching);
   /// nullptr uses the process budget.
@@ -103,9 +104,9 @@ struct DurabilityEngines {
   vault::DataVault* vault = nullptr;
 };
 
-/// The body of a record of one string (every kind but kAnnotationPublish
-/// and kVaultQuarantine). A kAnnotationPublish body is
-/// RecordBody(product_id) + RecordBody(turtle).
+/// The body of a record of one string (every kind but kAnnotationPublish,
+/// kVaultQuarantine, kCatalogTable and kCheckpoint). A kAnnotationPublish
+/// body is RecordBody(product_id) + RecordBody(turtle).
 std::string RecordBody(std::string_view text);
 
 /// A record body's text as its caller already parsed it, for
@@ -121,23 +122,19 @@ struct ParsedBody {
 /// committed here, and the same Apply runs it live and at WAL replay.
 /// Without a log, Commit applies under the writer mutex; once Open has
 /// rooted it at a directory, it also write-ahead logs, checkpoints and
-/// recovers that directory:
-///
-///   <dir>/catalog/   generation-unique TELT snapshot (SaveCatalog)
-///   <dir>/wal/       CRC32C-framed log segments (io/wal.h)
+/// recovers that directory's CRC32C-framed log segments (`<dir>/wal/`,
+/// io/wal.h).
 ///
 /// Protocol: append + fsync FIRST (the acknowledgement point), then
 /// apply in memory. One mutex spans append+sync+apply+auto-checkpoint,
-/// so a checkpoint can never slip between a record's fsync and its apply
-/// (which would stamp the snapshot with an LSN covering an un-applied
-/// record). Checkpoint = snapshot the catalog with the current synced
-/// LSN inside the MANIFEST, rotate the log, re-append carry-forward
-/// records for state that lives outside the catalog snapshot (vault
-/// attachments + quarantine, the semantic store), then delete the old
-/// segments. Recovery = load newest snapshot, replay the log in order
-/// (skipping catalog-class records the snapshot already covers),
-/// tolerate a torn tail per segment, surface mid-log corruption as
-/// kDataLoss.
+/// so a checkpoint can never slip between a record's fsync and its
+/// apply. Checkpoint = rotate the log, append the whole state as
+/// carry-forward records (one TELT image per catalog table, the vault's
+/// attachments and quarantine, the semantic store's dump), close them
+/// with a kCheckpoint marker, then delete the older segments. Recovery
+/// = replay the log in order from the newest marker's checkpoint (every
+/// segment when there is none), tolerate a torn tail per segment,
+/// surface mid-log corruption as kDataLoss.
 class DurabilityManager {
  public:
   explicit DurabilityManager(const DurabilityEngines& engines);
@@ -146,35 +143,41 @@ class DurabilityManager {
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
-  /// Roots the write path at `dir`: loads the newest valid snapshot,
-  /// replays the WAL tail, and opens the log, so every later Commit is
-  /// durable. Once only; the engines must still be empty. Emits the
-  /// `recovery.complete` event and teleios_recovery_* metrics.
+  /// Roots the write path at `dir`: replays the WAL from its newest
+  /// complete checkpoint and opens the log, so every later Commit is
+  /// durable. Once only; the engines must still be empty. Refuses a
+  /// directory that keeps its tables in the `catalog/MANIFEST` layout of
+  /// earlier releases. Emits the `recovery.complete` event and
+  /// teleios_recovery_* metrics.
   Status Open(const std::string& dir, const DurabilityOptions& options);
 
   /// True once Open succeeded.
   bool durable() const;
 
-  /// Commits one record: refuses a body that does not decode or a kind
-  /// whose engine is missing, then — with a log — appends and fsyncs it,
-  /// and applies it with the function replay uses. Answers SQL's result
-  /// table, or a one-row BIGINT `count` table for every other kind. An
-  /// apply failure propagates, but a logged record stays logged: replay
-  /// re-runs the same deterministic apply. Past the sync nothing may stop
-  /// or refuse the apply, or the live state would lack a mutation the
-  /// log holds: it runs with no cancellation token and under an
-  /// unlimited budget of its own. Without a log the apply runs under the
-  /// caller's token and budget, so a stopped write applies nothing.
-  /// `parsed` is the caller's parse of the body's text, which the live
-  /// apply runs instead of parsing it again (replay parses the logged
-  /// text).
+  /// Commits one record: refuses a kCheckpoint, a body that does not
+  /// decode or a kind whose engine is missing, then — with a log —
+  /// appends and fsyncs it, and applies it with the function replay
+  /// uses. Answers SQL's result table, or a one-row BIGINT `count` table
+  /// for every other kind. An apply failure propagates, but a logged
+  /// record stays logged: replay re-runs the same deterministic apply.
+  /// Past the sync nothing may stop or refuse the apply, or the live
+  /// state would lack a mutation the log holds: it runs with no
+  /// cancellation token and under an unlimited budget of its own.
+  /// Without a log the apply runs under the caller's token and budget,
+  /// so a stopped write applies nothing. `parsed` is the caller's parse
+  /// of the body's text, which the live apply runs instead of parsing it
+  /// again (replay parses the logged text).
   Result<storage::Table> Commit(WalRecordType type, const std::string& body,
                                 ParsedBody parsed = {});
 
   /// The report of the Open call (zero-valued before it).
   RecoveryReport recovery_report() const;
 
-  /// Snapshot + rotate + carry-forward + truncate, unconditionally.
+  /// Rotate + carry-forward + marker + truncate, unconditionally. The
+  /// synced marker commits the checkpoint: a failure to delete an older
+  /// segment after it is counted
+  /// (teleios_wal_truncate_failures_total) and left to the next
+  /// checkpoint, not returned.
   Status Checkpoint();
 
   /// Vault transition subscriber (install via set_transition_hook):
@@ -190,31 +193,34 @@ class DurabilityManager {
   std::string dir() const;
 
  private:
-  /// A decoded record body: one string, two for kAnnotationPublish, or
-  /// {name, status code, message} for kVaultQuarantine.
+  /// A decoded record body: one string, two for kAnnotationPublish,
+  /// {name, status code, message} for kVaultQuarantine, {name, decoded
+  /// table} for kCatalogTable, or an LSN for kCheckpoint.
   struct Fields {
     std::string text;
     uint32_t code = 0;
     std::string second;
+    storage::TablePtr table;
+    uint64_t lsn = 0;
     /// The text already parsed (Commit's `parsed`).
     ParsedBody parsed;
   };
-  static Result<Fields> Decode(WalRecordType type, const std::string& body);
+  static Result<Fields> Decode(WalRecordType type, std::string_view body);
   bool HasEngine(WalRecordType type) const;
   /// The one apply, shared by Commit and replay.
   Result<storage::Table> Apply(WalRecordType type, const Fields& fields)
       TELEIOS_REQUIRES(mu_);
-  /// Replay's rules around Apply: skip catalog-class records the
-  /// snapshot covers, and count a failed apply instead of failing.
+  /// Replay's rules around Apply: skip records older than the checkpoint
+  /// replay starts from, and count a failed apply instead of failing.
   Status Replay(const io::WalRecord& record, RecoveryReport* report)
       TELEIOS_REQUIRES(mu_);
   Status RecoverLocked() TELEIOS_REQUIRES(mu_);
   Status CheckpointLocked() TELEIOS_REQUIRES(mu_);
+  /// Buffers one record in the log (durable at the next Sync).
+  Status AppendLocked(WalRecordType type, std::string_view body)
+      TELEIOS_REQUIRES(mu_);
   void MaybeAutoCheckpointLocked() TELEIOS_REQUIRES(mu_);
   std::string wal_dir() const TELEIOS_REQUIRES(mu_) { return dir_ + "/wal"; }
-  std::string snapshot_dir() const TELEIOS_REQUIRES(mu_) {
-    return dir_ + "/catalog";
-  }
 
   const DurabilityEngines engines_;
 
@@ -224,8 +230,10 @@ class DurabilityManager {
   std::unique_ptr<io::WalWriter> wal_ TELEIOS_GUARDED_BY(mu_);
   RecoveryReport report_ TELEIOS_GUARDED_BY(mu_);
   uint64_t checkpoints_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t checkpoint_generation_ TELEIOS_GUARDED_BY(mu_) = 0;
   uint64_t checkpoint_lsn_ TELEIOS_GUARDED_BY(mu_) = 0;
+  /// The log's size when its newest checkpoint completed: the
+  /// auto-checkpoint trigger counts the bytes logged past it.
+  uint64_t checkpointed_bytes_ TELEIOS_GUARDED_BY(mu_) = 0;
   bool in_checkpoint_ TELEIOS_GUARDED_BY(mu_) = false;
 };
 

@@ -170,7 +170,6 @@ TablePtr WalTable(DurabilityManager* durability) {
               {"syncs_total", ColumnType::kInt64},
               {"rotations_total", ColumnType::kInt64},
               {"checkpoints_total", ColumnType::kInt64},
-              {"checkpoint_generation", ColumnType::kInt64},
               {"checkpoint_lsn", ColumnType::kInt64},
               {"recovered", ColumnType::kInt64},
               {"recovery_records_replayed", ColumnType::kInt64},
@@ -192,19 +191,17 @@ TablePtr WalTable(DurabilityManager* durability) {
   table->column(7).AppendInt64(
       static_cast<int64_t>(stats.wal.rotations_total));
   table->column(8).AppendInt64(static_cast<int64_t>(stats.checkpoints));
-  table->column(9).AppendInt64(
-      static_cast<int64_t>(stats.checkpoint_generation));
-  table->column(10).AppendInt64(static_cast<int64_t>(stats.checkpoint_lsn));
-  table->column(11).AppendInt64(stats.recovery.recovered ? 1 : 0);
-  table->column(12).AppendInt64(
+  table->column(9).AppendInt64(static_cast<int64_t>(stats.checkpoint_lsn));
+  table->column(10).AppendInt64(stats.recovery.recovered ? 1 : 0);
+  table->column(11).AppendInt64(
       static_cast<int64_t>(stats.recovery.records_replayed));
-  table->column(13).AppendInt64(
+  table->column(12).AppendInt64(
       static_cast<int64_t>(stats.recovery.records_applied));
-  table->column(14).AppendInt64(
+  table->column(13).AppendInt64(
       static_cast<int64_t>(stats.recovery.records_skipped));
-  table->column(15).AppendInt64(
+  table->column(14).AppendInt64(
       static_cast<int64_t>(stats.recovery.tail_records_dropped));
-  table->column(16).AppendInt64(
+  table->column(15).AppendInt64(
       static_cast<int64_t>(stats.recovery.replay_errors));
   return table;
 }

@@ -58,6 +58,18 @@ class ByteReader {
   bool ReadI64(int64_t* v) { return ReadBytes(v, sizeof(*v)); }
   bool ReadF64(double* v) { return ReadBytes(v, sizeof(*v)); }
 
+  /// The next `n` bytes, in place.
+  bool ReadView(size_t n, std::string_view* v) {
+    if (n > remaining()) {
+      pos_ = data_.size();
+      ok_ = false;
+      return false;
+    }
+    *v = data_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   /// Length-prefixed string; rejects lengths past the end of the buffer
   /// or above `max_len` (default 16 MiB, far beyond any sane name).
   bool ReadStr(std::string* s, size_t max_len = 16u << 20) {
@@ -70,6 +82,17 @@ class ByteReader {
     s->assign(data_.data() + pos_, n);
     pos_ += n;
     return true;
+  }
+
+  /// ReadStr in place.
+  bool ReadStrView(std::string_view* v, size_t max_len = 16u << 20) {
+    uint32_t n = 0;
+    if (!ReadU32(&n)) return false;
+    if (n > max_len) {
+      ok_ = false;
+      return false;
+    }
+    return ReadView(n, v);
   }
 
   size_t remaining() const { return data_.size() - pos_; }

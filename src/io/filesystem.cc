@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "common/crc32c.h"
+#include "io/codec.h"
 #include "obs/metrics.h"
 
 namespace teleios::io {
@@ -294,17 +295,18 @@ struct BlockHeader {
   uint32_t crc = 0;
 };
 
+Status ImplausibleLength(uint64_t len) {
+  obs::Count("teleios_io_checksum_failures_total");
+  return Status::DataLoss("implausible block length " + std::to_string(len));
+}
+
 Result<BlockHeader> ReadBlockHeader(FileReader* reader, uint64_t max_len) {
   BlockHeader h;
   if (!reader->ReadExact(&h.len, sizeof(h.len)) ||
       !reader->ReadExact(&h.crc, sizeof(h.crc))) {
     return TruncatedOr(*reader, "truncated block header");
   }
-  if (h.len > max_len) {
-    obs::Count("teleios_io_checksum_failures_total");
-    return Status::DataLoss("implausible block length " +
-                            std::to_string(h.len));
-  }
+  if (h.len > max_len) return ImplausibleLength(h.len);
   return h;
 }
 
@@ -328,6 +330,20 @@ Result<std::string> ReadBlock(FileReader* reader, uint64_t max_len) {
     }
     payload.append(buf, take);
     left -= take;
+  }
+  if (Crc32c(payload) != h.crc) return ChecksumMismatch();
+  return payload;
+}
+
+Result<std::string_view> ReadBlock(ByteReader* reader) {
+  BlockHeader h;
+  if (!reader->ReadU64(&h.len) || !reader->ReadU32(&h.crc)) {
+    return Status::ParseError("truncated block header");
+  }
+  if (h.len > kMaxBlockLen) return ImplausibleLength(h.len);
+  std::string_view payload;
+  if (!reader->ReadView(static_cast<size_t>(h.len), &payload)) {
+    return Status::ParseError("truncated block payload");
   }
   if (Crc32c(payload) != h.crc) return ChecksumMismatch();
   return payload;

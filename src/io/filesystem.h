@@ -12,6 +12,8 @@
 
 namespace teleios::io {
 
+class ByteReader;
+
 /// A sequential sink for one file's bytes. Obtained from
 /// FileSystem::NewWritableFile; Close() is idempotent and is also run by
 /// the destructor (destructor swallows the status — call Close()
@@ -41,8 +43,8 @@ class ReadableFile {
 };
 
 /// RocksDB/Arrow-style filesystem abstraction. ALL TELEIOS file I/O —
-/// TELT tables, `.ter`/`.vec` vault drivers, CSV, catalog snapshots,
-/// Turtle dumps, NOA product export — goes through a FileSystem, so a
+/// the WAL, `.ter`/`.vec` vault drivers, CSV, Turtle dumps, NOA product
+/// export — goes through a FileSystem, so a
 /// FaultInjectingFileSystem wrapper can exercise every failure path
 /// deterministically (see io/fault_injection.h).
 class FileSystem {
@@ -173,6 +175,9 @@ void AppendBlockTo(std::string* out, std::string_view payload);
 Result<std::string> ReadBlock(FileReader* reader,
                               uint64_t max_len = kMaxBlockLen);
 
+/// Reads and verifies one block of an in-memory image, in place.
+Result<std::string_view> ReadBlock(ByteReader* reader);
+
 /// Reads a block whose payload must be exactly `expected_len` bytes,
 /// directly into `dst` (no intermediate buffer; used for raster band
 /// payloads). Length mismatch is ParseError, checksum mismatch kDataLoss.
@@ -180,7 +185,7 @@ Status ReadBlockInto(FileReader* reader, void* dst, uint64_t expected_len);
 
 // --- checksum trailers for line-oriented text formats ---------------------
 //
-// Text formats (`.vec`, catalog manifests) end with a final
+// Text formats (`.vec`) end with a final
 // `#CRC32C xxxxxxxx` line covering every byte before it, so read-side
 // corruption anywhere in the file is caught as kDataLoss and a missing
 // trailer (truncation) as ParseError.

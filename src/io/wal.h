@@ -45,6 +45,9 @@ struct WalRecord {
 /// Bytes a segment spends before the first record.
 inline constexpr char kWalMagic[4] = {'T', 'W', 'A', 'L'};
 inline constexpr uint32_t kWalFormatVersion = 1;
+/// Bytes a record's frame adds to its body: u32 length, u32 CRC32C,
+/// u64 LSN and u32 type.
+inline constexpr uint64_t kWalRecordOverhead = 20;
 /// Hard cap on one record's payload; larger lengths are treated as
 /// corruption without attempting the allocation.
 inline constexpr uint64_t kMaxWalRecordLen = 1ull << 30;

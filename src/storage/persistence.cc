@@ -1,8 +1,6 @@
 #include "storage/persistence.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <sstream>
 
 #include "common/strings.h"
@@ -24,18 +22,6 @@ constexpr char kMagic[4] = {'T', 'E', 'L', 'T'};
 constexpr uint32_t kTeltVersion = 2;
 constexpr uint32_t kMaxColumns = 1u << 16;
 constexpr uint32_t kMaxColumnType = static_cast<uint32_t>(ColumnType::kString);
-
-std::string CsvEscape(const std::string& s) {
-  bool needs = s.find_first_of(",\"\n") != std::string::npos;
-  if (!needs) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
 
 std::string SerializeColumn(const Column& col, size_t rows) {
   std::string payload;
@@ -156,7 +142,7 @@ Status ParseColumn(std::string_view payload, uint64_t nrows, Column* col) {
 
 }  // namespace
 
-Status WriteTable(const Table& table, const std::string& path) {
+std::string EncodeTelt(const Table& table) {
   std::string image(kMagic, sizeof(kMagic));
   io::PutU32(&image, kTeltVersion);
   std::string header;
@@ -171,22 +157,19 @@ Status WriteTable(const Table& table, const std::string& path) {
     io::AppendBlockTo(&image,
                       SerializeColumn(table.column(c), table.num_rows()));
   }
-  return io::GetFileSystem()->WriteFileAtomic(path, image);
+  return image;
 }
 
-Result<Table> ReadTable(const std::string& path) {
-  TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<io::ReadableFile> file,
-                           io::GetFileSystem()->NewReadableFile(path));
-  io::FileReader reader(std::move(file));
+Result<Table> DecodeTelt(std::string_view image) {
+  io::ByteReader reader(image);
   char magic[4];
   uint32_t version = 0;
-  if (!reader.ReadExact(magic, sizeof(magic)) ||
+  if (!reader.ReadBytes(magic, sizeof(magic)) ||
       std::string_view(magic, 4) != std::string_view(kMagic, 4)) {
-    if (!reader.status().ok()) return reader.status();
-    return Status::ParseError("'" + path + "' is not a TELT file");
+    return Status::ParseError("not a TELT image");
   }
-  if (!reader.ReadExact(&version, sizeof(version))) {
-    return io::TruncatedOr(reader, "truncated TELT version");
+  if (!reader.ReadU32(&version)) {
+    return Status::ParseError("truncated TELT version");
   }
   if (version > kTeltVersion) {
     // Forward-compatibility guard: a newer writer may have reshaped the
@@ -201,7 +184,7 @@ Result<Table> ReadTable(const std::string& path) {
     return Status::ParseError("unsupported TELT version " +
                               std::to_string(version));
   }
-  TELEIOS_ASSIGN_OR_RETURN(std::string header, io::ReadBlock(&reader));
+  TELEIOS_ASSIGN_OR_RETURN(std::string_view header, io::ReadBlock(&reader));
   io::ByteReader h(header);
   uint32_t ncols = 0;
   uint64_t nrows = 0;
@@ -237,14 +220,13 @@ Result<Table> ReadTable(const std::string& path) {
   }
   Table table{Schema(std::move(fields))};
   for (uint32_t c = 0; c < ncols; ++c) {
-    TELEIOS_ASSIGN_OR_RETURN(std::string payload, io::ReadBlock(&reader));
+    TELEIOS_ASSIGN_OR_RETURN(std::string_view payload,
+                             io::ReadBlock(&reader));
     TELEIOS_RETURN_IF_ERROR(ParseColumn(payload, nrows, &table.column(c)));
   }
-  char extra;
-  if (reader.ReadExact(&extra, 1)) {
+  if (!reader.exhausted()) {
     return Status::ParseError("trailing data after TELT columns");
   }
-  if (!reader.status().ok()) return reader.status();
   return table;
 }
 
@@ -356,233 +338,6 @@ Result<Table> ReadCsv(const std::string& path) {
     TELEIOS_RETURN_IF_ERROR(table.AppendRow(row));
   }
   return table;
-}
-
-Status WriteCsv(const Table& table, const std::string& path) {
-  std::string out;
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (c) out += ",";
-    out += CsvEscape(table.schema().field(c).name);
-  }
-  out += "\n";
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) out += ",";
-      Value v = table.Get(r, c);
-      if (!v.is_null()) out += CsvEscape(v.ToString());
-    }
-    out += "\n";
-  }
-  return io::GetFileSystem()->WriteFileAtomic(path, out);
-}
-
-namespace {
-
-constexpr std::string_view kManifestMagic = "#TELCAT1";
-constexpr char kManifestName[] = "/MANIFEST";
-
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Matches `table_<digits>[_<digits>].telt` — a snapshot table file of
-/// any generation (including the pre-generation `table_<N>.telt` form).
-/// Returns the first number (the generation) or nullopt for other files.
-std::optional<uint64_t> TableFileGeneration(const std::string& file) {
-  constexpr std::string_view kPrefix = "table_";
-  constexpr std::string_view kSuffix = ".telt";
-  if (file.size() <= kPrefix.size() + kSuffix.size() ||
-      file.compare(0, kPrefix.size(), kPrefix) != 0 ||
-      file.compare(file.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return std::nullopt;
-  }
-  std::string_view middle(file.data() + kPrefix.size(),
-                          file.size() - kPrefix.size() - kSuffix.size());
-  uint64_t gen = 0;
-  size_t i = 0;
-  for (; i < middle.size() && middle[i] >= '0' && middle[i] <= '9'; ++i) {
-    gen = gen * 10 + static_cast<uint64_t>(middle[i] - '0');
-  }
-  if (i == 0) return std::nullopt;  // no digits after the prefix
-  if (i < middle.size()) {
-    // Optional `_<index>` tail; anything else is not a table file.
-    if (middle[i] != '_') return std::nullopt;
-    for (++i; i < middle.size(); ++i) {
-      if (middle[i] < '0' || middle[i] > '9') return std::nullopt;
-    }
-  }
-  return gen;
-}
-
-}  // namespace
-
-Status SaveCatalog(const Catalog& catalog, const std::string& dir) {
-  return SaveCatalogCheckpoint(catalog, dir, /*lsn=*/0, nullptr);
-}
-
-Status SaveCatalogCheckpoint(const Catalog& catalog, const std::string& dir,
-                             uint64_t lsn, SnapshotMeta* meta) {
-  io::FileSystem* fs = io::GetFileSystem();
-  TELEIOS_RETURN_IF_ERROR(fs->CreateDir(dir));
-  // Table files are written under generation-unique names
-  // (`table_<gen>_<idx>.telt`), never reusing a name that exists in the
-  // directory: files referenced by the live MANIFEST are never touched,
-  // so a crash anywhere in this function leaves the previous snapshot
-  // fully intact — never a hybrid of old and new table versions.
-  TELEIOS_ASSIGN_OR_RETURN(std::vector<std::string> existing,
-                           fs->ListDirectory(dir));
-  uint64_t generation = 0;
-  for (const std::string& path : existing) {
-    if (std::optional<uint64_t> gen = TableFileGeneration(Basename(path))) {
-      generation = std::max(generation, *gen + 1);
-    }
-  }
-  std::string manifest(kManifestMagic);
-  manifest += "\n";
-  // Meta lines ride inside the same atomic MANIFEST write, so the
-  // generation and applied-LSN mark can never disagree with the table
-  // data: the rename commits both or neither.
-  manifest += "#GEN " + std::to_string(generation) + "\n";
-  manifest += "#LSN " + std::to_string(lsn) + "\n";
-  size_t index = 0;
-  for (const std::string& name : catalog.TableNames()) {
-    if (name.find('\n') != std::string::npos ||
-        name.find('\t') != std::string::npos) {
-      return Status::InvalidArgument("table name not snapshot-safe: '" +
-                                     name + "'");
-    }
-    TELEIOS_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(name));
-    std::string file = "table_" + std::to_string(generation) + "_" +
-                       std::to_string(index++) + ".telt";
-    TELEIOS_RETURN_IF_ERROR(WriteTable(*table, dir + "/" + file));
-    manifest += file + "\t" + name + "\n";
-  }
-  io::AppendCrcTrailer(&manifest);
-  // The manifest lands last, atomically: a crash before this point
-  // leaves the previous MANIFEST (and thus the previous snapshot) in
-  // force; the freshly written table files are inert until referenced.
-  TELEIOS_RETURN_IF_ERROR(fs->WriteFileAtomic(dir + kManifestName, manifest));
-  // The new MANIFEST is in force; every table file that predates this
-  // generation (older snapshots, leftovers of crashed saves) is now
-  // unreferenced garbage. Best-effort removal — a failure here cannot
-  // hurt correctness, only disk usage.
-  for (const std::string& path : existing) {
-    if (TableFileGeneration(Basename(path))) (void)fs->RemoveFile(path);
-  }
-  if (meta != nullptr) {
-    meta->loaded = true;
-    meta->generation = generation;
-    meta->lsn = lsn;
-    meta->tables = index;
-  }
-  return Status::OK();
-}
-
-namespace {
-
-/// Checks the manifest's `#TELCAT<N>` magic line: OK for this binary's
-/// format, kDataLoss for a newer one, ParseError for anything else.
-Status CheckManifestMagic(const std::string& line, const std::string& dir) {
-  if (line == kManifestMagic) return Status::OK();
-  constexpr std::string_view kMagicPrefix = "#TELCAT";
-  if (line.size() > kMagicPrefix.size() &&
-      line.compare(0, kMagicPrefix.size(), kMagicPrefix) == 0) {
-    uint64_t format = 0;
-    size_t i = kMagicPrefix.size();
-    for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-      format = format * 10 + static_cast<uint64_t>(line[i] - '0');
-    }
-    if (i == line.size() && format > 1) {
-      return Status::DataLoss(
-          "catalog manifest in '" + dir + "' has format " +
-          std::to_string(format) +
-          ", newer than this binary (understands <= 1); refusing to guess "
-          "the layout");
-    }
-  }
-  return Status::ParseError("'" + dir + "' has no catalog manifest");
-}
-
-/// Parses `#GEN <n>` / `#LSN <n>` meta lines; other `#` lines are
-/// ignored (same-format additions must be skippable by older readers —
-/// layout changes bump the magic instead).
-void ParseManifestMeta(const std::string& line, SnapshotMeta* meta) {
-  auto parse_u64 = [](std::string_view text, uint64_t* out) {
-    if (text.empty()) return false;
-    uint64_t v = 0;
-    for (char c : text) {
-      if (c < '0' || c > '9') return false;
-      v = v * 10 + static_cast<uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
-  };
-  constexpr std::string_view kGen = "#GEN ";
-  constexpr std::string_view kLsn = "#LSN ";
-  if (line.compare(0, kGen.size(), kGen) == 0) {
-    (void)parse_u64(std::string_view(line).substr(kGen.size()),
-                    &meta->generation);
-  } else if (line.compare(0, kLsn.size(), kLsn) == 0) {
-    (void)parse_u64(std::string_view(line).substr(kLsn.size()), &meta->lsn);
-  }
-}
-
-Result<SnapshotMeta> LoadCatalogImpl(const std::string& dir,
-                                     Catalog* catalog) {
-  io::FileSystem* fs = io::GetFileSystem();
-  TELEIOS_ASSIGN_OR_RETURN(std::string raw,
-                           fs->ReadFile(dir + kManifestName));
-  TELEIOS_ASSIGN_OR_RETURN(std::string content, io::VerifyCrcTrailer(raw));
-  std::istringstream is(content);
-  std::string line;
-  if (!std::getline(is, line)) {
-    return Status::ParseError("'" + dir + "' has no catalog manifest");
-  }
-  TELEIOS_RETURN_IF_ERROR(CheckManifestMagic(line, dir));
-  SnapshotMeta meta;
-  meta.loaded = true;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      ParseManifestMeta(line, &meta);
-      continue;
-    }
-    size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::ParseError("malformed manifest line: '" + line + "'");
-    }
-    std::string file = line.substr(0, tab);
-    std::string name = line.substr(tab + 1);
-    if (file.find('/') != std::string::npos) {
-      return Status::ParseError("manifest file entry escapes snapshot: '" +
-                                file + "'");
-    }
-    TELEIOS_ASSIGN_OR_RETURN(Table table, ReadTable(dir + "/" + file));
-    TELEIOS_RETURN_IF_ERROR(catalog->CreateTable(
-        name, std::make_shared<Table>(std::move(table))));
-    ++meta.tables;
-  }
-  return meta;
-}
-
-}  // namespace
-
-Result<size_t> LoadCatalog(const std::string& dir, Catalog* catalog) {
-  TELEIOS_ASSIGN_OR_RETURN(SnapshotMeta meta, LoadCatalogImpl(dir, catalog));
-  return meta.tables;
-}
-
-Result<SnapshotMeta> LoadCatalogSnapshot(const std::string& dir,
-                                         Catalog* catalog) {
-  // PosixFileSystem reports a missing file as IoError, so probe
-  // explicitly: an absent MANIFEST is a fresh observatory directory,
-  // not a failure.
-  TELEIOS_ASSIGN_OR_RETURN(
-      bool exists, io::GetFileSystem()->FileExists(dir + kManifestName));
-  if (!exists) return SnapshotMeta{};
-  return LoadCatalogImpl(dir, catalog);
 }
 
 }  // namespace teleios::storage

@@ -2,67 +2,30 @@
 #define TELEIOS_STORAGE_PERSISTENCE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
-#include "storage/catalog.h"
 #include "storage/table.h"
 
 namespace teleios::storage {
 
-/// Writes `table` to `path` in the TELEIOS binary table format ("TELT",
-/// version 2). The format stores the schema, row count, validity bytes
-/// and typed payloads (string columns as dictionary + codes) in
-/// CRC32C-checksummed sections, and the file is produced with an atomic
-/// durable write (tmp + fsync + rename): a crash mid-write leaves the
-/// previous file intact, never a hybrid.
-Status WriteTable(const Table& table, const std::string& path);
+/// Encodes `table` in the TELEIOS binary table format ("TELT", version
+/// 2): the schema, row count, validity bytes and typed payloads (string
+/// columns as dictionary + codes) in CRC32C-checksummed sections. A
+/// checkpoint logs one image per catalog table.
+std::string EncodeTelt(const Table& table);
 
-/// Reads a table previously written with WriteTable. Corrupt bytes
-/// surface as kDataLoss (checksum mismatch) or ParseError (truncation,
-/// implausible counts, out-of-range dictionary codes) — never a crash.
-Result<Table> ReadTable(const std::string& path);
-
-/// Writes `table` as CSV with a header row (for interop / debugging;
-/// atomic write, no checksum — it is an exchange format).
-Status WriteCsv(const Table& table, const std::string& path);
+/// Decodes an EncodeTelt image. Corrupt bytes surface as kDataLoss
+/// (checksum mismatch, a format version newer than this binary) or
+/// ParseError (truncation, implausible counts, out-of-range dictionary
+/// codes) — never a crash.
+Result<Table> DecodeTelt(std::string_view image);
 
 /// Reads a CSV with a header row into a table. Column types are inferred
 /// from the data (BIGINT if every non-empty cell parses as an integer,
 /// then DOUBLE, else VARCHAR); empty cells become NULL. Quoted fields
-/// with doubled-quote escapes are supported (the WriteCsv dialect).
+/// with doubled-quote escapes are supported.
 Result<Table> ReadCsv(const std::string& path);
-
-/// Persists every table of `catalog` under `dir`: one TELT file per
-/// table plus a checksummed MANIFEST written last (atomically), so a
-/// crash at any point leaves the previous snapshot loadable.
-Status SaveCatalog(const Catalog& catalog, const std::string& dir);
-
-/// Loads a SaveCatalog snapshot into `catalog` (tables must not already
-/// exist). Returns the number of tables loaded.
-Result<size_t> LoadCatalog(const std::string& dir, Catalog* catalog);
-
-/// What a snapshot covers — carried in `#GEN` / `#LSN` meta lines inside
-/// the MANIFEST, so the "this WAL prefix is already applied" mark
-/// commits atomically with the table data it describes (the recovery
-/// layer skips catalog WAL records at or below `lsn` on replay).
-struct SnapshotMeta {
-  bool loaded = false;      ///< false: no snapshot exists at the path
-  uint64_t generation = 0;  ///< table-file generation of the snapshot
-  uint64_t lsn = 0;         ///< highest catalog mutation LSN included
-  size_t tables = 0;
-};
-
-/// SaveCatalog plus checkpoint bookkeeping: stamps the MANIFEST with the
-/// caller's `lsn` high-water mark and reports the generation written.
-Status SaveCatalogCheckpoint(const Catalog& catalog, const std::string& dir,
-                             uint64_t lsn, SnapshotMeta* meta = nullptr);
-
-/// LoadCatalog that tolerates a missing snapshot (fresh directory:
-/// returns `loaded = false` and leaves `catalog` untouched) and reports
-/// the snapshot's meta for WAL replay. A manifest or table file whose
-/// format version is newer than this binary fails with kDataLoss.
-Result<SnapshotMeta> LoadCatalogSnapshot(const std::string& dir,
-                                         Catalog* catalog);
 
 }  // namespace teleios::storage
 

@@ -145,9 +145,9 @@ class DataVault {
   void set_transition_hook(VaultTransitionHook hook);
 
   /// Replay-side AttachFile: idempotent against state already restored
-  /// from a catalog snapshot (the in-memory maps are filled if absent,
-  /// and a metadata row is appended only when no row with that name
-  /// exists), and it does not fire the transition hook.
+  /// from a checkpoint's table images (the in-memory maps are filled if
+  /// absent, and a metadata row is appended only when no row with that
+  /// name exists), and it does not fire the transition hook.
   Status RestoreAttachment(const std::string& path);
 
   /// Replay-side quarantine: reinstates the sticky failure status for
@@ -164,7 +164,7 @@ class DataVault {
 
   /// Source paths of every attached raster and vector, in attach-map
   /// order — the attachments a checkpoint must carry forward (CSV
-  /// attachments live entirely in the catalog snapshot).
+  /// attachments live entirely in the checkpoint's table images).
   std::vector<std::string> AttachedFilePaths() const;
 
  private:

@@ -1,10 +1,11 @@
 // The headline robustness harness: for every k, inject a fault at the
-// k-th I/O operation during each end-to-end scenario (table write,
-// archive attach, raster ingest, NOA chain run) and require that the
-// system (a) never crashes, (b) surfaces a clean error Status, and
-// (c) recovers to a consistent state once the fault clears — for
-// crash-mode write faults, the file on disk is always the complete old
-// or complete new version, never a hybrid.
+// k-th I/O operation during each end-to-end scenario (raster write and
+// read, archive attach, raster ingest) and require that the system
+// (a) never crashes, (b) surfaces a clean error Status, and (c) recovers
+// to a consistent state once the fault clears — for crash-mode write
+// faults, the file on disk is always the complete old or complete new
+// version, never a hybrid. Crashes while the catalog is checkpointed
+// are swept by tests/recovery_sweep_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
 #include "storage/catalog.h"
-#include "storage/persistence.h"
 #include "vault/formats.h"
 #include "vault/vault.h"
 
@@ -40,16 +40,6 @@ class FaultSweepTest : public ::testing::Test {
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
-  static storage::Table MakeTable(int64_t tag) {
-    storage::Table t{storage::Schema({{"id", storage::ColumnType::kInt64},
-                                      {"name", storage::ColumnType::kString}})};
-    for (int64_t i = 0; i < 50; ++i) {
-      t.column(0).AppendInt64(i + tag);
-      t.column(1).AppendString("row-" + std::to_string(i + tag));
-    }
-    return t;
-  }
-
   static vault::TerRaster MakeRaster(const std::string& name) {
     vault::TerRaster r;
     r.name = name;
@@ -69,86 +59,6 @@ class FaultSweepTest : public ::testing::Test {
   std::unique_ptr<io::FaultInjectingFileSystem> faulty_;
   io::FileSystem* prev_ = nullptr;
 };
-
-// Crash at every possible I/O op during a checksummed table write: the
-// previous version must stay intact and loadable.
-TEST_F(FaultSweepTest, TeltWriteSweepNeverLeavesHybrid) {
-  const std::string path = Path("t.telt");
-  ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  // Baseline run to learn the op count.
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::WriteTable(MakeTable(1000), path).ok());
-  uint64_t total_ops = faulty_->ops();
-  ASSERT_GT(total_ops, 3u);
-  ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty_->Arm(spec);
-    Status st = storage::WriteTable(MakeTable(1000), path);
-    faulty_->Disarm();
-    auto back = storage::ReadTable(path);
-    ASSERT_TRUE(back.ok()) << "fault at op " << k << ": "
-                           << back.status().ToString();
-    int64_t first = back->column(0).GetInt64(0);
-    if (st.ok()) {
-      EXPECT_EQ(first, 1000) << "fault at op " << k;
-    } else {
-      // A fault at or after the rename (the post-rename directory fsync)
-      // can leave the new file with a non-OK status; either complete
-      // version is consistent, a hybrid is not.
-      EXPECT_TRUE(first == 0 || first == 1000) << "fault at op " << k;
-    }
-    if (first != 0 || st.ok()) {
-      ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-    }
-  }
-}
-
-// Read-side bit flips: every single-bit corruption of any read during a
-// TELT load is detected (DataLoss/ParseError), never silently parsed.
-TEST_F(FaultSweepTest, TeltReadBitFlipSweepAlwaysDetected) {
-  const std::string path = Path("t.telt");
-  ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  probe.reads_only = true;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::ReadTable(path).ok());
-  uint64_t read_ops = faulty_->ops();
-  ASSERT_GT(read_ops, 0u);
-
-  for (uint64_t k = 1; k <= read_ops; ++k) {
-    for (uint64_t seed : {1u, 99u}) {
-      io::FaultSpec spec;
-      spec.kind = io::FaultKind::kBitFlip;
-      spec.reads_only = true;
-      spec.inject_at = k;
-      spec.seed = seed;
-      faulty_->Arm(spec);
-      auto r = storage::ReadTable(path);
-      uint64_t flipped = faulty_->bits_flipped();
-      faulty_->Disarm();
-      if (r.ok()) {
-        // Only tolerable when the fault landed on a zero-byte EOF probe
-        // and so had nothing to corrupt.
-        EXPECT_EQ(flipped, 0u)
-            << "flip at read op " << k << " seed " << seed
-            << " was not detected";
-        continue;
-      }
-      EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
-                  r.status().code() == StatusCode::kParseError)
-          << r.status().ToString();
-    }
-  }
-}
 
 // Crash sweep over WriteTer + bit-flip sweep over ReadTer.
 TEST_F(FaultSweepTest, TerWriteAndReadSweep) {
@@ -204,63 +114,6 @@ TEST_F(FaultSweepTest, TerWriteAndReadSweep) {
     EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
                 r.status().code() == StatusCode::kParseError)
         << r.status().ToString();
-  }
-}
-
-// Crash at every possible I/O op while replacing a catalog snapshot
-// whose table SET changed between saves: the recovered snapshot must be
-// entirely the old or entirely the new one. (Regression: table files
-// used to be overwritten in place, so a crash before the manifest
-// rename could leave the old MANIFEST pointing at new-generation data —
-// all checksums pass, wrong tables load.)
-TEST_F(FaultSweepTest, CatalogSnapshotSweepNeverMixesGenerations) {
-  const std::string dir = Path("snap");
-  storage::Catalog old_cat;
-  ASSERT_TRUE(old_cat.CreateTable(
-      "alpha", std::make_shared<storage::Table>(MakeTable(0))).ok());
-  ASSERT_TRUE(old_cat.CreateTable(
-      "beta", std::make_shared<storage::Table>(MakeTable(100))).ok());
-  storage::Catalog new_cat;
-  ASSERT_TRUE(new_cat.CreateTable(
-      "beta", std::make_shared<storage::Table>(MakeTable(1000))).ok());
-  ASSERT_TRUE(new_cat.CreateTable(
-      "zeta", std::make_shared<storage::Table>(MakeTable(2000))).ok());
-  ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
-
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::SaveCatalog(new_cat, dir).ok());
-  uint64_t total_ops = faulty_->ops();
-  ASSERT_GT(total_ops, 6u);
-  ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
-
-  auto first_id = [](const storage::Catalog& c, const std::string& name) {
-    auto t = c.GetTable(name);
-    return t.ok() ? (*t)->column(0).GetInt64(0) : int64_t{-1};
-  };
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty_->Arm(spec);
-    Status st = storage::SaveCatalog(new_cat, dir);
-    faulty_->Disarm();
-    storage::Catalog loaded;
-    auto n = storage::LoadCatalog(dir, &loaded);
-    ASSERT_TRUE(n.ok()) << "fault at op " << k << ": "
-                        << n.status().ToString();
-    ASSERT_EQ(*n, 2u) << "fault at op " << k;
-    bool is_old = loaded.HasTable("alpha");
-    if (st.ok()) EXPECT_FALSE(is_old) << "fault at op " << k;
-    if (is_old) {
-      EXPECT_EQ(first_id(loaded, "alpha"), 0) << "fault at op " << k;
-      EXPECT_EQ(first_id(loaded, "beta"), 100) << "fault at op " << k;
-    } else {
-      EXPECT_EQ(first_id(loaded, "beta"), 1000) << "fault at op " << k;
-      EXPECT_EQ(first_id(loaded, "zeta"), 2000) << "fault at op " << k;
-      ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
-    }
   }
 }
 

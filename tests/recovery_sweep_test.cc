@@ -33,6 +33,7 @@
 #include "mining/features.h"
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
+#include "storage/persistence.h"
 #include "strabon/strabon.h"
 
 namespace teleios {
@@ -139,8 +140,11 @@ class RecoverySweepTest : public ::testing::Test {
     EXPECT_LE(recovered, 1 + kInserts) << "phantom mutation at op " << k;
   }
 
+  // `min_checkpoints`: how many checkpoints the probe run must complete,
+  // so that they land inside the kill window.
   void SweepKillAtEveryOp(io::FaultKind kind, uint64_t checkpoint_bytes,
-                          const std::string& tag) {
+                          const std::string& tag,
+                          uint64_t min_checkpoints = 0) {
     DurabilityOptions options;
     options.checkpoint_bytes = checkpoint_bytes;
 
@@ -148,10 +152,13 @@ class RecoverySweepTest : public ::testing::Test {
     io::FaultSpec probe;
     probe.inject_at = 0;
     faulty_->Arm(probe);
+    uint64_t checkpoints = 0;
     {
       Instance baseline(Path(tag + "_probe"), options);
       ASSERT_TRUE(baseline.Open().ok());
       ASSERT_EQ(RunWorkload(&baseline), 1 + kInserts);
+      checkpoints = baseline.db->stats().checkpoints;
+      ASSERT_GE(checkpoints, min_checkpoints);
     }
     uint64_t total_ops = faulty_->ops();
     faulty_->Disarm();
@@ -184,7 +191,8 @@ class RecoverySweepTest : public ::testing::Test {
       CheckPrefix(&restarted, acked, k);
     }
     std::cout << "[ sweep    ] " << tag << ": " << total_ops
-              << " crash points, every restart recovered\n";
+              << " crash points across " << checkpoints
+              << " checkpoints, every restart recovered\n";
   }
 
   stdfs::path dir_;
@@ -202,12 +210,12 @@ TEST_F(RecoverySweepTest, KillAtEveryOpTornWrite) {
                      "torn");
 }
 
-// Same sweep with a tiny checkpoint threshold, so snapshots, log
-// rotations, carry-forward records, and truncations all land inside the
-// kill window.
+// Same sweep with a tiny checkpoint threshold, so log rotations,
+// carry-forward records, checkpoint markers and truncations all land
+// inside the kill window.
 TEST_F(RecoverySweepTest, KillAtEveryOpAcrossCheckpoints) {
   SweepKillAtEveryOp(io::FaultKind::kShortWrite, /*checkpoint_bytes=*/128,
-                     "ckpt");
+                     "ckpt", /*min_checkpoints=*/2);
 }
 
 // No faults: state accumulates across restarts, checkpoints truncate
@@ -238,12 +246,12 @@ TEST_F(RecoverySweepTest, CheckpointTruncatesAndStateAccumulates) {
     Instance b(dir, options);
     ASSERT_TRUE(b.Open().ok());
     RecoveryReport report = b.db->recovery_report();
-    EXPECT_TRUE(report.snapshot_loaded);
-    EXPECT_GT(report.snapshot_lsn, 0u);
-    // The nine pre-checkpoint mutations live in the snapshot (their
-    // records were truncated); the log replays only the carry-forward
-    // semantic-store snapshot plus the post-checkpoint insert.
-    EXPECT_EQ(report.records_applied, 2u);
+    EXPECT_GT(report.checkpoint_lsn, 0u);
+    // The nine pre-checkpoint mutations live in the checkpoint (their
+    // records were truncated); the log replays only its carry-forward
+    // records — the table image, the store's dump and the marker — plus
+    // the post-checkpoint insert.
+    EXPECT_EQ(report.records_applied, 4u);
     EXPECT_EQ(report.records_skipped, 0u);
     auto rows = b.sql.Execute("SELECT id FROM log");
     ASSERT_TRUE(rows.ok());
@@ -288,6 +296,265 @@ TEST_F(RecoverySweepTest, StrabonStateSurvivesRestart) {
     ASSERT_TRUE(c.Open().ok());
     EXPECT_EQ(c.strabon.size(), loaded_size);
   }
+}
+
+/// Every table of `catalog` with its column types and rows.
+std::string Render(const storage::Catalog& catalog) {
+  std::string out;
+  for (const std::string& name : catalog.TableNames()) {
+    storage::TablePtr table = *catalog.GetTable(name);
+    out += name + ":";
+    for (const storage::Field& field : table->schema().fields()) {
+      out += " " + field.name + "/" +
+             std::to_string(static_cast<int>(field.type));
+    }
+    out += "\n" + table->ToString(1u << 20);
+  }
+  return out;
+}
+
+void CommitSql(Instance* instance, const std::vector<std::string>& sqls) {
+  for (const std::string& sql : sqls) {
+    ASSERT_TRUE(
+        instance->db->Commit(WalRecordType::kSqlStatement, RecordBody(sql))
+            .ok())
+        << sql;
+  }
+}
+
+// A checkpoint carries every catalog table — each column type, NULLs,
+// an empty table — and a restart rebuilds the catalog from it alone.
+TEST_F(RecoverySweepTest, CheckpointCarriesEveryTable) {
+  const std::string dir = Path("carry");
+  DurabilityOptions options;
+  options.checkpoint_bytes = 0;
+  std::string before;
+  {
+    Instance a(dir, options);
+    ASSERT_TRUE(a.Open().ok());
+    CommitSql(&a, {"CREATE TABLE people (name VARCHAR, age BIGINT, "
+                   "score DOUBLE, active BOOLEAN)",
+                   "INSERT INTO people VALUES ('ada', 36, 1.5, true), "
+                   "('bob, jr', NULL, -2.25, false), (NULL, 7, NULL, NULL)",
+                   "CREATE TABLE empty (x DOUBLE)"});
+    ASSERT_TRUE(a.db->Checkpoint().ok());
+    before = Render(a.catalog);
+  }
+  ASSERT_NE(before.find("bob, jr"), std::string::npos) << before;
+  Instance b(dir, options);
+  ASSERT_TRUE(b.Open().ok());
+  RecoveryReport report = b.db->recovery_report();
+  EXPECT_GT(report.checkpoint_lsn, 0u);
+  EXPECT_EQ(report.records_skipped, 0u);  // the older segments are gone
+  EXPECT_EQ(report.replay_errors, 0u);
+  EXPECT_EQ(Render(b.catalog), before);
+}
+
+// A table image recovery cannot decode is data loss, never a silently
+// dropped table: bytes that are no TELT image, and an image a newer
+// binary wrote.
+TEST_F(RecoverySweepTest, UnreadableTableImageIsDataLoss) {
+  storage::Table t{storage::Schema({{"id", storage::ColumnType::kInt64}})};
+  t.column(0).AppendInt64(1);
+  std::string newer = storage::EncodeTelt(t);
+  newer[4] = 99;  // "TELT", then the u32 format version
+  // {image, what the refusal names}
+  const std::vector<std::pair<std::string, std::string>> images = {
+      {"not a telt image", "not a TELT image"}, {newer, "newer"}};
+  for (size_t i = 0; i < images.size(); ++i) {
+    const std::string dir = Path("unreadable_" + std::to_string(i));
+    {
+      // A well-framed record: only the image inside it is unreadable.
+      auto wal = io::WalWriter::Open(dir + "/wal", 1, 0, {});
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE(
+          (*wal)
+              ->Append(static_cast<uint32_t>(WalRecordType::kCatalogTable),
+                       RecordBody("t") + RecordBody(images[i].first))
+              .ok());
+      ASSERT_TRUE((*wal)->Sync().ok());
+    }
+    Instance instance(dir, DurabilityOptions{});
+    Status st = instance.Open();
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+    EXPECT_NE(st.message().find(images[i].second), std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(instance.catalog.HasTable("t"));
+  }
+}
+
+// A directory whose tables live in the catalog/MANIFEST snapshot of
+// earlier releases is refused, not opened without its tables.
+TEST_F(RecoverySweepTest, OldCatalogLayoutIsRefused) {
+  const std::string dir = Path("old_layout");
+  stdfs::create_directories(dir + "/catalog");
+  ASSERT_TRUE(io::GetFileSystem()
+                  ->WriteFileAtomic(dir + "/catalog/MANIFEST", "#TELCAT1\n")
+                  .ok());
+  Instance instance(dir, DurabilityOptions{});
+  Status st = instance.Open();
+  EXPECT_EQ(st.code(), StatusCode::kUnimplemented) << st.ToString();
+  EXPECT_NE(st.message().find("catalog/MANIFEST"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(instance.db->durable());
+}
+
+// The auto-checkpoint trigger counts the bytes logged since the last
+// checkpoint, not the carry-forward that checkpoint wrote: once the
+// store's dump alone passes the threshold, writes still do not
+// checkpoint one by one — before a restart or after it.
+TEST_F(RecoverySweepTest, AutoCheckpointCountsBytesSinceTheLastCheckpoint) {
+  const std::string dir = Path("storm");
+  DurabilityOptions options;
+  options.checkpoint_bytes = 4096;
+  std::string turtle;
+  for (int i = 0; i < 64; ++i) {
+    turtle += "<http://e/s" + std::to_string(i) + "> <http://e/label> \"" +
+              std::string(64, 'x') + "\" .\n";
+  }
+  ASSERT_GT(turtle.size(), options.checkpoint_bytes);
+  auto small_writes = [](Instance* instance, int first) {
+    for (int i = first; i < first + 20; ++i) {
+      ASSERT_TRUE(instance->db
+                      ->Commit(WalRecordType::kStrabonUpdate,
+                               RecordBody("INSERT DATA { <http://e/w" +
+                                          std::to_string(i) +
+                                          "> <http://e/p> <http://e/o> . }"))
+                      .ok());
+    }
+  };
+  {
+    Instance a(dir, options);
+    ASSERT_TRUE(a.Open().ok());
+    ASSERT_TRUE(
+        a.db->Commit(WalRecordType::kLoadTurtle, RecordBody(turtle)).ok());
+    small_writes(&a, 0);
+    EXPECT_GE(a.db->stats().checkpoints, 1u);
+    EXPECT_LE(a.db->stats().checkpoints, 2u);
+  }
+  Instance b(dir, options);
+  ASSERT_TRUE(b.Open().ok());
+  small_writes(&b, 20);
+  EXPECT_LE(b.db->stats().checkpoints, 1u);
+  EXPECT_EQ(b.strabon.size(), 64u + 40u);
+}
+
+/// The fault injector, plus one rule: the first RemoveFile fails with an
+/// IoError, as a disk may refuse one unlink; no crash.
+class FirstRemovalFails : public io::FaultInjectingFileSystem {
+ public:
+  using FaultInjectingFileSystem::FaultInjectingFileSystem;
+  Status RemoveFile(const std::string& path) override {
+    if (!failed_) {
+      failed_ = true;
+      return Status::IoError("injected: removing '" + path + "' fails");
+    }
+    return FaultInjectingFileSystem::RemoveFile(path);
+  }
+
+ private:
+  bool failed_ = false;
+};
+
+// A checkpoint whose truncation stopped midway: its marker committed it,
+// so the old segment that survived is never replayed again, and a triple
+// deleted before the checkpoint stays deleted.
+TEST_F(RecoverySweepTest, CheckpointWhoseTruncationStoppedMidway) {
+  const std::string dir = Path("stopped_truncation");
+  DurabilityOptions options;
+  options.checkpoint_bytes = 0;
+  const std::string triple = "<http://e/a> <http://e/p> \"1\" .";
+  {
+    Instance a(dir, options);
+    ASSERT_TRUE(a.Open().ok());
+    ASSERT_TRUE(a.db->Commit(WalRecordType::kStrabonUpdate,
+                             RecordBody("INSERT DATA { " + triple + " }"))
+                    .ok());
+  }
+  {
+    FirstRemovalFails fs(&posix_);
+    io::ScopedFileSystem scoped(&fs);
+    Instance b(dir, options);
+    ASSERT_TRUE(b.Open().ok());
+    ASSERT_TRUE(b.db->Commit(WalRecordType::kStrabonUpdate,
+                             RecordBody("DELETE DATA { " + triple + " }"))
+                    .ok());
+    ASSERT_EQ(b.strabon.size(), 0u);
+    // Open never appends to an existing segment: two old ones now.
+    auto segments = io::ListWalSegments(dir + "/wal");
+    ASSERT_TRUE(segments.ok());
+    ASSERT_EQ(segments->size(), 2u);
+    EXPECT_TRUE(b.db->Checkpoint().ok());
+    // The first removal failed, the second went through.
+    segments = io::ListWalSegments(dir + "/wal");
+    ASSERT_TRUE(segments.ok());
+    EXPECT_EQ(segments->size(), 2u);
+  }
+  Instance c(dir, options);
+  ASSERT_TRUE(c.Open().ok());
+  EXPECT_EQ(c.db->recovery_report().replay_errors, 0u);
+  EXPECT_EQ(c.strabon.size(), 0u)
+      << "a triple deleted before the checkpoint came back";
+}
+
+// Crash at every op of a checkpoint taken after the catalog's table set
+// changed (a table dropped, one rewritten, one created): whatever part
+// of the checkpoint reached disk, recovery yields exactly the
+// acknowledged catalog — no dropped table returns, no table mixes two
+// versions.
+TEST_F(RecoverySweepTest, CheckpointSweepNeverMixesTableSets) {
+  DurabilityOptions options;
+  options.checkpoint_bytes = 0;
+  auto prepare = [](Instance* instance) {
+    ASSERT_TRUE(instance->Open().ok());
+    CommitSql(instance, {"CREATE TABLE alpha (id INT)",
+                         "INSERT INTO alpha VALUES (0)",
+                         "CREATE TABLE beta (id INT)",
+                         "INSERT INTO beta VALUES (100)"});
+    ASSERT_TRUE(instance->db->Checkpoint().ok());
+    CommitSql(instance, {"DROP TABLE alpha", "DELETE FROM beta",
+                         "INSERT INTO beta VALUES (1000)",
+                         "CREATE TABLE zeta (id INT)",
+                         "INSERT INTO zeta VALUES (2000)"});
+  };
+  std::string acked;
+  uint64_t total_ops = 0;
+  {
+    Instance baseline(Path("sets_probe"), options);
+    ASSERT_NO_FATAL_FAILURE(prepare(&baseline));
+    acked = Render(baseline.catalog);
+    io::FaultSpec probe;
+    probe.inject_at = 0;
+    faulty_->Arm(probe);
+    ASSERT_TRUE(baseline.db->Checkpoint().ok());
+    total_ops = faulty_->ops();
+    faulty_->Disarm();
+  }
+  ASSERT_EQ(acked.find("alpha"), std::string::npos) << acked;
+  ASSERT_GT(total_ops, 6u);
+  for (uint64_t k = 1; k <= total_ops; ++k) {
+    const std::string dir = Path("sets_" + std::to_string(k));
+    {
+      Instance victim(dir, options);
+      ASSERT_NO_FATAL_FAILURE(prepare(&victim));
+      io::FaultSpec spec;
+      spec.kind = io::FaultKind::kShortWrite;
+      spec.inject_at = k;
+      spec.crash = true;
+      faulty_->Arm(spec);
+      (void)victim.db->Checkpoint();
+      faulty_->Disarm();
+    }
+    Instance restarted(dir, options);
+    Status recovered = restarted.Open();
+    ASSERT_TRUE(recovered.ok())
+        << "crash at op " << k << ": " << recovered.ToString();
+    EXPECT_EQ(restarted.db->recovery_report().replay_errors, 0u)
+        << "crash at op " << k;
+    EXPECT_EQ(Render(restarted.catalog), acked) << "crash at op " << k;
+  }
+  std::cout << "[ sweep    ] sets: " << total_ops
+            << " crash points, every restart recovered the acked catalog\n";
 }
 
 // A torn tail (simulating a crash mid-append without fault injection:

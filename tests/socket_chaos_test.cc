@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -451,25 +452,48 @@ TEST_F(ChaosServerTest, HeartbeatKeepsAQuietSessionAliveOverTheWire) {
   EXPECT_TRUE(Eventually([&] { return server_->sessions().live() == 0; }));
 }
 
+/// Bytes the kernel may buffer on one TCP connection once it has grown
+/// both ends' buffers as far as it will: the receive and send maxima
+/// (the third field of tcp_rmem and of tcp_wmem). 64 MiB when they
+/// cannot be read.
+uint64_t MaxSocketBufferBytes() {
+  uint64_t total = 0;
+  for (const char* path :
+       {"/proc/sys/net/ipv4/tcp_rmem", "/proc/sys/net/ipv4/tcp_wmem"}) {
+    std::ifstream in(path);
+    uint64_t min_bytes = 0, default_bytes = 0, max_bytes = 0;
+    if (!(in >> min_bytes >> default_bytes >> max_bytes)) return 64ull << 20;
+    total += max_bytes;
+  }
+  return total;
+}
+
 TEST_F(ChaosServerTest, WriteTimeoutKillsAClientThatStoppedReading) {
-  // A result comfortably larger than both socket buffers, so the
-  // server's stream must stall once the client stops draining it.
-  MakeSeedTable(400'000);
+  // A result larger than all the kernel may buffer on the connection,
+  // so the server's stream must stall once the client stops draining
+  // it, however its write loop waits. Wide rows (one shared 16 KiB
+  // string) keep the row count, and so the scan under TSan, small.
+  const std::string wide(16u << 10, 'x');
+  const uint64_t result_bytes = MaxSocketBufferBytes() + (8u << 20);
+  auto table = std::make_shared<storage::Table>(
+      storage::Schema({{"s", storage::ColumnType::kString}}));
+  for (uint64_t bytes = 0; bytes < result_bytes; bytes += wide.size()) {
+    table->column(0).AppendString(wide);
+  }
+  ASSERT_TRUE(veo_.catalog().CreateTable("wide", table).ok());
   ServerConfig config;
   config.write_timeout_millis = 200;
-  config.chunk_rows = 4096;
+  config.chunk_rows = 16;  // 256 KiB frames
   config.lease_millis = 0;  // isolate the write-timeout path
   StartServer(config);
 
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(
-      client->SendQuery(Lang::kSql, "SELECT x FROM seed").ok());
+  ASSERT_TRUE(client->SendQuery(Lang::kSql, "SELECT s FROM wide").ok());
   // Read nothing. The server fills the kernel buffers, stalls, times
   // out, and kills the connection — session and budget released.
   const uint64_t before = CounterValue("teleios_server_write_timeouts_total");
-  // 30s ceiling: under TSan the 400k-row scan alone takes several
-  // seconds before the stream can even stall.
+  // 30s ceiling, for the sanitizer builds.
   EXPECT_TRUE(Eventually([&] { return server_->sessions().live() == 0; },
                          /*ticks=*/3000));
   EXPECT_GE(CounterValue("teleios_server_write_timeouts_total"), before + 1);

@@ -350,7 +350,7 @@ class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = std::filesystem::temp_directory_path() /
-            ("telt_test_" + std::to_string(::getpid()) + ".telt");
+            ("persistence_test_" + std::to_string(::getpid()) + ".csv");
   }
   void TearDown() override { std::filesystem::remove(path_); }
   std::filesystem::path path_;
@@ -365,8 +365,7 @@ TEST_F(PersistenceTest, RoundTripAllTypes) {
                            Value("hello, | world")})
                   .ok());
   ASSERT_TRUE(t.AppendRow({Value(), Value(), Value(), Value()}).ok());
-  ASSERT_TRUE(WriteTable(t, path_.string()).ok());
-  auto loaded = ReadTable(path_.string());
+  auto loaded = DecodeTelt(EncodeTelt(t));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->num_rows(), 2u);
   EXPECT_EQ(loaded->Get(0, 0), Value(true));
@@ -378,35 +377,16 @@ TEST_F(PersistenceTest, RoundTripAllTypes) {
 }
 
 TEST_F(PersistenceTest, RejectsGarbage) {
-  {
-    std::ofstream os(path_);
-    os << "not a telt file";
-  }
-  EXPECT_FALSE(ReadTable(path_.string()).ok());
-}
-
-TEST_F(PersistenceTest, CsvExport) {
-  Table t{Schema({{"s", ColumnType::kString}, {"n", ColumnType::kInt64}})};
-  ASSERT_TRUE(t.AppendRow({Value("a,b"), Value(int64_t{1})}).ok());
-  ASSERT_TRUE(WriteCsv(t, path_.string()).ok());
-  std::ifstream is(path_);
-  std::string header, row;
-  std::getline(is, header);
-  std::getline(is, row);
-  EXPECT_EQ(header, "s,n");
-  EXPECT_EQ(row, "\"a,b\",1");
+  EXPECT_FALSE(DecodeTelt("not a telt image").ok());
 }
 
 TEST_F(PersistenceTest, CsvRoundTripInfersTypes) {
-  Table t{Schema({{"name", ColumnType::kString},
-                  {"count", ColumnType::kInt64},
-                  {"score", ColumnType::kFloat64}})};
-  ASSERT_TRUE(
-      t.AppendRow({Value("alpha, \"quoted\""), Value(int64_t{3}),
-                   Value(1.5)})
-          .ok());
-  ASSERT_TRUE(t.AppendRow({Value(), Value(int64_t{-2}), Value()}).ok());
-  ASSERT_TRUE(WriteCsv(t, path_.string()).ok());
+  {
+    std::ofstream os(path_);
+    os << "name,count,score\n"
+          "\"alpha, \"\"quoted\"\"\",3,1.5\n"
+          ",-2,\n";
+  }
   auto loaded = ReadCsv(path_.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->num_rows(), 2u);
@@ -455,13 +435,6 @@ std::string CraftTelt(uint32_t ncols, uint64_t nrows, uint32_t col_type,
   return image;
 }
 
-Result<Table> ReadTeltImage(const std::string& image,
-                            const std::filesystem::path& path) {
-  auto st = io::GetFileSystem()->WriteFileAtomic(path.string(), image);
-  if (!st.ok()) return st;
-  return ReadTable(path.string());
-}
-
 }  // namespace
 
 TEST_F(PersistenceTest, RejectsOutOfRangeDictionaryCode) {
@@ -470,9 +443,8 @@ TEST_F(PersistenceTest, RejectsOutOfRangeDictionaryCode) {
   io::PutU32(&col, 1);        // dict size 1
   io::PutStr(&col, "only");   // dict entry 0
   io::PutI32(&col, 7);        // code 7: out of range
-  auto r = ReadTeltImage(
-      CraftTelt(1, 1, static_cast<uint32_t>(ColumnType::kString), {col}),
-      path_);
+  auto r = DecodeTelt(
+      CraftTelt(1, 1, static_cast<uint32_t>(ColumnType::kString), {col}));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
   EXPECT_NE(r.status().message().find("out of range"), std::string::npos);
@@ -482,19 +454,16 @@ TEST_F(PersistenceTest, RejectsImplausibleDictionarySize) {
   std::string col;
   col.push_back('\1');
   io::PutU32(&col, 0x7fffffff);  // claims 2G dictionary entries
-  auto r = ReadTeltImage(
-      CraftTelt(1, 1, static_cast<uint32_t>(ColumnType::kString), {col}),
-      path_);
+  auto r = DecodeTelt(
+      CraftTelt(1, 1, static_cast<uint32_t>(ColumnType::kString), {col}));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(PersistenceTest, RejectsImplausibleCounts) {
   // Row count beyond the block cap.
-  auto r = ReadTeltImage(
-      CraftTelt(1, (1ull << 30) + 1,
-                static_cast<uint32_t>(ColumnType::kInt64), {}),
-      path_);
+  auto r = DecodeTelt(CraftTelt(
+      1, (1ull << 30) + 1, static_cast<uint32_t>(ColumnType::kInt64), {}));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
   // Column count beyond the cap.
@@ -504,11 +473,11 @@ TEST_F(PersistenceTest, RejectsImplausibleCounts) {
   io::PutU32(&header, (1u << 16) + 1);
   io::PutU64(&header, 0);
   io::AppendBlockTo(&image, header);
-  auto r2 = ReadTeltImage(image, path_);
+  auto r2 = DecodeTelt(image);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kParseError);
   // Invalid column type tag.
-  auto r3 = ReadTeltImage(CraftTelt(1, 0, 99, {std::string()}), path_);
+  auto r3 = DecodeTelt(CraftTelt(1, 0, 99, {std::string()}));
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kParseError);
 }
@@ -516,121 +485,11 @@ TEST_F(PersistenceTest, RejectsImplausibleCounts) {
 TEST_F(PersistenceTest, CorruptByteIsDataLoss) {
   Table t{Schema({{"i", ColumnType::kInt64}})};
   ASSERT_TRUE(t.AppendRow({Value(int64_t{42})}).ok());
-  ASSERT_TRUE(WriteTable(t, path_.string()).ok());
-  auto image = io::GetFileSystem()->ReadFile(path_.string());
-  ASSERT_TRUE(image.ok());
-  std::string corrupt = *image;
+  std::string corrupt = EncodeTelt(t);
   corrupt[corrupt.size() - 3] ^= 0x40;  // a payload byte of the column
-  auto r = ReadTeltImage(corrupt, path_);
+  auto r = DecodeTelt(corrupt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-}
-
-class CatalogSnapshotTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("telcat_test_" + std::to_string(::getpid()));
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
-};
-
-TEST_F(CatalogSnapshotTest, SaveLoadRoundTrip) {
-  Catalog catalog;
-  ASSERT_TRUE(
-      catalog.CreateTable("people", std::make_shared<Table>(MakePeople()))
-          .ok());
-  Table empty{Schema({{"x", ColumnType::kFloat64}})};
-  ASSERT_TRUE(
-      catalog.CreateTable("empty", std::make_shared<Table>(std::move(empty)))
-          .ok());
-  ASSERT_TRUE(SaveCatalog(catalog, dir_.string()).ok());
-
-  Catalog loaded;
-  auto n = LoadCatalog(dir_.string(), &loaded);
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 2u);
-  auto people = loaded.GetTable("people");
-  ASSERT_TRUE(people.ok());
-  EXPECT_EQ((*people)->num_rows(), 3u);
-  EXPECT_EQ((*people)->Get(0, 0), Value("ada"));
-  auto e = loaded.GetTable("empty");
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ((*e)->num_rows(), 0u);
-}
-
-TEST_F(CatalogSnapshotTest, CorruptManifestIsDataLoss) {
-  Catalog catalog;
-  ASSERT_TRUE(
-      catalog.CreateTable("people", std::make_shared<Table>(MakePeople()))
-          .ok());
-  ASSERT_TRUE(SaveCatalog(catalog, dir_.string()).ok());
-  std::string manifest_path = (dir_ / "MANIFEST").string();
-  auto manifest = io::GetFileSystem()->ReadFile(manifest_path);
-  ASSERT_TRUE(manifest.ok());
-  std::string corrupt = *manifest;
-  corrupt[corrupt.find('\t')] = ' ';
-  ASSERT_TRUE(
-      io::GetFileSystem()->WriteFileAtomic(manifest_path, corrupt).ok());
-  Catalog loaded;
-  auto n = LoadCatalog(dir_.string(), &loaded);
-  ASSERT_FALSE(n.ok());
-  EXPECT_EQ(n.status().code(), StatusCode::kDataLoss);
-}
-
-TEST_F(CatalogSnapshotTest, MissingSnapshotIsError) {
-  Catalog loaded;
-  EXPECT_FALSE(LoadCatalog((dir_ / "nope").string(), &loaded).ok());
-}
-
-TEST_F(CatalogSnapshotTest, RewriteCollectsOldGenerations) {
-  Catalog catalog;
-  ASSERT_TRUE(
-      catalog.CreateTable("people", std::make_shared<Table>(MakePeople()))
-          .ok());
-  auto count_table_files = [&] {
-    size_t n = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-      std::string name = entry.path().filename().string();
-      if (name.rfind("table_", 0) == 0 &&
-          name.size() > 5 && name.substr(name.size() - 5) == ".telt") {
-        ++n;
-      }
-    }
-    return n;
-  };
-  // Each save writes a fresh generation (never touching the files the
-  // live MANIFEST references) and garbage-collects the previous one
-  // after the manifest rename, so the directory never accumulates.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(SaveCatalog(catalog, dir_.string()).ok());
-    EXPECT_EQ(count_table_files(), 1u) << "after save " << i;
-    Catalog loaded;
-    auto n = LoadCatalog(dir_.string(), &loaded);
-    ASSERT_TRUE(n.ok()) << n.status().ToString();
-    EXPECT_EQ(*n, 1u);
-  }
-}
-
-TEST_F(CatalogSnapshotTest, StaleTableFilesFromCrashedSaveAreIgnored) {
-  Catalog catalog;
-  ASSERT_TRUE(
-      catalog.CreateTable("people", std::make_shared<Table>(MakePeople()))
-          .ok());
-  ASSERT_TRUE(SaveCatalog(catalog, dir_.string()).ok());
-  // Leftover of a crashed save: a table file no MANIFEST references.
-  ASSERT_TRUE(io::GetFileSystem()
-                  ->WriteFileAtomic((dir_ / "table_99_0.telt").string(),
-                                    "not even a telt file")
-                  .ok());
-  Catalog loaded;
-  auto n = LoadCatalog(dir_.string(), &loaded);
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 1u);
-  // The next save picks a later generation and sweeps the leftover.
-  ASSERT_TRUE(SaveCatalog(catalog, dir_.string()).ok());
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "table_99_0.telt"));
 }
 
 TEST(MemoryUsageTest, GrowsWithData) {
