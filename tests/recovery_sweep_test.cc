@@ -351,36 +351,41 @@ TEST_F(RecoverySweepTest, CheckpointCarriesEveryTable) {
 }
 
 // A table image recovery cannot decode is data loss, never a silently
-// dropped table: bytes that are no TELT image, and an image a newer
-// binary wrote.
+// dropped table. Logs `image` as table "t" in a well-framed record —
+// only the image inside it is unreadable — and requires the restart to
+// refuse it with a message naming `reason`.
+void ExpectTableImageRefused(const std::string& dir, const std::string& image,
+                             const std::string& reason) {
+  {
+    auto wal = io::WalWriter::Open(dir + "/wal", 1, 0, {});
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(
+        (*wal)
+            ->Append(static_cast<uint32_t>(WalRecordType::kCatalogTable),
+                     RecordBody("t") + RecordBody(image))
+            .ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  Instance instance(dir, DurabilityOptions{});
+  Status st = instance.Open();
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find(reason), std::string::npos) << st.ToString();
+  EXPECT_FALSE(instance.catalog.HasTable("t"));
+}
+
 TEST_F(RecoverySweepTest, UnreadableTableImageIsDataLoss) {
+  ExpectTableImageRefused(Path("unreadable"), "not a telt image",
+                          "not a TELT image");
+}
+
+// An image a newer binary wrote arrives intact, so it must hit the
+// version guard rather than a checksum.
+TEST_F(RecoverySweepTest, NewerTableImageIsDataLoss) {
   storage::Table t{storage::Schema({{"id", storage::ColumnType::kInt64}})};
   t.column(0).AppendInt64(1);
   std::string newer = storage::EncodeTelt(t);
   newer[4] = 99;  // "TELT", then the u32 format version
-  // {image, what the refusal names}
-  const std::vector<std::pair<std::string, std::string>> images = {
-      {"not a telt image", "not a TELT image"}, {newer, "newer"}};
-  for (size_t i = 0; i < images.size(); ++i) {
-    const std::string dir = Path("unreadable_" + std::to_string(i));
-    {
-      // A well-framed record: only the image inside it is unreadable.
-      auto wal = io::WalWriter::Open(dir + "/wal", 1, 0, {});
-      ASSERT_TRUE(wal.ok());
-      ASSERT_TRUE(
-          (*wal)
-              ->Append(static_cast<uint32_t>(WalRecordType::kCatalogTable),
-                       RecordBody("t") + RecordBody(images[i].first))
-              .ok());
-      ASSERT_TRUE((*wal)->Sync().ok());
-    }
-    Instance instance(dir, DurabilityOptions{});
-    Status st = instance.Open();
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
-    EXPECT_NE(st.message().find(images[i].second), std::string::npos)
-        << st.ToString();
-    EXPECT_FALSE(instance.catalog.HasTable("t"));
-  }
+  ExpectTableImageRefused(Path("newer"), newer, "newer");
 }
 
 // A directory whose tables live in the catalog/MANIFEST snapshot of
