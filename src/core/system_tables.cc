@@ -131,10 +131,9 @@ TablePtr PoolsTable() {
               {"parallelism", ColumnType::kInt64},
               {"queued", ColumnType::kInt64},
               {"busy", ColumnType::kInt64},
-              {"tasks_total", ColumnType::kInt64},
-              {"steals_total", ColumnType::kInt64}}));
-  // Chain-local pools are ephemeral; the process pool is the one whose
-  // health matters for capacity questions.
+              {"tasks_total", ColumnType::kInt64}}));
+  // The global pool runs every parallel operator's morsels, so its
+  // health is what capacity questions ask about.
   exec::ThreadPool::Stats stats = exec::ThreadPool::Global().Snapshot();
   table->column(0).AppendString(stats.name);
   table->column(1).AppendInt64(stats.workers);
@@ -142,7 +141,6 @@ TablePtr PoolsTable() {
   table->column(3).AppendInt64(static_cast<int64_t>(stats.queued));
   table->column(4).AppendInt64(stats.busy);
   table->column(5).AppendInt64(static_cast<int64_t>(stats.tasks_total));
-  table->column(6).AppendInt64(static_cast<int64_t>(stats.steals_total));
   return table;
 }
 

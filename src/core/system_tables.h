@@ -22,7 +22,7 @@ namespace teleios::core {
 ///   sys.metrics    every registry series flattened to name/kind/value
 ///   sys.budgets    live MemoryBudget tree (limit −1 when unlimited)
 ///   sys.breakers   circuit breakers (name, state, trips)
-///   sys.pools      the global work-stealing pool's counters
+///   sys.pools      the global morsel pool's counters
 ///   sys.events     the EventLog ring, one JSON object per row
 ///   sys.wal        durability state (WAL size/LSNs, checkpoint marks,
 ///                  last recovery's replay counts); empty when the

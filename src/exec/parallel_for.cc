@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <string>
 
 #include "common/thread_annotations.h"
-#include "exec/task_group.h"
+#include "exec/thread_pool.h"
 #include "governor/memory_budget.h"
 #include "obs/trace.h"
 
@@ -27,17 +28,77 @@ MorselPlan PlanMorsels(size_t n, size_t grain_hint) {
 
 namespace {
 
-/// Shared result slots for one parallel region. The lowest failing
+/// One parallel region, shared by the caller and the helper tasks it
+/// submits. A helper can start after the caller has returned (it waited
+/// in the queue behind other work), so the region lives in a shared_ptr;
+/// `body`, `cancel` and `budget` point into the caller's frame and are
+/// touched only by threads inside the open region. The lowest failing
 /// morsel index wins so the reported error matches what serial execution
 /// would have hit first.
-struct RegionState {
+struct Region {
+  Region(size_t n, MorselPlan plan, const MorselBody* body,
+         const CancellationToken* cancel, governor::MemoryBudget* budget)
+      : n(n), plan(plan), body(body), cancel(cancel), budget(budget) {}
+
+  const size_t n;
+  const MorselPlan plan;
+  const MorselBody* const body;
+  const CancellationToken* const cancel;
+  governor::MemoryBudget* const budget;
+  std::atomic<size_t> cursor{0};
+  std::atomic<size_t> executed{0};
+
   Mutex mu;
+  std::condition_variable left;  // the last helper inside has left
+  bool open TELEIOS_GUARDED_BY(mu) = true;
+  int inside TELEIOS_GUARDED_BY(mu) = 0;
   size_t error_morsel TELEIOS_GUARDED_BY(mu) = SIZE_MAX;
   Status error TELEIOS_GUARDED_BY(mu);
   size_t exception_morsel TELEIOS_GUARDED_BY(mu) = SIZE_MAX;
   std::exception_ptr exception TELEIOS_GUARDED_BY(mu);
-  std::atomic<size_t> cursor{0};
-  std::atomic<size_t> executed{0};
+
+  /// Claims morsels until the cursor runs out or the token expires, on
+  /// the caller's budget and token: a body that reserves memory on a
+  /// pool thread charges the same per-query budget as the thread that
+  /// opened the region, and a nested region opened from a body (it runs
+  /// inline on the worker) sees the same token.
+  void Work() {
+    governor::ScopedBudget budget_scope(budget);
+    ScopedCancel cancel_scope(cancel);
+    for (;;) {
+      if (cancel != nullptr && cancel->Expired()) return;
+      size_t m = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (m >= plan.count) return;
+      try {
+        Status s = (*body)(m, plan.Begin(m), plan.End(m, n));
+        if (!s.ok()) RecordError(m, std::move(s));
+      } catch (...) {
+        RecordException(m, std::current_exception());
+      }
+      executed.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// A helper task's whole life: enter if the region is still open,
+  /// claim morsels, leave.
+  void Help() {
+    {
+      MutexLock lock(mu);
+      if (!open) return;
+      ++inside;
+    }
+    Work();
+    MutexLock lock(mu);
+    if (--inside == 0) left.notify_all();
+  }
+
+  /// Run by the caller after its own Work(): no helper enters from here
+  /// on; blocks until every helper inside has left.
+  void Close() {
+    MutexLock lock(mu);
+    open = false;
+    while (inside > 0) left.wait(lock.native());
+  }
 
   void RecordError(size_t morsel, Status status) {
     MutexLock lock(mu);
@@ -62,7 +123,7 @@ Status ParallelFor(size_t n, const ParallelOptions& opts,
                    const MorselBody& body) {
   if (n == 0) return Status::OK();
   MorselPlan plan = PlanMorsels(n, opts.grain);
-  ThreadPool* pool = opts.pool != nullptr ? opts.pool : &ThreadPool::Global();
+  ThreadPool& pool = ThreadPool::Global();
   // Regions opened without an explicit token still honor the governed
   // statement they run inside: the facade installs the per-query token
   // as the thread's CurrentCancel, which is how KillQuery stops a
@@ -71,10 +132,10 @@ Status ParallelFor(size_t n, const ParallelOptions& opts,
       opts.cancel != nullptr ? opts.cancel : CurrentCancel();
 
   bool serial =
-      plan.count == 1 || pool->parallelism() == 1 || pool->OnWorkerThread();
+      plan.count == 1 || pool.parallelism() == 1 || pool.OnWorkerThread();
   size_t threads =
       serial ? 1
-             : std::min(static_cast<size_t>(pool->parallelism()), plan.count);
+             : std::min(static_cast<size_t>(pool.parallelism()), plan.count);
 
   // Record the fan-out/fan-in as one span of the caller's trace; its
   // duration covers dispatch through join.
@@ -96,45 +157,21 @@ Status ParallelFor(size_t n, const ParallelOptions& opts,
     return Status::OK();
   }
 
-  RegionState state;
-  // Workers charge the caller's budget, not the process root: a morsel
-  // body that reserves memory on a pool thread lands on the same
-  // per-query budget as the thread that opened the region.
-  governor::MemoryBudget* region_budget = governor::CurrentBudget();
-  auto runner = [&] {
-    governor::ScopedBudget budget_scope(region_budget);
-    // Nested regions opened from a morsel body (they run inline on the
-    // worker) must see the same token as the thread that opened this
-    // region.
-    ScopedCancel cancel_scope(cancel);
-    for (;;) {
-      if (cancel != nullptr && cancel->Expired()) return;
-      size_t m = state.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (m >= plan.count) return;
-      try {
-        Status s = body(m, plan.Begin(m), plan.End(m, n));
-        if (!s.ok()) state.RecordError(m, std::move(s));
-      } catch (...) {
-        state.RecordException(m, std::current_exception());
-      }
-      state.executed.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  {
-    TaskGroup group(pool);
-    for (size_t t = 1; t < threads; ++t) group.Run(runner);
-    runner();
-    group.Wait();  // runner never throws; body exceptions are captured
+  auto region = std::make_shared<Region>(n, plan, &body, cancel,
+                                         governor::CurrentBudget());
+  for (size_t t = 1; t < threads; ++t) {
+    pool.Submit([region] { region->Help(); });
   }
+  region->Work();
+  region->Close();
 
-  MutexLock lock(state.mu);
-  if (state.exception &&
-      state.exception_morsel <= state.error_morsel) {
-    std::rethrow_exception(state.exception);
+  MutexLock lock(region->mu);
+  if (region->exception &&
+      region->exception_morsel <= region->error_morsel) {
+    std::rethrow_exception(region->exception);
   }
-  if (state.error_morsel != SIZE_MAX) return state.error;
-  if (state.executed.load(std::memory_order_relaxed) < plan.count) {
+  if (region->error_morsel != SIZE_MAX) return region->error;
+  if (region->executed.load(std::memory_order_relaxed) < plan.count) {
     // Cancellation stopped morsels from starting.
     if (cancel != nullptr) {
       Status s = cancel->Check();

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "common/cancellation.h"
-#include "exec/thread_pool.h"
 
 namespace teleios::exec {
 
@@ -31,7 +30,7 @@ struct MorselPlan {
 /// auto-tunes it from the problem size alone (roughly n/64, clamped to
 /// [4096, 262144] items) so small inputs stay a single morsel — the
 /// serial fast path — and large ones produce enough morsels to balance
-/// across workers with headroom for stealing.
+/// across workers.
 MorselPlan PlanMorsels(size_t n, size_t grain_hint = 0);
 
 struct ParallelOptions {
@@ -43,8 +42,6 @@ struct ParallelOptions {
   /// recorded as one span (attrs: morsels, grain, threads) — this is what
   /// makes parallel regions visible in PROFILE output.
   const char* label = nullptr;
-  /// Pool to fan out on; nullptr = the global pool.
-  ThreadPool* pool = nullptr;
 };
 
 /// `body(morsel, begin, end)` processes items [begin, end) of morsel
@@ -53,11 +50,14 @@ struct ParallelOptions {
 using MorselBody =
     std::function<Status(size_t morsel, size_t begin, size_t end)>;
 
-/// Runs `body` over every morsel of [0, n). Morsels are claimed from a
-/// shared cursor by up to `parallelism` threads (the caller included);
-/// with one thread, a single morsel, or when already on a pool worker
-/// (no nested fan-out) the morsels run inline in index order — the
-/// serial behaviour.
+/// Runs `body` over every morsel of [0, n) on the global pool. Morsels
+/// are claimed from a shared cursor by the caller and up to
+/// `parallelism - 1` helper tasks; with one thread, a single morsel, or
+/// when already on a pool worker (no nested fan-out) the morsels run
+/// inline in index order — the serial behaviour. Once the cursor runs
+/// out the caller closes the region and waits only for helpers already
+/// inside it; a helper that starts later returns without touching
+/// `body`, and the caller never runs another task from the pool.
 ///
 /// Error contract: every morsel runs even if one fails (no early abort),
 /// and the error of the lowest-index failing morsel is returned — the

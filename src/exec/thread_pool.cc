@@ -1,16 +1,17 @@
 #include "exec/thread_pool.h"
 
+#include <memory>
+
 #include "common/strings.h"
 
 namespace teleios::exec {
 
 namespace {
 
-/// Worker index on the pool that owns the calling thread; -1 elsewhere.
-/// One slot per thread is enough: workers never run on another pool's
+/// The pool whose worker the calling thread is; nullptr elsewhere. One
+/// slot per thread is enough: workers never run on another pool's
 /// threads.
 thread_local const ThreadPool* t_worker_pool = nullptr;
-thread_local int t_worker_index = -1;
 
 }  // namespace
 
@@ -25,38 +26,40 @@ ThreadPool::ThreadPool(int threads, std::string name)
   queue_depth_ = registry.GetGauge(metric("teleios_exec_queue_depth"));
   busy_workers_ = registry.GetGauge(metric("teleios_exec_busy_workers"));
   tasks_total_ = registry.GetCounter(metric("teleios_exec_tasks_total"));
-  steals_total_ = registry.GetCounter(metric("teleios_exec_steals_total"));
   schedule_millis_ =
       registry.GetHistogram(metric("teleios_exec_schedule_millis"));
   registry.GetGauge(metric("teleios_exec_workers"))
       ->Set(static_cast<double>(workers));
 
-  deques_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    deques_.push_back(std::make_unique<Worker>());
-  }
   workers_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(inject_mu_);
+    MutexLock lock(mu_);
     stop_ = true;
   }
   wake_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Tasks still queued at shutdown run on the destroying thread so a
-  // TaskGroup waiting elsewhere can never hang on a dropped task.
-  Task task;
-  while (NextTask(-1, &task)) RunTask(std::move(task));
+  // Tasks still queued at shutdown run on the destroying thread, so a
+  // submitted task is never dropped (a ParallelFor helper that finds its
+  // region closed returns at once).
+  for (;;) {
+    Task task;
+    {
+      MutexLock lock(mu_);
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    RunTask(std::move(task));
+  }
 }
 
-bool ThreadPool::OnWorkerThread() const {
-  return t_worker_pool == this && t_worker_index >= 0;
-}
+bool ThreadPool::OnWorkerThread() const { return t_worker_pool == this; }
 
 ThreadPool::Stats ThreadPool::Snapshot() {
   Stats stats;
@@ -64,16 +67,11 @@ ThreadPool::Stats ThreadPool::Snapshot() {
   stats.workers = workers();
   stats.parallelism = parallelism();
   {
-    MutexLock lock(inject_mu_);
-    stats.queued = inject_.size();
-  }
-  for (const auto& worker : deques_) {
-    MutexLock lock(worker->mu);
-    stats.queued += worker->deque.size();
+    MutexLock lock(mu_);
+    stats.queued = queue_.size();
   }
   stats.busy = static_cast<int>(busy_workers_->value());
   stats.tasks_total = tasks_total_->value();
-  stats.steals_total = steals_total_->value();
   return stats;
 }
 
@@ -85,53 +83,11 @@ void ThreadPool::Submit(std::function<void()> task) {
     RunTask(std::move(t));
     return;
   }
-  if (OnWorkerThread()) {
-    Worker& own = *deques_[t_worker_index];
-    MutexLock lock(own.mu);
-    own.deque.push_back(std::move(t));
-  } else {
-    MutexLock lock(inject_mu_);
-    inject_.push_back(std::move(t));
+  {
+    MutexLock lock(mu_);
+    queue_.push_back(std::move(t));
   }
   wake_.notify_one();
-}
-
-bool ThreadPool::NextTask(int self, Task* task) {
-  // 1. Own deque, newest first (depth-first execution of forked work).
-  if (self >= 0) {
-    Worker& own = *deques_[self];
-    MutexLock lock(own.mu);
-    if (!own.deque.empty()) {
-      *task = std::move(own.deque.back());
-      own.deque.pop_back();
-      return true;
-    }
-  }
-  // 2. Injection queue, oldest first.
-  {
-    MutexLock lock(inject_mu_);
-    if (!inject_.empty()) {
-      *task = std::move(inject_.front());
-      inject_.pop_front();
-      return true;
-    }
-  }
-  // 3. Steal from a sibling, oldest first. Start past our own slot so
-  // victims rotate instead of worker 0 being mobbed.
-  size_t n = deques_.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t victim = (static_cast<size_t>(self < 0 ? 0 : self) + 1 + i) % n;
-    if (static_cast<int>(victim) == self) continue;
-    Worker& other = *deques_[victim];
-    MutexLock lock(other.mu);
-    if (!other.deque.empty()) {
-      *task = std::move(other.deque.front());
-      other.deque.pop_front();
-      steals_total_->Inc();
-      return true;
-    }
-  }
-  return false;
 }
 
 void ThreadPool::RunTask(Task task) {
@@ -146,31 +102,18 @@ void ThreadPool::RunTask(Task task) {
   busy_workers_->Add(-1);
 }
 
-bool ThreadPool::TryRunOneTask() {
-  Task task;
-  if (!NextTask(OnWorkerThread() ? t_worker_index : -1, &task)) {
-    return false;
-  }
-  RunTask(std::move(task));
-  return true;
-}
-
-void ThreadPool::WorkerLoop(int index) {
+void ThreadPool::WorkerLoop() {
   t_worker_pool = this;
-  t_worker_index = index;
   for (;;) {
     Task task;
-    if (NextTask(index, &task)) {
-      RunTask(std::move(task));
-      continue;
+    {
+      MutexLock lock(mu_);
+      while (!stop_ && queue_.empty()) wake_.wait(lock.native());
+      if (stop_) return;  // the destructor runs what is still queued
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    MutexLock lock(inject_mu_);
-    if (stop_) return;
-    if (!inject_.empty()) continue;
-    // Re-poll for stealable work every few milliseconds: pushes to
-    // sibling deques notify wake_, but a notification can slip between
-    // our failed scan and this wait.
-    wake_.wait_for(lock.native(), std::chrono::milliseconds(2));
+    RunTask(std::move(task));
   }
 }
 

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,46 +14,36 @@
 
 namespace teleios::exec {
 
-/// A work-stealing thread pool: each worker owns a deque it pushes and
-/// pops LIFO; a worker whose deque runs dry first drains the shared
-/// injection queue (tasks submitted from outside the pool), then steals
-/// FIFO from a sibling's deque. Stealing from the opposite end keeps the
-/// thief off the victim's cache-hot tail and moves the oldest — typically
-/// largest — pending work.
+/// A thread pool over one FIFO queue under one mutex: Submit appends a
+/// task and wakes one worker; an idle worker sleeps until it is woken or
+/// the pool stops, so an idle pool costs no CPU.
 ///
 /// A pool of parallelism `threads` spawns `threads - 1` workers: the
-/// thread that fans work out participates via TaskGroup::Wait /
-/// ParallelFor, so TELEIOS_THREADS=1 means zero workers and every task
-/// runs inline on the caller — the serial behaviour.
+/// thread that fans work out claims morsels itself (ParallelFor), so
+/// TELEIOS_THREADS=1 means zero workers and every task runs inline on
+/// the caller — the serial behaviour.
 ///
 /// Observability (per pool, labelled pool="<name>"):
 ///   teleios_exec_workers              gauge   spawned worker threads
 ///   teleios_exec_queue_depth          gauge   tasks waiting to run
 ///   teleios_exec_busy_workers         gauge   tasks currently executing
 ///   teleios_exec_tasks_total          counter tasks executed
-///   teleios_exec_steals_total         counter deque-to-deque steals
 ///   teleios_exec_schedule_millis      histo   submit-to-start latency
 class ThreadPool {
  public:
   /// `threads` is the target parallelism including the submitting thread
   /// (clamped to >= 1); `name` labels the pool's metrics.
   explicit ThreadPool(int threads, std::string name = "global");
+  /// Joins the workers, then runs every task still queued on the
+  /// destroying thread, so no submitted task is dropped.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task`. From a worker thread the task lands on that
-  /// worker's own deque (depth-first, cache-friendly); from any other
-  /// thread it goes to the shared injection queue. With zero workers the
-  /// task runs inline before Submit returns.
+  /// Appends `task` to the queue and wakes one worker. With zero workers
+  /// the task runs inline before Submit returns.
   void Submit(std::function<void()> task);
-
-  /// Runs one queued task on the calling thread if any is available;
-  /// false when every queue was empty. Lets threads blocked in
-  /// TaskGroup::Wait help drain the pool instead of idling (and makes
-  /// nested waits deadlock-free).
-  bool TryRunOneTask();
 
   /// Spawned worker threads (parallelism - 1).
   int workers() const { return static_cast<int>(workers_.size()); }
@@ -67,8 +56,8 @@ class ThreadPool {
   bool OnWorkerThread() const;
 
   /// Instantaneous snapshot for introspection (`sys.pools`): queued
-  /// counts every task waiting in the injection queue or a worker deque;
-  /// busy / totals come from this pool's registry metrics.
+  /// counts the tasks waiting in the queue; busy / totals come from this
+  /// pool's registry metrics.
   struct Stats {
     std::string name;
     int workers = 0;
@@ -76,7 +65,6 @@ class ThreadPool {
     size_t queued = 0;
     int busy = 0;
     uint64_t tasks_total = 0;
-    uint64_t steals_total = 0;
   };
   Stats Snapshot();
 
@@ -98,33 +86,25 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  struct Worker {
-    Mutex mu;
-    std::deque<Task> deque TELEIOS_GUARDED_BY(mu);
-  };
-
-  void WorkerLoop(int index);
-  /// Pops per the calling context (own deque -> injection queue ->
-  /// steal); false when nothing is runnable.
-  bool NextTask(int self, Task* task) TELEIOS_EXCLUDES(inject_mu_);
+  void WorkerLoop();
   void RunTask(Task task);
 
   std::string name_;
-  std::vector<std::unique_ptr<Worker>> deques_;
-  std::vector<std::thread> workers_;
 
-  Mutex inject_mu_;
-  std::deque<Task> inject_ TELEIOS_GUARDED_BY(inject_mu_);
+  Mutex mu_;
+  std::deque<Task> queue_ TELEIOS_GUARDED_BY(mu_);
   std::condition_variable wake_;
-  bool stop_ TELEIOS_GUARDED_BY(inject_mu_) = false;
+  bool stop_ TELEIOS_GUARDED_BY(mu_) = false;
 
   // Metric handles, resolved once (the registry guarantees stable
   // pointers).
   obs::Gauge* queue_depth_;
   obs::Gauge* busy_workers_;
   obs::Counter* tasks_total_;
-  obs::Counter* steals_total_;
   obs::Histogram* schedule_millis_;
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace teleios::exec

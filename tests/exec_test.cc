@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,7 +16,6 @@
 #include "eo/scene.h"
 #include "common/cancellation.h"
 #include "exec/parallel_for.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "mining/features.h"
 #include "mining/kmeans.h"
@@ -46,44 +47,47 @@ class GlobalThreadsGuard {
 // at runtime: these tests hammer them from pool threads so the TSan
 // pass (check.sh pass 4) verifies the RAII bookkeeping really locks.
 
+/// Runs `body(i)` for every i in [0, n) as grain-1 morsels on a 4-thread
+/// global pool, so the bodies run concurrently on pool threads.
+void OnPoolThreads(size_t n, const std::function<void(size_t)>& body) {
+  ThreadPool::SetGlobalThreads(4);
+  ParallelOptions opts;
+  opts.grain = 1;
+  Status st = ParallelFor(n, opts, [&](size_t m, size_t, size_t) {
+    body(m);
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(ThreadAnnotationsTest, MutexLockWrappersExcludeEachOther) {
   GlobalThreadsGuard guard;
-  ThreadPool::SetGlobalThreads(4);
   Mutex mu;
   int counter = 0;  // protected by mu
-  TaskGroup group;
-  for (int t = 0; t < 4; ++t) {
-    group.Run([&] {
-      for (int i = 0; i < 1000; ++i) {
-        MutexLock lock(mu);
-        ++counter;
-      }
-    });
-  }
-  group.Wait();
+  OnPoolThreads(4, [&](size_t) {
+    for (int i = 0; i < 1000; ++i) {
+      MutexLock lock(mu);
+      ++counter;
+    }
+  });
   MutexLock lock(mu);
   EXPECT_EQ(counter, 4000);
 }
 
 TEST(ThreadAnnotationsTest, TryLockGuardsTheSameState) {
   GlobalThreadsGuard guard;
-  ThreadPool::SetGlobalThreads(4);
   Mutex mu;
   int counter = 0;  // protected by mu
   std::atomic<int> acquired{0};
-  TaskGroup group;
-  for (int t = 0; t < 4; ++t) {
-    group.Run([&] {
-      for (int i = 0; i < 1000; ++i) {
-        if (mu.TryLock()) {
-          ++counter;
-          mu.Unlock();
-          acquired.fetch_add(1, std::memory_order_relaxed);
-        }
+  OnPoolThreads(4, [&](size_t) {
+    for (int i = 0; i < 1000; ++i) {
+      if (mu.TryLock()) {
+        ++counter;
+        mu.Unlock();
+        acquired.fetch_add(1, std::memory_order_relaxed);
       }
-    });
-  }
-  group.Wait();
+    }
+  });
   MutexLock lock(mu);
   EXPECT_EQ(counter, acquired.load(std::memory_order_relaxed));
   EXPECT_GT(counter, 0);
@@ -91,29 +95,22 @@ TEST(ThreadAnnotationsTest, TryLockGuardsTheSameState) {
 
 TEST(ThreadAnnotationsTest, SharedMutexReadersSeeConsistentState) {
   GlobalThreadsGuard guard;
-  ThreadPool::SetGlobalThreads(4);
   SharedMutex mu;
   std::vector<int> data{0};  // protected by mu; back() == size()-1 invariant
   std::atomic<int> reads{0};
-  TaskGroup group;
-  for (int t = 0; t < 2; ++t) {
-    group.Run([&] {
-      for (int i = 0; i < 500; ++i) {
+  // Morsels 0 and 1 write, 2 and 3 read.
+  OnPoolThreads(4, [&](size_t morsel) {
+    for (int i = 0; i < 500; ++i) {
+      if (morsel < 2) {
         WriterMutexLock lock(mu);
         data.push_back(data.back() + 1);
-      }
-    });
-  }
-  for (int t = 0; t < 2; ++t) {
-    group.Run([&] {
-      for (int i = 0; i < 500; ++i) {
+      } else {
         ReaderMutexLock lock(mu);
-        ASSERT_EQ(data.back(), static_cast<int>(data.size()) - 1);
+        EXPECT_EQ(data.back(), static_cast<int>(data.size()) - 1);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
-    });
-  }
-  group.Wait();
+    }
+  });
   WriterMutexLock lock(mu);
   EXPECT_EQ(data.size(), 1001u);
   EXPECT_EQ(reads.load(std::memory_order_relaxed), 1000);
@@ -151,32 +148,33 @@ TEST(ThreadPoolTest, ThreadCountClampedToOne) {
   EXPECT_EQ(pool.parallelism(), 1);
 }
 
-TEST(ThreadPoolTest, WorkersStealFromABusySibling) {
-  ThreadPool pool(3, "steal_test");  // 2 workers
-  obs::Counter* steals = obs::MetricsRegistry::Global().GetCounter(
-      obs::WithLabel("teleios_exec_steals_total", "pool", "steal_test"));
-  std::atomic<int> ran{0};
-  std::atomic<bool> was_worker{false};
-  // Submit (not TaskGroup: Wait() would let this caller thread run the
-  // task inline) so the flood task must land on a worker. It fills its
-  // own deque, then blocks until a task has run — since this thread
-  // never consumes and the owner is blocked, the first run must be a
-  // steal by the sibling.
-  pool.Submit([&] {
-    was_worker.store(pool.OnWorkerThread());
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-    while (ran.load() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (ran.load() < 100) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// CPU time and voluntary context switches the process has used.
+struct ProcessUsage {
+  double cpu_millis = 0;
+  long voluntary_switches = 0;
+
+  static ProcessUsage Now() {
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    auto millis = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) * 1e3 +
+             static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    return {millis(ru.ru_utime) + millis(ru.ru_stime), ru.ru_nvcsw};
   }
-  EXPECT_EQ(ran.load(), 100);
-  EXPECT_TRUE(was_worker.load());
-  EXPECT_GT(steals->value(), 0u);
+};
+
+TEST(ThreadPoolTest, IdleWorkersSleep) {
+  // A server-sized pool with nothing queued: its workers must sleep
+  // until woken, not re-poll. A 2 ms re-poll across 64 workers costs
+  // about 16k switches and over 200 ms of CPU in this window.
+  ThreadPool pool(65, "idle_test");
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // parked
+  ProcessUsage before = ProcessUsage::Now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ProcessUsage after = ProcessUsage::Now();
+  EXPECT_LT(after.voluntary_switches - before.voluntary_switches, 500);
+  EXPECT_LT(after.cpu_millis - before.cpu_millis, 50.0);
 }
 
 TEST(ThreadPoolTest, TasksCounterAndQueueDepthSettle) {
@@ -200,32 +198,6 @@ TEST(ThreadPoolTest, DefaultThreadsHonorsEnv) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);  // invalid -> hardware
   ::unsetenv("TELEIOS_THREADS");
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup
-
-TEST(TaskGroupTest, WaitJoinsAllForkedTasks) {
-  ThreadPool pool(4, "group_test");
-  std::atomic<int> ran{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 64; ++i) group.Run([&ran] { ran.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(TaskGroupTest, ExceptionCrossesWait) {
-  ThreadPool pool(4, "group_throw_test");
-  TaskGroup group(&pool);
-  group.Run([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-TEST(TaskGroupTest, DestructorSwallowsException) {
-  ThreadPool pool(2, "group_dtor_test");
-  // Must not terminate: the destructor waits and swallows.
-  TaskGroup group(&pool);
-  group.Run([] { throw std::runtime_error("unseen"); });
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +257,55 @@ TEST(ParallelForTest, BodyExceptionPropagates) {
         });
       },
       std::runtime_error);
+}
+
+TEST(ParallelForTest, CallerRunsOnlyItsOwnMorsels) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(2);  // one worker
+  ThreadPool& pool = ThreadPool::Global();
+  std::atomic<bool> release{false};
+  auto block = [&release] {
+    auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // Task A occupies the only worker; task B waits in the queue behind it.
+  std::atomic<bool> a_started{false};
+  pool.Submit([&] {
+    a_started.store(true);
+    block();
+  });
+  while (!a_started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> b_on_caller{false};
+  pool.Submit([&] {
+    b_on_caller.store(std::this_thread::get_id() == caller);
+    block();
+  });
+
+  // The region's helper queues behind B, so the caller claims all eight
+  // morsels itself; it must then return at once, not run B meanwhile.
+  std::atomic<int> calls{0};
+  ParallelOptions opts;
+  opts.grain = 1;
+  auto start = std::chrono::steady_clock::now();
+  Status st = ParallelFor(8, opts, [&](size_t, size_t, size_t) {
+    calls.fetch_add(1);
+    return Status::OK();
+  });
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  release.store(true);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(calls.load(), 8);
+  EXPECT_FALSE(b_on_caller.load());
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  // Rebuilding the pool drains A, B and the late helper, which finds the
+  // region closed and leaves the body alone.
+  ThreadPool::SetGlobalThreads(2);
+  EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ParallelForTest, CancellationStopsUnstartedMorsels) {

@@ -631,6 +631,10 @@ void RunSweepIteration(FaultInjectingTransport* faulty,
 
     faulty->Arm(spec);
     RunChaosWorkload(server.port(), client_id, kBase);
+    // The server reads the client's GOODBYE on its own thread, after the
+    // workload has returned: sample once every session has closed, or a
+    // late read goes uncounted and a fault aimed at it never fires.
+    EXPECT_TRUE(Eventually([&] { return server.sessions().live() == 0; }));
     run->ops = faulty->ops();
     run->faults = faulty->faults_injected();
     faulty->Disarm();
@@ -710,10 +714,13 @@ TEST_F(ChaosServerTest, KillAtEverySocketOpStaysExactlyOnce) {
     }
   }
   const uint64_t swept = k - 1;
-  // The floor: every round trip is at least four ops (a write and a
-  // read on each side), each streamed SELECT of 12 chunks at least 15 and
-  // the handshake 6, so a run crosses at least 74 fault points; reads
-  // that wake before a whole reply has arrived add a few more.
+  // The floor: the handshake takes 6 ops; nine single-reply round trips
+  // (CREATE, two INSERTs, PREPARE, two EXECUTEs, the count SELECT, two
+  // PINGs) at least four each, a write and a read on each side; the two
+  // streamed SELECTs of 12 chunks at least 15 each; and the GOODBYE 2,
+  // the client's write and the server's read. So a run crosses at least
+  // 74 fault points, the last of them the server's read of the GOODBYE;
+  // reads that wake before a whole reply has arrived add a few more.
   EXPECT_GE(swept, 74u);
   std::cout << "[sweep] " << swept << " fault points (clean probe: "
             << clean.ops << " ops)\n";
