@@ -11,13 +11,12 @@
 #include <chrono>
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
-#include "mining/annotation.h"
+#include "mining/annotation_service.h"
 #include "noa/chain.h"
 #include "noa/mapping.h"
-#include "noa/refinement.h"
 
 namespace {
 
@@ -46,43 +45,38 @@ void BM_FullObservatoryPipeline(benchmark::State& state) {
   for (auto _ : state) {
     // --- ingestion tier --------------------------------------------------
     auto t0 = Clock::now();
-    teleios::storage::Catalog catalog;
-    teleios::vault::DataVault vault(&catalog);
-    (void)vault.Attach(dir);
-    teleios::sciql::SciQlEngine sciql(&catalog);
-    teleios::strabon::Strabon strabon;
-    (void)strabon.LoadTurtle(teleios::eo::OntologyTurtle());
+    teleios::core::VirtualEarthObservatory veo;
+    (void)veo.AttachArchive(dir);
     auto coast = teleios::linkeddata::GenerateCoastline(scene);
-    (void)strabon.LoadTurtle(*coast);
+    (void)veo.LoadLinkedData(*coast);
     auto towns = teleios::linkeddata::GenerateTowns(scene, 10, 3);
-    (void)strabon.LoadTurtle(*towns);
+    (void)veo.LoadLinkedData(*towns);
     state.counters["t_ingest_ms"] = MillisSince(t0);
 
     // --- content extraction + knowledge discovery ------------------------
     auto t1 = Clock::now();
     auto patches = *teleios::mining::CutPatches(scene, 8);
-    auto annotations = *teleios::mining::AnnotatePatches(patches, 8, 7);
-    (void)teleios::mining::PublishAnnotations(annotations, "msg", &strabon);
+    teleios::mining::AnnotationService annotations;
+    (void)annotations.Annotate(patches, 8, 7);
+    (void)veo.PublishAnnotations(annotations, "msg");
     state.counters["t_kdd_ms"] = MillisSince(t1);
 
     // --- service tier: NOA chain + refinement ----------------------------
     auto t2 = Clock::now();
-    teleios::noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
     teleios::noa::ChainConfig config;
     config.classifier.kind = teleios::noa::ClassifierKind::kThreshold;
     config.classifier.threshold_kelvin = 315.0;
-    auto result = chain.Run("msg", config);
+    auto result = veo.RunFireChain("msg", config);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    auto report =
-        teleios::noa::RefineHotspots(&strabon, result->product_id);
+    auto report = veo.Refine(result->product_id);
     state.counters["t_chain_ms"] = MillisSince(t2);
 
     // --- application tier: rapid map --------------------------------------
     auto t3 = Clock::now();
-    teleios::noa::RapidMapper mapper(&strabon);
+    teleios::noa::RapidMapper mapper = veo.MakeMapper();
     (void)mapper.AddQueryLayer(
         "land", "#88aa66", '.',
         "SELECT ?g WHERE { ?x a noa:LandArea ; noa:hasGeometry ?g }");
@@ -102,8 +96,8 @@ void BM_FullObservatoryPipeline(benchmark::State& state) {
     state.counters["refined"] =
         report.ok() ? static_cast<double>(report->hotspots_refined) : -1;
     state.counters["annotations"] =
-        static_cast<double>(annotations.size());
-    state.counters["triples"] = static_cast<double>(strabon.size());
+        static_cast<double>(annotations.annotations().size());
+    state.counters["triples"] = static_cast<double>(veo.strabon().size());
     benchmark::DoNotOptimize(svg.size());
   }
 }

@@ -8,7 +8,7 @@
 
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "noa/chain.h"
 
@@ -20,15 +20,10 @@ using teleios::eo::GenerateScene;
 using teleios::eo::SceneSpec;
 using teleios::noa::ChainConfig;
 using teleios::noa::ClassifierKind;
-using teleios::noa::ProcessingChain;
 
 struct ChainEnv {
   std::string dir;
-  teleios::storage::Catalog catalog;
-  std::unique_ptr<teleios::vault::DataVault> vault;
-  std::unique_ptr<teleios::sciql::SciQlEngine> sciql;
-  teleios::strabon::Strabon strabon;
-  std::unique_ptr<ProcessingChain> chain;
+  teleios::core::VirtualEarthObservatory veo;
 
   explicit ChainEnv(int size) {
     dir = (fs::temp_directory_path() /
@@ -43,12 +38,7 @@ struct ChainEnv {
     auto scene = GenerateScene(spec);
     (void)teleios::vault::WriteTer(scene->ToTerRaster(),
                                    dir + "/scene.ter");
-    vault = std::make_unique<teleios::vault::DataVault>(&catalog);
-    (void)vault->Attach(dir);
-    sciql = std::make_unique<teleios::sciql::SciQlEngine>(&catalog);
-    (void)strabon.LoadTurtle(teleios::eo::OntologyTurtle());
-    chain = std::make_unique<ProcessingChain>(vault.get(), sciql.get(),
-                                              &strabon, &catalog);
+    (void)veo.AttachArchive(dir);
   }
 };
 
@@ -58,7 +48,7 @@ void RunChain(benchmark::State& state, ClassifierKind kind) {
   config.classifier.kind = kind;
   std::string raster = "scene" + std::to_string(state.range(0));
   for (auto _ : state) {
-    auto result = env.chain->Run(raster, config);
+    auto result = env.veo.RunFireChain(raster, config);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -94,7 +84,7 @@ void BM_ChainCropped(benchmark::State& state) {
   config.crop_x1 = static_cast<int>(state.range(0));
   config.crop_y1 = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto result = env.chain->Run("scene192", config);
+    auto result = env.veo.RunFireChain("scene192", config);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -111,10 +101,10 @@ void BM_CatalogSearchPriorRuns(benchmark::State& state) {
   a.classifier.kind = ClassifierKind::kThreshold;
   ChainConfig b;
   b.classifier.kind = ClassifierKind::kContextual;
-  (void)env.chain->Run("scene96", a);
-  (void)env.chain->Run("scene96", b);
+  (void)env.veo.RunFireChain("scene96", a);
+  (void)env.veo.RunFireChain("scene96", b);
   for (auto _ : state) {
-    auto r = env.strabon.Select(
+    auto r = env.veo.strabon().Select(
         "SELECT ?p ?lvl WHERE { ?p a noa:Product ; "
         "noa:hasProcessingLevel ?lvl ; noa:wasDerivedFrom ?raw . }");
     benchmark::DoNotOptimize(r->num_rows());

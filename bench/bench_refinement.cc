@@ -8,8 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "noa/chain.h"
@@ -25,13 +26,11 @@ using teleios::eo::SceneSpec;
 using teleios::noa::ChainConfig;
 using teleios::noa::ClassifierKind;
 
+using teleios::core::VirtualEarthObservatory;
+
 struct RefineEnv {
   std::string dir;
   Scene scene;
-  teleios::storage::Catalog catalog;
-  std::unique_ptr<teleios::vault::DataVault> vault;
-  std::unique_ptr<teleios::sciql::SciQlEngine> sciql;
-  std::unique_ptr<teleios::noa::ProcessingChain> chain;
 
   explicit RefineEnv(int fires) {
     dir = (fs::temp_directory_path() /
@@ -47,23 +46,19 @@ struct RefineEnv {
     spec.name = "scene";
     scene = *GenerateScene(spec);
     (void)teleios::vault::WriteTer(scene.ToTerRaster(), dir + "/scene.ter");
-    vault = std::make_unique<teleios::vault::DataVault>(&catalog);
-    (void)vault->Attach(dir);
-    sciql = std::make_unique<teleios::sciql::SciQlEngine>(&catalog);
   }
 
-  /// Loads ontology + coastline and runs the naive chain; returns the
-  /// product id. Fresh Strabon per call so refinement is repeatable.
-  std::string Prepare(teleios::strabon::Strabon* strabon) {
-    (void)strabon->LoadTurtle(teleios::eo::OntologyTurtle());
+  /// Attaches the scene to `veo`, loads the coastline and runs the naive
+  /// chain; returns the product id. A fresh observatory per call keeps
+  /// refinement repeatable.
+  std::string Prepare(VirtualEarthObservatory* veo) {
+    (void)veo->AttachArchive(dir);
     auto coast = teleios::linkeddata::GenerateCoastline(scene);
-    (void)strabon->LoadTurtle(*coast);
-    teleios::noa::ProcessingChain run(vault.get(), sciql.get(), strabon,
-                                      &catalog);
+    (void)veo->LoadLinkedData(*coast);
     ChainConfig config;
     config.classifier.kind = ClassifierKind::kThreshold;
     config.classifier.threshold_kelvin = 315.0;
-    auto result = run.Run("scene", config);
+    auto result = veo->RunFireChain("scene", config);
     return result.ok() ? result->product_id : "";
   }
 };
@@ -72,10 +67,10 @@ void BM_RefinementPass(benchmark::State& state) {
   RefineEnv env(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     state.PauseTiming();
-    teleios::strabon::Strabon strabon;
-    std::string product = env.Prepare(&strabon);
+    auto veo = std::make_unique<VirtualEarthObservatory>();
+    std::string product = env.Prepare(veo.get());
     state.ResumeTiming();
-    auto report = teleios::noa::RefineHotspots(&strabon, product);
+    auto report = veo->Refine(product);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
@@ -94,14 +89,16 @@ BENCHMARK(BM_RefinementPass)->Arg(2)->Arg(6)->Arg(12)->Unit(benchmark::kMillisec
 void BM_ThematicAccuracy(benchmark::State& state) {
   RefineEnv env(6);
   for (auto _ : state) {
-    teleios::strabon::Strabon strabon;
-    std::string product = env.Prepare(&strabon);
+    VirtualEarthObservatory veo;
+    std::string product = env.Prepare(&veo);
     auto truth = env.scene.GroundTruthFires();
-    auto before = *teleios::noa::FetchHotspotGeometries(&strabon, product);
+    auto before =
+        *teleios::noa::FetchHotspotGeometries(&veo.strabon(), product);
     auto acc_before =
         *teleios::noa::ScoreHotspotsAgainstTruth(before, truth);
-    (void)teleios::noa::RefineHotspots(&strabon, product);
-    auto after = *teleios::noa::FetchHotspotGeometries(&strabon, product);
+    (void)veo.Refine(product);
+    auto after =
+        *teleios::noa::FetchHotspotGeometries(&veo.strabon(), product);
     auto acc_after = *teleios::noa::ScoreHotspotsAgainstTruth(after, truth);
     state.counters["precision_before"] = acc_before.precision;
     state.counters["precision_after"] = acc_after.precision;

@@ -10,7 +10,7 @@
 
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "noa/chain.h"
@@ -44,10 +44,8 @@ WHERE {
 
 struct Observatory {
   std::string dir;
-  teleios::storage::Catalog catalog;
-  std::unique_ptr<teleios::vault::DataVault> vault;
-  std::unique_ptr<teleios::sciql::SciQlEngine> sciql;
-  teleios::strabon::Strabon strabon;
+  teleios::core::VirtualEarthObservatory veo;
+  teleios::strabon::Strabon& strabon = veo.strabon();
 
   explicit Observatory(int sites) {
     dir = (fs::temp_directory_path() /
@@ -62,26 +60,21 @@ struct Observatory {
     spec.name = "msg-20070825";
     auto scene = GenerateScene(spec);
     (void)teleios::vault::WriteTer(scene->ToTerRaster(), dir + "/s.ter");
-    vault = std::make_unique<teleios::vault::DataVault>(&catalog);
-    (void)vault->Attach(dir);
-    sciql = std::make_unique<teleios::sciql::SciQlEngine>(&catalog);
-    (void)strabon.LoadTurtle(teleios::eo::OntologyTurtle());
+    (void)veo.AttachArchive(dir);
     // Register the L1 product + run the chain to get hotspots.
-    auto header = *vault->GetRasterHeader("msg-20070825");
-    (void)teleios::eo::RegisterProductTriples(
+    auto header = *veo.vault().GetRasterHeader("msg-20070825");
+    (void)veo.LoadLinkedData(*teleios::noa::RenderProductTurtle(
         teleios::eo::MetadataFromHeader(header, teleios::eo::ProductLevel::kL1),
-        &strabon);
-    teleios::noa::ProcessingChain chain(vault.get(), sciql.get(), &strabon,
-                                        &catalog);
+        {}));
     teleios::noa::ChainConfig config;
     config.classifier.kind = teleios::noa::ClassifierKind::kContextual;
-    (void)chain.Run("msg-20070825", config);
+    (void)veo.RunFireChain("msg-20070825", config);
     // Linked data: archaeological sites (the join target) + towns.
     auto site_turtle =
         teleios::linkeddata::GenerateArchaeologicalSites(*scene, sites, 2);
-    (void)strabon.LoadTurtle(*site_turtle);
+    (void)veo.LoadLinkedData(*site_turtle);
     auto towns = teleios::linkeddata::GenerateTowns(*scene, sites, 3);
-    (void)strabon.LoadTurtle(*towns);
+    (void)veo.LoadLinkedData(*towns);
   }
 };
 

@@ -21,7 +21,8 @@ namespace {
 namespace fs = std::filesystem;
 
 using teleios::Status;
-using teleios::io::ReplayWal;
+using teleios::io::ListWalSegments;
+using teleios::io::ReplayWalSegments;
 using teleios::io::WalRecord;
 using teleios::io::WalWriter;
 
@@ -85,7 +86,12 @@ void BM_Replay(benchmark::State& state) {
   }
   for (auto _ : state) {
     uint64_t seen = 0;
-    auto stats = ReplayWal(dir, [&](const WalRecord& r) {
+    auto segments = ListWalSegments(dir);
+    if (!segments.ok()) {
+      state.SkipWithError(segments.status().ToString().c_str());
+      break;
+    }
+    auto stats = ReplayWalSegments(*segments, [&](const WalRecord& r) {
       seen += r.payload.size();
       return teleios::Status::OK();
     });

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "noa/chain.h"
@@ -36,26 +36,26 @@ int main() {
   (void)vault::WriteTer(scene->ToTerRaster(),
                         dir + "/msg_peloponnese_20070825.ter");
 
-  storage::Catalog catalog;
-  vault::DataVault vault(&catalog);
-  (void)vault.Attach(dir);
-  sciql::SciQlEngine sciql(&catalog);
-  strabon::Strabon strabon;
-  (void)strabon.LoadTurtle(eo::OntologyTurtle());
+  core::VirtualEarthObservatory veo;
+  (void)veo.AttachArchive(dir);
 
-  // Register the Level-1 product and derive hotspots with the NOA chain.
-  auto header = vault.GetRasterHeader("msg_peloponnese_20070825");
-  (void)eo::RegisterProductTriples(
-      eo::MetadataFromHeader(*header, eo::ProductLevel::kL1), &strabon);
-  noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
+  // Register the Level-1 product (its triples, with no hotspots) and
+  // derive hotspots with the NOA chain.
+  auto header = veo.vault().GetRasterHeader("msg_peloponnese_20070825");
+  (void)veo.LoadLinkedData(*noa::RenderProductTurtle(
+      eo::MetadataFromHeader(*header, eo::ProductLevel::kL1), {}));
   noa::ChainConfig config;
   config.classifier.kind = noa::ClassifierKind::kContextual;
-  auto result = chain.Run("msg_peloponnese_20070825", config);
+  auto result = veo.RunFireChain("msg_peloponnese_20070825", config);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
   std::printf("chain produced %zu hotspots\n", result->hotspots.size());
 
   // Linked open data: archaeological sites (DBpedia-like).
   auto sites = linkeddata::GenerateArchaeologicalSites(*scene, 40, 11);
-  (void)strabon.LoadTurtle(*sites);
+  (void)veo.LoadLinkedData(*sites);
 
   // The headline query, in one stSPARQL statement.
   const char* query = R"sparql(
@@ -81,7 +81,7 @@ WHERE {
 ORDER BY ?label
 )sparql";
   std::printf("\nheadline stSPARQL query:\n%s\n", query);
-  auto answers = strabon.Query(query);
+  auto answers = veo.StSparql(query);
   if (!answers.ok()) {
     std::fprintf(stderr, "%s\n", answers.status().ToString().c_str());
     return 1;

@@ -16,7 +16,7 @@
 #include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
-#include "mining/annotation.h"
+#include "mining/annotation_service.h"
 #include "mining/features.h"
 
 namespace fs = std::filesystem;
@@ -60,8 +60,9 @@ int main() {
   config.classifier.kind = noa::ClassifierKind::kContextual;
   auto run = veo.RunFireChain("msg_0825", config);
   auto patches = *mining::CutPatches(*scene, 8);
-  auto annotations = *mining::AnnotatePatches(patches, 8, 7);
-  (void)mining::PublishAnnotations(annotations, "msg_0825", &veo.strabon());
+  mining::AnnotationService annotations;
+  (void)annotations.Annotate(patches, 8, 7);
+  (void)veo.PublishAnnotations(annotations, "msg_0825");
   (void)veo.LoadLinkedData(
       *linkeddata::GenerateArchaeologicalSites(*scene, 30, 11));
 

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "noa/chain.h"
 #include "noa/classification.h"
@@ -31,13 +31,8 @@ int main() {
   auto scene = eo::GenerateScene(spec);
   (void)vault::WriteTer(scene->ToTerRaster(), dir + "/msg_scene.ter");
 
-  storage::Catalog catalog;
-  vault::DataVault vault(&catalog);
-  (void)vault.Attach(dir);
-  sciql::SciQlEngine sciql(&catalog);
-  strabon::Strabon strabon;
-  (void)strabon.LoadTurtle(eo::OntologyTurtle());
-  noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
+  core::VirtualEarthObservatory veo;
+  (void)veo.AttachArchive(dir);
 
   // Two chain configurations differing in the classification submodule.
   noa::ChainConfig threshold;
@@ -54,7 +49,7 @@ int main() {
                 noa::ProcessingChain::ClassificationSciQl("msg_scene",
                                                           config)
                     .c_str());
-    auto result = chain.Run("msg_scene", config);
+    auto result = veo.RunFireChain("msg_scene", config);
     if (!result.ok()) {
       std::fprintf(stderr, "chain: %s\n",
                    result.status().ToString().c_str());
@@ -74,7 +69,7 @@ int main() {
 
   // Scenario 1's product discovery: search prior runs via stSPARQL.
   std::printf("=== catalog of generated products (stSPARQL) ===\n");
-  auto products = strabon.Query(
+  auto products = veo.StSparql(
       "SELECT ?id ?lvl WHERE { ?p a noa:Product ; noa:hasProductId ?id ; "
       "noa:hasProcessingLevel ?lvl . } ORDER BY ?id");
   std::printf("%s", products->ToString().c_str());

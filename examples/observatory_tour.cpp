@@ -91,7 +91,7 @@ int main() {
     std::printf("%zu corrections propagated to %zu similar patches\n",
                 service.corrections(), changed.ok() ? *changed : 0);
   }
-  auto published = service.Publish("msg_0825", &veo.strabon());
+  auto published = veo.PublishAnnotations(service, "msg_0825");
   std::printf("published %zu annotation triples\n",
               published.ok() ? *published : 0);
 

@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "noa/chain.h"
@@ -32,28 +32,27 @@ int main() {
   auto scene = eo::GenerateScene(spec);
   (void)vault::WriteTer(scene->ToTerRaster(), dir + "/msg_scene.ter");
 
-  storage::Catalog catalog;
-  vault::DataVault vault(&catalog);
-  (void)vault.Attach(dir);
-  sciql::SciQlEngine sciql(&catalog);
-  strabon::Strabon strabon;
-  (void)strabon.LoadTurtle(eo::OntologyTurtle());
+  core::VirtualEarthObservatory veo;
+  (void)veo.AttachArchive(dir);
 
   // Open linked data layers (synthetic GeoNames / LinkedGeoData / OSM).
-  (void)strabon.LoadTurtle(*linkeddata::GenerateCoastline(*scene));
-  (void)strabon.LoadTurtle(*linkeddata::GenerateTowns(*scene, 12, 3));
-  (void)strabon.LoadTurtle(*linkeddata::GenerateRoads(*scene, 10, 5));
+  (void)veo.LoadLinkedData(*linkeddata::GenerateCoastline(*scene));
+  (void)veo.LoadLinkedData(*linkeddata::GenerateTowns(*scene, 12, 3));
+  (void)veo.LoadLinkedData(*linkeddata::GenerateRoads(*scene, 10, 5));
 
   // Detect + refine hotspots.
-  noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
   noa::ChainConfig config;
   config.classifier.kind = noa::ClassifierKind::kThreshold;
   config.classifier.threshold_kelvin = 315.0;
-  auto result = chain.Run("msg_scene", config);
-  (void)noa::RefineHotspots(&strabon, result->product_id);
+  auto result = veo.RunFireChain("msg_scene", config);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  (void)veo.Refine(result->product_id);
 
   // Compose the map: each layer is an stSPARQL query.
-  noa::RapidMapper mapper(&strabon);
+  noa::RapidMapper mapper = veo.MakeMapper();
   (void)mapper.AddQueryLayer(
       "landmass", "#9fbf8f", '.',
       "SELECT ?g WHERE { ?x a noa:LandArea ; noa:hasGeometry ?g }");

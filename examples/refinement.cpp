@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "noa/chain.h"
@@ -31,24 +31,19 @@ int main() {
   auto scene = eo::GenerateScene(spec);
   (void)vault::WriteTer(scene->ToTerRaster(), dir + "/msg_scene.ter");
 
-  storage::Catalog catalog;
-  vault::DataVault vault(&catalog);
-  (void)vault.Attach(dir);
-  sciql::SciQlEngine sciql(&catalog);
-  strabon::Strabon strabon;
-  (void)strabon.LoadTurtle(eo::OntologyTurtle());
+  core::VirtualEarthObservatory veo;
+  (void)veo.AttachArchive(dir);
 
   // Auxiliary geospatial data: the coastline layer (land + sea regions),
   // published as stRDF like any other linked data source.
   auto coastline = linkeddata::GenerateCoastline(*scene);
-  (void)strabon.LoadTurtle(*coastline);
+  (void)veo.LoadLinkedData(*coastline);
 
   // The naive threshold chain: fooled by glint and coastal plume leakage.
-  noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
   noa::ChainConfig config;
   config.classifier.kind = noa::ClassifierKind::kThreshold;
   config.classifier.threshold_kelvin = 315.0;
-  auto result = chain.Run("msg_scene", config);
+  auto result = veo.RunFireChain("msg_scene", config);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -56,13 +51,13 @@ int main() {
 
   geo::Geometry truth = scene->GroundTruthFires();
   auto before =
-      noa::FetchHotspotGeometries(&strabon, result->product_id);
+      noa::FetchHotspotGeometries(&veo.strabon(), result->product_id);
   auto acc_before = noa::ScoreHotspotsAgainstTruth(*before, truth);
   std::printf("before refinement: %zu hotspots, precision %.3f, recall "
               "%.3f\n",
               before->size(), acc_before->precision, acc_before->recall);
 
-  auto report = noa::RefineHotspots(&strabon, result->product_id);
+  auto report = veo.Refine(result->product_id);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
@@ -76,7 +71,8 @@ int main() {
               report->hotspots_examined, report->hotspots_refined,
               report->hotspots_removed, report->area_removed);
 
-  auto after = noa::FetchHotspotGeometries(&strabon, result->product_id);
+  auto after =
+      noa::FetchHotspotGeometries(&veo.strabon(), result->product_id);
   auto acc_after = noa::ScoreHotspotsAgainstTruth(*after, truth);
   std::printf("\nafter refinement:  %zu hotspots, precision %.3f, recall "
               "%.3f\n",

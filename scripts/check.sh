@@ -3,9 +3,10 @@
 # then a sanitizer build (ASan + UBSan) and a TSan build over the same
 # test suite, and a static-analysis pass (clang -Werror=thread-safety
 # over the thread-safety annotations, the teleios_lint ctest target, and
-# the teleios_analyze whole-tree lock-order + layering analysis). Lock
-# order is checked twice: statically by teleios_analyze, and at run time
-# by TSan's deadlock detector in every TSan leg. Run from the repo root.
+# the teleios_analyze whole-tree lock-order + layering analysis), with
+# a short run of every perfbench/ workload before it. Lock order is
+# checked twice: statically by teleios_analyze, and at run time by
+# TSan's deadlock detector in every TSan leg. Run from the repo root.
 #
 #   scripts/check.sh            # all passes
 #   scripts/check.sh --fast     # plain pass only
@@ -120,6 +121,40 @@ ctest --test-dir build-sanitize --output-on-failure \
   -R "TransportFaultTest|DedupRegistryTest|SessionLeaseTest|ChaosServerTest"
 TELEIOS_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
   -R "TransportFaultTest|DedupRegistryTest|SessionLeaseTest|ChaosServerTest"
+
+echo "== pass 4g/5: benchmark leg — perfbench builds and every workload verifies =="
+# perfbench/ calls the library's public API (the facade, the fire chain,
+# Refine, the vault, the product registration helpers), and no other
+# pass builds it. A short run of every workload must build and each
+# workload's result — the last line before the next "== <workload>"
+# header — must report correct true and 0 failed operations.
+mkdir -p .bench_build
+python3 perfbench/run.py --workload all --seed 1 --seconds 6 \
+  > .bench_build/check_leg.out
+python3 - .bench_build/check_leg.out <<'PY'
+import json
+import sys
+
+results, workload = {}, None
+for line in open(sys.argv[1]):
+    line = line.strip()
+    if line.startswith("== "):
+        workload = line[3:]
+        results[workload] = ""
+    elif line and workload is not None:
+        results[workload] = line
+ok = True
+for workload in ("wire_reads", "fire_chain", "durable_writes"):
+    try:
+        result = json.loads(results.get(workload, ""))
+    except ValueError:
+        result = {}
+    if result.get("correct") is not True or result.get("failed") != 0:
+        print("benchmark leg: %s: correct=%s failed=%s" %
+              (workload, result.get("correct"), result.get("failed")))
+        ok = False
+sys.exit(0 if ok else 1)
+PY
 
 echo "== pass 5/5: static analysis (thread-safety annotations + lint + analyzer) =="
 if command -v clang++ >/dev/null 2>&1; then

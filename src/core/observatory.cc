@@ -170,8 +170,12 @@ VirtualEarthObservatory::VirtualEarthObservatory() {
   vault_ = std::make_unique<vault::DataVault>(&catalog_);
   sciql_ = std::make_unique<sciql::SciQlEngine>(&catalog_);
   sql_ = std::make_unique<relational::SqlEngine>(&catalog_);
-  chain_ = std::make_unique<noa::ProcessingChain>(vault_.get(), sciql_.get(),
-                                                  &strabon_, &catalog_);
+  chain_ = std::make_unique<noa::ProcessingChain>(
+      vault_.get(), sciql_.get(),
+      [this](const eo::ProductMetadata& product,
+             const std::vector<noa::Hotspot>& hotspots) {
+        return PublishProduct(product, hotspots);
+      });
   write_path_ = std::make_unique<DurabilityManager>(
       DurabilityEngines{&catalog_, sql_.get(), &strabon_, vault_.get()});
   // Both query engines serve the sys.* schema from this observatory's
@@ -272,6 +276,17 @@ Result<noa::ChainResult> VirtualEarthObservatory::RunFireChain(
                   [&] { return chain_->Run(raster_name, config, cancel); });
 }
 
+Status VirtualEarthObservatory::PublishProduct(
+    const eo::ProductMetadata& product,
+    const std::vector<noa::Hotspot>& hotspots) {
+  TELEIOS_ASSIGN_OR_RETURN(std::string turtle,
+                           noa::RenderProductTurtle(product, hotspots));
+  return write_path_
+      ->Commit(WalRecordType::kProductPublish,
+               ProductPublishBody(product, turtle))
+      .status();
+}
+
 Result<noa::ChainResult> VirtualEarthObservatory::RunFireChainBatch(
     const std::vector<std::string>& raster_names,
     const noa::ChainConfig& config, const CancellationToken* cancel) {
@@ -343,7 +358,15 @@ std::string VirtualEarthObservatory::MetricsText() const {
 
 Result<noa::RefinementReport> VirtualEarthObservatory::Refine(
     const std::string& product_id) {
-  return noa::RefineHotspots(&strabon_, product_id);
+  return Governed("refine", "refine " + product_id, /*profile=*/false,
+                  nullptr, [&] {
+                    return noa::RefineHotspots(
+                        &strabon_, product_id, [&](const std::string& update) {
+                          return CountOf(write_path_->Commit(
+                              WalRecordType::kStrabonUpdate,
+                              RecordBody(update)));
+                        });
+                  });
 }
 
 }  // namespace teleios::core

@@ -65,12 +65,13 @@ class VirtualEarthObservatory {
   // caller's deadline.
   //
   // Every write entry point (mutating SQL, stSPARQL updates, linked-data
-  // loads, annotation publication) is governed too, and commits through
-  // the one write path (DurabilityManager::Commit): one writer at a
-  // time, write-ahead logged once Open has made the observatory durable.
-  // The commit runs inside the governed scope, so a write waits for
-  // admission first and for the writer mutex second. An update answers
-  // with one row, one BIGINT column `count`.
+  // loads, annotation publication, the fire chain, Refine) is governed
+  // too, and commits through the one write path
+  // (DurabilityManager::Commit): one writer at a time, write-ahead logged
+  // once Open has made the observatory durable. The commit runs inside
+  // the governed scope, so a write waits for admission first and for the
+  // writer mutex second. An update answers with one row, one BIGINT
+  // column `count`.
 
   /// SQL over catalog/metadata tables.
   Result<storage::Table> Sql(const std::string& statement,
@@ -89,7 +90,9 @@ class VirtualEarthObservatory {
 
   // --- service tier ---------------------------------------------------------
 
-  /// Runs the NOA fire-monitoring chain on an attached raster.
+  /// Runs the NOA fire-monitoring chain on an attached raster. The
+  /// product it publishes — its `products` row, its triples and its
+  /// hotspots' triples — is one commit (a kProductPublish record).
   Result<noa::ChainResult> RunFireChain(
       const std::string& raster_name, const noa::ChainConfig& config,
       const CancellationToken* cancel = nullptr);
@@ -135,7 +138,9 @@ class VirtualEarthObservatory {
   /// Removes a product's published annotations.
   Result<size_t> DeleteAnnotations(const std::string& product_id);
 
-  /// Refines a chain product against the loaded coastline layer.
+  /// Refines a chain product against the loaded coastline layer: a
+  /// governed statement of tier `refine` whose two stSPARQL updates each
+  /// commit as a kStrabonUpdate record.
   Result<noa::RefinementReport> Refine(const std::string& product_id);
 
   // --- observability --------------------------------------------------------
@@ -208,6 +213,11 @@ class VirtualEarthObservatory {
   auto Governed(const char* tier, const std::string& statement, bool profile,
                 const CancellationToken* cancel, Fn&& run)
       -> decltype(run());
+
+  /// The chain's publisher: commits one product as a kProductPublish
+  /// record.
+  Status PublishProduct(const eo::ProductMetadata& product,
+                        const std::vector<noa::Hotspot>& hotspots);
 
   storage::Catalog catalog_;
   strabon::Strabon strabon_;

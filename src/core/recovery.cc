@@ -49,6 +49,20 @@ std::string RecordBody(std::string_view text) {
   return body;
 }
 
+std::string ProductPublishBody(const eo::ProductMetadata& product,
+                               std::string_view turtle) {
+  std::string body = RecordBody(turtle);
+  io::PutStr(&body, product.id);
+  io::PutStr(&body, product.satellite);
+  io::PutStr(&body, product.sensor);
+  io::PutU32(&body, static_cast<uint32_t>(product.level));
+  io::PutI64(&body, product.acquisition_time);
+  io::PutStr(&body, product.footprint_wkt);
+  io::PutStr(&body, product.file_path);
+  io::PutStr(&body, product.derived_from);
+  return body;
+}
+
 DurabilityOptions DurabilityOptions::FromEnv() {
   DurabilityOptions options;
   options.checkpoint_bytes =
@@ -95,28 +109,45 @@ Status DurabilityManager::RecoverLocked() {
         "open it with the release that wrote it");
   }
 
-  // Pass 1: the newest checkpoint marker on disk names the first record
-  // to replay. Pass 2 replays from there, counting the bytes logged past
-  // that marker towards the next auto-checkpoint.
+  // Pass 1, newest segment first, stops at the first segment holding a
+  // checkpoint marker: its newest marker names the first record to
+  // replay, which the same segment holds, because a checkpoint fills one
+  // fresh segment. The segments before it are the checkpoint's garbage
+  // and are never read. Pass 2 replays from there, counting the bytes
+  // logged past the marker towards the next auto-checkpoint.
+  TELEIOS_ASSIGN_OR_RETURN(std::vector<std::string> segments,
+                           io::ListWalSegments(wal_dir()));
   RecoveryReport report;
   uint64_t since_checkpoint = 0;
-  TELEIOS_RETURN_IF_ERROR(
-      io::ReplayWal(wal_dir(), [&](const io::WalRecord& record) -> Status {
-        if (record.type != static_cast<uint32_t>(WalRecordType::kCheckpoint)) {
-          since_checkpoint += record.payload.size() + io::kWalRecordOverhead;
-          return Status::OK();
-        }
-        TELEIOS_ASSIGN_OR_RETURN(
-            Fields marker, Decode(WalRecordType::kCheckpoint, record.payload));
-        report.checkpoint_lsn = marker.lsn;
-        since_checkpoint = 0;
-        return Status::OK();
-      }).status());
+  size_t start = segments.size();
+  while (start > 0 && report.checkpoint_lsn == 0) {
+    --start;
+    uint64_t since_marker = 0;
+    TELEIOS_RETURN_IF_ERROR(
+        io::ReplayWalSegments(
+            {segments[start]},
+            [&](const io::WalRecord& record) -> Status {
+              if (record.type !=
+                  static_cast<uint32_t>(WalRecordType::kCheckpoint)) {
+                since_marker += record.payload.size() + io::kWalRecordOverhead;
+                return Status::OK();
+              }
+              TELEIOS_ASSIGN_OR_RETURN(
+                  Fields marker,
+                  Decode(WalRecordType::kCheckpoint, record.payload));
+              report.checkpoint_lsn = marker.lsn;
+              since_marker = 0;
+              return Status::OK();
+            })
+            .status());
+    since_checkpoint += since_marker;
+  }
   TELEIOS_ASSIGN_OR_RETURN(
       io::WalReplayStats replay,
-      io::ReplayWal(wal_dir(), [&](const io::WalRecord& record) {
-        return Replay(record, &report);
-      }));
+      io::ReplayWalSegments(
+          std::vector<std::string>(segments.begin() + static_cast<long>(start),
+                                   segments.end()),
+          [&](const io::WalRecord& record) { return Replay(record, &report); }));
   report.tail_records_dropped = replay.tail_dropped;
   report.wal_segments = replay.segments;
   report.wal_bytes = replay.bytes;
@@ -178,6 +209,21 @@ Result<DurabilityManager::Fields> DurabilityManager::Decode(
     case WalRecordType::kAnnotationPublish:
       ok = ok && reader.ReadStr(&fields.second, kMaxBodyStr);
       break;
+    case WalRecordType::kProductPublish: {
+      eo::ProductMetadata& product = fields.product;
+      uint32_t level = 0;
+      ok = ok && reader.ReadStr(&product.id, kMaxBodyStr) &&
+           reader.ReadStr(&product.satellite, kMaxBodyStr) &&
+           reader.ReadStr(&product.sensor, kMaxBodyStr) &&
+           reader.ReadU32(&level) &&
+           level <= static_cast<uint32_t>(eo::ProductLevel::kL2) &&
+           reader.ReadI64(&product.acquisition_time) &&
+           reader.ReadStr(&product.footprint_wkt, kMaxBodyStr) &&
+           reader.ReadStr(&product.file_path, kMaxBodyStr) &&
+           reader.ReadStr(&product.derived_from, kMaxBodyStr);
+      product.level = static_cast<eo::ProductLevel>(level);
+      break;
+    }
     case WalRecordType::kVaultQuarantine:
       ok = ok && reader.ReadU32(&fields.code) &&
            reader.ReadStr(&fields.second, kMaxBodyStr);
@@ -211,6 +257,8 @@ bool DurabilityManager::HasEngine(WalRecordType type) const {
       return engines_.sql != nullptr;
     case WalRecordType::kCatalogTable:
       return engines_.catalog != nullptr;
+    case WalRecordType::kProductPublish:
+      return engines_.catalog != nullptr && engines_.strabon != nullptr;
     case WalRecordType::kCheckpoint:
       return true;
     case WalRecordType::kVaultAttach:
@@ -243,6 +291,13 @@ Result<storage::Table> DurabilityManager::Apply(WalRecordType type,
       count = engines_.strabon->Update(
           mining::DeleteAnnotationsUpdate(fields.text));
       if (count.ok()) count = engines_.strabon->LoadTurtle(fields.second);
+      break;
+    case WalRecordType::kProductPublish:
+      // The row first: a `products` table of another shape refuses it,
+      // and then no triple of the product is left behind.
+      TELEIOS_RETURN_IF_ERROR(
+          eo::RegisterProductRow(fields.product, engines_.catalog));
+      count = engines_.strabon->LoadTurtle(fields.text);
       break;
     case WalRecordType::kVaultAttach:
       if (Status attached = engines_.vault->RestoreAttachment(fields.text);

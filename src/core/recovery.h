@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "eo/product.h"
 #include "governor/memory_budget.h"
 #include "io/wal.h"
 #include "relational/sql_engine.h"
@@ -49,6 +50,10 @@ enum class WalRecordType : uint32_t {
   /// Closes a checkpoint: the u64 LSN of its first record. Written only
   /// by Checkpoint; recovery starts from the newest one on disk.
   kCheckpoint = 10,
+  /// A fire-chain product: ProductPublishBody(product, turtle). Apply
+  /// appends its `products` row, then loads the product's and its
+  /// hotspots' triples.
+  kProductPublish = 11,
 };
 
 /// What Open's recovery did, for callers and the crash-sweep harness.
@@ -57,14 +62,19 @@ struct RecoveryReport {
   /// First LSN of the checkpoint replay started from; 0 when the log
   /// held no complete checkpoint and every segment replayed.
   uint64_t checkpoint_lsn = 0;
-  uint64_t records_replayed = 0;   ///< decoded intact from the WAL
+  /// Records decoded intact from the segments replay read: the one
+  /// holding checkpoint_lsn and every newer one (all, without a
+  /// checkpoint). Older segments are never read.
+  uint64_t records_replayed = 0;
   uint64_t records_applied = 0;    ///< actually re-applied
-  uint64_t records_skipped = 0;    ///< older than checkpoint_lsn
+  /// Replayed records not applied: older than checkpoint_lsn, or of a
+  /// kind no attached engine applies.
+  uint64_t records_skipped = 0;
   uint64_t tail_records_dropped = 0;  ///< torn tails dropped (not errors)
   uint64_t replay_errors = 0;      ///< per-record apply failures tolerated
-  uint64_t last_lsn = 0;           ///< highest LSN seen anywhere
-  uint64_t wal_segments = 0;
-  uint64_t wal_bytes = 0;
+  uint64_t last_lsn = 0;           ///< highest LSN replayed
+  uint64_t wal_segments = 0;       ///< segments replay read
+  uint64_t wal_bytes = 0;          ///< their bytes
 };
 
 /// Point-in-time durability state for `sys.wal` and tests.
@@ -105,9 +115,15 @@ struct DurabilityEngines {
 };
 
 /// The body of a record of one string (every kind but kAnnotationPublish,
-/// kVaultQuarantine, kCatalogTable and kCheckpoint). A kAnnotationPublish
-/// body is RecordBody(product_id) + RecordBody(turtle).
+/// kVaultQuarantine, kCatalogTable, kCheckpoint and kProductPublish). A
+/// kAnnotationPublish body is RecordBody(product_id) + RecordBody(turtle).
 std::string RecordBody(std::string_view text);
+
+/// The body of a kProductPublish record: `turtle` (noa::
+/// RenderProductTurtle of the product and its hotspots), then the
+/// fields of the product's `products` row.
+std::string ProductPublishBody(const eo::ProductMetadata& product,
+                               std::string_view turtle);
 
 /// A record body's text as its caller already parsed it, for
 /// DurabilityManager::Commit: at most one is set, by the record's kind.
@@ -132,9 +148,10 @@ struct ParsedBody {
 /// carry-forward records (one TELT image per catalog table, the vault's
 /// attachments and quarantine, the semantic store's dump), close them
 /// with a kCheckpoint marker, then delete the older segments. Recovery
-/// = replay the log in order from the newest marker's checkpoint (every
-/// segment when there is none), tolerate a torn tail per segment,
-/// surface mid-log corruption as kDataLoss.
+/// = find the newest marker reading segments newest first, replay the
+/// log in order from the segment holding its checkpoint's first record
+/// (every segment when there is none), tolerate a torn tail per
+/// segment, surface corruption in a segment it reads as kDataLoss.
 class DurabilityManager {
  public:
   explicit DurabilityManager(const DurabilityEngines& engines);
@@ -195,13 +212,15 @@ class DurabilityManager {
  private:
   /// A decoded record body: one string, two for kAnnotationPublish,
   /// {name, status code, message} for kVaultQuarantine, {name, decoded
-  /// table} for kCatalogTable, or an LSN for kCheckpoint.
+  /// table} for kCatalogTable, an LSN for kCheckpoint, or {turtle,
+  /// product row} for kProductPublish.
   struct Fields {
     std::string text;
     uint32_t code = 0;
     std::string second;
     storage::TablePtr table;
     uint64_t lsn = 0;
+    eo::ProductMetadata product;
     /// The text already parsed (Commit's `parsed`).
     ParsedBody parsed;
   };

@@ -188,11 +188,9 @@ Status ReplaySegment(const std::string& path, const std::string& image,
 
 }  // namespace
 
-Result<WalReplayStats> ReplayWal(
-    const std::string& dir,
+Result<WalReplayStats> ReplayWalSegments(
+    const std::vector<std::string>& segments,
     const std::function<Status(const WalRecord&)>& apply) {
-  TELEIOS_ASSIGN_OR_RETURN(std::vector<std::string> segments,
-                           ListWalSegments(dir));
   WalReplayStats stats;
   for (const std::string& path : segments) {
     TELEIOS_ASSIGN_OR_RETURN(std::string image,

@@ -67,7 +67,7 @@ bool ParseWalSegmentSeq(const std::string& name, uint64_t* seq);
 /// number.
 Result<std::vector<std::string>> ListWalSegments(const std::string& dir);
 
-/// Outcome of a replay pass over every segment in a WAL directory.
+/// Outcome of a replay pass over a run of WAL segments.
 struct WalReplayStats {
   uint64_t records = 0;       ///< records decoded and handed to the callback
   uint64_t tail_dropped = 0;  ///< torn-tail records dropped (never an error)
@@ -76,13 +76,13 @@ struct WalReplayStats {
   uint64_t bytes = 0;         ///< total segment bytes scanned
 };
 
-/// Replays every record of every segment under `dir`, oldest segment
-/// first, invoking `apply` per record. A non-OK status from `apply`
-/// aborts the replay and is returned as-is. Torn tails (see above) are
-/// dropped and counted in the stats; mid-segment corruption returns
-/// kDataLoss. A directory with no segments replays zero records.
-Result<WalReplayStats> ReplayWal(
-    const std::string& dir,
+/// Replays every record of `segments` (full paths), in the order given,
+/// invoking `apply` per record. A non-OK status from `apply` aborts the
+/// replay and is returned as-is. Torn tails (see above) are dropped and
+/// counted in the stats; mid-segment corruption returns kDataLoss. No
+/// segments replay zero records.
+Result<WalReplayStats> ReplayWalSegments(
+    const std::vector<std::string>& segments,
     const std::function<Status(const WalRecord&)>& apply);
 
 /// Append side of the log. Not internally thread-safe beyond its own

@@ -1,7 +1,5 @@
 #include "mining/annotation_service.h"
 
-#include "eo/product.h"
-
 namespace teleios::mining {
 
 Status AnnotationService::Annotate(const std::vector<Patch>& patches, int k,
@@ -48,22 +46,6 @@ Result<size_t> AnnotationService::Propagate(int k,
     }
   }
   return changed;
-}
-
-Result<size_t> AnnotationService::Publish(const std::string& product_id,
-                                          strabon::Strabon* strabon) const {
-  if (annotations_.empty()) {
-    return Status::InvalidArgument("nothing annotated yet");
-  }
-  // Replace any previous annotation set for this product. The DELETE
-  // must succeed before the new set goes in: publishing on top of a
-  // failed DELETE would leave the stale annotations alongside the new
-  // ones, and the caller would never know (found by the [[nodiscard]]
-  // sweep — this return used to be dropped).
-  Result<size_t> deleted =
-      strabon->Update(DeleteAnnotationsUpdate(product_id));
-  if (!deleted.ok()) return deleted.status();
-  return PublishAnnotations(annotations_, product_id, strabon);
 }
 
 }  // namespace teleios::mining

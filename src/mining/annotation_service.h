@@ -16,7 +16,9 @@ namespace teleios::mining {
 /// individual patch labels, and every correction is propagated to
 /// similar patches through a kNN model trained on the accumulated
 /// feedback — the classic relevance-feedback loop of EO image
-/// information mining.
+/// information mining. The observatory publishes a service's
+/// annotations through its write path
+/// (core::VirtualEarthObservatory::PublishAnnotations).
 class AnnotationService {
  public:
   /// Seeds the service with automatic annotations of `patches`
@@ -37,11 +39,6 @@ class AnnotationService {
   /// relabelled (with confidence `propagated_confidence`). Returns the
   /// number of patches that changed.
   Result<size_t> Propagate(int k = 3, double propagated_confidence = 0.75);
-
-  /// Publishes the current annotations to Strabon (replacing any prior
-  /// publication for the product).
-  Result<size_t> Publish(const std::string& product_id,
-                         strabon::Strabon* strabon) const;
 
   size_t corrections() const { return feedback_features_.size(); }
 

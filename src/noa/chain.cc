@@ -227,11 +227,9 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
                result.hotspots.size());
   }
 
-  // Register the derived L2 product in both catalogs. One product at a
-  // time: the relational catalog and the Strabon store are shared across
-  // concurrent batch products.
+  // Export the .vec product, then publish the derived L2 product with
+  // its hotspots.
   obs::TraceSpan stage("catalog+shapefile", StageHistogram("publication"));
-  MutexLock publish_lock(publish_mu_);
   result.product_id = raster_name + "-hotspots-" +
                       ClassifierKindName(config.classifier.kind);
   eo::ProductMetadata meta;
@@ -259,11 +257,7 @@ Result<ChainResult> ProcessingChain::RunStages(const std::string& raster_name,
     }));
     meta.file_path = result.vec_path;
   }
-  TELEIOS_RETURN_IF_ERROR(eo::RegisterProductRow(meta, catalog_));
-  TELEIOS_RETURN_IF_ERROR(eo::RegisterProductTriples(meta, strabon_));
-  TELEIOS_RETURN_IF_ERROR(
-      PublishHotspots(result.hotspots, result.product_id, strabon_)
-          .status());
+  TELEIOS_RETURN_IF_ERROR(publish_(meta, result.hotspots));
   return result;
 }
 
@@ -295,6 +289,15 @@ Result<size_t> PublishHotspots(const std::vector<Hotspot>& hotspots,
     added += 6;
   }
   return added;
+}
+
+Result<std::string> RenderProductTurtle(const eo::ProductMetadata& product,
+                                        const std::vector<Hotspot>& hotspots) {
+  strabon::Strabon scratch;
+  TELEIOS_RETURN_IF_ERROR(eo::RegisterProductTriples(product, &scratch));
+  TELEIOS_RETURN_IF_ERROR(
+      PublishHotspots(hotspots, product.id, &scratch).status());
+  return scratch.ToTurtle();
 }
 
 }  // namespace teleios::noa

@@ -1,21 +1,21 @@
 #ifndef TELEIOS_NOA_CHAIN_H_
 #define TELEIOS_NOA_CHAIN_H_
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "eo/product.h"
 #include "eo/scene.h"
-#include "common/cancellation.h"
 #include "governor/circuit_breaker.h"
 #include "io/retry.h"
 #include "noa/classification.h"
 #include "noa/hotspot.h"
 #include "obs/trace.h"
 #include "sciql/sciql_engine.h"
-#include "storage/catalog.h"
 #include "strabon/strabon.h"
 #include "vault/vault.h"
 
@@ -66,16 +66,25 @@ struct ChainResult {
   std::vector<std::string> sciql;   // the SciQL statements executed
 };
 
+/// Publishes one finished product: its L2 metadata (the `products` row
+/// and the product's triples) and its hotspots (their triples). The
+/// observatory commits both as one write through its write path; a test
+/// that wants only the chain's output may record what it is handed. It
+/// may be called from several batch products at once.
+using ProductPublisher = std::function<Status(
+    const eo::ProductMetadata& product, const std::vector<Hotspot>& hotspots)>;
+
 /// The NOA processing chain, wired into the TELEIOS tiers: the vault
 /// ingests (lazily), SciQL expresses cropping + classification
-/// declaratively, hotspot extraction polygonizes + georeferences, and
-/// the product plus its hotspots are registered in both the relational
-/// catalog and Strabon.
+/// declaratively, hotspot extraction polygonizes + georeferences, the
+/// `.vec` product is exported, and `publish` registers the product and
+/// its hotspots. The chain itself writes neither the catalog nor the
+/// store.
 class ProcessingChain {
  public:
   ProcessingChain(vault::DataVault* vault, sciql::SciQlEngine* sciql,
-                  strabon::Strabon* strabon, storage::Catalog* catalog)
-      : vault_(vault), sciql_(sciql), strabon_(strabon), catalog_(catalog) {}
+                  ProductPublisher publish)
+      : vault_(vault), sciql_(sciql), publish_(std::move(publish)) {}
 
   /// Runs the chain on an attached raster. The classification is
   /// evaluated through real SciQL (SELECT with slab + cell expression)
@@ -124,18 +133,10 @@ class ProcessingChain {
 
   vault::DataVault* vault_;
   sciql::SciQlEngine* sciql_;
-  strabon::Strabon* strabon_;
-  storage::Catalog* catalog_;
+  /// Publication order between batch products is scheduling-dependent;
+  /// everything user-visible in ChainResult is merged in input order.
+  ProductPublisher publish_;
   io::RetryPolicy retry_;
-  /// Serializes the publication stage (catalog row, Strabon triples,
-  /// shapefile export) across concurrent batch products — the shared
-  /// catalogs are not internally synchronized. Publication order between
-  /// products is scheduling-dependent; everything user-visible in
-  /// ChainResult is merged in input order instead. A capability with no
-  /// GUARDED_BY members: it guards *external* state (catalog_, strabon_,
-  /// the output directory), which the analysis cannot express.
-  // teleios-lint: allow(TL002) -- guards external catalogs, see above.
-  Mutex publish_mu_;
   /// Self-locking; shared by every product the chain exports.
   governor::CircuitBreaker export_breaker_{"noa-export"};
 };
@@ -146,6 +147,13 @@ class ProcessingChain {
 Result<size_t> PublishHotspots(const std::vector<Hotspot>& hotspots,
                                const std::string& product_id,
                                strabon::Strabon* strabon);
+
+/// Renders the triples a product publishes — eo::RegisterProductTriples
+/// of `product` and PublishHotspots of `hotspots` — as one Turtle
+/// document, by publishing into a scratch store and serializing it.
+/// Loading it reproduces those triples, WKT literals included.
+Result<std::string> RenderProductTurtle(const eo::ProductMetadata& product,
+                                        const std::vector<Hotspot>& hotspots);
 
 }  // namespace teleios::noa
 

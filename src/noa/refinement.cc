@@ -36,7 +36,8 @@ Result<std::vector<geo::Geometry>> FetchHotspotGeometries(
 }
 
 Result<RefinementReport> RefineHotspots(strabon::Strabon* strabon,
-                                        const std::string& product_id) {
+                                        const std::string& product_id,
+                                        const UpdateRunner& update) {
   RefinementReport report;
 
   // Fetch the sea geometry from the coastline linked-data layer.
@@ -73,8 +74,7 @@ Result<RefinementReport> RefineHotspots(strabon::Strabon* strabon,
       "BIND(strdf:difference(?g, " + sea_literal + ") AS ?ng) "
       "FILTER(strdf:intersects(?g, " + sea_literal + ")) }";
   report.statements.push_back(refine_update);
-  TELEIOS_ASSIGN_OR_RETURN(size_t refined_edits,
-                           strabon->Update(refine_update));
+  TELEIOS_ASSIGN_OR_RETURN(size_t refined_edits, update(refine_update));
   // Each refined hotspot contributes one delete + two inserts.
   report.hotspots_refined = refined_edits / 3;
 
@@ -87,8 +87,7 @@ Result<RefinementReport> RefineHotspots(strabon::Strabon* strabon,
       product_iri +
       "> ; noa:hasGeometry ?g . FILTER(strdf:isEmpty(?g)) }";
   report.statements.push_back(reject_update);
-  TELEIOS_ASSIGN_OR_RETURN(size_t rejected_edits,
-                           strabon->Update(reject_update));
+  TELEIOS_ASSIGN_OR_RETURN(size_t rejected_edits, update(reject_update));
   report.hotspots_removed = rejected_edits / 2;
 
   TELEIOS_ASSIGN_OR_RETURN(std::vector<geo::Geometry> after,

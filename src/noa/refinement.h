@@ -1,6 +1,7 @@
 #ifndef TELEIOS_NOA_REFINEMENT_H_
 #define TELEIOS_NOA_REFINEMENT_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,15 +24,21 @@ struct RefinementReport {
   std::vector<std::string> statements;
 };
 
+/// Runs one stSPARQL update and answers the number of triples it added
+/// and removed. The observatory commits it through its write path.
+using UpdateRunner = std::function<Result<size_t>(const std::string& update)>;
+
 /// Refines the hotspot products of `product_id` in `strabon` against the
 /// sea geometry published by the coastline linked-data layer
 /// (noa:sea noa:hasGeometry ...): hotspot geometry intersecting the sea
 /// is replaced by its strdf:difference with the sea, and hotspots that
 /// end up empty are retyped as noa:RejectedHotspot. All edits are
-/// executed as stSPARQL UPDATE statements, exactly as the paper's
-/// post-processing step describes.
+/// stSPARQL UPDATE statements, exactly as the paper's post-processing
+/// step describes, and run through `update`, in order; the reads query
+/// `strabon` directly.
 Result<RefinementReport> RefineHotspots(strabon::Strabon* strabon,
-                                        const std::string& product_id);
+                                        const std::string& product_id,
+                                        const UpdateRunner& update);
 
 /// Thematic accuracy of a hotspot product against ground truth: the
 /// fraction of total hotspot area that overlaps true fire circles

@@ -558,7 +558,6 @@ Status TeleiosServer::RunAndStream(Connection* conn,
                         EncodeError(claim.status));
     }
   }
-  session->set_state("executing");
   Result<storage::Table> result =
       RunStatement(session, lang, statement, deadline_millis);
   if (dedup) {

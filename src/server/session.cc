@@ -44,8 +44,11 @@ std::shared_ptr<CancellationToken> Session::BeginStatement(
   if (deadline_millis > 0) {
     token->CancelAfter(std::chrono::milliseconds(deadline_millis));
   }
+  // The state and the token change together: once the session reads
+  // "executing", a CANCEL finds the statement.
   MutexLock lock(mu_);
   active_statement_ = token;
+  state_ = "executing";
   return token;
 }
 

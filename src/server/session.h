@@ -73,9 +73,10 @@ class Session {
   governor::MemoryBudget* budget() { return &budget_; }
 
   /// Starts a statement: a fresh token chained to the connection token,
-  /// with `deadline_millis` armed when nonzero. The token is retained so
-  /// a CANCEL frame (from any connection holding the cancel key) can
-  /// reach it; EndStatement drops it.
+  /// with `deadline_millis` armed when nonzero, and the state
+  /// "executing", set with the token in one critical section. The token
+  /// is retained so a CANCEL frame (from any connection holding the
+  /// cancel key) can reach it; EndStatement drops it.
   std::shared_ptr<CancellationToken> BeginStatement(
       uint64_t deadline_millis);
   void EndStatement();

@@ -13,6 +13,7 @@
 #include "array/array.h"
 #include "array/array_ops.h"
 #include "common/thread_annotations.h"
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "common/cancellation.h"
 #include "exec/parallel_for.h"
@@ -515,22 +516,18 @@ class BatchEquivalenceTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// A fresh observatory stack per run so catalogs do not accumulate.
   noa::ChainConfig Config() const {
     noa::ChainConfig config;
     config.classifier.kind = noa::ClassifierKind::kContextual;
     return config;
   }
+  /// A fresh observatory per run so catalogs do not accumulate.
   Result<noa::ChainResult> RunOnce(const CancellationToken* cancel =
                                        nullptr) {
-    storage::Catalog catalog;
-    vault::DataVault vault(&catalog);
-    auto attached = vault.Attach(dir_.string());
+    core::VirtualEarthObservatory veo;
+    auto attached = veo.AttachArchive(dir_.string());
     EXPECT_TRUE(attached.ok());
-    sciql::SciQlEngine sciql(&catalog);
-    strabon::Strabon strabon;
-    noa::ProcessingChain chain(&vault, &sciql, &strabon, &catalog);
-    return chain.RunBatch(names_, Config(), cancel);
+    return veo.RunFireChainBatch(names_, Config(), cancel);
   }
 
   fs::path dir_;

@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <iostream>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "core/observatory.h"
 #include "eo/scene.h"
 #include "common/cancellation.h"
+#include "exec/thread_pool.h"
 #include "governor/admission.h"
 #include "governor/circuit_breaker.h"
 #include "governor/fault_injection.h"
@@ -30,12 +33,14 @@
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
 #include "io/retry.h"
+#include "linkeddata/generators.h"
 #include "mining/kmeans.h"
 #include "noa/chain.h"
 #include "obs/metrics.h"
 #include "obs/query_registry.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "vault/formats.h"
 
 namespace teleios {
 namespace {
@@ -771,8 +776,23 @@ TEST_F(GovernedObservatoryTest, VaultIngestBreakerTripsAndRecovers) {
 }
 
 TEST_F(GovernedObservatoryTest, ExportBreakerShedsAfterPersistentFailures) {
-  noa::ProcessingChain chain(&veo_.vault(), &veo_.sciql(), &veo_.strabon(),
-                             &veo_.catalog());
+  // Batch products export concurrently, and which of them the breaker
+  // sheds then depends on scheduling; one worker runs them in input
+  // order, so the breaker sees each product's outcome before the next.
+  exec::ThreadPool::SetGlobalThreads(1);
+  struct RestoreThreads {
+    ~RestoreThreads() {
+      exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+    }
+  } restore_threads;
+  // Only the chain's output matters here: the publisher counts products.
+  std::atomic<int> published{0};
+  noa::ProcessingChain chain(
+      &veo_.vault(), &veo_.sciql(),
+      [&](const eo::ProductMetadata&, const std::vector<noa::Hotspot>&) {
+        ++published;
+        return Status::OK();
+      });
   auto now = std::chrono::steady_clock::now();
   chain.export_breaker().SetClockForTest([&now] { return now; });
 
@@ -808,6 +828,7 @@ TEST_F(GovernedObservatoryTest, ExportBreakerShedsAfterPersistentFailures) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->failures.empty());
   EXPECT_EQ(recovered->product_ids.size(), 2u);
+  EXPECT_EQ(published, 2);
   EXPECT_EQ(chain.export_breaker().state(), CircuitBreaker::State::kClosed);
 }
 
@@ -1346,6 +1367,155 @@ TEST(StSparqlCommitTest, LoggedUpdateAppliesUnderATinySessionBudget) {
   EXPECT_EQ(SortedTriples(reopened.strabon()), SortedTriples(live.strabon()));
   stdfs::remove_all(copy);
   stdfs::remove_all(dir);
+}
+
+/// The real file system, except that while the gate is shut a WAL
+/// segment's Sync waits for it to open: a durable write then holds the
+/// observatory's writer mutex for as long as the test keeps it shut.
+class SyncGate : public io::PosixFileSystem {
+ public:
+  Result<std::unique_ptr<io::WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<io::WritableFile> file,
+                             io::PosixFileSystem::NewWritableFile(path));
+    if (path.find("/wal/") == std::string::npos) return file;
+    return std::unique_ptr<io::WritableFile>(
+        new GatedFile(std::move(file), this));
+  }
+
+  void Shut() {
+    std::lock_guard<std::mutex> lock(mu_);
+    shut_ = true;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      shut_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Returns once a Sync waits at the shut gate.
+  void AwaitHeldSync() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ > 0; });
+  }
+
+ private:
+  class GatedFile : public io::WritableFile {
+   public:
+    GatedFile(std::unique_ptr<io::WritableFile> file, SyncGate* gate)
+        : file_(std::move(file)), gate_(gate) {}
+    using io::WritableFile::Append;
+    Status Append(const void* data, size_t n) override {
+      return file_->Append(data, n);
+    }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override {
+      gate_->Pass();
+      return file_->Sync();
+    }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    std::unique_ptr<io::WritableFile> file_;
+    SyncGate* gate_;
+  };
+
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!shut_) return;
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !shut_; });
+    --held_;
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool shut_ = false;
+  int held_ = 0;
+};
+
+// KillQuery on the running `refine` row stops it with kCancelled, and
+// neither of its updates applies. Both commit through the writer mutex,
+// which a durable SQL write holds here until after the kill; the held
+// write touches no store state, so it may apply while Refine still
+// reads the store.
+TEST_F(GovernedObservatoryTest, KillQueryStopsARefine) {
+  eo::SceneSpec spec;
+  spec.width = 32;
+  spec.height = 32;
+  spec.seed = 1;
+  spec.num_fires = 3;
+  spec.num_glints = 3;
+  spec.name = "coast";
+  auto scene = eo::GenerateScene(spec);
+  ASSERT_TRUE(scene.ok());
+  const stdfs::path archive = dir_ / "coast_archive";
+  stdfs::create_directories(archive);
+  ASSERT_TRUE(
+      vault::WriteTer(scene->ToTerRaster(), (archive / "coast.ter").string())
+          .ok());
+  auto coastline = linkeddata::GenerateCoastline(*scene);
+  ASSERT_TRUE(coastline.ok());
+
+  SyncGate gate;
+  io::ScopedFileSystem scoped(&gate);
+  MemoryBudget roomy("refine-roomy", MemoryBudget::kUnlimited);
+  ScopedBudget budget(&roomy);
+  core::VirtualEarthObservatory veo;
+  ASSERT_TRUE(veo.Open((dir_ / "durable").string()).ok());
+  ASSERT_TRUE(veo.AttachArchive(archive.string()).ok());
+  ASSERT_TRUE(veo.LoadLinkedData(*coastline).ok());
+  auto chain = veo.RunFireChain("coast", FireConfig());
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_FALSE(chain->hotspots.empty());
+  ASSERT_TRUE(veo.Sql("CREATE TABLE held (id INT)").ok());
+
+  gate.Shut();
+  std::thread writer(
+      [&] { EXPECT_TRUE(veo.Sql("INSERT INTO held VALUES (1)").ok()); });
+  gate.AwaitHeldSync();
+  const size_t before = veo.strabon().size();
+  const std::string statement = "refine " + chain->product_id;
+  Result<noa::RefinementReport> refined = Status::Internal("never ran");
+  std::thread refiner([&] {
+    ScopedBudget scope(&roomy);
+    refined = veo.Refine(chain->product_id);
+  });
+  bool killed = false;
+  for (int i = 0; i < 10000 && !killed; ++i) {
+    for (const obs::ActiveQuery& q : veo.introspection().Active()) {
+      if (q.statement == statement && q.state == obs::QueryState::kRunning) {
+        killed = veo.KillQuery(q.id).ok();
+      }
+    }
+    if (!killed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+  writer.join();
+  refiner.join();
+  ASSERT_TRUE(killed) << "the refine never ran";
+  ASSERT_FALSE(refined.ok());
+  EXPECT_EQ(refined.status().code(), StatusCode::kCancelled)
+      << refined.status().ToString();
+  EXPECT_EQ(LoggedStatus(veo, statement), "Cancelled");
+  // The held write landed; neither update did.
+  auto held = veo.catalog().GetTable("held");
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ((*held)->num_rows(), 1u);
+  EXPECT_EQ(veo.strabon().size(), before);
+  for (const char* changed :
+       {"SELECT ?h WHERE { ?h noa:refinedGeometry ?g }",
+        "SELECT ?h WHERE { ?h a noa:RejectedHotspot }"}) {
+    auto rows = veo.StSparql(changed);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->num_rows(), 0u) << changed;
+  }
+  // Refine runs to the end once nothing stops it.
+  auto report = veo.Refine(chain->product_id);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->hotspots_refined, 0u);
 }
 
 }  // namespace

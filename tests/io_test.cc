@@ -488,8 +488,10 @@ class WalTest : public FileSystemTest {
 
   Result<std::vector<WalRecord>> ReplayAll(WalReplayStats* stats = nullptr) {
     std::vector<WalRecord> records;
+    TELEIOS_ASSIGN_OR_RETURN(std::vector<std::string> segments,
+                             ListWalSegments(WalDir()));
     TELEIOS_ASSIGN_OR_RETURN(
-        WalReplayStats s, ReplayWal(WalDir(), [&](const WalRecord& r) {
+        WalReplayStats s, ReplayWalSegments(segments, [&](const WalRecord& r) {
           records.push_back(r);
           return Status::OK();
         }));

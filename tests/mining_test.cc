@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "core/observatory.h"
 #include "eo/scene.h"
 #include "mining/annotation.h"
 #include "mining/annotation_service.h"
@@ -262,8 +263,9 @@ TEST(AnnotationServiceTest, RepublishReplacesOldAnnotations) {
   auto patches = *CutPatches(scene, 16);
   AnnotationService service;
   ASSERT_TRUE(service.Annotate(patches, 4, 3).ok());
-  strabon::Strabon strabon;
-  ASSERT_TRUE(service.Publish("p1", &strabon).ok());
+  core::VirtualEarthObservatory veo;
+  strabon::Strabon& strabon = veo.strabon();
+  ASSERT_TRUE(veo.PublishAnnotations(service, "p1").ok());
   size_t first = strabon.size();
   // Correct one and publish again: total patch count must not grow.
   ASSERT_TRUE(service
@@ -271,7 +273,7 @@ TEST(AnnotationServiceTest, RepublishReplacesOldAnnotations) {
                            "http://teleios.di.uoa.gr/ontologies/"
                            "noaOntology.owl#Sea")
                   .ok());
-  ASSERT_TRUE(service.Publish("p1", &strabon).ok());
+  ASSERT_TRUE(veo.PublishAnnotations(service, "p1").ok());
   auto count = strabon.Select(
       "SELECT (count(*) AS ?n) WHERE { ?p a noa:Patch }");
   ASSERT_TRUE(count.ok());
@@ -281,17 +283,17 @@ TEST(AnnotationServiceTest, RepublishReplacesOldAnnotations) {
 }
 
 TEST(AnnotationServiceTest, PublishPropagatesDeleteFailure) {
-  // Regression: Publish used to drop the Status of the DELETE that
+  // Regression: publication used to drop the Status of the DELETE that
   // clears the previous annotation set. A product id that breaks the
   // SPARQL IRI (the space below) makes the DELETE unparseable; before
-  // the fix Publish still reported OK while stale annotations survived
-  // alongside the fresh ones.
+  // the fix publication still reported OK while stale annotations
+  // survived alongside the fresh ones.
   eo::Scene scene = TestScene();
   auto patches = *CutPatches(scene, 16);
   AnnotationService service;
   ASSERT_TRUE(service.Annotate(patches, 4, 3).ok());
-  strabon::Strabon strabon;
-  auto published = service.Publish("p 1", &strabon);
+  core::VirtualEarthObservatory veo;
+  auto published = veo.PublishAnnotations(service, "p 1");
   EXPECT_FALSE(published.ok());
 }
 

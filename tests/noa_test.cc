@@ -2,8 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
-#include "eo/ontology.h"
+#include "core/observatory.h"
+#include "eo/product.h"
 #include "eo/scene.h"
 #include "linkeddata/generators.h"
 #include "geo/predicates.h"
@@ -17,6 +19,7 @@
 #include "noa/mapping.h"
 #include "noa/refinement.h"
 #include "obs/metrics.h"
+#include "storage/catalog.h"
 #include "vault/formats.h"
 
 namespace teleios::noa {
@@ -129,6 +132,8 @@ TEST(HotspotTest, VecRoundTrip) {
   }
 }
 
+/// The chain behind the facade: RunFireChain publishes each product
+/// through the observatory's write path into `catalog_` and `strabon_`.
 class ChainTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -139,29 +144,23 @@ class ChainTest : public ::testing::Test {
     ASSERT_TRUE(vault::WriteTer(scene_.ToTerRaster(),
                                 (dir_ / "scene.ter").string())
                     .ok());
-    vault_ = std::make_unique<vault::DataVault>(&catalog_);
-    ASSERT_TRUE(vault_->Attach(dir_.string()).ok());
-    sciql_ = std::make_unique<sciql::SciQlEngine>(&catalog_);
-    ASSERT_TRUE(strabon_.LoadTurtle(eo::OntologyTurtle()).ok());
-    chain_ = std::make_unique<ProcessingChain>(vault_.get(), sciql_.get(),
-                                               &strabon_, &catalog_);
+    ASSERT_TRUE(veo_.AttachArchive(dir_.string()).ok());
+    ASSERT_TRUE(veo_.ontology_status().ok());
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   eo::Scene scene_;
-  storage::Catalog catalog_;
-  std::unique_ptr<vault::DataVault> vault_;
-  std::unique_ptr<sciql::SciQlEngine> sciql_;
-  strabon::Strabon strabon_;
-  std::unique_ptr<ProcessingChain> chain_;
+  core::VirtualEarthObservatory veo_;
+  storage::Catalog& catalog_ = veo_.catalog();
+  strabon::Strabon& strabon_ = veo_.strabon();
 };
 
 TEST_F(ChainTest, EndToEndRun) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
   config.output_dir = dir_.string();
-  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->hotspots.size(), 0u);
   EXPECT_EQ(result->timings.size(), 4u);
@@ -186,7 +185,7 @@ TEST_F(ChainTest, MatchesTheSceneOracle) {
     ChainConfig config;
     config.classifier.kind = kind;
     config.classifier.threshold_kelvin = 315.0;
-    auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+    auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto mask = ClassifyFirePixels(scene_, config.classifier);
     ASSERT_TRUE(mask.ok());
@@ -206,10 +205,90 @@ TEST_F(ChainTest, MatchesTheSceneOracle) {
   }
 }
 
+/// The store's triples as N-Triples lines.
+std::set<std::string> TripleLines(const strabon::Strabon& store) {
+  std::set<std::string> lines;
+  const auto& dict = store.store().dict();
+  for (const rdf::Triple& t : store.store().Match(rdf::TriplePattern{})) {
+    lines.insert(dict.At(t.s).ToNTriples() + " " + dict.At(t.p).ToNTriples() +
+                 " " + dict.At(t.o).ToNTriples());
+  }
+  return lines;
+}
+
+// The product the chain hands its publisher lands through the facade's
+// write path with exactly the terms the chain computed: the triples and
+// the `products` row eo::RegisterProductTriples and eo::RegisterProductRow
+// make of the raster's L2 metadata, every triple PublishHotspots renders
+// of the chain's hotspots, and WKT literals equal to geo::WriteWkt of
+// their geometry.
+TEST_F(ChainTest, PublishesExactlyTheChainsTerms) {
+  ChainConfig config;
+  config.classifier.kind = ClassifierKind::kContextual;
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->hotspots.empty());
+  auto header = veo_.vault().GetRasterHeader("MSG2-SEVIRI-scene");
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  eo::ProductMetadata meta;
+  meta.id = result->product_id;
+  meta.satellite = header->satellite;
+  meta.sensor = header->sensor;
+  meta.level = eo::ProductLevel::kL2;
+  meta.acquisition_time = header->acquisition_time;
+  meta.footprint_wkt = header->FootprintWkt();
+  meta.derived_from = "MSG2-SEVIRI-scene";
+  strabon::Strabon expected;
+  ASSERT_TRUE(eo::RegisterProductTriples(meta, &expected).ok());
+  ASSERT_TRUE(
+      PublishHotspots(result->hotspots, result->product_id, &expected).ok());
+  const std::set<std::string> published = TripleLines(strabon_);
+  for (const std::string& triple : TripleLines(expected)) {
+    EXPECT_EQ(published.count(triple), 1u) << triple;
+  }
+  const auto& dict = strabon_.store().dict();
+  for (const Hotspot& hotspot : result->hotspots) {
+    auto geometry = strabon_.Select(
+        "SELECT ?g WHERE { <" + std::string(eo::kNoaNs) + "hotspot/" +
+        result->product_id + "/" + std::to_string(hotspot.id) +
+        "> noa:hasGeometry ?g }");
+    ASSERT_TRUE(geometry.ok()) << geometry.status().ToString();
+    ASSERT_EQ(geometry->num_rows(), 1u);
+    EXPECT_EQ(dict.At(strabon::Binding(*geometry, "g", 0)).lexical,
+              geo::WriteWkt(hotspot.geometry));
+  }
+  storage::Catalog reference;
+  ASSERT_TRUE(eo::RegisterProductRow(meta, &reference).ok());
+  auto want = reference.GetTable("products");
+  ASSERT_TRUE(want.ok());
+  auto products = catalog_.GetTable("products");
+  ASSERT_TRUE(products.ok());
+  ASSERT_EQ((*products)->num_rows(), 1u);
+  ASSERT_EQ((*products)->num_columns(), (*want)->num_columns());
+  for (size_t c = 0; c < (*want)->num_columns(); ++c) {
+    EXPECT_EQ((*products)->Get(0, c).ToString(), (*want)->Get(0, c).ToString())
+        << "column " << c;
+  }
+}
+
+// A `products` table of another shape refuses the product's row, and
+// then the product publishes nothing: no triple of it or its hotspots.
+TEST_F(ChainTest, RefusedRowPublishesNoTriples) {
+  ASSERT_TRUE(veo_.Sql("CREATE TABLE products (id INT)").ok());
+  const size_t before = strabon_.size();
+  ChainConfig config;
+  config.classifier.kind = ClassifierKind::kContextual;
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_EQ(strabon_.size(), before);
+}
+
 TEST_F(ChainTest, HotspotsCarryValidTimePeriods) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
-  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->hotspots.size(), 0u);
   // Temporal stSPARQL: hotspots whose valid time lies within Aug 25.
@@ -227,8 +306,8 @@ TEST_F(ChainTest, AggregateHotspotsPerProduct) {
   a.classifier.threshold_kelvin = 315.0;
   ChainConfig b;
   b.classifier.kind = ClassifierKind::kContextual;
-  auto ra = chain_->Run("MSG2-SEVIRI-scene", a);
-  auto rb = chain_->Run("MSG2-SEVIRI-scene", b);
+  auto ra = veo_.RunFireChain("MSG2-SEVIRI-scene", a);
+  auto rb = veo_.RunFireChain("MSG2-SEVIRI-scene", b);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   // SPARQL aggregation: hotspots per product.
@@ -253,7 +332,7 @@ TEST_F(ChainTest, SciQlStatementIsReal) {
       ProcessingChain::ClassificationSciQl("MSG2-SEVIRI-scene", config);
   EXPECT_NE(stmt.find("SELECT y, x FROM \"MSG2-SEVIRI-scene\""),
             std::string::npos);
-  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->sciql.size(), 1u);
 }
@@ -261,7 +340,7 @@ TEST_F(ChainTest, SciQlStatementIsReal) {
 TEST_F(ChainTest, CropRestrictsHotspots) {
   ChainConfig full;
   full.classifier.kind = ClassifierKind::kContextual;
-  auto all = chain_->Run("MSG2-SEVIRI-scene", full);
+  auto all = veo_.RunFireChain("MSG2-SEVIRI-scene", full);
   ASSERT_TRUE(all.ok());
   ASSERT_GT(all->hotspots.size(), 0u);
   // Crop to a corner that excludes at least one hotspot.
@@ -272,7 +351,7 @@ TEST_F(ChainTest, CropRestrictsHotspots) {
   cropped.crop_x1 = scene_.spec.width / 2;
   cropped.crop_y1 = scene_.spec.height / 2;
   // Re-run under a new product id by using the other classifier name.
-  auto partial = chain_->Run("MSG2-SEVIRI-scene", cropped);
+  auto partial = veo_.RunFireChain("MSG2-SEVIRI-scene", cropped);
   // Second run with same product id: product row appended, fine.
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_LE(partial->hotspots.size(), all->hotspots.size());
@@ -284,8 +363,8 @@ TEST_F(ChainTest, TwoClassifiersProduceComparableProducts) {
   a.classifier.threshold_kelvin = 312.0;
   ChainConfig b;
   b.classifier.kind = ClassifierKind::kContextual;
-  auto ra = chain_->Run("MSG2-SEVIRI-scene", a);
-  auto rb = chain_->Run("MSG2-SEVIRI-scene", b);
+  auto ra = veo_.RunFireChain("MSG2-SEVIRI-scene", a);
+  auto rb = veo_.RunFireChain("MSG2-SEVIRI-scene", b);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_NE(ra->product_id, rb->product_id);
@@ -304,7 +383,7 @@ TEST_F(ChainTest, BatchCompletesPastCorruptProduct) {
   r.name = "scene-b";
   std::string bad_path = (dir_ / "zz_b.ter").string();
   ASSERT_TRUE(vault::WriteTer(r, bad_path).ok());
-  ASSERT_TRUE(vault_->AttachFile(bad_path).ok());
+  ASSERT_TRUE(veo_.vault().AttachFile(bad_path).ok());
   {
     std::fstream f(bad_path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(-5, std::ios::end);
@@ -320,7 +399,8 @@ TEST_F(ChainTest, BatchCompletesPastCorruptProduct) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
   config.output_dir = dir_.string();
-  auto batch = chain_->RunBatch({"MSG2-SEVIRI-scene", "scene-b"}, config);
+  auto batch =
+      veo_.RunFireChainBatch({"MSG2-SEVIRI-scene", "scene-b"}, config);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->product_ids.size(), 1u);
   EXPECT_NE(batch->product_ids[0].find("MSG2-SEVIRI-scene"),
@@ -351,7 +431,7 @@ TEST_F(ChainTest, ReadsTheRasterPayloadOnce) {
   // uses is mapped from the array it ingested.
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
-  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->hotspots.size(), 0u);
   EXPECT_EQ(counting.ops() - one_read, one_read);
@@ -363,7 +443,7 @@ TEST_F(ChainTest, CroppedRunCountsOnlyTheSlabsCells) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
   uint64_t before = classified->value();
-  ASSERT_TRUE(chain_->Run("MSG2-SEVIRI-scene", config).ok());
+  ASSERT_TRUE(veo_.RunFireChain("MSG2-SEVIRI-scene", config).ok());
   EXPECT_EQ(classified->value() - before, scene_.PixelCount());
   // A crop reaching past the bottom edge: SciQL clamps the slab to the
   // raster, and so does the count.
@@ -373,7 +453,7 @@ TEST_F(ChainTest, CroppedRunCountsOnlyTheSlabsCells) {
   config.crop_y0 = scene_.spec.height - 16;
   config.crop_y1 = scene_.spec.height + 50;
   before = classified->value();
-  ASSERT_TRUE(chain_->Run("MSG2-SEVIRI-scene", config).ok());
+  ASSERT_TRUE(veo_.RunFireChain("MSG2-SEVIRI-scene", config).ok());
   EXPECT_EQ(classified->value() - before, 30u * 16u);
 }
 
@@ -384,12 +464,12 @@ class RefinementTest : public ChainTest {
     // Load coastline so the sea geometry exists.
     auto coast = linkeddata::GenerateCoastline(scene_);
     ASSERT_TRUE(coast.ok()) << coast.status().ToString();
-    ASSERT_TRUE(strabon_.LoadTurtle(*coast).ok());
+    ASSERT_TRUE(veo_.LoadLinkedData(*coast).ok());
     // Produce hotspots with the naive classifier (sea leakage likely).
     ChainConfig config;
     config.classifier.kind = ClassifierKind::kThreshold;
     config.classifier.threshold_kelvin = 315.0;
-    auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+    auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
     ASSERT_TRUE(result.ok());
     product_id_ = result->product_id;
     hotspot_count_ = result->hotspots.size();
@@ -400,7 +480,7 @@ class RefinementTest : public ChainTest {
 };
 
 TEST_F(RefinementTest, RefinementRunsAndReports) {
-  auto report = RefineHotspots(&strabon_, product_id_);
+  auto report = veo_.Refine(product_id_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->hotspots_examined, hotspot_count_);
   EXPECT_EQ(report->statements.size(), 2u);
@@ -415,7 +495,7 @@ TEST_F(RefinementTest, ThematicAccuracyDoesNotDegrade) {
   auto acc_before =
       ScoreHotspotsAgainstTruth(*before, scene_.GroundTruthFires());
   ASSERT_TRUE(acc_before.ok());
-  auto report = RefineHotspots(&strabon_, product_id_);
+  auto report = veo_.Refine(product_id_);
   ASSERT_TRUE(report.ok());
   auto after = FetchHotspotGeometries(&strabon_, product_id_);
   ASSERT_TRUE(after.ok());
@@ -429,13 +509,20 @@ TEST_F(RefinementTest, ThematicAccuracyDoesNotDegrade) {
 
 TEST_F(RefinementTest, RequiresCoastlineLayer) {
   strabon::Strabon empty;
-  EXPECT_FALSE(RefineHotspots(&empty, product_id_).ok());
+  bool updated = false;
+  EXPECT_FALSE(RefineHotspots(&empty, product_id_,
+                              [&](const std::string&) -> Result<size_t> {
+                                updated = true;
+                                return size_t{0};
+                              })
+                   .ok());
+  EXPECT_FALSE(updated);
 }
 
 TEST_F(RefinementTest, RapidMapRendersAllLayers) {
   auto towns = linkeddata::GenerateTowns(scene_, 5, 1);
   ASSERT_TRUE(towns.ok());
-  ASSERT_TRUE(strabon_.LoadTurtle(*towns).ok());
+  ASSERT_TRUE(veo_.LoadLinkedData(*towns).ok());
   RapidMapper mapper(&strabon_);
   ASSERT_TRUE(mapper
                   .AddQueryLayer("land", "#88aa66", '.',
@@ -468,7 +555,7 @@ TEST_F(RefinementTest, RapidMapRendersAllLayers) {
 TEST_F(ChainTest, BurnedAreaAggregatesWindow) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
-  auto result = chain_->Run("MSG2-SEVIRI-scene", config);
+  auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->hotspots.size(), 0u);
   int64_t t = scene_.spec.acquisition_time;
@@ -491,7 +578,7 @@ TEST_F(ChainTest, BurnedAreaAggregatesWindow) {
 TEST_F(ChainTest, BurnedAreaEmptyWindow) {
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
-  ASSERT_TRUE(chain_->Run("MSG2-SEVIRI-scene", config).ok());
+  ASSERT_TRUE(veo_.RunFireChain("MSG2-SEVIRI-scene", config).ok());
   // A window a year earlier matches nothing.
   int64_t t = scene_.spec.acquisition_time - 365 * 86400;
   auto burned = MapBurnedArea(&strabon_, "empty", t, t + 3600);

@@ -21,20 +21,25 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/observatory.h"
 #include "core/recovery.h"
+#include "eo/product.h"
 #include "eo/scene.h"
 #include "io/fault_injection.h"
 #include "io/filesystem.h"
 #include "io/wal.h"
+#include "linkeddata/generators.h"
 #include "mining/annotation_service.h"
 #include "mining/features.h"
+#include "noa/chain.h"
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
 #include "storage/persistence.h"
 #include "strabon/strabon.h"
+#include "vault/formats.h"
 
 namespace teleios {
 namespace {
@@ -462,8 +467,9 @@ class FirstRemovalFails : public io::FaultInjectingFileSystem {
 };
 
 // A checkpoint whose truncation stopped midway: its marker committed it,
-// so the old segment that survived is never replayed again, and a triple
-// deleted before the checkpoint stays deleted.
+// so the old segment that survived is never read again — not even when
+// it is damaged — and a triple deleted before the checkpoint stays
+// deleted.
 TEST_F(RecoverySweepTest, CheckpointWhoseTruncationStoppedMidway) {
   const std::string dir = Path("stopped_truncation");
   DurabilityOptions options;
@@ -495,8 +501,21 @@ TEST_F(RecoverySweepTest, CheckpointWhoseTruncationStoppedMidway) {
     ASSERT_TRUE(segments.ok());
     EXPECT_EQ(segments->size(), 2u);
   }
+  // Damage the surviving pre-checkpoint segment: its magic no longer
+  // names a WAL segment.
+  auto segments = io::ListWalSegments(dir + "/wal");
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 2u);
+  auto garbage = io::GetFileSystem()->ReadFile(segments->front());
+  ASSERT_TRUE(garbage.ok());
+  ASSERT_TRUE(io::GetFileSystem()
+                  ->WriteFileAtomic(segments->front(),
+                                    "XXXX" + garbage->substr(4))
+                  .ok());
   Instance c(dir, options);
-  ASSERT_TRUE(c.Open().ok());
+  Status reopened = c.Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+  EXPECT_EQ(c.db->recovery_report().wal_segments, 1u);
   EXPECT_EQ(c.db->recovery_report().replay_errors, 0u);
   EXPECT_EQ(c.strabon.size(), 0u)
       << "a triple deleted before the checkpoint came back";
@@ -650,6 +669,211 @@ TEST_F(RecoverySweepTest, ObservatoryOpenRoutesAndReports) {
 }
 
 // ---------------------------------------------------------------------------
+// The fire chain and Refine on the one write path
+// ---------------------------------------------------------------------------
+
+/// Writes a 32x32 scene with coast and sun glint to `archive` as raster
+/// "coast" and answers its coastline Turtle. The threshold chain's
+/// product of it has hotspots that refinement clips (its first update)
+/// and hotspots it rejects (its second).
+std::string WriteCoastScene(const std::string& archive) {
+  eo::SceneSpec spec;
+  spec.width = 32;
+  spec.height = 32;
+  spec.seed = 1;
+  spec.num_fires = 3;
+  spec.num_glints = 3;
+  spec.name = "coast";
+  auto scene = eo::GenerateScene(spec);
+  EXPECT_TRUE(scene.ok());
+  stdfs::create_directories(archive);
+  EXPECT_TRUE(
+      vault::WriteTer(scene->ToTerRaster(), archive + "/coast.ter").ok());
+  auto coastline = linkeddata::GenerateCoastline(*scene);
+  EXPECT_TRUE(coastline.ok());
+  return coastline.ok() ? *coastline : "";
+}
+
+noa::ChainConfig CoastChainConfig(noa::ClassifierKind kind,
+                                  const std::string& output_dir) {
+  noa::ChainConfig config;
+  config.classifier.kind = kind;
+  config.classifier.threshold_kelvin = 315.0;
+  config.output_dir = output_dir;
+  stdfs::create_directories(output_dir);
+  return config;
+}
+
+/// What `product` left in `veo`: its `products` rows, then the sorted
+/// N-Triples of every triple about the product or one of its hotspots,
+/// with `output_dir` (which the .vec path names) replaced by "<out>".
+std::vector<std::string> ProductImage(core::VirtualEarthObservatory& veo,
+                                      const std::string& product,
+                                      const std::string& output_dir) {
+  auto neutral = [&](std::string text) {
+    for (size_t at; (at = text.find(output_dir)) != std::string::npos;) {
+      text.replace(at, output_dir.size(), "<out>");
+    }
+    return text;
+  };
+  std::vector<std::string> image;
+  auto products = veo.catalog().GetTable("products");
+  if (products.ok()) {
+    const storage::Table& table = **products;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (table.Get(r, 0).AsString() != product) continue;
+      std::string row = "row";
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        row += " " + table.Get(r, c).ToString();
+      }
+      image.push_back(neutral(row));
+    }
+  }
+  const std::string ns(eo::kNoaNs);
+  const std::string product_iri = ns + "product/" + product;
+  const std::string hotspot_prefix = ns + "hotspot/" + product + "/";
+  const auto& dict = veo.strabon().store().dict();
+  std::vector<std::string> triples;
+  for (const rdf::Triple& t :
+       veo.strabon().store().Match(rdf::TriplePattern{})) {
+    const std::string& subject = dict.At(t.s).lexical;
+    if (subject != product_iri && subject.rfind(hotspot_prefix, 0) != 0) {
+      continue;
+    }
+    triples.push_back(neutral(dict.At(t.s).ToNTriples() + " " +
+                              dict.At(t.p).ToNTriples() + " " +
+                              dict.At(t.o).ToNTriples()));
+  }
+  std::sort(triples.begin(), triples.end());
+  image.insert(image.end(), triples.begin(), triples.end());
+  return image;
+}
+
+// A crash at every file-system op of a durable observatory that attaches
+// a raster, loads the coastline, runs the fire chain with a .vec export
+// and refines the product, then a restart: the product is wholly present
+// (its `products` row, its triples and every hotspot triple) or wholly
+// absent, and present whenever the chain answered OK; Refine's two
+// updates are a prefix, both present whenever Refine answered OK.
+TEST_F(RecoverySweepTest, FireChainAndRefineSurviveEveryCrashPoint) {
+  const std::string archive = Path("coast_archive");
+  const std::string coastline = WriteCoastScene(archive);
+  const DurabilityOptions options = DurabilityOptions::FromEnv();
+  const auto kind = noa::ClassifierKind::kThreshold;
+
+  // The states refinement may leave, from runs without a log: published
+  // (1), first update applied (2), both applied (3).
+  const std::string ref_out = Path("coast_ref") + "/vec";
+  std::vector<std::vector<std::string>> states(4);
+  std::string product;
+  {
+    core::VirtualEarthObservatory ref;
+    ASSERT_TRUE(ref.AttachArchive(archive).ok());
+    ASSERT_TRUE(ref.LoadLinkedData(coastline).ok());
+    auto chain = ref.RunFireChain("coast", CoastChainConfig(kind, ref_out));
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    product = chain->product_id;
+    states[1] = ProductImage(ref, product, ref_out);
+    auto report = ref.Refine(product);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_GT(report->hotspots_refined, 0u);
+    ASSERT_GT(report->hotspots_removed, 0u);
+    states[3] = ProductImage(ref, product, ref_out);
+
+    core::VirtualEarthObservatory half;
+    ASSERT_TRUE(half.AttachArchive(archive).ok());
+    ASSERT_TRUE(half.LoadLinkedData(coastline).ok());
+    ASSERT_TRUE(
+        half.RunFireChain("coast", CoastChainConfig(kind, ref_out)).ok());
+    ASSERT_TRUE(half.StSparqlUpdate(report->statements[0]).ok());
+    states[2] = ProductImage(half, product, ref_out);
+  }
+  ASSERT_FALSE(states[1].empty());
+  ASSERT_NE(states[1], states[2]);
+  ASSERT_NE(states[2], states[3]);
+
+  struct Acked {
+    bool coastline = false, chain = false, refine = false;
+  };
+  auto workload = [&](core::VirtualEarthObservatory& veo,
+                      const std::string& dir, const std::string& out) {
+    Acked acked;
+    if (!veo.Open(dir, options).ok() || !veo.AttachArchive(archive).ok()) {
+      return acked;
+    }
+    acked.coastline = veo.LoadLinkedData(coastline).ok();
+    if (!acked.coastline) return acked;
+    auto chain = veo.RunFireChain("coast", CoastChainConfig(kind, out));
+    acked.chain = chain.ok();
+    if (!acked.chain) return acked;
+    acked.refine = veo.Refine(chain->product_id).ok();
+    return acked;
+  };
+
+  io::FaultSpec probe;
+  probe.inject_at = 0;
+  faulty_->Arm(probe);
+  {
+    core::VirtualEarthObservatory baseline;
+    Acked acked = workload(baseline, Path("coast_probe"),
+                           Path("coast_probe") + "/vec");
+    ASSERT_TRUE(acked.refine);
+  }
+  const uint64_t total_ops = faulty_->ops();
+  faulty_->Disarm();
+  ASSERT_GT(total_ops, 10u);
+
+  int seen[4] = {0, 0, 0, 0};
+  for (uint64_t k = 1; k <= total_ops; ++k) {
+    const std::string dir = Path("coast_" + std::to_string(k));
+    const std::string out = dir + "/vec";
+    Acked acked;
+    {
+      io::FaultSpec spec;
+      spec.kind = io::FaultKind::kShortWrite;
+      spec.inject_at = k;
+      spec.crash = true;
+      faulty_->Arm(spec);
+      core::VirtualEarthObservatory victim;
+      acked = workload(victim, dir, out);
+      faulty_->Disarm();
+    }
+    core::VirtualEarthObservatory restarted;
+    Status recovered = restarted.Open(dir, options);
+    ASSERT_TRUE(recovered.ok())
+        << "crash at op " << k << ": " << recovered.ToString();
+    EXPECT_EQ(restarted.recovery_report().replay_errors, 0u)
+        << "crash at op " << k;
+    const std::vector<std::string> image =
+        ProductImage(restarted, product, out);
+    int state = image.empty() ? 0 : -1;
+    for (int i = 1; i <= 3; ++i) {
+      if (image == states[i]) state = i;
+    }
+    ASSERT_NE(state, -1) << "crash at op " << k
+                         << ": a partial product or refinement survived";
+    ++seen[state];
+    if (acked.chain) {
+      EXPECT_GE(state, 1) << "acked product lost at op " << k;
+    }
+    if (acked.refine) {
+      EXPECT_EQ(state, 3) << "acked update lost at op " << k;
+    }
+    if (acked.coastline) {
+      auto sea = restarted.StSparql("ASK { ?s a noa:Sea }");
+      ASSERT_TRUE(sea.ok()) << sea.status().ToString();
+      EXPECT_EQ(sea->num_rows(), 1u) << "acked coastline lost at op " << k;
+    }
+  }
+  EXPECT_GT(seen[0], 0);
+  EXPECT_GT(seen[3], 0);
+  std::cout << "[ sweep    ] chain: " << total_ops << " crash points; "
+            << "restarts found the product absent " << seen[0]
+            << ", published " << seen[1] << ", half refined " << seen[2]
+            << " and refined " << seen[3] << " times\n";
+}
+
+// ---------------------------------------------------------------------------
 // One write path in both modes
 // ---------------------------------------------------------------------------
 
@@ -670,19 +894,43 @@ const std::vector<mining::AnnotationService>& AnnotationServices() {
   return services;
 }
 
+/// The coast scene's archive and coastline, and where the mix's chain
+/// runs export their products.
+struct CoastMix {
+  std::string archive;
+  std::string coastline;
+  std::string output_dir;
+};
+
 /// One seeded mix of writes through the facade — SQL CREATE, INSERT,
 /// UPDATE and DELETE, stSPARQL INSERT DATA and DELETE/INSERT WHERE,
-/// Turtle loads, annotation publish and delete — with `midway` run once
-/// halfway through.
+/// Turtle loads, annotation publish and delete, a vault attach, and a
+/// fire-chain run and its Refine a quarter and three quarters through —
+/// with `midway` run once halfway through.
 void ApplyWriteMix(core::VirtualEarthObservatory& veo, uint64_t seed,
+                   const CoastMix& coast,
                    const std::function<void()>& midway) {
   constexpr int kWrites = 120;
   std::mt19937_64 rng(seed);
   auto pick = [&](uint64_t n) { return static_cast<int>(rng() % n); };
   ASSERT_TRUE(veo.Sql("CREATE TABLE mix (id INT, v DOUBLE, s VARCHAR)").ok());
+  ASSERT_TRUE(veo.AttachArchive(coast.archive).ok());
+  ASSERT_TRUE(veo.LoadLinkedData(coast.coastline).ok());
+  auto chain_and_refine = [&](noa::ClassifierKind kind) {
+    auto chain = veo.RunFireChain(
+        "coast", CoastChainConfig(kind, coast.output_dir));
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    ASSERT_FALSE(chain->hotspots.empty());
+    auto report = veo.Refine(chain->product_id);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  };
   const std::string ex = "PREFIX ex: <http://example.org/> ";
   for (int w = 0; w < kWrites; ++w) {
     if (w == kWrites / 2) midway();
+    if (w == kWrites / 4) chain_and_refine(noa::ClassifierKind::kThreshold);
+    if (w == 3 * kWrites / 4) {
+      chain_and_refine(noa::ClassifierKind::kContextual);
+    }
     const std::string n = std::to_string(w);
     const std::string k = std::to_string(pick(7));
     Status st = Status::OK();
@@ -764,14 +1012,17 @@ using WritePathTest = RecoverySweepTest;
 // durable one reopened in one state.
 TEST_F(WritePathTest, OneMixOneStateInEveryMode) {
   const std::string dir = Path("both_modes");
+  const CoastMix coast{Path("mix_archive"),
+                       WriteCoastScene(Path("mix_archive")),
+                       Path("mix_out")};
   // Under TELEIOS_WAL_CHECKPOINT_BYTES automatic checkpoints land in the
   // mix as well.
   const DurabilityOptions options = DurabilityOptions::FromEnv();
   core::VirtualEarthObservatory memory;
-  ApplyWriteMix(memory, 24, [] {});
+  ApplyWriteMix(memory, 24, coast, [] {});
   core::VirtualEarthObservatory durable;
   ASSERT_TRUE(durable.Open(dir, options).ok());
-  ApplyWriteMix(durable, 24,
+  ApplyWriteMix(durable, 24, coast,
                 [&] { ASSERT_TRUE(durable.Checkpoint().ok()); });
   ASSERT_GE(durable.durability_stats().checkpoints, 1u);
   core::VirtualEarthObservatory reopened;
@@ -786,8 +1037,80 @@ TEST_F(WritePathTest, OneMixOneStateInEveryMode) {
   EXPECT_EQ(SortedTriples(reopened.strabon()),
             SortedTriples(memory.strabon()));
   const std::string catalog = CatalogImage(memory);
+  EXPECT_NE(catalog.find("coast-hotspots-contextual"), std::string::npos);
   EXPECT_EQ(CatalogImage(durable), catalog);
   EXPECT_EQ(CatalogImage(reopened), catalog);
+}
+
+// Writers only, in three languages at once: a fire-chain batch, whose
+// products commit from pool workers, beside facade SQL and stSPARQL
+// writers. Each write takes the one writer mutex, so TSan sees no race
+// and every acknowledged write lands. No reader runs (reads are not
+// synchronized with writes yet).
+TEST_F(WritePathTest, ChainBatchBesideSqlAndStSparqlWriters) {
+  const std::string archive = Path("batch_archive");
+  stdfs::create_directories(archive);
+  std::vector<std::string> rasters;
+  for (int i = 0; i < 4; ++i) {
+    eo::SceneSpec spec;
+    spec.width = 32;
+    spec.height = 32;
+    spec.seed = 10 + static_cast<uint64_t>(i);
+    spec.num_fires = 3;
+    spec.name = "batch" + std::to_string(i);
+    auto scene = eo::GenerateScene(spec);
+    ASSERT_TRUE(scene.ok());
+    ASSERT_TRUE(vault::WriteTer(scene->ToTerRaster(),
+                                archive + "/" + spec.name + ".ter")
+                    .ok());
+    rasters.push_back(spec.name);
+  }
+  core::VirtualEarthObservatory veo;
+  ASSERT_TRUE(veo.AttachArchive(archive).ok());
+  ASSERT_TRUE(veo.Sql("CREATE TABLE w (id INT)").ok());
+  constexpr int kWrites = 40;
+  Result<noa::ChainResult> batch = Status::Internal("not run");
+  std::thread chain([&] {
+    batch = veo.RunFireChainBatch(
+        rasters, CoastChainConfig(noa::ClassifierKind::kThreshold,
+                                  Path("batch_out")));
+  });
+  std::thread sql([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      Status st =
+          veo.Sql("INSERT INTO w VALUES (" + std::to_string(i) + ")").status();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+  });
+  std::thread sparql([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      Status st = veo.StSparql("PREFIX ex: <http://example.org/> "
+                               "INSERT DATA { ex:w" + std::to_string(i) +
+                               " ex:written " + std::to_string(i) + " }")
+                      .status();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+  });
+  chain.join();
+  sql.join();
+  sparql.join();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_TRUE(batch->failures.empty());
+  EXPECT_EQ(batch->product_ids.size(), rasters.size());
+  auto products = veo.catalog().GetTable("products");
+  ASSERT_TRUE(products.ok());
+  EXPECT_EQ((*products)->num_rows(), rasters.size());
+  auto rows = veo.catalog().GetTable("w");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)->num_rows(), static_cast<size_t>(kWrites));
+  auto written = veo.StSparql(
+      "PREFIX ex: <http://example.org/> SELECT ?s WHERE { ?s ex:written ?n }");
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written->num_rows(), static_cast<size_t>(kWrites));
+  auto hotspots = veo.StSparql(
+      "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:derivedFromProduct ?p }");
+  ASSERT_TRUE(hotspots.ok()) << hotspots.status().ToString();
+  EXPECT_EQ(hotspots->num_rows(), batch->hotspots.size());
 }
 
 }  // namespace

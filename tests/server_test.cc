@@ -410,6 +410,24 @@ TEST(ProtocolTest, FrameReaderTornFrameIsDataLoss) {
 // query streaming
 // ---------------------------------------------------------------------------
 
+// A CANCEL that sees the session executing reaches its statement: the
+// state and the statement's token are set in one critical section, so
+// there is no moment when the session reads "executing" with no token
+// to cancel.
+TEST(SessionTest, CancelReachesTheStatementOnceTheSessionIsExecuting) {
+  SessionRegistry registry;
+  std::shared_ptr<Session> session = registry.Open("peer", "binary", 0);
+  session->set_state("idle");
+  EXPECT_FALSE(session->CancelActiveStatement());
+  std::shared_ptr<CancellationToken> token = session->BeginStatement(0);
+  EXPECT_EQ(session->state(), "executing");
+  EXPECT_TRUE(session->CancelActiveStatement());
+  EXPECT_TRUE(token->cancelled());
+  session->EndStatement();
+  EXPECT_FALSE(session->CancelActiveStatement());
+  registry.Close(session);
+}
+
 TEST_F(ServerTest, StreamedResultIsByteIdenticalToInProcess) {
   StartServer();
   Client client = MustConnect();
