@@ -1,6 +1,7 @@
 #include "io/filesystem.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -197,6 +198,10 @@ Result<std::string> FileSystem::ReadFile(const std::string& path) {
 
 namespace {
 
+/// Numbers WriteFileAtomic's temp files, so two writes of one path in
+/// this process never open, truncate or rename the same temp file.
+std::atomic<uint64_t> g_atomic_write_seq{0};
+
 std::string ParentDir(const std::string& path) {
   size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -209,7 +214,8 @@ std::string ParentDir(const std::string& path) {
 Status FileSystem::WriteFileAtomic(const std::string& path,
                                    std::string_view data) {
   obs::Count("teleios_io_atomic_writes_total");
-  const std::string tmp = path + ".tmp";
+  const std::string tmp =
+      path + "." + std::to_string(g_atomic_write_seq.fetch_add(1)) + ".tmp";
   Status st;
   {
     auto file = NewWritableFile(tmp);

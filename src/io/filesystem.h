@@ -74,14 +74,16 @@ class FileSystem {
   /// Slurps a whole file, reading in bounded chunks.
   Result<std::string> ReadFile(const std::string& path);
 
-  /// Crash-safe durable write: writes `path + ".tmp"`, flushes, fsyncs,
-  /// closes, renames over `path`, then fsyncs the parent directory so
-  /// the rename itself survives a power failure. A crash (or injected
-  /// fault) at any point leaves either the old file or the new file,
-  /// never a hybrid — note that a failure at or after the rename can
-  /// leave the NEW file in place, so a non-OK status means "not durable",
-  /// not "nothing happened". The tmp file is removed on failure (best
-  /// effort).
+  /// Crash-safe durable write: writes the temp file `path + ".<n>.tmp"`
+  /// (`n` unique per call, so concurrent writes of one path never share
+  /// it), flushes, fsyncs, closes, renames over `path`, then fsyncs the
+  /// parent directory so the rename itself survives a power failure.
+  /// Of concurrent writes of one path, the last rename wins. A crash (or
+  /// injected fault) at any point leaves either the old file or the new
+  /// file, never a hybrid — note that a failure at or after the rename
+  /// can leave the NEW file in place, so a non-OK status means "not
+  /// durable", not "nothing happened". The tmp file is removed on failure
+  /// (best effort).
   Status WriteFileAtomic(const std::string& path, std::string_view data);
 };
 

@@ -25,7 +25,6 @@
 #include "core/observatory.h"
 #include "eo/scene.h"
 #include "common/cancellation.h"
-#include "exec/thread_pool.h"
 #include "governor/admission.h"
 #include "governor/circuit_breaker.h"
 #include "governor/fault_injection.h"
@@ -776,15 +775,6 @@ TEST_F(GovernedObservatoryTest, VaultIngestBreakerTripsAndRecovers) {
 }
 
 TEST_F(GovernedObservatoryTest, ExportBreakerShedsAfterPersistentFailures) {
-  // Batch products export concurrently, and which of them the breaker
-  // sheds then depends on scheduling; one worker runs them in input
-  // order, so the breaker sees each product's outcome before the next.
-  exec::ThreadPool::SetGlobalThreads(1);
-  struct RestoreThreads {
-    ~RestoreThreads() {
-      exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
-    }
-  } restore_threads;
   // Only the chain's output matters here: the publisher counts products.
   std::atomic<int> published{0};
   noa::ProcessingChain chain(
@@ -802,33 +792,51 @@ TEST_F(GovernedObservatoryTest, ExportBreakerShedsAfterPersistentFailures) {
   ASSERT_TRUE(io::GetFileSystem()->WriteFileAtomic(blocker.string(), "x").ok());
   config.output_dir = (blocker / "out").string();
 
+  // Batch products export concurrently, so how many of these four are
+  // admitted while the breaker is still closed depends on the pool's
+  // width; at least three fail their retries, and that trips it.
   auto batch = chain.RunBatch({"alpha", "beta", "gamma", "delta"}, config);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->failures.size(), 4u);
   EXPECT_TRUE(batch->product_ids.empty());
   EXPECT_GE(chain.export_breaker().trips(), 1u);
+  EXPECT_EQ(chain.export_breaker().state(), CircuitBreaker::State::kOpen);
+
   // Once the breaker tripped, later products shed with kUnavailable
-  // instead of burning a retry budget each.
-  bool saw_shed = false;
-  for (const noa::ChainFailure& failure : batch->failures) {
-    EXPECT_FALSE(failure.status.ok());
-    saw_shed = saw_shed ||
-               failure.status.code() == StatusCode::kUnavailable;
+  // instead of burning a retry budget each: before the cool-down ends
+  // not one of them exports, even into a valid output directory.
+  noa::ChainConfig valid = FireConfig();
+  valid.output_dir = (dir_ / "shed").string();
+  ASSERT_TRUE(io::GetFileSystem()->CreateDir(valid.output_dir).ok());
+  auto shed = chain.RunBatch({"alpha", "beta", "gamma", "delta"}, valid);
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  ASSERT_EQ(shed->failures.size(), 4u);
+  for (const noa::ChainFailure& failure : shed->failures) {
+    EXPECT_EQ(failure.status.code(), StatusCode::kUnavailable)
+        << failure.raster << ": " << failure.status.ToString();
   }
-  EXPECT_TRUE(saw_shed);
+  auto exported = io::GetFileSystem()->ListDirectory(valid.output_dir);
+  ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+  EXPECT_TRUE(exported->empty());
+  EXPECT_EQ(published, 0);
 
   // Recovery: cool-down elapses, a valid output directory, and the next
-  // run (different classifier => different product ids) fully succeeds.
+  // runs (different classifier => different product ids) fully succeed.
+  // The half-open probe is one product on its own, since the breaker
+  // sheds products that arrive while the probe is in flight.
   now += std::chrono::milliseconds(1000);
   noa::ChainConfig good = FireConfig();
   good.classifier.kind = noa::ClassifierKind::kContextual;
   good.output_dir = (dir_ / "products").string();
   ASSERT_TRUE(io::GetFileSystem()->CreateDir(good.output_dir).ok());
-  auto recovered = chain.RunBatch({"alpha", "beta"}, good);
+  auto probe = chain.Run("alpha", good);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(chain.export_breaker().state(), CircuitBreaker::State::kClosed);
+  auto recovered = chain.RunBatch({"beta", "gamma"}, good);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->failures.empty());
   EXPECT_EQ(recovered->product_ids.size(), 2u);
-  EXPECT_EQ(published, 2);
+  EXPECT_EQ(published, 3);
   EXPECT_EQ(chain.export_breaker().state(), CircuitBreaker::State::kClosed);
 }
 

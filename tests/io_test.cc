@@ -114,7 +114,9 @@ TEST_F(FileSystemTest, WriteReadRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, body);
   // No tmp residue after a successful atomic write.
-  EXPECT_FALSE(*fs->FileExists(Path("f.bin.tmp")));
+  auto listing = fs->ListDirectory(dir_.string());
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(*listing, std::vector<std::string>{Path("f.bin")});
 }
 
 TEST_F(FileSystemTest, ListDirectoryIsSorted) {

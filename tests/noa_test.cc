@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 
 #include "core/observatory.h"
@@ -223,6 +227,7 @@ std::set<std::string> TripleLines(const strabon::Strabon& store) {
 // of the chain's hotspots, and WKT literals equal to geo::WriteWkt of
 // their geometry.
 TEST_F(ChainTest, PublishesExactlyTheChainsTerms) {
+  const size_t before = strabon_.size();
   ChainConfig config;
   config.classifier.kind = ClassifierKind::kContextual;
   auto result = veo_.RunFireChain("MSG2-SEVIRI-scene", config);
@@ -242,10 +247,21 @@ TEST_F(ChainTest, PublishesExactlyTheChainsTerms) {
   ASSERT_TRUE(eo::RegisterProductTriples(meta, &expected).ok());
   ASSERT_TRUE(
       PublishHotspots(result->hotspots, result->product_id, &expected).ok());
-  const std::set<std::string> published = TripleLines(strabon_);
-  for (const std::string& triple : TripleLines(expected)) {
-    EXPECT_EQ(published.count(triple), 1u) << triple;
+  // Every triple about the product or one of its hotspots, and no other:
+  // the store grew by exactly the expected triples.
+  const std::string product_iri =
+      std::string(eo::kNoaNs) + "product/" + result->product_id;
+  const std::string hotspot_prefix =
+      std::string(eo::kNoaNs) + "hotspot/" + result->product_id + "/";
+  std::set<std::string> published;
+  for (const std::string& triple : TripleLines(strabon_)) {
+    if (triple.rfind("<" + product_iri + ">", 0) == 0 ||
+        triple.rfind("<" + hotspot_prefix, 0) == 0) {
+      published.insert(triple);
+    }
   }
+  EXPECT_EQ(published, TripleLines(expected));
+  EXPECT_EQ(strabon_.size() - before, expected.size());
   const auto& dict = strabon_.store().dict();
   for (const Hotspot& hotspot : result->hotspots) {
     auto geometry = strabon_.Select(
@@ -283,6 +299,62 @@ TEST_F(ChainTest, RefusedRowPublishesNoTriples) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
       << result.status().ToString();
   EXPECT_EQ(strabon_.size(), before);
+}
+
+/// The real file system, except that the first two writers of a `.vec`
+/// temp file each wait, once it is open, until the other has opened one
+/// too (or two seconds pass), so two exports of one product overlap. It
+/// counts the renames that fail.
+class OverlappingExports : public io::PosixFileSystem {
+ public:
+  Result<std::unique_ptr<io::WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    auto file = io::PosixFileSystem::NewWritableFile(path);
+    if (path.find(".vec.") != std::string::npos) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++opened_;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(2), [&] { return opened_ >= 2; });
+    }
+    return file;
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    Status st = io::PosixFileSystem::Rename(from, to);
+    if (!st.ok()) ++failed_renames;
+    return st;
+  }
+
+  std::atomic<int> failed_renames{0};
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int opened_ = 0;
+};
+
+// One raster listed twice exports one product path from two batch
+// products at once: each export writes its own temp file, so both
+// renames land, neither export is retried, and the file decodes whole.
+TEST_F(ChainTest, DuplicateRastersExportOneProductConcurrently) {
+  OverlappingExports overlapping;
+  io::ScopedFileSystem scoped(&overlapping);
+  ChainConfig config;
+  config.classifier.kind = ClassifierKind::kContextual;
+  config.output_dir = (dir_ / "out").string();
+  fs::create_directories(config.output_dir);
+  auto batch = veo_.RunFireChainBatch(
+      {"MSG2-SEVIRI-scene", "MSG2-SEVIRI-scene"}, config);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_TRUE(batch->failures.empty());
+  ASSERT_EQ(batch->product_ids.size(), 2u);
+  EXPECT_EQ(batch->product_ids[0], batch->product_ids[1]);
+  EXPECT_EQ(overlapping.failed_renames, 0);
+  auto vec = vault::ReadVec(config.output_dir + "/" + batch->product_ids[0] +
+                            ".vec");
+  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+  auto hotspots = HotspotsFromVec(*vec);
+  ASSERT_TRUE(hotspots.ok()) << hotspots.status().ToString();
+  EXPECT_EQ(2 * hotspots->size(), batch->hotspots.size());
 }
 
 TEST_F(ChainTest, HotspotsCarryValidTimePeriods) {
